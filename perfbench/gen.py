@@ -107,15 +107,17 @@ def _curve(rng, n_nodes: int, shape: str, header: str):
     return [(float(t), float(c / t)) for t, c in zip(times, cum)], float(fwd.max())
 
 
-def _liabilities(rng, tau: float, kappa: float, density_years: float):
+def _liabilities(rng, tau: float, kappa: float, density_years: float, inside: bool):
     """Lumps and (when ``density_years`` is positive) one density segment.
 
-    One lump lies in (tau, kappa], the others and the density beyond
-    kappa, so the number of pieces the M5 hedge is cut into is the same
-    for every seed. The density starts 1 to 1.5 years before the last
-    market node: shifted curves carry the shifts' half-year grid only up
-    to there, so the number of panels its integrals are split into is
-    nearly the same for every seed too.
+    One lump lies in (tau, kappa] and the others beyond kappa, so the
+    number of pieces the M5 hedge is cut into is the same for every seed.
+    With ``inside`` the density starts 1 to 1.5 years after tau and ends
+    by kappa, so the M5 plan carries a symbolic roll-down density.
+    Otherwise it starts 1 to 1.5 years before the last market node:
+    shifted curves carry the shifts' half-year grid only up to there, so
+    the number of panels its integrals are split into is nearly the same
+    for every seed.
     """
     ranges = ((tau + 1.0, tau + 5.0), (kappa + 2.0, kappa + 15.0),
               (kappa + 25.0, kappa + 45.0), (kappa + 50.0, kappa + 80.0))
@@ -125,8 +127,9 @@ def _liabilities(rng, tau: float, kappa: float, density_years: float):
     ]
     dens = []
     if density_years > 0.0:
-        a = round(_LAST_NODE - float(rng.uniform(1.0, 1.5)), 3)
-        dens.append((a, a + density_years, round(float(rng.uniform(0.02, 0.08)), 4)))
+        start = float(rng.uniform(1.0, 1.5))
+        a = round(tau + start if inside else _LAST_NODE - start, 3)
+        dens.append((a, round(a + density_years, 3), round(float(rng.uniform(0.02, 0.08)), 4)))
     return lumps, dens
 
 
@@ -153,7 +156,8 @@ def generated_case(rng, index: int, density_years: float = 8.0) -> Case:
     Node count, curve shape, file header, offset on/off, shift-suite size
     and the tau-to-kappa span are fixed by the index; the seed draws node
     placement, rate levels, tau, amounts and the shift-suite seed.
-    Liabilities are lumps only for every third case.
+    Liabilities are lumps only for every third case; of the others, one
+    in two has its density inside (tau, kappa] and one beyond kappa.
     """
     n_nodes = (6, 9, 12, 15)[index % 4]
     shape = SHAPES[index % 3]
@@ -162,10 +166,8 @@ def generated_case(rng, index: int, density_years: float = 8.0) -> Case:
     tau = round(float(rng.uniform(8.0, 12.0)) * 4.0) / 4.0
     kappa = tau + (10.0, 12.0, 14.0)[index % 3]
     offset = 0.0 if index % 2 == 0 else round(float(rng.uniform(-0.002, 0.002)), 5)
-    # a density inside (tau, kappa] makes the M5 plan's roll-down density
-    # symbolic, and verify's remainder_decay check then fails on some
-    # inputs (see README.md); generated densities start beyond kappa
-    lumps, dens = _liabilities(rng, tau, kappa, 0.0 if index % 3 == 1 else density_years)
+    lumps, dens = _liabilities(rng, tau, kappa, 0.0 if index % 3 == 1 else density_years,
+                               inside=index % 3 == 2)
     return Case(
         name=f"case{index}",
         curve_header=header,

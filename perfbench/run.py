@@ -55,9 +55,8 @@ OUT = HERE / "out"
 #: the median reported; a fixed count, because each fresh import of the
 #: package adds a little to the peak resident set size
 SETUP_REPEATS = 11
-#: the tail percentile per workload: the highest that leaves at least ten
-#: samples beyond it in a run of the baseline code (see README.md)
-TAIL_PERCENTILE = {"verify-matrix": 95, "ufr-sensitivity": 97, "curve-sampling": 97}
+#: the tail percentile leaves at least this many samples beyond it
+TAIL_BEYOND = 10
 
 E2E_UNITS = {"ops_per_s": "1/s", "latency_p50_ms": "ms", "latency_tail_ms": "ms",
              "setup_s": "s", "peak_rss_mb": "MiB"}
@@ -137,6 +136,23 @@ class Session:
         return latency, bool(problem)
 
 
+def beyond(n, p):
+    """How many of ``n`` sorted samples lie beyond their p-th percentile.
+
+    With linear interpolation the p-th percentile lies at position
+    (n - 1) p / 100; the samples at later positions are beyond it.
+    """
+    return n - 1 - (n - 1) * p // 100
+
+
+def tail_percentile(n):
+    """The highest whole percentile of ``n`` samples with ``TAIL_BEYOND`` beyond it."""
+    fits = [p for p in range(100) if beyond(n, p) >= TAIL_BEYOND]
+    if not fits:
+        raise ValueError(f"{n} samples leave no percentile with {TAIL_BEYOND} beyond it")
+    return max(fits)
+
+
 def percentile(values, p):
     """Linearly interpolated p-th percentile of equally weighted values."""
     ordered = sorted(values)
@@ -144,39 +160,6 @@ def percentile(values, p):
     lo = int(pos)
     hi = min(lo + 1, len(ordered) - 1)
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
-
-
-def measure(session, seconds):
-    """Closed loop over whole cycles; return the end-to-end metrics and counts.
-
-    Every cycle runs the same operations on the same inputs, so each
-    operation's latency is taken as its lowest over the cycles, as
-    ``timeit`` does: the speed of a shared host drifts by tens of percent
-    within seconds, and the lowest time is the one least disturbed by it.
-    Rates and percentiles are then over the operations of the mix,
-    equally weighted.
-    """
-    per_op = [[] for _ in session.ops]
-    failed, cycles = 0, 0
-    start = time.perf_counter()
-    while cycles == 0 or time.perf_counter() - start < seconds:
-        for samples, op in zip(per_op, session.ops):
-            latency, bad = session.run(op)
-            samples.append(latency)
-            failed += bad
-        cycles += 1
-    best = [min(samples) for samples in per_op]
-    tail_pct = TAIL_PERCENTILE[session.workload]
-    metrics = {
-        "ops_per_s": len(best) / (sum(best) / 1e9),
-        "latency_p50_ms": statistics.median(best) / 1e6,
-        "latency_tail_ms": percentile(best, tail_pct) / 1e6,
-        "setup_s": statistics.median(session.setup_times),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
-    info = {"cycles": cycles, "attempted": cycles * len(best), "failed": failed,
-            "tail_percentile": tail_pct}
-    return metrics, info
 
 
 def _cycle(session):
@@ -187,6 +170,39 @@ def _cycle(session):
         latencies.append(latency)
         failed += bad
     return latencies, failed
+
+
+def measure(session, seconds):
+    """Closed loop over whole cycles; return the end-to-end metrics and counts.
+
+    Every cycle runs the same operations on the same inputs, so each
+    operation's latency is taken as its lowest over the cycles, as
+    ``timeit`` does: the speed of a shared host drifts by tens of percent
+    within seconds, and the lowest time is the one least disturbed by it.
+    Rates and percentiles are then over the operations of the mix,
+    equally weighted: one sample per operation.
+    """
+    per_op = [[] for _ in session.ops]
+    failed, cycles = 0, 0
+    start = time.perf_counter()
+    while cycles == 0 or time.perf_counter() - start < seconds:
+        latencies, bad = _cycle(session)
+        for samples, latency in zip(per_op, latencies):
+            samples.append(latency)
+        failed += bad
+        cycles += 1
+    best = [min(samples) for samples in per_op]
+    tail_pct = tail_percentile(len(best))
+    metrics = {
+        "ops_per_s": len(best) / (sum(best) / 1e9),
+        "latency_p50_ms": statistics.median(best) / 1e6,
+        "latency_tail_ms": percentile(best, tail_pct) / 1e6,
+        "setup_s": statistics.median(session.setup_times),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+    info = {"cycles": cycles, "attempted": cycles * len(best), "failed": failed,
+            "tail_percentile": tail_pct, "tail_samples": len(best)}
+    return metrics, info
 
 
 def layer_metrics(tr, wall_ns):
@@ -265,8 +281,10 @@ def trace_run(session, seconds):
     for name, (value, unit) in first.items():
         if unit in ("count", "ratio") and name != "quadrature.inclusive_share":
             metrics[name] = (value, unit)
-            if any(c[name][0] != value for c in per_cycle[1:]):
-                print(f"warning: {name} differs between traced cycles", file=sys.stderr)
+            others = sorted({c[name][0] for c in per_cycle[1:]} - {value})
+            if others:
+                session.failures.append(
+                    f"{name} differs between traced cycles: {value} and {others}")
         else:
             metrics[name] = (statistics.median(c[name][0] for c in per_cycle), unit)
     # as for the end-to-end figures, each operation counts with its lowest time
@@ -313,9 +331,10 @@ def main(argv=None):
         print(f"{name} {value:.6g} {unit}")
     if not args.trace:
         print(f"error_rate {info['failed'] / info['attempted']:.6g} ratio")
-        beyond = info["attempted"] * (100 - info["tail_percentile"]) / 100
-        print(f"# latency_tail_ms is p{info['tail_percentile']} of {info['attempted']} samples "
-              f"({beyond:.0f} beyond it); an operation's latency is its lowest over the cycles")
+        n, p = info["tail_samples"], info["tail_percentile"]
+        print(f"# latency_tail_ms is p{p} of {n} samples, one per operation "
+              f"({beyond(n, p)} beyond it); "
+              f"an operation's latency is its lowest over the {info['cycles']} cycles")
         print(f"# setup_s is the median of {len(session.setup_times)} set-ups, "
               f"from {min(session.setup_times):.4f} to {max(session.setup_times):.4f} s")
     correct = not session.failures

@@ -2,7 +2,7 @@
 
     python3 perfbench/selftest.py
 
-Takes about two minutes: it runs every workload briefly, traced and
+Takes about a minute: it runs every workload briefly, traced and
 untraced, in subprocesses, as the benchmark is run for real.
 """
 
@@ -51,6 +51,15 @@ class Contract(unittest.TestCase):
             for metric in BENCHMARK[section]:
                 self.assertRegex(metric["name"], NAME)
                 self.assertRegex(metric["unit"], UNIT)
+
+    def test_tail_percentile_leaves_ten_beyond(self):
+        def beyond(n, p):
+            return sum(1 for i in range(n) if i > (n - 1) * p / 100)
+
+        for n in range(run.TAIL_BEYOND + 1, 200):
+            p = run.tail_percentile(n)
+            self.assertGreaterEqual(beyond(n, p), run.TAIL_BEYOND, n)
+            self.assertLess(beyond(n, p + 1), run.TAIL_BEYOND, n)
 
     def test_every_workload_and_metric_is_emitted(self):
         names = [w["name"] for w in BENCHMARK["workloads"]]
@@ -113,12 +122,13 @@ class Gate(unittest.TestCase):
     def test_corrupt_analytic_shows_in_error_rate(self):
         op = next(o for o in self.session.ops if o.command == "verify")
         corrupt = type(op)(**{**vars(op), "argv": op.argv + ["--corrupt-analytic", "1e-3"]})
-        ops, self.session.ops = self.session.ops, [op, corrupt]
+        # enough operations for a tail percentile, one of them corrupt
+        ops, self.session.ops = self.session.ops, [op] * run.TAIL_BEYOND + [corrupt]
         try:
             _, info = run.measure(self.session, 0)
         finally:
             self.session.ops = ops
-        self.assertEqual((info["attempted"], info["failed"]), (2, 1))
+        self.assertEqual((info["attempted"], info["failed"]), (run.TAIL_BEYOND + 1, 1))
 
     def test_reference_mismatch_fails(self):
         op = next(o for o in self.session.ops if o.command == "hedge" and o.kind == "M3")
