@@ -17,12 +17,13 @@ import sys
 import numpy as np
 
 from .curves import DEFAULT_HORIZON, CurveShift, present_value
-from .errors import CurveHedgeError, InputFormatError
+from .errors import CurveHedgeError, DomainError, InputFormatError
 from .extrapolation import (
     M4,
     M6_SW_CONTINUOUS,
     arbitrage_scan,
     extrapolate,
+    is_number,
     resolve_alpha,
 )
 from .hedging import (
@@ -50,6 +51,10 @@ TOLERANCES = {
 
 ENV_TOL = "CURVEHEDGE_TOL_OVERRIDE"
 
+#: most samples one extrapolate or scan-arbitrage grid may hold: ten
+#: times a 0.002-year scan over the default 200-year horizon
+MAX_SAMPLES = 1_000_000
+
 
 def _tolerances() -> dict:
     tols = dict(TOLERANCES)
@@ -64,8 +69,28 @@ def _tolerances() -> dict:
         unknown = set(override) - set(tols)
         if unknown:
             raise InputFormatError(f"unknown tolerance keys {sorted(unknown)}")
+        for key, value in override.items():
+            if not (is_number(value) and np.isfinite(value) and value >= 0):
+                raise InputFormatError(
+                    f"{ENV_TOL}: {key} must be a finite number >= 0, got {value!r}"
+                )
+        tail = override.get("remainder_tail", TOLERANCES["remainder_tail"])
+        if tail != int(tail) or tail > len(EPS_SCHEDULE):
+            raise InputFormatError(
+                f"{ENV_TOL}: remainder_tail must be a whole number <= {len(EPS_SCHEDULE)}"
+            )
         tols.update(override)
     return tols
+
+
+def _check_step(step: float, horizon: float, option: str):
+    """Reject a sampling step that is not positive or asks for too many samples."""
+    if not (np.isfinite(step) and step > 0):
+        raise DomainError(f"{option} must be finite and positive, got {step}")
+    if not horizon / step < MAX_SAMPLES:
+        raise DomainError(
+            f"{option} {step} over horizon {horizon} exceeds {MAX_SAMPLES} samples"
+        )
 
 
 def _emit(args, text: str):
@@ -97,6 +122,8 @@ def _load(args, liabilities=False):
 
 
 def cmd_extrapolate(args) -> int:
+    _check_step(args.step, args.horizon, "--step")
+    _check_step(args.scan_step, args.horizon, "--scan-step")
     curve, spec, _ = _load(args)
     ec = extrapolate(curve, spec, args.horizon)
     ts = np.arange(0.0, args.horizon + 0.5 * args.step, args.step)
@@ -283,6 +310,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    _check_step(args.step, args.horizon, "--step")
     curve, spec, _ = _load(args)
     ec = extrapolate(curve, spec, args.horizon)
     scan = arbitrage_scan(ec, args.step)

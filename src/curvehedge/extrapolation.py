@@ -25,6 +25,7 @@ discount factors on a grid.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,16 @@ ALPHA_MAX = 1.0
 
 #: Gram matrices with a larger condition estimate are rejected
 SW_CONDITION_LIMIT = 1e12
+
+#: MethodSpec number fields that may also be null (absent)
+_OPTIONAL_NUMBERS = ("ufr", "kappa", "alpha", "epsilon")
+
+
+def is_number(value) -> bool:
+    """Whether a parsed JSON value is a number a float can hold; bools are not numbers."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,10 @@ class MethodSpec:
             raise DomainError(f"unknown method fields {sorted(unknown)}")
         if "kind" not in data or "tau" not in data:
             raise DomainError("a method spec needs at least 'kind' and 'tau'")
+        for name, value in data.items():
+            if name == "kind" or is_number(value) or (value is None and name in _OPTIONAL_NUMBERS):
+                continue
+            raise DomainError(f"method field {name!r} must be a number, got {value!r}")
         return cls(**data)
 
 

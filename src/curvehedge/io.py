@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .curves import CashFlow, ForwardCurve
 from .errors import CurveHedgeError, InputFormatError
-from .extrapolation import MethodSpec
+from .extrapolation import MethodSpec, is_number
 
 
 def _read_text(path) -> str:
@@ -79,14 +79,18 @@ def _curve_from_json(data, path) -> ForwardCurve:
     elif isinstance(data, list):
         if not data:
             raise InputFormatError("empty curve list", path=path)
+        if not all(isinstance(row, dict) for row in data):
+            raise InputFormatError("curve rows must be objects", path=path)
         mode = "zero_yield" if "zero_yield" in data[0] else "forward"
         try:
             times = [row["t"] for row in data]
             values = [row[mode] for row in data]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InputFormatError(f"bad curve row: {exc}", path=path)
     else:
         raise InputFormatError("curve JSON must be a list or an object", path=path)
+    if not all(isinstance(col, list) and all(map(is_number, col)) for col in (times, values)):
+        raise InputFormatError("curve times and values must be lists of numbers", path=path)
     try:
         if mode == "zero_yield":
             return ForwardCurve.from_zero_yields(times, values)
@@ -107,13 +111,16 @@ def read_cash_flow(path) -> CashFlow:
             if not isinstance(row, dict):
                 raise InputFormatError("cash-flow rows must be objects", path=path)
             if {"t", "amount"} <= set(row):
-                lumps.append((row["t"], row["amount"]))
+                fields, target = (row["t"], row["amount"]), lumps
             elif {"a", "b", "rate"} <= set(row):
-                densities.append((row["a"], row["b"], row["rate"]))
+                fields, target = (row["a"], row["b"], row["rate"]), densities
             else:
                 raise InputFormatError(
                     "row needs fields (t, amount) or (a, b, rate)", path=path
                 )
+            if not all(map(is_number, fields)):
+                raise InputFormatError(f"cash-flow fields must be numbers, got {fields}", path=path)
+            target.append(fields)
         try:
             return CashFlow(lumps=tuple(lumps), densities=tuple(densities))
         except CurveHedgeError as exc:

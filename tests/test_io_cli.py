@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from curvehedge import cli
 from curvehedge.cli import main
 from curvehedge.errors import InputFormatError
 from curvehedge.io import method_from_arg, read_cash_flow, read_curve
@@ -80,6 +81,21 @@ class TestReaders:
         assert flow.lumps == ((10.0, 1.0),)
         assert flow.densities == ((12.0, 14.0, 0.5),)
 
+    @pytest.mark.parametrize(
+        "reader, payload",
+        [
+            (read_curve, {"t": [10, "20"], "zero_yield": [0.02, 0.025]}),
+            (read_curve, [{"t": 10, "zero_yield": None}]),
+            (read_cash_flow, [{"t": "10", "amount": 1.0}]),
+            (read_cash_flow, [{"a": 12, "b": 14, "rate": True}]),
+        ],
+    )
+    def test_json_non_numbers_rejected(self, tmp_path, reader, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputFormatError, match="numbers"):
+            reader(str(path))
+
     def test_method_inline_and_file(self, tmp_path):
         spec = method_from_arg('{"kind":"M5_SFSA","tau":10,"kappa":20,"ufr":0.042,"offset":0.0}')
         assert spec.kind == "M5_SFSA" and spec.kappa == 20
@@ -138,6 +154,57 @@ class TestCliExtrapolate:
             "--method", '{"kind":"M3","tau":10}',
         )
         assert code == 2
+
+    def test_string_method_field_exits_2(self, flat_curve_csv, capsys):
+        code = run_cli(
+            "extrapolate",
+            "--curve", flat_curve_csv,
+            "--method", '{"kind":"M3","tau":"10","ufr":0.042}',
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1 and "tau" in captured.err
+
+    def test_curve_json_of_numbers_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text("[1, 2]")
+        code = run_cli(
+            "extrapolate",
+            "--curve", str(path),
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1 and "objects" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, option, step",
+        [
+            ("extrapolate", "--step", "0"),
+            ("extrapolate", "--step", "-1"),
+            ("extrapolate", "--step", "1e-9"),
+            ("extrapolate", "--scan-step", "0"),
+            ("extrapolate", "--scan-step", "nan"),
+            ("scan-arbitrage", "--step", "0"),
+            ("scan-arbitrage", "--step", "1e-9"),
+        ],
+    )
+    def test_bad_sample_step_exits_2(self, flat_curve_csv, monkeypatch, capsys, command, option, step):
+        # the step is checked before the curve is even loaded, so no grid is built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("loaded inputs despite a bad step")
+
+        monkeypatch.setattr(cli, "_load", unreachable)
+        code = run_cli(
+            command,
+            "--curve", flat_curve_csv,
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+            option, step,
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and option in captured.err
 
 
 class TestCliHedge:
@@ -278,6 +345,24 @@ class TestCliVerify:
             "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "override", ['{"variation_rel": "x"}', '{"variation_abs": -1}', '{"remainder_tail": 99}']
+    )
+    def test_bad_tolerance_value_exits_1(
+        self, flat_curve_csv, lump_liability_csv, monkeypatch, capsys, override
+    ):
+        monkeypatch.setenv("CURVEHEDGE_TOL_OVERRIDE", override)
+        code = run_cli(
+            "verify",
+            "--curve", flat_curve_csv,
+            "--liabilities", lump_liability_csv,
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "CURVEHEDGE_TOL_OVERRIDE" in captured.err
 
 
 class TestCliSensitivity:

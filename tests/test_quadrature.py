@@ -44,3 +44,81 @@ def test_oscillatory_against_closed_form():
     # antiderivative of sin(3x)e^{-x}: -(e^{-x}/10)(sin 3x + 3 cos 3x)
     F = lambda x: -(math.exp(-x) / 10.0) * (math.sin(3 * x) + 3 * math.cos(3 * x))
     assert abs(val - (F(10.0) - F(0.0))) < 1e-13
+
+
+def _scalar_panel(func, a, b):
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * nodes
+    return half * float(np.dot(weights, np.asarray(func(x), dtype=float)))
+
+
+def _depth_first_reference(func, a, b, rel_tol=1e-12, breakpoints=(), max_depth=40):
+    """The one-panel-at-a-time stack loop the level-by-level version replaced."""
+    pts = [a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b]
+    panels = [(pts[i], pts[i + 1], _scalar_panel(func, pts[i], pts[i + 1]), 0)
+              for i in range(len(pts) - 1)]
+    scale = sum(abs(p[2]) for p in panels) + 1e-300
+    width = b - a
+    total = 0.0
+    stack = panels
+    while stack:
+        x, y, est, depth = stack.pop()
+        mid = 0.5 * (x + y)
+        left = _scalar_panel(func, x, mid)
+        right = _scalar_panel(func, mid, y)
+        refined = left + right
+        err = abs(refined - est)
+        if (
+            err <= rel_tol * scale * (y - x) / width
+            or err <= 1e-16 * scale
+            or depth >= max_depth
+        ):
+            total += refined
+        else:
+            stack.append((x, mid, left, depth + 1))
+            stack.append((mid, y, right, depth + 1))
+    return total
+
+
+_kink = lambda x: np.abs(x - 0.3)
+
+
+@pytest.mark.parametrize(
+    "func, b, kwargs",
+    [
+        (lambda x: np.sin(3 * x) * np.exp(-x), 10.0, {}),
+        (_kink, 1.0, {}),
+        (_kink, 1.0, {"breakpoints": (0.3,)}),
+        (_kink, 1.0, {"rel_tol": 1e-15, "max_depth": 3}),
+    ],
+    ids=["smooth", "kink", "kink-breakpoint", "depth-capped"],
+)
+def test_bitwise_equal_to_depth_first_reference(func, b, kwargs):
+    got = adaptive_gauss_legendre(func, 0.0, b, **kwargs)
+    want = _depth_first_reference(func, 0.0, b, **kwargs)
+    assert got == want
+
+
+def test_one_func_call_per_level():
+    calls = []
+
+    def func(x):
+        calls.append(x.size)
+        return _kink(x)
+
+    breakpoints = np.linspace(0.0, 1.0, 11)[1:-1]
+    adaptive_gauss_legendre(func, 0.0, 1.0, breakpoints=breakpoints, max_depth=40)
+    panels = sum(calls) // 24
+    assert len(calls) <= 40 + 2
+    assert panels > 3 * len(calls)
+
+
+def test_array_panels_match_scalar_calls():
+    f = lambda x: np.exp(-0.03 * x) * np.cos(x)
+    a = np.array([0.0, 0.5, 3.0, 7.25])
+    b = np.array([0.5, 3.0, 7.25, 30.0])
+    got = gauss_panel(f, a, b)
+    assert got.shape == a.shape
+    assert got.tolist() == [gauss_panel(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert got.tolist() == [_scalar_panel(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
