@@ -8,15 +8,11 @@ from .curves import (
     ForwardCurve,
     TimeGrid,
     convexity,
-    discount_factor,
-    discounted_flow,
     dollar_duration,
     duration,
     excess_duration,
-    forward_rate,
     present_value,
     stieltjes_integral,
-    zero_yield,
 )
 from .errors import (
     AlphaNotWellDefinedError,
@@ -43,7 +39,6 @@ from .extrapolation import (
     SwDiscreteFit,
     arbitrage_scan,
     extrapolate,
-    forward_of_extrapolated,
     resolve_alpha,
     sw_alpha_calibrate,
     sw_fit_discrete,

@@ -4,7 +4,9 @@ Subcommands: extrapolate, hedge, verify, sensitivity, scan-arbitrage.
 Exit codes: 0 success or diagnosis, 1 I/O problems, 2 domain or method
 errors, 3 verification tolerance breaches. Verification tolerances can
 be overridden with a JSON map in the CURVEHEDGE_TOL_OVERRIDE
-environment variable.
+environment variable: every value a finite number >= 0, and
+remainder_tail a whole number from 2 to 8 (the length of the epsilon
+schedule).
 """
 
 from __future__ import annotations
@@ -27,18 +29,16 @@ from .extrapolation import (
     resolve_alpha,
 )
 from .hedging import (
-    PLAN_FIRST_ORDER,
-    PLAN_PERFECT,
     convexity_gap,
     hedge,
     infeasibility_decomposition,
+    verification_checks,
     verify_first_order,
-    verify_perfect,
 )
 from .io import method_from_arg, read_cash_flow, read_curve, render_csv, render_json, render_table
 from .sensitivity import ufr_sensitivity
 from .shifts import shift_suite
-from .variation import EPS_SCHEDULE, method_variation_report
+from .variation import EPS_SCHEDULE
 
 TOLERANCES = {
     "variation_rel": 1e-6,
@@ -75,9 +75,10 @@ def _tolerances() -> dict:
                     f"{ENV_TOL}: {key} must be a finite number >= 0, got {value!r}"
                 )
         tail = override.get("remainder_tail", TOLERANCES["remainder_tail"])
-        if tail != int(tail) or tail > len(EPS_SCHEDULE):
+        # a window of one ratio cannot fall, and a window of none is the whole schedule
+        if tail != int(tail) or not 2 <= tail <= len(EPS_SCHEDULE):
             raise InputFormatError(
-                f"{ENV_TOL}: remainder_tail must be a whole number <= {len(EPS_SCHEDULE)}"
+                f"{ENV_TOL}: remainder_tail must be a whole number from 2 to {len(EPS_SCHEDULE)}"
             )
         tols.update(override)
     return tols
@@ -225,39 +226,7 @@ def cmd_verify(args) -> int:
     tols = _tolerances()
     suite = shift_suite(args.shifts, args.seed, args.horizon)
     corrupt = args.corrupt_analytic or 0.0
-    checks = []  # (name, ok, value, bound)
-
-    liability_value = present_value(extrapolate(curve, spec, args.horizon), flow)
-    for i, shift in enumerate(suite):
-        report = method_variation_report(spec, curve, shift, flow, args.horizon)
-        analytic = report.analytic + corrupt
-        residual = abs(analytic - report.numeric)
-        bound = tols["variation_rel"] * max(abs(analytic), abs(report.numeric)) + tols[
-            "variation_abs"
-        ] * max(1.0, abs(liability_value))
-        checks.append((f"variation[{i}]", residual <= bound, residual, bound))
-
-    if spec.kind not in (M4, M6_SW_CONTINUOUS):
-        plan = hedge(spec, curve, flow, args.horizon)
-        bound = tols["first_order_residual_rel"] * max(1.0, abs(liability_value))
-        for i, shift in enumerate(suite):
-            residual = verify_first_order(plan, spec, curve, flow, shift, args.horizon)
-            checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
-        if plan.kind == PLAN_PERFECT:
-            gap = verify_perfect(plan, spec, curve, flow, suite, args.horizon)
-            bound = tols["perfect_gap_rel"] * abs(liability_value)
-            checks.append(("perfect_revaluation", gap <= bound, gap, bound))
-        if plan.kind == PLAN_FIRST_ORDER:
-            tail = int(tols["remainder_tail"])
-            # ratios already at roundoff level cannot be asked to keep falling
-            floor = tols["remainder_floor"] * (1.0 + abs(liability_value))
-            for i, shift in enumerate(suite):
-                ratios = _remainder_ratios(plan, spec, curve, flow, shift, args.horizon)
-                window = ratios[-tail:]
-                good = all(b < a or b < floor for a, b in zip(window, window[1:]))
-                checks.append(
-                    (f"remainder_decay[{i}]", good, ratios[-1], ratios[-tail])
-                )
+    checks = verification_checks(spec, curve, flow, suite, tols, args.horizon, corrupt)
 
     lines = []
     failed = None
@@ -279,18 +248,6 @@ def cmd_verify(args) -> int:
         print(f"verification failed: {failed}", file=sys.stderr)
         return 3
     return 0
-
-
-def _remainder_ratios(plan, spec, curve, flow, shift, horizon):
-    base_asset = plan.value()
-    base_liab = present_value(extrapolate(curve, spec, horizon), flow)
-    ratios = []
-    for eps in EPS_SCHEDULE:
-        shifted = curve.shifted(shift, eps)
-        asset = plan.value_under(shifted, curve)
-        liab = present_value(extrapolate(shifted, spec, horizon), flow)
-        ratios.append(abs((asset - base_asset) - (liab - base_liab)) / eps)
-    return ratios
 
 
 def cmd_sensitivity(args) -> int:

@@ -22,6 +22,7 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +31,6 @@ from .errors import DomainError, UndefinedDurationError
 from .quadrature import adaptive_gauss_legendre
 
 DEFAULT_HORIZON = 200.0
-
-#: default relative tolerance for present-value segment integrals; kept
-#: two orders below the 1e-10 contract so quadrature noise stays far
-#: beneath hedge-residual tolerances
-PV_REL_TOL = 1e-12
 
 
 class TimeGrid:
@@ -70,6 +66,30 @@ class TimeGrid:
 def _as_array(t):
     arr = np.asarray(t, dtype=float)
     return arr, (arr.ndim == 0)
+
+
+def evaluation(body):
+    """The curve-evaluation protocol, around a body that maps a 1-d array of times.
+
+    The method takes a float or an array of any shape, checks once that
+    it lies in [0, horizon], hands ``body`` a flat float array and
+    returns a float for a float and an array of the input's shape
+    otherwise. A method calling another of its own class calls that
+    method's ``body``, so one public call checks its domain once.
+    """
+
+    @functools.wraps(body)
+    def method(self, t, *args, **kwargs):
+        arr = np.asarray(t, dtype=float)
+        flat = arr.reshape(-1)
+        # written so that a NaN time fails it too
+        if flat.size and not (flat.min() >= 0.0 and flat.max() <= self.horizon):
+            raise DomainError(f"time outside curve domain [0, {self.horizon}]")
+        out = body(self, flat, *args, **kwargs)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    method.body = body
+    return method
 
 
 class ForwardCurve:
@@ -159,22 +179,18 @@ class ForwardCurve:
     def horizon(self) -> float:
         return self.grid.horizon
 
-    def _check_domain(self, arr):
-        if arr.size and (np.min(arr) < 0.0 or np.max(arr) > self.horizon):
-            raise DomainError(
-                f"time outside curve domain [0, {self.horizon}]"
-            )
+    def _segment_index(self, t, side: str):
+        """Segment of each t in [0, horizon]: the last one starting at or
+        before t (``side='right'``) or strictly before it (``'left'``).
 
-    def _segment_index(self, arr, side: str):
-        nodes = self.grid.nodes
-        if side == "right":
-            idx = np.searchsorted(nodes, arr, side="right") - 1
-        elif side == "left":
-            idx = np.searchsorted(nodes, arr, side="left") - 1
-        else:
+        Searching the interior nodes only keeps t = 0 in the first
+        segment and t = horizon in the last without clipping.
+        """
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        return np.clip(idx, 0, len(nodes) - 2)
+        return np.searchsorted(self.grid.nodes[1:-1], t, side=side)
 
+    @evaluation
     def forward_rate(self, t, side: str = "right"):
         """Instantaneous forward rate, right-continuous at nodes by default.
 
@@ -182,61 +198,50 @@ class ForwardCurve:
         segment ending at t), which is what 'the forward at the last
         liquid point' means for a curve whose data stop there.
         """
-        arr, scalar = _as_array(t)
-        self._check_domain(arr)
-        idx = self._segment_index(arr, side)
+        idx = self._segment_index(t, side)
         a = self.grid.nodes[idx]
         h = self.grid.nodes[idx + 1] - a
-        w = (arr - a) / h
-        out = self.f_left[idx] * (1.0 - w) + self.f_right[idx] * w
-        return float(out) if scalar else out
+        w = (t - a) / h
+        return self.f_left[idx] * (1.0 - w) + self.f_right[idx] * w
 
+    @evaluation
     def integrated_forward(self, t):
         """int_0^t f(s) ds, exact per segment. Equals t*z(t)."""
-        arr, scalar = _as_array(t)
-        self._check_domain(arr)
-        idx = self._segment_index(arr, "right")
+        idx = self._segment_index(t, "right")
         a = self.grid.nodes[idx]
         h = self.grid.nodes[idx + 1] - a
-        w = arr - a
+        w = t - a
         slope = (self.f_right[idx] - self.f_left[idx]) / h
-        out = self._cum_f[idx] + self.f_left[idx] * w + 0.5 * slope * w * w
-        return float(out) if scalar else out
+        return self._cum_f[idx] + self.f_left[idx] * w + 0.5 * slope * w * w
 
+    @evaluation
     def zero_yield(self, t):
         """z(t) = (1/t) int_0^t f; z(0) = f(0)."""
-        arr, scalar = _as_array(t)
-        self._check_domain(arr)
-        cum = self.integrated_forward(arr)
-        cum_arr = np.asarray(cum, dtype=float)
-        out = np.divide(cum_arr, arr, out=np.empty_like(cum_arr), where=arr > 0)
-        if np.any(arr == 0.0):
-            f0 = self.f_left[0]
-            out = np.where(arr == 0.0, f0, out)
-        return float(out) if scalar else out
+        cum = ForwardCurve.integrated_forward.body(self, t)
+        out = np.divide(cum, t, out=np.empty_like(cum), where=t > 0)
+        if np.any(t == 0.0):
+            out = np.where(t == 0.0, self.f_left[0], out)
+        return out
 
+    @evaluation
     def discount_factor(self, t):
         """exp(-t z(t)), computed from the exact cumulative forward integral."""
-        arr, scalar = _as_array(t)
-        out = np.exp(-np.asarray(self.integrated_forward(arr), dtype=float))
-        return float(out) if scalar else out
+        return np.exp(-ForwardCurve.integrated_forward.body(self, t))
 
+    @evaluation
     def cumulative_time_weighted_yield(self, t):
         """int_0^t s*z(s) ds in closed form (the integrand is int_0^s f)."""
-        arr, scalar = _as_array(t)
-        self._check_domain(arr.reshape(-1))
-        idx = self._segment_index(arr, "right")
+        idx = self._segment_index(t, "right")
         x0 = self.grid.nodes[idx]
         h = self.grid.nodes[idx + 1] - x0
-        w = arr - x0
+        w = t - x0
         slope = (self.f_right[idx] - self.f_left[idx]) / h
-        out = (
+        return (
             self._cum_tz[idx]
             + self._cum_f[idx] * w
             + 0.5 * self.f_left[idx] * w * w
             + slope * w**3 / 6.0
         )
-        return float(out) if scalar else out
 
     def time_weighted_yield_integral(self, a: float, b: float) -> float:
         """int_a^b s*z(s) ds in closed form."""
@@ -489,13 +494,7 @@ def _flow_domain_check(curve, flow: CashFlow):
         )
 
 
-def stieltjes_integral(
-    curve,
-    flow: CashFlow,
-    weight=None,
-    breakpoints=(),
-    rel_tol: float = PV_REL_TOL,
-) -> float:
+def stieltjes_integral(curve, flow: CashFlow, weight=None, breakpoints=()) -> float:
     """int w(t) dC*(t) where dC* is the flow discounted by the curve.
 
     ``weight`` is a vectorized callable (or None for w = 1). Density
@@ -519,13 +518,13 @@ def stieltjes_integral(
         else:
             integrand = lambda s: np.asarray(weight(s), dtype=float) * curve.discount_factor(s) * rate
         pts = list(curve.breakpoints_between(a, b)) + [p for p in extra if a < p < b]
-        total += adaptive_gauss_legendre(integrand, a, b, rel_tol=rel_tol, breakpoints=pts)
+        total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
     return total
 
 
-def present_value(curve, flow: CashFlow, rel_tol: float = PV_REL_TOL) -> float:
+def present_value(curve, flow: CashFlow) -> float:
     """Present value of the flow under the curve's discount factors."""
-    return stieltjes_integral(curve, flow, None, rel_tol=rel_tol)
+    return stieltjes_integral(curve, flow)
 
 
 @dataclass(frozen=True)
@@ -599,27 +598,11 @@ class DiscountedFlow:
             out = out + cum[seg] + partial
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
-    def integrate(self, weight=None, breakpoints=(), rel_tol: float = PV_REL_TOL) -> float:
-        return stieltjes_integral(self.curve, self.source, weight, breakpoints, rel_tol)
-
-
-def discounted_flow(curve, flow: CashFlow) -> DiscountedFlow:
-    return DiscountedFlow(flow, curve)
+    def integrate(self, weight=None, breakpoints=()) -> float:
+        return stieltjes_integral(self.curve, self.source, weight, breakpoints)
 
 
 # ---- scalar analytics -----------------------------------------------------
-
-
-def discount_factor(curve, t: float) -> float:
-    return float(curve.discount_factor(t))
-
-
-def zero_yield(curve, t: float) -> float:
-    return float(curve.zero_yield(t))
-
-
-def forward_rate(curve, t: float) -> float:
-    return float(curve.forward_rate(t))
 
 
 def dollar_duration(curve, flow: CashFlow) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import DEFAULT_HORIZON, ForwardCurve
+from .curves import DEFAULT_HORIZON, ForwardCurve, evaluation
 from .errors import AlphaNotWellDefinedError, CalibrationError, DomainError
 
 M1 = "M1"
@@ -119,6 +119,10 @@ class MethodSpec:
                 out[name] = value
         return out
 
+    def market(self, z):
+        """The market curve ``z`` as this method sees it, with the offset added."""
+        return z if self.offset == 0.0 else z.with_constant_added(self.offset)
+
     @classmethod
     def from_json(cls, data: dict) -> "MethodSpec":
         known = {"kind", "tau", "ufr", "kappa", "alpha", "epsilon", "offset"}
@@ -153,6 +157,16 @@ def sw_kernel(s, t, ufr: float, alpha: float):
     hi = np.maximum(s, t)
     out = np.exp(-ufr * (s + t)) * (alpha * lo - np.exp(-alpha * hi) * np.sinh(alpha * lo))
     return float(out) if out.ndim == 0 else out
+
+
+def sw_factor(u, g, alpha: float):
+    """The Smith-Wilson factor 1 + g (1 - e^{-alpha u}) / alpha.
+
+    ``u`` is the time past tau and ``g`` is ufr - f(tau). The continuous
+    version's discount factor is e^{-ufr u} D(tau) times this factor, so
+    the curve is defective wherever the factor is nonpositive.
+    """
+    return 1.0 + g * (1.0 - np.exp(-alpha * u)) / alpha
 
 
 def _sw_kernel_dt(t, nodes, ufr: float, alpha: float):
@@ -192,43 +206,28 @@ class SwDiscreteFit:
         for arr in (self.nodes, self.prices, self.zeta):
             arr.setflags(write=False)
 
-    def _check_domain(self, arr):
-        if arr.size and (np.min(arr) < 0.0 or np.max(arr) > self.horizon):
-            raise DomainError(f"time outside curve domain [0, {self.horizon}]")
-
+    @evaluation
     def discount_factor(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        self._check_domain(arr)
-        kern = sw_kernel(arr[:, None], self.nodes[None, :], self.ufr, self.alpha)
-        out = np.exp(-self.ufr * arr) + kern @ self.zeta
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+        kern = sw_kernel(t[:, None], self.nodes[None, :], self.ufr, self.alpha)
+        return np.exp(-self.ufr * t) + kern @ self.zeta
 
+    @evaluation
     def forward_rate(self, t, side: str = "right"):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        self._check_domain(arr)
-        d = self.discount_factor(arr)
-        dprime = -self.ufr * np.exp(-self.ufr * arr) + _sw_kernel_dt(
-            arr, self.nodes, self.ufr, self.alpha
+        d = SwDiscreteFit.discount_factor.body(self, t)
+        dprime = -self.ufr * np.exp(-self.ufr * t) + _sw_kernel_dt(
+            t, self.nodes, self.ufr, self.alpha
         ) @ self.zeta
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(d != 0.0, -dprime / d, np.nan)
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+            return np.where(d != 0.0, -dprime / d, np.nan)
 
+    @evaluation
     def zero_yield(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        self._check_domain(arr)
-        d = self.discount_factor(arr)
+        d = SwDiscreteFit.discount_factor.body(self, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / arr, np.nan)
-        if np.any(arr == 0.0):
-            out = np.where(arr == 0.0, self.forward_rate(0.0), out)
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+            out = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / t, np.nan)
+        if np.any(t == 0.0):
+            out = np.where(t == 0.0, SwDiscreteFit.forward_rate.body(self, np.zeros(1)), out)
+        return out
 
     def breakpoints_between(self, a: float, b: float):
         return self.nodes[(self.nodes > a) & (self.nodes < b)]
@@ -312,8 +311,7 @@ def sw_alpha_calibrate(
     u = kappa - tau
 
     def miss(alpha: float) -> float:
-        phi = (1.0 - np.exp(-alpha * u)) / alpha
-        factor = 1.0 + g * phi
+        factor = sw_factor(u, g, alpha)
         if factor <= 0.0:
             return np.inf
         return abs(g) * np.exp(-alpha * u) / factor
@@ -372,7 +370,7 @@ class ExtrapolatedCurve:
         self.base = base
         self.spec = spec
         self.horizon = float(horizon)
-        self.eff = base if spec.offset == 0.0 else base.with_constant_added(spec.offset)
+        self.eff = spec.market(base)
         self.z_tau = float(self.eff.zero_yield(tau))
         self.f_tau = float(self.eff.forward_rate(tau, side="left"))
         self.d_tau = float(self.eff.discount_factor(tau))
@@ -384,23 +382,15 @@ class ExtrapolatedCurve:
 
     # -- defect diagnostics --
 
-    def _sw_factor(self, u):
-        spec = self.spec
-        g = spec.ufr - self.f_tau
-        return 1.0 + g * (1.0 - np.exp(-spec.alpha * u)) / spec.alpha
-
     @property
     def is_defective(self) -> bool:
         """True when the discount factor is nonpositive somewhere on the domain."""
-        if self.spec.kind != M6_SW_CONTINUOUS:
+        spec = self.spec
+        if spec.kind != M6_SW_CONTINUOUS:
             return False
-        return bool(self._sw_factor(self.horizon - self.spec.tau) <= 0.0)
+        return bool(sw_factor(self.horizon - spec.tau, spec.ufr - self.f_tau, spec.alpha) <= 0.0)
 
     # -- evaluation --
-
-    def _check_domain(self, arr):
-        if arr.size and (np.min(arr) < 0.0 or np.max(arr) > self.horizon):
-            raise DomainError(f"time outside curve domain [0, {self.horizon}]")
 
     def _extension_zero_yield(self, t):
         spec = self.spec
@@ -429,23 +419,19 @@ class ExtrapolatedCurve:
             return np.where(t <= kappa, below, above)
         # M6 continuous
         u = t - tau
-        factor = self._sw_factor(u)
+        factor = sw_factor(u, spec.ufr - self.f_tau, spec.alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
             log_term = np.where(factor > 0.0, np.log(np.where(factor > 0.0, factor, 1.0)), np.nan)
         return w * self.z_tau + (1.0 - w) * spec.ufr - log_term / t
 
+    @evaluation
     def zero_yield(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        self._check_domain(arr)
         tau = self.spec.tau
-        base_part = self.eff.zero_yield(np.minimum(arr, tau))
-        ext = arr > tau
-        out = np.asarray(base_part, dtype=float).copy()
+        out = self.eff.zero_yield(np.minimum(t, tau))
+        ext = t > tau
         if np.any(ext):
-            out[ext] = self._extension_zero_yield(arr[ext])
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+            out[ext] = self._extension_zero_yield(t[ext])
+        return out
 
     def _extension_forward(self, t):
         spec = self.spec
@@ -464,46 +450,40 @@ class ExtrapolatedCurve:
             return np.where(t <= kappa, blended, spec.ufr)
         u = t - spec.tau
         g = spec.ufr - self.f_tau
-        factor = self._sw_factor(u)
+        factor = sw_factor(u, g, spec.alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
             return spec.ufr - g * np.exp(-spec.alpha * u) / factor
 
+    @evaluation
     def forward_rate(self, t, side: str = "right"):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        self._check_domain(arr)
         tau = self.spec.tau
-        base_part = self.eff.forward_rate(np.minimum(arr, tau), side=side)
-        out = np.asarray(base_part, dtype=float).copy()
+        out = self.eff.forward_rate(np.minimum(t, tau), side=side)
         # at tau itself the glued curve carries the last market forward,
         # even when the underlying market grid continues past tau
-        at_tau = arr == tau
+        at_tau = t == tau
         if np.any(at_tau):
             out[at_tau] = self.f_tau
-        ext = arr > tau
+        ext = t > tau
         if np.any(ext):
-            out[ext] = self._extension_forward(arr[ext])
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+            out[ext] = self._extension_forward(t[ext])
+        return out
 
+    @evaluation
     def discount_factor(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        self._check_domain(arr)
         spec = self.spec
         tau = spec.tau
-        out = np.asarray(self.eff.discount_factor(np.minimum(arr, tau)), dtype=float).copy()
-        ext = arr > tau
+        out = self.eff.discount_factor(np.minimum(t, tau))
+        ext = t > tau
         if np.any(ext):
-            te = arr[ext]
+            te = t[ext]
             if spec.kind == M6_SW_CONTINUOUS:
                 # product form stays valid (negative) for defective parameters
                 u = te - tau
-                out[ext] = np.exp(-spec.ufr * u) * self.d_tau * self._sw_factor(u)
+                factor = sw_factor(u, spec.ufr - self.f_tau, spec.alpha)
+                out[ext] = np.exp(-spec.ufr * u) * self.d_tau * factor
             else:
                 out[ext] = np.exp(-te * self._extension_zero_yield(te))
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+        return out
 
     def breakpoints_between(self, a: float, b: float):
         pts = set(self.eff.breakpoints_between(a, b))
@@ -529,7 +509,7 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
                 "Smith-Wilson extrapolation needs a fixed alpha; "
                 "calibrate one with sw_alpha_calibrate first"
             )
-        eff = z if spec.offset == 0.0 else z.with_constant_added(spec.offset)
+        eff = spec.market(z)
         nodes = eff.grid.nodes
         nodes = nodes[(nodes > 0.0) & (nodes <= spec.tau)]
         if nodes.size == 0:
@@ -537,11 +517,6 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
         prices = eff.discount_factor(nodes)
         return sw_fit_discrete(nodes, prices, spec.ufr, spec.alpha, horizon=horizon)
     return ExtrapolatedCurve(z, spec, horizon=horizon)
-
-
-def forward_of_extrapolated(curve, t):
-    """Forward rate of an extrapolated curve (either flavor) at t."""
-    return curve.forward_rate(t)
 
 
 # ---- defect scanning --------------------------------------------------------
@@ -588,8 +563,8 @@ def _mask_intervals(ts, mask):
 
 def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
     """Scan the curve for negative forwards and nonpositive discount factors."""
-    if step <= 0:
-        raise DomainError("scan step must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise DomainError(f"scan step must be finite and positive, got {step}")
     horizon = curve.horizon
     n = int(np.floor(horizon / step))
     ts = np.unique(np.concatenate((np.arange(n + 1) * step, [horizon])))
@@ -612,6 +587,5 @@ def resolve_alpha(z: ForwardCurve, spec: MethodSpec) -> MethodSpec:
     """
     if spec.kind not in _SW_KINDS or spec.alpha is not None:
         return spec
-    eff = z if spec.offset == 0.0 else z.with_constant_added(spec.offset)
-    alpha = sw_alpha_calibrate(eff, spec.tau, spec.kappa, spec.ufr, spec.epsilon)
+    alpha = sw_alpha_calibrate(spec.market(z), spec.tau, spec.kappa, spec.ufr, spec.epsilon)
     return replace(spec, alpha=alpha)

@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    CashFlow,
-    CurveShift,
-    ForwardCurve,
-    discounted_flow,
-    present_value,
-)
+from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, present_value
 from .errors import DomainError, PlanKindError
 from .extrapolation import (
     DEFAULT_HORIZON,
@@ -44,7 +38,14 @@ from .extrapolation import (
     extrapolate,
 )
 from .quadrature import adaptive_gauss_legendre
-from .variation import method_variation, method_variation_pv, sw_variation_coefficient
+from .variation import (
+    EPS_SCHEDULE,
+    _variation_weight_breakpoints,
+    method_variation_pv,
+    method_variation_report,
+    second_order_pv,
+    sw_variation_coefficient,
+)
 
 PLAN_PERFECT = "perfect"
 PLAN_FIRST_ORDER = "first_order"
@@ -79,10 +80,10 @@ class PlanDensity:
             return np.asarray(self.rate(t), dtype=float)
         return np.full_like(t, float(self.rate))
 
-    def mass(self, rel_tol: float = 1e-12) -> float:
+    def mass(self) -> float:
         if not callable(self.rate):
             return float(self.rate) * (self.end - self.start)
-        return adaptive_gauss_legendre(self.rate_values, self.start, self.end, rel_tol=rel_tol)
+        return adaptive_gauss_legendre(self.rate_values, self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class HedgePlan:
         """Total market value of the plan, sum of lumps plus density masses."""
         return float(sum(l.amount for l in self.lumps) + sum(d.mass() for d in self.densities))
 
-    def integrate(self, weight, breakpoints=(), rel_tol: float = 1e-12) -> float:
+    def integrate(self, weight, breakpoints=()) -> float:
         """int w(t) dA*(t) over the plan measure."""
         total = 0.0
         for lump in self.lumps:
@@ -109,7 +110,6 @@ class HedgePlan:
                 lambda s: np.asarray(weight(s), dtype=float) * dens.rate_values(s),
                 dens.start,
                 dens.end,
-                rel_tol=rel_tol,
                 breakpoints=pts,
             )
         return total
@@ -130,9 +130,7 @@ class HedgePlan:
                 return dens.rate_values(s) * ratio
 
             pts = list(curve.breakpoints_between(dens.start, dens.end))
-            total += adaptive_gauss_legendre(
-                integrand, dens.start, dens.end, rel_tol=1e-12, breakpoints=pts
-            )
+            total += adaptive_gauss_legendre(integrand, dens.start, dens.end, breakpoints=pts)
         return total
 
     def to_json(self) -> dict:
@@ -159,7 +157,7 @@ def _liability_inputs(spec, z, flow, horizon):
             "split them off before hedging the extrapolated part"
         )
     curve = extrapolate(z, spec, horizon)
-    lstar = discounted_flow(curve, flow)
+    lstar = DiscountedFlow(flow, curve)
     if not lstar.total > 0.0:
         raise DomainError("liabilities must have positive present value")
     return curve, lstar
@@ -258,11 +256,9 @@ def hedge(spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DE
         if kind == M4:
             coeff = lstar.integrate(lambda t: np.asarray(t, dtype=float) - tau)
         else:
-            eff = z if spec.offset == 0.0 else z.with_constant_added(spec.offset)
-            f_tau = eff.forward_rate(tau, side="left")
             coeff = lstar.integrate(
                 lambda t: np.asarray(t, dtype=float)
-                * sw_variation_coefficient(t, tau, spec.alpha, spec.ufr, f_tau)
+                * sw_variation_coefficient(t, tau, spec.alpha, spec.ufr, curve.f_tau)
             )
         return HedgePlan(
             PLAN_INFEASIBLE,
@@ -275,15 +271,6 @@ def hedge(spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DE
             },
         )
     raise DomainError(f"no hedge construction for method kind {kind!r}")
-
-
-def _plan_breakpoints(spec, z, shift, horizon):
-    pts = set(shift.breakpoints_between(0.0, horizon))
-    pts.update(float(p) for p in z.breakpoints_between(0.0, min(z.horizon, horizon)))
-    for p in (spec.tau, spec.kappa):
-        if p is not None:
-            pts.add(float(p))
-    return sorted(pts)
 
 
 def verify_first_order(
@@ -301,7 +288,7 @@ def verify_first_order(
     """
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("an infeasible diagnosis cannot be verified as a hedge")
-    pts = _plan_breakpoints(spec, z, shift, horizon)
+    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, horizon)
     lhs = plan.integrate(lambda t: np.asarray(t, dtype=float) * shift.delta_z(t), breakpoints=pts)
     rhs = -method_variation_pv(spec, z, shift, flow, horizon)
     return abs(lhs - rhs)
@@ -353,13 +340,11 @@ def convexity_gap(
     liabilities (it must be grown whichever way the curve moves);
     positive values mean excess convexity.
     """
-    from .variation import second_order_pv
-
     if plan is None:
         plan = hedge(spec, z, flow, horizon)
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("no first-order hedge exists to compare against")
-    pts = _plan_breakpoints(spec, z, shift, horizon)
+    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, horizon)
 
     def weight(t):
         t = np.asarray(t, dtype=float)
@@ -369,6 +354,70 @@ def convexity_gap(
     asset_side = plan.integrate(weight, breakpoints=pts)
     liability_side = second_order_pv(spec, z, shift, flow, horizon)
     return asset_side - liability_side
+
+
+def verification_checks(
+    spec: MethodSpec,
+    z: ForwardCurve,
+    flow: CashFlow,
+    shifts,
+    tolerances: dict,
+    horizon: float = DEFAULT_HORIZON,
+    corrupt: float = 0.0,
+) -> list:
+    """The analytic-vs-numeric checks of one method, as (name, ok, value, bound) records.
+
+    ``variation[i]`` compares the closed-form first variation of the
+    liability value along shift i (plus ``corrupt``, to show that a
+    check can fail) with its finite-difference twin. The hedgeable
+    methods add ``hedge_equation[i]``, the plan's first-order residual;
+    a perfect plan adds ``perfect_revaluation``, its worst revaluation
+    gap over the suite; a first-order plan adds ``remainder_decay[i]``,
+    whether its revaluation remainder over eps keeps falling on the last
+    ``remainder_tail`` steps of ``EPS_SCHEDULE`` or sits below
+    ``remainder_floor``. ``tolerances`` holds those keys and
+    ``variation_rel``, ``variation_abs``, ``perfect_gap_rel`` and
+    ``first_order_residual_rel``.
+    """
+    checks = []
+    liability_value = present_value(extrapolate(z, spec, horizon), flow)
+    for i, shift in enumerate(shifts):
+        report = method_variation_report(spec, z, shift, flow, horizon)
+        analytic = report.analytic + corrupt
+        residual = abs(analytic - report.numeric)
+        scale = max(abs(analytic), abs(report.numeric))
+        bound = tolerances["variation_rel"] * scale + tolerances["variation_abs"] * max(
+            1.0, abs(liability_value)
+        )
+        checks.append((f"variation[{i}]", residual <= bound, residual, bound))
+
+    if spec.kind in (M4, M6_SW_CONTINUOUS):
+        return checks
+    plan = hedge(spec, z, flow, horizon)
+    bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
+    for i, shift in enumerate(shifts):
+        residual = verify_first_order(plan, spec, z, flow, shift, horizon)
+        checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
+    if plan.kind == PLAN_PERFECT:
+        gap = verify_perfect(plan, spec, z, flow, shifts, horizon)
+        bound = tolerances["perfect_gap_rel"] * abs(liability_value)
+        checks.append(("perfect_revaluation", gap <= bound, gap, bound))
+    if plan.kind == PLAN_FIRST_ORDER:
+        tail = int(tolerances["remainder_tail"])
+        # ratios already at roundoff level cannot be asked to keep falling
+        floor = tolerances["remainder_floor"] * (1.0 + abs(liability_value))
+        base_asset = plan.value()
+        for i, shift in enumerate(shifts):
+            ratios = []
+            for eps in EPS_SCHEDULE:
+                shifted = z.shifted(shift, eps)
+                asset = plan.value_under(shifted, z)
+                liab = present_value(extrapolate(shifted, spec, horizon), flow)
+                ratios.append(abs((asset - base_asset) - (liab - liability_value)) / eps)
+            window = ratios[-tail:]
+            good = all(b < a or b < floor for a, b in zip(window, window[1:]))
+            checks.append((f"remainder_decay[{i}]", good, ratios[-1], ratios[-tail]))
+    return checks
 
 
 # ---- forward rate agreements -------------------------------------------------

@@ -35,6 +35,11 @@ from .errors import DomainError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 
+#: relative tolerance of every integral the package takes; kept two
+#: orders below the 1e-10 contract so quadrature noise stays far beneath
+#: hedge-residual tolerances
+REL_TOL = 1e-12
+
 
 def gauss_panel(func, a, b):
     """24-point Gauss-Legendre estimate of the integral of ``func`` on [a, b].
@@ -57,7 +62,7 @@ def adaptive_gauss_legendre(
     func,
     a: float,
     b: float,
-    rel_tol: float = 1e-12,
+    rel_tol: float = REL_TOL,
     breakpoints=(),
     max_depth: int = 40,
 ) -> float:

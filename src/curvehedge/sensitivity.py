@@ -16,8 +16,8 @@ import numpy as np
 
 from .curves import (
     CashFlow,
+    DiscountedFlow,
     ForwardCurve,
-    discounted_flow,
     excess_duration,
     present_value,
     stieltjes_integral,
@@ -101,8 +101,7 @@ def _ufr_family(spec: MethodSpec, z: ForwardCurve, horizon: float):
     if spec.kind == M2:
         # constant-yield extrapolation: the level itself plays the
         # long-term-rate role, and varying it is the M1 family
-        eff = z if spec.offset == 0.0 else z.with_constant_added(spec.offset)
-        theta0 = float(eff.zero_yield(spec.tau))
+        theta0 = float(spec.market(z).zero_yield(spec.tau))
         proto = MethodSpec(M1, tau=spec.tau, ufr=theta0, offset=spec.offset)
         return (lambda theta: extrapolate(z, replace(proto, ufr=theta), horizon)), theta0
     theta0 = spec.ufr
@@ -124,7 +123,7 @@ def ufr_sensitivity(
         raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
 
     curve = extrapolate(z, spec, horizon)
-    lstar = discounted_flow(curve, flow)
+    lstar = DiscountedFlow(flow, curve)
     total = lstar.total
     if not total > 0.0:
         raise DomainError("liabilities must have positive present value")

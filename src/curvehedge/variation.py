@@ -33,6 +33,7 @@ from .extrapolation import (
     ExtrapolatedCurve,
     MethodSpec,
     extrapolate,
+    sw_factor,
 )
 
 #: one-sided difference-quotient schedule: 1e-2 halved seven times
@@ -73,11 +74,12 @@ class VariationReport:
 def _richardson(quotients):
     """Richardson table for an error expansion in integer powers of eps.
 
-    Successive columns cancel the eps, eps^2 and eps^3 terms (halving
-    schedule, so the elimination factors are 2, 4, 8). Returns the
-    stability-picked estimate and the final column; the pick minimizes
-    the successive difference, guarding against roundoff blowup at the
-    smallest steps.
+    ``quotients`` has one row per eps along axis 0; any further axes hold
+    independent tables. Successive columns cancel the eps, eps^2 and
+    eps^3 terms (halving schedule, so the elimination factors are 2, 4,
+    8). Returns the stability-picked estimate and the final column; the
+    pick minimizes the successive difference, guarding against roundoff
+    blowup at the smallest steps.
     """
     col = np.asarray(quotients, dtype=float)
     for factor in (2.0, 4.0, 8.0):
@@ -85,10 +87,9 @@ def _richardson(quotients):
             break
         col = (factor * col[1:] - col[:-1]) / (factor - 1.0)
     if len(col) == 1:
-        return float(col[0]), tuple(col)
-    diffs = np.abs(np.diff(col))
-    j = int(np.argmin(diffs)) + 1
-    return float(col[j]), tuple(col)
+        return col[0], col
+    picks = np.argmin(np.abs(np.diff(col, axis=0)), axis=0) + 1
+    return np.take_along_axis(col, np.expand_dims(picks, 0), axis=0)[0], col
 
 
 def _eval_functional(functional, curve, eps):
@@ -135,6 +136,7 @@ def numeric_variation(
         quotients = tuple((at(2 * e) - 2.0 * at(e) + f0) / (e * e) for e in eps)
 
     numeric, extrapolated = _richardson(quotients)
+    numeric = float(numeric)
     residual = None if analytic is None else abs(analytic - numeric)
 
     defect = None
@@ -148,7 +150,7 @@ def numeric_variation(
         numeric=numeric,
         eps_schedule=eps,
         quotients=quotients,
-        extrapolated=extrapolated,
+        extrapolated=tuple(extrapolated),
         analytic=analytic,
         residual=residual,
         additivity_defect=defect,
@@ -183,20 +185,8 @@ def sw_variation_coefficient(t, tau: float, alpha: float, ufr: float, f_tau: flo
     """
     t = np.asarray(t, dtype=float)
     phi = (1.0 - np.exp(-alpha * (t - tau))) / alpha
-    factor = 1.0 + (ufr - f_tau) * phi
-    out = phi / (t * factor)
+    out = phi / (t * sw_factor(t - tau, ufr - f_tau, alpha))
     return float(out) if out.ndim == 0 else out
-
-
-def _sw_factor_or_raise(t, tau, alpha, ufr, f_tau):
-    phi = (1.0 - np.exp(-alpha * (np.asarray(t, dtype=float) - tau))) / alpha
-    factor = 1.0 + (ufr - f_tau) * phi
-    if np.any(factor <= 0.0):
-        raise DefectiveCurveError(
-            "Smith-Wilson discount factor is nonpositive at the requested time; "
-            "the variation is undefined there"
-        )
-    return factor
 
 
 def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
@@ -245,9 +235,12 @@ def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
             blend = np.where(te <= kappa, (kappa - te) / span * shift.delta_z(clipped), 0.0)
             out[above] = blend + integral / (te * span)
         else:  # M6 continuous, alpha held fixed
-            eff = z if spec.offset == 0.0 else z.with_constant_added(spec.offset)
-            f_tau = eff.forward_rate(tau, side="left")
-            _sw_factor_or_raise(te, tau, spec.alpha, spec.ufr, f_tau)
+            f_tau = spec.market(z).forward_rate(tau, side="left")
+            if np.any(sw_factor(te - tau, spec.ufr - f_tau, spec.alpha) <= 0.0):
+                raise DefectiveCurveError(
+                    "Smith-Wilson discount factor is nonpositive at the requested time; "
+                    "the variation is undefined there"
+                )
             df_tau = shift.delta_f_at_boundary(tau)
             c = sw_variation_coefficient(te, tau, spec.alpha, spec.ufr, f_tau)
             out[above] = (tau / te) * dz_tau + c * df_tau
@@ -365,12 +358,7 @@ def _sw_second_variation_weight(spec, z, shift, horizon, eps_schedule=EPS_SCHEDU
             raise DefectiveCurveError(
                 "shifted Smith-Wilson curve is defective inside the differencing schedule"
             )
-        for factor in (2.0, 4.0, 8.0):
-            if len(col) < 2:
-                break
-            col = (factor * col[1:] - col[:-1]) / (factor - 1.0)
-        picks = np.argmin(np.abs(np.diff(col, axis=0)), axis=0) + 1
-        return np.take_along_axis(col, picks[None, :], axis=0)[0]
+        return _richardson(col)[0]
 
     return weight
 

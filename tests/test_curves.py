@@ -6,16 +6,14 @@ import pytest
 from curvehedge import (
     CashFlow,
     CurveShift,
+    DiscountedFlow,
     ForwardCurve,
     TimeGrid,
     convexity,
-    discount_factor,
-    discounted_flow,
     dollar_duration,
     duration,
     excess_duration,
     present_value,
-    zero_yield,
 )
 from curvehedge.errors import DomainError, UndefinedDurationError
 
@@ -82,6 +80,17 @@ class TestCurveConstruction:
         with pytest.raises(DomainError):
             ForwardCurve.from_zero_yields([0.0, 10.0], [0.02, 0.02])
 
+    def test_segment_index_matches_clipped_search(self):
+        """Searching the interior nodes equals clipping a search over all of them."""
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            curve = random_curve(rng, n_nodes=int(rng.integers(2, 9)))
+            nodes = curve.grid.nodes
+            ts = np.concatenate((nodes, rng.uniform(0.0, curve.horizon, 40)))
+            for side in ("left", "right"):
+                reference = np.clip(np.searchsorted(nodes, ts, side=side) - 1, 0, len(nodes) - 2)
+                np.testing.assert_array_equal(curve._segment_index(ts, side), reference)
+
     def test_forward_curve_is_piecewise_linear(self):
         curve = ForwardCurve.from_forwards([0.0, 10.0, 20.0], [0.01, 0.03, 0.02])
         assert curve.forward_rate(5.0) == pytest.approx(0.02, abs=1e-15)
@@ -99,25 +108,25 @@ class TestCurveConstruction:
 
 class TestDiscountFactor:
     def test_zero_rate_identity(self):
-        assert discount_factor(ForwardCurve.flat(0.0), 10.0) == 1.0
+        assert ForwardCurve.flat(0.0).discount_factor(10.0) == 1.0
 
     def test_flat_two_percent(self):
-        assert discount_factor(ForwardCurve.flat(0.02), 10.0) == pytest.approx(
+        assert ForwardCurve.flat(0.02).discount_factor(10.0) == pytest.approx(
             math.exp(-0.2), rel=1e-15
         )
 
     def test_piecewise_constant_against_quadrature(self):
         curve = ForwardCurve.from_zero_yields([5.0, 10.0], [0.01, 0.02])
         # forwards: 1% on [0,5], 3% on (5,10] -> int f = 0.05 + 0.15
-        assert discount_factor(curve, 10.0) == pytest.approx(math.exp(-0.2), rel=1e-14)
+        assert curve.discount_factor(10.0) == pytest.approx(math.exp(-0.2), rel=1e-14)
         oracle = midpoint_forward_integral(curve, 10.0)
-        assert discount_factor(curve, 10.0) == pytest.approx(math.exp(-oracle), rel=1e-12)
+        assert curve.discount_factor(10.0) == pytest.approx(math.exp(-oracle), rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            discount_factor(ForwardCurve.flat(0.02, horizon=50.0), 50.1)
+            ForwardCurve.flat(0.02, horizon=50.0).discount_factor(50.1)
         with pytest.raises(DomainError):
-            discount_factor(ForwardCurve.flat(0.02), -0.5)
+            ForwardCurve.flat(0.02).discount_factor(-0.5)
 
     def test_monotone_when_forwards_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -136,14 +145,14 @@ class TestZeroYieldAndForward:
 
     def test_linear_ramp_average(self):
         curve = ForwardCurve.from_forwards([0.0, 10.0], [0.0, 0.04])
-        assert zero_yield(curve, 10.0) == pytest.approx(0.02, abs=1e-16)
+        assert curve.zero_yield(10.0) == pytest.approx(0.02, abs=1e-16)
 
     def test_against_trapezoid_oracle(self):
         rng = np.random.default_rng(11)
         curve = random_curve(rng, horizon=50.0)
         for t in (7.3, 21.0, 49.9):
             oracle = trapezoid_forward_integral(curve, t) / t
-            assert zero_yield(curve, t) == pytest.approx(oracle, abs=1e-12)
+            assert curve.zero_yield(t) == pytest.approx(oracle, abs=1e-12)
 
     def test_time_weighted_integral_closed_form(self):
         rng = np.random.default_rng(13)
@@ -208,25 +217,25 @@ class TestPresentValue:
 class TestDiscountedFlow:
     def test_lump_scaling(self):
         curve = ForwardCurve.flat(0.02)
-        df = discounted_flow(curve, CashFlow.single_payment(10.0))
+        df = DiscountedFlow(CashFlow.single_payment(10.0), curve)
         assert df.lumps == ((10.0, pytest.approx(math.exp(-0.2), rel=1e-15)),)
         assert df.total == pytest.approx(math.exp(-0.2), rel=1e-15)
 
     def test_empty_flow(self):
-        df = discounted_flow(ForwardCurve.flat(0.02), CashFlow())
+        df = DiscountedFlow(CashFlow(), ForwardCurve.flat(0.02))
         assert df.total == 0.0
 
     def test_totals_add(self):
         curve = ForwardCurve.flat(0.02)
         a = CashFlow.single_payment(5.0, 2.0)
         b = CashFlow.single_payment(15.0, 3.0)
-        assert discounted_flow(curve, a + b).total == pytest.approx(
-            discounted_flow(curve, a).total + discounted_flow(curve, b).total, rel=1e-14
+        assert DiscountedFlow(a + b, curve).total == pytest.approx(
+            DiscountedFlow(a, curve).total + DiscountedFlow(b, curve).total, rel=1e-14
         )
 
     def test_cumulative_includes_lump_at_t(self):
         curve = ForwardCurve.flat(0.0)
-        df = discounted_flow(curve, CashFlow(lumps=((5.0, 1.0), (10.0, 2.0))))
+        df = DiscountedFlow(CashFlow(lumps=((5.0, 1.0), (10.0, 2.0))), curve)
         assert df.cumulative(5.0) == 1.0
         assert df.cumulative(9.99) == 1.0
         assert df.cumulative(10.0) == 3.0
@@ -241,7 +250,7 @@ class TestDiscountedFlow:
                 a = float(rng.uniform(0.0, 150.0))
                 b = a + float(rng.uniform(0.5, 30.0))
                 flow = flow + CashFlow(densities=((a, b, float(rng.uniform(0.1, 1.0))),))
-            total = discounted_flow(curve, flow).total
+            total = DiscountedFlow(flow, curve).total
             pv = present_value(curve, flow)
             assert abs(total - pv) <= 1e-10 * max(1.0, abs(pv))
 

@@ -318,12 +318,10 @@ class TestDiscreteToContinuousConvergence:
 
 class TestForwardAccessor:
     def test_dispatches_to_either_curve_flavor(self, flat3):
-        from curvehedge import forward_of_extrapolated
-
         ec = extrapolate(flat3, MethodSpec("M3", tau=10.0, ufr=UFR))
-        assert forward_of_extrapolated(ec, 50.0) == pytest.approx(UFR, abs=1e-15)
+        assert ec.forward_rate(50.0) == pytest.approx(UFR, abs=1e-15)
         fit = sw_fit_discrete([10.0], [math.exp(-UFR * 10.0)], UFR, 0.1)
-        assert forward_of_extrapolated(fit, 30.0) == pytest.approx(UFR, rel=1e-12)
+        assert fit.forward_rate(30.0) == pytest.approx(UFR, rel=1e-12)
 
 
 class TestShiftSuite:
@@ -399,3 +397,61 @@ class TestArbitrageScan:
         ec = extrapolate(flat3, MethodSpec("M3", tau=10.0, ufr=UFR))
         with pytest.raises(DomainError):
             arbitrage_scan(ec, step=0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, flat3, step):
+        ec = extrapolate(flat3, MethodSpec("M3", tau=10.0, ufr=UFR))
+        with pytest.raises(DomainError):
+            arbitrage_scan(ec, step=step)
+
+
+# ---- the evaluation protocol shared by every curve class ---------------------
+
+
+def _protocol_curves():
+    market = ForwardCurve.from_forwards([0.0, 5.0, 20.0, 60.0], [0.01, 0.025, 0.03, 0.035])
+    specs = [
+        MethodSpec("M1", tau=10.0, ufr=UFR),
+        MethodSpec("M2", tau=10.0),
+        MethodSpec("M3", tau=10.0, ufr=UFR),
+        MethodSpec("M4", tau=10.0),
+        MethodSpec("M5_SFSA", tau=10.0, ufr=UFR, kappa=20.0),
+        MethodSpec("M6_SW_continuous", tau=10.0, ufr=UFR, alpha=0.1),
+        MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1),
+    ]
+    curves = {"ForwardCurve": market}
+    curves.update((spec.kind, extrapolate(market, spec, horizon=100.0)) for spec in specs)
+    return curves
+
+
+PROTOCOL_CURVES = _protocol_curves()
+MARKET_METHODS = (
+    "forward_rate",
+    "integrated_forward",
+    "zero_yield",
+    "discount_factor",
+    "cumulative_time_weighted_yield",
+)
+EXTRAPOLATED_METHODS = ("forward_rate", "zero_yield", "discount_factor")
+PROTOCOL_CASES = [
+    (name, method)
+    for name in PROTOCOL_CURVES
+    for method in (MARKET_METHODS if name == "ForwardCurve" else EXTRAPOLATED_METHODS)
+]
+
+
+@pytest.mark.parametrize("name, method", PROTOCOL_CASES)
+def test_evaluation_protocol(name, method):
+    """Float in, float out; any shape in, that shape out; [0, horizon] enforced, NaN rejected."""
+    evaluate = getattr(PROTOCOL_CURVES[name], method)
+    horizon = PROTOCOL_CURVES[name].horizon
+    assert type(evaluate(0.3 * horizon)) is float
+
+    ts = np.linspace(0.0, horizon, 6).reshape(2, 3)
+    out = evaluate(ts)
+    assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+    np.testing.assert_array_equal(out, evaluate(ts.ravel()).reshape(2, 3))
+
+    for bad in (-1e-9, horizon + 1e-9, math.nan, np.array([[0.0, 1.0], [2.0, 1.5 * horizon]])):
+        with pytest.raises(DomainError):
+            evaluate(bad)

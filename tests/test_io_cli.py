@@ -347,7 +347,14 @@ class TestCliVerify:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "override", ['{"variation_rel": "x"}', '{"variation_abs": -1}', '{"remainder_tail": 99}']
+        "override",
+        [
+            '{"variation_rel": "x"}',
+            '{"variation_abs": -1}',
+            '{"remainder_tail": 99}',
+            '{"remainder_tail": 0}',
+            '{"remainder_tail": 1}',
+        ],
     )
     def test_bad_tolerance_value_exits_1(
         self, flat_curve_csv, lump_liability_csv, monkeypatch, capsys, override

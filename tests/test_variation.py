@@ -23,7 +23,7 @@ from curvehedge import (
     variation_pv,
 )
 from curvehedge.errors import DomainError, EvaluationError
-from curvehedge.variation import EPS_SCHEDULE
+from curvehedge.variation import EPS_SCHEDULE, _richardson
 
 from conftest import random_curve, random_lump_flow, random_shift
 
@@ -84,6 +84,33 @@ class TestNumericVariation:
         data = report.to_json()
         assert set(data) == {"analytic", "numeric", "residual", "eps_schedule"}
         assert data["eps_schedule"] == list(EPS_SCHEDULE)
+
+
+class TestRichardson:
+    def test_stacked_table_matches_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(17)
+        eps = np.asarray(EPS_SCHEDULE)[:, None]
+        n = 9
+        # a smooth expansion in eps plus roundoff-sized noise, so the
+        # stability pick lands on different rows for different columns
+        table = (
+            rng.normal(size=n)
+            + rng.normal(size=n) * eps
+            + rng.normal(size=n) * eps**2
+            + rng.normal(scale=1e-12, size=(len(EPS_SCHEDULE), n)) / eps
+        )
+        estimate, column = _richardson(table)
+        scalar = [_richardson(table[:, j]) for j in range(n)]
+        assert estimate.tobytes() == np.array([e for e, _ in scalar]).tobytes()
+        assert column.tobytes() == np.stack([c for _, c in scalar], axis=1).tobytes()
+        picked_rows = {int(np.flatnonzero(c == e)[0]) for e, c in scalar}
+        assert len(picked_rows) > 1
+
+    def test_report_keeps_its_types(self, flat3):
+        report = numeric_variation(lambda c: c.zero_yield(25.0), flat3, CurveShift.parallel(0.01))
+        assert type(report.numeric) is float
+        assert isinstance(report.extrapolated, tuple)
+        assert isinstance(report.quotients, tuple)
 
 
 class TestClosedFormVariations:
