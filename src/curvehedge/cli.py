@@ -12,6 +12,7 @@ schedule).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,15 @@ from .hedging import (
     verification_checks,
     verify_first_order,
 )
-from .io import method_from_arg, read_cash_flow, read_curve, render_csv, render_json, render_table
+from .io import (
+    Columns,
+    method_from_arg,
+    read_cash_flow,
+    read_curve,
+    render_csv,
+    render_json,
+    render_table,
+)
 from .sensitivity import ufr_sensitivity
 from .shifts import shift_suite
 from .variation import EPS_SCHEDULE
@@ -129,30 +138,21 @@ def cmd_extrapolate(args) -> int:
     ec = extrapolate(curve, spec, args.horizon)
     ts = np.arange(0.0, args.horizon + 0.5 * args.step, args.step)
     ts = ts[ts <= args.horizon]
-    zbar = np.asarray(ec.zero_yield(ts), dtype=float)
-    fbar = np.asarray(ec.forward_rate(ts), dtype=float)
-    dbar = np.asarray(ec.discount_factor(ts), dtype=float)
+    samples = Columns(
+        ("t", "zero_yield", "forward", "discount"),
+        (ts, ec.zero_yield(ts), ec.forward_rate(ts), ec.discount_factor(ts)),
+    )
     scan = arbitrage_scan(ec, args.scan_step)
 
-    headers = ["t", "zero_yield", "forward", "discount"]
-    rows = [[float(t), z, f, d] for t, z, f, d in zip(ts, zbar, fbar, dbar)]
     if args.format == "json":
         # defective curves have undefined yields in places; strict JSON
-        # has no NaN, so emit null there
-        clean = lambda x: float(x) if np.isfinite(x) else None
-        payload = {
-            "method": spec.to_json(),
-            "samples": [
-                {h: (clean(v) if h != "t" else v) for h, v in zip(headers, row)}
-                for row in rows
-            ],
-            "defects": scan.to_json(),
-        }
+        # has no NaN, so render_json writes null there
+        payload = {"method": spec.to_json(), "samples": samples, "defects": scan.to_json()}
         _emit(args, render_json(payload))
     elif args.format == "csv":
-        _emit(args, render_csv(headers, rows))
+        _emit(args, render_csv(samples.headers, samples))
     else:
-        text = render_table(headers, rows)
+        text = render_table(samples.headers, samples)
         if scan.is_clean:
             text += "no defects found\n"
         else:
@@ -284,7 +284,9 @@ def cmd_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="curvehedge",
         description="extrapolated yield curves, hedges and sensitivities",
@@ -295,38 +297,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--step", type=float, default=1.0, help="sampling step in years")
     p.add_argument("--scan-step", type=float, default=0.25, help="defect scan step")
-    p.set_defaults(func=cmd_extrapolate)
+    p.set_defaults(handler="cmd_extrapolate")
 
     p = sub.add_parser("hedge", help="build and check a hedge plan")
     _add_common(p, liabilities=True)
     p.add_argument("--fra-eps", type=float, default=1.0, help="FRA accrual window")
-    p.set_defaults(func=cmd_hedge)
+    p.set_defaults(handler="cmd_hedge")
 
     p = sub.add_parser("verify", help="run analytic-vs-numeric verification checks")
     _add_common(p, liabilities=True)
     p.add_argument("--corrupt-analytic", type=float, default=None, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     p = sub.add_parser("sensitivity", help="sensitivity to the ultimate forward rate")
     _add_common(p, liabilities=True)
-    p.set_defaults(func=cmd_sensitivity)
+    p.set_defaults(handler="cmd_sensitivity")
 
     p = sub.add_parser("scan-arbitrage", help="scan a curve for arbitrage defects")
     _add_common(p)
     p.add_argument("--step", type=float, default=0.25, help="scan step in years")
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(handler="cmd_scan")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up by name on each call, because the parser outlives any
+    # wrapper later put on the module's command functions
+    handler = globals()[args.handler]
     try:
-        return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        return handler(args)
+    except (InputFormatError, OSError) as exc:
+        # OSError: the --out file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CurveHedgeError as exc:

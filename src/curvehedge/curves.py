@@ -74,8 +74,9 @@ def evaluation(body):
     The method takes a float or an array of any shape, checks once that
     it lies in [0, horizon], hands ``body`` a flat float array and
     returns a float for a float and an array of the input's shape
-    otherwise. A method calling another of its own class calls that
-    method's ``body``, so one public call checks its domain once.
+    otherwise; a body returning a tuple of arrays gets each one shaped so.
+    A method calling another of its own class calls that method's
+    ``body``, so one public call checks its domain once.
     """
 
     @functools.wraps(body)
@@ -85,11 +86,17 @@ def evaluation(body):
         # written so that a NaN time fails it too
         if flat.size and not (flat.min() >= 0.0 and flat.max() <= self.horizon):
             raise DomainError(f"time outside curve domain [0, {self.horizon}]")
-        out = body(self, flat, *args, **kwargs)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return _shaped(body(self, flat, *args, **kwargs), arr)
 
     method.body = body
     return method
+
+
+def _shaped(out, arr):
+    """A body's flat result (or tuple of them) as a float or in the shape of the times ``arr``."""
+    if isinstance(out, tuple):
+        return tuple(_shaped(o, arr) for o in out)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 class ForwardCurve:

@@ -169,19 +169,37 @@ def sw_factor(u, g, alpha: float):
     return 1.0 + g * (1.0 - np.exp(-alpha * u)) / alpha
 
 
-def _sw_kernel_dt(t, nodes, ufr: float, alpha: float):
-    """d/dt W(t, t_i) for each node; continuous across t = t_i."""
-    t = np.asarray(t, dtype=float)[..., None]
-    ti = np.asarray(nodes, dtype=float)[None, :]
+def _sw_kernel_products(t, nodes, ufr: float, alpha: float, zeta):
+    """``sw_kernel(t, nodes) @ zeta`` and ``d/dt sw_kernel(t, nodes) @ zeta``.
+
+    ``t`` is a 1-d array of M times. The three M x N transcendentals,
+    exp(-ufr (t + t_i)), exp(-alpha max) and sinh(alpha min), are
+    computed once and shared; each matrix meets ``zeta`` as soon as it is
+    complete, and four M x N buffers are reused throughout. Every
+    element is the same sequence of operations as in :func:`sw_kernel`
+    and its derivative written out, so the products are bit-identical to
+    those of the separate matrices. d/dt W(t, t_i) is continuous across
+    t = t_i.
+    """
+    t = t[:, None]
+    ti = nodes[None, :]
     lo = np.minimum(t, ti)
     hi = np.maximum(t, ti)
-    k = alpha * lo - np.exp(-alpha * hi) * np.sinh(alpha * lo)
-    dk = np.where(
-        t < ti,
-        alpha * (1.0 - np.exp(-alpha * ti) * np.cosh(alpha * t)),
-        alpha * np.exp(-alpha * t) * np.sinh(alpha * ti),
-    )
-    return np.exp(-ufr * (t + ti)) * (dk - ufr * k)
+    damp = np.add(t, ti)
+    np.exp(np.multiply(-ufr, damp, out=damp), out=damp)
+    np.multiply(alpha, lo, out=lo)
+    sinh_lo = np.sinh(lo)
+    np.exp(np.multiply(-alpha, hi, out=hi), out=hi)
+    # k = alpha lo - e^{-alpha hi} sinh(alpha lo), the bracket of sw_kernel
+    k = np.subtract(lo, np.multiply(hi, sinh_lo, out=hi), out=lo)
+    w_zeta = np.multiply(damp, k, out=hi) @ zeta
+    # dk/dt below the node, then above it
+    below = np.multiply(np.exp(-alpha * ti), np.cosh(alpha * t), out=sinh_lo)
+    np.multiply(alpha, np.subtract(1.0, below, out=below), out=below)
+    dk = np.multiply(alpha * np.exp(-alpha * t), np.sinh(alpha * ti), out=hi)
+    np.copyto(dk, below, where=t < ti)
+    np.subtract(dk, np.multiply(ufr, k, out=k), out=dk)
+    return w_zeta, np.multiply(damp, dk, out=dk) @ zeta
 
 
 class SwDiscreteFit:
@@ -213,12 +231,17 @@ class SwDiscreteFit:
 
     @evaluation
     def forward_rate(self, t, side: str = "right"):
-        d = SwDiscreteFit.discount_factor.body(self, t)
-        dprime = -self.ufr * np.exp(-self.ufr * t) + _sw_kernel_dt(
-            t, self.nodes, self.ufr, self.alpha
-        ) @ self.zeta
+        return SwDiscreteFit._forward_and_discount.body(self, t)[0]
+
+    @evaluation
+    def _forward_and_discount(self, t):
+        """The forward rate and the discount factor, from one pass over the kernel."""
+        w_zeta, dw_zeta = _sw_kernel_products(t, self.nodes, self.ufr, self.alpha, self.zeta)
+        decay = np.exp(-self.ufr * t)
+        d = decay + w_zeta
+        dprime = -self.ufr * decay + dw_zeta
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d != 0.0, -dprime / d, np.nan)
+            return np.where(d != 0.0, -dprime / d, np.nan), d
 
     @evaluation
     def zero_yield(self, t):
@@ -568,8 +591,10 @@ def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
     horizon = curve.horizon
     n = int(np.floor(horizon / step))
     ts = np.unique(np.concatenate((np.arange(n + 1) * step, [horizon])))
-    f = np.asarray(curve.forward_rate(ts), dtype=float)
-    d = np.asarray(curve.discount_factor(ts), dtype=float)
+    if isinstance(curve, SwDiscreteFit):
+        f, d = curve._forward_and_discount(ts)
+    else:
+        f, d = curve.forward_rate(ts), curve.discount_factor(ts)
     return DefectReport(
         step=step,
         horizon=horizon,

@@ -13,16 +13,29 @@ import io as _io
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .curves import CashFlow, ForwardCurve
 from .errors import CurveHedgeError, InputFormatError
 from .extrapolation import MethodSpec, is_number
 
 
 def _read_text(path) -> str:
-    p = Path(path)
-    if not p.exists():
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
         raise InputFormatError("no such file", path=path)
-    return p.read_text()
+    except OSError as exc:
+        raise InputFormatError(exc.strerror or str(exc), path=path)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=path)
+
+
+def _parse_json(text, path, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"bad {what}: {exc}", path=path)
 
 
 def _floats(fields, path, line):
@@ -36,7 +49,7 @@ def read_curve(path) -> ForwardCurve:
     """Load a curve from a ``.csv`` or ``.json`` file."""
     text = _read_text(path)
     if str(path).lower().endswith(".json"):
-        return _curve_from_json(json.loads(text), path)
+        return _curve_from_json(_parse_json(text, path, "curve JSON"), path)
     rows = list(csv.reader(_io.StringIO(text)))
     rows = [r for r in rows if r and any(x.strip() for x in r)]
     if not rows:
@@ -103,7 +116,7 @@ def read_cash_flow(path) -> CashFlow:
     """Load a cash flow from a ``.csv`` or ``.json`` file."""
     text = _read_text(path)
     if str(path).lower().endswith(".json"):
-        data = json.loads(text)
+        data = _parse_json(text, path, "cash-flow JSON")
         if not isinstance(data, list):
             raise InputFormatError("cash-flow JSON must be a list", path=path)
         lumps, densities = [], []
@@ -156,10 +169,7 @@ def method_from_arg(arg: str) -> MethodSpec:
         path = arg[1:]
     else:
         text, path = arg, None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"bad method JSON: {exc}", path=path)
+    data = _parse_json(text, path, "method JSON")
     if not isinstance(data, dict):
         raise InputFormatError("method JSON must be an object", path=path)
     return MethodSpec.from_json(data)
@@ -168,15 +178,66 @@ def method_from_arg(arg: str) -> MethodSpec:
 # ---- output rendering -------------------------------------------------------
 
 
+class Columns:
+    """A table of float columns under their headers, kept column-wise.
+
+    Iterating yields its rows as tuples of floats, so every renderer
+    takes it as ``rows``; :func:`render_json` and :func:`render_csv`
+    format it column-wise, without building per-row objects.
+    """
+
+    __slots__ = ("headers", "arrays")
+
+    def __init__(self, headers, arrays):
+        self.headers = tuple(headers)
+        self.arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+
+    def __iter__(self):
+        return zip(*(a.tolist() for a in self.arrays))
+
+
 def render_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.
+
+    A :class:`Columns` value of the top-level object is written as the
+    list of its rows as objects, with ``null`` for non-finite cells.
+    """
+    if not (isinstance(payload, dict) and any(isinstance(v, Columns) for v in payload.values())):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    items = [
+        f"  {json.dumps(key)}: "
+        + (_json_rows(value) if isinstance(value, Columns)
+           else json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        for key, value in sorted(payload.items())
+    ]
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+def _json_rows(table) -> str:
+    """``table`` as ``json.dumps`` writes its list of row objects one level deep."""
+    # float.__str__ is float.__repr__, which json writes for a finite float
+    cells = [a.tolist() for a in table.arrays]
+    if not cells[0]:
+        return "[]"
+    for j, i in zip(*(idx.tolist() for idx in np.nonzero(~np.isfinite(table.arrays)))):
+        cells[j][i] = "null"
+    keys = sorted(range(len(table.headers)), key=table.headers.__getitem__)
+    fields = ",\n".join(
+        f"      {json.dumps(table.headers[j]).replace('%', '%%')}: %s" for j in keys
+    )
+    template = "    {\n" + fields + "\n    }"
+    rows = map(template.__mod__, zip(*(cells[j] for j in keys)))
+    return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
 def render_csv(headers, rows) -> str:
-    out = [",".join(headers)]
-    for row in rows:
-        out.append(",".join(_cell(x) for x in row))
-    return "\n".join(out) + "\n"
+    if isinstance(rows, Columns):
+        # "%.10g" is the format of _cell
+        template = ",".join(["%.10g"] * len(headers))
+        lines = map(template.__mod__, rows)
+    else:
+        lines = (",".join(_cell(x) for x in row) for row in rows)
+    return "\n".join([",".join(headers), *lines]) + "\n"
 
 
 def render_table(headers, rows) -> str:

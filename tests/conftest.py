@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from curvehedge import CashFlow, CurveShift, ForwardCurve
+
+#: property tests are part of tier-1, so they run the same examples every
+#: time and keep no example database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def random_curve(rng, horizon=200.0, low=-0.005, high=0.05, n_nodes=12):

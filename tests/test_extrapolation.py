@@ -14,6 +14,7 @@ from curvehedge import (
     sw_kernel,
 )
 from curvehedge.errors import AlphaNotWellDefinedError, CalibrationError, DomainError
+from curvehedge.extrapolation import _sw_kernel_products
 
 from conftest import random_curve
 
@@ -247,6 +248,61 @@ class TestSwKernel:
             sw_kernel(-1.0, 1.0, UFR, 0.1)
         with pytest.raises(DomainError):
             sw_kernel(1.0, 1.0, UFR, -0.1)
+
+
+def _sw_kernel_dt_reference(t, nodes, ufr, alpha):
+    """d/dt W(t, t_i) as one M x N matrix: the form the fused kernel replaced."""
+    t = np.asarray(t, dtype=float)[..., None]
+    ti = np.asarray(nodes, dtype=float)[None, :]
+    lo = np.minimum(t, ti)
+    hi = np.maximum(t, ti)
+    k = alpha * lo - np.exp(-alpha * hi) * np.sinh(alpha * lo)
+    dk = np.where(
+        t < ti,
+        alpha * (1.0 - np.exp(-alpha * ti) * np.cosh(alpha * t)),
+        alpha * np.exp(-alpha * t) * np.sinh(alpha * ti),
+    )
+    return np.exp(-ufr * (t + ti)) * (dk - ufr * k)
+
+
+class TestFusedSwKernel:
+    """The one-pass kernel products equal the separate matrices' bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fit(self):
+        nodes = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0])
+        prices = np.exp(-nodes * (0.02 + 0.001 * nodes))
+        return sw_fit_discrete(nodes, prices, UFR, 0.1)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.array([0.0]),
+            np.array([0.25]),
+            np.array([5.0]),
+            np.array([150.0]),
+            # t = 0, below the first node, at every node, between and above them
+            np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 2.5, 3.0, 5.0, 7.0, 9.99, 10.0, 10.01, 200.0]),
+            np.arange(100_001) * 0.002,
+        ],
+        ids=["zero", "below-node", "at-node", "above-nodes", "mixed", "scan-grid"],
+    )
+    def test_bitwise_equal_to_separate_matrices(self, fit, t):
+        w_zeta, dw_zeta = _sw_kernel_products(t, fit.nodes, fit.ufr, fit.alpha, fit.zeta)
+        kern = sw_kernel(t[:, None], fit.nodes[None, :], fit.ufr, fit.alpha)
+        assert np.array_equal(w_zeta, kern @ fit.zeta)
+        dkern = _sw_kernel_dt_reference(t, fit.nodes, fit.ufr, fit.alpha)
+        assert np.array_equal(dw_zeta, dkern @ fit.zeta)
+
+    def test_scan_values_equal_public_evaluations(self, fit):
+        ts = np.arange(100_001) * 0.002
+        f, d = fit._forward_and_discount(ts)
+        assert np.array_equal(d, fit.discount_factor(ts))
+        assert np.array_equal(f, fit.forward_rate(ts))
+        dprime = -fit.ufr * np.exp(-fit.ufr * ts) + _sw_kernel_dt_reference(
+            ts, fit.nodes, fit.ufr, fit.alpha
+        ) @ fit.zeta
+        assert np.array_equal(f, -dprime / d)
 
 
 class TestSwDiscreteFit:

@@ -1,0 +1,109 @@
+"""Byte-exact golden outputs of the dense sampling and scanning calls.
+
+``tests/golden/extrapolate_sha256.json`` holds, for every call in
+:data:`CALLS`, the exit code and the SHA-256 of its standard output. The
+calls are ``extrapolate --step 0.05`` on the bundled sample data for the
+seven kinds and the two calibrated Smith-Wilson specs, each in json, csv
+and table; the same for two defective discrete Smith-Wilson fits (exit
+2), one of which has nonpositive discount factors, so its undefined
+yields and forwards render as ``null`` or ``nan``; and
+``scan-arbitrage --step 0.002`` for both discrete Smith-Wilson specs.
+Unlike ``test_golden.py`` these compare bytes, so a change to number
+formatting, row order or whitespace fails them.
+
+The file is rewritten only when an output change is intended, from the
+repository root:
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); import test_golden_bytes; test_golden_bytes.regenerate()"
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from curvehedge.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "extrapolate_sha256.json"
+CURVE = ROOT / "sample_data" / "curve.csv"
+#: defective discrete Smith-Wilson fits: one bond at 10 years with a zero
+#: yield (negative forwards, as in ``test_io_cli.py``'s
+#: ``test_defective_discrete_fit_exits_2``), and a steep curve whose
+#: discount factor turns negative (undefined yields and forwards)
+DEFECTIVE_CURVES = {
+    "bond": ROOT / "tests" / "golden" / "bond_curve.csv",
+    "steep": ROOT / "tests" / "golden" / "steep_curve.csv",
+}
+
+SPECS = {
+    "M1": {"kind": "M1", "tau": 10.0, "ufr": 0.042},
+    "M2": {"kind": "M2", "tau": 10.0},
+    "M3": {"kind": "M3", "tau": 10.0, "ufr": 0.042},
+    "M4": {"kind": "M4", "tau": 10.0},
+    "M5_SFSA": {"kind": "M5_SFSA", "tau": 10.0, "ufr": 0.042, "kappa": 20.0},
+    "M6_SW_continuous": {"kind": "M6_SW_continuous", "tau": 10.0, "ufr": 0.042, "alpha": 0.1},
+    "M6_SW_discrete": {"kind": "M6_SW_discrete", "tau": 10.0, "ufr": 0.042, "alpha": 0.1},
+    "M6_SW_continuous+calibrated": {
+        "kind": "M6_SW_continuous", "tau": 10.0, "ufr": 0.042, "kappa": 20.0, "epsilon": 1e-4,
+    },
+    "M6_SW_discrete+calibrated": {
+        "kind": "M6_SW_discrete", "tau": 10.0, "ufr": 0.042, "kappa": 20.0, "epsilon": 1e-4,
+    },
+}
+FORMATS = ("json", "csv", "table")
+
+
+def _calls():
+    calls = {}
+    for name, spec in SPECS.items():
+        method = ["--curve", str(CURVE), "--method", json.dumps(spec)]
+        for fmt in FORMATS:
+            calls[f"extrapolate-{fmt}/{name}"] = (
+                ["extrapolate"] + method + ["--step", "0.05", "--format", fmt]
+            )
+        if name.startswith("M6_SW_discrete"):
+            calls[f"scan-arbitrage/{name}"] = (
+                ["scan-arbitrage"] + method + ["--step", "0.002", "--format", "json"]
+            )
+    for name, curve in DEFECTIVE_CURVES.items():
+        method = ["--curve", str(curve), "--method", json.dumps(SPECS["M6_SW_discrete"])]
+        for fmt in FORMATS:
+            calls[f"extrapolate-{fmt}/defective-{name}"] = (
+                ["extrapolate"] + method + ["--step", "0.05", "--scan-step", "0.01", "--format", fmt]
+            )
+    return calls
+
+
+CALLS = _calls()
+
+
+def run_call(argv):
+    """Exit code and SHA-256 of the standard output of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def regenerate():
+    """Rewrite the golden file from the current code."""
+    records = {name: run_call(argv) for name, argv in CALLS.items()}
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_covers_every_call(golden):
+    assert sorted(golden) == sorted(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_matches_golden_bytes(golden, name):
+    assert run_call(CALLS[name]) == golden[name]

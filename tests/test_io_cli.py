@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -60,6 +62,15 @@ class TestReaders:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputFormatError, match="no such file"):
             read_curve(str(tmp_path / "nope.csv"))
+
+    @pytest.mark.parametrize("reader", [read_curve, read_cash_flow, lambda p: method_from_arg(f"@{p}")])
+    def test_unreadable_input_is_a_format_error(self, tmp_path, reader):
+        with pytest.raises(InputFormatError, match="Is a directory"):
+            reader(str(tmp_path))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"lump,10,1.0\n# \xe4\n")
+        with pytest.raises(InputFormatError, match="not UTF-8"):
+            reader(str(path))
 
     def test_cash_flow_csv(self, tmp_path):
         path = tmp_path / "flow.csv"
@@ -205,6 +216,60 @@ class TestCliExtrapolate:
         assert code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and option in captured.err
+
+
+class TestCliIoErrors:
+    """I/O failures end in exit 1 and one line on stderr, not a traceback."""
+
+    @staticmethod
+    def _assert_one_line_exit_1(code, captured, needle):
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
+
+    def test_out_is_a_directory(self, flat_curve_csv, tmp_path, capsys):
+        code = run_cli(
+            "extrapolate",
+            "--curve", flat_curve_csv,
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+            "--out", str(tmp_path),
+        )
+        self._assert_one_line_exit_1(code, capsys.readouterr(), "Is a directory")
+
+    @pytest.mark.parametrize("option", ["--curve", "--liabilities", "--method"])
+    def test_input_is_a_directory(self, flat_curve_csv, lump_liability_csv, tmp_path, capsys, option):
+        args = {
+            "--curve": flat_curve_csv,
+            "--liabilities": lump_liability_csv,
+            "--method": '{"kind":"M3","tau":10,"ufr":0.042}',
+        }
+        args[option] = f"@{tmp_path}" if option == "--method" else str(tmp_path)
+        code = run_cli("hedge", *(x for pair in args.items() for x in pair))
+        self._assert_one_line_exit_1(code, capsys.readouterr(), "Is a directory")
+
+    def test_curve_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,zero_yield\n10,0.03\n# r\u00e4nta\n".encode("latin-1"))
+        code = run_cli(
+            "extrapolate",
+            "--curve", str(path),
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+        )
+        self._assert_one_line_exit_1(code, capsys.readouterr(), "not UTF-8")
+
+    @pytest.mark.parametrize("option", ["--curve", "--liabilities"])
+    def test_malformed_json_file(self, flat_curve_csv, lump_liability_csv, tmp_path, capsys, option):
+        path = tmp_path / "bad.json"
+        path.write_text('{"t": [10, 20]')
+        args = {
+            "--curve": flat_curve_csv,
+            "--liabilities": lump_liability_csv,
+            "--method": '{"kind":"M3","tau":10,"ufr":0.042}',
+        }
+        args[option] = str(path)
+        code = run_cli("hedge", *(x for pair in args.items() for x in pair))
+        self._assert_one_line_exit_1(code, capsys.readouterr(), "bad.json")
 
 
 class TestCliHedge:
@@ -453,6 +518,47 @@ class TestCliScanAndDeterminism:
             )
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_threads_match_sequential(self, flat_curve_csv, lump_liability_csv, tmp_path):
+        """Commands run from several threads at once write what they write one by one."""
+        method = ["--method", '{"kind":"M6_SW_continuous","tau":10,"ufr":0.042,"alpha":0.1}']
+        curve = ["--curve", flat_curve_csv]
+        liabilities = curve + ["--liabilities", lump_liability_csv] + method + ["--shifts", "4"]
+        commands = [
+            ["extrapolate", *curve, *method, "--step", "0.5", "--format", "json"],
+            ["hedge", *liabilities, "--format", "json"],
+            ["sensitivity", *liabilities, "--format", "json"],
+            ["scan-arbitrage", *curve, *method, "--step", "0.01", "--format", "json"],
+        ]
+        rounds = 3
+
+        def run(i, tag):
+            argv = commands[i] + ["--out", str(tmp_path / f"{tag}-{i}.json")]
+            codes[tag, i] = main(argv)
+
+        codes = {}
+        for i in range(len(commands)):
+            run(i, "sequential")
+        cli.build_parser.cache_clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for r in range(rounds):
+                threads = [
+                    threading.Thread(target=run, args=(i, f"threaded{r}")) for i in range(len(commands))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert set(codes.values()) == {0} and len(codes) == (rounds + 1) * len(commands)
+        for i in range(len(commands)):
+            want = (tmp_path / f"sequential-{i}.json").read_bytes()
+            for r in range(rounds):
+                assert (tmp_path / f"threaded{r}-{i}.json").read_bytes() == want
 
     def test_sw_alpha_resolved_from_kappa_epsilon(self, flat_curve_csv, lump_liability_csv, capsys):
         """A Smith-Wilson spec without alpha calibrates it from (kappa, epsilon)."""
