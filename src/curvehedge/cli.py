@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .curves import DEFAULT_HORIZON, CurveShift, present_value
+from .curves import DEFAULT_HORIZON
 from .errors import CurveHedgeError, DomainError, InputFormatError
 from .extrapolation import (
     M4,
@@ -29,13 +29,7 @@ from .extrapolation import (
     is_number,
     resolve_alpha,
 )
-from .hedging import (
-    convexity_gap,
-    hedge,
-    infeasibility_decomposition,
-    verification_checks,
-    verify_first_order,
-)
+from .hedging import hedge, hedge_summary, infeasibility_decomposition, verification_checks
 from .io import (
     Columns,
     method_from_arg,
@@ -184,31 +178,20 @@ def cmd_hedge(args) -> int:
             _emit(args, "\n".join(lines) + "\n")
         return 0
 
-    plan = hedge(spec, curve, flow, args.horizon)
-    ec = extrapolate(curve, spec, args.horizon)
-    liability_value = present_value(ec, flow)
     suite = shift_suite(args.shifts, args.seed, args.horizon)
-    residuals = [verify_first_order(plan, spec, curve, flow, s, args.horizon) for s in suite]
-    gap = convexity_gap(spec, curve, flow, CurveShift.parallel(1.0, args.horizon), plan, args.horizon)
-    payload = {
-        "plan": plan.to_json(),
-        "total_value": plan.value(),
-        "liability_value": liability_value,
-        "leverage": plan.value() / liability_value,
-        "max_first_order_residual": max(residuals),
-        "convexity_gap_parallel_unit": gap,
-    }
+    payload = hedge_summary(spec, curve, flow, suite, args.horizon)
+    plan = payload["plan"]
     if args.format == "json":
         _emit(args, render_json(payload))
     elif args.format == "csv":
-        rows = [["lump", l["t"], l["amount"]] for l in payload["plan"]["lumps"]]
-        rows += [["density", d["a"], d["b"], d["rate"]] for d in payload["plan"]["densities"]]
+        rows = [["lump", l["t"], l["amount"]] for l in plan["lumps"]]
+        rows += [["density", d["a"], d["b"], d["rate"]] for d in plan["densities"]]
         _emit(args, render_csv(["kind", "a", "b", "c"], rows))
     else:
-        lines = [f"kind: {plan.kind}"]
-        for l in plan.lumps:
-            lines.append(f"lump  t={l.time:.10g}  amount={l.amount:.10g}")
-        for d in plan.to_json()["densities"]:
+        lines = [f"kind: {plan['kind']}"]
+        for l in plan["lumps"]:
+            lines.append(f"lump  t={l['t']:.10g}  amount={l['amount']:.10g}")
+        for d in plan["densities"]:
             lines.append(f"density  [{d['a']:.10g}, {d['b']:.10g}]  rate={d['rate']:.10g}")
         lines += [
             f"total value: {payload['total_value']:.10g}",

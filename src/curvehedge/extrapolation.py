@@ -590,7 +590,8 @@ def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
         raise DomainError(f"scan step must be finite and positive, got {step}")
     horizon = curve.horizon
     n = int(np.floor(horizon / step))
-    ts = np.unique(np.concatenate((np.arange(n + 1) * step, [horizon])))
+    # the last multiple of the step can round past the horizon; the grid ends there
+    ts = np.unique(np.concatenate((np.minimum(np.arange(n + 1) * step, horizon), [horizon])))
     if isinstance(curve, SwDiscreteFit):
         f, d = curve._forward_and_discount(ts)
     else:

@@ -42,7 +42,7 @@ from .variation import (
     EPS_SCHEDULE,
     _variation_weight_breakpoints,
     method_variation_pv,
-    method_variation_report,
+    numeric_variation,
     second_order_pv,
     sw_variation_coefficient,
 )
@@ -50,6 +50,10 @@ from .variation import (
 PLAN_PERFECT = "perfect"
 PLAN_FIRST_ORDER = "first_order"
 PLAN_INFEASIBLE = "infeasible"
+
+#: node arrays whose rate values one plan density keeps; the memo is
+#: emptied when full (the eps-curves of one shift reuse only a few)
+RATE_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -68,17 +72,33 @@ class PlanDensity:
     roll-down term is piecewise constant for lump liabilities and kept
     symbolic (callable) when the liability itself has density parts, so
     verification integrals stay exact rather than sampled.
+
+    A callable rate is evaluated once per node array: revaluing the plan
+    on curves that share a grid (the eps-curves of one shift) integrates
+    on the same quadrature nodes, so the values are kept, read-only, by
+    the exact nodes. Two threads may fill the same entry; both write the
+    same values.
     """
 
     start: float
     end: float
     rate: object
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rate_values(self, t):
         t = np.asarray(t, dtype=float)
-        if callable(self.rate):
-            return np.asarray(self.rate(t), dtype=float)
-        return np.full_like(t, float(self.rate))
+        if not callable(self.rate):
+            return np.full_like(t, float(self.rate))
+        key = (t.shape, t.tobytes())
+        values = self._memo.get(key)
+        if values is None:
+            # a copy, so that making it read-only touches no array of the caller's
+            values = np.array(self.rate(t), dtype=float)
+            values.setflags(write=False)
+            if len(self._memo) >= RATE_MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = values
+        return values
 
     def mass(self) -> float:
         if not callable(self.rate):
@@ -273,6 +293,13 @@ def hedge(spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DE
     raise DomainError(f"no hedge construction for method kind {kind!r}")
 
 
+def _first_order_residual(plan, spec, z, shift, variation, horizon) -> float:
+    """|int t Dz dA* - int t dzbar dL*|, given ``variation`` = -int t dzbar dL*."""
+    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, horizon)
+    lhs = plan.integrate(lambda t: np.asarray(t, dtype=float) * shift.delta_z(t), breakpoints=pts)
+    return abs(lhs + variation)
+
+
 def verify_first_order(
     plan: HedgePlan,
     spec: MethodSpec,
@@ -280,18 +307,47 @@ def verify_first_order(
     flow: CashFlow,
     shift: CurveShift,
     horizon: float = DEFAULT_HORIZON,
+    curve=None,
 ) -> float:
     """Residual of the first-order matching condition for one shift.
 
     |int t Dz dA* - int t dzbar dL*|; near zero for every shift when the
     plan solves the hedge equation identically (M1, M2, M3, M5).
+    ``curve`` is the extrapolation of ``z``, built here when not given.
     """
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("an infeasible diagnosis cannot be verified as a hedge")
-    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, horizon)
-    lhs = plan.integrate(lambda t: np.asarray(t, dtype=float) * shift.delta_z(t), breakpoints=pts)
-    rhs = -method_variation_pv(spec, z, shift, flow, horizon)
-    return abs(lhs - rhs)
+    variation = method_variation_pv(spec, z, shift, flow, horizon, curve=curve)
+    return _first_order_residual(plan, spec, z, shift, variation, horizon)
+
+
+def _liability_pricer(spec, flow, horizon, z, base_curve):
+    """F[market]: the flow's value on the extrapolated market curve.
+
+    Each curve object is extrapolated and priced once, and ``z`` not at
+    all: its value is read from ``base_curve``, its extrapolation.
+    """
+    priced = {z: present_value(base_curve, flow)}
+
+    def price(market) -> float:
+        if market not in priced:
+            priced[market] = present_value(extrapolate(market, spec, horizon), flow)
+        return priced[market]
+
+    return price
+
+
+def _revaluation_gap(plan, z, shifts, price) -> float:
+    """Worst change in (asset - liability) value over the shifts, by full repricing."""
+    asset0 = plan.value()
+    liab0 = price(z)
+    worst = 0.0
+    for shift in shifts:
+        shifted = z.shifted(shift)
+        asset = plan.value_under(shifted, z)
+        liab = price(shifted)
+        worst = max(worst, abs((asset - liab) - (asset0 - liab0)))
+    return worst
 
 
 def verify_perfect(
@@ -313,16 +369,8 @@ def verify_perfect(
     """
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
-    base_curve = extrapolate(z, spec, horizon)
-    asset0 = plan.value()
-    liab0 = present_value(base_curve, flow)
-    worst = 0.0
-    for shift in shifts:
-        shifted = z.shifted(shift)
-        asset = plan.value_under(shifted, z)
-        liab = present_value(extrapolate(shifted, spec, horizon), flow)
-        worst = max(worst, abs((asset - liab) - (asset0 - liab0)))
-    return worst
+    price = _liability_pricer(spec, flow, horizon, z, extrapolate(z, spec, horizon))
+    return _revaluation_gap(plan, z, shifts, price)
 
 
 def convexity_gap(
@@ -332,13 +380,15 @@ def convexity_gap(
     shift: CurveShift,
     plan: HedgePlan | None = None,
     horizon: float = DEFAULT_HORIZON,
+    curve=None,
 ) -> float:
     """Second-order mismatch of a first-order hedge along one shift.
 
     d2P[A] - d2P[L] = int t^2 Dz^2 dA* - int (t^2 dzbar^2 - t d2zbar) dL*.
     Negative values mean the hedge lacks convexity against the
     liabilities (it must be grown whichever way the curve moves);
-    positive values mean excess convexity.
+    positive values mean excess convexity. ``curve`` is the
+    extrapolation of ``z``, built here when not given.
     """
     if plan is None:
         plan = hedge(spec, z, flow, horizon)
@@ -352,8 +402,41 @@ def convexity_gap(
         return t * t * dz * dz
 
     asset_side = plan.integrate(weight, breakpoints=pts)
-    liability_side = second_order_pv(spec, z, shift, flow, horizon)
+    liability_side = second_order_pv(spec, z, shift, flow, horizon, curve=curve)
     return asset_side - liability_side
+
+
+def hedge_summary(
+    spec: MethodSpec,
+    z: ForwardCurve,
+    flow: CashFlow,
+    shifts,
+    horizon: float = DEFAULT_HORIZON,
+) -> dict:
+    """A hedgeable method's plan with its value, leverage and checks, as JSON data.
+
+    ``liability_value`` is the adaptive present value on the extrapolated
+    curve, which is built once here; the plan's own diagnostics carry
+    the value of its discounted flow, which can differ in the last bits.
+    ``max_first_order_residual`` is the worst first-order residual over
+    ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
+    along a parallel shift of one.
+    """
+    plan = hedge(spec, z, flow, horizon)
+    curve = extrapolate(z, spec, horizon)
+    liability_value = present_value(curve, flow)
+    residuals = [verify_first_order(plan, spec, z, flow, s, horizon, curve) for s in shifts]
+    unit = CurveShift.parallel(1.0, horizon)
+    gap = convexity_gap(spec, z, flow, unit, plan, horizon, curve)
+    total = plan.value()
+    return {
+        "plan": plan.to_json(),
+        "total_value": total,
+        "liability_value": liability_value,
+        "leverage": total / liability_value,
+        "max_first_order_residual": max(residuals),
+        "convexity_gap_parallel_unit": gap,
+    }
 
 
 def verification_checks(
@@ -378,28 +461,39 @@ def verification_checks(
     ``remainder_floor``. ``tolerances`` holds those keys and
     ``variation_rel``, ``variation_abs``, ``perfect_gap_rel`` and
     ``first_order_residual_rel``.
+
+    Every scenario is built and priced once: the base curve z, and per
+    shift the curves z + eps*Dz of ``EPS_SCHEDULE``, which the
+    finite-difference oracle and the remainder check share.
     """
     checks = []
-    liability_value = present_value(extrapolate(z, spec, horizon), flow)
+    base_curve = extrapolate(z, spec, horizon)
+    price = _liability_pricer(spec, flow, horizon, z, base_curve)
+    liability_value = price(z)
+    variations, rays = [], []
     for i, shift in enumerate(shifts):
-        report = method_variation_report(spec, z, shift, flow, horizon)
-        analytic = report.analytic + corrupt
+        variation = method_variation_pv(spec, z, shift, flow, horizon, curve=base_curve)
+        analytic = variation + corrupt
+        ray = {}
+        report = numeric_variation(price, z, shift, analytic=analytic, ray=ray)
         residual = abs(analytic - report.numeric)
         scale = max(abs(analytic), abs(report.numeric))
         bound = tolerances["variation_rel"] * scale + tolerances["variation_abs"] * max(
             1.0, abs(liability_value)
         )
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
+        variations.append(variation)
+        rays.append(ray)
 
     if spec.kind in (M4, M6_SW_CONTINUOUS):
         return checks
     plan = hedge(spec, z, flow, horizon)
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
-    for i, shift in enumerate(shifts):
-        residual = verify_first_order(plan, spec, z, flow, shift, horizon)
+    for i, (shift, variation) in enumerate(zip(shifts, variations)):
+        residual = _first_order_residual(plan, spec, z, shift, variation, horizon)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     if plan.kind == PLAN_PERFECT:
-        gap = verify_perfect(plan, spec, z, flow, shifts, horizon)
+        gap = _revaluation_gap(plan, z, shifts, price)
         bound = tolerances["perfect_gap_rel"] * abs(liability_value)
         checks.append(("perfect_revaluation", gap <= bound, gap, bound))
     if plan.kind == PLAN_FIRST_ORDER:
@@ -407,12 +501,11 @@ def verification_checks(
         # ratios already at roundoff level cannot be asked to keep falling
         floor = tolerances["remainder_floor"] * (1.0 + abs(liability_value))
         base_asset = plan.value()
-        for i, shift in enumerate(shifts):
+        for i, ray in enumerate(rays):
             ratios = []
             for eps in EPS_SCHEDULE:
-                shifted = z.shifted(shift, eps)
-                asset = plan.value_under(shifted, z)
-                liab = present_value(extrapolate(shifted, spec, horizon), flow)
+                asset = plan.value_under(ray[eps], z)
+                liab = price(ray[eps])
                 ratios.append(abs((asset - base_asset) - (liab - liability_value)) / eps)
             window = ratios[-tail:]
             good = all(b < a or b < floor for a, b in zip(window, window[1:]))

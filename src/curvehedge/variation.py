@@ -108,6 +108,7 @@ def numeric_variation(
     eps_schedule=EPS_SCHEDULE,
     analytic: float | None = None,
     check_additivity: bool = False,
+    ray: dict | None = None,
 ) -> VariationReport:
     """Finite-difference estimate of the first or second variation of ``functional``.
 
@@ -115,6 +116,10 @@ def numeric_variation(
     the centered-in-epsilon second difference along the ray,
     (F[z + 2e*Dz] - 2 F[z + e*Dz] + F[z]) / e^2, still one-sided in sign
     consistent with the e -> 0+ limit.
+
+    ``ray`` holds the curves z + e*Dz by e: those it has are used, the
+    ones built here are added, so a caller can revalue something else on
+    the very curves F was evaluated on.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
@@ -123,11 +128,14 @@ def numeric_variation(
         raise DomainError("need at least three positive epsilon values")
 
     f0 = _eval_functional(functional, z, 0.0)
+    ray = {} if ray is None else ray
     cache = {}
 
     def at(e):
         if e not in cache:
-            cache[e] = _eval_functional(functional, z.shifted(shift, e), e)
+            if e not in ray:
+                ray[e] = z.shifted(shift, e)
+            cache[e] = _eval_functional(functional, ray[e], e)
         return cache[e]
 
     if order == 1:
@@ -369,6 +377,7 @@ def second_order_pv(
     shift: CurveShift,
     flow: CashFlow,
     horizon: float = DEFAULT_HORIZON,
+    curve: ExtrapolatedCurve | None = None,
 ) -> float:
     """Second variation of the liability present value along the shift.
 
@@ -382,7 +391,8 @@ def second_order_pv(
         raise DomainError(
             "directional formulas cover the continuous Smith-Wilson version"
         )
-    curve = extrapolate(z, spec, horizon)
+    if curve is None:
+        curve = extrapolate(z, spec, horizon)
     d2_weight = (
         _sw_second_variation_weight(spec, z, shift, horizon)
         if spec.kind == M6_SW_CONTINUOUS

@@ -460,6 +460,16 @@ class TestArbitrageScan:
         with pytest.raises(DomainError):
             arbitrage_scan(ec, step=step)
 
+    @pytest.mark.parametrize(
+        "horizon, step",
+        [(200.0, 200.0 / 39), (7.3, 0.004171428571428572)],
+    )
+    def test_grid_ends_at_the_horizon(self, horizon, step):
+        # the last multiple of these steps rounds past the horizon
+        assert math.floor(horizon / step) * step > horizon
+        report = arbitrage_scan(ForwardCurve.flat(-0.01, horizon), step=step)
+        assert report.negative_forward == ((0.0, horizon),)
+
 
 # ---- the evaluation protocol shared by every curve class ---------------------
 

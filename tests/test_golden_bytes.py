@@ -7,8 +7,10 @@ seven kinds and the two calibrated Smith-Wilson specs, each in json, csv
 and table; the same for two defective discrete Smith-Wilson fits (exit
 2), one of which has nonpositive discount factors, so its undefined
 yields and forwards render as ``null`` or ``nan``; and
-``scan-arbitrage --step 0.002`` for both discrete Smith-Wilson specs.
-Unlike ``test_golden.py`` these compare bytes, so a change to number
+``scan-arbitrage --step 0.002`` for both discrete Smith-Wilson specs;
+and ``hedge`` and ``verify`` with ``--shifts 3 --seed 7`` for the six
+closed-form kinds on the bundled sample data, in json and table, plus
+``hedge`` in csv. Unlike ``test_golden.py`` these compare bytes, so a change to number
 formatting, row order or whitespace fails them.
 
 The file is rewritten only when an output change is intended, from the
@@ -30,6 +32,7 @@ from curvehedge.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "extrapolate_sha256.json"
 CURVE = ROOT / "sample_data" / "curve.csv"
+LIABILITIES = ROOT / "sample_data" / "liabilities.csv"
 #: defective discrete Smith-Wilson fits: one bond at 10 years with a zero
 #: yield (negative forwards, as in ``test_io_cli.py``'s
 #: ``test_defective_discrete_fit_exits_2``), and a steep curve whose
@@ -55,6 +58,9 @@ SPECS = {
     },
 }
 FORMATS = ("json", "csv", "table")
+CLOSED_FORM_KINDS = ("M1", "M2", "M3", "M4", "M5_SFSA", "M6_SW_continuous")
+#: output formats of the liability commands, by command
+LIABILITY_FORMATS = {"hedge": ("json", "table", "csv"), "verify": ("json", "table")}
 
 
 def _calls():
@@ -75,6 +81,14 @@ def _calls():
             calls[f"extrapolate-{fmt}/defective-{name}"] = (
                 ["extrapolate"] + method + ["--step", "0.05", "--scan-step", "0.01", "--format", fmt]
             )
+    for kind in CLOSED_FORM_KINDS:
+        liabilities = [
+            "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
+            "--method", json.dumps(SPECS[kind]), "--shifts", "3", "--seed", "7",
+        ]
+        for command, formats in LIABILITY_FORMATS.items():
+            for fmt in formats:
+                calls[f"{command}-{fmt}/{kind}"] = [command] + liabilities + ["--format", fmt]
     return calls
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from curvehedge import (
     CashFlow,
     CurveShift,
     ForwardCurve,
+    HedgePlan,
     MethodSpec,
+    PlanDensity,
     convexity_gap,
     dollar_duration,
     duration,
@@ -15,13 +19,24 @@ from curvehedge import (
     fra_replicate,
     hedge,
     infeasibility_decomposition,
+    method_variation_report,
     present_value,
     sw_variation_coefficient,
     verify_first_order,
     verify_perfect,
 )
+from curvehedge import hedging, variation
+from curvehedge.cli import TOLERANCES
 from curvehedge.errors import DomainError, PlanKindError
-from curvehedge.hedging import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
+from curvehedge.hedging import (
+    PLAN_FIRST_ORDER,
+    PLAN_INFEASIBLE,
+    PLAN_PERFECT,
+    RATE_MEMO_SIZE,
+    hedge_summary,
+    verification_checks,
+)
+from curvehedge.quadrature import adaptive_gauss_legendre
 from curvehedge.shifts import shift_suite
 from curvehedge.variation import EPS_SCHEDULE
 
@@ -429,3 +444,241 @@ class TestInfeasibilityDecomposition:
     def test_wrong_method_rejected(self, flat3):
         with pytest.raises(DomainError):
             infeasibility_decomposition(M3, flat3, CashFlow.single_payment(30.0))
+
+
+# ---- each verify scenario priced once ------------------------------------------
+
+#: a liability density inside (tau, kappa], so the M5 plan carries a
+#: symbolic roll-down density
+SYMBOLIC_FLOW = CashFlow(lumps=((14.0, 0.6), (35.0, 1.0)), densities=((12.0, 17.5, 0.2),))
+
+
+def _fresh_value_under(plan, curve, base_curve):
+    """``HedgePlan.value_under`` with every density rate evaluated afresh, as before the memo."""
+    total = 0.0
+    for lump in plan.lumps:
+        ratio = float(curve.discount_factor(lump.time)) / float(base_curve.discount_factor(lump.time))
+        total += lump.amount * ratio
+    for dens in plan.densities:
+        def integrand(s, dens=dens):
+            ratio = np.asarray(curve.discount_factor(s), dtype=float) / np.asarray(
+                base_curve.discount_factor(s), dtype=float
+            )
+            s = np.asarray(s, dtype=float)
+            if callable(dens.rate):
+                return np.asarray(dens.rate(s), dtype=float) * ratio
+            return np.full_like(s, float(dens.rate)) * ratio
+
+        pts = list(curve.breakpoints_between(dens.start, dens.end))
+        total += adaptive_gauss_legendre(integrand, dens.start, dens.end, breakpoints=pts)
+    return total
+
+
+def _checks_one_at_a_time(spec, z, flow, shifts, tolerances, corrupt):
+    """``verification_checks`` as it was written before scenarios were shared.
+
+    Every scenario is rebuilt, re-extrapolated and repriced wherever a
+    check needs it, and the plan is revalued without the rate memo.
+    """
+    checks = []
+    liability_value = present_value(extrapolate(z, spec), flow)
+    for i, shift in enumerate(shifts):
+        report = method_variation_report(spec, z, shift, flow)
+        analytic = report.analytic + corrupt
+        residual = abs(analytic - report.numeric)
+        scale = max(abs(analytic), abs(report.numeric))
+        bound = tolerances["variation_rel"] * scale + tolerances["variation_abs"] * max(
+            1.0, abs(liability_value)
+        )
+        checks.append((f"variation[{i}]", residual <= bound, residual, bound))
+    if spec.kind in ("M4", "M6_SW_continuous"):
+        return checks
+    plan = hedge(spec, z, flow)
+    bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
+    for i, shift in enumerate(shifts):
+        residual = verify_first_order(plan, spec, z, flow, shift)
+        checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
+    if plan.kind == PLAN_PERFECT:
+        gap = verify_perfect(plan, spec, z, flow, shifts)
+        bound = tolerances["perfect_gap_rel"] * abs(liability_value)
+        checks.append(("perfect_revaluation", gap <= bound, gap, bound))
+    if plan.kind == PLAN_FIRST_ORDER:
+        tail = int(tolerances["remainder_tail"])
+        floor = tolerances["remainder_floor"] * (1.0 + abs(liability_value))
+        base_asset = plan.value()
+        for i, shift in enumerate(shifts):
+            ratios = []
+            for eps in EPS_SCHEDULE:
+                shifted = z.shifted(shift, eps)
+                asset = _fresh_value_under(plan, shifted, z)
+                liab = present_value(extrapolate(shifted, spec), flow)
+                ratios.append(abs((asset - base_asset) - (liab - liability_value)) / eps)
+            window = ratios[-tail:]
+            good = all(b < a or b < floor for a, b in zip(window, window[1:]))
+            checks.append((f"remainder_decay[{i}]", good, ratios[-1], ratios[-tail]))
+    return checks
+
+
+class _CountingRate:
+    """A vectorized rate that counts its calls."""
+
+    def __init__(self, rate=lambda s: 0.1 + 0.01 * s):
+        self.rate = rate
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.rate(s)
+
+
+class TestRateMemo:
+    def test_memoized_value_under_is_bit_identical(self, market_curve):
+        plan = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        assert any(callable(d.rate) for d in plan.densities)
+        shift = random_shift(np.random.default_rng(211))
+        curves = [market_curve.shifted(shift, eps) for eps in EPS_SCHEDULE]
+        # twice: the first pass fills the memo, the second is served from it
+        for _ in range(2):
+            for curve in curves:
+                assert plan.value_under(curve, market_curve) == _fresh_value_under(
+                    plan, curve, market_curve
+                )
+
+    def test_eps_curves_share_rate_values(self, market_curve):
+        plan = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        counting = [
+            PlanDensity(d.start, d.end, _CountingRate(d.rate)) if callable(d.rate) else d
+            for d in plan.densities
+        ]
+        counted = HedgePlan(plan.kind, plan.lumps, tuple(counting), plan.diagnostics)
+        rates = [d.rate for d in counting if callable(d.rate)]
+        shift = random_shift(np.random.default_rng(223))
+        curves = [market_curve.shifted(shift, eps) for eps in EPS_SCHEDULE]
+        counted.value_under(curves[0], market_curve)
+        first = sum(r.calls for r in rates)
+        assert first > 0
+        # the other eps-curves share the first one's grid, so its quadrature nodes
+        for curve in curves[1:]:
+            counted.value_under(curve, market_curve)
+        assert sum(r.calls for r in rates) == first
+
+    def test_memo_is_per_density_and_read_only(self):
+        rate = _CountingRate()
+        a, b = PlanDensity(0.0, 1.0, rate), PlanDensity(0.0, 1.0, rate)
+        assert a == b and "_memo" not in repr(a)
+        t = np.linspace(0.0, 1.0, 7)
+        values = a.rate_values(t)
+        assert np.array_equal(values, 0.1 + 0.01 * t)
+        assert a.rate_values(t.copy()) is values and rate.calls == 1
+        b.rate_values(t)
+        assert rate.calls == 2
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+    def test_caller_array_stays_writable(self):
+        identity = PlanDensity(0.0, 1.0, lambda s: s)
+        t = np.linspace(0.0, 1.0, 5)
+        out = identity.rate_values(t)
+        assert t.flags.writeable and not out.flags.writeable
+        assert not np.shares_memory(out, t)
+
+    def test_plans_do_not_share_a_memo(self, market_curve):
+        first = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        second = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        pairs = [
+            (d1, d2) for d1, d2 in zip(first.densities, second.densities) if callable(d1.rate)
+        ]
+        assert pairs
+        t = np.linspace(12.0, 17.5, 11)
+        for d1, d2 in pairs:
+            assert d1.rate_values(t) is not d2.rate_values(t)
+
+    def test_memo_size_is_capped(self):
+        dens = PlanDensity(0.0, 1.0, _CountingRate())
+        for k in range(RATE_MEMO_SIZE + 5):
+            t = np.full(3, k / (RATE_MEMO_SIZE + 5))
+            assert np.array_equal(dens.rate_values(t), 0.1 + 0.01 * t)
+            assert len(dens._memo) <= RATE_MEMO_SIZE
+
+    def test_threads_share_a_memo(self, market_curve):
+        """More threads than cores revaluing one plan at once get what one thread gets."""
+        plan = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        shift = random_shift(np.random.default_rng(227))
+        curves = [market_curve.shifted(shift, eps) for eps in EPS_SCHEDULE]
+        want = [_fresh_value_under(plan, c, market_curve) for c in curves]
+        got = {}
+
+        def run(k):
+            got[k] = [plan.value_under(c, market_curve) for c in curves]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(got) == list(range(8))
+        assert all(values == want for values in got.values())
+
+
+class TestVerificationChecks:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MethodSpec("M1", tau=TAU, ufr=UFR),
+            M2,
+            M3,
+            MethodSpec("M4", tau=TAU),
+            M5,
+            MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.2),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    @pytest.mark.parametrize("corrupt", [0.0, 1e-3])
+    def test_match_one_at_a_time(self, market_curve, spec, corrupt):
+        shifts = shift_suite(2, 5)
+        got = verification_checks(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt=corrupt)
+        want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt)
+        assert got == want
+
+    def test_corruption_reaches_only_the_variation_checks(self, market_curve):
+        shifts = shift_suite(2, 5)
+        clean = verification_checks(M5, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES)
+        corrupted = verification_checks(M5, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt=1e-3)
+        for (name, *a), (_, *b) in zip(clean, corrupted):
+            assert (a == b) != name.startswith("variation[")
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_each_scenario_extrapolated_once(self, market_curve, monkeypatch, count):
+        """The base curve, the plan's own and the eight eps-curves of each shift."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extrapolate(*args, **kwargs)
+
+        monkeypatch.setattr(hedging, "extrapolate", counting)
+        monkeypatch.setattr(variation, "extrapolate", counting)
+        verification_checks(M5, market_curve, SYMBOLIC_FLOW, shift_suite(count, 5), TOLERANCES)
+        assert len(calls) == 2 + len(EPS_SCHEDULE) * count
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_hedge_summary_extrapolates_twice(self, market_curve, monkeypatch, count):
+        """Once in ``hedge`` and once for the residuals, the gap and the liability value."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extrapolate(*args, **kwargs)
+
+        monkeypatch.setattr(hedging, "extrapolate", counting)
+        monkeypatch.setattr(variation, "extrapolate", counting)
+        summary = hedge_summary(M5, market_curve, SYMBOLIC_FLOW, shift_suite(count, 5))
+        assert len(calls) == 2
+        assert summary["liability_value"] == present_value(extrapolate(market_curve, M5), SYMBOLIC_FLOW)

@@ -218,6 +218,30 @@ class TestCliExtrapolate:
         assert captured.err.count("\n") == 1 and option in captured.err
 
 
+    @pytest.mark.parametrize(
+        "command, option, horizon, step",
+        [
+            ("scan-arbitrage", "--step", "200", "5.128205128205129"),
+            ("extrapolate", "--scan-step", "200", "5.128205128205129"),
+            ("scan-arbitrage", "--step", "7.3", "0.004171428571428572"),
+            ("extrapolate", "--scan-step", "7.3", "0.004171428571428572"),
+        ],
+    )
+    def test_scan_step_rounding_past_horizon(self, flat_curve_csv, capsys, command, option, horizon, step):
+        # the last multiple of the step exceeds the horizon by rounding
+        code = run_cli(
+            command,
+            "--curve", flat_curve_csv,
+            "--method", '{"kind":"M3","tau":5,"ufr":0.042}',
+            "--horizon", horizon,
+            option, step,
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.endswith("no defects found\n")
+
+
 class TestCliIoErrors:
     """I/O failures end in exit 1 and one line on stderr, not a traceback."""
 

@@ -1,0 +1,66 @@
+"""Invariants of curves and variations, checked as properties.
+
+Examples come from the derandomized ``tier1`` profile in ``conftest.py``,
+so every run checks the same ones. Each example draws a seed and builds
+its random curve and shift from it with the shared builders.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from curvehedge import MethodSpec, method_variation
+
+from conftest import random_curve, random_shift
+
+UFR = 0.042
+TAU = 10.0
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+SPECS = {
+    "M1": MethodSpec("M1", tau=TAU, ufr=UFR),
+    "M2": MethodSpec("M2", tau=TAU),
+    "M3": MethodSpec("M3", tau=TAU, ufr=UFR),
+    "M4": MethodSpec("M4", tau=TAU),
+    "M5_SFSA": MethodSpec("M5_SFSA", tau=TAU, kappa=20.0, ufr=UFR),
+    "M6_SW_continuous": MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.2),
+}
+
+
+def _times(rng, curve):
+    """Random times on the curve's domain, its nodes and both ends."""
+    inside = rng.uniform(0.0, curve.horizon, size=64)
+    return np.concatenate(([0.0, curve.horizon], curve.grid.nodes, inside))
+
+
+@given(seed=seeds, shift_horizon=st.sampled_from([200.0, 60.0]))
+def test_zero_shift_leaves_the_curve(seed, shift_horizon):
+    """z.shifted(s, 0) evaluates as z, including past a shorter shift's horizon."""
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng)
+    shifted = z.shifted(random_shift(rng, horizon=shift_horizon), 0.0)
+    assert shifted.horizon == z.horizon
+    t = _times(rng, z)
+    # the shift's nodes split z's segments, so values agree to rounding, not bitwise
+    for side in ("left", "right"):
+        np.testing.assert_allclose(
+            shifted.forward_rate(t, side=side), z.forward_rate(t, side=side), rtol=0, atol=1e-16
+        )
+    for name in ("integrated_forward", "zero_yield", "discount_factor"):
+        np.testing.assert_allclose(
+            getattr(shifted, name)(t), getattr(z, name)(t), rtol=1e-13, atol=1e-16, err_msg=name
+        )
+
+
+@given(seed=seeds, kind=st.sampled_from(sorted(SPECS)), k=st.floats(min_value=1e-3, max_value=1e3))
+def test_method_variation_positively_homogeneous(seed, kind, k):
+    """dzbar[z | k*Dz] = k * dzbar[z | Dz] for every k > 0."""
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng, low=0.0, high=0.04)
+    shift = random_shift(rng)
+    t = _times(rng, z)
+    spec = SPECS[kind]
+    base = method_variation(spec, z, shift, t)
+    scaled = method_variation(spec, z, shift.scaled(k), t)
+    np.testing.assert_allclose(scaled, k * base, rtol=1e-12, atol=1e-15 * k)
