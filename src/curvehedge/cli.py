@@ -28,8 +28,9 @@ from .extrapolation import (
     extrapolate,
     is_number,
     resolve_alpha,
+    sample_grid,
 )
-from .hedging import hedge, hedge_summary, infeasibility_decomposition, verification_checks
+from .hedging import hedge_summary, infeasibility_decomposition, verification_checks
 from .io import (
     Columns,
     method_from_arg,
@@ -130,8 +131,7 @@ def cmd_extrapolate(args) -> int:
     _check_step(args.scan_step, args.horizon, "--scan-step")
     curve, spec, _ = _load(args)
     ec = extrapolate(curve, spec, args.horizon)
-    ts = np.arange(0.0, args.horizon + 0.5 * args.step, args.step)
-    ts = ts[ts <= args.horizon]
+    ts = sample_grid(ec.horizon, args.step)
     samples = Columns(
         ("t", "zero_yield", "forward", "discount"),
         (ts, ec.zero_yield(ts), ec.forward_rate(ts), ec.discount_factor(ts)),
@@ -162,14 +162,13 @@ def cmd_extrapolate(args) -> int:
 def cmd_hedge(args) -> int:
     curve, spec, flow = _load(args, liabilities=True)
     if spec.kind in (M4, M6_SW_CONTINUOUS):
-        plan = hedge(spec, curve, flow, args.horizon)
         decomp = infeasibility_decomposition(spec, curve, flow, eps=args.fra_eps, horizon=args.horizon)
-        payload = {"plan": plan.to_json(), "fra_overlay": decomp.to_json()}
+        payload = {"plan": decomp.plan.to_json(), "fra_overlay": decomp.to_json()}
         if args.format == "json":
             _emit(args, render_json(payload))
         else:
             lines = [
-                f"kind: {plan.kind}",
+                f"kind: {decomp.plan.kind}",
                 f"matched lump at tau: {decomp.bond_lump_at_tau:.10g}",
                 f"unmatched forward coefficient: {decomp.forward_coefficient:.10g}",
                 f"fra accrual eps: {decomp.fra.eps:.10g}",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UndefinedDurationError
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre, adaptive_panels, gauss_panel
 
 DEFAULT_HORIZON = 200.0
 
@@ -494,11 +494,27 @@ class CashFlow:
         return not self.lumps and not self.densities
 
 
-def _flow_domain_check(curve, flow: CashFlow):
+def _weighted_parts(curve, flow: CashFlow, weight=None, breakpoints=()):
+    """int w(t) dC*(t) in parts: lump times and values, and per density
+    (a, b, integrand, split points), split at the curve's breakpoints and
+    the weight's extra ``breakpoints``. No weight is a weight of 1.0,
+    which changes no product."""
     if flow.latest_time > curve.horizon:
         raise DomainError(
             f"cash flow extends to {flow.latest_time}, beyond the curve horizon {curve.horizon}"
         )
+    w = (lambda t: 1.0) if weight is None else (lambda t: np.asarray(weight(t), dtype=float))
+    extra = list(breakpoints)
+    times = np.array([t for t, _ in flow.lumps], dtype=float)
+    values = np.array([a for _, a in flow.lumps], dtype=float)
+    if flow.lumps:
+        values = curve.discount_factor(times) * values * w(times)
+    densities = [
+        (a, b, lambda s, rate=rate: w(s) * curve.discount_factor(s) * rate,
+         list(curve.breakpoints_between(a, b)) + [p for p in extra if a < p < b])
+        for a, b, rate in flow.densities
+    ]
+    return times, values, densities
 
 
 def stieltjes_integral(curve, flow: CashFlow, weight=None, breakpoints=()) -> float:
@@ -509,22 +525,9 @@ def stieltjes_integral(curve, flow: CashFlow, weight=None, breakpoints=()) -> fl
     curve's own breakpoints and at any extra ``breakpoints`` the weight
     introduces.
     """
-    _flow_domain_check(curve, flow)
-    total = 0.0
-    if flow.lumps:
-        times = np.array([t for t, _ in flow.lumps])
-        amounts = np.array([a for _, a in flow.lumps])
-        vals = curve.discount_factor(times) * amounts
-        if weight is not None:
-            vals = vals * np.asarray(weight(times), dtype=float)
-        total += float(np.sum(vals))
-    extra = list(breakpoints)
-    for a, b, rate in flow.densities:
-        if weight is None:
-            integrand = lambda s: curve.discount_factor(s) * rate
-        else:
-            integrand = lambda s: np.asarray(weight(s), dtype=float) * curve.discount_factor(s) * rate
-        pts = list(curve.breakpoints_between(a, b)) + [p for p in extra if a < p < b]
+    _, values, densities = _weighted_parts(curve, flow, weight, breakpoints)
+    total = float(np.sum(values))
+    for a, b, integrand, pts in densities:
         total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
     return total
 
@@ -538,10 +541,12 @@ def present_value(curve, flow: CashFlow) -> float:
 class DiscountedFlow:
     """The present-value measure dC* of a cash flow under a curve.
 
-    Holds each source lump scaled by its discount factor, keeps density
-    segments symbolically (their discounted rate varies over the
-    segment), and caches enough panel integrals at construction that the
-    running total C*(t) evaluates vectorized without re-quadrature.
+    Holds each source lump scaled by its discount factor and keeps
+    density segments symbolically (their discounted rate varies over the
+    segment). Each density keeps the accepted panels of the adaptive
+    rule that prices it, so ``total`` is the flow's present value bit for
+    bit, and the running total C*(t) adds one partial Gauss panel to the
+    panel sums below t.
     """
 
     source: CashFlow
@@ -553,56 +558,30 @@ class DiscountedFlow:
     total: float = field(init=False)
 
     def __post_init__(self):
-        from .quadrature import _NODES, _WEIGHTS
-
-        _flow_domain_check(self.curve, self.source)
-        lumps = tuple(
-            (t, float(self.curve.discount_factor(t)) * amt) for t, amt in self.source.lumps
-        )
-        lump_times = np.array([t for t, _ in lumps])
-        lump_cum = np.concatenate(([0.0], np.cumsum([v for _, v in lumps])))
-
+        times, values, densities = _weighted_parts(self.curve, self.source)
+        total = float(np.sum(values))
         pieces = []
-        running = 0.0
-        for a, b, rate in self.source.densities:
-            edges = [a] + [float(p) for p in self.curve.breakpoints_between(a, b)] + [b]
-            refined = [edges[0]]
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                parts = max(1, int(np.ceil((hi - lo) / 10.0)))
-                refined.extend(lo + (hi - lo) * np.arange(1, parts + 1) / parts)
-            edges = np.asarray(refined)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-            vals = np.asarray(self.curve.discount_factor(nodes.ravel()), dtype=float)
-            panel = half * (vals.reshape(nodes.shape) @ _WEIGHTS) * rate
-            cum = np.concatenate(([0.0], np.cumsum(panel)))
-            pieces.append((a, b, rate, edges, cum))
-            running += cum[-1]
+        for a, b, integrand, pts in densities:
+            lo, panels, integral = adaptive_panels(integrand, a, b, breakpoints=pts)
+            pieces.append((a, b, integrand, np.append(lo, b), np.append(0.0, np.cumsum(panels))))
+            total += integral
 
-        object.__setattr__(self, "lumps", lumps)
-        object.__setattr__(self, "_lump_times", lump_times)
-        object.__setattr__(self, "_lump_cum", lump_cum)
+        object.__setattr__(self, "lumps", tuple(zip(times.tolist(), values.tolist())))
+        object.__setattr__(self, "_lump_times", times)
+        object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(values)))
         object.__setattr__(self, "_pieces", tuple(pieces))
-        object.__setattr__(self, "total", float(lump_cum[-1] + running))
+        object.__setattr__(self, "total", total)
 
     def cumulative(self, t):
         """C*(t): discounted mass in [0, t], inclusive of a lump at t."""
-        from .quadrature import _NODES, _WEIGHTS
-
         arr, scalar = _as_array(t)
         arr = np.atleast_1d(arr)
         idx = np.searchsorted(self._lump_times, arr, side="right")
         out = self._lump_cum[idx]
-        for a, b, rate, edges, cum in self._pieces:
+        for a, b, integrand, edges, cum in self._pieces:
             clipped = np.clip(arr, a, b)
             seg = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(edges) - 2)
-            lo = edges[seg]
-            half = 0.5 * (clipped - lo)
-            nodes = (lo + half)[:, None] + half[:, None] * _NODES[None, :]
-            vals = np.asarray(self.curve.discount_factor(nodes.ravel()), dtype=float)
-            partial = half * (vals.reshape(nodes.shape) @ _WEIGHTS) * rate
-            out = out + cum[seg] + partial
+            out = out + cum[seg] + gauss_panel(integrand, edges[seg], clipped)
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
     def integrate(self, weight=None, breakpoints=()) -> float:

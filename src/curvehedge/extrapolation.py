@@ -584,14 +584,19 @@ def _mask_intervals(ts, mask):
     return tuple(intervals)
 
 
+def sample_grid(horizon: float, step: float):
+    """The multiples of ``step`` in [0, horizon] and the horizon itself; a last
+    multiple that rounds past the horizon is clipped there."""
+    if not (np.isfinite(step) and step > 0):
+        raise DomainError(f"sampling step must be finite and positive, got {step}")
+    n = int(np.floor(horizon / step))
+    return np.unique(np.concatenate((np.minimum(np.arange(n + 1) * step, horizon), [horizon])))
+
+
 def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
     """Scan the curve for negative forwards and nonpositive discount factors."""
-    if not (np.isfinite(step) and step > 0):
-        raise DomainError(f"scan step must be finite and positive, got {step}")
     horizon = curve.horizon
-    n = int(np.floor(horizon / step))
-    # the last multiple of the step can round past the horizon; the grid ends there
-    ts = np.unique(np.concatenate((np.minimum(np.arange(n + 1) * step, horizon), [horizon])))
+    ts = sample_grid(horizon, step)
     if isinstance(curve, SwDiscreteFit):
         f, d = curve._forward_and_discount(ts)
     else:

@@ -71,7 +71,8 @@ class PlanDensity:
     ``rate`` is a constant or a vectorized callable of time. The M5
     roll-down term is piecewise constant for lump liabilities and kept
     symbolic (callable) when the liability itself has density parts, so
-    verification integrals stay exact rather than sampled.
+    verification integrals stay exact rather than sampled. ``breakpoints``
+    are the market curve's nodes inside (start, end), where the mass splits.
 
     A callable rate is evaluated once per node array: revaluing the plan
     on curves that share a grid (the eps-curves of one shift) integrates
@@ -83,6 +84,7 @@ class PlanDensity:
     start: float
     end: float
     rate: object
+    breakpoints: tuple = ()
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rate_values(self, t):
@@ -101,9 +103,9 @@ class PlanDensity:
         return values
 
     def mass(self) -> float:
-        if not callable(self.rate):
-            return float(self.rate) * (self.end - self.start)
-        return adaptive_gauss_legendre(self.rate_values, self.start, self.end)
+        return adaptive_gauss_legendre(
+            self.rate_values, self.start, self.end, breakpoints=self.breakpoints
+        )
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,11 @@ class HedgePlan:
     diagnostics: dict = field(default_factory=dict)
 
     def value(self) -> float:
-        """Total market value of the plan, sum of lumps plus density masses."""
-        return float(sum(l.amount for l in self.lumps) + sum(d.mass() for d in self.densities))
+        """Total market value: ``value_under(z, z)``, bit for bit, on the market curve z."""
+        total = 0.0
+        for part in [l.amount for l in self.lumps] + [d.mass() for d in self.densities]:
+            total += part
+        return total
 
     def integrate(self, weight, breakpoints=()) -> float:
         """int w(t) dA*(t) over the plan measure."""
@@ -170,23 +175,13 @@ class HedgePlan:
         }
 
 
-def _liability_inputs(spec, z, flow, horizon):
-    if flow.has_mass_at_or_before(spec.tau):
-        raise DomainError(
-            "liability flows at or before tau are exactly replicable; "
-            "split them off before hedging the extrapolated part"
-        )
-    curve = extrapolate(z, spec, horizon)
-    lstar = DiscountedFlow(flow, curve)
-    if not lstar.total > 0.0:
-        raise DomainError("liabilities must have positive present value")
-    return curve, lstar
-
-
-def _m5_plan(spec, curve, flow, lstar):
+def _m5_plan(spec, z, curve, flow, lstar):
     tau, kappa = spec.tau, spec.kappa
     span = kappa - tau
     total = lstar.total
+
+    def density(lo, hi, rate):
+        return PlanDensity(lo, hi, rate, tuple(z.breakpoints_between(lo, hi).tolist()))
 
     lumps = []
     for t, amount in flow.lumps:
@@ -195,12 +190,18 @@ def _m5_plan(spec, curve, flow, lstar):
             if weight != 0.0:  # a lump exactly at kappa is carried by the density
                 lumps.append(PlanLump(t, weight * float(curve.discount_factor(t)) * amount))
 
-    densities = []
+    # the roll-down term (L*_T - L*_t) / (kappa - tau) on (tau, kappa] is
+    # cut at the lumps and density ends inside
+    cuts = {tau, kappa}
+    cuts.update(t for t, _ in flow.lumps if tau < t < kappa)
+    densities, covered = [], []
     for a, b, rate in flow.densities:
         lo, hi = max(a, tau), min(b, kappa)
         if lo < hi:
+            covered.append((lo, hi))
+            cuts.update((lo, hi))
             densities.append(
-                PlanDensity(
+                density(
                     lo,
                     hi,
                     lambda s, rate=rate: (kappa - np.asarray(s, dtype=float))
@@ -210,21 +211,12 @@ def _m5_plan(spec, curve, flow, lstar):
                 )
             )
 
-    # roll-down term: (L*_T - L*_t) / (kappa - tau) on (tau, kappa]
-    cuts = {tau, kappa}
-    cuts.update(t for t, _ in flow.lumps if tau < t < kappa)
-    covered = []
-    for a, b, _ in flow.densities:
-        lo, hi = max(a, tau), min(b, kappa)
-        if lo < hi:
-            covered.append((lo, hi))
-            cuts.update((lo, hi))
     cuts = sorted(cuts)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         inside_density = any(a < hi and lo < b for a, b in covered)
         if inside_density:
             densities.append(
-                PlanDensity(
+                density(
                     lo,
                     hi,
                     lambda s, _l=lstar: (_l.total - _l.cumulative(np.asarray(s, dtype=float)))
@@ -233,7 +225,7 @@ def _m5_plan(spec, curve, flow, lstar):
             )
         else:
             rate = (total - lstar.cumulative(0.5 * (lo + hi))) / span
-            densities.append(PlanDensity(lo, hi, rate))
+            densities.append(density(lo, hi, rate))
 
     return HedgePlan(
         PLAN_FIRST_ORDER,
@@ -243,15 +235,26 @@ def _m5_plan(spec, curve, flow, lstar):
     )
 
 
-def hedge(spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DEFAULT_HORIZON) -> HedgePlan:
+def hedge(
+    spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DEFAULT_HORIZON, curve=None
+) -> HedgePlan:
     """Solve the first-order matching condition for one method.
 
     Returns a plan of kind ``perfect`` (M1, M3), ``first_order`` (M2,
     M5), or ``infeasible`` (M4, continuous M6) -- the latter carrying the
     matched lump at tau and the unmatched forward-exposure coefficient in
-    its diagnostics.
+    its diagnostics. ``curve`` is the extrapolation of ``z``, built here
+    when not given; the liability value is the flow's present value on it.
     """
-    curve, lstar = _liability_inputs(spec, z, flow, horizon)
+    if flow.has_mass_at_or_before(spec.tau):
+        raise DomainError(
+            "liability flows at or before tau are exactly replicable; "
+            "split them off before hedging the extrapolated part"
+        )
+    curve = extrapolate(z, spec, horizon) if curve is None else curve
+    lstar = DiscountedFlow(flow, curve)
+    if not lstar.total > 0.0:
+        raise DomainError("liabilities must have positive present value")
     tau = spec.tau
     total = lstar.total
     kind = spec.kind
@@ -271,7 +274,7 @@ def hedge(spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DE
             PLAN_PERFECT, (PlanLump(tau, total),), (), {"liability_value": total}
         )
     if kind == M5_SFSA:
-        return _m5_plan(spec, curve, flow, lstar)
+        return _m5_plan(spec, z, curve, flow, lstar)
     if kind in (M4, M6_SW_CONTINUOUS):
         if kind == M4:
             coeff = lstar.integrate(lambda t: np.asarray(t, dtype=float) - tau)
@@ -391,7 +394,7 @@ def convexity_gap(
     extrapolation of ``z``, built here when not given.
     """
     if plan is None:
-        plan = hedge(spec, z, flow, horizon)
+        plan = hedge(spec, z, flow, horizon, curve)
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("no first-order hedge exists to compare against")
     pts = _variation_weight_breakpoints(spec, z, shift, 0.0, horizon)
@@ -415,16 +418,16 @@ def hedge_summary(
 ) -> dict:
     """A hedgeable method's plan with its value, leverage and checks, as JSON data.
 
-    ``liability_value`` is the adaptive present value on the extrapolated
-    curve, which is built once here; the plan's own diagnostics carry
-    the value of its discounted flow, which can differ in the last bits.
+    The extrapolated curve is built once here and shared by the plan,
+    the residuals and the gap. ``liability_value`` is the plan's own:
+    the present value of the liabilities on that curve.
     ``max_first_order_residual`` is the worst first-order residual over
     ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
     along a parallel shift of one.
     """
-    plan = hedge(spec, z, flow, horizon)
     curve = extrapolate(z, spec, horizon)
-    liability_value = present_value(curve, flow)
+    plan = hedge(spec, z, flow, horizon, curve)
+    liability_value = plan.diagnostics["liability_value"]
     residuals = [verify_first_order(plan, spec, z, flow, s, horizon, curve) for s in shifts]
     unit = CurveShift.parallel(1.0, horizon)
     gap = convexity_gap(spec, z, flow, unit, plan, horizon, curve)
@@ -487,7 +490,7 @@ def verification_checks(
 
     if spec.kind in (M4, M6_SW_CONTINUOUS):
         return checks
-    plan = hedge(spec, z, flow, horizon)
+    plan = hedge(spec, z, flow, horizon, base_curve)
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
     for i, (shift, variation) in enumerate(zip(shifts, variations)):
         residual = _first_order_residual(plan, spec, z, shift, variation, horizon)
@@ -575,15 +578,17 @@ def fra_replicate(z: ForwardCurve, tau: float, eps: float) -> FraContract:
 class InfeasibilityReport:
     """Best bond-only hedge of an unhedgeable method, plus a forward overlay.
 
-    The lump at tau matches the zero-yield coefficient of the hedge
-    equation; ``forward_coefficient`` is the exposure to the forward rate
-    at tau that no bond portfolio matches. ``fra_quantity`` contracts of
-    the attached FRA reproduce that exposure exactly for shifts whose
-    forward perturbation is constant over the accrual window, and with an
-    O(eps) error otherwise -- the residual is reported, not hidden.
+    ``plan`` is the infeasible plan the report is read from. Its lump at
+    tau matches the zero-yield coefficient of the hedge equation;
+    ``forward_coefficient`` is the exposure to the forward rate at tau
+    that no bond portfolio matches. ``fra_quantity`` contracts of the
+    attached FRA reproduce that exposure exactly for shifts whose forward
+    perturbation is constant over the accrual window, and with an O(eps)
+    error otherwise -- the residual is reported, not hidden.
     """
 
     spec: MethodSpec
+    plan: HedgePlan
     bond_lump_at_tau: float
     forward_coefficient: float
     fra: FraContract
@@ -626,6 +631,7 @@ def infeasibility_decomposition(
     d_near = float(z.discount_factor(spec.tau - eps))
     return InfeasibilityReport(
         spec=spec,
+        plan=plan,
         bond_lump_at_tau=plan.diagnostics["matched_lump_at_tau"],
         forward_coefficient=coeff,
         fra=fra,

@@ -72,10 +72,16 @@ def adaptive_gauss_legendre(
     smoothness; panels never straddle them. The achieved error is bounded
     by roughly ``rel_tol`` times the total absolute panel mass.
     """
+    return adaptive_panels(func, a, b, rel_tol, breakpoints, max_depth)[2]
+
+
+def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):
+    """Left ends and estimates, ascending, of the panels that tile [a, b], and
+    their sum: the integral :func:`adaptive_gauss_legendre` returns."""
     if not np.isfinite(a) or not np.isfinite(b) or b < a:
         raise DomainError(f"bad integration interval [{a}, {b}]")
     if a == b:
-        return 0.0
+        return np.empty(0), np.empty(0), 0.0
 
     pts = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
     lo, hi = pts[:-1], pts[1:]
@@ -105,9 +111,11 @@ def adaptive_gauss_legendre(
         est = np.concatenate((left[bad], right[bad]))
 
     done_lo, done_hi, done = (np.concatenate(v) for v in (done_lo, done_hi, done))
-    # descending left end; the right end orders the zero-width halves that
-    # bisection makes at the floating-point resolution limit
+    # ascending left end, the right end ordering the zero-width halves that
+    # bisection makes at the resolution limit; summed in descending left
+    # end, the order the depth-first loop accepted them in
+    order = np.lexsort((done_hi, done_lo))
     total = 0.0
-    for value in done[np.lexsort((done_hi, done_lo))[::-1]].tolist():
+    for value in done[order[::-1]].tolist():
         total += value
-    return total
+    return done_lo[order], done[order], total

@@ -8,11 +8,13 @@ from curvehedge import (
     CurveShift,
     DiscountedFlow,
     ForwardCurve,
+    MethodSpec,
     TimeGrid,
     convexity,
     dollar_duration,
     duration,
     excess_duration,
+    extrapolate,
     present_value,
 )
 from curvehedge.errors import DomainError, UndefinedDurationError
@@ -239,6 +241,36 @@ class TestDiscountedFlow:
         assert df.cumulative(5.0) == 1.0
         assert df.cumulative(9.99) == 1.0
         assert df.cumulative(10.0) == 3.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MethodSpec("M1", tau=10.0, ufr=0.042),
+            MethodSpec("M2", tau=10.0),
+            MethodSpec("M3", tau=10.0, ufr=0.042),
+            MethodSpec("M4", tau=10.0),
+            MethodSpec("M5_SFSA", tau=10.0, ufr=0.042, kappa=20.0),
+            MethodSpec("M6_SW_continuous", tau=10.0, ufr=0.042, alpha=0.1),
+            MethodSpec("M6_SW_discrete", tau=10.0, ufr=0.042, alpha=0.1),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_total_is_present_value(self, spec):
+        """One rule for dL*: the measure's total is the present value, bit for bit."""
+        market = ForwardCurve.from_forwards([0.0, 5.0, 12.0, 20.0, 60.0], [0.01, 0.025, 0.028, 0.03, 0.035])
+        curve = extrapolate(market, spec)
+        lumps = ((3.0, 0.5), (14.0, 0.6), (35.0, 1.0), (90.0, 0.7))
+        for near, far in [
+            ((12.0, 17.5, 0.2), (40.0, 75.0, 0.05)),
+            ((12.0, 17.5, 0.2), (40.0, 75.0, 0.06)),
+            ((12.0, 17.5, 0.2), (40.0, 80.0, 0.05)),
+            ((12.0, 17.5, 0.2), (45.0, 75.0, 0.05)),
+            ((12.0, 18.5, 0.2), (40.0, 75.0, 0.05)),
+        ]:
+            flow = CashFlow(lumps=lumps, densities=(near, far))
+            lstar = DiscountedFlow(flow, curve)
+            assert lstar.total == present_value(curve, flow)
+            assert lstar.cumulative(curve.horizon) == pytest.approx(lstar.total, rel=1e-14)
 
     def test_stieltjes_consistency_randomized(self):
         """Totals of the discounted measure equal the present value, 1000 cases."""

@@ -240,6 +240,15 @@ class TestConvexityGap:
 
 
 class TestValueIdentities:
+    def test_value_is_revaluation_on_the_base_curve(self, market_curve):
+        """One rule for a plan's value, on a curve with nodes inside (tau, kappa)."""
+        assert market_curve.breakpoints_between(TAU, KAPPA).size > 0
+        specs = (MethodSpec("M1", tau=TAU, ufr=UFR), M2, M3, M5)
+        plans = {spec.kind: hedge(spec, market_curve, SYMBOLIC_FLOW) for spec in specs}
+        assert any(callable(d.rate) for d in plans["M5_SFSA"].densities)
+        for kind, plan in plans.items():
+            assert plan.value() == plan.value_under(market_curve, market_curve), kind
+
     def test_m3_m5_match_liability_value_randomized(self, flat3):
         rng = np.random.default_rng(109)
         for _ in range(50):
@@ -656,7 +665,7 @@ class TestVerificationChecks:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_each_scenario_extrapolated_once(self, market_curve, monkeypatch, count):
-        """The base curve, the plan's own and the eight eps-curves of each shift."""
+        """The base curve, which the plan shares, and the eight eps-curves of each shift."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -666,11 +675,11 @@ class TestVerificationChecks:
         monkeypatch.setattr(hedging, "extrapolate", counting)
         monkeypatch.setattr(variation, "extrapolate", counting)
         verification_checks(M5, market_curve, SYMBOLIC_FLOW, shift_suite(count, 5), TOLERANCES)
-        assert len(calls) == 2 + len(EPS_SCHEDULE) * count
+        assert len(calls) == 1 + len(EPS_SCHEDULE) * count
 
     @pytest.mark.parametrize("count", [1, 3])
-    def test_hedge_summary_extrapolates_twice(self, market_curve, monkeypatch, count):
-        """Once in ``hedge`` and once for the residuals, the gap and the liability value."""
+    def test_hedge_summary_extrapolates_once(self, market_curve, monkeypatch, count):
+        """One curve for the plan, the residuals, the gap and the liability value."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -680,5 +689,5 @@ class TestVerificationChecks:
         monkeypatch.setattr(hedging, "extrapolate", counting)
         monkeypatch.setattr(variation, "extrapolate", counting)
         summary = hedge_summary(M5, market_curve, SYMBOLIC_FLOW, shift_suite(count, 5))
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert summary["liability_value"] == present_value(extrapolate(market_curve, M5), SYMBOLIC_FLOW)

@@ -241,6 +241,28 @@ class TestCliExtrapolate:
         assert captured.err == ""
         assert captured.out.endswith("no defects found\n")
 
+    @pytest.mark.parametrize(
+        "horizon, step, count",
+        [("200", "5.128205128205129", 40), ("7.3", "0.004171428571428572", 1751)],
+    )
+    def test_sample_step_rounding_past_horizon(self, flat_curve_csv, capsys, horizon, step, count):
+        # the last multiple of the step exceeds the horizon by rounding; the
+        # samples still end at the horizon, as the defect scan's grid does
+        code = run_cli(
+            "extrapolate",
+            "--curve", flat_curve_csv,
+            "--method", '{"kind":"M3","tau":5,"ufr":0.042}',
+            "--horizon", horizon,
+            "--step", step,
+            "--format", "csv",
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        ts = [float(line.split(",")[0]) for line in captured.out.splitlines()[1:]]
+        assert len(ts) == count
+        assert ts[-1] == float(horizon)
+        assert ts[-2] == pytest.approx((count - 2) * float(step), rel=1e-9)
+
 
 class TestCliIoErrors:
     """I/O failures end in exit 1 and one line on stderr, not a traceback."""
@@ -372,6 +394,42 @@ class TestCliVerify:
                 "--seed", "2",
             )
             assert code == 0, method
+
+    def test_m5_remainder_with_density_inside_the_blend(self, tmp_path, capsys):
+        """The plan's base value is its revaluation on z, so the remainder keeps falling.
+
+        Inputs of the benchmark's seed-18 ``case2``: a liability density
+        inside (tau, kappa] and market nodes there too. With the base value
+        integrated without the curve's nodes, the remainder stalled at
+        1.7e-13 and ``remainder_decay[0]`` failed.
+        """
+        curve = tmp_path / "curve.csv"
+        rows = [
+            (0.25, 0.03155344842219687), (1.0, 0.030979239650389415),
+            (3.0, 0.029736532949895284), (4.0, 0.0292624326543355),
+            (6.0, 0.02849622345715111), (9.0, 0.027687050654816407),
+            (11.0, 0.027305694633707325), (12.0, 0.02714830621250118),
+            (15.0, 0.026772206437006917), (20.0, 0.02635975477159539),
+            (27.0, 0.026021914890538164), (30.0, 0.025924041979682916),
+        ]
+        curve.write_text("t,zero_yield\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+        liabilities = tmp_path / "liabilities.csv"
+        liabilities.write_text(
+            "lump,11.881,0.3925\nlump,37.739,0.9529\nlump,67.149,0.776\n"
+            "lump,93.047,0.6594\ndensity,10.705,18.705,0.0618\n"
+        )
+        code = run_cli(
+            "verify",
+            "--curve", str(curve),
+            "--liabilities", str(liabilities),
+            "--method", '{"kappa": 23.5, "kind": "M5_SFSA", "offset": 0.0, "tau": 9.5, "ufr": 0.03875}',
+            "--shifts", "1",
+            "--seed", "1084929466",
+            "--format", "json",
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.out
+        assert captured.err == ""
 
     def test_default_suite_passes(self, flat_curve_csv, lump_liability_csv, capsys):
         code = run_cli(

@@ -9,9 +9,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvehedge import MethodSpec, method_variation
+from curvehedge import CashFlow, MethodSpec, extrapolate, hedge, method_variation, present_value
+from curvehedge.quadrature import REL_TOL
 
-from conftest import random_curve, random_shift
+from conftest import random_curve, random_lump_flow, random_shift
 
 UFR = 0.042
 TAU = 10.0
@@ -64,3 +65,31 @@ def test_method_variation_positively_homogeneous(seed, kind, k):
     base = method_variation(spec, z, shift, t)
     scaled = method_variation(spec, z, shift.scaled(k), t)
     np.testing.assert_allclose(scaled, k * base, rtol=1e-12, atol=1e-15 * k)
+
+
+def _flow(rng, lo, hi):
+    """Random lumps in (lo, hi] and one density segment inside (lo, hi)."""
+    a = float(rng.uniform(lo, hi - 1.0))
+    b = float(rng.uniform(a + 0.5, hi))
+    return random_lump_flow(rng, lo, hi) + CashFlow(densities=((a, b, float(rng.uniform(0.01, 0.5))),))
+
+
+@given(seed=seeds)
+def test_m3_plan_value_is_the_liability_value(seed):
+    """The M3 plan (the liability value as a lump at tau) is worth the liability value, exactly."""
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng)
+    flow = _flow(rng, TAU, 190.0)
+    spec = SPECS["M3"]
+    assert hedge(spec, z, flow).value() == present_value(extrapolate(z, spec), flow)
+
+
+@given(seed=seeds, k=st.floats(min_value=-10.0, max_value=10.0))
+def test_present_value_is_linear_in_the_flow(seed, k):
+    """PV[f + k*g] = PV[f] + k*PV[g], to the quadrature tolerance."""
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng)
+    f, g = _flow(rng, 0.0, 90.0), _flow(rng, 100.0, 190.0)
+    pv_f, pv_g = present_value(z, f), present_value(z, g)
+    combined = present_value(z, f + g.scaled(k))
+    assert abs(combined - (pv_f + k * pv_g)) <= REL_TOL * (abs(pv_f) + abs(k * pv_g))
