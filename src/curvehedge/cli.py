@@ -21,16 +21,8 @@ import numpy as np
 
 from .curves import DEFAULT_HORIZON
 from .errors import CurveHedgeError, DomainError, InputFormatError
-from .extrapolation import (
-    M4,
-    M6_SW_CONTINUOUS,
-    arbitrage_scan,
-    extrapolate,
-    is_number,
-    resolve_alpha,
-    sample_grid,
-)
-from .hedging import hedge_summary, infeasibility_decomposition, verification_checks
+from .extrapolation import arbitrage_scan, extrapolate, is_number, resolve_alpha, sample_grid
+from .hedging import UNHEDGEABLE_KINDS, hedge_summary, infeasibility_decomposition, verification_checks
 from .io import (
     Columns,
     method_from_arg,
@@ -161,7 +153,7 @@ def cmd_extrapolate(args) -> int:
 
 def cmd_hedge(args) -> int:
     curve, spec, flow = _load(args, liabilities=True)
-    if spec.kind in (M4, M6_SW_CONTINUOUS):
+    if spec.kind in UNHEDGEABLE_KINDS:
         decomp = infeasibility_decomposition(spec, curve, flow, eps=args.fra_eps, horizon=args.horizon)
         payload = {"plan": decomp.plan.to_json(), "fra_overlay": decomp.to_json()}
         if args.format == "json":

@@ -490,46 +490,69 @@ class CashFlow:
     def __add__(self, other: "CashFlow") -> "CashFlow":
         return CashFlow(self.lumps + other.lumps, self.densities + other.densities)
 
-    def is_empty(self) -> bool:
-        return not self.lumps and not self.densities
+
+def measure_integral(lumps, densities, weight, breakpoints) -> float:
+    """int w(t) dM(t) for a measure M of lumps and densities.
+
+    ``lumps`` is a pair of sequences, the lump times and masses. Each
+    density is (a, b, shape, rate, split points): the density
+    shape(s) * rate on [a, b], with ``shape`` vectorized and smooth
+    between the split points. ``weight`` is a vectorized callable, or
+    None for w = 1, and ``breakpoints`` are where it loses smoothness.
+    The lump terms are summed with ``np.sum``; each density is then added
+    by adaptive Gauss-Legendre on the integrand w(s) * shape(s) * rate,
+    split at its own points and at the weight's.
+    """
+    times, masses = (np.asarray(x, dtype=float) for x in lumps)
+    if weight is not None and times.size:
+        masses = masses * np.asarray(weight(times), dtype=float)
+    total = float(np.sum(masses))
+    for integrand, a, b, pts in _split_densities(densities, weight, breakpoints):
+        total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
+    return total
 
 
-def _weighted_parts(curve, flow: CashFlow, weight=None, breakpoints=()):
-    """int w(t) dC*(t) in parts: lump times and values, and per density
-    (a, b, integrand, split points), split at the curve's breakpoints and
-    the weight's extra ``breakpoints``. No weight is a weight of 1.0,
-    which changes no product."""
+def _split_densities(densities, weight, breakpoints):
+    """Each density of a measure as (integrand, a, b, split points), the one
+    rule by which :func:`measure_integral` and :class:`DiscountedFlow`
+    integrate it."""
+    extra = np.asarray(breakpoints, dtype=float)
+    w = lambda s: np.asarray(weight(s), dtype=float)
+    for a, b, shape, rate, pts in densities:
+        if weight is None:
+            integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
+        else:
+            integrand = lambda s, shape=shape, rate=rate: w(s) * shape(s) * rate
+        yield integrand, a, b, [*pts, *extra[(extra > a) & (extra < b)]]
+
+
+def _discounted_measure(curve, flow: CashFlow):
+    """dC*, the flow discounted by the curve, as the lumps and densities of
+    :func:`measure_integral`; a density splits at the curve's breakpoints."""
     if flow.latest_time > curve.horizon:
         raise DomainError(
             f"cash flow extends to {flow.latest_time}, beyond the curve horizon {curve.horizon}"
         )
-    w = (lambda t: 1.0) if weight is None else (lambda t: np.asarray(weight(t), dtype=float))
-    extra = list(breakpoints)
     times = np.array([t for t, _ in flow.lumps], dtype=float)
-    values = np.array([a for _, a in flow.lumps], dtype=float)
+    masses = np.array([a for _, a in flow.lumps], dtype=float)
     if flow.lumps:
-        values = curve.discount_factor(times) * values * w(times)
+        masses = curve.discount_factor(times) * masses
     densities = [
-        (a, b, lambda s, rate=rate: w(s) * curve.discount_factor(s) * rate,
-         list(curve.breakpoints_between(a, b)) + [p for p in extra if a < p < b])
+        (a, b, curve.discount_factor, rate, curve.breakpoints_between(a, b))
         for a, b, rate in flow.densities
     ]
-    return times, values, densities
+    return (times, masses), densities
 
 
 def stieltjes_integral(curve, flow: CashFlow, weight=None, breakpoints=()) -> float:
     """int w(t) dC*(t) where dC* is the flow discounted by the curve.
 
-    ``weight`` is a vectorized callable (or None for w = 1). Density
-    segments are integrated with adaptive Gauss-Legendre, pre-split at the
-    curve's own breakpoints and at any extra ``breakpoints`` the weight
-    introduces.
+    ``weight`` is a vectorized callable (or None for w = 1) and
+    ``breakpoints`` the points where it loses smoothness; each density
+    segment of the flow also splits at the curve's own breakpoints.
+    :func:`measure_integral` takes the sum.
     """
-    _, values, densities = _weighted_parts(curve, flow, weight, breakpoints)
-    total = float(np.sum(values))
-    for a, b, integrand, pts in densities:
-        total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
-    return total
+    return measure_integral(*_discounted_measure(curve, flow), weight, breakpoints)
 
 
 def present_value(curve, flow: CashFlow) -> float:
@@ -558,10 +581,10 @@ class DiscountedFlow:
     total: float = field(init=False)
 
     def __post_init__(self):
-        times, values, densities = _weighted_parts(self.curve, self.source)
+        (times, values), densities = _discounted_measure(self.curve, self.source)
         total = float(np.sum(values))
         pieces = []
-        for a, b, integrand, pts in densities:
+        for integrand, a, b, pts in _split_densities(densities, None, ()):
             lo, panels, integral = adaptive_panels(integrand, a, b, breakpoints=pts)
             pieces.append((a, b, integrand, np.append(lo, b), np.append(0.0, np.cumsum(panels))))
             total += integral

@@ -303,17 +303,8 @@ def sw_fit_discrete(nodes, prices, ufr: float, alpha: float, horizon: float = DE
     return SwDiscreteFit(t, p, ufr, alpha, zeta, horizon, condition)
 
 
-def sw_alpha_calibrate(
-    z: ForwardCurve,
-    tau: float,
-    kappa: float,
-    ufr: float,
-    epsilon: float,
-    alpha_min: float = ALPHA_MIN,
-    alpha_max: float = ALPHA_MAX,
-    tol: float = 1e-10,
-) -> float:
-    """Smallest alpha in [alpha_min, alpha_max] with |f(kappa) - ufr| <= epsilon.
+def sw_alpha_calibrate(z: ForwardCurve, tau: float, kappa: float, ufr: float, epsilon: float) -> float:
+    """Smallest alpha in [ALPHA_MIN, ALPHA_MAX] with |f(kappa) - ufr| <= epsilon.
 
     Uses the continuous-version forward formula; the miss shrinks
     monotonically in alpha, so bisection brackets the boundary. When the
@@ -339,14 +330,14 @@ def sw_alpha_calibrate(
             return np.inf
         return abs(g) * np.exp(-alpha * u) / factor
 
-    if miss(alpha_min) <= epsilon:
-        return alpha_min
-    if miss(alpha_max) > epsilon:
+    if miss(ALPHA_MIN) <= epsilon:
+        return ALPHA_MIN
+    if miss(ALPHA_MAX) > epsilon:
         raise CalibrationError(
-            f"criterion |f(kappa) - ufr| <= {epsilon} unattainable for alpha <= {alpha_max}"
+            f"criterion |f(kappa) - ufr| <= {epsilon} unattainable for alpha <= {ALPHA_MAX}"
         )
-    lo, hi = alpha_min, alpha_max
-    while hi - lo > tol:
+    lo, hi = ALPHA_MIN, ALPHA_MAX
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if miss(mid) <= epsilon:
             hi = mid

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, present_value
+from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_integral, present_value
 from .errors import DomainError, PlanKindError
 from .extrapolation import (
     DEFAULT_HORIZON,
@@ -37,10 +37,8 @@ from .extrapolation import (
     MethodSpec,
     extrapolate,
 )
-from .quadrature import adaptive_gauss_legendre
 from .variation import (
     EPS_SCHEDULE,
-    _variation_weight_breakpoints,
     method_variation_pv,
     numeric_variation,
     second_order_pv,
@@ -50,6 +48,9 @@ from .variation import (
 PLAN_PERFECT = "perfect"
 PLAN_FIRST_ORDER = "first_order"
 PLAN_INFEASIBLE = "infeasible"
+
+#: the methods whose hedge equation no bond portfolio solves
+UNHEDGEABLE_KINDS = (M4, M6_SW_CONTINUOUS)
 
 #: node arrays whose rate values one plan density keeps; the memo is
 #: emptied when full (the eps-curves of one shift reuse only a few)
@@ -72,7 +73,8 @@ class PlanDensity:
     roll-down term is piecewise constant for lump liabilities and kept
     symbolic (callable) when the liability itself has density parts, so
     verification integrals stay exact rather than sampled. ``breakpoints``
-    are the market curve's nodes inside (start, end), where the mass splits.
+    are the market curve's nodes inside (start, end): every integral over
+    the density splits there, and at its weight's own breakpoints.
 
     A callable rate is evaluated once per node array: revaluing the plan
     on curves that share a grid (the eps-curves of one shift) integrates
@@ -103,9 +105,8 @@ class PlanDensity:
         return values
 
     def mass(self) -> float:
-        return adaptive_gauss_legendre(
-            self.rate_values, self.start, self.end, breakpoints=self.breakpoints
-        )
+        density = (self.start, self.end, self.rate_values, 1.0, self.breakpoints)
+        return measure_integral(((), ()), [density], None, ())
 
 
 @dataclass(frozen=True)
@@ -119,44 +120,27 @@ class HedgePlan:
 
     def value(self) -> float:
         """Total market value: ``value_under(z, z)``, bit for bit, on the market curve z."""
-        total = 0.0
-        for part in [l.amount for l in self.lumps] + [d.mass() for d in self.densities]:
-            total += part
-        return total
+        return self.integrate(None)
 
     def integrate(self, weight, breakpoints=()) -> float:
-        """int w(t) dA*(t) over the plan measure."""
-        total = 0.0
-        for lump in self.lumps:
-            total += float(np.asarray(weight(np.asarray(lump.time)))) * lump.amount
-        for dens in self.densities:
-            pts = [p for p in breakpoints if dens.start < p < dens.end]
-            total += adaptive_gauss_legendre(
-                lambda s: np.asarray(weight(s), dtype=float) * dens.rate_values(s),
-                dens.start,
-                dens.end,
-                breakpoints=pts,
-            )
-        return total
+        """int w(t) dA*(t) over the plan measure; a ``weight`` of None is w = 1.
+
+        ``breakpoints`` are where the weight loses smoothness; each
+        density also splits at its own breakpoints.
+        """
+        lumps = ([l.time for l in self.lumps], [l.amount for l in self.lumps])
+        densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in self.densities]
+        return measure_integral(lumps, densities, weight, breakpoints)
 
     def value_under(self, curve, base_curve) -> float:
         """Full revaluation: the nominal flow dA*/D[base] priced on ``curve``."""
-        total = 0.0
-        for lump in self.lumps:
-            ratio = float(curve.discount_factor(lump.time)) / float(
-                base_curve.discount_factor(lump.time)
-            )
-            total += lump.amount * ratio
-        for dens in self.densities:
-            def integrand(s):
-                ratio = np.asarray(curve.discount_factor(s), dtype=float) / np.asarray(
-                    base_curve.discount_factor(s), dtype=float
-                )
-                return dens.rate_values(s) * ratio
 
-            pts = list(curve.breakpoints_between(dens.start, dens.end))
-            total += adaptive_gauss_legendre(integrand, dens.start, dens.end, breakpoints=pts)
-        return total
+        def ratio(s):
+            return np.asarray(curve.discount_factor(s), dtype=float) / np.asarray(
+                base_curve.discount_factor(s), dtype=float
+            )
+
+        return self.integrate(ratio, curve.breakpoints_between(0.0, curve.horizon))
 
     def to_json(self) -> dict:
         dens = []
@@ -275,7 +259,7 @@ def hedge(
         )
     if kind == M5_SFSA:
         return _m5_plan(spec, z, curve, flow, lstar)
-    if kind in (M4, M6_SW_CONTINUOUS):
+    if kind in UNHEDGEABLE_KINDS:
         if kind == M4:
             coeff = lstar.integrate(lambda t: np.asarray(t, dtype=float) - tau)
         else:
@@ -296,10 +280,12 @@ def hedge(
     raise DomainError(f"no hedge construction for method kind {kind!r}")
 
 
-def _first_order_residual(plan, spec, z, shift, variation, horizon) -> float:
+def _first_order_residual(plan, shift, variation, horizon) -> float:
     """|int t Dz dA* - int t dzbar dL*|, given ``variation`` = -int t dzbar dL*."""
-    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, horizon)
-    lhs = plan.integrate(lambda t: np.asarray(t, dtype=float) * shift.delta_z(t), breakpoints=pts)
+    lhs = plan.integrate(
+        lambda t: np.asarray(t, dtype=float) * shift.delta_z(t),
+        shift.breakpoints_between(0.0, horizon),
+    )
     return abs(lhs + variation)
 
 
@@ -321,7 +307,7 @@ def verify_first_order(
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("an infeasible diagnosis cannot be verified as a hedge")
     variation = method_variation_pv(spec, z, shift, flow, horizon, curve=curve)
-    return _first_order_residual(plan, spec, z, shift, variation, horizon)
+    return _first_order_residual(plan, shift, variation, horizon)
 
 
 def _liability_pricer(spec, flow, horizon, z, base_curve):
@@ -397,14 +383,13 @@ def convexity_gap(
         plan = hedge(spec, z, flow, horizon, curve)
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("no first-order hedge exists to compare against")
-    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, horizon)
 
     def weight(t):
         t = np.asarray(t, dtype=float)
         dz = np.asarray(shift.delta_z(t), dtype=float)
         return t * t * dz * dz
 
-    asset_side = plan.integrate(weight, breakpoints=pts)
+    asset_side = plan.integrate(weight, shift.breakpoints_between(0.0, horizon))
     liability_side = second_order_pv(spec, z, shift, flow, horizon, curve=curve)
     return asset_side - liability_side
 
@@ -488,12 +473,12 @@ def verification_checks(
         variations.append(variation)
         rays.append(ray)
 
-    if spec.kind in (M4, M6_SW_CONTINUOUS):
+    if spec.kind in UNHEDGEABLE_KINDS:
         return checks
     plan = hedge(spec, z, flow, horizon, base_curve)
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
     for i, (shift, variation) in enumerate(zip(shifts, variations)):
-        residual = _first_order_residual(plan, spec, z, shift, variation, horizon)
+        residual = _first_order_residual(plan, shift, variation, horizon)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     if plan.kind == PLAN_PERFECT:
         gap = _revaluation_gap(plan, z, shifts, price)
@@ -623,7 +608,7 @@ def infeasibility_decomposition(
     horizon: float = DEFAULT_HORIZON,
 ) -> InfeasibilityReport:
     """Decompose the hedge of an unhedgeable method into bond + FRA overlay."""
-    if spec.kind not in (M4, M6_SW_CONTINUOUS):
+    if spec.kind not in UNHEDGEABLE_KINDS:
         raise DomainError("only M4 and the continuous Smith-Wilson method are unhedgeable")
     plan = hedge(spec, z, flow, horizon)
     coeff = plan.diagnostics["unmatched_forward_coefficient"]

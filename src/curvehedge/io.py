@@ -49,7 +49,19 @@ def read_curve(path) -> ForwardCurve:
     """Load a curve from a ``.csv`` or ``.json`` file."""
     text = _read_text(path)
     if str(path).lower().endswith(".json"):
-        return _curve_from_json(_parse_json(text, path, "curve JSON"), path)
+        mode, times, values = _curve_json_columns(_parse_json(text, path, "curve JSON"), path)
+    else:
+        mode, times, values = _curve_csv_columns(text, path)
+    try:
+        if mode == "zero_yield":
+            return ForwardCurve.from_zero_yields(times, values)
+        return ForwardCurve.from_forwards(times, values)
+    except CurveHedgeError as exc:
+        raise InputFormatError(str(exc), path=path)
+
+
+def _curve_csv_columns(text, path):
+    """The value column's name, the times and the values of a curve CSV."""
     rows = list(csv.reader(_io.StringIO(text)))
     rows = [r for r in rows if r and any(x.strip() for x in r)]
     if not rows:
@@ -70,15 +82,11 @@ def read_curve(path) -> ForwardCurve:
         t, v = _floats(row, path, i)
         times.append(t)
         values.append(v)
-    try:
-        if mode == "zero_yield":
-            return ForwardCurve.from_zero_yields(times, values)
-        return ForwardCurve.from_forwards(times, values)
-    except CurveHedgeError as exc:
-        raise InputFormatError(str(exc), path=path)
+    return mode, times, values
 
 
-def _curve_from_json(data, path) -> ForwardCurve:
+def _curve_json_columns(data, path):
+    """The value column's name, the times and the values of parsed curve JSON."""
     if isinstance(data, dict):
         times = data.get("t")
         if times is None:
@@ -104,22 +112,17 @@ def _curve_from_json(data, path) -> ForwardCurve:
         raise InputFormatError("curve JSON must be a list or an object", path=path)
     if not all(isinstance(col, list) and all(map(is_number, col)) for col in (times, values)):
         raise InputFormatError("curve times and values must be lists of numbers", path=path)
-    try:
-        if mode == "zero_yield":
-            return ForwardCurve.from_zero_yields(times, values)
-        return ForwardCurve.from_forwards(times, values)
-    except CurveHedgeError as exc:
-        raise InputFormatError(str(exc), path=path)
+    return mode, times, values
 
 
 def read_cash_flow(path) -> CashFlow:
     """Load a cash flow from a ``.csv`` or ``.json`` file."""
     text = _read_text(path)
+    lumps, densities = [], []
     if str(path).lower().endswith(".json"):
         data = _parse_json(text, path, "cash-flow JSON")
         if not isinstance(data, list):
             raise InputFormatError("cash-flow JSON must be a list", path=path)
-        lumps, densities = [], []
         for row in data:
             if not isinstance(row, dict):
                 raise InputFormatError("cash-flow rows must be objects", path=path)
@@ -134,28 +137,22 @@ def read_cash_flow(path) -> CashFlow:
             if not all(map(is_number, fields)):
                 raise InputFormatError(f"cash-flow fields must be numbers, got {fields}", path=path)
             target.append(fields)
-        try:
-            return CashFlow(lumps=tuple(lumps), densities=tuple(densities))
-        except CurveHedgeError as exc:
-            raise InputFormatError(str(exc), path=path)
-    rows = list(csv.reader(_io.StringIO(text)))
-    lumps, densities = [], []
-    for i, row in enumerate(rows, start=1):
-        if not row or not any(x.strip() for x in row):
-            continue
-        kind = row[0].strip().lower()
-        if kind == "lump":
-            if len(row) != 3:
-                raise InputFormatError("lump rows are 'lump,t,amount'", path=path, line=i)
-            t, amount = _floats(row[1:], path, i)
-            lumps.append((t, amount))
-        elif kind == "density":
-            if len(row) != 4:
-                raise InputFormatError("density rows are 'density,a,b,rate'", path=path, line=i)
-            a, b, rate = _floats(row[1:], path, i)
-            densities.append((a, b, rate))
-        else:
-            raise InputFormatError(f"unknown row kind {row[0]!r}", path=path, line=i)
+    else:
+        rows = list(csv.reader(_io.StringIO(text)))
+        for i, row in enumerate(rows, start=1):
+            if not row or not any(x.strip() for x in row):
+                continue
+            kind = row[0].strip().lower()
+            if kind == "lump":
+                if len(row) != 3:
+                    raise InputFormatError("lump rows are 'lump,t,amount'", path=path, line=i)
+                lumps.append(tuple(_floats(row[1:], path, i)))
+            elif kind == "density":
+                if len(row) != 4:
+                    raise InputFormatError("density rows are 'density,a,b,rate'", path=path, line=i)
+                densities.append(tuple(_floats(row[1:], path, i)))
+            else:
+                raise InputFormatError(f"unknown row kind {row[0]!r}", path=path, line=i)
     try:
         return CashFlow(lumps=tuple(lumps), densities=tuple(densities))
     except CurveHedgeError as exc:

@@ -65,15 +65,14 @@ class UfrSensitivityReport:
         }
 
 
-def parameter_sensitivity(family, flow: CashFlow, theta: float, h: float | None = None) -> float:
+def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     """d/d theta of the liability value for a curve family theta -> zbar(theta).
 
     Evaluates -int t (d zbar/d theta) dL* with the yield derivative taken
     by central differences (step 1e-6 scaled by |theta| + 1) and one
     Richardson step. dL* is discounted by the base-theta curve.
     """
-    if h is None:
-        h = 1e-6 * (abs(theta) + 1.0)
+    h = 1e-6 * (abs(theta) + 1.0)
     base = family(theta)
 
     def estimate(step):

@@ -1,8 +1,8 @@
 """Seeded suites of smooth random curve shifts.
 
 Each shift perturbs the forward curve by a sum of at most five Gaussian
-bumps with random centers, widths and amplitudes (capped at 100 bp by
-default), sampled onto a half-year grid. Smooth bumps stay inside the
+bumps with random centers, widths and amplitudes (capped at 100 bp),
+sampled onto a half-year grid. Smooth bumps stay inside the
 representable curve space and exercise genuinely non-parallel movements;
 a fixed seed makes every suite reproducible.
 """
@@ -19,39 +19,23 @@ MAX_BUMPS = 5
 MAX_AMPLITUDE = 0.01  # 100 bp
 
 
-def gaussian_bump_shift(
-    rng: np.random.Generator,
-    horizon: float = DEFAULT_HORIZON,
-    max_bumps: int = MAX_BUMPS,
-    max_amplitude: float = MAX_AMPLITUDE,
-    grid_step: float = DEFAULT_GRID_STEP,
-) -> CurveShift:
+def gaussian_bump_shift(rng: np.random.Generator, horizon: float = DEFAULT_HORIZON) -> CurveShift:
     """One random smooth forward-curve shift."""
-    ts = np.arange(0.0, horizon + 0.5 * grid_step, grid_step)
+    ts = np.arange(0.0, horizon + 0.5 * DEFAULT_GRID_STEP, DEFAULT_GRID_STEP)
     ts[-1] = min(ts[-1], horizon)
-    count = int(rng.integers(1, max_bumps + 1))
+    count = int(rng.integers(1, MAX_BUMPS + 1))
     values = np.zeros_like(ts)
     for _ in range(count):
-        amplitude = rng.uniform(-max_amplitude, max_amplitude)
+        amplitude = rng.uniform(-MAX_AMPLITUDE, MAX_AMPLITUDE)
         center = rng.uniform(0.0, horizon)
         width = rng.uniform(1.0, horizon / 8.0)
         values += amplitude * np.exp(-0.5 * ((ts - center) / width) ** 2)
     return CurveShift.from_forward_values(ts, values)
 
 
-def shift_suite(
-    count: int,
-    seed: int,
-    horizon: float = DEFAULT_HORIZON,
-    max_bumps: int = MAX_BUMPS,
-    max_amplitude: float = MAX_AMPLITUDE,
-    grid_step: float = DEFAULT_GRID_STEP,
-) -> list:
+def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
     """A reproducible list of random smooth shifts."""
     if count < 1:
         raise DomainError("a shift suite needs at least one shift")
     rng = np.random.default_rng(seed)
-    return [
-        gaussian_bump_shift(rng, horizon, max_bumps, max_amplitude, grid_step)
-        for _ in range(count)
-    ]
+    return [gaussian_bump_shift(rng, horizon) for _ in range(count)]

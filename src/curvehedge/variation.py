@@ -105,14 +105,14 @@ def numeric_variation(
     z: ForwardCurve,
     shift: CurveShift,
     order: int = 1,
-    eps_schedule=EPS_SCHEDULE,
     analytic: float | None = None,
     check_additivity: bool = False,
     ray: dict | None = None,
 ) -> VariationReport:
     """Finite-difference estimate of the first or second variation of ``functional``.
 
-    Order 1 uses one-sided quotients (F[z + e*Dz] - F[z]) / e; order 2
+    Order 1 uses one-sided quotients (F[z + e*Dz] - F[z]) / e, with e
+    running over ``EPS_SCHEDULE``; order 2
     the centered-in-epsilon second difference along the ray,
     (F[z + 2e*Dz] - 2 F[z + e*Dz] + F[z]) / e^2, still one-sided in sign
     consistent with the e -> 0+ limit.
@@ -123,9 +123,6 @@ def numeric_variation(
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    eps = tuple(float(e) for e in eps_schedule)
-    if len(eps) < 3 or any(e <= 0 for e in eps):
-        raise DomainError("need at least three positive epsilon values")
 
     f0 = _eval_functional(functional, z, 0.0)
     ray = {} if ray is None else ray
@@ -139,9 +136,9 @@ def numeric_variation(
         return cache[e]
 
     if order == 1:
-        quotients = tuple((at(e) - f0) / e for e in eps)
+        quotients = tuple((at(e) - f0) / e for e in EPS_SCHEDULE)
     else:
-        quotients = tuple((at(2 * e) - 2.0 * at(e) + f0) / (e * e) for e in eps)
+        quotients = tuple((at(2 * e) - 2.0 * at(e) + f0) / (e * e) for e in EPS_SCHEDULE)
 
     numeric, extrapolated = _richardson(quotients)
     numeric = float(numeric)
@@ -149,14 +146,12 @@ def numeric_variation(
 
     defect = None
     if check_additivity:
-        mirrored = numeric_variation(
-            functional, z, shift.negated(), order=order, eps_schedule=eps
-        )
+        mirrored = numeric_variation(functional, z, shift.negated(), order=order)
         defect = numeric + mirrored.numeric
 
     return VariationReport(
         numeric=numeric,
-        eps_schedule=eps,
+        eps_schedule=EPS_SCHEDULE,
         quotients=quotients,
         extrapolated=tuple(extrapolated),
         analytic=analytic,
@@ -255,16 +250,6 @@ def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
     return float(out[0]) if scalar else out.reshape(np.shape(t))
 
 
-def _variation_weight_breakpoints(spec, z, shift, a, b):
-    pts = set()
-    for p in (spec.tau, spec.kappa):
-        if p is not None and a < p < b:
-            pts.add(float(p))
-    pts.update(float(p) for p in shift.breakpoints_between(a, b))
-    pts.update(float(p) for p in z.breakpoints_between(a, min(b, z.horizon)))
-    return sorted(pts)
-
-
 def method_variation_pv(
     spec: MethodSpec,
     z: ForwardCurve,
@@ -276,7 +261,8 @@ def method_variation_pv(
     """Analytic first variation of the liability present value.
 
     By the chain rule this is -int t * dzbar(t) dL*(t) with dL* the
-    flow discounted by the extrapolated curve.
+    flow discounted by the extrapolated curve. The weight splits at the
+    shift's nodes; dL* adds the curve's, tau and kappa among them.
     """
     if curve is None:
         curve = extrapolate(z, spec, horizon)
@@ -284,8 +270,7 @@ def method_variation_pv(
     def weight(t):
         return np.asarray(t, dtype=float) * method_variation(spec, z, shift, t)
 
-    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, curve.horizon)
-    return -stieltjes_integral(curve, flow, weight, breakpoints=pts)
+    return -stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))
 
 
 def method_variation_report(
@@ -310,16 +295,16 @@ def method_variation_report(
 # ---- the clamp example -------------------------------------------------------
 
 
-def clamp_variation(z, shift: CurveShift, c: float, t: float, tol: float = CLAMP_EQ_TOL) -> float:
+def clamp_variation(z, shift: CurveShift, c: float, t: float) -> float:
     """First variation of max(0, z(t) - c), by exact case analysis.
 
     The kink at z(t) = c makes the variation one-sidedly defined and
     positively homogeneous but not additive in the shift. Equality is
-    tested within ``tol`` to absorb floating-point noise only.
+    tested within ``CLAMP_EQ_TOL`` to absorb floating-point noise only.
     """
     z_t = float(z.zero_yield(t))
     dz_t = float(shift.delta_z(t))
-    if abs(z_t - c) <= tol:
+    if abs(z_t - c) <= CLAMP_EQ_TOL:
         return dz_t if dz_t > 0.0 else 0.0
     if z_t < c:
         return 0.0
@@ -338,14 +323,13 @@ def clamp_functional(c: float, t: float):
 # ---- second order -----------------------------------------------------------
 
 
-def _sw_second_variation_weight(spec, z, shift, horizon, eps_schedule=EPS_SCHEDULE):
+def _sw_second_variation_weight(spec, z, shift, horizon):
     """Pointwise second variation of the Smith-Wilson yield, by nested differencing.
 
     Differences the closed-form extrapolated yield along the ray with the
     same Richardson machinery as the scalar oracle; the closed form is
     exact, so no hand-derived second-order expansion is needed.
     """
-    eps = tuple(eps_schedule)
     curves = {0.0: extrapolate(z, spec, horizon)}
 
     def curve_at(e):
@@ -357,7 +341,7 @@ def _sw_second_variation_weight(spec, z, shift, horizon, eps_schedule=EPS_SCHEDU
         t = np.atleast_1d(np.asarray(t, dtype=float))
         z0 = np.asarray(curves[0.0].zero_yield(t), dtype=float)
         quotients = []
-        for e in eps:
+        for e in EPS_SCHEDULE:
             z1 = np.asarray(curve_at(e).zero_yield(t), dtype=float)
             z2 = np.asarray(curve_at(2 * e).zero_yield(t), dtype=float)
             quotients.append((z2 - 2.0 * z1 + z0) / (e * e))
@@ -407,5 +391,4 @@ def second_order_pv(
             out = out - t * d2_weight(t)
         return out
 
-    pts = _variation_weight_breakpoints(spec, z, shift, 0.0, curve.horizon)
-    return stieltjes_integral(curve, flow, weight, breakpoints=pts)
+    return stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))

@@ -21,6 +21,7 @@ from curvehedge import (
     infeasibility_decomposition,
     method_variation_report,
     present_value,
+    stieltjes_integral,
     sw_variation_coefficient,
     verify_first_order,
     verify_perfect,
@@ -244,10 +245,33 @@ class TestValueIdentities:
         """One rule for a plan's value, on a curve with nodes inside (tau, kappa)."""
         assert market_curve.breakpoints_between(TAU, KAPPA).size > 0
         specs = (MethodSpec("M1", tau=TAU, ufr=UFR), M2, M3, M5)
-        plans = {spec.kind: hedge(spec, market_curve, SYMBOLIC_FLOW) for spec in specs}
-        assert any(callable(d.rate) for d in plans["M5_SFSA"].densities)
-        for kind, plan in plans.items():
-            assert plan.value() == plan.value_under(market_curve, market_curve), kind
+        for flow in (SYMBOLIC_FLOW, MANY_LUMP_FLOW):
+            plans = {spec.kind: hedge(spec, market_curve, flow) for spec in specs}
+            assert any(callable(d.rate) for d in plans["M5_SFSA"].densities)
+            for kind, plan in plans.items():
+                assert plan.value() == plan.value_under(market_curve, market_curve), kind
+        assert len(plans["M5_SFSA"].lumps) >= 8
+
+    def test_one_split_rule_for_both_measures(self):
+        """An integral over dA* or dL* splits at the market nodes inside each density,
+        whether or not the weight's breakpoints list them."""
+        nodes = [0.0, 5.0, 10.0, 11.3, 13.7, 16.1, 25.0, 40.0]
+        z = ForwardCurve.from_forwards(nodes, [0.02, 0.025, 0.03, 0.031, 0.029, 0.033, 0.035, 0.036])
+        market_nodes = z.breakpoints_between(TAU, KAPPA)
+        plan = hedge(M5, z, SYMBOLIC_FLOW, horizon=40.0)
+        assert any(callable(d.rate) for d in plan.densities)
+        curve = extrapolate(z, M5, 40.0)
+        for shift in shift_suite(5, 3, 40.0):
+            def weight(t, shift=shift):
+                return np.asarray(t, dtype=float) * shift.delta_z(t)
+
+            shift_nodes = shift.breakpoints_between(0.0, 40.0)
+            assert not set(market_nodes) & set(shift_nodes)
+            both = np.union1d(shift_nodes, market_nodes)
+            assert plan.integrate(weight, shift_nodes) == plan.integrate(weight, both)
+            assert stieltjes_integral(curve, SYMBOLIC_FLOW, weight, shift_nodes) == stieltjes_integral(
+                curve, SYMBOLIC_FLOW, weight, both
+            )
 
     def test_m3_m5_match_liability_value_randomized(self, flat3):
         rng = np.random.default_rng(109)
@@ -460,6 +484,13 @@ class TestInfeasibilityDecomposition:
 #: a liability density inside (tau, kappa], so the M5 plan carries a
 #: symbolic roll-down density
 SYMBOLIC_FLOW = CashFlow(lumps=((14.0, 0.6), (35.0, 1.0)), densities=((12.0, 17.5, 0.2),))
+
+#: ten lumps inside (tau, kappa): from eight terms on, ``np.sum`` adds
+#: pairwise, not in order
+MANY_LUMP_FLOW = CashFlow(
+    lumps=tuple((10.5 + 0.9 * k, 0.1 + 0.05 * k) for k in range(10)) + ((35.0, 1.0),),
+    densities=((12.0, 17.5, 0.2),),
+)
 
 
 def _fresh_value_under(plan, curve, base_curve):
