@@ -124,10 +124,7 @@ def cmd_extrapolate(args) -> int:
     curve, spec, _ = _load(args)
     ec = extrapolate(curve, spec, args.horizon)
     ts = sample_grid(ec.horizon, args.step)
-    samples = Columns(
-        ("t", "zero_yield", "forward", "discount"),
-        (ts, ec.zero_yield(ts), ec.forward_rate(ts), ec.discount_factor(ts)),
-    )
+    samples = Columns(("t", "zero_yield", "forward", "discount"), (ts,) + ec._evaluation(ts))
     scan = arbitrage_scan(ec, args.scan_step)
 
     if args.format == "json":

@@ -224,7 +224,10 @@ class ForwardCurve:
     @evaluation
     def zero_yield(self, t):
         """z(t) = (1/t) int_0^t f; z(0) = f(0)."""
-        cum = ForwardCurve.integrated_forward.body(self, t)
+        return self._yield_of(ForwardCurve.integrated_forward.body(self, t), t)
+
+    def _yield_of(self, cum, t):
+        """The zero yield at t from the integrated forward ``cum`` there."""
         out = np.divide(cum, t, out=np.empty_like(cum), where=t > 0)
         if np.any(t == 0.0):
             out = np.where(t == 0.0, self.f_left[0], out)
@@ -234,6 +237,13 @@ class ForwardCurve:
     def discount_factor(self, t):
         """exp(-t z(t)), computed from the exact cumulative forward integral."""
         return np.exp(-ForwardCurve.integrated_forward.body(self, t))
+
+    @evaluation
+    def _evaluation(self, t):
+        """Zero yield, right-continuous forward rate and discount factor
+        together, the first and last from one integrated forward."""
+        cum = ForwardCurve.integrated_forward.body(self, t)
+        return self._yield_of(cum, t), ForwardCurve.forward_rate.body(self, t), np.exp(-cum)
 
     @evaluation
     def cumulative_time_weighted_yield(self, t):
@@ -619,8 +629,10 @@ def dollar_duration(curve, flow: CashFlow) -> float:
     return stieltjes_integral(curve, flow, lambda t: t)
 
 
-def _nonzero_pv(curve, flow) -> float:
-    pv = present_value(curve, flow)
+def _nonzero_pv(curve, flow, pv: float | None = None) -> float:
+    """The flow's present value on the curve, or ``pv`` when given; never zero."""
+    if pv is None:
+        pv = present_value(curve, flow)
     if pv == 0.0:
         raise UndefinedDurationError("present value is zero")
     return pv
@@ -636,11 +648,15 @@ def convexity(curve, flow: CashFlow) -> float:
     return num / _nonzero_pv(curve, flow)
 
 
-def excess_duration(curve, flow: CashFlow, tau: float) -> float:
-    """int (t - tau)+ dC* / C*_T: duration counted only beyond tau."""
+def excess_duration(curve, flow: CashFlow, tau: float, total: float | None = None) -> float:
+    """int (t - tau)+ dC* / C*_T: duration counted only beyond tau.
+
+    ``total`` is C*_T when the caller has priced the flow on this curve
+    already; it is priced here otherwise.
+    """
     if tau < 0.0 or tau > curve.horizon:
         raise DomainError(f"tau={tau} outside [0, {curve.horizon}]")
     num = stieltjes_integral(
         curve, flow, lambda t: np.maximum(t - tau, 0.0), breakpoints=(tau,)
     )
-    return num / _nonzero_pv(curve, flow)
+    return num / _nonzero_pv(curve, flow, total)

@@ -169,37 +169,70 @@ def sw_factor(u, g, alpha: float):
     return 1.0 + g * (1.0 - np.exp(-alpha * u)) / alpha
 
 
+#: times of the Smith-Wilson kernel products taken at a time: a power of
+#: two, so a chunked scan blocks its grid as one pass would, and small, so
+#: each block's N x 2048 buffers stay in cache
+_SW_BLOCK = 2048
+
+
+def _blocks(n: int, size: int):
+    """Slices of ``size`` consecutive indices covering range(n); the last
+    one also takes the remainder, so it holds ``size`` to ``2 size - 1``.
+
+    A matrix-vector product then meets each row in the same place of its
+    matrix, modulo ``size``, as one product over all n rows does, and no
+    block is a lone row unless n is 1: numpy takes a one-row product as a
+    dot product, which can round differently.
+    """
+    start = 0
+    while n - start >= 2 * size:
+        yield slice(start, start + size)
+        start += size
+    yield slice(start, n)
+
+
 def _sw_kernel_products(t, nodes, ufr: float, alpha: float, zeta):
     """``sw_kernel(t, nodes) @ zeta`` and ``d/dt sw_kernel(t, nodes) @ zeta``.
 
-    ``t`` is a 1-d array of M times. The three M x N transcendentals,
-    exp(-ufr (t + t_i)), exp(-alpha max) and sinh(alpha min), are
-    computed once and shared; each matrix meets ``zeta`` as soon as it is
-    complete, and four M x N buffers are reused throughout. Every
-    element is the same sequence of operations as in :func:`sw_kernel`
-    and its derivative written out, so the products are bit-identical to
-    those of the separate matrices. d/dt W(t, t_i) is continuous across
-    t = t_i.
+    ``t`` is a 1-d array of M times, taken in row blocks of ``_SW_BLOCK``
+    (see :func:`_blocks`). Only the damping exp(-ufr (t + t_i)) is an
+    M x N transcendental: the sinh and exp of alpha min(t, t_i) and
+    -alpha max(t, t_i) are taken once per time and once per node and
+    picked by ``t < t_i``, which gives each element the value
+    :func:`sw_kernel` computes from the same argument. The elementwise
+    work runs on N x M blocks, whose long rows suit numpy's inner loops;
+    each product meets ``zeta`` as a C-ordered M x N matrix, as
+    ``sw_kernel(...) @ zeta`` does. Every element is the same sequence of
+    operations as in :func:`sw_kernel` and its derivative written out,
+    so the products are bit-identical to those of the separate matrices.
+    d/dt W(t, t_i) is continuous across t = t_i.
     """
-    t = t[:, None]
-    ti = nodes[None, :]
-    lo = np.minimum(t, ti)
-    hi = np.maximum(t, ti)
-    damp = np.add(t, ti)
-    np.exp(np.multiply(-ufr, damp, out=damp), out=damp)
-    np.multiply(alpha, lo, out=lo)
-    sinh_lo = np.sinh(lo)
-    np.exp(np.multiply(-alpha, hi, out=hi), out=hi)
-    # k = alpha lo - e^{-alpha hi} sinh(alpha lo), the bracket of sw_kernel
-    k = np.subtract(lo, np.multiply(hi, sinh_lo, out=hi), out=lo)
-    w_zeta = np.multiply(damp, k, out=hi) @ zeta
-    # dk/dt below the node, then above it
-    below = np.multiply(np.exp(-alpha * ti), np.cosh(alpha * t), out=sinh_lo)
-    np.multiply(alpha, np.subtract(1.0, below, out=below), out=below)
-    dk = np.multiply(alpha * np.exp(-alpha * t), np.sinh(alpha * ti), out=hi)
-    np.copyto(dk, below, where=t < ti)
-    np.subtract(dk, np.multiply(ufr, k, out=k), out=dk)
-    return w_zeta, np.multiply(damp, dk, out=dk) @ zeta
+    w_zeta = np.empty_like(t)
+    dw_zeta = np.empty_like(t)
+    ti = nodes[:, None]
+    alpha_ti = alpha * ti
+    sinh_ti = np.sinh(alpha_ti)
+    exp_ti = np.exp(-alpha * ti)
+    for rows in _blocks(t.size, _SW_BLOCK):
+        tb = t[rows][None, :]
+        below = tb < ti  # t is the min, t_i the max
+        alpha_t = alpha * tb
+        exp_t = np.exp(-alpha * tb)
+        damp = np.add(tb, ti)
+        np.exp(np.multiply(-ufr, damp, out=damp), out=damp)
+        # k = alpha lo - e^{-alpha hi} sinh(alpha lo), the bracket of sw_kernel
+        k = np.where(below, alpha_t, alpha_ti)
+        prod = np.where(below, exp_ti, exp_t)
+        np.multiply(prod, np.where(below, np.sinh(alpha_t), sinh_ti), out=prod)
+        np.subtract(k, prod, out=k)
+        w_zeta[rows] = np.multiply(damp, k, out=prod).T.copy() @ zeta
+        # dk/dt below the node, then above it
+        dk = np.multiply(exp_ti, np.cosh(alpha_t), out=prod)
+        np.multiply(alpha, np.subtract(1.0, dk, out=dk), out=dk)
+        np.copyto(dk, np.multiply(alpha * exp_t, sinh_ti), where=~below)
+        np.subtract(dk, np.multiply(ufr, k, out=k), out=dk)
+        dw_zeta[rows] = np.multiply(damp, dk, out=dk).T.copy() @ zeta
+    return w_zeta, dw_zeta
 
 
 class SwDiscreteFit:
@@ -231,25 +264,35 @@ class SwDiscreteFit:
 
     @evaluation
     def forward_rate(self, t, side: str = "right"):
-        return SwDiscreteFit._forward_and_discount.body(self, t)[0]
+        return SwDiscreteFit._evaluation.body(self, t)[1]
 
     @evaluation
-    def _forward_and_discount(self, t):
-        """The forward rate and the discount factor, from one pass over the kernel."""
+    def zero_yield(self, t):
+        return self._yield_of(SwDiscreteFit.discount_factor.body(self, t), t)
+
+    @evaluation
+    def _evaluation(self, t):
+        """Zero yield, forward rate and discount factor, from one pass over the kernel."""
         w_zeta, dw_zeta = _sw_kernel_products(t, self.nodes, self.ufr, self.alpha, self.zeta)
         decay = np.exp(-self.ufr * t)
         d = decay + w_zeta
         dprime = -self.ufr * decay + dw_zeta
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d != 0.0, -dprime / d, np.nan), d
+            f = np.where(d != 0.0, -dprime / d, np.nan)
+        return self._yield_of(d, t, f), f, d
 
-    @evaluation
-    def zero_yield(self, t):
-        d = SwDiscreteFit.discount_factor.body(self, t)
+    def _yield_of(self, d, t, f=None):
+        """-log(D)/t where D > 0, NaN where it is not, and f(0) at t = 0.
+
+        f(0) is the forward of a pass over the single time 0, which ``f``
+        already is when it is given for that one time.
+        """
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / t, np.nan)
         if np.any(t == 0.0):
-            out = np.where(t == 0.0, SwDiscreteFit.forward_rate.body(self, np.zeros(1)), out)
+            if f is None or t.size != 1:
+                f = SwDiscreteFit._evaluation.body(self, np.zeros(1))[1]
+            out = np.where(t == 0.0, f, out)
         return out
 
     def breakpoints_between(self, a: float, b: float):
@@ -349,13 +392,43 @@ def sw_alpha_calibrate(z: ForwardCurve, tau: float, kappa: float, ufr: float, ep
 # ---- the extrapolated curve -------------------------------------------------
 
 
+def _piecewise(t, at, below, above):
+    """``below`` on the times t <= at and ``above`` on the rest.
+
+    Each is called only with the times of its own side, and not at all
+    when there are none; both return an array or a tuple of arrays.
+    """
+    low = t <= at
+    if low.all():
+        return below(t)
+    high = ~low
+    if high.all():
+        return above(t)
+    low_values, high_values = below(t[low]), above(t[high])
+    if isinstance(low_values, tuple):
+        return tuple(_interleaved(low, high, a, b) for a, b in zip(low_values, high_values))
+    return _interleaved(low, high, low_values, high_values)
+
+
+def _interleaved(low, high, low_values, high_values):
+    out = np.empty(low.shape)
+    out[low] = low_values
+    out[high] = high_values
+    return out
+
+
 class ExtrapolatedCurve:
     """A market curve glued to a method-specific extension beyond tau.
 
     Evaluation keeps the market values (plus offset) for t <= tau and
-    switches to the closed-form extension above. All method parameters
-    needed by the extension (z(tau), f(tau), the M5 running integral of
-    s*z(s)) are cached at construction.
+    switches to the closed-form extension above. Each time is evaluated
+    only by the side that owns it: the market curve ``eff`` sees the
+    times t <= tau and the extension the others, and a side with no times
+    is not called, as for a quadrature panel, which lies on one side.
+    M5 blends market values only on (tau, kappa]; past kappa it needs the
+    cached integral and the ufr alone. All method parameters needed by
+    the extension (z(tau), f(tau), the M5 running integral of s*z(s) at
+    tau and kappa) are cached at construction.
     """
 
     __slots__ = (
@@ -414,38 +487,35 @@ class ExtrapolatedCurve:
             return np.full_like(t, spec.ufr)
         if kind == M2:
             return np.full_like(t, self.z_tau)
+        if kind == M5_SFSA:
+            kappa = spec.kappa
+            span = kappa - tau
+
+            def blend(s):
+                w = tau / s
+                integral = self.eff.cumulative_time_weighted_yield(s) - self._tz_tau
+                return (
+                    (kappa - s) / span * self.eff.zero_yield(s)
+                    + integral / (s * span)
+                    + (s - tau) / span * (1.0 - w) * spec.ufr / 2.0
+                )
+
+            def beyond(s):
+                integral = self._tz_kappa - self._tz_tau
+                return integral / (s * span) + (1.0 - (tau + kappa) / (2.0 * s)) * spec.ufr
+
+            return _piecewise(t, kappa, blend, beyond)
         w = tau / t
         if kind == M3:
             return w * self.z_tau + (1.0 - w) * spec.ufr
         if kind == M4:
             return w * self.z_tau + (1.0 - w) * self.f_tau
-        if kind == M5_SFSA:
-            kappa = spec.kappa
-            span = kappa - tau
-            clipped = np.minimum(t, kappa)
-            integral = self.eff.cumulative_time_weighted_yield(clipped) - self._tz_tau
-            below = (
-                (kappa - t) / span * self.eff.zero_yield(clipped)
-                + integral / (t * span)
-                + (t - tau) / span * (1.0 - w) * spec.ufr / 2.0
-            )
-            above = integral / (t * span) + (1.0 - (tau + kappa) / (2.0 * t)) * spec.ufr
-            return np.where(t <= kappa, below, above)
         # M6 continuous
         u = t - tau
         factor = sw_factor(u, spec.ufr - self.f_tau, spec.alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
             log_term = np.where(factor > 0.0, np.log(np.where(factor > 0.0, factor, 1.0)), np.nan)
         return w * self.z_tau + (1.0 - w) * spec.ufr - log_term / t
-
-    @evaluation
-    def zero_yield(self, t):
-        tau = self.spec.tau
-        out = self.eff.zero_yield(np.minimum(t, tau))
-        ext = t > tau
-        if np.any(ext):
-            out[ext] = self._extension_zero_yield(t[ext])
-        return out
 
     def _extension_forward(self, t):
         spec = self.spec
@@ -459,45 +529,64 @@ class ExtrapolatedCurve:
         if kind == M5_SFSA:
             kappa = spec.kappa
             span = kappa - spec.tau
-            market = self.eff.forward_rate(np.minimum(t, kappa))
-            blended = (kappa - t) / span * market + (t - spec.tau) / span * spec.ufr
-            return np.where(t <= kappa, blended, spec.ufr)
+
+            def blend(s):
+                return (kappa - s) / span * self.eff.forward_rate(s) + (s - spec.tau) / span * spec.ufr
+
+            return _piecewise(t, kappa, blend, lambda s: np.full_like(s, spec.ufr))
         u = t - spec.tau
         g = spec.ufr - self.f_tau
         factor = sw_factor(u, g, spec.alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
             return spec.ufr - g * np.exp(-spec.alpha * u) / factor
 
-    @evaluation
-    def forward_rate(self, t, side: str = "right"):
-        tau = self.spec.tau
-        out = self.eff.forward_rate(np.minimum(t, tau), side=side)
+    def _extension_discount(self, t, zero_yield=None):
+        """The discount factor past tau; ``zero_yield`` is the extension's at t, when known."""
+        spec = self.spec
+        if spec.kind == M6_SW_CONTINUOUS:
+            # product form stays valid (negative) for defective parameters
+            u = t - spec.tau
+            return np.exp(-spec.ufr * u) * self.d_tau * sw_factor(u, spec.ufr - self.f_tau, spec.alpha)
+        if zero_yield is None:
+            zero_yield = self._extension_zero_yield(t)
+        return np.exp(-t * zero_yield)
+
+    def _market_forward(self, t, side: str = "right"):
+        out = self.eff.forward_rate(t, side=side)
         # at tau itself the glued curve carries the last market forward,
         # even when the underlying market grid continues past tau
-        at_tau = t == tau
-        if np.any(at_tau):
-            out[at_tau] = self.f_tau
-        ext = t > tau
-        if np.any(ext):
-            out[ext] = self._extension_forward(t[ext])
+        out[t == self.spec.tau] = self.f_tau
         return out
 
     @evaluation
+    def zero_yield(self, t):
+        return _piecewise(t, self.spec.tau, self.eff.zero_yield, self._extension_zero_yield)
+
+    @evaluation
+    def forward_rate(self, t, side: str = "right"):
+        return _piecewise(
+            t, self.spec.tau, lambda s: self._market_forward(s, side), self._extension_forward
+        )
+
+    @evaluation
     def discount_factor(self, t):
-        spec = self.spec
-        tau = spec.tau
-        out = self.eff.discount_factor(np.minimum(t, tau))
-        ext = t > tau
-        if np.any(ext):
-            te = t[ext]
-            if spec.kind == M6_SW_CONTINUOUS:
-                # product form stays valid (negative) for defective parameters
-                u = te - tau
-                factor = sw_factor(u, spec.ufr - self.f_tau, spec.alpha)
-                out[ext] = np.exp(-spec.ufr * u) * self.d_tau * factor
-            else:
-                out[ext] = np.exp(-te * self._extension_zero_yield(te))
-        return out
+        return _piecewise(t, self.spec.tau, self.eff.discount_factor, self._extension_discount)
+
+    @evaluation
+    def _evaluation(self, t):
+        """Zero yield, forward rate and discount factor together; past tau
+        the discount factor reuses the zero yield."""
+
+        def market(s):
+            z, f, d = self.eff._evaluation(s)
+            f[s == self.spec.tau] = self.f_tau
+            return z, f, d
+
+        def extension(s):
+            z = self._extension_zero_yield(s)
+            return z, self._extension_forward(s), self._extension_discount(s, z)
+
+        return _piecewise(t, self.spec.tau, market, extension)
 
     def breakpoints_between(self, a: float, b: float):
         pts = set(self.eff.breakpoints_between(a, b))
@@ -581,22 +670,40 @@ def sample_grid(horizon: float, step: float):
     if not (np.isfinite(step) and step > 0):
         raise DomainError(f"sampling step must be finite and positive, got {step}")
     n = int(np.floor(horizon / step))
-    return np.unique(np.concatenate((np.minimum(np.arange(n + 1) * step, horizon), [horizon])))
+    # one buffer: the multiples 0..n clipped to the horizon, then the horizon
+    grid = np.arange(n + 2, dtype=float)
+    np.minimum(np.multiply(grid, step, out=grid), horizon, out=grid)
+    grid[-1] = horizon
+    return grid if grid[-2] < horizon else grid[:-1]
+
+
+#: grid points a defect scan evaluates at a time: a multiple of
+#: ``_SW_BLOCK``, and small, so the scan's temporaries are 64 KiB arrays
+#: rather than one value per grid point each
+_SCAN_CHUNK = 8192
 
 
 def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
-    """Scan the curve for negative forwards and nonpositive discount factors."""
+    """Scan the curve for negative forwards and nonpositive discount factors.
+
+    The grid is :func:`sample_grid`'s. It is evaluated in blocks of
+    ``_SCAN_CHUNK`` points (see :func:`_blocks`) by the curve's
+    ``_evaluation``, which yields the forward and the discount factor
+    together, into one mask per defect.
+    """
     horizon = curve.horizon
     ts = sample_grid(horizon, step)
-    if isinstance(curve, SwDiscreteFit):
-        f, d = curve._forward_and_discount(ts)
-    else:
-        f, d = curve.forward_rate(ts), curve.discount_factor(ts)
+    negative_forward = np.empty(ts.size, dtype=bool)
+    nonpositive_discount = np.empty(ts.size, dtype=bool)
+    for chunk in _blocks(ts.size, _SCAN_CHUNK):
+        _, f, d = curve._evaluation(ts[chunk])
+        np.less(f, 0.0, out=negative_forward[chunk])
+        np.less_equal(d, 0.0, out=nonpositive_discount[chunk])
     return DefectReport(
         step=step,
         horizon=horizon,
-        negative_forward=_mask_intervals(ts, f < 0.0),
-        nonpositive_discount=_mask_intervals(ts, d <= 0.0),
+        negative_forward=_mask_intervals(ts, negative_forward),
+        nonpositive_discount=_mask_intervals(ts, nonpositive_discount),
     )
 
 

@@ -142,7 +142,7 @@ def ufr_sensitivity(
         closed = lstar.integrate(lambda t: np.asarray(t, dtype=float)) / total
         value = closed
     elif spec.kind == M3:
-        closed = excess_duration(curve, flow, tau)
+        closed = excess_duration(curve, flow, tau, total)
         value = closed
     elif spec.kind == M5_SFSA:
         kappa = spec.kappa
@@ -156,21 +156,22 @@ def ufr_sensitivity(
 
         closed = lstar.integrate(weight, breakpoints=(kappa,)) / total
         value = closed
-        exc_tau = excess_duration(curve, flow, tau)
-        exc_kappa = excess_duration(curve, flow, kappa)
+        exc_tau = excess_duration(curve, flow, tau, total)
+        exc_kappa = excess_duration(curve, flow, kappa, total)
         upper = 0.5 * (exc_tau + exc_kappa)
         lower = exc_kappa + span * (total - lstar.cumulative(kappa)) / (2.0 * total)
     else:  # M6 continuous
-        exc_tau = excess_duration(curve, flow, tau)
+        exc_tau = excess_duration(curve, flow, tau, total)
         low_spec = MethodSpec(M3, tau=tau, ufr=spec.ufr, offset=spec.offset)
         high_spec = replace(low_spec, ufr=spec.ufr + spec.alpha)
         low_curve = extrapolate(z, low_spec, horizon)
         high_curve = extrapolate(z, high_spec, horizon)
-        drop = present_value(low_curve, flow) - present_value(high_curve, flow)
+        low_total = present_value(low_curve, flow)
+        drop = low_total - present_value(high_curve, flow)
         closed = exc_tau - drop / (spec.alpha * total)
         value = closed
         upper = exc_tau
-        lower = exc_tau - excess_duration(low_curve, flow, tau)
+        lower = exc_tau - excess_duration(low_curve, flow, tau, low_total)
 
     scale = max(abs(value), abs(oracle), 1e-12)
     return UfrSensitivityReport(

@@ -14,7 +14,8 @@ from curvehedge import (
     sw_kernel,
 )
 from curvehedge.errors import AlphaNotWellDefinedError, CalibrationError, DomainError
-from curvehedge.extrapolation import _sw_kernel_products
+import curvehedge.extrapolation as extrapolation_module
+from curvehedge.extrapolation import _SCAN_CHUNK, _SW_BLOCK, _sw_kernel_products, sample_grid
 
 from conftest import random_curve
 
@@ -296,13 +297,36 @@ class TestFusedSwKernel:
 
     def test_scan_values_equal_public_evaluations(self, fit):
         ts = np.arange(100_001) * 0.002
-        f, d = fit._forward_and_discount(ts)
+        z, f, d = fit._evaluation(ts)
         assert np.array_equal(d, fit.discount_factor(ts))
         assert np.array_equal(f, fit.forward_rate(ts))
+        assert np.array_equal(z, fit.zero_yield(ts), equal_nan=True)
         dprime = -fit.ufr * np.exp(-fit.ufr * ts) + _sw_kernel_dt_reference(
             ts, fit.nodes, fit.ufr, fit.alpha
         ) @ fit.zeta
         assert np.array_equal(f, -dprime / d)
+
+    @pytest.mark.parametrize(
+        "block, size",
+        [(_SW_BLOCK, n) for n in (_SW_BLOCK - 1, _SW_BLOCK, _SW_BLOCK + 1, 100_001)]
+        # small enough that no BLAS threads split either product
+        + [(16, n) for n in (1, 2, 15, 16, 17, 33, 47, 500)],
+    )
+    def test_blocks_equal_whole_matrices(self, monkeypatch, fit, block, size):
+        """Row blocks give the products of one M x N matrix, in any order of
+        times and with times on the nodes, in the first and last blocks."""
+        monkeypatch.setattr(extrapolation_module, "_SW_BLOCK", block)
+        t = np.random.default_rng(size).uniform(0.0, 200.0, size)
+        # t = 0 and the nodes at the start, around the end of the first block and at the end
+        special = np.concatenate(([0.0], fit.nodes))
+        for at in (0, max(min(block, size) - 4, 0), max(size - special.size, 0)):
+            piece = t[at: at + special.size]
+            piece[:] = special[: piece.size]
+        w_zeta, dw_zeta = _sw_kernel_products(t, fit.nodes, fit.ufr, fit.alpha, fit.zeta)
+        kern = sw_kernel(t[:, None], fit.nodes[None, :], fit.ufr, fit.alpha)
+        assert np.array_equal(w_zeta, kern @ fit.zeta)
+        dkern = _sw_kernel_dt_reference(t, fit.nodes, fit.ufr, fit.alpha)
+        assert np.array_equal(dw_zeta, dkern @ fit.zeta)
 
 
 class TestSwDiscreteFit:
@@ -471,6 +495,96 @@ class TestArbitrageScan:
         assert report.negative_forward == ((0.0, horizon),)
 
 
+def _unique_grid(horizon, step):
+    """The sample grid as a sort of the clipped multiples and the horizon."""
+    n = int(np.floor(horizon / step))
+    return np.unique(np.concatenate((np.minimum(np.arange(n + 1) * step, horizon), [horizon])))
+
+
+def _one_chunk_scan(curve, step):
+    """The defect scan as one evaluation of the public methods over the whole grid."""
+    ts = sample_grid(curve.horizon, step)
+    f, d = curve.forward_rate(ts), curve.discount_factor(ts)
+    return f < 0.0, d <= 0.0
+
+
+def _scan_curves():
+    market = ForwardCurve.from_forwards([0.0, 5.0, 20.0, 60.0], [0.01, 0.025, 0.03, 0.035])
+    steep = ForwardCurve.from_forwards([0.0, 10.0, 200.0], [0.03, UFR + 0.11, UFR + 0.11])
+    specs = [
+        MethodSpec("M1", tau=10.0, ufr=UFR),
+        MethodSpec("M2", tau=10.0),
+        MethodSpec("M3", tau=10.0, ufr=UFR),
+        MethodSpec("M4", tau=10.0),
+        MethodSpec("M5_SFSA", tau=10.0, ufr=UFR, kappa=20.0),
+        MethodSpec("M6_SW_continuous", tau=10.0, ufr=UFR, alpha=0.1),
+        MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1),
+    ]
+    curves = {"market": market}
+    curves.update((spec.kind, extrapolate(market, spec)) for spec in specs)
+    # defective: discount factors turn negative, and forwards with them
+    curves["M6_SW_continuous-steep"] = extrapolate(steep, specs[5])
+    curves["M6_SW_continuous-low-ufr"] = extrapolate(
+        market, MethodSpec("M6_SW_continuous", tau=10.0, ufr=0.0, alpha=0.01)
+    )
+    curves["M6_SW_discrete-par-bond"] = sw_fit_discrete([10.0], [1.0], UFR, 0.1)
+    return curves
+
+
+SCAN_CURVES = _scan_curves()
+
+
+class TestChunkedScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_CURVES))
+    @pytest.mark.parametrize("chunk", [_SCAN_CHUNK, _SW_BLOCK])
+    def test_equals_one_chunk(self, monkeypatch, name, chunk):
+        curve = SCAN_CURVES[name]
+        step = curve.horizon / 100_000
+        monkeypatch.setattr(extrapolation_module, "_SCAN_CHUNK", chunk)
+        report = arbitrage_scan(curve, step)
+        negative, nonpositive = _one_chunk_scan(curve, step)
+        ts = sample_grid(curve.horizon, step)
+        assert ts.size > 10 * chunk
+        assert report.negative_forward == extrapolation_module._mask_intervals(ts, negative)
+        assert report.nonpositive_discount == extrapolation_module._mask_intervals(ts, nonpositive)
+
+    def test_defective_curves_have_intervals(self):
+        """The equality above is checked on scans that find something."""
+        for name in ("M6_SW_continuous-steep", "M6_SW_continuous-low-ufr", "M6_SW_discrete-par-bond"):
+            assert not arbitrage_scan(SCAN_CURVES[name], 0.01).is_clean
+
+    @pytest.mark.parametrize("horizon", [200.0, 7.3, 1.0, 123.456])
+    def test_sample_grid_equals_sorted_unique_form(self, horizon):
+        steps = [horizon / k for k in range(1, 401)] + [200.0 / 39, 0.004171428571428572, 0.05, 0.002]
+        for step in steps:
+            grid = sample_grid(horizon, step)
+            assert np.array_equal(grid, _unique_grid(horizon, step)), step
+            assert grid[-1] == horizon
+
+
+class TestBranchOwnership:
+    """Each time is evaluated only by the branch that owns it."""
+
+    class _NoMarket:
+        def __getattr__(self, name):
+            def evaluate(*args, **kwargs):
+                raise AssertionError(f"the market curve was asked for {name}")
+
+            return evaluate
+
+    @pytest.mark.parametrize("kind", ["M1", "M2", "M3", "M4", "M5_SFSA", "M6_SW_continuous"])
+    def test_past_tau_never_reads_the_market(self, kind):
+        ec = extrapolate(SCAN_CURVES["market"], SCAN_CURVES[kind].spec)
+        # M5 blends the market forward into the ufr up to kappa
+        start = ec.spec.kappa if kind == "M5_SFSA" else ec.spec.tau
+        t = np.linspace(start, 200.0, 1001)[1:]
+        expected = (ec.zero_yield(t), ec.forward_rate(t), ec.discount_factor(t), ec._evaluation(t))
+        ec.eff = self._NoMarket()
+        got = (ec.zero_yield(t), ec.forward_rate(t), ec.discount_factor(t), ec._evaluation(t))
+        for a, b in zip(expected[:3] + expected[3], got[:3] + got[3]):
+            assert np.array_equal(a, b)
+
+
 # ---- the evaluation protocol shared by every curve class ---------------------
 
 
@@ -521,3 +635,20 @@ def test_evaluation_protocol(name, method):
     for bad in (-1e-9, horizon + 1e-9, math.nan, np.array([[0.0, 1.0], [2.0, 1.5 * horizon]])):
         with pytest.raises(DomainError):
             evaluate(bad)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CURVES))
+def test_evaluation_triple(name):
+    """``_evaluation`` keeps the protocol and equals the three public methods bit for bit."""
+    curve = PROTOCOL_CURVES[name]
+    horizon = curve.horizon
+    ts = np.concatenate((np.linspace(0.0, horizon, 4001), [10.0, 20.0], np.linspace(9.0, 21.0, 97)))
+    z, f, d = curve._evaluation(ts.reshape(2, -1))
+    assert z.shape == f.shape == d.shape == (2, ts.size // 2)
+    assert np.array_equal(z.ravel(), curve.zero_yield(ts), equal_nan=True)
+    assert np.array_equal(f.ravel(), curve.forward_rate(ts), equal_nan=True)
+    assert np.array_equal(d.ravel(), curve.discount_factor(ts))
+    point = curve._evaluation(0.3 * horizon)
+    assert all(type(x) is float for x in point)
+    with pytest.raises(DomainError):
+        curve._evaluation(horizon + 1e-9)

@@ -6,8 +6,10 @@ calls are ``extrapolate --step 0.05`` on the bundled sample data for the
 seven kinds and the two calibrated Smith-Wilson specs, each in json, csv
 and table; the same for two defective discrete Smith-Wilson fits (exit
 2), one of which has nonpositive discount factors, so its undefined
-yields and forwards render as ``null`` or ``nan``; and
-``scan-arbitrage --step 0.002`` for both discrete Smith-Wilson specs;
+yields and forwards render as ``null`` or ``nan``;
+``scan-arbitrage --step 0.002`` for the seven kinds, the two calibrated
+Smith-Wilson specs and a defective continuous Smith-Wilson spec, whose
+forwards turn negative and whose discount factor turns nonpositive;
 and ``hedge`` and ``verify`` with ``--shifts 3 --seed 7`` for the six
 closed-form kinds on the bundled sample data, in json and table, plus
 ``hedge`` in csv. Unlike ``test_golden.py`` these compare bytes, so a change to number
@@ -57,6 +59,9 @@ SPECS = {
         "kind": "M6_SW_discrete", "tau": 10.0, "ufr": 0.042, "kappa": 20.0, "epsilon": 1e-4,
     },
 }
+#: a continuous Smith-Wilson spec whose discount factor turns negative on
+#: the sample data: a slow alpha and a UFR well below f(tau) = 0.0322
+DEFECTIVE_CONTINUOUS = {"kind": "M6_SW_continuous", "tau": 10.0, "ufr": 0.005, "alpha": 0.01}
 FORMATS = ("json", "csv", "table")
 CLOSED_FORM_KINDS = ("M1", "M2", "M3", "M4", "M5_SFSA", "M6_SW_continuous")
 #: output formats of the liability commands, by command
@@ -71,10 +76,11 @@ def _calls():
             calls[f"extrapolate-{fmt}/{name}"] = (
                 ["extrapolate"] + method + ["--step", "0.05", "--format", fmt]
             )
-        if name.startswith("M6_SW_discrete"):
-            calls[f"scan-arbitrage/{name}"] = (
-                ["scan-arbitrage"] + method + ["--step", "0.002", "--format", "json"]
-            )
+    for name, spec in dict(SPECS, **{"M6_SW_continuous+defective": DEFECTIVE_CONTINUOUS}).items():
+        calls[f"scan-arbitrage/{name}"] = [
+            "scan-arbitrage", "--curve", str(CURVE), "--method", json.dumps(spec),
+            "--step", "0.002", "--format", "json",
+        ]
     for name, curve in DEFECTIVE_CURVES.items():
         method = ["--curve", str(curve), "--method", json.dumps(SPECS["M6_SW_discrete"])]
         for fmt in FORMATS:

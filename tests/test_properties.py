@@ -5,6 +5,9 @@ so every run checks the same ones. Each example draws a seed and builds
 its random curve and shift from it with the shared builders.
 """
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,3 +96,59 @@ def test_present_value_is_linear_in_the_flow(seed, k):
     pv_f, pv_g = present_value(z, f), present_value(z, g)
     combined = present_value(z, f + g.scaled(k))
     assert abs(combined - (pv_f + k * pv_g)) <= REL_TOL * (abs(pv_f) + abs(k * pv_g))
+
+
+CLOSED_FORM_KINDS = sorted(SPECS)
+
+
+def _glued_curve(seed, kind, offset):
+    """A random market curve and its extrapolation by ``kind`` with an offset."""
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng, low=0.0, high=0.04)
+    spec = replace(SPECS[kind], offset=offset)
+    return rng, z, spec, extrapolate(z, spec)
+
+
+@given(seed=seeds, kind=st.sampled_from(CLOSED_FORM_KINDS), offset=st.sampled_from([0.0, 0.004, -0.0025]))
+def test_market_plus_offset_up_to_tau(seed, kind, offset):
+    """On [0, tau] the extrapolated curve is the market curve plus the offset, bit for bit;
+    at tau itself the forward is the market's left limit."""
+    rng, z, spec, ec = _glued_curve(seed, kind, offset)
+    market = spec.market(z)
+    nodes = z.grid.nodes
+    t = np.concatenate(([0.0, TAU], nodes[nodes <= TAU], rng.uniform(0.0, TAU, size=64)))
+    assert np.array_equal(ec.zero_yield(t), market.zero_yield(t))
+    assert np.array_equal(ec.discount_factor(t), market.discount_factor(t))
+    before = t < TAU
+    for side in ("left", "right"):
+        assert np.array_equal(ec.forward_rate(t[before], side=side), market.forward_rate(t[before], side=side))
+        assert ec.forward_rate(TAU, side=side) == market.forward_rate(TAU, side="left")
+
+
+@given(seed=seeds, kind=st.sampled_from(CLOSED_FORM_KINDS), offset=st.sampled_from([0.0, 0.004]))
+def test_discount_factor_continuous_at_tau(seed, kind, offset):
+    """D(tau -+ h) -> D(tau): |D(tau -+ h) / D(tau) - 1| is at most h times a bound on |f|,
+    plus rounding. M1 pins the zero yield past tau to the ufr, so its D jumps there by
+    exp(-tau (ufr - z(tau))) and is continuous from the left only."""
+    _, _, spec, ec = _glued_curve(seed, kind, offset)
+    d_tau = ec.discount_factor(TAU)
+    jump = np.exp(-TAU * (spec.ufr - ec.z_tau)) if kind == "M1" else 1.0
+    for h in (1e-3, 1e-6, 1e-9, 1e-12):
+        assert abs(ec.discount_factor(TAU - h) / d_tau - 1.0) <= 0.2 * h + 1e-14
+        assert abs(ec.discount_factor(TAU + h) / (jump * d_tau) - 1.0) <= 0.2 * h + 1e-14
+
+
+@given(seed=seeds, kind=st.sampled_from(CLOSED_FORM_KINDS), offset=st.sampled_from([0.0, 0.004]))
+def test_grid_equals_its_pieces(seed, kind, offset):
+    """Evaluating a grid equals evaluating its pieces split at tau and kappa, bit for bit."""
+    rng, _, spec, ec = _glued_curve(seed, kind, offset)
+    kappa = SPECS["M5_SFSA"].kappa
+    t = np.sort(np.concatenate(([0.0, TAU, kappa, ec.horizon], rng.uniform(0.0, ec.horizon, size=200))))
+    pieces = (t[t <= TAU], t[(t > TAU) & (t <= kappa)], t[t > kappa])
+    evaluations = [ec.zero_yield, ec.discount_factor]
+    evaluations += [functools.partial(ec.forward_rate, side=side) for side in ("left", "right")]
+    for evaluate in evaluations:
+        whole = evaluate(t)
+        assert np.array_equal(whole, np.concatenate([evaluate(p) for p in pieces]), equal_nan=True)
+    for whole, parts in zip(ec._evaluation(t), zip(*(ec._evaluation(p) for p in pieces))):
+        assert np.array_equal(whole, np.concatenate(parts), equal_nan=True)

@@ -13,7 +13,9 @@ from curvehedge import (
     stieltjes_integral,
     ufr_sensitivity,
 )
-from curvehedge.errors import DomainError
+import curvehedge.curves as curves_module
+import curvehedge.sensitivity as sensitivity_module
+from curvehedge.errors import DomainError, UndefinedDurationError
 
 from conftest import random_curve, random_lump_flow
 
@@ -206,3 +208,44 @@ class TestParameterSensitivity:
         value = parameter_sensitivity(family, flow, 0.0)
         curve = extrapolate(flat3, M2)
         assert value == pytest.approx(-dollar_duration(curve, flow), rel=1e-7)
+
+
+class TestPricedOnce:
+    """ufr_sensitivity reuses the liability totals it holds instead of re-pricing."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = curves_module.present_value
+
+        def present_value_counted(curve, flow):
+            calls.append(curve)
+            return original(curve, flow)
+
+        monkeypatch.setattr(curves_module, "present_value", present_value_counted)
+        monkeypatch.setattr(sensitivity_module, "present_value", present_value_counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [(M2, 0), (M3, 0), (M5, 0), (M6, 2)],
+        ids=["M2", "M3", "M5", "M6"],
+    )
+    def test_present_value_calls(self, counted, market_curve, spec, expected):
+        flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
+        ufr_sensitivity(spec, market_curve, flow)
+        assert len(counted) == expected
+        # M6 prices its low and high M3 curves, each once
+        assert len({id(c) for c in counted}) == expected
+
+    def test_given_total_is_the_priced_one(self, market_curve):
+        flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
+        curve = extrapolate(market_curve, M5)
+        total = present_value(curve, flow)
+        for cut in (TAU, KAPPA):
+            assert excess_duration(curve, flow, cut, total) == excess_duration(curve, flow, cut)
+
+    def test_zero_total_is_undefined(self, market_curve):
+        curve = extrapolate(market_curve, M3)
+        with pytest.raises(UndefinedDurationError):
+            excess_duration(curve, CashFlow.single_payment(30.0), TAU, 0.0)
