@@ -107,11 +107,16 @@ class ForwardCurve:
     the nodes. Cumulative integrals of f (and of t*z(t)) are cached at
     the nodes and evaluated in closed form inside segments, so discount
     factors carry no quadrature error.
+
+    ``quote_nodes`` are the times the curve was quoted at: its grid nodes,
+    unless it was derived from another curve by :meth:`shifted` or
+    :meth:`with_constant_added`, which keep the source curve's quote nodes
+    (a shift adds its own nodes to the grid, not to the quotes).
     """
 
-    __slots__ = ("grid", "f_left", "f_right", "_cum_f", "_cum_tz")
+    __slots__ = ("grid", "f_left", "f_right", "quote_nodes", "_cum_f", "_cum_tz")
 
-    def __init__(self, grid: TimeGrid, f_left, f_right):
+    def __init__(self, grid: TimeGrid, f_left, f_right, quote_nodes=None):
         fl = np.asarray(f_left, dtype=float)
         fr = np.asarray(f_right, dtype=float)
         n = len(grid.nodes) - 1
@@ -122,6 +127,7 @@ class ForwardCurve:
         fl.setflags(write=False)
         fr.setflags(write=False)
         self.grid = grid
+        self.quote_nodes = grid.nodes if quote_nodes is None else quote_nodes
         self.f_left = fl
         self.f_right = fr
         h = np.diff(grid.nodes)
@@ -270,7 +276,7 @@ class ForwardCurve:
 
     def with_constant_added(self, c: float) -> "ForwardCurve":
         """Curve with c added to the forward everywhere (so z shifts by c too)."""
-        return ForwardCurve(self.grid, self.f_left + c, self.f_right + c)
+        return ForwardCurve(self.grid, self.f_left + c, self.f_right + c, self.quote_nodes)
 
     def _edge_values(self, edges, extend: bool):
         """Forward values at segment edges defined by ``edges`` (merged grid)."""
@@ -304,7 +310,9 @@ class ForwardCurve:
             sh_r = np.where(
                 inside[1:], other.forward_rate(np.minimum(nodes[1:], other.horizon), "left"), tail
             )
-        return ForwardCurve(TimeGrid(nodes), base_l + scale * sh_l, base_r + scale * sh_r)
+        return ForwardCurve(
+            TimeGrid(nodes), base_l + scale * sh_l, base_r + scale * sh_r, self.quote_nodes
+        )
 
     def breakpoints_between(self, a: float, b: float):
         nodes = self.grid.nodes

@@ -259,8 +259,7 @@ class SwDiscreteFit:
 
     @evaluation
     def discount_factor(self, t):
-        kern = sw_kernel(t[:, None], self.nodes[None, :], self.ufr, self.alpha)
-        return np.exp(-self.ufr * t) + kern @ self.zeta
+        return SwDiscreteFit._evaluation.body(self, t)[2]
 
     @evaluation
     def forward_rate(self, t, side: str = "right"):
@@ -268,7 +267,7 @@ class SwDiscreteFit:
 
     @evaluation
     def zero_yield(self, t):
-        return self._yield_of(SwDiscreteFit.discount_factor.body(self, t), t)
+        return SwDiscreteFit._evaluation.body(self, t)[0]
 
     @evaluation
     def _evaluation(self, t):
@@ -281,16 +280,16 @@ class SwDiscreteFit:
             f = np.where(d != 0.0, -dprime / d, np.nan)
         return self._yield_of(d, t, f), f, d
 
-    def _yield_of(self, d, t, f=None):
+    def _yield_of(self, d, t, f):
         """-log(D)/t where D > 0, NaN where it is not, and f(0) at t = 0.
 
-        f(0) is the forward of a pass over the single time 0, which ``f``
-        already is when it is given for that one time.
+        f(0) is the forward of a pass over the single time 0, which the
+        forwards ``f`` of the times ``t`` already are when t is that time.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / t, np.nan)
         if np.any(t == 0.0):
-            if f is None or t.size != 1:
+            if t.size != 1:
                 f = SwDiscreteFit._evaluation.body(self, np.zeros(1))[1]
             out = np.where(t == 0.0, f, out)
         return out
@@ -604,7 +603,8 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
 
     Returns an :class:`ExtrapolatedCurve` for the closed-form methods and
     a :class:`SwDiscreteFit` for ``M6_SW_discrete`` (fitted to the
-    offset-adjusted discount factors at the market grid nodes up to tau).
+    offset-adjusted discount factors at the market curve's quote nodes up
+    to tau, so a shifted market curve is fitted at the same nodes).
     """
     if spec.kind == M6_SW_DISCRETE:
         if spec.alpha is None:
@@ -613,7 +613,7 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
                 "calibrate one with sw_alpha_calibrate first"
             )
         eff = spec.market(z)
-        nodes = eff.grid.nodes
+        nodes = eff.quote_nodes
         nodes = nodes[(nodes > 0.0) & (nodes <= spec.tau)]
         if nodes.size == 0:
             raise DomainError("no market nodes in (0, tau] to fit")

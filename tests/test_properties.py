@@ -12,7 +12,16 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvehedge import CashFlow, MethodSpec, extrapolate, hedge, method_variation, present_value
+from curvehedge import (
+    CashFlow,
+    ForwardCurve,
+    MethodSpec,
+    extrapolate,
+    hedge,
+    method_variation,
+    present_value,
+    sw_fit_discrete,
+)
 from curvehedge.quadrature import REL_TOL
 
 from conftest import random_curve, random_lump_flow, random_shift
@@ -152,3 +161,60 @@ def test_grid_equals_its_pieces(seed, kind, offset):
         assert np.array_equal(whole, np.concatenate([evaluate(p) for p in pieces]), equal_nan=True)
     for whole, parts in zip(ec._evaluation(t), zip(*(ec._evaluation(p) for p in pieces))):
         assert np.array_equal(whole, np.concatenate(parts), equal_nan=True)
+
+
+#: the seven method kinds; the discrete Smith-Wilson form is fitted to the
+#: market curve's quotes up to tau
+ALL_SPECS = {**SPECS, "M6_SW_discrete": MethodSpec("M6_SW_discrete", tau=TAU, ufr=UFR, alpha=0.1)}
+
+
+def _quoted_curve(rng):
+    """A market curve bootstrapped from zero yields quoted on a half-year
+    ladder out to 30 years, with at least one quote in (0, tau]."""
+    ladder = np.arange(1, 60) * 0.5
+    times = rng.choice(ladder, size=int(rng.integers(2, 12)), replace=False)
+    times = np.unique(np.concatenate((times, [rng.choice(ladder[ladder <= TAU]), 30.0])))
+    return ForwardCurve.from_zero_yields(times, rng.uniform(0.0, 0.04, size=times.size))
+
+
+@given(seed=seeds, kind=st.sampled_from(sorted(ALL_SPECS)))
+def test_zero_shift_prices_as_the_curve(seed, kind):
+    """extrapolate(z.shifted(s, 0)) prices as extrapolate(z), for all seven kinds.
+
+    The shift's nodes split the market segments, and each density integral
+    splits at them, so the values agree to the quadrature tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    z = _quoted_curve(rng)
+    shifted = z.shifted(random_shift(rng), 0.0)
+    flow = _flow(rng, TAU, 190.0)
+    spec = ALL_SPECS[kind]
+    value = present_value(extrapolate(z, spec), flow)
+    assert abs(present_value(extrapolate(shifted, spec), flow) - value) <= 10 * REL_TOL * abs(value)
+
+
+@given(
+    seed=seeds,
+    ufr=st.sampled_from([0.0, 0.042, 0.08]),
+    alpha=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+)
+def test_sw_discrete_fit_reproduces_its_prices(seed, ufr, alpha):
+    """A discrete Smith-Wilson fit returns its input prices at its nodes.
+
+    D(u) = exp(-ufr u) + W(u, u) zeta, where zeta solves W(u, u) zeta = r
+    with r = p - exp(-ufr u) by a backward-stable Cholesky solve. Its
+    residual is at most a small multiple of n eps ||W|| ||zeta||, and
+    ||W|| ||zeta|| <= cond(W) ||r||, so with n nodes
+
+        |D(u_i) - p_i| <= 4 n eps (cond(W) max|r| + max p),
+
+    the last term for the rounding of exp(-ufr u) + (W zeta)_i.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = _quoted_curve(rng).grid.nodes[1:]
+    prices = np.exp(-nodes * rng.uniform(0.0, 0.05, size=nodes.size))
+    fit = sw_fit_discrete(nodes, prices, ufr, alpha)
+    rhs = prices - np.exp(-ufr * nodes)
+    eps = np.finfo(float).eps
+    bound = 4 * nodes.size * eps * (fit.condition * np.max(np.abs(rhs)) + np.max(prices))
+    assert np.max(np.abs(fit.discount_factor(nodes) - prices)) <= bound

@@ -14,6 +14,7 @@ from curvehedge import (
     ufr_sensitivity,
 )
 import curvehedge.curves as curves_module
+import curvehedge.quadrature as quadrature_module
 import curvehedge.sensitivity as sensitivity_module
 from curvehedge.errors import DomainError, UndefinedDurationError
 
@@ -226,17 +227,43 @@ class TestPricedOnce:
         monkeypatch.setattr(sensitivity_module, "present_value", present_value_counted)
         return calls
 
-    @pytest.mark.parametrize(
-        "spec, expected",
-        [(M2, 0), (M3, 0), (M5, 0), (M6, 2)],
-        ids=["M2", "M3", "M5", "M6"],
-    )
-    def test_present_value_calls(self, counted, market_curve, spec, expected):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every curve ufr_sensitivity extrapolates, with its spec, in order."""
+        curves = []
+        original = sensitivity_module.extrapolate
+
+        def extrapolate_recorded(z, spec, *args):
+            curve = original(z, spec, *args)
+            curves.append((curve, spec))
+            return curve
+
+        monkeypatch.setattr(sensitivity_module, "extrapolate", extrapolate_recorded)
+        return curves
+
+    @pytest.mark.parametrize("spec", [M2, M3, M5, M6], ids=["M2", "M3", "M5", "M6"])
+    def test_present_value_calls(self, counted, built, market_curve, spec):
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
         ufr_sensitivity(spec, market_curve, flow)
-        assert len(counted) == expected
-        # M6 prices its low and high M3 curves, each once
-        assert len({id(c) for c in counted}) == expected
+        spec_of = {id(curve): s for curve, s in built}
+        priced = [spec_of[id(curve)] for curve in counted]
+        # each priced curve is one that ufr_sensitivity built, priced once
+        assert len({id(curve) for curve in counted}) == len(counted)
+        # the base curve is priced by its DiscountedFlow, never by present_value
+        base, base_spec = built[0]
+        assert base_spec == spec
+        assert all(curve is not base for curve in counted)
+        # the oracle prices its four family curves, theta +- h and theta +- h/2
+        _, theta0 = sensitivity_module._ufr_family(
+            spec, market_curve, sensitivity_module.DEFAULT_HORIZON
+        )
+        h = 5e-5 * (abs(theta0) + 1.0)
+        family_kind = "M1" if spec is M2 else spec.kind
+        family = sorted(s.ufr for s in priced if s.kind == family_kind)
+        assert family == sorted(theta0 + d for d in (h, -h, h / 2.0, -h / 2.0))
+        # M6 also prices its low and high M3 curves, each once
+        others = sorted((s.kind, s.ufr) for s in priced if s.kind != family_kind)
+        assert others == ([("M3", UFR), ("M3", UFR + M6.alpha)] if spec is M6 else [])
 
     def test_given_total_is_the_priced_one(self, market_curve):
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
@@ -249,3 +276,39 @@ class TestPricedOnce:
         curve = extrapolate(market_curve, M3)
         with pytest.raises(UndefinedDurationError):
             excess_duration(curve, CashFlow.single_payment(30.0), TAU, 0.0)
+
+
+#: the sample market curve as zero yields, its four lumps, and two density
+#: segments far beyond tau, on which an oracle integrating a difference
+#: quotient of zero yields took up to 1,837 panels per report
+SAMPLE_TIMES = (0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 12.0, 15.0, 20.0)
+SAMPLE_YIELDS = (0.0210, 0.0222, 0.0239, 0.0252, 0.0270, 0.0282, 0.0294, 0.0300, 0.0306, 0.0312)
+SAMPLE_LUMPS = ((15.0, 1.0), (25.0, 0.8), (40.0, 0.6), (60.0, 0.4))
+DEEP_DENSITIES = ((25.0, 33.0, 0.05), (30.0, 38.0, 0.05))
+
+
+class TestDeepDensityOracle:
+    """The present-value oracle is tight and shallow on long density segments."""
+
+    @pytest.fixture
+    def panels(self, monkeypatch):
+        """Quadrature panels taken, counted from the sizes of the panel ends."""
+        count = [0]
+        original = quadrature_module.gauss_panel
+
+        def gauss_panel_counted(func, a, b):
+            count[0] += np.asarray(a).size
+            return original(func, a, b)
+
+        monkeypatch.setattr(quadrature_module, "gauss_panel", gauss_panel_counted)
+        monkeypatch.setattr(curves_module, "gauss_panel", gauss_panel_counted)
+        return count
+
+    @pytest.mark.parametrize("density", DEEP_DENSITIES, ids=["25-33", "30-38"])
+    @pytest.mark.parametrize("spec", [M2, M3, M5, M6], ids=["M2", "M3", "M5", "M6"])
+    def test_residual_and_panels(self, panels, spec, density):
+        curve = ForwardCurve.from_zero_yields(SAMPLE_TIMES, SAMPLE_YIELDS)
+        flow = CashFlow(lumps=SAMPLE_LUMPS, densities=(density,))
+        report = ufr_sensitivity(spec, curve, flow)
+        assert report.rel_residual <= 1e-12
+        assert panels[0] <= 100
