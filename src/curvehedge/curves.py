@@ -22,6 +22,7 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -34,9 +35,12 @@ DEFAULT_HORIZON = 200.0
 
 
 class TimeGrid:
-    """Strictly increasing time nodes starting at 0; the last node is the horizon."""
+    """Strictly increasing time nodes starting at 0; the last node is the horizon.
 
-    __slots__ = ("nodes",)
+    ``inner`` lists the interior nodes as floats, for ``bisect``.
+    """
+
+    __slots__ = ("nodes", "inner")
 
     def __init__(self, nodes):
         arr = np.asarray(nodes, dtype=float)
@@ -48,6 +52,7 @@ class TimeGrid:
             raise DomainError("time grid nodes must be finite and strictly increasing")
         arr.setflags(write=False)
         self.nodes = arr
+        self.inner = arr[1:-1].tolist()
 
     @property
     def horizon(self) -> float:
@@ -69,21 +74,29 @@ def _as_array(t):
 
 
 def evaluation(body):
-    """The curve-evaluation protocol, around a body that maps a 1-d array of times.
+    """The curve-evaluation protocol, around a body that maps times to values.
 
-    The method takes a float or an array of any shape, checks once that
-    it lies in [0, horizon], hands ``body`` a flat float array and
-    returns a float for a float and an array of the input's shape
-    otherwise; a body returning a tuple of arrays gets each one shaped so.
-    A method calling another of its own class calls that method's
-    ``body``, so one public call checks its domain once.
+    The method takes a float or an array of any shape and checks once
+    that it lies in [0, horizon]. A float (Python or ``np.float64``) goes
+    to ``body`` as it is and comes back as a float, or a tuple of floats;
+    anything else goes as a flat float array and comes back in its shape
+    (a float for a 0-d input). A body maps a float and an array through
+    the same numpy expressions (never ``**`` or ``math`` on a float, which
+    round otherwise), so a float gives the value of a one-element array
+    bit for bit. A method calling another of its own class calls that
+    method's ``body``, so one public call checks its domain once.
     """
 
     @functools.wraps(body)
     def method(self, t, *args, **kwargs):
+        if isinstance(t, float):
+            # written so that a NaN time fails it too
+            if not 0.0 <= t <= self.horizon:
+                raise DomainError(f"time outside curve domain [0, {self.horizon}]")
+            out = body(self, t, *args, **kwargs)
+            return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
         arr = np.asarray(t, dtype=float)
         flat = arr.reshape(-1)
-        # written so that a NaN time fails it too
         if flat.size and not (flat.min() >= 0.0 and flat.max() <= self.horizon):
             raise DomainError(f"time outside curve domain [0, {self.horizon}]")
         return _shaped(body(self, flat, *args, **kwargs), arr)
@@ -201,6 +214,9 @@ class ForwardCurve:
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        if isinstance(t, float):
+            find = bisect.bisect_right if side == "right" else bisect.bisect_left
+            return find(self.grid.inner, t)
         return np.searchsorted(self.grid.nodes[1:-1], t, side=side)
 
     @evaluation
@@ -234,6 +250,8 @@ class ForwardCurve:
 
     def _yield_of(self, cum, t):
         """The zero yield at t from the integrated forward ``cum`` there."""
+        if isinstance(t, float):
+            return cum / t if t > 0.0 else self.f_left[0]
         out = np.divide(cum, t, out=np.empty_like(cum), where=t > 0)
         if np.any(t == 0.0):
             out = np.where(t == 0.0, self.f_left[0], out)
@@ -263,7 +281,7 @@ class ForwardCurve:
             self._cum_tz[idx]
             + self._cum_f[idx] * w
             + 0.5 * self.f_left[idx] * w * w
-            + slope * w**3 / 6.0
+            + slope * np.power(w, 3) / 6.0
         )
 
     def time_weighted_yield_integral(self, a: float, b: float) -> float:
@@ -350,10 +368,6 @@ class CurveShift:
     def horizon(self) -> float:
         return self.delta_forward.horizon
 
-    def _clip(self, t):
-        arr, scalar = _as_array(t)
-        return np.minimum(arr, self.horizon), scalar
-
     def _integrated_delta_f(self, t):
         """int_0^t Delta-f, with the flat extension past the shift horizon."""
         arr, _ = _as_array(t)
@@ -368,24 +382,19 @@ class CurveShift:
         return out
 
     def delta_z(self, t):
-        if self.constant is not None:
-            arr, scalar = _as_array(t)
-            out = np.full_like(arr, self.constant, dtype=float)
-            return float(out) if scalar else out
         arr, scalar = _as_array(t)
-        cum = self._integrated_delta_f(arr)
-        out = np.divide(cum, arr, out=np.empty_like(cum), where=arr > 0)
-        if np.any(arr == 0.0):
-            out = np.where(arr == 0.0, self.delta_forward.f_left[0], out)
+        if self.constant is not None:
+            out = np.full_like(arr, self.constant, dtype=float)
+        else:
+            out = self.delta_forward._yield_of(self._integrated_delta_f(arr), arr)
         return float(out) if scalar else out
 
     def delta_f(self, t, side: str = "right"):
+        arr, scalar = _as_array(t)
         if self.constant is not None:
-            arr, scalar = _as_array(t)
             out = np.full_like(arr, self.constant, dtype=float)
-            return float(out) if scalar else out
-        arr, scalar = self._clip(t)
-        out = self.delta_forward.forward_rate(arr, side=side)
+        else:
+            out = self.delta_forward.forward_rate(np.minimum(arr, self.horizon), side=side)
         return float(out) if scalar else np.asarray(out, dtype=float)
 
     def delta_f_at_boundary(self, tau: float) -> float:
@@ -400,11 +409,10 @@ class CurveShift:
 
     def time_weighted_cumulative(self, t):
         """int_0^t s * Delta-z(s) ds, closed form, flat-extended past the horizon."""
+        arr, scalar = _as_array(t)
         if self.constant is not None:
-            arr, scalar = _as_array(t)
             out = 0.5 * self.constant * arr * arr
             return float(out) if scalar else out
-        arr, scalar = _as_array(t)
         hor = self.horizon
         clipped = np.minimum(arr, hor)
         out = np.asarray(

@@ -194,7 +194,8 @@ def _blocks(n: int, size: int):
 def _sw_kernel_products(t, nodes, ufr: float, alpha: float, zeta):
     """``sw_kernel(t, nodes) @ zeta`` and ``d/dt sw_kernel(t, nodes) @ zeta``.
 
-    ``t`` is a 1-d array of M times, taken in row blocks of ``_SW_BLOCK``
+    ``t`` is a 1-d array of M times, or a float, which is lifted to one row
+    and gets 0-d products. They are taken in row blocks of ``_SW_BLOCK``
     (see :func:`_blocks`). Only the damping exp(-ufr (t + t_i)) is an
     M x N transcendental: the sinh and exp of alpha min(t, t_i) and
     -alpha max(t, t_i) are taken once per time and once per node and
@@ -207,6 +208,8 @@ def _sw_kernel_products(t, nodes, ufr: float, alpha: float, zeta):
     so the products are bit-identical to those of the separate matrices.
     d/dt W(t, t_i) is continuous across t = t_i.
     """
+    shape = np.shape(t)
+    t = np.reshape(t, -1)
     w_zeta = np.empty_like(t)
     dw_zeta = np.empty_like(t)
     ti = nodes[:, None]
@@ -232,7 +235,7 @@ def _sw_kernel_products(t, nodes, ufr: float, alpha: float, zeta):
         np.copyto(dk, np.multiply(alpha * exp_t, sinh_ti), where=~below)
         np.subtract(dk, np.multiply(ufr, k, out=k), out=dk)
         dw_zeta[rows] = np.multiply(damp, dk, out=dk).T.copy() @ zeta
-    return w_zeta, dw_zeta
+    return w_zeta.reshape(shape), dw_zeta.reshape(shape)
 
 
 class SwDiscreteFit:
@@ -289,7 +292,7 @@ class SwDiscreteFit:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / t, np.nan)
         if np.any(t == 0.0):
-            if t.size != 1:
+            if np.size(t) != 1:
                 f = SwDiscreteFit._evaluation.body(self, np.zeros(1))[1]
             out = np.where(t == 0.0, f, out)
         return out
@@ -395,8 +398,11 @@ def _piecewise(t, at, below, above):
     """``below`` on the times t <= at and ``above`` on the rest.
 
     Each is called only with the times of its own side, and not at all
-    when there are none; both return an array or a tuple of arrays.
+    when there are none; both return an array or a tuple of arrays, or
+    for a float time a value or a tuple of them.
     """
+    if isinstance(t, float):
+        return below(t) if t <= at else above(t)
     low = t <= at
     if low.all():
         return below(t)
@@ -416,6 +422,31 @@ def _interleaved(low, high, low_values, high_values):
     return out
 
 
+def _check_alpha(spec: MethodSpec):
+    if spec.kind in _SW_KINDS and spec.alpha is None:
+        raise DomainError(
+            "Smith-Wilson extrapolation needs a fixed alpha; "
+            "calibrate one with sw_alpha_calibrate first"
+        )
+
+
+def _check_glue(base: ForwardCurve, spec: MethodSpec, horizon: float):
+    """Raise unless ``spec`` can glue a closed-form extension to ``base`` up to ``horizon``."""
+    if spec.kind == M6_SW_DISCRETE:
+        raise DomainError("the discrete Smith-Wilson fit is built by extrapolate()")
+    _check_alpha(spec)
+    tau = spec.tau
+    if base.horizon < tau:
+        raise DomainError(f"market curve ends at {base.horizon}, before tau={tau}")
+    if spec.kind == M5_SFSA and base.horizon < spec.kappa:
+        raise DomainError(
+            f"M5 blends market forwards out to kappa={spec.kappa}; "
+            f"the market curve ends at {base.horizon}"
+        )
+    if horizon < tau:
+        raise DomainError("horizon must not precede tau")
+
+
 class ExtrapolatedCurve:
     """A market curve glued to a method-specific extension beyond tau.
 
@@ -425,9 +456,12 @@ class ExtrapolatedCurve:
     times t <= tau and the extension the others, and a side with no times
     is not called, as for a quadrature panel, which lies on one side.
     M5 blends market values only on (tau, kappa]; past kappa it needs the
-    cached integral and the ufr alone. All method parameters needed by
-    the extension (z(tau), f(tau), the M5 running integral of s*z(s) at
-    tau and kappa) are cached at construction.
+    cached integral and the ufr alone. The market anchors of the extension
+    are cached at construction: z(tau) and D(tau) from one integrated
+    forward, f(tau-) from one forward rate, and for M5 the running
+    integral of s*z(s) at tau and kappa. They depend only on the market
+    curve, tau and the offset (and kappa), so :meth:`with_spec` shares
+    them.
     """
 
     __slots__ = (
@@ -436,35 +470,47 @@ class ExtrapolatedCurve:
     )
 
     def __init__(self, base: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORIZON):
-        if spec.kind == M6_SW_DISCRETE:
-            raise DomainError("the discrete Smith-Wilson fit is built by extrapolate()")
-        if spec.kind in _SW_KINDS and spec.alpha is None:
-            raise DomainError(
-                "Smith-Wilson extrapolation needs a fixed alpha; "
-                "calibrate one with sw_alpha_calibrate first"
-            )
-        tau = spec.tau
-        if base.horizon < tau:
-            raise DomainError(f"market curve ends at {base.horizon}, before tau={tau}")
-        if spec.kind == M5_SFSA and base.horizon < spec.kappa:
-            raise DomainError(
-                f"M5 blends market forwards out to kappa={spec.kappa}; "
-                f"the market curve ends at {base.horizon}"
-            )
-        if horizon < tau:
-            raise DomainError("horizon must not precede tau")
+        _check_glue(base, spec, horizon)
+        tau = float(spec.tau)
         self.base = base
         self.spec = spec
         self.horizon = float(horizon)
-        self.eff = spec.market(base)
-        self.z_tau = float(self.eff.zero_yield(tau))
-        self.f_tau = float(self.eff.forward_rate(tau, side="left"))
-        self.d_tau = float(self.eff.discount_factor(tau))
+        eff = self.eff = spec.market(base)
+        # tau lies in eff's domain, so the bodies are called without a second check
+        cum = ForwardCurve.integrated_forward.body(eff, tau)
+        self.z_tau = float(eff._yield_of(cum, tau))
+        self.d_tau = float(np.exp(-cum))
+        self.f_tau = float(ForwardCurve.forward_rate.body(eff, tau, "left"))
         if spec.kind == M5_SFSA:
-            self._tz_tau = float(self.eff.cumulative_time_weighted_yield(tau))
-            self._tz_kappa = float(self.eff.cumulative_time_weighted_yield(spec.kappa))
+            tz = ForwardCurve.cumulative_time_weighted_yield.body
+            self._tz_tau = float(tz(eff, tau))
+            self._tz_kappa = float(tz(eff, float(spec.kappa)))
         else:
             self._tz_tau = self._tz_kappa = 0.0
+
+    def with_spec(self, spec: MethodSpec):
+        """The curve ``extrapolate(self.base, spec, self.horizon)`` builds.
+
+        A closed-form ``spec`` with this curve's tau and offset (and, for
+        M5, kappa) gets a curve sharing this one's market curve and
+        anchors, so a family of such curves costs one set of market
+        evaluations; any other spec gets a curve built afresh.
+        """
+        own = self.spec
+        if (
+            spec.kind == M6_SW_DISCRETE
+            or (spec.tau, spec.offset) != (own.tau, own.offset)
+            or (spec.kind == M5_SFSA and (own.kind, own.kappa) != (M5_SFSA, spec.kappa))
+        ):
+            return extrapolate(self.base, spec, self.horizon)
+        _check_glue(self.base, spec, self.horizon)
+        curve = object.__new__(ExtrapolatedCurve)
+        for name in ExtrapolatedCurve.__slots__:
+            setattr(curve, name, getattr(self, name))
+        curve.spec = spec
+        if spec.kind != M5_SFSA:
+            curve._tz_tau = curve._tz_kappa = 0.0
+        return curve
 
     # -- defect diagnostics --
 
@@ -550,12 +596,14 @@ class ExtrapolatedCurve:
             zero_yield = self._extension_zero_yield(t)
         return np.exp(-t * zero_yield)
 
-    def _market_forward(self, t, side: str = "right"):
-        out = self.eff.forward_rate(t, side=side)
-        # at tau itself the glued curve carries the last market forward,
-        # even when the underlying market grid continues past tau
-        out[t == self.spec.tau] = self.f_tau
-        return out
+    def _at_tau(self, t, f):
+        """Market forwards ``f`` at the times t <= tau, with f(tau-) at tau itself:
+        the glued curve carries the last market forward there, even when the
+        underlying market grid continues past tau."""
+        if isinstance(t, float):
+            return self.f_tau if t == self.spec.tau else f
+        f[t == self.spec.tau] = self.f_tau
+        return f
 
     @evaluation
     def zero_yield(self, t):
@@ -563,9 +611,8 @@ class ExtrapolatedCurve:
 
     @evaluation
     def forward_rate(self, t, side: str = "right"):
-        return _piecewise(
-            t, self.spec.tau, lambda s: self._market_forward(s, side), self._extension_forward
-        )
+        market = lambda s: self._at_tau(s, self.eff.forward_rate(s, side=side))
+        return _piecewise(t, self.spec.tau, market, self._extension_forward)
 
     @evaluation
     def discount_factor(self, t):
@@ -578,8 +625,7 @@ class ExtrapolatedCurve:
 
         def market(s):
             z, f, d = self.eff._evaluation(s)
-            f[s == self.spec.tau] = self.f_tau
-            return z, f, d
+            return z, self._at_tau(s, f), d
 
         def extension(s):
             z = self._extension_zero_yield(s)
@@ -607,11 +653,7 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
     to tau, so a shifted market curve is fitted at the same nodes).
     """
     if spec.kind == M6_SW_DISCRETE:
-        if spec.alpha is None:
-            raise DomainError(
-                "Smith-Wilson extrapolation needs a fixed alpha; "
-                "calibrate one with sw_alpha_calibrate first"
-            )
+        _check_alpha(spec)
         eff = spec.market(z)
         nodes = eff.quote_nodes
         nodes = nodes[(nodes > 0.0) & (nodes <= spec.tau)]

@@ -89,16 +89,18 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     return float(out)
 
 
-def _ufr_family(spec: MethodSpec, z: ForwardCurve, horizon: float):
-    """The curve family and base parameter for the generic oracle."""
+def _ufr_family(curve):
+    """The curve family and base parameter of the generic oracle, around the
+    extrapolated ``curve``; every member shares its market anchors."""
+    spec = curve.spec
     if spec.kind == M2:
         # constant-yield extrapolation: the level itself plays the
         # long-term-rate role, and varying it is the M1 family
-        theta0 = float(spec.market(z).zero_yield(spec.tau))
-        proto = MethodSpec(M1, tau=spec.tau, ufr=theta0, offset=spec.offset)
-        return (lambda theta: extrapolate(z, replace(proto, ufr=theta), horizon)), theta0
-    theta0 = spec.ufr
-    return (lambda theta: extrapolate(z, replace(spec, ufr=theta), horizon)), theta0
+        theta0 = curve.z_tau
+        spec = MethodSpec(M1, tau=spec.tau, ufr=theta0, offset=spec.offset)
+    else:
+        theta0 = spec.ufr
+    return (lambda theta: curve.with_spec(replace(spec, ufr=theta))), theta0
 
 
 def ufr_sensitivity(
@@ -122,7 +124,7 @@ def ufr_sensitivity(
         raise DomainError("liabilities must have positive present value")
     tau = spec.tau
 
-    family, theta0 = _ufr_family(spec, z, horizon)
+    family, theta0 = _ufr_family(curve)
     oracle = -parameter_sensitivity(family, flow, theta0) / total
 
     lower = upper = closed = None
@@ -158,8 +160,8 @@ def ufr_sensitivity(
         exc_tau = excess_duration(curve, flow, tau, total)
         low_spec = MethodSpec(M3, tau=tau, ufr=spec.ufr, offset=spec.offset)
         high_spec = replace(low_spec, ufr=spec.ufr + spec.alpha)
-        low_curve = extrapolate(z, low_spec, horizon)
-        high_curve = extrapolate(z, high_spec, horizon)
+        low_curve = curve.with_spec(low_spec)
+        high_curve = curve.with_spec(high_spec)
         low_total = present_value(low_curve, flow)
         drop = low_total - present_value(high_curve, flow)
         closed = exc_tau - drop / (spec.alpha * total)

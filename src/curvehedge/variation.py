@@ -192,6 +192,69 @@ def sw_variation_coefficient(t, tau: float, alpha: float, ufr: float, f_tau: flo
     return float(out) if out.ndim == 0 else out
 
 
+def _yield_variation(spec: MethodSpec, shift: CurveShift, curve):
+    """t -> dzbar(t) along ``shift``, for the extrapolated ``curve``.
+
+    The shift's quantities at tau are read once here, not at every call;
+    only the Smith-Wilson variation reads the curve, for its f(tau-).
+    """
+    if spec.kind == M6_SW_DISCRETE:
+        raise DomainError(
+            "directional formulas cover the continuous Smith-Wilson version; "
+            "the discrete fit reproduces its inputs exactly instead"
+        )
+    tau = spec.tau
+    kind = spec.kind
+    dz_tau = shift.delta_z(tau)
+    if kind in (M4, M6_SW_CONTINUOUS):
+        df_tau = shift.delta_f_at_boundary(tau)
+    if kind == M6_SW_CONTINUOUS:
+        f_tau = curve.f_tau
+    if kind == M5_SFSA:
+        kappa = spec.kappa
+        span = kappa - tau
+        tw_tau = shift.time_weighted_cumulative(tau)
+
+    def variation(t):
+        arr = np.asarray(t, dtype=float)
+        scalar = arr.ndim == 0
+        arr = np.atleast_1d(arr).astype(float)
+        if np.any(arr < 0.0):
+            raise DomainError("negative time")
+
+        out = np.empty_like(arr)
+        below = arr <= tau
+        if np.any(below):
+            out[below] = shift.delta_z(arr[below])
+        above = ~below
+        if np.any(above):
+            te = arr[above]
+            if kind == M1:
+                out[above] = 0.0
+            elif kind == M2:
+                out[above] = dz_tau
+            elif kind == M3:
+                out[above] = (tau / te) * dz_tau
+            elif kind == M4:
+                out[above] = (tau / te) * dz_tau + (1.0 - tau / te) * df_tau
+            elif kind == M5_SFSA:
+                clipped = np.minimum(te, kappa)
+                integral = shift.time_weighted_cumulative(clipped) - tw_tau
+                blend = np.where(te <= kappa, (kappa - te) / span * shift.delta_z(clipped), 0.0)
+                out[above] = blend + integral / (te * span)
+            else:  # M6 continuous, alpha held fixed
+                if np.any(sw_factor(te - tau, spec.ufr - f_tau, spec.alpha) <= 0.0):
+                    raise DefectiveCurveError(
+                        "Smith-Wilson discount factor is nonpositive at the requested time; "
+                        "the variation is undefined there"
+                    )
+                c = sw_variation_coefficient(te, tau, spec.alpha, spec.ufr, f_tau)
+                out[above] = (tau / te) * dz_tau + c * df_tau
+        return float(out[0]) if scalar else out.reshape(np.shape(t))
+
+    return variation
+
+
 def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
     """Analytic first variation of the extrapolated yield at time t.
 
@@ -200,54 +263,8 @@ def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
     the curve: none at all (M1), the last zero yield (M2, M3), the last
     forward (M4, M6), or a running average of the shift (M5).
     """
-    if spec.kind == M6_SW_DISCRETE:
-        raise DomainError(
-            "directional formulas cover the continuous Smith-Wilson version; "
-            "the discrete fit reproduces its inputs exactly instead"
-        )
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    tau = spec.tau
-    if np.any(arr < 0.0):
-        raise DomainError("negative time")
-
-    out = np.empty_like(arr)
-    below = arr <= tau
-    if np.any(below):
-        out[below] = shift.delta_z(arr[below])
-    above = ~below
-    if np.any(above):
-        te = arr[above]
-        kind = spec.kind
-        dz_tau = shift.delta_z(tau)
-        if kind == M1:
-            out[above] = 0.0
-        elif kind == M2:
-            out[above] = dz_tau
-        elif kind == M3:
-            out[above] = (tau / te) * dz_tau
-        elif kind == M4:
-            df_tau = shift.delta_f_at_boundary(tau)
-            out[above] = (tau / te) * dz_tau + (1.0 - tau / te) * df_tau
-        elif kind == M5_SFSA:
-            kappa = spec.kappa
-            span = kappa - tau
-            clipped = np.minimum(te, kappa)
-            integral = shift.time_weighted_cumulative(clipped) - shift.time_weighted_cumulative(tau)
-            blend = np.where(te <= kappa, (kappa - te) / span * shift.delta_z(clipped), 0.0)
-            out[above] = blend + integral / (te * span)
-        else:  # M6 continuous, alpha held fixed
-            f_tau = spec.market(z).forward_rate(tau, side="left")
-            if np.any(sw_factor(te - tau, spec.ufr - f_tau, spec.alpha) <= 0.0):
-                raise DefectiveCurveError(
-                    "Smith-Wilson discount factor is nonpositive at the requested time; "
-                    "the variation is undefined there"
-                )
-            df_tau = shift.delta_f_at_boundary(tau)
-            c = sw_variation_coefficient(te, tau, spec.alpha, spec.ufr, f_tau)
-            out[above] = (tau / te) * dz_tau + c * df_tau
-    return float(out[0]) if scalar else out.reshape(np.shape(t))
+    curve = extrapolate(z, spec) if spec.kind == M6_SW_CONTINUOUS else None
+    return _yield_variation(spec, shift, curve)(t)
 
 
 def method_variation_pv(
@@ -266,9 +283,10 @@ def method_variation_pv(
     """
     if curve is None:
         curve = extrapolate(z, spec, horizon)
+    dzbar = _yield_variation(spec, shift, curve)
 
     def weight(t):
-        return np.asarray(t, dtype=float) * method_variation(spec, z, shift, t)
+        return np.asarray(t, dtype=float) * dzbar(t)
 
     return -stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))
 
@@ -323,38 +341,6 @@ def clamp_functional(c: float, t: float):
 # ---- second order -----------------------------------------------------------
 
 
-def _sw_second_variation_weight(spec, z, shift, horizon):
-    """Pointwise second variation of the Smith-Wilson yield, by nested differencing.
-
-    Differences the closed-form extrapolated yield along the ray with the
-    same Richardson machinery as the scalar oracle; the closed form is
-    exact, so no hand-derived second-order expansion is needed.
-    """
-    curves = {0.0: extrapolate(z, spec, horizon)}
-
-    def curve_at(e):
-        if e not in curves:
-            curves[e] = extrapolate(z.shifted(shift, e), spec, horizon)
-        return curves[e]
-
-    def weight(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        z0 = np.asarray(curves[0.0].zero_yield(t), dtype=float)
-        quotients = []
-        for e in EPS_SCHEDULE:
-            z1 = np.asarray(curve_at(e).zero_yield(t), dtype=float)
-            z2 = np.asarray(curve_at(2 * e).zero_yield(t), dtype=float)
-            quotients.append((z2 - 2.0 * z1 + z0) / (e * e))
-        col = np.stack(quotients)
-        if not np.all(np.isfinite(col)):
-            raise DefectiveCurveError(
-                "shifted Smith-Wilson curve is defective inside the differencing schedule"
-            )
-        return _richardson(col)[0]
-
-    return weight
-
-
 def second_order_pv(
     spec: MethodSpec,
     z: ForwardCurve,
@@ -367,9 +353,10 @@ def second_order_pv(
 
     Evaluates int (t^2 dzbar(t)^2 - t d2zbar(t)) dL*(t). The second
     variation of the extrapolated yield vanishes for M1-M5 (their first
-    variation is linear in the shift); the fixed-alpha Smith-Wilson yield
-    is genuinely nonlinear and its d2zbar comes from nested numeric
-    differencing of the closed form.
+    variation is linear in the shift). The fixed-alpha Smith-Wilson yield
+    is nonlinear in f(tau): with c the coefficient of
+    :func:`sw_variation_coefficient`, t d2zbar(t) = (t c(t) Df(tau))^2
+    past tau, and 0 up to it.
     """
     if spec.kind == M6_SW_DISCRETE:
         raise DomainError(
@@ -377,18 +364,18 @@ def second_order_pv(
         )
     if curve is None:
         curve = extrapolate(z, spec, horizon)
-    d2_weight = (
-        _sw_second_variation_weight(spec, z, shift, horizon)
-        if spec.kind == M6_SW_CONTINUOUS
-        else None
-    )
+    dzbar = _yield_variation(spec, shift, curve)
+    tau = spec.tau
+    df_tau = shift.delta_f_at_boundary(tau)
 
     def weight(t):
         t = np.asarray(t, dtype=float)
-        dz = np.asarray(method_variation(spec, z, shift, t), dtype=float)
+        dz = np.asarray(dzbar(t), dtype=float)
         out = t * t * dz * dz
-        if d2_weight is not None:
-            out = out - t * d2_weight(t)
+        if spec.kind == M6_SW_CONTINUOUS:
+            te = t[t > tau]
+            c = sw_variation_coefficient(te, tau, spec.alpha, spec.ufr, curve.f_tau)
+            out[t > tau] -= (te * c * df_tau) ** 2
         return out
 
     return stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))

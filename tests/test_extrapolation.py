@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from curvehedge import (
     CashFlow,
+    ExtrapolatedCurve,
     ForwardCurve,
     MethodSpec,
     arbitrage_scan,
@@ -296,11 +298,14 @@ class TestFusedSwKernel:
         assert np.array_equal(dw_zeta, dkern @ fit.zeta)
 
     def test_scan_values_equal_public_evaluations(self, fit):
+        """The one pass gives D = exp(-ufr t) + W(t, u) zeta, its yield -log(D)/t
+        where D > 0 and its forward -D'/D as the whole M x N kernel matrices do."""
         ts = np.arange(100_001) * 0.002
         z, f, d = fit._evaluation(ts)
-        assert np.array_equal(d, fit.discount_factor(ts))
-        assert np.array_equal(f, fit.forward_rate(ts))
-        assert np.array_equal(z, fit.zero_yield(ts), equal_nan=True)
+        kern = sw_kernel(ts[:, None], fit.nodes[None, :], fit.ufr, fit.alpha)
+        assert np.array_equal(d, np.exp(-fit.ufr * ts) + kern @ fit.zeta)
+        positive = (d > 0.0) & (ts > 0.0)
+        assert np.array_equal(z[positive], -np.log(d[positive]) / ts[positive])
         dprime = -fit.ufr * np.exp(-fit.ufr * ts) + _sw_kernel_dt_reference(
             ts, fit.nodes, fit.ufr, fit.alpha
         ) @ fit.zeta
@@ -583,6 +588,64 @@ class TestBranchOwnership:
         got = (ec.zero_yield(t), ec.forward_rate(t), ec.discount_factor(t), ec._evaluation(t))
         for a, b in zip(expected[:3] + expected[3], got[:3] + got[3]):
             assert np.array_equal(a, b)
+
+
+class TestWithSpec:
+    """A curve derived by ``with_spec`` is the curve ``extrapolate`` builds, bit for bit."""
+
+    TARGETS = {
+        "M1": MethodSpec("M1", tau=10.0, ufr=UFR),
+        "M2": MethodSpec("M2", tau=10.0),
+        "M3": MethodSpec("M3", tau=10.0, ufr=UFR),
+        "M4": MethodSpec("M4", tau=10.0),
+        "M5_SFSA": MethodSpec("M5_SFSA", tau=10.0, kappa=20.0, ufr=UFR),
+        "M6_SW_continuous": MethodSpec("M6_SW_continuous", tau=10.0, ufr=UFR, alpha=0.1),
+    }
+
+    @staticmethod
+    def _sources(offset):
+        """(source spec, whether it shares its anchors with a target of each kind but M5,
+        with an M5 target): same tau and offset; M5 with the target's kappa; another
+        kappa, tau or offset."""
+        return [
+            (MethodSpec("M3", tau=10.0, ufr=0.05, offset=offset), True, False),
+            (MethodSpec("M5_SFSA", tau=10.0, kappa=20.0, ufr=0.03, offset=offset), True, True),
+            (MethodSpec("M5_SFSA", tau=10.0, kappa=25.0, ufr=UFR, offset=offset), True, False),
+            (MethodSpec("M3", tau=12.0, ufr=UFR, offset=offset), False, False),
+            (MethodSpec("M2", tau=10.0, offset=offset + 0.001), False, False),
+        ]
+
+    @pytest.mark.parametrize("offset", [0.0, 0.004])
+    @pytest.mark.parametrize("kind", sorted(TARGETS))
+    def test_equals_a_fresh_extrapolation(self, market_curve, kind, offset):
+        spec = replace(self.TARGETS[kind], offset=offset)
+        fresh = extrapolate(market_curve, spec)
+        t = np.concatenate((np.linspace(0.0, 200.0, 801), [10.0, 20.0], np.linspace(9.0, 21.0, 97)))
+        for source_spec, shares, shares_m5 in self._sources(offset):
+            source = extrapolate(market_curve, source_spec)
+            derived = source.with_spec(spec)
+            assert type(derived) is ExtrapolatedCurve and derived.spec == spec
+            if offset:  # else every curve's eff is the market curve itself
+                assert (derived.eff is source.eff) == (shares_m5 if kind == "M5_SFSA" else shares)
+            assert derived.horizon == fresh.horizon and derived.base is market_curve
+            for name in ("z_tau", "f_tau", "d_tau", "_tz_tau", "_tz_kappa"):
+                assert np.float64(getattr(derived, name)).tobytes() == np.float64(
+                    getattr(fresh, name)
+                ).tobytes(), name
+            for a, b in zip(derived._evaluation(t), fresh._evaluation(t)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_discrete_fit_and_validation(self, market_curve):
+        source = extrapolate(market_curve, self.TARGETS["M3"])
+        discrete = MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1)
+        fit = source.with_spec(discrete)
+        assert fit.zeta.tobytes() == extrapolate(market_curve, discrete).zeta.tobytes()
+        uncalibrated = MethodSpec("M6_SW_continuous", tau=10.0, ufr=UFR, kappa=30.0, epsilon=1e-4)
+        with pytest.raises(DomainError, match="fixed alpha"):
+            source.with_spec(uncalibrated)
+        short = ForwardCurve.from_forwards([0.0, 15.0], [0.02, 0.03])
+        with pytest.raises(DomainError, match="kappa"):
+            extrapolate(short, self.TARGETS["M3"]).with_spec(self.TARGETS["M5_SFSA"])
 
 
 # ---- the evaluation protocol shared by every curve class ---------------------

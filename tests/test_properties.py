@@ -9,6 +9,7 @@ import functools
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from curvehedge import (
     present_value,
     sw_fit_discrete,
 )
+from curvehedge.errors import DomainError
 from curvehedge.quadrature import REL_TOL
 
 from conftest import random_curve, random_lump_flow, random_shift
@@ -218,3 +220,59 @@ def test_sw_discrete_fit_reproduces_its_prices(seed, ufr, alpha):
     eps = np.finfo(float).eps
     bound = 4 * nodes.size * eps * (fit.condition * np.max(np.abs(rhs)) + np.max(prices))
     assert np.max(np.abs(fit.discount_factor(nodes) - prices)) <= bound
+
+
+def _evaluations(curve):
+    """The curve's evaluation methods, those the evaluation protocol wraps,
+    with the forward rate from the left as well."""
+    methods = {
+        name: getattr(curve, name) for name, raw in vars(type(curve)).items() if hasattr(raw, "body")
+    }
+    methods["forward_rate_left"] = functools.partial(curve.forward_rate, side="left")
+    return methods
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(sorted(ALL_SPECS)),
+    offset=st.sampled_from([0.0, 0.004, -0.0025]),
+)
+def test_float_time_evaluates_as_a_one_element_array(seed, kind, offset):
+    """A float time, Python or numpy, gives the value of np.array([t]) bit for bit,
+    as a float (or a tuple of floats), on the market curve and its extrapolation.
+
+    Times: 0, tau, kappa, the market and fit nodes, the horizon and random
+    points. A NaN, a negative time and a time past the horizon are refused
+    on both paths.
+    """
+    rng = np.random.default_rng(seed)
+    z = _quoted_curve(rng) if kind == "M6_SW_discrete" else random_curve(rng, low=0.0, high=0.04)
+    spec = replace(ALL_SPECS[kind], offset=offset)
+    curve = extrapolate(z, spec)
+    # random times inside every market segment: in the first one the cubic
+    # term of the integral of s*z(s) is not swamped by the running sums
+    inside = z.grid.nodes[:-1] + rng.uniform(size=(4, z.grid.nodes.size - 1)) * np.diff(z.grid.nodes)
+    for c in (z, curve):
+        nodes = getattr(c, "nodes", z.grid.nodes)
+        ends = [0.0, TAU, SPECS["M5_SFSA"].kappa, c.horizon]
+        times = np.concatenate((ends, nodes, inside.ravel(), rng.uniform(0.0, c.horizon, size=16)))
+        bad = (np.nan, -1e-300, np.nextafter(c.horizon, np.inf), c.horizon + 1.0)
+        for name, evaluate in _evaluations(c).items():
+            for t in times[times <= c.horizon]:
+                want = evaluate(np.array([t]))
+                for scalar in (float(t), np.float64(t)):
+                    got = evaluate(scalar)
+                    if isinstance(want, tuple):
+                        assert all(type(g) is float for g in got), name
+                        assert [_bits(g) for g in got] == [_bits(w) for w in want], (name, t)
+                    else:
+                        assert type(got) is float, name
+                        assert _bits(got) == _bits(want), (name, t)
+            for t in bad:
+                for arg in (float(t), np.float64(t), np.array([t])):
+                    with pytest.raises(DomainError):
+                        evaluate(arg)

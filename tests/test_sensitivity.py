@@ -3,6 +3,7 @@ import pytest
 
 from curvehedge import (
     CashFlow,
+    ExtrapolatedCurve,
     ForwardCurve,
     MethodSpec,
     dollar_duration,
@@ -229,16 +230,24 @@ class TestPricedOnce:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every curve ufr_sensitivity extrapolates, with its spec, in order."""
+        """Every curve ufr_sensitivity extrapolates or derives from another
+        by ``with_spec``, with its spec, in order."""
         curves = []
         original = sensitivity_module.extrapolate
+        original_with_spec = ExtrapolatedCurve.with_spec
 
         def extrapolate_recorded(z, spec, *args):
             curve = original(z, spec, *args)
             curves.append((curve, spec))
             return curve
 
+        def with_spec_recorded(self, spec):
+            curve = original_with_spec(self, spec)
+            curves.append((curve, spec))
+            return curve
+
         monkeypatch.setattr(sensitivity_module, "extrapolate", extrapolate_recorded)
+        monkeypatch.setattr(ExtrapolatedCurve, "with_spec", with_spec_recorded)
         return curves
 
     @pytest.mark.parametrize("spec", [M2, M3, M5, M6], ids=["M2", "M3", "M5", "M6"])
@@ -254,9 +263,7 @@ class TestPricedOnce:
         assert base_spec == spec
         assert all(curve is not base for curve in counted)
         # the oracle prices its four family curves, theta +- h and theta +- h/2
-        _, theta0 = sensitivity_module._ufr_family(
-            spec, market_curve, sensitivity_module.DEFAULT_HORIZON
-        )
+        _, theta0 = sensitivity_module._ufr_family(extrapolate(market_curve, spec))
         h = 5e-5 * (abs(theta0) + 1.0)
         family_kind = "M1" if spec is M2 else spec.kind
         family = sorted(s.ufr for s in priced if s.kind == family_kind)
