@@ -69,8 +69,18 @@ class TimeGrid:
 
 
 def _as_array(t):
+    """A float time as it is and anything else as a float array, with whether
+    the result goes back as a float; a float then takes the array's
+    expressions on floats and gives its value bit for bit, as under
+    :func:`evaluation`."""
+    if isinstance(t, float):
+        return t, True
     arr = np.asarray(t, dtype=float)
     return arr, (arr.ndim == 0)
+
+
+def _clipped(t, hi):
+    return min(t, hi) if isinstance(t, float) else np.minimum(t, hi)
 
 
 def evaluation(body):
@@ -122,8 +132,8 @@ class ForwardCurve:
     factors carry no quadrature error.
 
     ``quote_nodes`` are the times the curve was quoted at: its grid nodes,
-    unless it was derived from another curve by :meth:`shifted` or
-    :meth:`with_constant_added`, which keep the source curve's quote nodes
+    unless it was derived from another curve by :meth:`ray`, :meth:`shifted`
+    or :meth:`with_constant_added`, which keep the source curve's quote nodes
     (a shift adds its own nodes to the grid, not to the quotes).
     """
 
@@ -272,17 +282,24 @@ class ForwardCurve:
     @evaluation
     def cumulative_time_weighted_yield(self, t):
         """int_0^t s*z(s) ds in closed form (the integrand is int_0^s f)."""
+        return self._integrals(t)[0]
+
+    def _integrals(self, t):
+        """int_0^t s*z(s) ds and int_0^t f, from one segment search, for a t
+        already in the domain: the bodies of :meth:`cumulative_time_weighted_yield`
+        and :meth:`integrated_forward` in one."""
         idx = self._segment_index(t, "right")
         x0 = self.grid.nodes[idx]
         h = self.grid.nodes[idx + 1] - x0
         w = t - x0
         slope = (self.f_right[idx] - self.f_left[idx]) / h
-        return (
+        cum_tz = (
             self._cum_tz[idx]
             + self._cum_f[idx] * w
             + 0.5 * self.f_left[idx] * w * w
             + slope * np.power(w, 3) / 6.0
         )
+        return cum_tz, self._cum_f[idx] + self.f_left[idx] * w + 0.5 * slope * w * w
 
     def time_weighted_yield_integral(self, a: float, b: float) -> float:
         """int_a^b s*z(s) ds in closed form."""
@@ -306,16 +323,25 @@ class ForwardCurve:
         return self.forward_rate(a, side="right"), self.forward_rate(b, side="left")
 
     def shifted(self, shift: "CurveShift", scale: float = 1.0) -> "ForwardCurve":
-        """This curve plus ``scale`` times the shift's forward perturbation.
+        """This curve plus ``scale`` times the shift's forward perturbation:
+        ``self.ray(shift)(scale)``."""
+        return self.ray(shift)(scale)
 
-        The result lives on this curve's domain; the shift is extended
-        flat past its own horizon when shorter.
+    def ray(self, shift: "CurveShift"):
+        """The curves z + e*Dz along a shift, as a function of the scale e.
+
+        The merged grid, its validation and the edge forwards of both
+        curves are computed once, here; each scale then costs one
+        construction. The curves share one grid and this curve's quote
+        nodes and live on this curve's domain; the shift is extended flat
+        past its own horizon when shorter.
         """
         other = shift.delta_forward
         nodes = np.union1d(self.grid.nodes, other.grid.nodes)
         nodes = nodes[nodes <= self.horizon]
         if nodes[-1] != self.horizon:
             nodes = np.concatenate((nodes, [self.horizon]))
+        grid = TimeGrid(nodes)
         base_l, base_r = self._edge_values(nodes, extend=False)
         if other.horizon >= self.horizon:
             sh_l, sh_r = other._edge_values(nodes, extend=False)
@@ -328,8 +354,8 @@ class ForwardCurve:
             sh_r = np.where(
                 inside[1:], other.forward_rate(np.minimum(nodes[1:], other.horizon), "left"), tail
             )
-        return ForwardCurve(
-            TimeGrid(nodes), base_l + scale * sh_l, base_r + scale * sh_r, self.quote_nodes
+        return lambda scale: ForwardCurve(
+            grid, base_l + scale * sh_l, base_r + scale * sh_r, self.quote_nodes
         )
 
     def breakpoints_between(self, a: float, b: float):
@@ -370,13 +396,11 @@ class CurveShift:
 
     def _integrated_delta_f(self, t):
         """int_0^t Delta-f, with the flat extension past the shift horizon."""
-        arr, _ = _as_array(t)
+        arr, scalar = _as_array(t)
         hor = self.horizon
-        out = np.asarray(
-            self.delta_forward.integrated_forward(np.minimum(arr, hor)), dtype=float
-        )
+        out = self.delta_forward.integrated_forward(_clipped(arr, hor))
         beyond = arr > hor
-        if np.any(beyond):
+        if beyond if scalar else beyond.any():
             tail_f = float(self.delta_forward.f_right[-1])
             out = out + np.where(beyond, tail_f * (arr - hor), 0.0)
         return out
@@ -384,7 +408,7 @@ class CurveShift:
     def delta_z(self, t):
         arr, scalar = _as_array(t)
         if self.constant is not None:
-            out = np.full_like(arr, self.constant, dtype=float)
+            out = self.constant if scalar else np.full_like(arr, self.constant, dtype=float)
         else:
             out = self.delta_forward._yield_of(self._integrated_delta_f(arr), arr)
         return float(out) if scalar else out
@@ -392,9 +416,9 @@ class CurveShift:
     def delta_f(self, t, side: str = "right"):
         arr, scalar = _as_array(t)
         if self.constant is not None:
-            out = np.full_like(arr, self.constant, dtype=float)
+            out = self.constant if scalar else np.full_like(arr, self.constant, dtype=float)
         else:
-            out = self.delta_forward.forward_rate(np.minimum(arr, self.horizon), side=side)
+            out = self.delta_forward.forward_rate(_clipped(arr, self.horizon), side=side)
         return float(out) if scalar else np.asarray(out, dtype=float)
 
     def delta_f_at_boundary(self, tau: float) -> float:
@@ -414,12 +438,9 @@ class CurveShift:
             out = 0.5 * self.constant * arr * arr
             return float(out) if scalar else out
         hor = self.horizon
-        clipped = np.minimum(arr, hor)
-        out = np.asarray(
-            self.delta_forward.cumulative_time_weighted_yield(clipped), dtype=float
-        )
+        out = self.delta_forward.cumulative_time_weighted_yield(_clipped(arr, hor))
         beyond = arr > hor
-        if np.any(beyond):
+        if beyond if scalar else beyond.any():
             # s * dz(s) = cum_h + tail_f * (s - hor) beyond the shift horizon
             tail_f = float(self.delta_forward.f_right[-1])
             cum_h = float(self.delta_forward.integrated_forward(hor))

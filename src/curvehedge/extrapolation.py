@@ -537,10 +537,12 @@ class ExtrapolatedCurve:
             span = kappa - tau
 
             def blend(s):
+                # s lies in (tau, kappa], inside eff's domain
                 w = tau / s
-                integral = self.eff.cumulative_time_weighted_yield(s) - self._tz_tau
+                cum_tz, cum_f = self.eff._integrals(s)
+                integral = cum_tz - self._tz_tau
                 return (
-                    (kappa - s) / span * self.eff.zero_yield(s)
+                    (kappa - s) / span * self.eff._yield_of(cum_f, s)
                     + integral / (s * span)
                     + (s - tau) / span * (1.0 - w) * spec.ufr / 2.0
                 )

@@ -326,13 +326,12 @@ def _liability_pricer(spec, flow, horizon, z, base_curve):
     return price
 
 
-def _revaluation_gap(plan, z, shifts, price) -> float:
-    """Worst change in (asset - liability) value over the shifts, by full repricing."""
+def _revaluation_gap(plan, z, shifted_curves, price) -> float:
+    """Worst change in (asset - liability) value over the curves z + Dz, by full repricing."""
     asset0 = plan.value()
     liab0 = price(z)
     worst = 0.0
-    for shift in shifts:
-        shifted = z.shifted(shift)
+    for shifted in shifted_curves:
         asset = plan.value_under(shifted, z)
         liab = price(shifted)
         worst = max(worst, abs((asset - liab) - (asset0 - liab0)))
@@ -359,7 +358,7 @@ def verify_perfect(
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
     price = _liability_pricer(spec, flow, horizon, z, extrapolate(z, spec, horizon))
-    return _revaluation_gap(plan, z, shifts, price)
+    return _revaluation_gap(plan, z, [z.shifted(shift) for shift in shifts], price)
 
 
 def convexity_gap(
@@ -452,17 +451,20 @@ def verification_checks(
 
     Every scenario is built and priced once: the base curve z, and per
     shift the curves z + eps*Dz of ``EPS_SCHEDULE``, which the
-    finite-difference oracle and the remainder check share.
+    finite-difference oracle and the remainder check share. They come
+    from one :meth:`ForwardCurve.ray` per shift, which also gives a
+    perfect plan's revaluation curve z + Dz.
     """
     checks = []
     base_curve = extrapolate(z, spec, horizon)
     price = _liability_pricer(spec, flow, horizon, z, base_curve)
     liability_value = price(z)
-    variations, rays = [], []
+    variations, lines, rays = [], [], []
     for i, shift in enumerate(shifts):
         variation = method_variation_pv(spec, z, shift, flow, horizon, curve=base_curve)
         analytic = variation + corrupt
-        ray = {}
+        line = z.ray(shift)
+        ray = {eps: line(eps) for eps in EPS_SCHEDULE}
         report = numeric_variation(price, z, shift, analytic=analytic, ray=ray)
         residual = abs(analytic - report.numeric)
         scale = max(abs(analytic), abs(report.numeric))
@@ -471,6 +473,7 @@ def verification_checks(
         )
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
         variations.append(variation)
+        lines.append(line)
         rays.append(ray)
 
     if spec.kind in UNHEDGEABLE_KINDS:
@@ -481,7 +484,7 @@ def verification_checks(
         residual = _first_order_residual(plan, shift, variation, horizon)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     if plan.kind == PLAN_PERFECT:
-        gap = _revaluation_gap(plan, z, shifts, price)
+        gap = _revaluation_gap(plan, z, [line(1.0) for line in lines], price)
         bound = tolerances["perfect_gap_rel"] * abs(liability_value)
         checks.append(("perfect_revaluation", gap <= bound, gap, bound))
     if plan.kind == PLAN_FIRST_ORDER:

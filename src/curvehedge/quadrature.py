@@ -16,9 +16,10 @@ evaluation, not the arithmetic, is what dominates on small panels.
 The result is bit-for-bit that of a depth-first, one-panel-at-a-time
 loop, which the tests keep as a reference. Two rules make that hold:
 
-- each panel is reduced with its own 1-D ``np.dot``; a single matrix
-  product accumulates in a different order and moves panel sums by a
-  few ulp;
+- each panel is reduced by its own BLAS ``ddot``: one ``np.vecdot`` per
+  batch of panels gives a 1-D ``np.dot`` per panel bit for bit, while a
+  matrix product (``vals @ _WEIGHTS``, a gemv) or ``np.einsum``
+  accumulates in a different order and moves panel sums by a few ulp;
 - the segment scale is summed with the built-in ``sum`` in segment
   order, and the accepted panels are added with a plain ``+=`` fold in
   the order the depth-first loop accepted them, which is descending
@@ -53,7 +54,7 @@ def gauss_panel(func, a, b):
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
     vals = np.asarray(func(x.ravel()), dtype=float).reshape(-1, _NODES.size)
-    sums = np.array([np.dot(_WEIGHTS, row) for row in vals]).reshape(half.shape)
+    sums = np.vecdot(vals, _WEIGHTS).reshape(half.shape)
     out = half * sums
     return float(out) if out.ndim == 0 else out
 

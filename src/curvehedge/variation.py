@@ -119,19 +119,23 @@ def numeric_variation(
 
     ``ray`` holds the curves z + e*Dz by e: those it has are used, the
     ones built here are added, so a caller can revalue something else on
-    the very curves F was evaluated on.
+    the very curves F was evaluated on. The missing ones come from one
+    :meth:`ForwardCurve.ray`, which merges the grids once.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
 
     f0 = _eval_functional(functional, z, 0.0)
     ray = {} if ray is None else ray
+    along = None
     cache = {}
 
     def at(e):
+        nonlocal along
         if e not in cache:
             if e not in ray:
-                ray[e] = z.shifted(shift, e)
+                along = along or z.ray(shift)
+                ray[e] = along(e)
             cache[e] = _eval_functional(functional, ray[e], e)
         return cache[e]
 

@@ -6,6 +6,7 @@ import pytest
 from curvehedge import (
     CashFlow,
     CurveShift,
+    EPS_SCHEDULE,
     DiscountedFlow,
     ForwardCurve,
     MethodSpec,
@@ -19,7 +20,7 @@ from curvehedge import (
 )
 from curvehedge.errors import DomainError, UndefinedDurationError
 
-from conftest import random_curve, random_lump_flow
+from conftest import random_curve, random_lump_flow, random_shift
 
 
 # ---- independent oracles -----------------------------------------------------
@@ -418,3 +419,62 @@ class TestCurveShift:
         s = np.linspace(3.0, 27.0, 200_001)
         oracle = np.trapezoid(s * sh.delta_z(s), s)
         assert sh.time_weighted_integral(3.0, 27.0) == pytest.approx(oracle, abs=1e-9)
+
+
+def _shifted_reference(z, shift, scale):
+    """z + scale*Dz as ``shifted`` built it before it became ``ray(shift)(scale)``:
+    the merged grid and the edge forwards rebuilt for every scale."""
+    other = shift.delta_forward
+    nodes = np.union1d(z.grid.nodes, other.grid.nodes)
+    nodes = nodes[nodes <= z.horizon]
+    if nodes[-1] != z.horizon:
+        nodes = np.concatenate((nodes, [z.horizon]))
+    base_l, base_r = z._edge_values(nodes, extend=False)
+    if other.horizon >= z.horizon:
+        sh_l, sh_r = other._edge_values(nodes, extend=False)
+    else:
+        tail = other.f_right[-1]
+        inside = nodes <= other.horizon
+        sh_l = np.where(
+            inside[:-1], other.forward_rate(np.minimum(nodes[:-1], other.horizon), "right"), tail
+        )
+        sh_r = np.where(
+            inside[1:], other.forward_rate(np.minimum(nodes[1:], other.horizon), "left"), tail
+        )
+    return ForwardCurve(TimeGrid(nodes), base_l + scale * sh_l, base_r + scale * sh_r, z.quote_nodes)
+
+
+class TestRay:
+    FIELDS = ("f_left", "f_right", "quote_nodes", "_cum_f", "_cum_tz")
+
+    def cases(self):
+        rng = np.random.default_rng(12)
+        z = random_curve(rng)
+        quoted = ForwardCurve.from_zero_yields([1.0, 5.0, 10.0, 30.0], [0.01, 0.02, 0.025, 0.03])
+        quoted = quoted.shifted(random_shift(rng, horizon=30.0), 0.5)  # quotes unlike its grid
+        return [
+            (z, random_shift(rng)),
+            (z, random_shift(rng, horizon=60.0)),  # shorter than the curve: flat tail
+            (z, CurveShift.parallel(0.0025)),
+            (z.with_constant_added(0.001), random_shift(rng)),
+            (z.with_constant_added(-0.002), random_shift(rng, horizon=35.25)),
+            (quoted, random_shift(rng, horizon=12.0)),
+        ]
+
+    def test_ray_curves_equal_the_per_scale_build_bitwise(self):
+        for z, shift in self.cases():
+            along = z.ray(shift)
+            for e in EPS_SCHEDULE + (1.0,):
+                want = _shifted_reference(z, shift, e)
+                for got in (along(e), z.shifted(shift, e)):
+                    assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
+                    for name in self.FIELDS:
+                        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, e)
+
+    def test_ray_curves_share_one_grid_and_the_quotes(self):
+        z, shift = self.cases()[-1]
+        along = z.ray(shift)
+        first, second = along(EPS_SCHEDULE[0]), along(EPS_SCHEDULE[1])
+        assert first.grid is second.grid
+        assert first.quote_nodes is z.quote_nodes and second.quote_nodes is z.quote_nodes
+        assert first.horizon == z.horizon

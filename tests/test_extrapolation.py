@@ -227,6 +227,53 @@ class TestContinuityInvariants:
                 )
 
 
+class TestM5Blend:
+    """M5's evaluations on (tau, kappa] take the market integrals from one
+    segment search; they equal the blend composed of the market curve's
+    public calls bit for bit."""
+
+    TAU = 10.0
+    KAPPA = 20.0
+
+    def _reference_zero_yield(self, curve, s):
+        eff, spec = curve.eff, curve.spec
+        span = self.KAPPA - self.TAU
+        w = self.TAU / s
+        integral = eff.cumulative_time_weighted_yield(s) - curve._tz_tau
+        return (
+            (self.KAPPA - s) / span * eff.zero_yield(s)
+            + integral / (s * span)
+            + (s - self.TAU) / span * (1.0 - w) * spec.ufr / 2.0
+        )
+
+    @pytest.mark.parametrize("offset", [0.0, 0.001])
+    def test_blend_equals_public_composition_bitwise(self, offset):
+        rng = np.random.default_rng(53)
+        z = random_curve(rng, n_nodes=40)
+        spec = MethodSpec("M5_SFSA", tau=self.TAU, kappa=self.KAPPA, ufr=UFR, offset=offset)
+        curve = extrapolate(z, spec)
+        nodes = z.grid.nodes[(z.grid.nodes > self.TAU) & (z.grid.nodes <= self.KAPPA)]
+        assert nodes.size
+        times = np.concatenate(
+            (nodes, [np.nextafter(self.TAU, np.inf), self.KAPPA], rng.uniform(self.TAU, self.KAPPA, 32))
+        )
+        for t in [*times.tolist(), times]:
+            want_z = self._reference_zero_yield(curve, t)
+            want_d = np.exp(-t * want_z)
+            got_z, got_f, got_d = curve._evaluation(t)
+            for got, want in (
+                (curve.zero_yield(t), want_z),
+                (got_z, want_z),
+                (curve.discount_factor(t), want_d),
+                (got_d, want_d),
+                (got_f, curve.forward_rate(t)),
+            ):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), t
+        # the market side, below tau, is the market curve's own
+        for t in z.grid.nodes[z.grid.nodes <= self.TAU]:
+            assert curve.zero_yield(float(t)) == curve.eff.zero_yield(float(t))
+
+
 class TestSwKernel:
     def test_zero_argument(self):
         for t in (0.5, 3.0, 80.0):

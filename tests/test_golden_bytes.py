@@ -12,7 +12,9 @@ Smith-Wilson specs and a defective continuous Smith-Wilson spec, whose
 forwards turn negative and whose discount factor turns nonpositive;
 and ``hedge`` and ``verify`` with ``--shifts 3 --seed 7`` for the six
 closed-form kinds on the bundled sample data, in json and table, plus
-``hedge`` in csv. Unlike ``test_golden.py`` these compare bytes, so a change to number
+``hedge`` in csv, and in json for ``M2`` and ``M5_SFSA`` with an
+``offset`` of 0.001, whose market curve is shifted by a constant before
+it is extrapolated and perturbed. Unlike ``test_golden.py`` these compare bytes, so a change to number
 formatting, row order or whitespace fails them.
 
 The file is rewritten only when an output change is intended, from the
@@ -66,6 +68,8 @@ FORMATS = ("json", "csv", "table")
 CLOSED_FORM_KINDS = ("M1", "M2", "M3", "M4", "M5_SFSA", "M6_SW_continuous")
 #: output formats of the liability commands, by command
 LIABILITY_FORMATS = {"hedge": ("json", "table", "csv"), "verify": ("json", "table")}
+#: kinds whose liability commands also run with a constant offset
+OFFSET_KINDS = ("M2", "M5_SFSA")
 
 
 def _calls():
@@ -95,6 +99,13 @@ def _calls():
         for command, formats in LIABILITY_FORMATS.items():
             for fmt in formats:
                 calls[f"{command}-{fmt}/{kind}"] = [command] + liabilities + ["--format", fmt]
+    for kind in OFFSET_KINDS:
+        spec = dict(SPECS[kind], offset=0.001)
+        for command in LIABILITY_FORMATS:
+            calls[f"{command}-json/{kind}+offset"] = [
+                command, "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
+                "--method", json.dumps(spec), "--shifts", "3", "--seed", "7", "--format", "json",
+            ]
     return calls
 
 

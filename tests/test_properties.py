@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from curvehedge import (
     CashFlow,
+    CurveShift,
     ForwardCurve,
     MethodSpec,
     extrapolate,
@@ -276,3 +277,35 @@ def test_float_time_evaluates_as_a_one_element_array(seed, kind, offset):
                 for arg in (float(t), np.float64(t), np.array([t])):
                     with pytest.raises(DomainError):
                         evaluate(arg)
+
+
+@given(seed=seeds, shift_horizon=st.sampled_from([200.0, 60.0]))
+def test_float_time_shift_evaluates_as_a_one_element_array(seed, shift_horizon):
+    """A float time, Python or numpy, gives a shift's Delta-z, Delta-f from
+    either side and time-weighted cumulative of np.array([t]) bit for bit,
+    as a float, for a constant and a curve shift, inside the shift's horizon
+    and past it, where the shift extends flat."""
+    rng = np.random.default_rng(seed)
+    curve_shift = random_shift(rng, horizon=shift_horizon)
+    constant = CurveShift.parallel(float(rng.uniform(-0.01, 0.01)), shift_horizon)
+    nodes = curve_shift.delta_forward.grid.nodes
+    times = np.concatenate((
+        [0.0, TAU, shift_horizon, 200.0],
+        nodes[:: nodes.size // 16],
+        rng.uniform(0.0, shift_horizon, 16),
+        rng.uniform(0.0, 200.0, 16),
+    ))
+    for shift in (curve_shift, constant):
+        methods = {
+            "delta_z": shift.delta_z,
+            "delta_f": shift.delta_f,
+            "delta_f_left": functools.partial(shift.delta_f, side="left"),
+            "time_weighted_cumulative": shift.time_weighted_cumulative,
+        }
+        for name, evaluate in methods.items():
+            for t in times:
+                want = evaluate(np.array([t]))
+                for scalar in (float(t), np.float64(t)):
+                    got = evaluate(scalar)
+                    assert type(got) is float, name
+                    assert _bits(got) == _bits(want), (name, t)
