@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .curves import DEFAULT_HORIZON
+from .curves import DEFAULT_HORIZON, MAX_SAMPLES
 from .errors import CurveHedgeError, DomainError, InputFormatError
 from .extrapolation import arbitrage_scan, extrapolate, is_number, resolve_alpha, sample_grid
 from .hedging import UNHEDGEABLE_KINDS, hedge_summary, infeasibility_decomposition, verification_checks
@@ -46,10 +46,6 @@ TOLERANCES = {
 }
 
 ENV_TOL = "CURVEHEDGE_TOL_OVERRIDE"
-
-#: most samples one extrapolate or scan-arbitrage grid may hold: ten
-#: times a 0.002-year scan over the default 200-year horizon
-MAX_SAMPLES = 1_000_000
 
 
 def _tolerances() -> dict:

@@ -33,6 +33,11 @@ from .quadrature import adaptive_gauss_legendre, adaptive_panels, gauss_panel
 
 DEFAULT_HORIZON = 200.0
 
+#: most points a time grid built from a step (a sample grid, a defect scan,
+#: a shift's nodes) may hold: ten times a 0.002-year scan over the default
+#: horizon
+MAX_SAMPLES = 1_000_000
+
 
 class TimeGrid:
     """Strictly increasing time nodes starting at 0; the last node is the horizon.
@@ -95,11 +100,16 @@ def evaluation(body):
     round otherwise), so a float gives the value of a one-element array
     bit for bit. A method calling another of its own class calls that
     method's ``body``, so one public call checks its domain once.
+
+    A stacked curve (``rows`` is the number of its scenarios, None for an
+    ordinary curve) gives a leading axis of one row per scenario: values
+    of shape ``(rows,) + shape(t)``, and ``(rows,)`` for a float time,
+    which goes to its body as a one-element array.
     """
 
     @functools.wraps(body)
     def method(self, t, *args, **kwargs):
-        if isinstance(t, float):
+        if isinstance(t, float) and self.rows is None:
             # written so that a NaN time fails it too
             if not 0.0 <= t <= self.horizon:
                 raise DomainError(f"time outside curve domain [0, {self.horizon}]")
@@ -116,10 +126,13 @@ def evaluation(body):
 
 
 def _shaped(out, arr):
-    """A body's flat result (or tuple of them) as a float or in the shape of the times ``arr``."""
+    """A body's flat result (or tuple of them) as a float or in the shape of
+    the times ``arr``, after the scenario axis of a stacked curve."""
     if isinstance(out, tuple):
         return tuple(_shaped(o, arr) for o in out)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    if out.ndim == 1:
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out.reshape(out.shape[:-1] + arr.shape)
 
 
 class ForwardCurve:
@@ -135,15 +148,21 @@ class ForwardCurve:
     unless it was derived from another curve by :meth:`ray`, :meth:`shifted`
     or :meth:`with_constant_added`, which keep the source curve's quote nodes
     (a shift adds its own nodes to the grid, not to the quotes).
+
+    Forward arrays of shape ``(S, n)`` make a stacked curve: S scenarios
+    on one grid, ``rows`` = S, evaluated together (see :func:`evaluation`).
+    Every operation runs along the last axis, so each row is bit for bit
+    the curve built from that row alone, and :meth:`row` reads it as one
+    without recomputing anything.
     """
 
-    __slots__ = ("grid", "f_left", "f_right", "quote_nodes", "_cum_f", "_cum_tz")
+    __slots__ = ("grid", "f_left", "f_right", "quote_nodes", "rows", "_row_ids", "_cum_f", "_cum_tz")
 
     def __init__(self, grid: TimeGrid, f_left, f_right, quote_nodes=None):
         fl = np.asarray(f_left, dtype=float)
         fr = np.asarray(f_right, dtype=float)
         n = len(grid.nodes) - 1
-        if fl.shape != (n,) or fr.shape != (n,):
+        if fl.shape != fr.shape or fl.ndim not in (1, 2) or fl.shape[-1] != n:
             raise DomainError("forward values must match the grid segment count")
         if not (np.all(np.isfinite(fl)) and np.all(np.isfinite(fr))):
             raise DomainError("forward values must be finite")
@@ -153,15 +172,31 @@ class ForwardCurve:
         self.quote_nodes = grid.nodes if quote_nodes is None else quote_nodes
         self.f_left = fl
         self.f_right = fr
+        self.rows = None if fl.ndim == 1 else fl.shape[0]
+        # the bodies read a stacked curve's arrays at (_row_ids, segment): every
+        # row's value there, a C-ordered (rows, times) array (a column for a
+        # float time); [..., segment] would give its transpose, whose rows
+        # numpy reduces in another order than a single curve's values
+        self._row_ids = None if self.rows is None else np.arange(self.rows)[:, None]
         h = np.diff(grid.nodes)
-        cum = np.concatenate(([0.0], np.cumsum(h * 0.5 * (fl + fr))))
+        start = np.zeros(fl.shape[:-1] + (1,))
+        cum = np.concatenate((start, np.cumsum(h * 0.5 * (fl + fr), axis=-1)), axis=-1)
         cum.setflags(write=False)
         self._cum_f = cum  # int_0^node f, exact for linear segments
         slope = (fr - fl) / h
-        inc = cum[:-1] * h + 0.5 * fl * h * h + slope * h**3 / 6.0
-        cum_tz = np.concatenate(([0.0], np.cumsum(inc)))
+        inc = cum[..., :-1] * h + 0.5 * fl * h * h + slope * h**3 / 6.0
+        cum_tz = np.concatenate((start, np.cumsum(inc, axis=-1)), axis=-1)
         cum_tz.setflags(write=False)
         self._cum_tz = cum_tz  # int_0^node of (s*z_s) = int of int f
+
+    def row(self, i: int) -> "ForwardCurve":
+        """Scenario ``i`` of a stacked curve as an ordinary curve on views of its arrays."""
+        curve = object.__new__(ForwardCurve)
+        curve.grid, curve.quote_nodes = self.grid, self.quote_nodes
+        curve.rows = curve._row_ids = None
+        curve.f_left, curve.f_right = self.f_left[i], self.f_right[i]
+        curve._cum_f, curve._cum_tz = self._cum_f[i], self._cum_tz[i]
+        return curve
 
     # ---- construction -----------------------------------------------------
 
@@ -238,20 +273,22 @@ class ForwardCurve:
         liquid point' means for a curve whose data stop there.
         """
         idx = self._segment_index(t, side)
+        k = idx if self.rows is None else (self._row_ids, idx)
         a = self.grid.nodes[idx]
         h = self.grid.nodes[idx + 1] - a
         w = (t - a) / h
-        return self.f_left[idx] * (1.0 - w) + self.f_right[idx] * w
+        return self.f_left[k] * (1.0 - w) + self.f_right[k] * w
 
     @evaluation
     def integrated_forward(self, t):
         """int_0^t f(s) ds, exact per segment. Equals t*z(t)."""
         idx = self._segment_index(t, "right")
+        k = idx if self.rows is None else (self._row_ids, idx)
         a = self.grid.nodes[idx]
         h = self.grid.nodes[idx + 1] - a
         w = t - a
-        slope = (self.f_right[idx] - self.f_left[idx]) / h
-        return self._cum_f[idx] + self.f_left[idx] * w + 0.5 * slope * w * w
+        slope = (self.f_right[k] - self.f_left[k]) / h
+        return self._cum_f[k] + self.f_left[k] * w + 0.5 * slope * w * w
 
     @evaluation
     def zero_yield(self, t):
@@ -261,10 +298,12 @@ class ForwardCurve:
     def _yield_of(self, cum, t):
         """The zero yield at t from the integrated forward ``cum`` there."""
         if isinstance(t, float):
-            return cum / t if t > 0.0 else self.f_left[0]
+            if t > 0.0:
+                return cum / t
+            return self.f_left[0] if self.rows is None else self.f_left[:, :1]
         out = np.divide(cum, t, out=np.empty_like(cum), where=t > 0)
         if np.any(t == 0.0):
-            out = np.where(t == 0.0, self.f_left[0], out)
+            out = np.where(t == 0.0, self.f_left[..., :1], out)
         return out
 
     @evaluation
@@ -289,17 +328,18 @@ class ForwardCurve:
         already in the domain: the bodies of :meth:`cumulative_time_weighted_yield`
         and :meth:`integrated_forward` in one."""
         idx = self._segment_index(t, "right")
+        k = idx if self.rows is None else (self._row_ids, idx)
         x0 = self.grid.nodes[idx]
         h = self.grid.nodes[idx + 1] - x0
         w = t - x0
-        slope = (self.f_right[idx] - self.f_left[idx]) / h
+        slope = (self.f_right[k] - self.f_left[k]) / h
         cum_tz = (
-            self._cum_tz[idx]
-            + self._cum_f[idx] * w
-            + 0.5 * self.f_left[idx] * w * w
+            self._cum_tz[k]
+            + self._cum_f[k] * w
+            + 0.5 * self.f_left[k] * w * w
             + slope * np.power(w, 3) / 6.0
         )
-        return cum_tz, self._cum_f[idx] + self.f_left[idx] * w + 0.5 * slope * w * w
+        return cum_tz, self._cum_f[k] + self.f_left[k] * w + 0.5 * slope * w * w
 
     def time_weighted_yield_integral(self, a: float, b: float) -> float:
         """int_a^b s*z(s) ds in closed form."""
@@ -332,9 +372,10 @@ class ForwardCurve:
 
         The merged grid, its validation and the edge forwards of both
         curves are computed once, here; each scale then costs one
-        construction. The curves share one grid and this curve's quote
-        nodes and live on this curve's domain; the shift is extended flat
-        past its own horizon when shorter.
+        construction. An array of S scales gives one stacked curve whose
+        row i is the curve of scale i bit for bit. The curves share one
+        grid and this curve's quote nodes and live on this curve's domain;
+        the shift is extended flat past its own horizon when shorter.
         """
         other = shift.delta_forward
         nodes = np.union1d(self.grid.nodes, other.grid.nodes)
@@ -355,7 +396,10 @@ class ForwardCurve:
                 inside[1:], other.forward_rate(np.minimum(nodes[1:], other.horizon), "left"), tail
             )
         return lambda scale: ForwardCurve(
-            grid, base_l + scale * sh_l, base_r + scale * sh_r, self.quote_nodes
+            grid,
+            base_l + np.multiply.outer(scale, sh_l),
+            base_r + np.multiply.outer(scale, sh_r),
+            self.quote_nodes,
         )
 
     def breakpoints_between(self, a: float, b: float):
@@ -549,11 +593,15 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
     The lump terms are summed with ``np.sum``; each density is then added
     by adaptive Gauss-Legendre on the integrand w(s) * shape(s) * rate,
     split at its own points and at the weight's.
+
+    Values with a leading scenario axis (a stacked curve's) give one
+    integral per row, each bit for bit that row's own.
     """
     times, masses = (np.asarray(x, dtype=float) for x in lumps)
     if weight is not None and times.size:
         masses = masses * np.asarray(weight(times), dtype=float)
-    total = float(np.sum(masses))
+    total = masses.sum(axis=-1)
+    total = float(total) if total.ndim == 0 else total
     for integrand, a, b, pts in _split_densities(densities, weight, breakpoints):
         total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
     return total

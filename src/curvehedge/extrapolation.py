@@ -249,6 +249,9 @@ class SwDiscreteFit:
 
     __slots__ = ("nodes", "prices", "ufr", "alpha", "zeta", "horizon", "condition")
 
+    #: a fit is never stacked (see :func:`evaluation`)
+    rows = None
+
     def __init__(self, nodes, prices, ufr: float, alpha: float, zeta, horizon: float, condition: float):
         self.nodes = np.asarray(nodes, dtype=float)
         self.prices = np.asarray(prices, dtype=float)
@@ -399,7 +402,8 @@ def _piecewise(t, at, below, above):
 
     Each is called only with the times of its own side, and not at all
     when there are none; both return an array or a tuple of arrays, or
-    for a float time a value or a tuple of them.
+    for a float time a value or a tuple of them. Arrays may lead with a
+    scenario axis, which the result keeps.
     """
     if isinstance(t, float):
         return below(t) if t <= at else above(t)
@@ -416,9 +420,11 @@ def _piecewise(t, at, below, above):
 
 
 def _interleaved(low, high, low_values, high_values):
-    out = np.empty(low.shape)
-    out[low] = low_values
-    out[high] = high_values
+    out = np.empty(low_values.shape[:-1] + low.shape)
+    # through the transposes the mask indexes the first axis, numpy's fast
+    # path, for one row of values or a row per scenario
+    out.T[low] = low_values.T
+    out.T[high] = high_values.T
     return out
 
 
@@ -462,10 +468,14 @@ class ExtrapolatedCurve:
     integral of s*z(s) at tau and kappa. They depend only on the market
     curve, tau and the offset (and kappa), so :meth:`with_spec` shares
     them.
+
+    A stacked market curve gives a stacked extrapolation: its anchors are
+    ``(rows, 1)`` columns, and every evaluation has one row per scenario,
+    each bit for bit the extrapolation of that scenario alone.
     """
 
     __slots__ = (
-        "base", "spec", "horizon", "eff",
+        "base", "spec", "horizon", "eff", "rows",
         "z_tau", "f_tau", "d_tau", "_tz_tau", "_tz_kappa",
     )
 
@@ -476,15 +486,19 @@ class ExtrapolatedCurve:
         self.spec = spec
         self.horizon = float(horizon)
         eff = self.eff = spec.market(base)
+        self.rows = eff.rows
+        # a float, or the column of one value per scenario that the bodies of
+        # a stacked market give a float time
+        anchor = float if eff.rows is None else np.asarray
         # tau lies in eff's domain, so the bodies are called without a second check
         cum = ForwardCurve.integrated_forward.body(eff, tau)
-        self.z_tau = float(eff._yield_of(cum, tau))
-        self.d_tau = float(np.exp(-cum))
-        self.f_tau = float(ForwardCurve.forward_rate.body(eff, tau, "left"))
+        self.z_tau = anchor(eff._yield_of(cum, tau))
+        self.d_tau = anchor(np.exp(-cum))
+        self.f_tau = anchor(ForwardCurve.forward_rate.body(eff, tau, "left"))
         if spec.kind == M5_SFSA:
             tz = ForwardCurve.cumulative_time_weighted_yield.body
-            self._tz_tau = float(tz(eff, tau))
-            self._tz_kappa = float(tz(eff, float(spec.kappa)))
+            self._tz_tau = anchor(tz(eff, tau))
+            self._tz_kappa = anchor(tz(eff, float(spec.kappa)))
         else:
             self._tz_tau = self._tz_kappa = 0.0
 
@@ -524,14 +538,21 @@ class ExtrapolatedCurve:
 
     # -- evaluation --
 
+    def _full(self, t, value):
+        """``value`` at the times t, in a row per scenario of a stacked market."""
+        shape = t.shape if isinstance(t, np.ndarray) else ()
+        out = np.empty(shape if self.rows is None else (self.rows,) + shape)
+        out[...] = value
+        return out
+
     def _extension_zero_yield(self, t):
         spec = self.spec
         tau = spec.tau
         kind = spec.kind
         if kind == M1:
-            return np.full_like(t, spec.ufr)
+            return self._full(t, spec.ufr)
         if kind == M2:
-            return np.full_like(t, self.z_tau)
+            return self._full(t, self.z_tau)
         if kind == M5_SFSA:
             kappa = spec.kappa
             span = kappa - tau
@@ -568,11 +589,11 @@ class ExtrapolatedCurve:
         spec = self.spec
         kind = spec.kind
         if kind in (M1, M3):
-            return np.full_like(t, spec.ufr)
+            return self._full(t, spec.ufr)
         if kind == M2:
-            return np.full_like(t, self.z_tau)
+            return self._full(t, self.z_tau)
         if kind == M4:
-            return np.full_like(t, self.f_tau)
+            return self._full(t, self.f_tau)
         if kind == M5_SFSA:
             kappa = spec.kappa
             span = kappa - spec.tau
@@ -580,7 +601,7 @@ class ExtrapolatedCurve:
             def blend(s):
                 return (kappa - s) / span * self.eff.forward_rate(s) + (s - spec.tau) / span * spec.ufr
 
-            return _piecewise(t, kappa, blend, lambda s: np.full_like(s, spec.ufr))
+            return _piecewise(t, kappa, blend, lambda s: self._full(s, spec.ufr))
         u = t - spec.tau
         g = spec.ufr - self.f_tau
         factor = sw_factor(u, g, spec.alpha)
@@ -604,7 +625,7 @@ class ExtrapolatedCurve:
         underlying market grid continues past tau."""
         if isinstance(t, float):
             return self.f_tau if t == self.spec.tau else f
-        f[t == self.spec.tau] = self.f_tau
+        f[..., t == self.spec.tau] = self.f_tau
         return f
 
     @evaluation

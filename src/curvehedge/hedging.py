@@ -133,7 +133,8 @@ class HedgePlan:
         return measure_integral(lumps, densities, weight, breakpoints)
 
     def value_under(self, curve, base_curve) -> float:
-        """Full revaluation: the nominal flow dA*/D[base] priced on ``curve``."""
+        """Full revaluation: the nominal flow dA*/D[base] priced on ``curve``;
+        on a stacked ``curve``, an array of one value per scenario."""
 
         def ratio(s):
             return np.asarray(curve.discount_factor(s), dtype=float) / np.asarray(
@@ -310,20 +311,29 @@ def verify_first_order(
     return _first_order_residual(plan, shift, variation, horizon)
 
 
-def _liability_pricer(spec, flow, horizon, z, base_curve):
+class _LiabilityPricer:
     """F[market]: the flow's value on the extrapolated market curve.
 
     Each curve object is extrapolated and priced once, and ``z`` not at
     all: its value is read from ``base_curve``, its extrapolation.
     """
-    priced = {z: present_value(base_curve, flow)}
 
-    def price(market) -> float:
-        if market not in priced:
-            priced[market] = present_value(extrapolate(market, spec, horizon), flow)
-        return priced[market]
+    def __init__(self, spec, flow, horizon, z, base_curve):
+        self.spec, self.flow, self.horizon = spec, flow, horizon
+        self.priced = {z: present_value(base_curve, flow)}
 
-    return price
+    def __call__(self, market) -> float:
+        if market not in self.priced:
+            self.priced[market] = present_value(extrapolate(market, self.spec, self.horizon), self.flow)
+        return self.priced[market]
+
+    def rows_of(self, stack):
+        """The rows of a stacked market curve as curves, priced together by one
+        extrapolation and one present value of the stack."""
+        values = present_value(extrapolate(stack, self.spec, self.horizon), self.flow)
+        curves = [stack.row(i) for i in range(stack.rows)]
+        self.priced.update(zip(curves, np.broadcast_to(values, (stack.rows,)).tolist()))
+        return curves
 
 
 def _revaluation_gap(plan, z, shifted_curves, price) -> float:
@@ -357,7 +367,7 @@ def verify_perfect(
     """
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
-    price = _liability_pricer(spec, flow, horizon, z, extrapolate(z, spec, horizon))
+    price = _LiabilityPricer(spec, flow, horizon, z, extrapolate(z, spec, horizon))
     return _revaluation_gap(plan, z, [z.shifted(shift) for shift in shifts], price)
 
 
@@ -453,19 +463,26 @@ def verification_checks(
     shift the curves z + eps*Dz of ``EPS_SCHEDULE``, which the
     finite-difference oracle and the remainder check share. They come
     from one :meth:`ForwardCurve.ray` per shift, which also gives a
-    perfect plan's revaluation curve z + Dz.
+    perfect plan's revaluation curve z + Dz. A shift's eps-curves are one
+    stacked curve: one construction, one extrapolation and one present
+    value price all of them, and the remainder check revalues the plan
+    on all of them at once.
     """
     checks = []
     base_curve = extrapolate(z, spec, horizon)
-    price = _liability_pricer(spec, flow, horizon, z, base_curve)
+    price = _LiabilityPricer(spec, flow, horizon, z, base_curve)
     liability_value = price(z)
-    variations, lines, rays = [], [], []
+    eps_steps = np.array(EPS_SCHEDULE)
+    variations, lines, ladders = [], [], []
     for i, shift in enumerate(shifts):
         variation = method_variation_pv(spec, z, shift, flow, horizon, curve=base_curve)
         analytic = variation + corrupt
         line = z.ray(shift)
-        ray = {eps: line(eps) for eps in EPS_SCHEDULE}
-        report = numeric_variation(price, z, shift, analytic=analytic, ray=ray)
+        ladder = line(eps_steps)
+        curves = price.rows_of(ladder)
+        report = numeric_variation(
+            price, z, shift, analytic=analytic, ray=dict(zip(EPS_SCHEDULE, curves))
+        )
         residual = abs(analytic - report.numeric)
         scale = max(abs(analytic), abs(report.numeric))
         bound = tolerances["variation_rel"] * scale + tolerances["variation_abs"] * max(
@@ -474,7 +491,7 @@ def verification_checks(
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
         variations.append(variation)
         lines.append(line)
-        rays.append(ray)
+        ladders.append((ladder, curves))
 
     if spec.kind in UNHEDGEABLE_KINDS:
         return checks
@@ -492,11 +509,11 @@ def verification_checks(
         # ratios already at roundoff level cannot be asked to keep falling
         floor = tolerances["remainder_floor"] * (1.0 + abs(liability_value))
         base_asset = plan.value()
-        for i, ray in enumerate(rays):
+        for i, (ladder, curves) in enumerate(ladders):
+            assets = np.broadcast_to(plan.value_under(ladder, z), (ladder.rows,)).tolist()
             ratios = []
-            for eps in EPS_SCHEDULE:
-                asset = plan.value_under(ray[eps], z)
-                liab = price(ray[eps])
+            for eps, asset, curve in zip(EPS_SCHEDULE, assets, curves):
+                liab = price(curve)
                 ratios.append(abs((asset - base_asset) - (liab - liability_value)) / eps)
             window = ratios[-tail:]
             good = all(b < a or b < floor for a, b in zip(window, window[1:]))

@@ -13,8 +13,12 @@ depth. An integral therefore costs at most ``max_depth + 2`` calls of
 ``func``, however many panels it needs; the per-call overhead of curve
 evaluation, not the arithmetic, is what dominates on small panels.
 
+An integrand may return rows of values, one integral per row (the
+scenarios of a stacked curve): every row is evaluated on the union of
+the panels pending in any row, in one ``func`` call per depth.
+
 The result is bit-for-bit that of a depth-first, one-panel-at-a-time
-loop, which the tests keep as a reference. Two rules make that hold:
+loop, which the tests keep as a reference. Three rules make that hold:
 
 - each panel is reduced by its own BLAS ``ddot``: one ``np.vecdot`` per
   batch of panels gives a 1-D ``np.dot`` per panel bit for bit, while a
@@ -23,7 +27,11 @@ loop, which the tests keep as a reference. Two rules make that hold:
 - the segment scale is summed with the built-in ``sum`` in segment
   order, and the accepted panels are added with a plain ``+=`` fold in
   the order the depth-first loop accepted them, which is descending
-  left endpoint.
+  left endpoint;
+- rows of a batch are independent: each has its own scale, its own
+  accept test and its own fold over the panels it accepted, and the
+  panels a row does not need are evaluated but never read, so each row
+  is bit for bit the integral of that row alone.
 """
 
 from __future__ import annotations
@@ -47,14 +55,15 @@ def gauss_panel(func, a, b):
 
     ``a`` and ``b`` are floats, or equal-shape arrays of panel ends; all
     panels are then evaluated in one ``func`` call on a flat array of
-    points, and an array of estimates is returned.
+    points, and an array of estimates is returned. Leading axes of the
+    values (rows of integrands) lead the estimates too.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
-    vals = np.asarray(func(x.ravel()), dtype=float).reshape(-1, _NODES.size)
-    sums = np.vecdot(vals, _WEIGHTS).reshape(half.shape)
+    vals = np.asarray(func(x.ravel()), dtype=float)
+    sums = np.vecdot(vals.reshape(vals.shape[:-1] + x.shape), _WEIGHTS)
     out = half * sums
     return float(out) if out.ndim == 0 else out
 
@@ -78,7 +87,12 @@ def adaptive_gauss_legendre(
 
 def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):
     """Left ends and estimates, ascending, of the panels that tile [a, b], and
-    their sum: the integral :func:`adaptive_gauss_legendre` returns."""
+    their sum: the integral :func:`adaptive_gauss_legendre` returns.
+
+    When ``func`` returns rows of values (leading axes before the points),
+    each row is integrated on its own panels: the result is then a list of
+    left ends and a list of estimates, one per row, and an array of sums.
+    """
     if not np.isfinite(a) or not np.isfinite(b) or b < a:
         raise DomainError(f"bad integration interval [{a}, {b}]")
     if a == b:
@@ -87,36 +101,59 @@ def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):
     pts = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
     lo, hi = pts[:-1], pts[1:]
     est = gauss_panel(func, lo, hi)
-    scale = sum(abs(e) for e in est.tolist()) + 1e-300
+    row_shape = est.shape[:-1]
+    est = est.reshape(-1, lo.size)
+    scale = [sum(map(abs, row)) + 1e-300 for row in est.tolist()]
+    # a float for one integral, a column of one per row for rows of them
+    scale = np.array(scale)[:, None] if row_shape else scale[0]
     width = b - a
 
-    done_lo, done_hi, done = [], [], []
+    # pending[r, j]: row r still needs panel j, from lo[j] to hi[j]; the
+    # panels are those that some row needs, at first all of them by all
+    pending = True
+    done = []
     for depth in itertools.count():
         mid = 0.5 * (lo + hi)
         halves = gauss_panel(func, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-        left, right = halves[: lo.size], halves[lo.size :]
-        refined = left + right
+        halves = halves.reshape(len(est), 2, lo.size)
+        refined = halves[:, 0] + halves[:, 1]
         err = np.abs(refined - est)
-        ok = (
-            (err <= rel_tol * scale * (hi - lo) / width)
-            | (err <= 1e-16 * scale)
-            | (depth >= max_depth)
-        )
-        done_lo.append(lo[ok])
-        done_hi.append(hi[ok])
-        done.append(refined[ok])
-        if ok.all():
+        ok = (err <= rel_tol * scale * (hi - lo) / width) | (err <= 1e-16 * scale)
+        if depth >= max_depth:
+            ok[...] = True
+        done.append((lo, hi, refined, pending & ok))
+        pending = pending > ok  # pending and not accepted
+        if not pending.any():
             break
-        bad = ~ok
+        bad = np.logical_or.reduce(pending)
         lo, hi = np.concatenate((lo[bad], mid[bad])), np.concatenate((mid[bad], hi[bad]))
-        est = np.concatenate((left[bad], right[bad]))
+        # the halves of the panels still needed: left ones, then right ones
+        est = halves[:, :, bad].reshape(len(est), -1)
+        if len(est) > 1:  # a single row needs every panel still pending
+            pending = pending[:, bad]
+            pending = np.concatenate((pending, pending), axis=1)
+        else:
+            pending = True
 
-    done_lo, done_hi, done = (np.concatenate(v) for v in (done_lo, done_hi, done))
+    if len(done) == 1:  # the common case, which concatenating would copy
+        done_lo, done_hi, values, accepted = done[0]
+    else:
+        done_lo, done_hi, values, accepted = (np.concatenate(p, axis=-1) for p in zip(*done))
     # ascending left end, the right end ordering the zero-width halves that
-    # bisection makes at the resolution limit; summed in descending left
-    # end, the order the depth-first loop accepted them in
+    # bisection makes at the resolution limit; a row's own panels in the
+    # order of one stable sort of all of them, as sorting them alone gives
     order = np.lexsort((done_hi, done_lo))
-    total = 0.0
-    for value in done[order[::-1]].tolist():
-        total += value
-    return done_lo[order], done[order], total
+    out = []
+    for row_values, mask in zip(values, accepted):
+        own = order[mask[order]]
+        row_values = row_values[own]
+        # summed in descending left end, the order the depth-first loop
+        # accepted them in
+        total = 0.0
+        for value in row_values[::-1].tolist():
+            total += value
+        out.append((done_lo[own], row_values, total))
+    if not row_shape:
+        return out[0]
+    lows, estimates, totals = zip(*out)
+    return list(lows), list(estimates), np.reshape(totals, row_shape)

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DEFAULT_HORIZON, CurveShift
+from .curves import DEFAULT_HORIZON, MAX_SAMPLES, CurveShift
 from .errors import DomainError
 
 DEFAULT_GRID_STEP = 0.5
 MAX_BUMPS = 5
 MAX_AMPLITUDE = 0.01  # 100 bp
+#: bump widths are drawn from [1, horizon / 8] years, so the shortest
+#: horizon a suite can sample
+MIN_HORIZON = 8.0
 
 
 def gaussian_bump_shift(rng: np.random.Generator, horizon: float = DEFAULT_HORIZON) -> CurveShift:
@@ -34,8 +37,20 @@ def gaussian_bump_shift(rng: np.random.Generator, horizon: float = DEFAULT_HORIZ
 
 
 def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
-    """A reproducible list of random smooth shifts."""
+    """A reproducible list of random smooth shifts.
+
+    The horizon must be finite, at least ``MIN_HORIZON`` years, and hold
+    fewer than ``MAX_SAMPLES`` nodes of the half-year grid.
+    """
     if count < 1:
         raise DomainError("a shift suite needs at least one shift")
+    if not (np.isfinite(horizon) and horizon >= MIN_HORIZON):
+        raise DomainError(
+            f"a shift suite needs a finite horizon of at least {MIN_HORIZON:g} years, got {horizon}"
+        )
+    if not horizon / DEFAULT_GRID_STEP < MAX_SAMPLES:
+        raise DomainError(
+            f"horizon {horizon} exceeds {MAX_SAMPLES} shift nodes {DEFAULT_GRID_STEP:g} years apart"
+        )
     rng = np.random.default_rng(seed)
     return [gaussian_bump_shift(rng, horizon) for _ in range(count)]

@@ -471,6 +471,57 @@ class TestRay:
                     for name in self.FIELDS:
                         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, e)
 
+    METHODS = (
+        ("forward_rate", ()),
+        ("forward_rate", ("left",)),
+        ("integrated_forward", ()),
+        ("zero_yield", ()),
+        ("discount_factor", ()),
+        ("cumulative_time_weighted_yield", ()),
+    )
+
+    def test_stacked_ray_rows_equal_the_per_scale_curves_bitwise(self):
+        """An array of scales gives one stacked curve; row i is the curve of
+        scale i, as stored and as evaluated at array and float times."""
+        rng = np.random.default_rng(31)
+        scales = np.array(EPS_SCHEDULE + (1.0,))
+        for z, shift in self.cases():
+            along = z.ray(shift)
+            stack = along(scales)
+            assert stack.rows == scales.size and stack.grid is along(0.5).grid
+            ts = np.concatenate((stack.grid.nodes, rng.uniform(0.0, z.horizon, 200)))
+            floats = [0.0, float(stack.grid.nodes[3]), 0.37 * z.horizon, z.horizon]
+            for i, e in enumerate(scales.tolist()):
+                want = along(e)
+                row = stack.row(i)
+                assert row.rows is None and row.grid is stack.grid
+                for name in self.FIELDS:
+                    assert getattr(row, name).tobytes() == getattr(want, name).tobytes(), (name, e)
+                for name, args in self.METHODS:
+                    got = getattr(stack, name)(ts, *args)
+                    assert got.shape == (scales.size, ts.size)
+                    assert got[i].tobytes() == getattr(want, name)(ts, *args).tobytes(), (name, e)
+                    for t in floats:
+                        value = getattr(stack, name)(t, *args)
+                        assert value.shape == (scales.size,)
+                        assert value[i] == getattr(want, name)(t, *args), (name, e, t)
+                for got, expected in zip(stack._evaluation(ts), want._evaluation(ts)):
+                    assert got[i].tobytes() == expected.tobytes()
+
+    def test_stacked_present_value_equals_the_rows(self):
+        """Lumps (more than eight, which ``np.sum`` adds pairwise) and a density."""
+        rng = np.random.default_rng(37)
+        flow = random_lump_flow(rng, 0.0, 150.0, max_lumps=12, min_lumps=11) + CashFlow(
+            densities=((12.0, 17.5, 0.2), (40.0, 95.0, 0.05))
+        )
+        for z, shift in self.cases()[:4]:
+            along = z.ray(shift)
+            stack = along(np.array(EPS_SCHEDULE))
+            values = present_value(stack, flow)
+            assert values.shape == (len(EPS_SCHEDULE),)
+            want = [present_value(along(e), flow) for e in EPS_SCHEDULE]
+            assert values.tobytes() == np.array(want).tobytes()
+
     def test_ray_curves_share_one_grid_and_the_quotes(self):
         z, shift = self.cases()[-1]
         along = z.ray(shift)

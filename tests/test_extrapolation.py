@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from curvehedge import (
+    EPS_SCHEDULE,
     CashFlow,
     ExtrapolatedCurve,
     ForwardCurve,
     MethodSpec,
     arbitrage_scan,
     extrapolate,
+    present_value,
     sw_alpha_calibrate,
     sw_fit_discrete,
     sw_kernel,
@@ -19,7 +21,7 @@ from curvehedge.errors import AlphaNotWellDefinedError, CalibrationError, Domain
 import curvehedge.extrapolation as extrapolation_module
 from curvehedge.extrapolation import _SCAN_CHUNK, _SW_BLOCK, _sw_kernel_products, sample_grid
 
-from conftest import random_curve
+from conftest import random_curve, random_shift
 
 UFR = 0.042
 
@@ -693,6 +695,48 @@ class TestWithSpec:
         short = ForwardCurve.from_forwards([0.0, 15.0], [0.02, 0.03])
         with pytest.raises(DomainError, match="kappa"):
             extrapolate(short, self.TARGETS["M3"]).with_spec(self.TARGETS["M5_SFSA"])
+
+
+class TestStackedMarket:
+    """The extrapolation of a stacked market curve (the eps-ladder of a
+    shift) is, row by row, the extrapolation of each of its curves."""
+
+    SPECS = TestWithSpec.TARGETS
+
+    @staticmethod
+    def _ladders():
+        rng = np.random.default_rng(41)
+        z = random_curve(rng, low=0.0, high=0.04)
+        return [(z, random_shift(rng)), (z, random_shift(rng, horizon=60.0))]  # the second is shorter
+
+    @pytest.mark.parametrize("offset", [0.0, 0.004])
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_rows_equal_the_per_curve_extrapolations(self, kind, offset):
+        spec = replace(self.SPECS[kind], offset=offset)
+        flow = CashFlow(
+            lumps=tuple((11.0 + 7.5 * k, 0.5 + 0.1 * k) for k in range(10)),
+            densities=((12.0, 17.5, 0.2), (22.0, 90.0, 0.03)),
+        )
+        t = np.concatenate((np.linspace(0.0, 200.0, 801), [10.0, 20.0], np.linspace(9.0, 21.0, 97)))
+        for z, shift in self._ladders():
+            along = z.ray(shift)
+            stacked = extrapolate(along(np.array(EPS_SCHEDULE)), spec)
+            assert stacked.rows == len(EPS_SCHEDULE)
+            values = present_value(stacked, flow)
+            for i, e in enumerate(EPS_SCHEDULE):
+                want = extrapolate(along(e), spec)
+                for name in ("z_tau", "f_tau", "d_tau", "_tz_tau", "_tz_kappa"):
+                    got = np.broadcast_to(getattr(stacked, name), (len(EPS_SCHEDULE), 1))[i, 0]
+                    assert got.tobytes() == np.float64(getattr(want, name)).tobytes(), name
+                for name in ("zero_yield", "forward_rate", "discount_factor"):
+                    got = getattr(stacked, name)(t)
+                    assert got.shape == (len(EPS_SCHEDULE), t.size)
+                    assert got[i].tobytes() == getattr(want, name)(t).tobytes(), name
+                    for s in (5.0, 10.0, 15.0, 20.0, 150.0):
+                        assert getattr(stacked, name)(s)[i] == getattr(want, name)(s), (name, s)
+                for got, expected in zip(stacked._evaluation(t), want._evaluation(t)):
+                    assert got[i].tobytes() == expected.tobytes()
+                assert values[i] == present_value(want, flow)
 
 
 # ---- the evaluation protocol shared by every curve class ---------------------

@@ -14,7 +14,10 @@ and ``hedge`` and ``verify`` with ``--shifts 3 --seed 7`` for the six
 closed-form kinds on the bundled sample data, in json and table, plus
 ``hedge`` in csv, and in json for ``M2`` and ``M5_SFSA`` with an
 ``offset`` of 0.001, whose market curve is shifted by a constant before
-it is extrapolated and perturbed. Unlike ``test_golden.py`` these compare bytes, so a change to number
+it is extrapolated and perturbed; and ``verify --format json`` with
+``--shifts 20 --seed 7`` for ``M2``, ``M5_SFSA`` and
+``M6_SW_continuous``, whose many eps-ladders pin the stacked pricing of
+each shift. Unlike ``test_golden.py`` these compare bytes, so a change to number
 formatting, row order or whitespace fails them.
 
 The file is rewritten only when an output change is intended, from the
@@ -70,6 +73,8 @@ CLOSED_FORM_KINDS = ("M1", "M2", "M3", "M4", "M5_SFSA", "M6_SW_continuous")
 LIABILITY_FORMATS = {"hedge": ("json", "table", "csv"), "verify": ("json", "table")}
 #: kinds whose liability commands also run with a constant offset
 OFFSET_KINDS = ("M2", "M5_SFSA")
+#: kinds whose ``verify`` also runs on a suite of 20 shifts
+LONG_VERIFY_KINDS = ("M2", "M5_SFSA", "M6_SW_continuous")
 
 
 def _calls():
@@ -106,6 +111,11 @@ def _calls():
                 command, "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
                 "--method", json.dumps(spec), "--shifts", "3", "--seed", "7", "--format", "json",
             ]
+    for kind in LONG_VERIFY_KINDS:
+        calls[f"verify-json-20/{kind}"] = [
+            "verify", "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
+            "--method", json.dumps(SPECS[kind]), "--shifts", "20", "--seed", "7", "--format", "json",
+        ]
     return calls
 
 

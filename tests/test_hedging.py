@@ -573,16 +573,20 @@ class _CountingRate:
 
 class TestRateMemo:
     def test_memoized_value_under_is_bit_identical(self, market_curve):
-        plan = hedge(M5, market_curve, SYMBOLIC_FLOW)
-        assert any(callable(d.rate) for d in plan.densities)
+        """On each eps-curve and on the stacked ladder of all of them, whose
+        rows are revalued in one pass."""
         shift = random_shift(np.random.default_rng(211))
-        curves = [market_curve.shifted(shift, eps) for eps in EPS_SCHEDULE]
-        # twice: the first pass fills the memo, the second is served from it
-        for _ in range(2):
-            for curve in curves:
-                assert plan.value_under(curve, market_curve) == _fresh_value_under(
-                    plan, curve, market_curve
-                )
+        along = market_curve.ray(shift)
+        curves = [along(eps) for eps in EPS_SCHEDULE]
+        ladder = along(np.array(EPS_SCHEDULE))
+        for flow in (SYMBOLIC_FLOW, MANY_LUMP_FLOW):
+            plan = hedge(M5, market_curve, flow)
+            assert any(callable(d.rate) for d in plan.densities)
+            want = [_fresh_value_under(plan, curve, market_curve) for curve in curves]
+            # twice: the first pass fills the memo, the second is served from it
+            for _ in range(2):
+                assert [plan.value_under(curve, market_curve) for curve in curves] == want
+                assert plan.value_under(ladder, market_curve).tolist() == want
 
     def test_eps_curves_share_rate_values(self, market_curve):
         plan = hedge(M5, market_curve, SYMBOLIC_FLOW)
@@ -696,7 +700,8 @@ class TestVerificationChecks:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_each_scenario_extrapolated_once(self, market_curve, monkeypatch, count):
-        """The base curve, which the plan shares, and the eight eps-curves of each shift."""
+        """The base curve, which the plan shares, and per shift one stacked
+        curve of its eight eps-curves."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -706,7 +711,9 @@ class TestVerificationChecks:
         monkeypatch.setattr(hedging, "extrapolate", counting)
         monkeypatch.setattr(variation, "extrapolate", counting)
         verification_checks(M5, market_curve, SYMBOLIC_FLOW, shift_suite(count, 5), TOLERANCES)
-        assert len(calls) == 1 + len(EPS_SCHEDULE) * count
+        assert len(calls) == 1 + count
+        assert calls[0][0] is market_curve
+        assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE)] * count
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_hedge_summary_extrapolates_once(self, market_curve, monkeypatch, count):

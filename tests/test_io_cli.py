@@ -371,6 +371,37 @@ class TestCliHedge:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["hedge", "verify"])
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [
+            ("nan", "finite horizon"),
+            ("inf", "finite horizon"),
+            ("-inf", "finite horizon"),
+            ("1e300", "shift nodes"),
+            ("-1", "finite horizon"),
+            ("0", "finite horizon"),
+            ("5", "finite horizon"),
+            ("7.999", "finite horizon"),
+            (repr(0.5 * cli.MAX_SAMPLES), "shift nodes"),
+        ],
+    )
+    def test_unsampleable_horizon_exits_2(
+        self, flat_curve_csv, lump_liability_csv, capsys, command, horizon, message
+    ):
+        """A horizon the shift suite cannot sample is one error line, not a traceback."""
+        code = run_cli(
+            command,
+            "--curve", flat_curve_csv,
+            "--liabilities", lump_liability_csv,
+            "--method", '{"kind":"M2","tau":10}',
+            "--shifts", "2",
+            f"--horizon={horizon}",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
 
 class TestCliVerify:
     def test_bundled_sample_data_passes(self, capsys):

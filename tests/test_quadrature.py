@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvehedge.errors import DomainError
-from curvehedge.quadrature import _NODES, _WEIGHTS, adaptive_gauss_legendre, gauss_panel
+from curvehedge.quadrature import _NODES, _WEIGHTS, adaptive_gauss_legendre, adaptive_panels, gauss_panel
 
 
 def test_polynomial_exact():
@@ -144,3 +144,87 @@ def test_panel_batches_match_per_row_dot_bitwise():
         a = np.sort(rng.uniform(0.0, 50.0, size=n))
         b = a + rng.uniform(1e-6, 5.0, size=n)
         assert gauss_panel(func, a, b).tobytes() == _per_row_panels(func, a, b).tobytes(), n
+
+
+# ---- rows of integrands ---------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+#: integrands whose refinement stops at different depths: a smooth one, two
+#: kinks (one at a breakpoint-free point, one near the end), an oscillating
+#: one and a zero one, which every panel's floor accepts at once
+_ROW_FUNCS = (
+    np.exp,
+    _kink,
+    lambda x: np.abs(x - 0.8) ** 1.5,
+    lambda x: np.sin(40.0 * x),
+    lambda x: 0.0 * x,
+)
+
+
+def _stacked(funcs):
+    return lambda x: np.array([f(x) for f in funcs])
+
+
+def _assert_rows_are_their_own_runs(funcs, a, b, **kwargs):
+    lows, estimates, totals = adaptive_panels(_stacked(funcs), a, b, **kwargs)
+    assert totals.shape == (len(funcs),)
+    for r, func in enumerate(funcs):
+        lo, est, total = adaptive_panels(func, a, b, **kwargs)
+        assert lows[r].tobytes() == lo.tobytes(), r
+        assert estimates[r].tobytes() == est.tobytes(), r
+        assert totals[r : r + 1].tobytes() == np.float64(total).tobytes(), r
+        want = _depth_first_reference(func, a, b, **kwargs)
+        assert np.float64(total).tobytes() == np.float64(want).tobytes(), r
+    return lows
+
+
+class TestRows:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"breakpoints": (0.3, 0.55)}, {"rel_tol": 1e-15, "max_depth": 3}, {"max_depth": 0}],
+        ids=["plain", "breakpoints", "depth-capped", "depth-0"],
+    )
+    def test_rows_equal_their_own_runs_bitwise(self, kwargs):
+        lows = _assert_rows_are_their_own_runs(_ROW_FUNCS, 0.0, 1.0, **kwargs)
+        if kwargs.get("max_depth", 40) > 0:
+            assert len({lo.size for lo in lows}) > 1  # the rows stopped at different depths
+
+    def test_zero_width_panels_and_the_depth_cap(self):
+        """A row that is NaN at one point is never accepted before ``max_depth``:
+        its panel there is bisected down to halves of no width, while the
+        other rows stop at once."""
+        a, b = 1.0, 1.0 + 8 * _EPS
+        hole = lambda x: np.where(x == 1.0 + 3 * _EPS, np.nan, 1.0)
+        funcs = (lambda x: 0.0 * x + 1.0, hole, lambda x: 2.0 * hole(x), np.exp)
+        lows = _assert_rows_are_their_own_runs(funcs, a, b, max_depth=6)
+        assert np.any(np.diff(lows[1]) == 0.0)  # zero-width halves were accepted
+        assert lows[0].size < lows[1].size
+
+    def test_one_row_is_the_one_dimensional_integral(self):
+        func = lambda x: np.sin(3 * x) * np.exp(-x)
+        lo, est, total = adaptive_panels(func, 0.0, 10.0)
+        lows, estimates, totals = adaptive_panels(lambda x: func(x)[None, :], 0.0, 10.0)
+        assert isinstance(total, float) and totals.shape == (1,)
+        assert (lows[0].tobytes(), estimates[0].tobytes()) == (lo.tobytes(), est.tobytes())
+        assert totals[0] == total
+
+    def test_leading_axes_are_kept(self):
+        funcs = _ROW_FUNCS[:4]
+        _, _, flat = adaptive_panels(_stacked(funcs), 0.0, 1.0)
+        _, _, square = adaptive_panels(lambda x: _stacked(funcs)(x).reshape(2, 2, -1), 0.0, 1.0)
+        assert square.shape == (2, 2) and square.tobytes() == flat.tobytes()
+        assert adaptive_gauss_legendre(_stacked(funcs), 0.0, 1.0).tobytes() == flat.tobytes()
+
+    def test_one_func_call_per_level_for_all_rows(self):
+        calls = []
+
+        def func(x):
+            calls.append(x.size)
+            return _stacked(_ROW_FUNCS)(x)
+
+        adaptive_gauss_legendre(func, 0.0, 1.0)
+        deepest = max(
+            len(adaptive_panels(f, 0.0, 1.0)[0]) for f in _ROW_FUNCS
+        )  # panels of the costliest row bound the levels
+        assert len(calls) <= deepest + 1
