@@ -33,7 +33,7 @@ from .io import (
     render_table,
 )
 from .sensitivity import ufr_sensitivity
-from .shifts import shift_suite
+from .shifts import check_horizon, shift_suite
 from .variation import EPS_SCHEDULE
 
 TOLERANCES = {
@@ -107,10 +107,19 @@ def _add_common(sub, liabilities=False):
 
 
 def _load(args, liabilities=False):
+    """The market curve, the method spec with alpha resolved, and the liabilities.
+
+    The liability commands take the options of a shift suite, so their
+    horizon is checked by the suite's rule before any method runs, also
+    on the paths that build no suite.
+    """
     curve = read_curve(args.curve)
     spec = method_from_arg(args.method)
     resolved = resolve_alpha(curve, spec)
-    flow = read_cash_flow(args.liabilities) if liabilities else None
+    flow = None
+    if liabilities:
+        flow = read_cash_flow(args.liabilities)
+        check_horizon(args.horizon)
     return curve, resolved, flow
 
 

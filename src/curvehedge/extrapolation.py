@@ -449,8 +449,8 @@ def _check_glue(base: ForwardCurve, spec: MethodSpec, horizon: float):
             f"M5 blends market forwards out to kappa={spec.kappa}; "
             f"the market curve ends at {base.horizon}"
         )
-    if horizon < tau:
-        raise DomainError("horizon must not precede tau")
+    if not tau <= horizon < np.inf:  # written so that a NaN horizon fails it too
+        raise DomainError(f"horizon must be finite and not precede tau, got {horizon}")
 
 
 class ExtrapolatedCurve:
@@ -469,13 +469,19 @@ class ExtrapolatedCurve:
     curve, tau and the offset (and kappa), so :meth:`with_spec` shares
     them.
 
+    The extension reads the ultimate forward rate from ``ufr``, not from
+    the spec: a float (None for M2 and M4), or for a family along the ufr
+    (:meth:`with_ufr`) a ``(rows, 1)`` column of one value per row.
+
     A stacked market curve gives a stacked extrapolation: its anchors are
     ``(rows, 1)`` columns, and every evaluation has one row per scenario,
-    each bit for bit the extrapolation of that scenario alone.
+    each bit for bit the extrapolation of that scenario alone. A ufr family
+    is stacked too, over an ordinary market curve: its market side gives
+    each row a copy of the market values.
     """
 
     __slots__ = (
-        "base", "spec", "horizon", "eff", "rows",
+        "base", "spec", "horizon", "eff", "rows", "ufr",
         "z_tau", "f_tau", "d_tau", "_tz_tau", "_tz_kappa",
     )
 
@@ -484,6 +490,7 @@ class ExtrapolatedCurve:
         tau = float(spec.tau)
         self.base = base
         self.spec = spec
+        self.ufr = spec.ufr
         self.horizon = float(horizon)
         eff = self.eff = spec.market(base)
         self.rows = eff.rows
@@ -518,23 +525,39 @@ class ExtrapolatedCurve:
         ):
             return extrapolate(self.base, spec, self.horizon)
         _check_glue(self.base, spec, self.horizon)
+        tz = {} if spec.kind == M5_SFSA else {"_tz_tau": 0.0, "_tz_kappa": 0.0}
+        return self._derived(spec=spec, ufr=spec.ufr, rows=self.eff.rows, **tz)
+
+    def with_ufr(self, values):
+        """This curve's family along the ufr, as one stacked curve: row i is
+        ``self.with_spec(replace(self.spec, ufr=values[i]))`` bit for bit.
+
+        The rows share this curve's market curve and anchors, and ``ufr``
+        is the ``(rows, 1)`` column of the values; ``spec`` stays this
+        curve's. The market curve must be an ordinary one.
+        """
+        if self.ufr is None or self.eff.rows is not None:
+            raise DomainError("a ufr family needs a method with a ufr over an ordinary market curve")
+        ufr = np.array(values, dtype=float).reshape(-1, 1)
+        return self._derived(ufr=ufr, rows=len(ufr))
+
+    def _derived(self, **slots):
+        """This curve with the given slots replaced, sharing all the others."""
         curve = object.__new__(ExtrapolatedCurve)
         for name in ExtrapolatedCurve.__slots__:
-            setattr(curve, name, getattr(self, name))
-        curve.spec = spec
-        if spec.kind != M5_SFSA:
-            curve._tz_tau = curve._tz_kappa = 0.0
+            setattr(curve, name, slots[name] if name in slots else getattr(self, name))
         return curve
 
     # -- defect diagnostics --
 
     @property
     def is_defective(self) -> bool:
-        """True when the discount factor is nonpositive somewhere on the domain."""
+        """True when the discount factor is nonpositive somewhere on the domain,
+        in some row of a stacked curve."""
         spec = self.spec
         if spec.kind != M6_SW_CONTINUOUS:
             return False
-        return bool(sw_factor(self.horizon - spec.tau, spec.ufr - self.f_tau, spec.alpha) <= 0.0)
+        return bool(np.any(sw_factor(self.horizon - spec.tau, self.ufr - self.f_tau, spec.alpha) <= 0.0))
 
     # -- evaluation --
 
@@ -545,12 +568,20 @@ class ExtrapolatedCurve:
         out[...] = value
         return out
 
+    def _market_rows(self, values):
+        """Market values as this curve's rows: for a ufr family, one C-ordered
+        copy per row, which every reduction meets as a single curve's values
+        (a stride-0 view of one row is not such an array)."""
+        if self.rows is None or self.eff.rows is not None:
+            return values
+        return np.tile(values, (self.rows, 1))
+
     def _extension_zero_yield(self, t):
-        spec = self.spec
+        spec, ufr = self.spec, self.ufr
         tau = spec.tau
         kind = spec.kind
         if kind == M1:
-            return self._full(t, spec.ufr)
+            return self._full(t, ufr)
         if kind == M2:
             return self._full(t, self.z_tau)
         if kind == M5_SFSA:
@@ -565,31 +596,31 @@ class ExtrapolatedCurve:
                 return (
                     (kappa - s) / span * self.eff._yield_of(cum_f, s)
                     + integral / (s * span)
-                    + (s - tau) / span * (1.0 - w) * spec.ufr / 2.0
+                    + (s - tau) / span * (1.0 - w) * ufr / 2.0
                 )
 
             def beyond(s):
                 integral = self._tz_kappa - self._tz_tau
-                return integral / (s * span) + (1.0 - (tau + kappa) / (2.0 * s)) * spec.ufr
+                return integral / (s * span) + (1.0 - (tau + kappa) / (2.0 * s)) * ufr
 
             return _piecewise(t, kappa, blend, beyond)
         w = tau / t
         if kind == M3:
-            return w * self.z_tau + (1.0 - w) * spec.ufr
+            return w * self.z_tau + (1.0 - w) * ufr
         if kind == M4:
             return w * self.z_tau + (1.0 - w) * self.f_tau
         # M6 continuous
         u = t - tau
-        factor = sw_factor(u, spec.ufr - self.f_tau, spec.alpha)
+        factor = sw_factor(u, ufr - self.f_tau, spec.alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
             log_term = np.where(factor > 0.0, np.log(np.where(factor > 0.0, factor, 1.0)), np.nan)
-        return w * self.z_tau + (1.0 - w) * spec.ufr - log_term / t
+        return w * self.z_tau + (1.0 - w) * ufr - log_term / t
 
     def _extension_forward(self, t):
-        spec = self.spec
+        spec, ufr = self.spec, self.ufr
         kind = spec.kind
         if kind in (M1, M3):
-            return self._full(t, spec.ufr)
+            return self._full(t, ufr)
         if kind == M2:
             return self._full(t, self.z_tau)
         if kind == M4:
@@ -599,22 +630,22 @@ class ExtrapolatedCurve:
             span = kappa - spec.tau
 
             def blend(s):
-                return (kappa - s) / span * self.eff.forward_rate(s) + (s - spec.tau) / span * spec.ufr
+                return (kappa - s) / span * self.eff.forward_rate(s) + (s - spec.tau) / span * ufr
 
-            return _piecewise(t, kappa, blend, lambda s: self._full(s, spec.ufr))
+            return _piecewise(t, kappa, blend, lambda s: self._full(s, ufr))
         u = t - spec.tau
-        g = spec.ufr - self.f_tau
+        g = ufr - self.f_tau
         factor = sw_factor(u, g, spec.alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return spec.ufr - g * np.exp(-spec.alpha * u) / factor
+            return ufr - g * np.exp(-spec.alpha * u) / factor
 
     def _extension_discount(self, t, zero_yield=None):
         """The discount factor past tau; ``zero_yield`` is the extension's at t, when known."""
-        spec = self.spec
+        spec, ufr = self.spec, self.ufr
         if spec.kind == M6_SW_CONTINUOUS:
             # product form stays valid (negative) for defective parameters
             u = t - spec.tau
-            return np.exp(-spec.ufr * u) * self.d_tau * sw_factor(u, spec.ufr - self.f_tau, spec.alpha)
+            return np.exp(-ufr * u) * self.d_tau * sw_factor(u, ufr - self.f_tau, spec.alpha)
         if zero_yield is None:
             zero_yield = self._extension_zero_yield(t)
         return np.exp(-t * zero_yield)
@@ -630,16 +661,18 @@ class ExtrapolatedCurve:
 
     @evaluation
     def zero_yield(self, t):
-        return _piecewise(t, self.spec.tau, self.eff.zero_yield, self._extension_zero_yield)
+        market = lambda s: self._market_rows(self.eff.zero_yield(s))
+        return _piecewise(t, self.spec.tau, market, self._extension_zero_yield)
 
     @evaluation
     def forward_rate(self, t, side: str = "right"):
-        market = lambda s: self._at_tau(s, self.eff.forward_rate(s, side=side))
+        market = lambda s: self._at_tau(s, self._market_rows(self.eff.forward_rate(s, side=side)))
         return _piecewise(t, self.spec.tau, market, self._extension_forward)
 
     @evaluation
     def discount_factor(self, t):
-        return _piecewise(t, self.spec.tau, self.eff.discount_factor, self._extension_discount)
+        market = lambda s: self._market_rows(self.eff.discount_factor(s))
+        return _piecewise(t, self.spec.tau, market, self._extension_discount)
 
     @evaluation
     def _evaluation(self, t):
@@ -647,7 +680,7 @@ class ExtrapolatedCurve:
         the discount factor reuses the zero yield."""
 
         def market(s):
-            z, f, d = self.eff._evaluation(s)
+            z, f, d = map(self._market_rows, self.eff._evaluation(s))
             return z, self._at_tau(s, f), d
 
         def extension(s):

@@ -461,24 +461,25 @@ def verification_checks(
 
     Every scenario is built and priced once: the base curve z, and per
     shift the curves z + eps*Dz of ``EPS_SCHEDULE``, which the
-    finite-difference oracle and the remainder check share. They come
-    from one :meth:`ForwardCurve.ray` per shift, which also gives a
-    perfect plan's revaluation curve z + Dz. A shift's eps-curves are one
-    stacked curve: one construction, one extrapolation and one present
-    value price all of them, and the remainder check revalues the plan
-    on all of them at once.
+    finite-difference oracle and the remainder check share, and for a
+    perfect plan its revaluation curve z + Dz. A shift's curves are one
+    stacked curve, from one :meth:`ForwardCurve.ray`: one construction,
+    one extrapolation and one present value price all of them, and the
+    remainder check revalues the plan on all of them at once.
     """
     checks = []
     base_curve = extrapolate(z, spec, horizon)
     price = _LiabilityPricer(spec, flow, horizon, z, base_curve)
     liability_value = price(z)
-    eps_steps = np.array(EPS_SCHEDULE)
-    variations, lines, ladders = [], [], []
+    plan = None if spec.kind in UNHEDGEABLE_KINDS else hedge(spec, z, flow, horizon, base_curve)
+    # a perfect plan's revaluation curve z + Dz is the ladder's last row
+    perfect = plan is not None and plan.kind == PLAN_PERFECT
+    scales = np.array(EPS_SCHEDULE + ((1.0,) if perfect else ()))
+    variations, ladders = [], []
     for i, shift in enumerate(shifts):
         variation = method_variation_pv(spec, z, shift, flow, horizon, curve=base_curve)
         analytic = variation + corrupt
-        line = z.ray(shift)
-        ladder = line(eps_steps)
+        ladder = z.ray(shift)(scales)
         curves = price.rows_of(ladder)
         report = numeric_variation(
             price, z, shift, analytic=analytic, ray=dict(zip(EPS_SCHEDULE, curves))
@@ -490,18 +491,16 @@ def verification_checks(
         )
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
         variations.append(variation)
-        lines.append(line)
         ladders.append((ladder, curves))
 
-    if spec.kind in UNHEDGEABLE_KINDS:
+    if plan is None:
         return checks
-    plan = hedge(spec, z, flow, horizon, base_curve)
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
     for i, (shift, variation) in enumerate(zip(shifts, variations)):
         residual = _first_order_residual(plan, shift, variation, horizon)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
-    if plan.kind == PLAN_PERFECT:
-        gap = _revaluation_gap(plan, z, [line(1.0) for line in lines], price)
+    if perfect:
+        gap = _revaluation_gap(plan, z, [curves[-1] for _, curves in ladders], price)
         bound = tolerances["perfect_gap_rel"] * abs(liability_value)
         checks.append(("perfect_revaluation", gap <= bound, gap, bound))
     if plan.kind == PLAN_FIRST_ORDER:

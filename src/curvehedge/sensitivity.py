@@ -11,7 +11,7 @@ central differences of the present value along the curve family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,21 +68,22 @@ class UfrSensitivityReport:
 def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     """d/d theta of the liability value for a curve family theta -> zbar(theta).
 
-    Central differences of the present value itself,
-    (PV(family(theta + h)) - PV(family(theta - h))) / 2h, at
-    h = 5e-5 (|theta| + 1) and at h/2, combined by one Richardson step.
-    Each present value is a smooth integral, so its quadrature stops at
-    the panels the integrand needs; the step balances the O(h^4)
-    truncation left after the Richardson step against roundoff.
+    ``family`` maps an array of parameter values to one stacked curve with
+    a row per value. Central differences of the present value itself,
+    (PV(theta + h) - PV(theta - h)) / 2h, at h = 5e-5 (|theta| + 1) and at
+    h/2, combined by one Richardson step; the four present values are the
+    rows of one present value of the family at theta +- h and theta +- h/2,
+    each bit for bit that of its own curve. Each is a smooth integral, so
+    its quadrature stops at the panels the integrand needs; the step
+    balances the O(h^4) truncation left after the Richardson step against
+    roundoff.
     """
     h = 5e-5 * (abs(theta) + 1.0)
-
-    def estimate(step):
-        plus = present_value(family(theta + step), flow)
-        return (plus - present_value(family(theta - step), flow)) / (2.0 * step)
-
-    d1 = estimate(h)
-    d2 = estimate(h / 2.0)
+    half = h / 2.0
+    thetas = np.array([theta + h, theta - h, theta + half, theta - half])
+    plus, minus, plus_half, minus_half = present_value(family(thetas), flow).tolist()
+    d1 = (plus - minus) / (2.0 * h)
+    d2 = (plus_half - minus_half) / (2.0 * half)
     out = (4.0 * d2 - d1) / 3.0
     if not np.isfinite(out):
         raise EvaluationError(f"non-finite parameter sensitivity near theta={theta}")
@@ -91,16 +92,15 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
 
 def _ufr_family(curve):
     """The curve family and base parameter of the generic oracle, around the
-    extrapolated ``curve``; every member shares its market anchors."""
+    extrapolated ``curve``: the family maps an array of ufr values to one
+    stacked curve over the market anchors of ``curve``
+    (:meth:`ExtrapolatedCurve.with_ufr`)."""
     spec = curve.spec
     if spec.kind == M2:
         # constant-yield extrapolation: the level itself plays the
         # long-term-rate role, and varying it is the M1 family
-        theta0 = curve.z_tau
-        spec = MethodSpec(M1, tau=spec.tau, ufr=theta0, offset=spec.offset)
-    else:
-        theta0 = spec.ufr
-    return (lambda theta: curve.with_spec(replace(spec, ufr=theta))), theta0
+        curve = curve.with_spec(MethodSpec(M1, tau=spec.tau, ufr=curve.z_tau, offset=spec.offset))
+    return curve.with_ufr, curve.spec.ufr
 
 
 def ufr_sensitivity(
@@ -158,12 +158,11 @@ def ufr_sensitivity(
         lower = exc_kappa + span * (total - lstar.cumulative(kappa)) / (2.0 * total)
     else:  # M6 continuous
         exc_tau = excess_duration(curve, flow, tau, total)
-        low_spec = MethodSpec(M3, tau=tau, ufr=spec.ufr, offset=spec.offset)
-        high_spec = replace(low_spec, ufr=spec.ufr + spec.alpha)
-        low_curve = curve.with_spec(low_spec)
-        high_curve = curve.with_spec(high_spec)
-        low_total = present_value(low_curve, flow)
-        drop = low_total - present_value(high_curve, flow)
+        # the M3 curves at ufr and ufr + alpha, priced as one stack
+        low_curve = curve.with_spec(MethodSpec(M3, tau=tau, ufr=spec.ufr, offset=spec.offset))
+        bounds = low_curve.with_ufr([spec.ufr, spec.ufr + spec.alpha])
+        low_total, high_total = present_value(bounds, flow).tolist()
+        drop = low_total - high_total
         closed = exc_tau - drop / (spec.alpha * total)
         value = closed
         upper = exc_tau

@@ -36,14 +36,10 @@ def gaussian_bump_shift(rng: np.random.Generator, horizon: float = DEFAULT_HORIZ
     return CurveShift.from_forward_values(ts, values)
 
 
-def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
-    """A reproducible list of random smooth shifts.
-
-    The horizon must be finite, at least ``MIN_HORIZON`` years, and hold
-    fewer than ``MAX_SAMPLES`` nodes of the half-year grid.
-    """
-    if count < 1:
-        raise DomainError("a shift suite needs at least one shift")
+def check_horizon(horizon: float):
+    """Raise unless a shift suite can sample ``horizon``: finite, at least
+    ``MIN_HORIZON`` years, and holding fewer than ``MAX_SAMPLES`` nodes of
+    the half-year grid."""
     if not (np.isfinite(horizon) and horizon >= MIN_HORIZON):
         raise DomainError(
             f"a shift suite needs a finite horizon of at least {MIN_HORIZON:g} years, got {horizon}"
@@ -52,5 +48,13 @@ def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list
         raise DomainError(
             f"horizon {horizon} exceeds {MAX_SAMPLES} shift nodes {DEFAULT_GRID_STEP:g} years apart"
         )
+
+
+def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
+    """A reproducible list of random smooth shifts, over a horizon that
+    :func:`check_horizon` accepts."""
+    if count < 1:
+        raise DomainError("a shift suite needs at least one shift")
+    check_horizon(horizon)
     rng = np.random.default_rng(seed)
     return [gaussian_bump_shift(rng, horizon) for _ in range(count)]

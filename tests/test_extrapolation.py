@@ -739,6 +739,94 @@ class TestStackedMarket:
                 assert values[i] == present_value(want, flow)
 
 
+class TestUfrFamily:
+    """A family along the ufr (``with_ufr``) is, row by row, the curve that
+    ``with_spec`` derives for each of its values."""
+
+    SPECS = {kind: TestWithSpec.TARGETS[kind] for kind in ("M1", "M3", "M5_SFSA", "M6_SW_continuous")}
+    #: the oracle's four values around UFR, and two far from it; at 0.01 the
+    #: Smith-Wilson factor turns negative and its zero yields NaN
+    THETAS = np.array([UFR + 4e-5, UFR - 4e-5, UFR + 2e-5, UFR - 2e-5, 0.01, 0.07])
+    #: below tau, at tau, on (tau, kappa] and past kappa
+    POINTS = (5.0, 10.0, 15.0, 20.0, 150.0)
+
+    @classmethod
+    def _families(cls, market, offset):
+        """(family, the curve of each of its rows) for every kind with a ufr,
+        and for the M1 family that the oracle varies for M2."""
+        out = []
+        for spec in cls.SPECS.values():
+            curve = extrapolate(market, replace(spec, offset=offset))
+            rows = [curve.with_spec(replace(curve.spec, ufr=theta)) for theta in cls.THETAS]
+            out.append((curve.with_ufr(cls.THETAS), rows))
+        level = extrapolate(market, MethodSpec("M2", tau=10.0, offset=offset))
+        m1 = MethodSpec("M1", tau=10.0, ufr=level.z_tau, offset=offset)
+        rows = [level.with_spec(replace(m1, ufr=theta)) for theta in cls.THETAS]
+        out.append((level.with_spec(m1).with_ufr(cls.THETAS), rows))
+        return out
+
+    @pytest.mark.parametrize("offset", [0.0, 0.004])
+    def test_rows_equal_the_per_ufr_curves(self, market_curve, offset):
+        t = np.concatenate((np.linspace(0.0, 200.0, 801), [10.0, 20.0], np.linspace(9.0, 21.0, 97)))
+        below = np.linspace(0.0, 9.5, 20)
+        for family, rows in self._families(market_curve, offset):
+            assert family.rows == len(self.THETAS) and family.eff.rows is None
+            for name in ("zero_yield", "forward_rate", "discount_factor"):
+                evaluate = getattr(family, name)
+                got = evaluate(t)
+                assert got.shape == (family.rows, t.size)
+                # the market side too gives every row its own C-ordered copy
+                assert evaluate(below).flags.c_contiguous
+                for i, row in enumerate(rows):
+                    assert got[i].tobytes() == getattr(row, name)(t).tobytes(), name
+                    for s in self.POINTS:
+                        want = np.float64(getattr(row, name)(s))
+                        assert evaluate(s)[i].tobytes() == want.tobytes(), (name, s)
+                    assert evaluate(below)[i].tobytes() == getattr(row, name)(below).tobytes()
+            for i, row in enumerate(rows):
+                for got, want in zip(family._evaluation(t), row._evaluation(t)):
+                    assert got[i].tobytes() == want.tobytes()
+                for s in self.POINTS:
+                    for got, want in zip(family._evaluation(s), row._evaluation(s)):
+                        assert got[i].tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("offset", [0.0, 0.004])
+    def test_present_value_rows(self, market_curve, offset):
+        """Lumps and densities on both sides of tau and kappa."""
+        flow = CashFlow(
+            lumps=((4.0, 1.0), (10.0, 0.5), (15.0, 1.0), (40.0, 2.0)),
+            densities=((2.0, 8.0, 0.1), (9.0, 12.5, 0.2), (18.0, 35.0, 0.1), (60.0, 90.0, 0.03)),
+        )
+        for family, rows in self._families(market_curve, offset):
+            values = present_value(family, flow)
+            assert values.shape == (len(rows),)
+            for value, row in zip(values.tolist(), rows):
+                assert value == present_value(row, flow)
+
+    def test_family_contract(self, market_curve):
+        curve = extrapolate(market_curve, self.SPECS["M3"])
+        family = curve.with_ufr([0.03, 0.05])
+        assert family.spec == curve.spec and family.eff is curve.eff
+        assert family.ufr.shape == (2, 1) and curve.ufr == UFR
+        # a spec derived from a family is an ordinary curve again
+        single = family.with_spec(curve.spec)
+        assert single.rows is None and single.ufr == UFR
+        assert single.zero_yield(50.0) == curve.zero_yield(50.0)
+        for spec in (MethodSpec("M2", tau=10.0), MethodSpec("M4", tau=10.0)):
+            with pytest.raises(DomainError, match="ufr family"):
+                extrapolate(market_curve, spec).with_ufr([0.03])
+        rng = np.random.default_rng(3)
+        ladder = market_curve.ray(random_shift(rng))(np.array(EPS_SCHEDULE))
+        with pytest.raises(DomainError, match="ufr family"):
+            extrapolate(ladder, self.SPECS["M3"]).with_ufr([0.03])
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("kind", sorted(TestWithSpec.TARGETS))
+    def test_non_finite_horizon_rejected(self, market_curve, kind, horizon):
+        with pytest.raises(DomainError, match="horizon must be finite"):
+            extrapolate(market_curve, TestWithSpec.TARGETS[kind], horizon)
+
+
 # ---- the evaluation protocol shared by every curve class ---------------------
 
 

@@ -715,6 +715,22 @@ class TestVerificationChecks:
         assert calls[0][0] is market_curve
         assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE)] * count
 
+    @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M3], ids=["M1", "M3"])
+    def test_perfect_plan_revalued_on_the_ladder(self, market_curve, monkeypatch, spec):
+        """A perfect plan's revaluation curve z + Dz is a ninth row of each
+        shift's ladder, so it costs no extrapolation of its own."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extrapolate(*args, **kwargs)
+
+        monkeypatch.setattr(hedging, "extrapolate", counting)
+        monkeypatch.setattr(variation, "extrapolate", counting)
+        checks = verification_checks(spec, market_curve, SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
+        assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE) + 1] * 3
+        assert [name for name, *_ in checks][-1] == "perfect_revaluation"
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_hedge_summary_extrapolates_once(self, market_curve, monkeypatch, count):
         """One curve for the plan, the residuals, the gap and the liability value."""

@@ -318,6 +318,18 @@ class TestCliIoErrors:
         self._assert_one_line_exit_1(code, capsys.readouterr(), "bad.json")
 
 
+#: one method spec of every kind
+ALL_METHODS = [
+    '{"kind":"M1","tau":10,"ufr":0.042}',
+    '{"kind":"M2","tau":10}',
+    '{"kind":"M3","tau":10,"ufr":0.042}',
+    '{"kind":"M4","tau":10}',
+    '{"kind":"M5_SFSA","tau":10,"kappa":20,"ufr":0.042}',
+    '{"kind":"M6_SW_continuous","tau":10,"ufr":0.042,"alpha":0.2}',
+    '{"kind":"M6_SW_discrete","tau":10,"ufr":0.042,"alpha":0.2}',
+]
+
+
 class TestCliHedge:
     def test_m2_leverage_printed(self, flat_curve_csv, lump_liability_csv, capsys):
         code = run_cli(
@@ -401,6 +413,27 @@ class TestCliHedge:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["hedge", "sensitivity"])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: json.loads(m)["kind"])
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "1e300"])
+    def test_unsampleable_horizon_on_every_kind(
+        self, flat_curve_csv, lump_liability_csv, capsys, command, method, horizon
+    ):
+        """Checked before the method runs, also on the paths that build no
+        shift suite: the unhedgeable kinds and ``sensitivity``."""
+        code = run_cli(
+            command,
+            "--curve", flat_curve_csv,
+            "--liabilities", lump_liability_csv,
+            "--method", method,
+            "--shifts", "2",
+            f"--horizon={horizon}",
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "horizon" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestCliVerify:

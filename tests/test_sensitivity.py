@@ -176,13 +176,15 @@ class TestM6Limits:
 
 
 class TestParameterSensitivity:
+    """A family maps an array of parameter values to one curve with a row per value."""
+
     def test_ufr_family_reproduces_report(self, flat3):
         flow = CashFlow.single_payment(30.0)
         curve = extrapolate(flat3, M3)
         liability = present_value(curve, flow)
 
-        def family(theta):
-            return extrapolate(flat3, MethodSpec("M3", tau=TAU, ufr=theta))
+        def family(thetas):
+            return curve.with_ufr(thetas)
 
         value = parameter_sensitivity(family, flow, UFR)
         report = ufr_sensitivity(M3, flat3, flow)
@@ -192,8 +194,8 @@ class TestParameterSensitivity:
     def test_parameter_without_effect(self, flat3):
         flow = CashFlow.single_payment(30.0)
 
-        def family(theta):
-            return extrapolate(flat3, M3)
+        def family(thetas):
+            return extrapolate(flat3, M3).with_ufr(np.full_like(thetas, UFR))
 
         assert parameter_sensitivity(family, flow, 1.23) == 0.0
 
@@ -205,7 +207,8 @@ class TestParameterSensitivity:
         flow = CashFlow.single_payment(30.0)
 
         def family(c):
-            return extrapolate(flat3, MethodSpec("M2", tau=TAU, offset=c))
+            stacked = ForwardCurve(flat3.grid, flat3.f_left + c[:, None], flat3.f_right + c[:, None])
+            return extrapolate(stacked, M2)
 
         value = parameter_sensitivity(family, flow, 0.0)
         curve = extrapolate(flat3, M2)
@@ -230,47 +233,57 @@ class TestPricedOnce:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every curve ufr_sensitivity extrapolates or derives from another
-        by ``with_spec``, with its spec, in order."""
+        """Every curve ufr_sensitivity extrapolates, derives from another by
+        ``with_spec`` or stacks by ``with_ufr``, with its kind and its ufr
+        values, in order."""
         curves = []
         original = sensitivity_module.extrapolate
         original_with_spec = ExtrapolatedCurve.with_spec
+        original_with_ufr = ExtrapolatedCurve.with_ufr
 
         def extrapolate_recorded(z, spec, *args):
             curve = original(z, spec, *args)
-            curves.append((curve, spec))
+            curves.append((curve, spec.kind, [spec.ufr]))
             return curve
 
         def with_spec_recorded(self, spec):
             curve = original_with_spec(self, spec)
-            curves.append((curve, spec))
+            curves.append((curve, spec.kind, [spec.ufr]))
+            return curve
+
+        def with_ufr_recorded(self, values):
+            curve = original_with_ufr(self, values)
+            curves.append((curve, self.spec.kind, list(values)))
             return curve
 
         monkeypatch.setattr(sensitivity_module, "extrapolate", extrapolate_recorded)
         monkeypatch.setattr(ExtrapolatedCurve, "with_spec", with_spec_recorded)
+        monkeypatch.setattr(ExtrapolatedCurve, "with_ufr", with_ufr_recorded)
         return curves
 
     @pytest.mark.parametrize("spec", [M2, M3, M5, M6], ids=["M2", "M3", "M5", "M6"])
     def test_present_value_calls(self, counted, built, market_curve, spec):
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
         ufr_sensitivity(spec, market_curve, flow)
-        spec_of = {id(curve): s for curve, s in built}
-        priced = [spec_of[id(curve)] for curve in counted]
+        built_as = {id(curve): (kind, ufrs) for curve, kind, ufrs in built}
+        priced = [built_as[id(curve)] for curve in counted]
         # each priced curve is one that ufr_sensitivity built, priced once
         assert len({id(curve) for curve in counted}) == len(counted)
         # the base curve is priced by its DiscountedFlow, never by present_value
-        base, base_spec = built[0]
-        assert base_spec == spec
+        base, base_kind, _ = built[0]
+        assert base_kind == spec.kind
         assert all(curve is not base for curve in counted)
-        # the oracle prices its four family curves, theta +- h and theta +- h/2
+        # the oracle prices one stacked family of four rows, theta +- h and theta +- h/2
         _, theta0 = sensitivity_module._ufr_family(extrapolate(market_curve, spec))
         h = 5e-5 * (abs(theta0) + 1.0)
         family_kind = "M1" if spec is M2 else spec.kind
-        family = sorted(s.ufr for s in priced if s.kind == family_kind)
-        assert family == sorted(theta0 + d for d in (h, -h, h / 2.0, -h / 2.0))
-        # M6 also prices its low and high M3 curves, each once
-        others = sorted((s.kind, s.ufr) for s in priced if s.kind != family_kind)
-        assert others == ([("M3", UFR), ("M3", UFR + M6.alpha)] if spec is M6 else [])
+        assert priced[0] == (family_kind, [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0])
+        assert counted[0].rows == 4
+        # M6 also prices its low and high M3 curves, as one stack of two rows
+        if spec is M6:
+            assert priced[1:] == [("M3", [UFR, UFR + M6.alpha])] and counted[1].rows == 2
+        else:
+            assert len(priced) == 1
 
     def test_given_total_is_the_priced_one(self, market_curve):
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
