@@ -169,85 +169,35 @@ def sw_factor(u, g, alpha: float):
     return 1.0 + g * (1.0 - np.exp(-alpha * u)) / alpha
 
 
-#: times of the Smith-Wilson kernel products taken at a time: a power of
-#: two, so a chunked scan blocks its grid as one pass would, and small, so
-#: each block's N x 2048 buffers stay in cache
-_SW_BLOCK = 2048
-
-
-def _blocks(n: int, size: int):
-    """Slices of ``size`` consecutive indices covering range(n); the last
-    one also takes the remainder, so it holds ``size`` to ``2 size - 1``.
-
-    A matrix-vector product then meets each row in the same place of its
-    matrix, modulo ``size``, as one product over all n rows does, and no
-    block is a lone row unless n is 1: numpy takes a one-row product as a
-    dot product, which can round differently.
-    """
-    start = 0
-    while n - start >= 2 * size:
-        yield slice(start, start + size)
-        start += size
-    yield slice(start, n)
-
-
-def _sw_kernel_products(t, nodes, ufr: float, alpha: float, zeta):
-    """``sw_kernel(t, nodes) @ zeta`` and ``d/dt sw_kernel(t, nodes) @ zeta``.
-
-    ``t`` is a 1-d array of M times, or a float, which is lifted to one row
-    and gets 0-d products. They are taken in row blocks of ``_SW_BLOCK``
-    (see :func:`_blocks`). Only the damping exp(-ufr (t + t_i)) is an
-    M x N transcendental: the sinh and exp of alpha min(t, t_i) and
-    -alpha max(t, t_i) are taken once per time and once per node and
-    picked by ``t < t_i``, which gives each element the value
-    :func:`sw_kernel` computes from the same argument. The elementwise
-    work runs on N x M blocks, whose long rows suit numpy's inner loops;
-    each product meets ``zeta`` as a C-ordered M x N matrix, as
-    ``sw_kernel(...) @ zeta`` does. Every element is the same sequence of
-    operations as in :func:`sw_kernel` and its derivative written out,
-    so the products are bit-identical to those of the separate matrices.
-    d/dt W(t, t_i) is continuous across t = t_i.
-    """
-    shape = np.shape(t)
-    t = np.reshape(t, -1)
-    w_zeta = np.empty_like(t)
-    dw_zeta = np.empty_like(t)
-    ti = nodes[:, None]
-    alpha_ti = alpha * ti
-    sinh_ti = np.sinh(alpha_ti)
-    exp_ti = np.exp(-alpha * ti)
-    for rows in _blocks(t.size, _SW_BLOCK):
-        tb = t[rows][None, :]
-        below = tb < ti  # t is the min, t_i the max
-        alpha_t = alpha * tb
-        exp_t = np.exp(-alpha * tb)
-        damp = np.add(tb, ti)
-        np.exp(np.multiply(-ufr, damp, out=damp), out=damp)
-        # k = alpha lo - e^{-alpha hi} sinh(alpha lo), the bracket of sw_kernel
-        k = np.where(below, alpha_t, alpha_ti)
-        prod = np.where(below, exp_ti, exp_t)
-        np.multiply(prod, np.where(below, np.sinh(alpha_t), sinh_ti), out=prod)
-        np.subtract(k, prod, out=k)
-        w_zeta[rows] = np.multiply(damp, k, out=prod).T.copy() @ zeta
-        # dk/dt below the node, then above it
-        dk = np.multiply(exp_ti, np.cosh(alpha_t), out=prod)
-        np.multiply(alpha, np.subtract(1.0, dk, out=dk), out=dk)
-        np.copyto(dk, np.multiply(alpha * exp_t, sinh_ti), where=~below)
-        np.subtract(dk, np.multiply(ufr, k, out=k), out=dk)
-        dw_zeta[rows] = np.multiply(damp, dk, out=dk).T.copy() @ zeta
-    return w_zeta.reshape(shape), dw_zeta.reshape(shape)
-
-
 class SwDiscreteFit:
     """Smith-Wilson interpolant through finitely many discount factors.
 
-    The curve is D(t) = exp(-ufr*t) + sum_i W(t, t_i) zeta_i with zeta
-    solving the Gram system so observed prices are reproduced exactly at
-    the nodes. Exposes the same evaluation protocol as the other curve
-    objects; the yield is undefined (NaN) wherever D(t) <= 0.
+    The curve is D(t) = exp(-ufr t) + sum_j zeta_j W(t, u_j), with zeta
+    solving the Gram system so the observed prices are reproduced exactly
+    at the nodes u_1 < ... < u_N. Each kernel term is separable in t and
+    u_j on either side of its node, so with c_j = zeta_j exp(-ufr u_j) and
+    k the number of nodes u_j <= t,
+
+        D(t) = exp(-ufr t) (1 + B(t)),
+        B(t) = P_k - exp(-alpha t) Q_k + alpha t R_k - sinh(alpha t) S_k,
+
+    where P_k = sum_{j<=k} alpha u_j c_j and Q_k = sum_{j<=k} sinh(alpha u_j) c_j
+    are prefix sums and R_k = sum_{j>k} c_j and S_k = sum_{j>k} exp(-alpha u_j) c_j
+    suffix sums, cached at construction. Between nodes only t varies, so
+    B'(t) = alpha (exp(-alpha t) Q_k + R_k - cosh(alpha t) S_k), and the
+    forward is ufr - B'/(1 + B). Past the last node R and S vanish, which
+    leaves EIOPA's extrapolation D(t) = exp(-ufr t) (1 + P_N - exp(-alpha t) Q_N)
+    with a forward tending to the ufr; sinh and cosh are taken only before
+    the last node, where they are finite. A time costs one segment search
+    and a few exponentials, and each value depends on its own time alone.
+    Exposes the same evaluation protocol as the other curve objects; the
+    yield is undefined (NaN) wherever D(t) <= 0.
     """
 
-    __slots__ = ("nodes", "prices", "ufr", "alpha", "zeta", "horizon", "condition")
+    __slots__ = (
+        "nodes", "prices", "ufr", "alpha", "zeta", "horizon", "condition",
+        "_p", "_q", "_r", "_s",
+    )
 
     #: a fit is never stacked (see :func:`evaluation`)
     rows = None
@@ -260,7 +210,15 @@ class SwDiscreteFit:
         self.zeta = np.asarray(zeta, dtype=float)
         self.horizon = float(horizon)
         self.condition = float(condition)
-        for arr in (self.nodes, self.prices, self.zeta):
+        c = self.zeta * np.exp(-self.ufr * self.nodes)
+        alpha_u = self.alpha * self.nodes
+        zero = np.zeros(1)
+        # index k holds the sum over the first k nodes, or over the others
+        self._p = np.concatenate((zero, np.cumsum(alpha_u * c)))
+        self._q = np.concatenate((zero, np.cumsum(np.sinh(alpha_u) * c)))
+        self._r = np.concatenate((np.cumsum(c[::-1])[::-1], zero))
+        self._s = np.concatenate((np.cumsum((np.exp(-alpha_u) * c)[::-1])[::-1], zero))
+        for arr in (self.nodes, self.prices, self.zeta, self._p, self._q, self._r, self._s):
             arr.setflags(write=False)
 
     @evaluation
@@ -277,28 +235,35 @@ class SwDiscreteFit:
 
     @evaluation
     def _evaluation(self, t):
-        """Zero yield, forward rate and discount factor, from one pass over the kernel."""
-        w_zeta, dw_zeta = _sw_kernel_products(t, self.nodes, self.ufr, self.alpha, self.zeta)
-        decay = np.exp(-self.ufr * t)
-        d = decay + w_zeta
-        dprime = -self.ufr * decay + dw_zeta
+        """Zero yield, forward rate and discount factor, from B and B'/alpha."""
+        alpha, ufr = self.alpha, self.ufr
+        k = np.searchsorted(self.nodes, t, "right")
+        alpha_t = alpha * t
+        eq = np.exp(-alpha_t) * self._q[k]
+        b = self._p[k] - eq
+        db = eq + self._r[k]
+        # the terms of the nodes after t; none past the last node
+        if isinstance(t, float):
+            if k < self.nodes.size:
+                after_b, after_db = self._after(alpha_t, k)
+                b, db = b + after_b, db - after_db
+        else:
+            inner = k < self.nodes.size
+            after_b, after_db = self._after(alpha_t[inner], k[inner])
+            b[inner] += after_b
+            db[inner] -= after_db
+        one_b = 1.0 + b
+        d = np.exp(-ufr * t) * one_b
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(d != 0.0, -dprime / d, np.nan)
-        return self._yield_of(d, t, f), f, d
+            f = np.where(d != 0.0, ufr - alpha * db / one_b, np.nan)
+            z = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / t, np.nan)
+        # z(0) is the limit f(0)
+        return np.where(t == 0.0, f, z), f, d
 
-    def _yield_of(self, d, t, f):
-        """-log(D)/t where D > 0, NaN where it is not, and f(0) at t = 0.
-
-        f(0) is the forward of a pass over the single time 0, which the
-        forwards ``f`` of the times ``t`` already are when t is that time.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / t, np.nan)
-        if np.any(t == 0.0):
-            if np.size(t) != 1:
-                f = SwDiscreteFit._evaluation.body(self, np.zeros(1))[1]
-            out = np.where(t == 0.0, f, out)
-        return out
+    def _after(self, alpha_t, k):
+        """alpha t R_k - sinh(alpha t) S_k and cosh(alpha t) S_k, for k < N."""
+        s = self._s[k]
+        return alpha_t * self._r[k] - np.sinh(alpha_t) * s, np.cosh(alpha_t) * s
 
     def breakpoints_between(self, a: float, b: float):
         return self.nodes[(self.nodes > a) & (self.nodes < b)]
@@ -449,7 +414,11 @@ def _check_glue(base: ForwardCurve, spec: MethodSpec, horizon: float):
             f"M5 blends market forwards out to kappa={spec.kappa}; "
             f"the market curve ends at {base.horizon}"
         )
-    if not tau <= horizon < np.inf:  # written so that a NaN horizon fails it too
+    _check_horizon(spec, horizon)
+
+
+def _check_horizon(spec: MethodSpec, horizon: float):
+    if not spec.tau <= horizon < np.inf:  # written so that a NaN horizon fails it too
         raise DomainError(f"horizon must be finite and not precede tau, got {horizon}")
 
 
@@ -710,6 +679,7 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
     """
     if spec.kind == M6_SW_DISCRETE:
         _check_alpha(spec)
+        _check_horizon(spec, horizon)
         eff = spec.market(z)
         nodes = eff.quote_nodes
         nodes = nodes[(nodes > 0.0) & (nodes <= spec.tau)]
@@ -775,25 +745,27 @@ def sample_grid(horizon: float, step: float):
     return grid if grid[-2] < horizon else grid[:-1]
 
 
-#: grid points a defect scan evaluates at a time: a multiple of
-#: ``_SW_BLOCK``, and small, so the scan's temporaries are 64 KiB arrays
-#: rather than one value per grid point each
+#: grid points a defect scan evaluates at a time: few, so the scan's
+#: temporaries are 64 KiB arrays rather than one value per grid point each
 _SCAN_CHUNK = 8192
 
 
 def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
     """Scan the curve for negative forwards and nonpositive discount factors.
 
-    The grid is :func:`sample_grid`'s. It is evaluated in blocks of
-    ``_SCAN_CHUNK`` points (see :func:`_blocks`) by the curve's
-    ``_evaluation``, which yields the forward and the discount factor
-    together, into one mask per defect.
+    The grid is :func:`sample_grid`'s. It is evaluated ``_SCAN_CHUNK``
+    points at a time, the last chunk taking the remainder (so no call is
+    for a few points), by the curve's ``_evaluation``, which yields the
+    forward and the discount factor together, into one mask per defect;
+    every value depends on its own time alone, so the chunks give the
+    masks of one pass.
     """
     horizon = curve.horizon
     ts = sample_grid(horizon, step)
     negative_forward = np.empty(ts.size, dtype=bool)
     nonpositive_discount = np.empty(ts.size, dtype=bool)
-    for chunk in _blocks(ts.size, _SCAN_CHUNK):
+    bounds = [*range(0, max(ts.size - _SCAN_CHUNK, 1), _SCAN_CHUNK), ts.size]
+    for chunk in map(slice, bounds, bounds[1:]):
         _, f, d = curve._evaluation(ts[chunk])
         np.less(f, 0.0, out=negative_forward[chunk])
         np.less_equal(d, 0.0, out=nonpositive_discount[chunk])

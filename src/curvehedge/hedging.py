@@ -315,12 +315,13 @@ class _LiabilityPricer:
     """F[market]: the flow's value on the extrapolated market curve.
 
     Each curve object is extrapolated and priced once, and ``z`` not at
-    all: its value is read from ``base_curve``, its extrapolation.
+    all: ``value`` is its value, the flow's present value on its
+    extrapolation.
     """
 
-    def __init__(self, spec, flow, horizon, z, base_curve):
+    def __init__(self, spec, flow, horizon, z, value: float):
         self.spec, self.flow, self.horizon = spec, flow, horizon
-        self.priced = {z: present_value(base_curve, flow)}
+        self.priced = {z: value}
 
     def __call__(self, market) -> float:
         if market not in self.priced:
@@ -367,7 +368,7 @@ def verify_perfect(
     """
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
-    price = _LiabilityPricer(spec, flow, horizon, z, extrapolate(z, spec, horizon))
+    price = _LiabilityPricer(spec, flow, horizon, z, present_value(extrapolate(z, spec, horizon), flow))
     return _revaluation_gap(plan, z, [z.shifted(shift) for shift in shifts], price)
 
 
@@ -459,19 +460,23 @@ def verification_checks(
     ``variation_rel``, ``variation_abs``, ``perfect_gap_rel`` and
     ``first_order_residual_rel``.
 
-    Every scenario is built and priced once: the base curve z, and per
-    shift the curves z + eps*Dz of ``EPS_SCHEDULE``, which the
-    finite-difference oracle and the remainder check share, and for a
-    perfect plan its revaluation curve z + Dz. A shift's curves are one
+    Every scenario is built and priced once: the base curve z, whose value
+    a hedgeable method's plan already holds, and per shift the curves
+    z + eps*Dz of ``EPS_SCHEDULE``, which the finite-difference oracle and
+    the remainder check share, and for a perfect plan its revaluation
+    curve z + Dz. A shift's curves are one
     stacked curve, from one :meth:`ForwardCurve.ray`: one construction,
     one extrapolation and one present value price all of them, and the
     remainder check revalues the plan on all of them at once.
     """
     checks = []
     base_curve = extrapolate(z, spec, horizon)
-    price = _LiabilityPricer(spec, flow, horizon, z, base_curve)
-    liability_value = price(z)
-    plan = None if spec.kind in UNHEDGEABLE_KINDS else hedge(spec, z, flow, horizon, base_curve)
+    if spec.kind in UNHEDGEABLE_KINDS:
+        plan, liability_value = None, present_value(base_curve, flow)
+    else:
+        plan = hedge(spec, z, flow, horizon, base_curve)
+        liability_value = plan.diagnostics["liability_value"]
+    price = _LiabilityPricer(spec, flow, horizon, z, liability_value)
     # a perfect plan's revaluation curve z + Dz is the ladder's last row
     perfect = plan is not None and plan.kind == PLAN_PERFECT
     scales = np.array(EPS_SCHEDULE + ((1.0,) if perfect else ()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -212,12 +213,9 @@ def render_json(payload) -> str:
 
 def _json_rows(table) -> str:
     """``table`` as ``json.dumps`` writes its list of row objects one level deep."""
-    # float.__str__ is float.__repr__, which json writes for a finite float
-    cells = [a.tolist() for a in table.arrays]
-    if not cells[0]:
+    if not table.arrays[0].size:
         return "[]"
-    for j, i in zip(*(idx.tolist() for idx in np.nonzero(~np.isfinite(table.arrays)))):
-        cells[j][i] = "null"
+    cells = [_json_cells(a) for a in table.arrays]
     keys = sorted(range(len(table.headers)), key=table.headers.__getitem__)
     fields = ",\n".join(
         f"      {json.dumps(table.headers[j]).replace('%', '%%')}: %s" for j in keys
@@ -225,6 +223,28 @@ def _json_rows(table) -> str:
     template = "    {\n" + fields + "\n    }"
     rows = map(template.__mod__, zip(*(cells[j] for j in keys)))
     return "[\n" + ",\n".join(rows) + "\n  ]"
+
+
+def _json_cells(column):
+    """One column's cells for ``%s``, which writes a float as its repr, as json
+    does a finite float; ``null`` for a non-finite cell.
+
+    A run of cells equal bit for bit (so 0.0 and -0.0, or NaNs of different
+    bits, stay apart) gets one string, the repr of its first cell, in all of
+    them; a cell equal to neither neighbour stays a float.
+    """
+    cells = column.tolist()
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = "null"
+    bits = np.ascontiguousarray(column).view(np.int64)
+    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    starts = np.concatenate(([0], edges))
+    stops = np.concatenate((edges, [column.size]))
+    runs = stops - starts > 1
+    for start, stop in zip(starts[runs].tolist(), stops[runs].tolist()):
+        first = cells[start]
+        cells[start:stop] = [first if isinstance(first, str) else repr(first)] * (stop - start)
+    return cells
 
 
 def render_csv(headers, rows) -> str:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from curvehedge import (
 )
 from curvehedge.errors import AlphaNotWellDefinedError, CalibrationError, DomainError
 import curvehedge.extrapolation as extrapolation_module
-from curvehedge.extrapolation import _SCAN_CHUNK, _SW_BLOCK, _sw_kernel_products, sample_grid
+from curvehedge.extrapolation import _SCAN_CHUNK, sample_grid
 
 from conftest import random_curve, random_shift
 
@@ -303,22 +304,48 @@ class TestSwKernel:
 
 
 def _sw_kernel_dt_reference(t, nodes, ufr, alpha):
-    """d/dt W(t, t_i) as one M x N matrix: the form the fused kernel replaced."""
+    """d/dt W(t, t_i) as one M x N matrix, each element from its own branch."""
     t = np.asarray(t, dtype=float)[..., None]
     ti = np.asarray(nodes, dtype=float)[None, :]
     lo = np.minimum(t, ti)
     hi = np.maximum(t, ti)
     k = alpha * lo - np.exp(-alpha * hi) * np.sinh(alpha * lo)
-    dk = np.where(
-        t < ti,
-        alpha * (1.0 - np.exp(-alpha * ti) * np.cosh(alpha * t)),
-        alpha * np.exp(-alpha * t) * np.sinh(alpha * ti),
-    )
+    # cosh(alpha t) of the branch t < t_i may overflow where the other is taken
+    with np.errstate(over="ignore"):
+        dk = np.where(
+            t < ti,
+            alpha * (1.0 - np.exp(-alpha * ti) * np.cosh(alpha * t)),
+            alpha * np.exp(-alpha * t) * np.sinh(alpha * ti),
+        )
     return np.exp(-ufr * (t + ti)) * (dk - ufr * k)
 
 
+#: the closed form's error allowed, in ulps of the magnitude of the kernel terms
+_SW_ULPS = 16
+
+
+def _assert_twin_of_kernel_matrices(fit, t):
+    """D = exp(-ufr t) + W(t, u) zeta to a few ulps of exp(-ufr t) + sum_j |zeta_j W_j|,
+    and f = -D'/D to the error that D and D' so bounded give it."""
+    eps = np.finfo(float).eps
+    _, f, d = fit._evaluation(t)
+    decay = np.exp(-fit.ufr * t)
+    kern = sw_kernel(t[:, None], fit.nodes[None, :], fit.ufr, fit.alpha)
+    dkern = _sw_kernel_dt_reference(t, fit.nodes, fit.ufr, fit.alpha)
+    d_ref = decay + kern @ fit.zeta
+    scale = decay + np.abs(kern) @ np.abs(fit.zeta)
+    dprime_ref = -fit.ufr * decay + dkern @ fit.zeta
+    dscale = abs(fit.ufr) * decay + np.abs(dkern) @ np.abs(fit.zeta)
+    f_ref = -dprime_ref / d_ref
+    assert np.all(np.abs(d - d_ref) <= _SW_ULPS * eps * scale)
+    assert np.all(
+        np.abs(f - f_ref) * np.abs(d_ref) <= _SW_ULPS * eps * (dscale + np.abs(f_ref) * scale)
+    )
+
+
 class TestFusedSwKernel:
-    """The one-pass kernel products equal the separate matrices' bit for bit."""
+    """The kernel sum of a discrete fit, fused into four cached prefix and
+    suffix sums, against the whole M x N kernel matrices."""
 
     @pytest.fixture(scope="class")
     def fit(self):
@@ -333,54 +360,84 @@ class TestFusedSwKernel:
             np.array([0.25]),
             np.array([5.0]),
             np.array([150.0]),
+            np.array([200.0]),
             # t = 0, below the first node, at every node, between and above them
             np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 2.5, 3.0, 5.0, 7.0, 9.99, 10.0, 10.01, 200.0]),
             np.arange(100_001) * 0.002,
         ],
-        ids=["zero", "below-node", "at-node", "above-nodes", "mixed", "scan-grid"],
+        ids=["zero", "below-node", "at-node", "above-nodes", "horizon", "mixed", "scan-grid"],
     )
-    def test_bitwise_equal_to_separate_matrices(self, fit, t):
-        w_zeta, dw_zeta = _sw_kernel_products(t, fit.nodes, fit.ufr, fit.alpha, fit.zeta)
-        kern = sw_kernel(t[:, None], fit.nodes[None, :], fit.ufr, fit.alpha)
-        assert np.array_equal(w_zeta, kern @ fit.zeta)
-        dkern = _sw_kernel_dt_reference(t, fit.nodes, fit.ufr, fit.alpha)
-        assert np.array_equal(dw_zeta, dkern @ fit.zeta)
+    def test_twin_of_separate_matrices(self, fit, t):
+        _assert_twin_of_kernel_matrices(fit, t)
 
-    def test_scan_values_equal_public_evaluations(self, fit):
-        """The one pass gives D = exp(-ufr t) + W(t, u) zeta, its yield -log(D)/t
-        where D > 0 and its forward -D'/D as the whole M x N kernel matrices do."""
-        ts = np.arange(100_001) * 0.002
-        z, f, d = fit._evaluation(ts)
-        kern = sw_kernel(ts[:, None], fit.nodes[None, :], fit.ufr, fit.alpha)
-        assert np.array_equal(d, np.exp(-fit.ufr * ts) + kern @ fit.zeta)
-        positive = (d > 0.0) & (ts > 0.0)
-        assert np.array_equal(z[positive], -np.log(d[positive]) / ts[positive])
-        dprime = -fit.ufr * np.exp(-fit.ufr * ts) + _sw_kernel_dt_reference(
-            ts, fit.nodes, fit.ufr, fit.alpha
-        ) @ fit.zeta
-        assert np.array_equal(f, -dprime / d)
+    def test_twin_of_random_fits(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            n = int(rng.integers(1, 16))
+            nodes = np.sort(rng.uniform(0.25, 30.0, n)) + 0.1 * np.arange(n)
+            prices = np.exp(-nodes * rng.uniform(0.0, 0.05))
+            fit = sw_fit_discrete(nodes, prices, rng.uniform(0.0, 0.06), rng.uniform(0.05, 1.0), 300.0)
+            t = np.concatenate((np.linspace(0.0, 300.0, 20_001), nodes))
+            _assert_twin_of_kernel_matrices(fit, t)
+
+    def test_fast_reversion_far_horizon(self):
+        """alpha = 1 to a horizon of 1,000: sinh(alpha t) would overflow past
+        t = 710, but it is taken only before the last node."""
+        nodes = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0])
+        prices = np.exp(-nodes * (0.02 + 0.001 * nodes))
+        fit = sw_fit_discrete(nodes, prices, UFR, 1.0, horizon=1000.0)
+        t = np.linspace(0.0, 1000.0, 100_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = fit._evaluation(t)
+            scalars = [fit._evaluation(x) for x in (0.0, 5.0, 709.0, 711.0, 1000.0)]
+            report = arbitrage_scan(fit, 0.01)
+        assert all(np.isfinite(v).all() for v in values)
+        assert np.isfinite(scalars).all()
+        assert report.is_clean
+        _assert_twin_of_kernel_matrices(fit, t)
+        assert values[1][-1] == pytest.approx(UFR, abs=1e-15)
 
     @pytest.mark.parametrize(
         "block, size",
-        [(_SW_BLOCK, n) for n in (_SW_BLOCK - 1, _SW_BLOCK, _SW_BLOCK + 1, 100_001)]
-        # small enough that no BLAS threads split either product
+        [(2048, n) for n in (2047, 2048, 2049, 100_001)]
         + [(16, n) for n in (1, 2, 15, 16, 17, 33, 47, 500)],
     )
-    def test_blocks_equal_whole_matrices(self, monkeypatch, fit, block, size):
-        """Row blocks give the products of one M x N matrix, in any order of
-        times and with times on the nodes, in the first and last blocks."""
-        monkeypatch.setattr(extrapolation_module, "_SW_BLOCK", block)
+    def test_blocks_equal_whole_matrices(self, fit, block, size):
+        """Blocks of times give the values of one pass over them all, bit for
+        bit, in any order of times and with times on the nodes, in the first
+        and last blocks; and each time alone, as a float, its value."""
         t = np.random.default_rng(size).uniform(0.0, 200.0, size)
         # t = 0 and the nodes at the start, around the end of the first block and at the end
         special = np.concatenate(([0.0], fit.nodes))
         for at in (0, max(min(block, size) - 4, 0), max(size - special.size, 0)):
             piece = t[at: at + special.size]
             piece[:] = special[: piece.size]
-        w_zeta, dw_zeta = _sw_kernel_products(t, fit.nodes, fit.ufr, fit.alpha, fit.zeta)
-        kern = sw_kernel(t[:, None], fit.nodes[None, :], fit.ufr, fit.alpha)
-        assert np.array_equal(w_zeta, kern @ fit.zeta)
-        dkern = _sw_kernel_dt_reference(t, fit.nodes, fit.ufr, fit.alpha)
-        assert np.array_equal(dw_zeta, dkern @ fit.zeta)
+        whole = fit._evaluation(t)
+        blocks = [fit._evaluation(t[i: i + block]) for i in range(0, size, block)]
+        for j, values in enumerate(whole):
+            assert np.array_equal(values, np.concatenate([b[j] for b in blocks]), equal_nan=True)
+        for i in np.unique(np.linspace(0, size - 1, 40).astype(int)):
+            alone = fit._evaluation(float(t[i]))
+            assert all(isinstance(x, float) for x in alone)
+            assert np.array_equal(alone, [v[i] for v in whole], equal_nan=True)
+
+    def test_scan_values_equal_public_evaluations(self, fit):
+        """The scan's one pass gives what the public methods give, its yield
+        is -log(D)/t where D > 0 (t z is compared with -log(D), which the
+        division by a small t would amplify) and its forward the kernel
+        matrices' -D'/D."""
+        ts = np.arange(100_001) * 0.002
+        z, f, d = fit._evaluation(ts)
+        assert np.array_equal(z, fit.zero_yield(ts))
+        assert np.array_equal(f, fit.forward_rate(ts))
+        assert np.array_equal(d, fit.discount_factor(ts))
+        positive = (d > 0.0) & (ts > 0.0)
+        np.testing.assert_allclose(
+            z[positive] * ts[positive], -np.log(d[positive]), rtol=1e-13, atol=1e-15
+        )
+        assert z[0] == f[0]
+        _assert_twin_of_kernel_matrices(fit, ts)
 
 
 class TestSwDiscreteFit:
@@ -431,6 +488,15 @@ class TestSwDiscreteFit:
             curve.discount_factor(np.array([5.0, 10.0])),
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf, 9.5])
+    def test_extrapolate_rejects_unsampleable_horizon(self, horizon):
+        """The closed-form kinds' horizon rule: finite and not before tau."""
+        curve = ForwardCurve.from_zero_yields([5.0, 10.0], [0.02, 0.025])
+        spec = MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1)
+        with pytest.raises(DomainError, match="horizon must be finite and not precede tau"):
+            extrapolate(curve, spec, horizon)
+        assert extrapolate(curve, spec, 10.0).horizon == 10.0
 
 
 class TestDiscreteToContinuousConvergence:
@@ -590,7 +656,7 @@ SCAN_CURVES = _scan_curves()
 
 class TestChunkedScan:
     @pytest.mark.parametrize("name", sorted(SCAN_CURVES))
-    @pytest.mark.parametrize("chunk", [_SCAN_CHUNK, _SW_BLOCK])
+    @pytest.mark.parametrize("chunk", [_SCAN_CHUNK, 2048, 4097])
     def test_equals_one_chunk(self, monkeypatch, name, chunk):
         curve = SCAN_CURVES[name]
         step = curve.horizon / 100_000

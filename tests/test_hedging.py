@@ -715,6 +715,32 @@ class TestVerificationChecks:
         assert calls[0][0] is market_curve
         assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE)] * count
 
+    @pytest.mark.parametrize(
+        "spec",
+        [MethodSpec("M1", tau=TAU, ufr=UFR), M2, M3, MethodSpec("M4", tau=TAU), M5],
+        ids=lambda spec: spec.kind,
+    )
+    def test_base_curve_priced_once(self, market_curve, monkeypatch, spec):
+        """A hedgeable method's plan holds the liability value, which is the
+        flow's present value bit for bit, so the checks price only the
+        ladders; an unhedgeable one prices the base curve itself."""
+        calls = []
+
+        def counting(curve, flow):
+            calls.append(curve.rows)
+            return present_value(curve, flow)
+
+        monkeypatch.setattr(hedging, "present_value", counting)
+        verification_checks(spec, market_curve, SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
+        ladders = [len(EPS_SCHEDULE) + (spec.kind in ("M1", "M3"))] * 3
+        if spec.kind == "M4":
+            assert calls == [None] + ladders
+        else:
+            assert calls == ladders
+            plan = hedge(spec, market_curve, SYMBOLIC_FLOW)
+            value = present_value(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
+            assert plan.diagnostics["liability_value"] == value
+
     @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M3], ids=["M1", "M3"])
     def test_perfect_plan_revalued_on_the_ladder(self, market_curve, monkeypatch, spec):
         """A perfect plan's revaluation curve z + Dz is a ninth row of each

@@ -90,6 +90,26 @@ def test_many_rows_with_every_special_value():
     _check((ts, *values), DEFECTS)
 
 
+# a small pool, so that a cell often repeats the one before it
+pooled = st.sampled_from(SPECIALS + (0.042, 0.042 + 2**-57))
+
+
+@settings(max_examples=150)
+@given(rows=st.lists(st.tuples(finite, pooled, pooled, pooled), min_size=1, max_size=40))
+def test_runs_of_equal_cells(rows):
+    _check(_columns(rows), DEFECTS)
+
+
+def test_runs_keep_signed_zeros_and_nan_bits_apart():
+    """Runs are of cells equal bit for bit: 0.0 and -0.0, or two NaNs of
+    different bits, are not one run, and every non-finite cell is null."""
+    other_nan = np.array([0x7FF8000000000001]).view(float)[0]
+    col = np.array(
+        [0.0, 0.0, -0.0, -0.0, np.nan, other_nan, np.nan, 0.042, 0.042, 0.042, -0.0, np.inf, np.inf]
+    )
+    _check((np.arange(col.size) * 0.05, col, col[::-1].copy(), np.full(col.size, 0.042)), [])
+
+
 def test_one_row():
     _check(tuple(np.array([x]) for x in (0.0, np.nan, -0.0, 1e308)), [])
 
