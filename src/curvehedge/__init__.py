@@ -26,13 +26,6 @@ from .errors import (
     UndefinedDurationError,
 )
 from .extrapolation import (
-    M1,
-    M2,
-    M3,
-    M4,
-    M5_SFSA,
-    M6_SW_CONTINUOUS,
-    M6_SW_DISCRETE,
     DefectReport,
     ExtrapolatedCurve,
     MethodSpec,
@@ -60,6 +53,16 @@ from .hedging import (
     verify_first_order,
     verify_perfect,
 )
+from .methods import (
+    M1,
+    M2,
+    M3,
+    M4,
+    M5_SFSA,
+    M6_SW_CONTINUOUS,
+    M6_SW_DISCRETE,
+    sw_variation_coefficient,
+)
 from .sensitivity import UfrSensitivityReport, parameter_sensitivity, ufr_sensitivity
 from .shifts import gaussian_bump_shift, shift_suite
 from .variation import (
@@ -69,12 +72,8 @@ from .variation import (
     clamp_variation,
     method_variation,
     method_variation_pv,
-    method_variation_report,
     numeric_variation,
     second_order_pv,
-    sw_variation_coefficient,
-    variation_discount,
-    variation_pv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

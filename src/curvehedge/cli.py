@@ -22,7 +22,7 @@ import numpy as np
 from .curves import DEFAULT_HORIZON, MAX_SAMPLES
 from .errors import CurveHedgeError, DomainError, InputFormatError
 from .extrapolation import arbitrage_scan, extrapolate, is_number, resolve_alpha, sample_grid
-from .hedging import UNHEDGEABLE_KINDS, hedge_summary, infeasibility_decomposition, verification_checks
+from .hedging import PLAN_INFEASIBLE, hedge_summary, infeasibility_decomposition, verification_checks
 from .io import (
     Columns,
     method_from_arg,
@@ -94,6 +94,12 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _defect_text(scan) -> str:
+    if scan.is_clean:
+        return "no defects found\n"
+    return "".join(f"defect {d['kind']} on [{d['start']}, {d['end']}]\n" for d in scan.to_json())
+
+
 def _add_common(sub, liabilities=False):
     sub.add_argument("--curve", required=True, help="curve file (csv or json)")
     if liabilities:
@@ -140,13 +146,7 @@ def cmd_extrapolate(args) -> int:
     elif args.format == "csv":
         _emit(args, render_csv(samples.headers, samples))
     else:
-        text = render_table(samples.headers, samples)
-        if scan.is_clean:
-            text += "no defects found\n"
-        else:
-            for item in scan.to_json():
-                text += f"defect {item['kind']} on [{item['start']}, {item['end']}]\n"
-        _emit(args, text)
+        _emit(args, render_table(samples.headers, samples) + _defect_text(scan))
     if not scan.is_clean:
         print("defective curve: see scan report", file=sys.stderr)
         return 2
@@ -155,7 +155,7 @@ def cmd_extrapolate(args) -> int:
 
 def cmd_hedge(args) -> int:
     curve, spec, flow = _load(args, liabilities=True)
-    if spec.kind in UNHEDGEABLE_KINDS:
+    if spec.method.plan_kind == PLAN_INFEASIBLE:
         decomp = infeasibility_decomposition(spec, curve, flow, eps=args.fra_eps, horizon=args.horizon)
         payload = {"plan": decomp.plan.to_json(), "fra_overlay": decomp.to_json()}
         if args.format == "json":
@@ -250,13 +250,7 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _emit(args, render_json({"defects": scan.to_json(), "clean": scan.is_clean}))
     else:
-        if scan.is_clean:
-            _emit(args, "no defects found\n")
-        else:
-            lines = [
-                f"defect {d['kind']} on [{d['start']}, {d['end']}]" for d in scan.to_json()
-            ]
-            _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _defect_text(scan))
     return 0
 
 

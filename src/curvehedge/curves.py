@@ -341,12 +341,6 @@ class ForwardCurve:
         )
         return cum_tz, self._cum_f[k] + self.f_left[k] * w + 0.5 * slope * w * w
 
-    def time_weighted_yield_integral(self, a: float, b: float) -> float:
-        """int_a^b s*z(s) ds in closed form."""
-        return float(
-            self.cumulative_time_weighted_yield(b) - self.cumulative_time_weighted_yield(a)
-        )
-
     # ---- arithmetic -------------------------------------------------------
 
     def with_constant_added(self, c: float) -> "ForwardCurve":
@@ -457,14 +451,6 @@ class CurveShift:
             out = self.delta_forward._yield_of(self._integrated_delta_f(arr), arr)
         return float(out) if scalar else out
 
-    def delta_f(self, t, side: str = "right"):
-        arr, scalar = _as_array(t)
-        if self.constant is not None:
-            out = self.constant if scalar else np.full_like(arr, self.constant, dtype=float)
-        else:
-            out = self.delta_forward.forward_rate(_clipped(arr, self.horizon), side=side)
-        return float(out) if scalar else np.asarray(out, dtype=float)
-
     def delta_f_at_boundary(self, tau: float) -> float:
         """Delta-f at the last liquid point, taken as the left limit there.
 
@@ -491,10 +477,6 @@ class CurveShift:
             w = arr - hor
             out = out + np.where(beyond, cum_h * w + 0.5 * tail_f * w * w, 0.0)
         return float(out) if scalar else out
-
-    def time_weighted_integral(self, a: float, b: float) -> float:
-        """int_a^b s * Delta-z(s) ds, closed form."""
-        return float(self.time_weighted_cumulative(b) - self.time_weighted_cumulative(a))
 
     def scaled(self, factor: float) -> "CurveShift":
         scaled_curve = ForwardCurve(

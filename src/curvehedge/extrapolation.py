@@ -1,17 +1,10 @@
 """Extrapolation of market yield curves beyond the last liquid point.
 
-Six methods are supported, all agreeing with the (optionally offset)
-market curve up to the last liquid point tau and differing beyond it:
-
-- ``M1``   long zero yields pinned to a predetermined constant,
-- ``M2``   constant extrapolation of the zero yield z(tau),
-- ``M3``   long forward rates pinned to a predetermined constant (UFR),
-- ``M4``   constant extrapolation of the forward rate f(tau),
-- ``M5_SFSA``   forwards blended linearly from f(t) into the UFR between
-  tau and kappa (this needs market data out to kappa),
-- ``M6_SW_continuous`` / ``M6_SW_discrete``   the Smith-Wilson kernel
-  interpolant, conditioned on the whole curve up to tau (continuous) or
-  on finitely many observed discount factors (discrete).
+The methods of the method table (:mod:`curvehedge.methods`) all agree
+with the (optionally offset) market curve up to the last liquid point
+tau and differ beyond it: a closed-form extension glued to the market
+curve (:class:`ExtrapolatedCurve`), or the discrete Smith-Wilson fit
+through the market's discount factors (:class:`SwDiscreteFit`).
 
 An optional constant ``offset`` is added to the market yields before
 extrapolation, so the discount factor below tau picks up exp(-t*offset).
@@ -32,18 +25,7 @@ import numpy as np
 
 from .curves import DEFAULT_HORIZON, ForwardCurve, evaluation
 from .errors import AlphaNotWellDefinedError, CalibrationError, DomainError
-
-M1 = "M1"
-M2 = "M2"
-M3 = "M3"
-M4 = "M4"
-M5_SFSA = "M5_SFSA"
-M6_SW_CONTINUOUS = "M6_SW_continuous"
-M6_SW_DISCRETE = "M6_SW_discrete"
-
-ALL_KINDS = (M1, M2, M3, M4, M5_SFSA, M6_SW_CONTINUOUS, M6_SW_DISCRETE)
-_UFR_KINDS = (M1, M3, M5_SFSA, M6_SW_CONTINUOUS, M6_SW_DISCRETE)
-_SW_KINDS = (M6_SW_CONTINUOUS, M6_SW_DISCRETE)
+from .methods import METHODS, piecewise, sw_factor
 
 #: admissible range for the Smith-Wilson convergence speed when calibrated
 ALPHA_MIN = 1e-4
@@ -84,32 +66,18 @@ class MethodSpec:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in METHODS):
             raise DomainError(f"unknown method kind {self.kind!r}")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise DomainError("tau must be positive")
-        if self.kind in _UFR_KINDS:
-            if self.ufr is None or not np.isfinite(self.ufr):
-                raise DomainError(f"{self.kind} requires a finite ufr")
-        elif self.ufr is not None:
-            raise DomainError(f"{self.kind} does not take a ufr")
-        if self.kind == M5_SFSA:
-            if self.kappa is None or not self.kappa > self.tau:
-                raise DomainError("M5 requires kappa > tau")
-        if self.kappa is not None and not self.kappa > self.tau:
-            raise DomainError("kappa must exceed tau")
-        if self.kind in _SW_KINDS:
-            if self.alpha is None:
-                if self.kappa is None or self.epsilon is None:
-                    raise DomainError(
-                        "Smith-Wilson needs alpha, or kappa and epsilon to calibrate it"
-                    )
-            elif not (np.isfinite(self.alpha) and self.alpha > 0):
-                raise DomainError("alpha must be positive")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise DomainError("epsilon must be positive")
+        self.method.check_spec(self)
         if not np.isfinite(self.offset):
             raise DomainError("offset must be finite")
+
+    @property
+    def method(self):
+        """The method table's entry for this spec's kind."""
+        return METHODS[self.kind]
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "tau": self.tau, "offset": self.offset}
@@ -157,16 +125,6 @@ def sw_kernel(s, t, ufr: float, alpha: float):
     hi = np.maximum(s, t)
     out = np.exp(-ufr * (s + t)) * (alpha * lo - np.exp(-alpha * hi) * np.sinh(alpha * lo))
     return float(out) if out.ndim == 0 else out
-
-
-def sw_factor(u, g, alpha: float):
-    """The Smith-Wilson factor 1 + g (1 - e^{-alpha u}) / alpha.
-
-    ``u`` is the time past tau and ``g`` is ufr - f(tau). The continuous
-    version's discount factor is e^{-ufr u} D(tau) times this factor, so
-    the curve is defective wherever the factor is nonpositive.
-    """
-    return 1.0 + g * (1.0 - np.exp(-alpha * u)) / alpha
 
 
 class SwDiscreteFit:
@@ -278,10 +236,11 @@ class SwDiscreteFit:
 def sw_fit_discrete(nodes, prices, ufr: float, alpha: float, horizon: float = DEFAULT_HORIZON) -> SwDiscreteFit:
     """Solve the Smith-Wilson Gram system for observed discount factors.
 
-    Raises :class:`CalibrationError` when the kernel Gram matrix is
-    singular or its condition estimate exceeds ``SW_CONDITION_LIMIT``;
-    no regularization is applied, since that would silently break the
-    exact reproduction of the inputs.
+    The fit is sampled on [0, ``horizon``], which must be finite and not
+    precede the last node. Raises :class:`CalibrationError` when the
+    kernel Gram matrix is singular or its condition estimate exceeds
+    ``SW_CONDITION_LIMIT``; no regularization is applied, since that
+    would silently break the exact reproduction of the inputs.
     """
     t = np.asarray(nodes, dtype=float)
     p = np.asarray(prices, dtype=float)
@@ -293,6 +252,8 @@ def sw_fit_discrete(nodes, prices, ufr: float, alpha: float, horizon: float = DE
         raise DomainError("observed prices must be positive")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
+    if not t[-1] <= horizon < np.inf:  # written so that a NaN horizon fails it too
+        raise DomainError(f"horizon must be finite and not precede the last node, got {horizon}")
 
     gram = sw_kernel(t[:, None], t[None, :], ufr, alpha)
     condition = float(np.linalg.cond(gram))
@@ -362,81 +323,19 @@ def sw_alpha_calibrate(z: ForwardCurve, tau: float, kappa: float, ufr: float, ep
 # ---- the extrapolated curve -------------------------------------------------
 
 
-def _piecewise(t, at, below, above):
-    """``below`` on the times t <= at and ``above`` on the rest.
-
-    Each is called only with the times of its own side, and not at all
-    when there are none; both return an array or a tuple of arrays, or
-    for a float time a value or a tuple of them. Arrays may lead with a
-    scenario axis, which the result keeps.
-    """
-    if isinstance(t, float):
-        return below(t) if t <= at else above(t)
-    low = t <= at
-    if low.all():
-        return below(t)
-    high = ~low
-    if high.all():
-        return above(t)
-    low_values, high_values = below(t[low]), above(t[high])
-    if isinstance(low_values, tuple):
-        return tuple(_interleaved(low, high, a, b) for a, b in zip(low_values, high_values))
-    return _interleaved(low, high, low_values, high_values)
-
-
-def _interleaved(low, high, low_values, high_values):
-    out = np.empty(low_values.shape[:-1] + low.shape)
-    # through the transposes the mask indexes the first axis, numpy's fast
-    # path, for one row of values or a row per scenario
-    out.T[low] = low_values.T
-    out.T[high] = high_values.T
-    return out
-
-
-def _check_alpha(spec: MethodSpec):
-    if spec.kind in _SW_KINDS and spec.alpha is None:
-        raise DomainError(
-            "Smith-Wilson extrapolation needs a fixed alpha; "
-            "calibrate one with sw_alpha_calibrate first"
-        )
-
-
-def _check_glue(base: ForwardCurve, spec: MethodSpec, horizon: float):
-    """Raise unless ``spec`` can glue a closed-form extension to ``base`` up to ``horizon``."""
-    if spec.kind == M6_SW_DISCRETE:
-        raise DomainError("the discrete Smith-Wilson fit is built by extrapolate()")
-    _check_alpha(spec)
-    tau = spec.tau
-    if base.horizon < tau:
-        raise DomainError(f"market curve ends at {base.horizon}, before tau={tau}")
-    if spec.kind == M5_SFSA and base.horizon < spec.kappa:
-        raise DomainError(
-            f"M5 blends market forwards out to kappa={spec.kappa}; "
-            f"the market curve ends at {base.horizon}"
-        )
-    _check_horizon(spec, horizon)
-
-
-def _check_horizon(spec: MethodSpec, horizon: float):
-    if not spec.tau <= horizon < np.inf:  # written so that a NaN horizon fails it too
-        raise DomainError(f"horizon must be finite and not precede tau, got {horizon}")
-
-
 class ExtrapolatedCurve:
     """A market curve glued to a method-specific extension beyond tau.
 
     Evaluation keeps the market values (plus offset) for t <= tau and
-    switches to the closed-form extension above. Each time is evaluated
-    only by the side that owns it: the market curve ``eff`` sees the
-    times t <= tau and the extension the others, and a side with no times
-    is not called, as for a quadrature panel, which lies on one side.
-    M5 blends market values only on (tau, kappa]; past kappa it needs the
-    cached integral and the ufr alone. The market anchors of the extension
-    are cached at construction: z(tau) and D(tau) from one integrated
-    forward, f(tau-) from one forward rate, and for M5 the running
-    integral of s*z(s) at tau and kappa. They depend only on the market
-    curve, tau and the offset (and kappa), so :meth:`with_spec` shares
-    them.
+    switches to the extension of the spec's method-table entry
+    (``method``) above. Each time is evaluated only by the side that owns
+    it: the market curve ``eff`` sees the times t <= tau and the extension
+    the others, and a side with no times is not called, as for a
+    quadrature panel, which lies on one side. The market anchors of the
+    extension are cached at construction: z(tau) and D(tau) from one
+    integrated forward, f(tau-) from one forward rate, and the method's
+    own (for M5 the running integral of s*z(s) at tau and kappa), so
+    :meth:`with_spec` can share them.
 
     The extension reads the ultimate forward rate from ``ufr``, not from
     the spec: a float (None for M2 and M4), or for a family along the ufr
@@ -450,15 +349,17 @@ class ExtrapolatedCurve:
     """
 
     __slots__ = (
-        "base", "spec", "horizon", "eff", "rows", "ufr",
+        "base", "spec", "method", "horizon", "eff", "rows", "ufr",
         "z_tau", "f_tau", "d_tau", "_tz_tau", "_tz_kappa",
     )
 
     def __init__(self, base: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORIZON):
-        _check_glue(base, spec, horizon)
+        method = spec.method
+        method.check_glue(base, spec, horizon)
         tau = float(spec.tau)
         self.base = base
         self.spec = spec
+        self.method = method
         self.ufr = spec.ufr
         self.horizon = float(horizon)
         eff = self.eff = spec.market(base)
@@ -471,31 +372,23 @@ class ExtrapolatedCurve:
         self.z_tau = anchor(eff._yield_of(cum, tau))
         self.d_tau = anchor(np.exp(-cum))
         self.f_tau = anchor(ForwardCurve.forward_rate.body(eff, tau, "left"))
-        if spec.kind == M5_SFSA:
-            tz = ForwardCurve.cumulative_time_weighted_yield.body
-            self._tz_tau = anchor(tz(eff, tau))
-            self._tz_kappa = anchor(tz(eff, float(spec.kappa)))
-        else:
-            self._tz_tau = self._tz_kappa = 0.0
+        self._tz_tau, self._tz_kappa = method.tz_anchors(eff, spec, anchor)
 
     def with_spec(self, spec: MethodSpec):
         """The curve ``extrapolate(self.base, spec, self.horizon)`` builds.
 
-        A closed-form ``spec`` with this curve's tau and offset (and, for
-        M5, kappa) gets a curve sharing this one's market curve and
-        anchors, so a family of such curves costs one set of market
-        evaluations; any other spec gets a curve built afresh.
+        A ``spec`` whose method may share this curve's market anchors (see
+        :meth:`Method.shared_anchors`) gets a curve sharing this one's
+        market curve and anchors, so a family of such curves costs one set
+        of market evaluations; any other spec gets a curve built afresh.
         """
-        own = self.spec
-        if (
-            spec.kind == M6_SW_DISCRETE
-            or (spec.tau, spec.offset) != (own.tau, own.offset)
-            or (spec.kind == M5_SFSA and (own.kind, own.kappa) != (M5_SFSA, spec.kappa))
-        ):
+        method = spec.method
+        tz = method.shared_anchors(self, spec)
+        if tz is None:
             return extrapolate(self.base, spec, self.horizon)
-        _check_glue(self.base, spec, self.horizon)
-        tz = {} if spec.kind == M5_SFSA else {"_tz_tau": 0.0, "_tz_kappa": 0.0}
-        return self._derived(spec=spec, ufr=spec.ufr, rows=self.eff.rows, **tz)
+        method.check_glue(self.base, spec, self.horizon)
+        rows = self.eff.rows
+        return self._derived(spec=spec, method=method, ufr=spec.ufr, rows=rows, _tz_tau=tz[0], _tz_kappa=tz[1])
 
     def with_ufr(self, values):
         """This curve's family along the ufr, as one stacked curve: row i is
@@ -523,19 +416,9 @@ class ExtrapolatedCurve:
     def is_defective(self) -> bool:
         """True when the discount factor is nonpositive somewhere on the domain,
         in some row of a stacked curve."""
-        spec = self.spec
-        if spec.kind != M6_SW_CONTINUOUS:
-            return False
-        return bool(np.any(sw_factor(self.horizon - spec.tau, self.ufr - self.f_tau, spec.alpha) <= 0.0))
+        return self.method.is_defective(self)
 
     # -- evaluation --
-
-    def _full(self, t, value):
-        """``value`` at the times t, in a row per scenario of a stacked market."""
-        shape = t.shape if isinstance(t, np.ndarray) else ()
-        out = np.empty(shape if self.rows is None else (self.rows,) + shape)
-        out[...] = value
-        return out
 
     def _market_rows(self, values):
         """Market values as this curve's rows: for a ufr family, one C-ordered
@@ -544,80 +427,6 @@ class ExtrapolatedCurve:
         if self.rows is None or self.eff.rows is not None:
             return values
         return np.tile(values, (self.rows, 1))
-
-    def _extension_zero_yield(self, t):
-        spec, ufr = self.spec, self.ufr
-        tau = spec.tau
-        kind = spec.kind
-        if kind == M1:
-            return self._full(t, ufr)
-        if kind == M2:
-            return self._full(t, self.z_tau)
-        if kind == M5_SFSA:
-            kappa = spec.kappa
-            span = kappa - tau
-
-            def blend(s):
-                # s lies in (tau, kappa], inside eff's domain
-                w = tau / s
-                cum_tz, cum_f = self.eff._integrals(s)
-                integral = cum_tz - self._tz_tau
-                return (
-                    (kappa - s) / span * self.eff._yield_of(cum_f, s)
-                    + integral / (s * span)
-                    + (s - tau) / span * (1.0 - w) * ufr / 2.0
-                )
-
-            def beyond(s):
-                integral = self._tz_kappa - self._tz_tau
-                return integral / (s * span) + (1.0 - (tau + kappa) / (2.0 * s)) * ufr
-
-            return _piecewise(t, kappa, blend, beyond)
-        w = tau / t
-        if kind == M3:
-            return w * self.z_tau + (1.0 - w) * ufr
-        if kind == M4:
-            return w * self.z_tau + (1.0 - w) * self.f_tau
-        # M6 continuous
-        u = t - tau
-        factor = sw_factor(u, ufr - self.f_tau, spec.alpha)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            log_term = np.where(factor > 0.0, np.log(np.where(factor > 0.0, factor, 1.0)), np.nan)
-        return w * self.z_tau + (1.0 - w) * ufr - log_term / t
-
-    def _extension_forward(self, t):
-        spec, ufr = self.spec, self.ufr
-        kind = spec.kind
-        if kind in (M1, M3):
-            return self._full(t, ufr)
-        if kind == M2:
-            return self._full(t, self.z_tau)
-        if kind == M4:
-            return self._full(t, self.f_tau)
-        if kind == M5_SFSA:
-            kappa = spec.kappa
-            span = kappa - spec.tau
-
-            def blend(s):
-                return (kappa - s) / span * self.eff.forward_rate(s) + (s - spec.tau) / span * ufr
-
-            return _piecewise(t, kappa, blend, lambda s: self._full(s, ufr))
-        u = t - spec.tau
-        g = ufr - self.f_tau
-        factor = sw_factor(u, g, spec.alpha)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return ufr - g * np.exp(-spec.alpha * u) / factor
-
-    def _extension_discount(self, t, zero_yield=None):
-        """The discount factor past tau; ``zero_yield`` is the extension's at t, when known."""
-        spec, ufr = self.spec, self.ufr
-        if spec.kind == M6_SW_CONTINUOUS:
-            # product form stays valid (negative) for defective parameters
-            u = t - spec.tau
-            return np.exp(-ufr * u) * self.d_tau * sw_factor(u, ufr - self.f_tau, spec.alpha)
-        if zero_yield is None:
-            zero_yield = self._extension_zero_yield(t)
-        return np.exp(-t * zero_yield)
 
     def _at_tau(self, t, f):
         """Market forwards ``f`` at the times t <= tau, with f(tau-) at tau itself:
@@ -631,17 +440,17 @@ class ExtrapolatedCurve:
     @evaluation
     def zero_yield(self, t):
         market = lambda s: self._market_rows(self.eff.zero_yield(s))
-        return _piecewise(t, self.spec.tau, market, self._extension_zero_yield)
+        return piecewise(t, self.spec.tau, market, lambda s: self.method.zero_yield(self, s))
 
     @evaluation
     def forward_rate(self, t, side: str = "right"):
         market = lambda s: self._at_tau(s, self._market_rows(self.eff.forward_rate(s, side=side)))
-        return _piecewise(t, self.spec.tau, market, self._extension_forward)
+        return piecewise(t, self.spec.tau, market, lambda s: self.method.forward(self, s))
 
     @evaluation
     def discount_factor(self, t):
         market = lambda s: self._market_rows(self.eff.discount_factor(s))
-        return _piecewise(t, self.spec.tau, market, self._extension_discount)
+        return piecewise(t, self.spec.tau, market, lambda s: self.method.discount(self, s))
 
     @evaluation
     def _evaluation(self, t):
@@ -653,10 +462,11 @@ class ExtrapolatedCurve:
             return z, self._at_tau(s, f), d
 
         def extension(s):
-            z = self._extension_zero_yield(s)
-            return z, self._extension_forward(s), self._extension_discount(s, z)
+            method = self.method
+            z = method.zero_yield(self, s)
+            return z, method.forward(self, s), method.discount(self, s, z)
 
-        return _piecewise(t, self.spec.tau, market, extension)
+        return piecewise(t, self.spec.tau, market, extension)
 
     def breakpoints_between(self, a: float, b: float):
         pts = set(self.eff.breakpoints_between(a, b))
@@ -677,17 +487,17 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
     offset-adjusted discount factors at the market curve's quote nodes up
     to tau, so a shifted market curve is fitted at the same nodes).
     """
-    if spec.kind == M6_SW_DISCRETE:
-        _check_alpha(spec)
-        _check_horizon(spec, horizon)
-        eff = spec.market(z)
-        nodes = eff.quote_nodes
-        nodes = nodes[(nodes > 0.0) & (nodes <= spec.tau)]
-        if nodes.size == 0:
-            raise DomainError("no market nodes in (0, tau] to fit")
-        prices = eff.discount_factor(nodes)
-        return sw_fit_discrete(nodes, prices, spec.ufr, spec.alpha, horizon=horizon)
-    return ExtrapolatedCurve(z, spec, horizon=horizon)
+    method = spec.method
+    if method.glued:
+        return ExtrapolatedCurve(z, spec, horizon=horizon)
+    method.check_fit(spec, horizon)
+    eff = spec.market(z)
+    nodes = eff.quote_nodes
+    nodes = nodes[(nodes > 0.0) & (nodes <= spec.tau)]
+    if nodes.size == 0:
+        raise DomainError("no market nodes in (0, tau] to fit")
+    prices = eff.discount_factor(nodes)
+    return sw_fit_discrete(nodes, prices, spec.ufr, spec.alpha, horizon=horizon)
 
 
 # ---- defect scanning --------------------------------------------------------
@@ -756,7 +566,8 @@ def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
     The grid is :func:`sample_grid`'s. It is evaluated ``_SCAN_CHUNK``
     points at a time, the last chunk taking the remainder (so no call is
     for a few points), by the curve's ``_evaluation``, which yields the
-    forward and the discount factor together, into one mask per defect;
+    forward and the discount factor together, into one mask per defect
+    (a nonpositive discount factor is one whose zero yield is undefined);
     every value depends on its own time alone, so the chunks give the
     masks of one pass.
     """
@@ -766,9 +577,11 @@ def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
     nonpositive_discount = np.empty(ts.size, dtype=bool)
     bounds = [*range(0, max(ts.size - _SCAN_CHUNK, 1), _SCAN_CHUNK), ts.size]
     for chunk in map(slice, bounds, bounds[1:]):
-        _, f, d = curve._evaluation(ts[chunk])
+        z, f, d = curve._evaluation(ts[chunk])
         np.less(f, 0.0, out=negative_forward[chunk])
-        np.less_equal(d, 0.0, out=nonpositive_discount[chunk])
+        # a discount factor that underflows to 0 keeps a finite yield; every
+        # curve's yield is undefined (NaN) exactly where D <= 0
+        np.logical_and(d <= 0.0, np.isnan(z), out=nonpositive_discount[chunk])
     return DefectReport(
         step=step,
         horizon=horizon,
@@ -784,7 +597,7 @@ def resolve_alpha(z: ForwardCurve, spec: MethodSpec) -> MethodSpec:
     sensitivities of the calibrated speed to the curve are not
     propagated.
     """
-    if spec.kind not in _SW_KINDS or spec.alpha is not None:
+    if not spec.method.smith_wilson or spec.alpha is not None:
         return spec
     alpha = sw_alpha_calibrate(spec.market(z), spec.tau, spec.kappa, spec.ufr, spec.epsilon)
     return replace(spec, alpha=alpha)

@@ -6,12 +6,11 @@ discounted rate). Solving the first-order matching condition
 
     int t Dz(t) dA*(t) = int t dzbar(t)[Dz] dL*(t)
 
-per method gives: nothing for M1 (the extension ignores the market),
-single lumps at tau for M2 and M3, a flow spread over (tau, kappa] for
-M5, and no solution at all for M4 and the continuous Smith-Wilson
-method, whose variation needs the forward rate at tau -- an exposure
-only a vanishing-accrual forward rate agreement could isolate. Those
-two produce an infeasibility diagnosis instead of a plan.
+per method gives the plan of its entry in the method table
+(:mod:`curvehedge.methods`), of kind ``perfect``, ``first_order`` or
+``infeasible``. An infeasible method's variation needs the forward rate
+at tau -- an exposure only a vanishing-accrual forward rate agreement
+could isolate -- so it gets an infeasibility diagnosis instead of a plan.
 
 Plans are stated for liabilities strictly beyond tau; flows at or
 before tau are exactly replicable and must be split off by the caller
@@ -26,31 +25,9 @@ import numpy as np
 
 from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_integral, present_value
 from .errors import DomainError, PlanKindError
-from .extrapolation import (
-    DEFAULT_HORIZON,
-    M1,
-    M2,
-    M3,
-    M4,
-    M5_SFSA,
-    M6_SW_CONTINUOUS,
-    MethodSpec,
-    extrapolate,
-)
-from .variation import (
-    EPS_SCHEDULE,
-    method_variation_pv,
-    numeric_variation,
-    second_order_pv,
-    sw_variation_coefficient,
-)
-
-PLAN_PERFECT = "perfect"
-PLAN_FIRST_ORDER = "first_order"
-PLAN_INFEASIBLE = "infeasible"
-
-#: the methods whose hedge equation no bond portfolio solves
-UNHEDGEABLE_KINDS = (M4, M6_SW_CONTINUOUS)
+from .extrapolation import DEFAULT_HORIZON, MethodSpec, extrapolate
+from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
+from .variation import EPS_SCHEDULE, method_variation_pv, numeric_variation, second_order_pv
 
 #: node arrays whose rate values one plan density keeps; the memo is
 #: emptied when full (the eps-curves of one shift reuse only a few)
@@ -160,76 +137,17 @@ class HedgePlan:
         }
 
 
-def _m5_plan(spec, z, curve, flow, lstar):
-    tau, kappa = spec.tau, spec.kappa
-    span = kappa - tau
-    total = lstar.total
-
-    def density(lo, hi, rate):
-        return PlanDensity(lo, hi, rate, tuple(z.breakpoints_between(lo, hi).tolist()))
-
-    lumps = []
-    for t, amount in flow.lumps:
-        if tau < t <= kappa:
-            weight = (kappa - t) / span
-            if weight != 0.0:  # a lump exactly at kappa is carried by the density
-                lumps.append(PlanLump(t, weight * float(curve.discount_factor(t)) * amount))
-
-    # the roll-down term (L*_T - L*_t) / (kappa - tau) on (tau, kappa] is
-    # cut at the lumps and density ends inside
-    cuts = {tau, kappa}
-    cuts.update(t for t, _ in flow.lumps if tau < t < kappa)
-    densities, covered = [], []
-    for a, b, rate in flow.densities:
-        lo, hi = max(a, tau), min(b, kappa)
-        if lo < hi:
-            covered.append((lo, hi))
-            cuts.update((lo, hi))
-            densities.append(
-                density(
-                    lo,
-                    hi,
-                    lambda s, rate=rate: (kappa - np.asarray(s, dtype=float))
-                    / span
-                    * np.asarray(curve.discount_factor(s), dtype=float)
-                    * rate,
-                )
-            )
-
-    cuts = sorted(cuts)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        inside_density = any(a < hi and lo < b for a, b in covered)
-        if inside_density:
-            densities.append(
-                density(
-                    lo,
-                    hi,
-                    lambda s, _l=lstar: (_l.total - _l.cumulative(np.asarray(s, dtype=float)))
-                    / span,
-                )
-            )
-        else:
-            rate = (total - lstar.cumulative(0.5 * (lo + hi))) / span
-            densities.append(density(lo, hi, rate))
-
-    return HedgePlan(
-        PLAN_FIRST_ORDER,
-        tuple(lumps),
-        tuple(densities),
-        {"support": (tau, kappa), "liability_value": total},
-    )
-
-
 def hedge(
     spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DEFAULT_HORIZON, curve=None
 ) -> HedgePlan:
     """Solve the first-order matching condition for one method.
 
-    Returns a plan of kind ``perfect`` (M1, M3), ``first_order`` (M2,
-    M5), or ``infeasible`` (M4, continuous M6) -- the latter carrying the
-    matched lump at tau and the unmatched forward-exposure coefficient in
-    its diagnostics. ``curve`` is the extrapolation of ``z``, built here
-    when not given; the liability value is the flow's present value on it.
+    Returns the plan of the method's table entry: ``perfect`` (M1, M3),
+    ``first_order`` (M2, M5), or ``infeasible`` (M4, continuous M6) -- the
+    latter carrying the matched lump at tau and the unmatched
+    forward-exposure coefficient in its diagnostics. ``curve`` is the
+    extrapolation of ``z``, built here when not given; the liability
+    value is the flow's present value on it.
     """
     if flow.has_mass_at_or_before(spec.tau):
         raise DomainError(
@@ -240,45 +158,14 @@ def hedge(
     lstar = DiscountedFlow(flow, curve)
     if not lstar.total > 0.0:
         raise DomainError("liabilities must have positive present value")
-    tau = spec.tau
-    total = lstar.total
-    kind = spec.kind
-
-    if kind == M1:
-        return HedgePlan(PLAN_PERFECT, (), (), {"liability_value": total})
-    if kind == M2:
-        dollar_dur = lstar.integrate(lambda t: np.asarray(t, dtype=float))
-        return HedgePlan(
-            PLAN_FIRST_ORDER,
-            (PlanLump(tau, dollar_dur / tau),),
-            (),
-            {"liability_value": total, "leverage": dollar_dur / tau / total},
-        )
-    if kind == M3:
-        return HedgePlan(
-            PLAN_PERFECT, (PlanLump(tau, total),), (), {"liability_value": total}
-        )
-    if kind == M5_SFSA:
-        return _m5_plan(spec, z, curve, flow, lstar)
-    if kind in UNHEDGEABLE_KINDS:
-        if kind == M4:
-            coeff = lstar.integrate(lambda t: np.asarray(t, dtype=float) - tau)
-        else:
-            coeff = lstar.integrate(
-                lambda t: np.asarray(t, dtype=float)
-                * sw_variation_coefficient(t, tau, spec.alpha, spec.ufr, curve.f_tau)
-            )
-        return HedgePlan(
-            PLAN_INFEASIBLE,
-            (PlanLump(tau, total),),
-            (),
-            {
-                "liability_value": total,
-                "matched_lump_at_tau": total,
-                "unmatched_forward_coefficient": coeff,
-            },
-        )
-    raise DomainError(f"no hedge construction for method kind {kind!r}")
+    method = spec.method
+    lumps, densities, diagnostics = method.plan(spec, z, curve, flow, lstar)
+    return HedgePlan(
+        method.plan_kind,
+        tuple(PlanLump(*lump) for lump in lumps),
+        tuple(PlanDensity(*density) for density in densities),
+        diagnostics,
+    )
 
 
 def _first_order_residual(plan, shift, variation, horizon) -> float:
@@ -471,7 +358,7 @@ def verification_checks(
     """
     checks = []
     base_curve = extrapolate(z, spec, horizon)
-    if spec.kind in UNHEDGEABLE_KINDS:
+    if spec.method.plan_kind == PLAN_INFEASIBLE:
         plan, liability_value = None, present_value(base_curve, flow)
     else:
         plan = hedge(spec, z, flow, horizon, base_curve)
@@ -554,10 +441,6 @@ class FraContract:
         )
         object.__setattr__(self, "flows", flows)
 
-    @property
-    def notional(self) -> float:
-        return 1.0 / self.eps
-
     def value(self, curve=None) -> float:
         return present_value(self.curve if curve is None else curve, self.flows)
 
@@ -632,7 +515,7 @@ def infeasibility_decomposition(
     horizon: float = DEFAULT_HORIZON,
 ) -> InfeasibilityReport:
     """Decompose the hedge of an unhedgeable method into bond + FRA overlay."""
-    if spec.kind not in UNHEDGEABLE_KINDS:
+    if spec.method.plan_kind != PLAN_INFEASIBLE:
         raise DomainError("only M4 and the continuous Smith-Wilson method are unhedgeable")
     plan = hedge(spec, z, flow, horizon)
     coeff = plan.diagnostics["unmatched_forward_coefficient"]

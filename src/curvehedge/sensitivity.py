@@ -1,12 +1,11 @@
 """Sensitivity of liability values to the ultimate forward rate.
 
 S := -(d L*_T / d ufr) / L*_T is a duration with respect to the
-prescribed long-term rate: closed forms exist per method (the plain
-duration for constant-yield extrapolation, the excess duration above tau
-for pinned forwards, blended expressions with two-sided bounds for the
-phased and Smith-Wilson methods). Every closed form is cross-checked
-against a generic oracle, :func:`parameter_sensitivity`, which takes
-central differences of the present value along the curve family.
+prescribed long-term rate. Each method's closed form and bounds, and the
+curve family its oracle moves along, are its entry in the method table
+(:mod:`curvehedge.methods`). Every closed form is cross-checked against a
+generic oracle, :func:`parameter_sensitivity`, which takes central
+differences of the present value along the curve family.
 """
 
 from __future__ import annotations
@@ -15,25 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (
-    CashFlow,
-    DiscountedFlow,
-    ForwardCurve,
-    excess_duration,
-    present_value,
-)
+from .curves import CashFlow, DiscountedFlow, ForwardCurve, present_value
 from .errors import DomainError, EvaluationError
-from .extrapolation import (
-    DEFAULT_HORIZON,
-    M1,
-    M2,
-    M3,
-    M4,
-    M5_SFSA,
-    M6_SW_DISCRETE,
-    MethodSpec,
-    extrapolate,
-)
+from .extrapolation import DEFAULT_HORIZON, MethodSpec, extrapolate
 
 
 @dataclass(frozen=True)
@@ -90,30 +73,21 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     return float(out)
 
 
-def _ufr_family(curve):
-    """The curve family and base parameter of the generic oracle, around the
-    extrapolated ``curve``: the family maps an array of ufr values to one
-    stacked curve over the market anchors of ``curve``
-    (:meth:`ExtrapolatedCurve.with_ufr`)."""
-    spec = curve.spec
-    if spec.kind == M2:
-        # constant-yield extrapolation: the level itself plays the
-        # long-term-rate role, and varying it is the M1 family
-        curve = curve.with_spec(MethodSpec(M1, tau=spec.tau, ufr=curve.z_tau, offset=spec.offset))
-    return curve.with_ufr, curve.spec.ufr
-
-
 def ufr_sensitivity(
     spec: MethodSpec,
     z: ForwardCurve,
     flow: CashFlow,
     horizon: float = DEFAULT_HORIZON,
 ) -> UfrSensitivityReport:
-    """Per-method sensitivity of the liability value to the long-term rate."""
-    if spec.kind == M4:
-        raise DomainError("constant forward extrapolation has no ultimate forward rate")
-    if spec.kind == M6_SW_DISCRETE:
-        raise DomainError("closed-form sensitivities cover the continuous Smith-Wilson version")
+    """Per-method sensitivity of the liability value to the long-term rate.
+
+    The generic oracle differentiates the family of the method's
+    ``ufr_family`` curve, stacked by its ``with_ufr``; a method without a
+    closed form (M1) reports the oracle's value.
+    """
+    method = spec.method
+    if method.no_ufr:
+        raise DomainError(method.no_ufr)
     if flow.has_mass_at_or_before(spec.tau):
         raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
 
@@ -122,51 +96,12 @@ def ufr_sensitivity(
     total = lstar.total
     if not total > 0.0:
         raise DomainError("liabilities must have positive present value")
-    tau = spec.tau
 
-    family, theta0 = _ufr_family(curve)
-    oracle = -parameter_sensitivity(family, flow, theta0) / total
-
-    lower = upper = closed = None
-    oracle_only = False
-
-    if spec.kind == M1:
-        # no closed form is claimed for the baseline method
-        value = oracle
-        oracle_only = True
-    elif spec.kind == M2:
-        closed = lstar.integrate(lambda t: np.asarray(t, dtype=float)) / total
-        value = closed
-    elif spec.kind == M3:
-        closed = excess_duration(curve, flow, tau, total)
-        value = closed
-    elif spec.kind == M5_SFSA:
-        kappa = spec.kappa
-        span = kappa - tau
-
-        def weight(t):
-            t = np.asarray(t, dtype=float)
-            inside = (t - tau) ** 2 / (2.0 * span)
-            beyond = t - 0.5 * (tau + kappa)
-            return np.where(t <= kappa, inside, beyond)
-
-        closed = lstar.integrate(weight, breakpoints=(kappa,)) / total
-        value = closed
-        exc_tau = excess_duration(curve, flow, tau, total)
-        exc_kappa = excess_duration(curve, flow, kappa, total)
-        upper = 0.5 * (exc_tau + exc_kappa)
-        lower = exc_kappa + span * (total - lstar.cumulative(kappa)) / (2.0 * total)
-    else:  # M6 continuous
-        exc_tau = excess_duration(curve, flow, tau, total)
-        # the M3 curves at ufr and ufr + alpha, priced as one stack
-        low_curve = curve.with_spec(MethodSpec(M3, tau=tau, ufr=spec.ufr, offset=spec.offset))
-        bounds = low_curve.with_ufr([spec.ufr, spec.ufr + spec.alpha])
-        low_total, high_total = present_value(bounds, flow).tolist()
-        drop = low_total - high_total
-        closed = exc_tau - drop / (spec.alpha * total)
-        value = closed
-        upper = exc_tau
-        lower = exc_tau - excess_duration(low_curve, flow, tau, low_total)
+    family = method.ufr_family(curve)
+    oracle = -parameter_sensitivity(family.with_ufr, flow, family.spec.ufr) / total
+    closed, lower, upper = method.ufr_closed_form(spec, curve, flow, lstar, total)
+    oracle_only = closed is None
+    value = oracle if oracle_only else closed
 
     scale = max(abs(value), abs(oracle), 1e-12)
     return UfrSensitivityReport(

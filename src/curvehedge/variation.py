@@ -10,7 +10,8 @@ which is positively homogeneous in the shift but not necessarily linear
 closed-form expression here has a numeric twin built from one-sided
 difference quotients on a halving epsilon schedule with two levels of
 Richardson extrapolation; reports carry both values and their residual,
-never swallowing a disagreement.
+never swallowing a disagreement. Each method's dzbar and d2zbar past tau
+are its entry in the method table (:mod:`curvehedge.methods`).
 """
 
 from __future__ import annotations
@@ -19,22 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CashFlow, CurveShift, ForwardCurve, present_value, stieltjes_integral
-from .errors import DefectiveCurveError, DomainError, EvaluationError
-from .extrapolation import (
-    DEFAULT_HORIZON,
-    M1,
-    M2,
-    M3,
-    M4,
-    M5_SFSA,
-    M6_SW_CONTINUOUS,
-    M6_SW_DISCRETE,
-    ExtrapolatedCurve,
-    MethodSpec,
-    extrapolate,
-    sw_factor,
-)
+from .curves import CashFlow, CurveShift, ForwardCurve, stieltjes_integral
+from .errors import DomainError, EvaluationError
+from .extrapolation import DEFAULT_HORIZON, ExtrapolatedCurve, MethodSpec, extrapolate
 
 #: one-sided difference-quotient schedule: 1e-2 halved seven times
 EPS_SCHEDULE = tuple(1e-2 * 0.5**k for k in range(8))
@@ -164,60 +152,14 @@ def numeric_variation(
     )
 
 
-# ---- closed forms for plain discounting ------------------------------------
-
-
-def variation_discount(curve, shift: CurveShift, t: float) -> float:
-    """First variation of the discount factor: -t * Dz(t) * D(t)."""
-    return -t * shift.delta_z(t) * float(curve.discount_factor(t))
-
-
-def variation_pv(curve, shift: CurveShift, flow: CashFlow) -> float:
-    """First variation of a present value: -int t * Dz(t) dC*(t)."""
-    return -stieltjes_integral(
-        curve,
-        flow,
-        lambda t: t * shift.delta_z(t),
-        breakpoints=shift.breakpoints_between(0.0, curve.horizon),
-    )
-
-
 # ---- per-method variation of the glued curve --------------------------------
 
 
-def sw_variation_coefficient(t, tau: float, alpha: float, ufr: float, f_tau: float):
-    """Coefficient of Delta-f(tau) in the Smith-Wilson first variation.
-
-    c(t) = [(1 - e^{-alpha (t-tau)}) / (alpha t)] / [1 + (ufr - f_tau)(1 - e^{-alpha (t-tau)}) / alpha]
-    """
-    t = np.asarray(t, dtype=float)
-    phi = (1.0 - np.exp(-alpha * (t - tau))) / alpha
-    out = phi / (t * sw_factor(t - tau, ufr - f_tau, alpha))
-    return float(out) if out.ndim == 0 else out
-
-
 def _yield_variation(spec: MethodSpec, shift: CurveShift, curve):
-    """t -> dzbar(t) along ``shift``, for the extrapolated ``curve``.
-
-    The shift's quantities at tau are read once here, not at every call;
-    only the Smith-Wilson variation reads the curve, for its f(tau-).
-    """
-    if spec.kind == M6_SW_DISCRETE:
-        raise DomainError(
-            "directional formulas cover the continuous Smith-Wilson version; "
-            "the discrete fit reproduces its inputs exactly instead"
-        )
+    """t -> dzbar(t) along ``shift``, for the extrapolated ``curve``: the
+    shift itself up to tau, and the method's variation past it."""
     tau = spec.tau
-    kind = spec.kind
-    dz_tau = shift.delta_z(tau)
-    if kind in (M4, M6_SW_CONTINUOUS):
-        df_tau = shift.delta_f_at_boundary(tau)
-    if kind == M6_SW_CONTINUOUS:
-        f_tau = curve.f_tau
-    if kind == M5_SFSA:
-        kappa = spec.kappa
-        span = kappa - tau
-        tw_tau = shift.time_weighted_cumulative(tau)
+    extension = spec.method.yield_variation(spec, shift, curve)
 
     def variation(t):
         arr = np.asarray(t, dtype=float)
@@ -232,28 +174,7 @@ def _yield_variation(spec: MethodSpec, shift: CurveShift, curve):
             out[below] = shift.delta_z(arr[below])
         above = ~below
         if np.any(above):
-            te = arr[above]
-            if kind == M1:
-                out[above] = 0.0
-            elif kind == M2:
-                out[above] = dz_tau
-            elif kind == M3:
-                out[above] = (tau / te) * dz_tau
-            elif kind == M4:
-                out[above] = (tau / te) * dz_tau + (1.0 - tau / te) * df_tau
-            elif kind == M5_SFSA:
-                clipped = np.minimum(te, kappa)
-                integral = shift.time_weighted_cumulative(clipped) - tw_tau
-                blend = np.where(te <= kappa, (kappa - te) / span * shift.delta_z(clipped), 0.0)
-                out[above] = blend + integral / (te * span)
-            else:  # M6 continuous, alpha held fixed
-                if np.any(sw_factor(te - tau, spec.ufr - f_tau, spec.alpha) <= 0.0):
-                    raise DefectiveCurveError(
-                        "Smith-Wilson discount factor is nonpositive at the requested time; "
-                        "the variation is undefined there"
-                    )
-                c = sw_variation_coefficient(te, tau, spec.alpha, spec.ufr, f_tau)
-                out[above] = (tau / te) * dz_tau + c * df_tau
+            out[above] = extension(arr[above])
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
     return variation
@@ -267,8 +188,7 @@ def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
     the curve: none at all (M1), the last zero yield (M2, M3), the last
     forward (M4, M6), or a running average of the shift (M5).
     """
-    curve = extrapolate(z, spec) if spec.kind == M6_SW_CONTINUOUS else None
-    return _yield_variation(spec, shift, curve)(t)
+    return _yield_variation(spec, shift, extrapolate(z, spec))(t)
 
 
 def method_variation_pv(
@@ -293,25 +213,6 @@ def method_variation_pv(
         return np.asarray(t, dtype=float) * dzbar(t)
 
     return -stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))
-
-
-def method_variation_report(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    shift: CurveShift,
-    flow: CashFlow,
-    horizon: float = DEFAULT_HORIZON,
-    check_additivity: bool = False,
-) -> VariationReport:
-    """Analytic vs numeric first variation of the liability present value."""
-    analytic = method_variation_pv(spec, z, shift, flow, horizon)
-
-    def functional(curve):
-        return present_value(extrapolate(curve, spec, horizon), flow)
-
-    return numeric_variation(
-        functional, z, shift, order=1, analytic=analytic, check_additivity=check_additivity
-    )
 
 
 # ---- the clamp example -------------------------------------------------------
@@ -355,31 +256,23 @@ def second_order_pv(
 ) -> float:
     """Second variation of the liability present value along the shift.
 
-    Evaluates int (t^2 dzbar(t)^2 - t d2zbar(t)) dL*(t). The second
-    variation of the extrapolated yield vanishes for M1-M5 (their first
-    variation is linear in the shift). The fixed-alpha Smith-Wilson yield
-    is nonlinear in f(tau): with c the coefficient of
-    :func:`sw_variation_coefficient`, t d2zbar(t) = (t c(t) Df(tau))^2
-    past tau, and 0 up to it.
+    Evaluates int (t^2 dzbar(t)^2 - t d2zbar(t)) dL*(t), with t d2zbar(t)
+    the method's second variation past tau (:meth:`Method.second_variation`)
+    and 0 up to it.
     """
-    if spec.kind == M6_SW_DISCRETE:
-        raise DomainError(
-            "directional formulas cover the continuous Smith-Wilson version"
-        )
     if curve is None:
         curve = extrapolate(z, spec, horizon)
     dzbar = _yield_variation(spec, shift, curve)
     tau = spec.tau
-    df_tau = shift.delta_f_at_boundary(tau)
+    second = spec.method.second_variation(spec, shift, curve)
 
     def weight(t):
         t = np.asarray(t, dtype=float)
         dz = np.asarray(dzbar(t), dtype=float)
         out = t * t * dz * dz
-        if spec.kind == M6_SW_CONTINUOUS:
-            te = t[t > tau]
-            c = sw_variation_coefficient(te, tau, spec.alpha, spec.ufr, curve.f_tau)
-            out[t > tau] -= (te * c * df_tau) ** 2
+        if second is not None:
+            above = t > tau
+            out[above] -= second(t[above])
         return out
 
     return stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from curvehedge import CashFlow, CurveShift, ForwardCurve
+from curvehedge import (
+    CashFlow,
+    CurveShift,
+    ForwardCurve,
+    extrapolate,
+    method_variation_pv,
+    numeric_variation,
+    present_value,
+)
 
 #: property tests are part of tier-1, so they run the same examples every
 #: time and keep no example database
@@ -38,6 +46,17 @@ def random_shift(rng, horizon=200.0, amplitude=0.01):
         w = rng.uniform(1.0, 25.0)
         values += a * np.exp(-0.5 * ((ts - c) / w) ** 2)
     return CurveShift.from_forward_values(ts, values)
+
+
+def variation_report(spec, z, shift, flow):
+    """The closed-form first variation of the liability value,
+    ``method_variation_pv``, against its finite-difference twin."""
+
+    def functional(curve):
+        return present_value(extrapolate(curve, spec), flow)
+
+    analytic = method_variation_pv(spec, z, shift, flow)
+    return numeric_variation(functional, z, shift, analytic=analytic)
 
 
 @pytest.fixture

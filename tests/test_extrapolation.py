@@ -80,6 +80,11 @@ class TestMethodSpec:
             MethodSpec("M6_SW_continuous", tau=10, ufr=0.042)  # alpha or (kappa, epsilon)
         with pytest.raises(DomainError):
             MethodSpec("M1", tau=-1, ufr=0.042)
+        # JSON's Infinity is a number, but not a convergence point or a tolerance
+        with pytest.raises(DomainError, match="kappa must be finite"):
+            MethodSpec("M6_SW_continuous", tau=10, ufr=0.042, kappa=math.inf, epsilon=1e-4)
+        with pytest.raises(DomainError, match="epsilon must be finite"):
+            MethodSpec("M6_SW_continuous", tau=10, ufr=0.042, alpha=0.1, epsilon=math.inf)
 
     def test_sw_spec_with_calibration_fields(self):
         spec = MethodSpec("M6_SW_continuous", tau=10, ufr=0.042, kappa=60, epsilon=1e-4)
@@ -489,6 +494,17 @@ class TestSwDiscreteFit:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 9.5])
+    def test_fit_rejects_unsampleable_horizon(self, horizon):
+        """A fit is sampled on [0, horizon], so the horizon is finite and
+        reaches the last node; an infinite one once built a fit whose scan
+        raised OverflowError."""
+        nodes, prices = [2.0, 5.0, 10.0], [0.96, 0.9, 0.8]
+        with pytest.raises(DomainError, match="horizon must be finite and not precede the last node"):
+            sw_fit_discrete(nodes, prices, UFR, 0.1, horizon=horizon)
+        fit = sw_fit_discrete(nodes, prices, UFR, 0.1, horizon=10.0)
+        assert arbitrage_scan(fit, 0.5).horizon == 10.0
+
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf, 9.5])
     def test_extrapolate_rejects_unsampleable_horizon(self, horizon):
         """The closed-form kinds' horizon rule: finite and not before tau."""
@@ -534,7 +550,7 @@ class TestShiftSuite:
         for s1, s2 in zip(a, b):
             np.testing.assert_array_equal(s1.delta_z(ts), s2.delta_z(ts))
             # at most five bumps of 100 bp each
-            assert np.max(np.abs(s1.delta_f(ts))) <= 0.05 + 1e-12
+            assert np.max(np.abs(s1.delta_forward.forward_rate(ts))) <= 0.05 + 1e-12
 
 
 class TestAlphaCalibration:

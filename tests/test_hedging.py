@@ -19,7 +19,6 @@ from curvehedge import (
     fra_replicate,
     hedge,
     infeasibility_decomposition,
-    method_variation_report,
     present_value,
     stieltjes_integral,
     sw_variation_coefficient,
@@ -41,7 +40,7 @@ from curvehedge.quadrature import adaptive_gauss_legendre
 from curvehedge.shifts import shift_suite
 from curvehedge.variation import EPS_SCHEDULE
 
-from conftest import random_curve, random_lump_flow, random_shift
+from conftest import random_curve, random_lump_flow, random_shift, variation_report
 
 UFR = 0.042
 TAU = 10.0
@@ -396,7 +395,9 @@ class TestFra:
         shift = CurveShift.parallel(0.0001)
         wide = fra_replicate(zero_curve, TAU, 1.0)
         narrow = fra_replicate(zero_curve, TAU, 0.5)
-        assert narrow.notional == 2.0 * wide.notional
+        # the borrowed lump 1/eps doubles
+        assert narrow.flows.lumps[0] == (TAU - 0.5, 2.0)
+        assert narrow.flows.lumps[0][1] == 2.0 * wide.flows.lumps[0][1]
         assert narrow.variation(shift) == pytest.approx(wide.variation(shift), rel=1e-12)
 
     def test_domain_errors(self, flat3):
@@ -523,7 +524,7 @@ def _checks_one_at_a_time(spec, z, flow, shifts, tolerances, corrupt):
     checks = []
     liability_value = present_value(extrapolate(z, spec), flow)
     for i, shift in enumerate(shifts):
-        report = method_variation_report(spec, z, shift, flow)
+        report = variation_report(spec, z, shift, flow)
         analytic = report.analytic + corrupt
         residual = abs(analytic - report.numeric)
         scale = max(abs(analytic), abs(report.numeric))

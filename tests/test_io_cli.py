@@ -648,6 +648,35 @@ class TestCliScanAndDeterminism:
         assert code == 0
         assert "no defects" in out
 
+    def test_scan_ignores_discount_underflow(self, capsys):
+        """Past t = 745/ufr the M3 discount factor underflows to 0.0 while its
+        yield stays finite; that is no arbitrage defect."""
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
+        code = run_cli(
+            "scan-arbitrage",
+            "--curve", str(root / "curve.csv"),
+            "--method", '{"kind":"M3","tau":10.0,"ufr":0.042}',
+            "--horizon", "20000",
+            "--step", "1",
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "no defects found\n"
+
+    @pytest.mark.parametrize("field", ['"kappa":Infinity,"epsilon":1e-4', '"alpha":0.1,"epsilon":Infinity'])
+    def test_non_finite_spec_field_exits_2(self, flat_curve_csv, capsys, field):
+        code = run_cli(
+            "extrapolate",
+            "--curve", flat_curve_csv,
+            "--method", '{"kind":"M6_SW_continuous","tau":10,"ufr":0.042,%s}' % field,
+            "--format", "json",
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "must be finite" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_json_output_byte_identical(self, flat_curve_csv, lump_liability_csv, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -281,8 +281,8 @@ def test_float_time_evaluates_as_a_one_element_array(seed, kind, offset):
 
 @given(seed=seeds, shift_horizon=st.sampled_from([200.0, 60.0]))
 def test_float_time_shift_evaluates_as_a_one_element_array(seed, shift_horizon):
-    """A float time, Python or numpy, gives a shift's Delta-z, Delta-f from
-    either side and time-weighted cumulative of np.array([t]) bit for bit,
+    """A float time, Python or numpy, gives a shift's Delta-z and
+    time-weighted cumulative of np.array([t]) bit for bit,
     as a float, for a constant and a curve shift, inside the shift's horizon
     and past it, where the shift extends flat."""
     rng = np.random.default_rng(seed)
@@ -298,8 +298,6 @@ def test_float_time_shift_evaluates_as_a_one_element_array(seed, shift_horizon):
     for shift in (curve_shift, constant):
         methods = {
             "delta_z": shift.delta_z,
-            "delta_f": shift.delta_f,
-            "delta_f_left": functools.partial(shift.delta_f, side="left"),
             "time_weighted_cumulative": shift.time_weighted_cumulative,
         }
         for name, evaluate in methods.items():

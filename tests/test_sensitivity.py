@@ -16,6 +16,7 @@ from curvehedge import (
 )
 import curvehedge.curves as curves_module
 import curvehedge.quadrature as quadrature_module
+import curvehedge.methods as methods_module
 import curvehedge.sensitivity as sensitivity_module
 from curvehedge.errors import DomainError, UndefinedDurationError
 
@@ -229,6 +230,7 @@ class TestPricedOnce:
 
         monkeypatch.setattr(curves_module, "present_value", present_value_counted)
         monkeypatch.setattr(sensitivity_module, "present_value", present_value_counted)
+        monkeypatch.setattr(methods_module, "present_value", present_value_counted)
         return calls
 
     @pytest.fixture
@@ -274,7 +276,7 @@ class TestPricedOnce:
         assert base_kind == spec.kind
         assert all(curve is not base for curve in counted)
         # the oracle prices one stacked family of four rows, theta +- h and theta +- h/2
-        _, theta0 = sensitivity_module._ufr_family(extrapolate(market_curve, spec))
+        theta0 = spec.method.ufr_family(extrapolate(market_curve, spec)).spec.ufr
         h = 5e-5 * (abs(theta0) + 1.0)
         family_kind = "M1" if spec is M2 else spec.kind
         assert priced[0] == (family_kind, [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0])

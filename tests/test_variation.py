@@ -14,13 +14,10 @@ from curvehedge import (
     extrapolate,
     method_variation,
     method_variation_pv,
-    method_variation_report,
     numeric_variation,
     present_value,
     second_order_pv,
     sw_variation_coefficient,
-    variation_discount,
-    variation_pv,
 )
 from curvehedge.errors import DomainError, EvaluationError
 from curvehedge.shifts import shift_suite
@@ -28,7 +25,7 @@ from curvehedge.variation import EPS_SCHEDULE, _richardson
 import curvehedge.curves as curves_module
 import curvehedge.quadrature as quadrature_module
 
-from conftest import random_curve, random_lump_flow, random_shift
+from conftest import random_curve, random_lump_flow, random_shift, variation_report
 
 UFR = 0.042
 TAU = 10.0
@@ -54,7 +51,7 @@ class TestNumericVariation:
         for _ in range(5):
             shift = random_shift(rng)
             report = numeric_variation(lambda c: c.discount_factor(t), flat3, shift)
-            expected = variation_discount(flat3, shift, t)
+            expected = -t * shift.delta_z(t) * flat3.discount_factor(t)
             assert report.numeric == pytest.approx(expected, abs=1e-7)
 
     def test_linear_functional_is_exact(self, flat3):
@@ -117,24 +114,30 @@ class TestRichardson:
 
 
 class TestClosedFormVariations:
+    """Flows up to tau, where every method's curve is the market curve and
+    ``method_variation_pv`` is -int t Dz(t) dC*(t)."""
+
     def test_zero_shift(self, flat3):
         zero = CurveShift.parallel(0.0)
-        assert variation_discount(flat3, zero, 10.0) == 0.0
-        assert variation_pv(flat3, zero, CashFlow.single_payment(10.0)) == 0.0
+        spec = MethodSpec("M2", tau=TAU)
+        assert method_variation(spec, flat3, zero, 10.0) == 0.0
+        assert method_variation_pv(spec, flat3, zero, CashFlow.single_payment(10.0)) == 0.0
 
     def test_dv01_of_ten_year_flow(self):
         curve = ForwardCurve.flat(0.0)
         shift = CurveShift.parallel(0.0001)
-        value = variation_pv(curve, shift, CashFlow.single_payment(10.0))
+        spec = MethodSpec("M2", tau=TAU)
+        value = method_variation_pv(spec, curve, shift, CashFlow.single_payment(10.0))
         assert value == pytest.approx(-0.001, rel=1e-14)
 
     def test_matches_numeric_oracle(self):
         rng = np.random.default_rng(67)
+        spec = MethodSpec("M2", tau=150.0)
         for _ in range(10):
             curve = random_curve(rng)
             shift = random_shift(rng)
             flow = random_lump_flow(rng, 0.0, 150.0)
-            analytic = variation_pv(curve, shift, flow)
+            analytic = method_variation_pv(spec, curve, shift, flow)
             report = numeric_variation(lambda c: present_value(c, flow), curve, shift)
             assert report.numeric == pytest.approx(analytic, rel=1e-7, abs=1e-9)
 
@@ -241,7 +244,7 @@ class TestMethodVariation:
             MethodSpec("M5_SFSA", tau=TAU, kappa=KAPPA, ufr=UFR, offset=0.002),
             MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.2, offset=0.002),
         ):
-            report = method_variation_report(kind_spec, flat3, shift, flow)
+            report = variation_report(kind_spec, flat3, shift, flow)
             scale = max(abs(report.analytic), abs(report.numeric), 1e-8)
             assert report.residual / scale < 1e-6, kind_spec.kind
 
@@ -250,7 +253,7 @@ class TestMethodVariationReport:
     def test_m1_zero_both_ways(self, flat3):
         spec = MethodSpec("M1", tau=TAU, ufr=UFR)
         flow = CashFlow.single_payment(30.0)
-        report = method_variation_report(spec, flat3, CurveShift.parallel(0.01), flow)
+        report = variation_report(spec, flat3, CurveShift.parallel(0.01), flow)
         assert report.analytic == 0.0
         assert abs(report.numeric) < 1e-12
         assert report.residual < 1e-12
@@ -261,7 +264,7 @@ class TestMethodVariationReport:
         flow = CashFlow.single_payment(sigma)
         unit = CurveShift.parallel(1.0)
         curve = extrapolate(flat3, spec)
-        report = method_variation_report(spec, flat3, unit, flow)
+        report = variation_report(spec, flat3, unit, flow)
         expected = -sigma * curve.discount_factor(sigma)
         assert report.analytic == pytest.approx(expected, rel=1e-13)
         assert report.residual <= 1e-6 * abs(expected)
@@ -278,7 +281,7 @@ class TestMethodVariationReport:
             shift = random_shift(rng)
             flow = random_lump_flow(rng, TAU + 2.0, 150.0)
             pv = present_value(extrapolate(curve, spec), flow)
-            report = method_variation_report(spec, curve, shift, flow)
+            report = variation_report(spec, curve, shift, flow)
             # floor the scale so variations that are numerically zero
             # (shift mass far from the liability) don't fail on noise
             scale = max(abs(report.analytic), abs(report.numeric), 1e-6 * (1.0 + pv))
