@@ -112,28 +112,31 @@ def _add_common(sub, liabilities=False):
     sub.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
 
 
-def _load(args, liabilities=False):
-    """The market curve, the method spec with alpha resolved, and the liabilities.
+def _load(args, liabilities=False, tolerances=False):
+    """The market curve extrapolated by the method spec, with alpha
+    resolved, and, when asked for, the liabilities and the verification
+    tolerances.
 
     The liability commands take the options of a shift suite, so their
     horizon is checked by the suite's rule before any method runs, also
-    on the paths that build no suite.
+    on the paths that build no suite. The curve is extrapolated once,
+    after every input is read and checked, and each command uses it.
     """
-    curve = read_curve(args.curve)
-    spec = method_from_arg(args.method)
-    resolved = resolve_alpha(curve, spec)
-    flow = None
+    market = read_curve(args.curve)
+    spec = resolve_alpha(market, method_from_arg(args.method))
+    flow = tols = None
     if liabilities:
         flow = read_cash_flow(args.liabilities)
         check_horizon(args.horizon)
-    return curve, resolved, flow
+    if tolerances:
+        tols = _tolerances()
+    return extrapolate(market, spec, args.horizon), flow, tols
 
 
 def cmd_extrapolate(args) -> int:
     _check_step(args.step, args.horizon, "--step")
     _check_step(args.scan_step, args.horizon, "--scan-step")
-    curve, spec, _ = _load(args)
-    ec = extrapolate(curve, spec, args.horizon)
+    ec, _, _ = _load(args)
     ts = sample_grid(ec.horizon, args.step)
     samples = Columns(("t", "zero_yield", "forward", "discount"), (ts,) + ec._evaluation(ts))
     scan = arbitrage_scan(ec, args.scan_step)
@@ -141,7 +144,7 @@ def cmd_extrapolate(args) -> int:
     if args.format == "json":
         # defective curves have undefined yields in places; strict JSON
         # has no NaN, so render_json writes null there
-        payload = {"method": spec.to_json(), "samples": samples, "defects": scan.to_json()}
+        payload = {"method": ec.spec.to_json(), "samples": samples, "defects": scan.to_json()}
         _emit(args, render_json(payload))
     elif args.format == "csv":
         _emit(args, render_csv(samples.headers, samples))
@@ -154,9 +157,9 @@ def cmd_extrapolate(args) -> int:
 
 
 def cmd_hedge(args) -> int:
-    curve, spec, flow = _load(args, liabilities=True)
-    if spec.method.plan_kind == PLAN_INFEASIBLE:
-        decomp = infeasibility_decomposition(spec, curve, flow, eps=args.fra_eps, horizon=args.horizon)
+    curve, flow, _ = _load(args, liabilities=True)
+    if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
+        decomp = infeasibility_decomposition(curve, flow, eps=args.fra_eps)
         payload = {"plan": decomp.plan.to_json(), "fra_overlay": decomp.to_json()}
         if args.format == "json":
             _emit(args, render_json(payload))
@@ -172,7 +175,7 @@ def cmd_hedge(args) -> int:
         return 0
 
     suite = shift_suite(args.shifts, args.seed, args.horizon)
-    payload = hedge_summary(spec, curve, flow, suite, args.horizon)
+    payload = hedge_summary(curve, flow, suite)
     plan = payload["plan"]
     if args.format == "json":
         _emit(args, render_json(payload))
@@ -198,11 +201,10 @@ def cmd_hedge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    curve, spec, flow = _load(args, liabilities=True)
-    tols = _tolerances()
+    curve, flow, tols = _load(args, liabilities=True, tolerances=True)
     suite = shift_suite(args.shifts, args.seed, args.horizon)
     corrupt = args.corrupt_analytic or 0.0
-    checks = verification_checks(spec, curve, flow, suite, tols, args.horizon, corrupt)
+    checks = verification_checks(curve, flow, suite, tols, corrupt)
 
     lines = []
     failed = None
@@ -227,8 +229,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    curve, spec, flow = _load(args, liabilities=True)
-    report = ufr_sensitivity(spec, curve, flow, args.horizon)
+    curve, flow, _ = _load(args, liabilities=True)
+    report = ufr_sensitivity(curve, flow)
     if args.format == "json":
         _emit(args, render_json(report.to_json()))
     else:
@@ -244,9 +246,8 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_scan(args) -> int:
     _check_step(args.step, args.horizon, "--step")
-    curve, spec, _ = _load(args)
-    ec = extrapolate(curve, spec, args.horizon)
-    scan = arbitrage_scan(ec, args.step)
+    curve, _, _ = _load(args)
+    scan = arbitrage_scan(curve, args.step)
     if args.format == "json":
         _emit(args, render_json({"defects": scan.to_json(), "clean": scan.is_clean}))
     else:

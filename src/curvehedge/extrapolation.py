@@ -149,11 +149,13 @@ class SwDiscreteFit:
     the last node, where they are finite. A time costs one segment search
     and a few exponentials, and each value depends on its own time alone.
     Exposes the same evaluation protocol as the other curve objects; the
-    yield is undefined (NaN) wherever D(t) <= 0.
+    yield is undefined (NaN) wherever D(t) <= 0. ``spec`` is the method
+    spec :func:`extrapolate` fitted it for, None for a bare
+    :func:`sw_fit_discrete` fit.
     """
 
     __slots__ = (
-        "nodes", "prices", "ufr", "alpha", "zeta", "horizon", "condition",
+        "nodes", "prices", "ufr", "alpha", "zeta", "horizon", "condition", "spec",
         "_p", "_q", "_r", "_s",
     )
 
@@ -168,6 +170,7 @@ class SwDiscreteFit:
         self.zeta = np.asarray(zeta, dtype=float)
         self.horizon = float(horizon)
         self.condition = float(condition)
+        self.spec = None
         c = self.zeta * np.exp(-self.ufr * self.nodes)
         alpha_u = self.alpha * self.nodes
         zero = np.zeros(1)
@@ -497,7 +500,9 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
     if nodes.size == 0:
         raise DomainError("no market nodes in (0, tau] to fit")
     prices = eff.discount_factor(nodes)
-    return sw_fit_discrete(nodes, prices, spec.ufr, spec.alpha, horizon=horizon)
+    fit = sw_fit_discrete(nodes, prices, spec.ufr, spec.alpha, horizon=horizon)
+    fit.spec = spec
+    return fit
 
 
 # ---- defect scanning --------------------------------------------------------

@@ -14,7 +14,8 @@ could isolate -- so it gets an infeasibility diagnosis instead of a plan.
 
 Plans are stated for liabilities strictly beyond tau; flows at or
 before tau are exactly replicable and must be split off by the caller
-so the per-method comparison stays clean.
+so the per-method comparison stays clean. Every function here takes the
+extrapolated curve, which holds its market curve, spec and horizon.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_integral, present_value
 from .errors import DomainError, PlanKindError
-from .extrapolation import DEFAULT_HORIZON, MethodSpec, extrapolate
+from .extrapolation import ExtrapolatedCurve, extrapolate
 from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
 from .variation import EPS_SCHEDULE, method_variation_pv, numeric_variation, second_order_pv
 
@@ -137,29 +138,25 @@ class HedgePlan:
         }
 
 
-def hedge(
-    spec: MethodSpec, z: ForwardCurve, flow: CashFlow, horizon: float = DEFAULT_HORIZON, curve=None
-) -> HedgePlan:
-    """Solve the first-order matching condition for one method.
+def hedge(curve: ExtrapolatedCurve, flow: CashFlow) -> HedgePlan:
+    """Solve the first-order matching condition for the method of ``curve``.
 
     Returns the plan of the method's table entry: ``perfect`` (M1, M3),
     ``first_order`` (M2, M5), or ``infeasible`` (M4, continuous M6) -- the
     latter carrying the matched lump at tau and the unmatched
-    forward-exposure coefficient in its diagnostics. ``curve`` is the
-    extrapolation of ``z``, built here when not given; the liability
-    value is the flow's present value on it.
+    forward-exposure coefficient in its diagnostics. The liability value
+    is the flow's present value on ``curve``.
     """
-    if flow.has_mass_at_or_before(spec.tau):
+    if flow.has_mass_at_or_before(curve.spec.tau):
         raise DomainError(
             "liability flows at or before tau are exactly replicable; "
             "split them off before hedging the extrapolated part"
         )
-    curve = extrapolate(z, spec, horizon) if curve is None else curve
     lstar = DiscountedFlow(flow, curve)
     if not lstar.total > 0.0:
         raise DomainError("liabilities must have positive present value")
-    method = spec.method
-    lumps, densities, diagnostics = method.plan(spec, z, curve, flow, lstar)
+    method = curve.spec.method
+    lumps, densities, diagnostics = method.plan(curve, flow, lstar)
     return HedgePlan(
         method.plan_kind,
         tuple(PlanLump(*lump) for lump in lumps),
@@ -177,48 +174,41 @@ def _first_order_residual(plan, shift, variation, horizon) -> float:
     return abs(lhs + variation)
 
 
-def verify_first_order(
-    plan: HedgePlan,
-    spec: MethodSpec,
-    z: ForwardCurve,
-    flow: CashFlow,
-    shift: CurveShift,
-    horizon: float = DEFAULT_HORIZON,
-    curve=None,
-) -> float:
+def verify_first_order(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, shift: CurveShift) -> float:
     """Residual of the first-order matching condition for one shift.
 
     |int t Dz dA* - int t dzbar dL*|; near zero for every shift when the
     plan solves the hedge equation identically (M1, M2, M3, M5).
-    ``curve`` is the extrapolation of ``z``, built here when not given.
     """
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("an infeasible diagnosis cannot be verified as a hedge")
-    variation = method_variation_pv(spec, z, shift, flow, horizon, curve=curve)
-    return _first_order_residual(plan, shift, variation, horizon)
+    variation = method_variation_pv(curve, shift, flow)
+    return _first_order_residual(plan, shift, variation, curve.horizon)
 
 
 class _LiabilityPricer:
-    """F[market]: the flow's value on the extrapolated market curve.
+    """F[market]: the flow's value on a market curve extrapolated as ``curve`` is.
 
-    Each curve object is extrapolated and priced once, and ``z`` not at
-    all: ``value`` is its value, the flow's present value on its
-    extrapolation.
+    Each market curve object is extrapolated and priced once, and that of
+    ``curve`` not at all: ``value`` is its value, the flow's present
+    value on ``curve``.
     """
 
-    def __init__(self, spec, flow, horizon, z, value: float):
-        self.spec, self.flow, self.horizon = spec, flow, horizon
-        self.priced = {z: value}
+    def __init__(self, curve, flow, value: float):
+        self.curve, self.flow = curve, flow
+        self.priced = {curve.base: value}
 
     def __call__(self, market) -> float:
         if market not in self.priced:
-            self.priced[market] = present_value(extrapolate(market, self.spec, self.horizon), self.flow)
+            curve = extrapolate(market, self.curve.spec, self.curve.horizon)
+            self.priced[market] = present_value(curve, self.flow)
         return self.priced[market]
 
     def rows_of(self, stack):
         """The rows of a stacked market curve as curves, priced together by one
         extrapolation and one present value of the stack."""
-        values = present_value(extrapolate(stack, self.spec, self.horizon), self.flow)
+        curve = extrapolate(stack, self.curve.spec, self.curve.horizon)
+        values = present_value(curve, self.flow)
         curves = [stack.row(i) for i in range(stack.rows)]
         self.priced.update(zip(curves, np.broadcast_to(values, (stack.rows,)).tolist()))
         return curves
@@ -236,14 +226,7 @@ def _revaluation_gap(plan, z, shifted_curves, price) -> float:
     return worst
 
 
-def verify_perfect(
-    plan: HedgePlan,
-    spec: MethodSpec,
-    z: ForwardCurve,
-    flow: CashFlow,
-    shifts,
-    horizon: float = DEFAULT_HORIZON,
-) -> float:
+def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> float:
     """Worst full-revaluation tracking error of a perfect plan over a shift suite.
 
     A plan is a perfect hedge when asset and liability values agree for
@@ -255,29 +238,24 @@ def verify_perfect(
     """
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
-    price = _LiabilityPricer(spec, flow, horizon, z, present_value(extrapolate(z, spec, horizon), flow))
+    z = curve.base
+    price = _LiabilityPricer(curve, flow, present_value(curve, flow))
     return _revaluation_gap(plan, z, [z.shifted(shift) for shift in shifts], price)
 
 
 def convexity_gap(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    flow: CashFlow,
-    shift: CurveShift,
-    plan: HedgePlan | None = None,
-    horizon: float = DEFAULT_HORIZON,
-    curve=None,
+    curve: ExtrapolatedCurve, flow: CashFlow, shift: CurveShift, plan: HedgePlan | None = None
 ) -> float:
     """Second-order mismatch of a first-order hedge along one shift.
 
     d2P[A] - d2P[L] = int t^2 Dz^2 dA* - int (t^2 dzbar^2 - t d2zbar) dL*.
     Negative values mean the hedge lacks convexity against the
     liabilities (it must be grown whichever way the curve moves);
-    positive values mean excess convexity. ``curve`` is the
-    extrapolation of ``z``, built here when not given.
+    positive values mean excess convexity. ``plan`` is the hedge of
+    ``curve``, built here when not given.
     """
     if plan is None:
-        plan = hedge(spec, z, flow, horizon, curve)
+        plan = hedge(curve, flow)
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("no first-order hedge exists to compare against")
 
@@ -286,33 +264,26 @@ def convexity_gap(
         dz = np.asarray(shift.delta_z(t), dtype=float)
         return t * t * dz * dz
 
-    asset_side = plan.integrate(weight, shift.breakpoints_between(0.0, horizon))
-    liability_side = second_order_pv(spec, z, shift, flow, horizon, curve=curve)
+    asset_side = plan.integrate(weight, shift.breakpoints_between(0.0, curve.horizon))
+    liability_side = second_order_pv(curve, shift, flow)
     return asset_side - liability_side
 
 
-def hedge_summary(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    flow: CashFlow,
-    shifts,
-    horizon: float = DEFAULT_HORIZON,
-) -> dict:
+def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
     """A hedgeable method's plan with its value, leverage and checks, as JSON data.
 
-    The extrapolated curve is built once here and shared by the plan,
-    the residuals and the gap. ``liability_value`` is the plan's own:
-    the present value of the liabilities on that curve.
+    The plan, the residuals and the gap share ``curve``.
+    ``liability_value`` is the plan's own: the present value of the
+    liabilities on ``curve``.
     ``max_first_order_residual`` is the worst first-order residual over
     ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
     along a parallel shift of one.
     """
-    curve = extrapolate(z, spec, horizon)
-    plan = hedge(spec, z, flow, horizon, curve)
+    plan = hedge(curve, flow)
     liability_value = plan.diagnostics["liability_value"]
-    residuals = [verify_first_order(plan, spec, z, flow, s, horizon, curve) for s in shifts]
-    unit = CurveShift.parallel(1.0, horizon)
-    gap = convexity_gap(spec, z, flow, unit, plan, horizon, curve)
+    residuals = [verify_first_order(plan, curve, flow, s) for s in shifts]
+    unit = CurveShift.parallel(1.0, curve.horizon)
+    gap = convexity_gap(curve, flow, unit, plan)
     total = plan.value()
     return {
         "plan": plan.to_json(),
@@ -325,13 +296,7 @@ def hedge_summary(
 
 
 def verification_checks(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    flow: CashFlow,
-    shifts,
-    tolerances: dict,
-    horizon: float = DEFAULT_HORIZON,
-    corrupt: float = 0.0,
+    curve: ExtrapolatedCurve, flow: CashFlow, shifts, tolerances: dict, corrupt: float = 0.0
 ) -> list:
     """The analytic-vs-numeric checks of one method, as (name, ok, value, bound) records.
 
@@ -347,29 +312,29 @@ def verification_checks(
     ``variation_rel``, ``variation_abs``, ``perfect_gap_rel`` and
     ``first_order_residual_rel``.
 
-    Every scenario is built and priced once: the base curve z, whose value
-    a hedgeable method's plan already holds, and per shift the curves
-    z + eps*Dz of ``EPS_SCHEDULE``, which the finite-difference oracle and
-    the remainder check share, and for a perfect plan its revaluation
-    curve z + Dz. A shift's curves are one
+    Every scenario is built and priced once: ``curve``, the extrapolated
+    market curve z, whose value a hedgeable method's plan already holds,
+    and per shift the curves z + eps*Dz of ``EPS_SCHEDULE``, which the
+    finite-difference oracle and the remainder check share, and for a
+    perfect plan its revaluation curve z + Dz. A shift's curves are one
     stacked curve, from one :meth:`ForwardCurve.ray`: one construction,
     one extrapolation and one present value price all of them, and the
     remainder check revalues the plan on all of them at once.
     """
     checks = []
-    base_curve = extrapolate(z, spec, horizon)
-    if spec.method.plan_kind == PLAN_INFEASIBLE:
-        plan, liability_value = None, present_value(base_curve, flow)
+    if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
+        plan, liability_value = None, present_value(curve, flow)
     else:
-        plan = hedge(spec, z, flow, horizon, base_curve)
+        plan = hedge(curve, flow)
         liability_value = plan.diagnostics["liability_value"]
-    price = _LiabilityPricer(spec, flow, horizon, z, liability_value)
+    z = curve.base
+    price = _LiabilityPricer(curve, flow, liability_value)
     # a perfect plan's revaluation curve z + Dz is the ladder's last row
     perfect = plan is not None and plan.kind == PLAN_PERFECT
     scales = np.array(EPS_SCHEDULE + ((1.0,) if perfect else ()))
     variations, ladders = [], []
     for i, shift in enumerate(shifts):
-        variation = method_variation_pv(spec, z, shift, flow, horizon, curve=base_curve)
+        variation = method_variation_pv(curve, shift, flow)
         analytic = variation + corrupt
         ladder = z.ray(shift)(scales)
         curves = price.rows_of(ladder)
@@ -389,7 +354,7 @@ def verification_checks(
         return checks
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
     for i, (shift, variation) in enumerate(zip(shifts, variations)):
-        residual = _first_order_residual(plan, shift, variation, horizon)
+        residual = _first_order_residual(plan, shift, variation, curve.horizon)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     if perfect:
         gap = _revaluation_gap(plan, z, [curves[-1] for _, curves in ladders], price)
@@ -403,8 +368,8 @@ def verification_checks(
         for i, (ladder, curves) in enumerate(ladders):
             assets = np.broadcast_to(plan.value_under(ladder, z), (ladder.rows,)).tolist()
             ratios = []
-            for eps, asset, curve in zip(EPS_SCHEDULE, assets, curves):
-                liab = price(curve)
+            for eps, asset, shifted in zip(EPS_SCHEDULE, assets, curves):
+                liab = price(shifted)
                 ratios.append(abs((asset - base_asset) - (liab - liability_value)) / eps)
             window = ratios[-tail:]
             good = all(b < a or b < floor for a, b in zip(window, window[1:]))
@@ -470,7 +435,7 @@ def fra_replicate(z: ForwardCurve, tau: float, eps: float) -> FraContract:
 class InfeasibilityReport:
     """Best bond-only hedge of an unhedgeable method, plus a forward overlay.
 
-    ``plan`` is the infeasible plan the report is read from. Its lump at
+    ``plan`` is the infeasible plan of ``curve`` the report is read from. Its lump at
     tau matches the zero-yield coefficient of the hedge equation;
     ``forward_coefficient`` is the exposure to the forward rate at tau
     that no bond portfolio matches. ``fra_quantity`` contracts of the
@@ -479,27 +444,26 @@ class InfeasibilityReport:
     error otherwise -- the residual is reported, not hidden.
     """
 
-    spec: MethodSpec
+    curve: ExtrapolatedCurve
     plan: HedgePlan
     bond_lump_at_tau: float
     forward_coefficient: float
     fra: FraContract
     fra_quantity: float
-    _z: ForwardCurve
     _flow: CashFlow
-    _horizon: float
 
     def combined_sensitivity(self, shift: CurveShift) -> float:
-        bond = self.spec.tau * shift.delta_z(self.spec.tau) * self.bond_lump_at_tau
+        tau = self.curve.spec.tau
+        bond = tau * shift.delta_z(tau) * self.bond_lump_at_tau
         return bond + self.fra_quantity * self.fra.variation(shift)
 
     def residual(self, shift: CurveShift) -> float:
-        target = -method_variation_pv(self.spec, self._z, shift, self._flow, self._horizon)
+        target = -method_variation_pv(self.curve, shift, self._flow)
         return abs(self.combined_sensitivity(shift) - target)
 
     def to_json(self) -> dict:
         return {
-            "kind": self.spec.kind,
+            "kind": self.curve.spec.kind,
             "bond_lump_at_tau": self.bond_lump_at_tau,
             "forward_coefficient": self.forward_coefficient,
             "fra_eps": self.fra.eps,
@@ -507,28 +471,21 @@ class InfeasibilityReport:
         }
 
 
-def infeasibility_decomposition(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    flow: CashFlow,
-    eps: float = 1.0,
-    horizon: float = DEFAULT_HORIZON,
-) -> InfeasibilityReport:
+def infeasibility_decomposition(curve: ExtrapolatedCurve, flow: CashFlow, eps: float = 1.0) -> InfeasibilityReport:
     """Decompose the hedge of an unhedgeable method into bond + FRA overlay."""
-    if spec.method.plan_kind != PLAN_INFEASIBLE:
+    if curve.spec.method.plan_kind != PLAN_INFEASIBLE:
         raise DomainError("only M4 and the continuous Smith-Wilson method are unhedgeable")
-    plan = hedge(spec, z, flow, horizon)
+    tau, z = curve.spec.tau, curve.base
+    plan = hedge(curve, flow)
     coeff = plan.diagnostics["unmatched_forward_coefficient"]
-    fra = fra_replicate(z, spec.tau, eps)
-    d_near = float(z.discount_factor(spec.tau - eps))
+    fra = fra_replicate(z, tau, eps)
+    d_near = float(z.discount_factor(tau - eps))
     return InfeasibilityReport(
-        spec=spec,
+        curve=curve,
         plan=plan,
         bond_lump_at_tau=plan.diagnostics["matched_lump_at_tau"],
         forward_coefficient=coeff,
         fra=fra,
         fra_quantity=coeff / d_near,
-        _z=z,
         _flow=flow,
-        _horizon=horizon,
     )

@@ -121,7 +121,8 @@ class Method:
     (``z_tau``, ``f_tau``, ``d_tau``), its market curve ``eff`` and its
     ``ufr``: a float, or a ``(rows, 1)`` column for a family along the
     ufr. ``yield_variation`` and ``second_variation`` give functions of
-    the times te past tau, with the shift's quantities at tau read once.
+    the times te past tau, with values shaped like the times and the
+    shift's quantities at tau read once.
     """
 
     kind = None
@@ -155,6 +156,10 @@ class Method:
                     raise DomainError("Smith-Wilson needs alpha, or kappa and epsilon to calibrate it")
             elif not (np.isfinite(spec.alpha) and spec.alpha > 0):
                 raise DomainError("alpha must be positive")
+        else:
+            for name in ("alpha", "epsilon"):
+                if getattr(spec, name) is not None:
+                    raise DomainError(f"{spec.kind} does not take {name}")
         if spec.epsilon is not None and not spec.epsilon > 0:
             raise DomainError("epsilon must be positive")
         for name, value in (("kappa", spec.kappa), ("epsilon", spec.epsilon)):
@@ -187,18 +192,19 @@ class Method:
             zero_yield = self.zero_yield(curve, t)
         return np.exp(-t * zero_yield)
 
-    def second_variation(self, spec, shift, curve):
+    def second_variation(self, shift, curve):
         """None: the first variation is linear in the shift."""
         return None
 
-    def plan(self, spec, z, curve, flow, lstar):
+    def plan(self, curve, flow, lstar):
         """The lumps (time, amount), densities (start, end, rate, breakpoints)
         and diagnostics of the plan for a flow past tau, whose measure on
         ``curve`` is ``lstar``."""
         raise DomainError(f"no hedge construction for method kind {self.kind!r}")
 
-    def ufr_closed_form(self, spec, curve, flow, lstar, total):
-        """S in closed form and its lower and upper bounds, each None where absent."""
+    def ufr_closed_form(self, curve, flow, lstar):
+        """S in closed form and its lower and upper bounds, each None where
+        absent, for a flow whose measure on ``curve`` is ``lstar``."""
         return None, None, None
 
     def ufr_family(self, curve):
@@ -206,12 +212,12 @@ class Method:
         return curve
 
 
-def _infeasible(spec, lstar, coeff):
+def _infeasible(tau, lstar, coeff):
     """The lump at tau matching the yield exposure, and the forward exposure ``coeff`` no bond matches."""
     total = lstar.total
     diagnostics = {"liability_value": total, "matched_lump_at_tau": total,
                    "unmatched_forward_coefficient": coeff}
-    return ((spec.tau, total),), (), diagnostics
+    return ((tau, total),), (), diagnostics
 
 
 class _PinnedYield(Method):
@@ -227,10 +233,10 @@ class _PinnedYield(Method):
 
     forward = zero_yield
 
-    def yield_variation(self, spec, shift, curve):
-        return lambda te: 0.0
+    def yield_variation(self, shift, curve):
+        return np.zeros_like
 
-    def plan(self, spec, z, curve, flow, lstar):
+    def plan(self, curve, flow, lstar):
         return (), (), {"liability_value": lstar.total}
 
 
@@ -248,18 +254,18 @@ class _LastYield(Method):
 
     forward = zero_yield
 
-    def yield_variation(self, spec, shift, curve):
-        dz_tau = shift.delta_z(spec.tau)
-        return lambda te: dz_tau
+    def yield_variation(self, shift, curve):
+        dz_tau = shift.delta_z(curve.spec.tau)
+        return lambda te: np.full_like(te, dz_tau)
 
-    def plan(self, spec, z, curve, flow, lstar):
-        tau, total = spec.tau, lstar.total
+    def plan(self, curve, flow, lstar):
+        tau, total = curve.spec.tau, lstar.total
         dollar_dur = lstar.integrate(_times)
         diagnostics = {"liability_value": total, "leverage": dollar_dur / tau / total}
         return ((tau, dollar_dur / tau),), (), diagnostics
 
-    def ufr_closed_form(self, spec, curve, flow, lstar, total):
-        return lstar.integrate(_times) / total, None, None
+    def ufr_closed_form(self, curve, flow, lstar):
+        return lstar.integrate(_times) / lstar.total, None, None
 
     def ufr_family(self, curve):
         spec = replace(curve.spec, kind=M1, ufr=curve.z_tau, kappa=None, alpha=None, epsilon=None)
@@ -280,16 +286,16 @@ class _PinnedForward(Method):
     def forward(self, curve, t):
         return _filled(curve, t, curve.ufr)
 
-    def yield_variation(self, spec, shift, curve):
-        tau = spec.tau
+    def yield_variation(self, shift, curve):
+        tau = curve.spec.tau
         dz_tau = shift.delta_z(tau)
         return lambda te: (tau / te) * dz_tau
 
-    def plan(self, spec, z, curve, flow, lstar):
-        return ((spec.tau, lstar.total),), (), {"liability_value": lstar.total}
+    def plan(self, curve, flow, lstar):
+        return ((curve.spec.tau, lstar.total),), (), {"liability_value": lstar.total}
 
-    def ufr_closed_form(self, spec, curve, flow, lstar, total):
-        return excess_duration(curve, flow, spec.tau, total), None, None
+    def ufr_closed_form(self, curve, flow, lstar):
+        return excess_duration(curve, flow, curve.spec.tau, lstar.total), None, None
 
 
 class _LastForward(Method):
@@ -307,15 +313,15 @@ class _LastForward(Method):
     def forward(self, curve, t):
         return _filled(curve, t, curve.f_tau)
 
-    def yield_variation(self, spec, shift, curve):
-        tau = spec.tau
+    def yield_variation(self, shift, curve):
+        tau = curve.spec.tau
         dz_tau = shift.delta_z(tau)
         df_tau = shift.delta_f_at_boundary(tau)
         return lambda te: (tau / te) * dz_tau + (1.0 - tau / te) * df_tau
 
-    def plan(self, spec, z, curve, flow, lstar):
-        tau = spec.tau
-        return _infeasible(spec, lstar, lstar.integrate(lambda t: _times(t) - tau))
+    def plan(self, curve, flow, lstar):
+        tau = curve.spec.tau
+        return _infeasible(tau, lstar, lstar.integrate(lambda t: _times(t) - tau))
 
 
 class _Blend(Method):
@@ -378,8 +384,8 @@ class _Blend(Method):
 
         return piecewise(t, kappa, blend, lambda s: _filled(curve, s, ufr))
 
-    def yield_variation(self, spec, shift, curve):
-        tau, kappa = spec.tau, spec.kappa
+    def yield_variation(self, shift, curve):
+        tau, kappa = curve.spec.tau, curve.spec.kappa
         span = kappa - tau
         tw_tau = shift.time_weighted_cumulative(tau)
 
@@ -391,13 +397,13 @@ class _Blend(Method):
 
         return extension
 
-    def plan(self, spec, z, curve, flow, lstar):
-        tau, kappa = spec.tau, spec.kappa
+    def plan(self, curve, flow, lstar):
+        tau, kappa = curve.spec.tau, curve.spec.kappa
         span = kappa - tau
         total = lstar.total
 
         def density(lo, hi, rate):
-            return (lo, hi, rate, tuple(z.breakpoints_between(lo, hi).tolist()))
+            return (lo, hi, rate, tuple(curve.base.breakpoints_between(lo, hi).tolist()))
 
         lumps = []
         for t, amount in flow.lumps:
@@ -445,9 +451,10 @@ class _Blend(Method):
 
         return lumps, densities, {"support": (tau, kappa), "liability_value": total}
 
-    def ufr_closed_form(self, spec, curve, flow, lstar, total):
-        tau, kappa = spec.tau, spec.kappa
+    def ufr_closed_form(self, curve, flow, lstar):
+        tau, kappa = curve.spec.tau, curve.spec.kappa
         span = kappa - tau
+        total = lstar.total
 
         def weight(t):
             t = _times(t)
@@ -504,7 +511,8 @@ class _SmithWilson(Method):
         u = t - spec.tau
         return np.exp(-ufr * u) * curve.d_tau * sw_factor(u, ufr - curve.f_tau, spec.alpha)
 
-    def yield_variation(self, spec, shift, curve):
+    def yield_variation(self, shift, curve):
+        spec = curve.spec
         tau = spec.tau
         dz_tau = shift.delta_z(tau)
         df_tau = shift.delta_f_at_boundary(tau)
@@ -521,8 +529,9 @@ class _SmithWilson(Method):
 
         return extension
 
-    def second_variation(self, spec, shift, curve):
+    def second_variation(self, shift, curve):
         """te -> t d2zbar(te) = (t c(t) Df(tau))^2: the yield is nonlinear in f(tau)."""
+        spec = curve.spec
         df_tau = shift.delta_f_at_boundary(spec.tau)
 
         def extension(te):
@@ -531,13 +540,15 @@ class _SmithWilson(Method):
 
         return extension
 
-    def plan(self, spec, z, curve, flow, lstar):
+    def plan(self, curve, flow, lstar):
+        spec = curve.spec
         coeff = lstar.integrate(
             lambda t: _times(t) * sw_variation_coefficient(t, spec.tau, spec.alpha, spec.ufr, curve.f_tau)
         )
-        return _infeasible(spec, lstar, coeff)
+        return _infeasible(spec.tau, lstar, coeff)
 
-    def ufr_closed_form(self, spec, curve, flow, lstar, total):
+    def ufr_closed_form(self, curve, flow, lstar):
+        spec, total = curve.spec, lstar.total
         exc_tau = excess_duration(curve, flow, spec.tau, total)
         # the M3 curves at ufr and ufr + alpha, priced as one stack
         low_curve = curve.with_spec(replace(spec, kind=M3, kappa=None, alpha=None, epsilon=None))
@@ -570,7 +581,7 @@ class _SmithWilsonDiscrete(Method):
     def shared_anchors(self, curve, spec):
         return None
 
-    def yield_variation(self, spec, shift, curve):
+    def yield_variation(self, shift, curve):
         raise DomainError(
             "directional formulas cover the continuous Smith-Wilson version; "
             "the discrete fit reproduces its inputs exactly instead"

@@ -5,7 +5,9 @@ prescribed long-term rate. Each method's closed form and bounds, and the
 curve family its oracle moves along, are its entry in the method table
 (:mod:`curvehedge.methods`). Every closed form is cross-checked against a
 generic oracle, :func:`parameter_sensitivity`, which takes central
-differences of the present value along the curve family.
+differences of the present value along the curve family. The
+sensitivity is a functional of the extrapolated curve, which holds its
+market curve, spec and horizon.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CashFlow, DiscountedFlow, ForwardCurve, present_value
+from .curves import CashFlow, DiscountedFlow, present_value
 from .errors import DomainError, EvaluationError
-from .extrapolation import DEFAULT_HORIZON, MethodSpec, extrapolate
+from .extrapolation import ExtrapolatedCurve
+from .variation import _richardson
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,12 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     ``family`` maps an array of parameter values to one stacked curve with
     a row per value. Central differences of the present value itself,
     (PV(theta + h) - PV(theta - h)) / 2h, at h = 5e-5 (|theta| + 1) and at
-    h/2, combined by one Richardson step; the four present values are the
-    rows of one present value of the family at theta +- h and theta +- h/2,
-    each bit for bit that of its own curve. Each is a smooth integral, so
-    its quadrature stops at the panels the integrand needs; the step
-    balances the O(h^4) truncation left after the Richardson step against
-    roundoff.
+    h/2, combined by one Richardson step, which cancels the h^2 term; the
+    four present values are the rows of one present value of the family
+    at theta +- h and theta +- h/2, each bit for bit that of its own
+    curve. Each is a smooth integral, so its quadrature stops at the
+    panels the integrand needs; the step balances the O(h^4) truncation
+    left after the Richardson step against roundoff.
     """
     h = 5e-5 * (abs(theta) + 1.0)
     half = h / 2.0
@@ -67,31 +70,26 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     plus, minus, plus_half, minus_half = present_value(family(thetas), flow).tolist()
     d1 = (plus - minus) / (2.0 * h)
     d2 = (plus_half - minus_half) / (2.0 * half)
-    out = (4.0 * d2 - d1) / 3.0
+    out, _ = _richardson([d1, d2], (4.0,))
     if not np.isfinite(out):
         raise EvaluationError(f"non-finite parameter sensitivity near theta={theta}")
     return float(out)
 
 
-def ufr_sensitivity(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    flow: CashFlow,
-    horizon: float = DEFAULT_HORIZON,
-) -> UfrSensitivityReport:
+def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityReport:
     """Per-method sensitivity of the liability value to the long-term rate.
 
     The generic oracle differentiates the family of the method's
     ``ufr_family`` curve, stacked by its ``with_ufr``; a method without a
     closed form (M1) reports the oracle's value.
     """
+    spec = curve.spec
     method = spec.method
     if method.no_ufr:
         raise DomainError(method.no_ufr)
     if flow.has_mass_at_or_before(spec.tau):
         raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
 
-    curve = extrapolate(z, spec, horizon)
     lstar = DiscountedFlow(flow, curve)
     total = lstar.total
     if not total > 0.0:
@@ -99,7 +97,7 @@ def ufr_sensitivity(
 
     family = method.ufr_family(curve)
     oracle = -parameter_sensitivity(family.with_ufr, flow, family.spec.ufr) / total
-    closed, lower, upper = method.ufr_closed_form(spec, curve, flow, lstar, total)
+    closed, lower, upper = method.ufr_closed_form(curve, flow, lstar)
     oracle_only = closed is None
     value = oracle if oracle_only else closed
 

@@ -11,7 +11,9 @@ closed-form expression here has a numeric twin built from one-sided
 difference quotients on a halving epsilon schedule with two levels of
 Richardson extrapolation; reports carry both values and their residual,
 never swallowing a disagreement. Each method's dzbar and d2zbar past tau
-are its entry in the method table (:mod:`curvehedge.methods`).
+are its entry in the method table (:mod:`curvehedge.methods`). The
+functionals of the glued curve take the extrapolated curve, which holds
+its market curve, spec and horizon.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from .curves import CashFlow, CurveShift, ForwardCurve, stieltjes_integral
 from .errors import DomainError, EvaluationError
-from .extrapolation import DEFAULT_HORIZON, ExtrapolatedCurve, MethodSpec, extrapolate
+from .extrapolation import ExtrapolatedCurve
+from .methods import piecewise
 
 #: one-sided difference-quotient schedule: 1e-2 halved seven times
 EPS_SCHEDULE = tuple(1e-2 * 0.5**k for k in range(8))
@@ -59,18 +62,20 @@ class VariationReport:
         }
 
 
-def _richardson(quotients):
-    """Richardson table for an error expansion in integer powers of eps.
+def _richardson(quotients, factors):
+    """Richardson table for an error expansion in powers of the step.
 
-    ``quotients`` has one row per eps along axis 0; any further axes hold
-    independent tables. Successive columns cancel the eps, eps^2 and
-    eps^3 terms (halving schedule, so the elimination factors are 2, 4,
-    8). Returns the stability-picked estimate and the final column; the
-    pick minimizes the successive difference, guarding against roundoff
-    blowup at the smallest steps.
+    ``quotients`` has one row per step along axis 0, each step half the
+    one before; any further axes hold independent tables. Column k
+    cancels the error term that falls by ``factors[k]`` when the step
+    halves: (2, 4, 8) for the eps, eps^2 and eps^3 terms of one-sided
+    quotients, (4,) for the h^2 term of central differences. Returns the
+    stability-picked estimate and the final column; the pick minimizes
+    the successive difference, guarding against roundoff blowup at the
+    smallest steps.
     """
     col = np.asarray(quotients, dtype=float)
-    for factor in (2.0, 4.0, 8.0):
+    for factor in factors:
         if len(col) < 2:
             break
         col = (factor * col[1:] - col[:-1]) / (factor - 1.0)
@@ -132,7 +137,7 @@ def numeric_variation(
     else:
         quotients = tuple((at(2 * e) - 2.0 * at(e) + f0) / (e * e) for e in EPS_SCHEDULE)
 
-    numeric, extrapolated = _richardson(quotients)
+    numeric, extrapolated = _richardson(quotients, (2.0, 4.0, 8.0))
     numeric = float(numeric)
     residual = None if analytic is None else abs(analytic - numeric)
 
@@ -155,32 +160,25 @@ def numeric_variation(
 # ---- per-method variation of the glued curve --------------------------------
 
 
-def _yield_variation(spec: MethodSpec, shift: CurveShift, curve):
+def _yield_variation(shift: CurveShift, curve):
     """t -> dzbar(t) along ``shift``, for the extrapolated ``curve``: the
     shift itself up to tau, and the method's variation past it."""
-    tau = spec.tau
-    extension = spec.method.yield_variation(spec, shift, curve)
+    tau = curve.spec.tau
+    extension = curve.spec.method.yield_variation(shift, curve)
 
     def variation(t):
         arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).astype(float)
         if np.any(arr < 0.0):
             raise DomainError("negative time")
-
-        out = np.empty_like(arr)
-        below = arr <= tau
-        if np.any(below):
-            out[below] = shift.delta_z(arr[below])
-        above = ~below
-        if np.any(above):
-            out[above] = extension(arr[above])
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+        if isinstance(t, float):
+            return float(piecewise(t, tau, shift.delta_z, extension))
+        out = piecewise(arr.reshape(-1), tau, shift.delta_z, extension)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     return variation
 
 
-def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
+def method_variation(curve: ExtrapolatedCurve, shift: CurveShift, t):
     """Analytic first variation of the extrapolated yield at time t.
 
     Below tau the glued curve is the market curve, so the variation is
@@ -188,26 +186,17 @@ def method_variation(spec: MethodSpec, z: ForwardCurve, shift: CurveShift, t):
     the curve: none at all (M1), the last zero yield (M2, M3), the last
     forward (M4, M6), or a running average of the shift (M5).
     """
-    return _yield_variation(spec, shift, extrapolate(z, spec))(t)
+    return _yield_variation(shift, curve)(t)
 
 
-def method_variation_pv(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    shift: CurveShift,
-    flow: CashFlow,
-    horizon: float = DEFAULT_HORIZON,
-    curve: ExtrapolatedCurve | None = None,
-) -> float:
+def method_variation_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:
     """Analytic first variation of the liability present value.
 
     By the chain rule this is -int t * dzbar(t) dL*(t) with dL* the
     flow discounted by the extrapolated curve. The weight splits at the
     shift's nodes; dL* adds the curve's, tau and kappa among them.
     """
-    if curve is None:
-        curve = extrapolate(z, spec, horizon)
-    dzbar = _yield_variation(spec, shift, curve)
+    dzbar = _yield_variation(shift, curve)
 
     def weight(t):
         return np.asarray(t, dtype=float) * dzbar(t)
@@ -246,25 +235,16 @@ def clamp_functional(c: float, t: float):
 # ---- second order -----------------------------------------------------------
 
 
-def second_order_pv(
-    spec: MethodSpec,
-    z: ForwardCurve,
-    shift: CurveShift,
-    flow: CashFlow,
-    horizon: float = DEFAULT_HORIZON,
-    curve: ExtrapolatedCurve | None = None,
-) -> float:
+def second_order_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:
     """Second variation of the liability present value along the shift.
 
     Evaluates int (t^2 dzbar(t)^2 - t d2zbar(t)) dL*(t), with t d2zbar(t)
     the method's second variation past tau (:meth:`Method.second_variation`)
     and 0 up to it.
     """
-    if curve is None:
-        curve = extrapolate(z, spec, horizon)
-    dzbar = _yield_variation(spec, shift, curve)
-    tau = spec.tau
-    second = spec.method.second_variation(spec, shift, curve)
+    dzbar = _yield_variation(shift, curve)
+    tau = curve.spec.tau
+    second = curve.spec.method.second_variation(shift, curve)
 
     def weight(t):
         t = np.asarray(t, dtype=float)

@@ -55,7 +55,7 @@ def variation_report(spec, z, shift, flow):
     def functional(curve):
         return present_value(extrapolate(curve, spec), flow)
 
-    analytic = method_variation_pv(spec, z, shift, flow)
+    analytic = method_variation_pv(extrapolate(z, spec), shift, flow)
     return numeric_variation(functional, z, shift, analytic=analytic)
 
 

@@ -87,10 +87,10 @@ def test_criterion_01_phased_method_convexity_surplus_far_lumps():
     for sigma in (25.0, 40.0, 100.0):
         flow = CashFlow.single_payment(sigma)
         d_sigma = curve.discount_factor(sigma)
-        analytic = convexity_gap(M5, FLAT, flow, unit) / d_sigma
+        analytic = convexity_gap(extrapolate(FLAT, M5), flow, unit) / d_sigma
         worst_analytic = max(worst_analytic, abs(analytic - expected))
 
-        plan = hedge(M5, FLAT, flow)
+        plan = hedge(extrapolate(FLAT, M5), flow)
         rep_asset = numeric_variation(
             lambda c: plan.value_under(c, FLAT), FLAT, unit, order=2
         )
@@ -120,7 +120,7 @@ def test_criterion_02_phased_method_convexity_surplus_inside_blend():
 
     def unit_pv_gap(sigma):
         flow = CashFlow.single_payment(sigma, 1.0 / curve.discount_factor(sigma))
-        return convexity_gap(M5, FLAT, flow, unit)
+        return convexity_gap(extrapolate(FLAT, M5), flow, unit)
 
     sigmas = np.arange(10.5, 20.25, 0.5)
     positive = True
@@ -156,7 +156,7 @@ def test_criterion_03_constant_yield_convexity_deficit():
     curve = extrapolate(FLAT, M2)
     worst = 0.0
     for sigma in (25.0, 40.0, 100.0):
-        gap = convexity_gap(M2, FLAT, CashFlow.single_payment(sigma), unit)
+        gap = convexity_gap(extrapolate(FLAT, M2), CashFlow.single_payment(sigma), unit)
         expected = -sigma * (sigma - TAU) * curve.discount_factor(sigma)
         worst = max(worst, abs(gap - expected) / max(1.0, abs(expected)))
     _criterion(3, worst < 1e-10, f"deficit vs closed form, rel err {worst:.2e} (<1e-10)")
@@ -170,8 +170,8 @@ def test_criterion_04_perfect_hedge_revaluation():
     worst = 0.0
     for spec in (MethodSpec("M1", tau=TAU, ufr=UFR), M3):
         liability = present_value(extrapolate(market, spec), flow)
-        plan = hedge(spec, market, flow)
-        gap = verify_perfect(plan, spec, market, flow, shifts)
+        plan = hedge(extrapolate(market, spec), flow)
+        gap = verify_perfect(plan, extrapolate(market, spec), flow, shifts)
         worst = max(worst, gap / abs(liability))
     _criterion(4, worst < 1e-9, f"max revaluation gap {worst:.2e} of liability value (<1e-9)")
 
@@ -182,7 +182,7 @@ def test_criterion_05_first_order_residual_decay():
     shifts = local_shift_suite(20, seed=1)
     ok = True
     for spec in (M2, M5):
-        plan = hedge(spec, FLAT, flow)
+        plan = hedge(extrapolate(FLAT, spec), flow)
         base_asset = plan.value()
         base_liab = present_value(extrapolate(FLAT, spec), flow)
         for shift in shifts:
@@ -212,17 +212,17 @@ def test_criterion_06_ufr_sensitivities():
             )
         )
         flow = random_liability(rng, TAU + 0.5, 150.0)
-        r2 = ufr_sensitivity(M2, curve, flow)
+        r2 = ufr_sensitivity(extrapolate(curve, M2), flow)
         worst_identity = max(
             worst_identity, abs(r2.S - duration(extrapolate(curve, M2), flow))
         )
-        r3 = ufr_sensitivity(M3, curve, flow)
+        r3 = ufr_sensitivity(extrapolate(curve, M3), flow)
         worst_identity = max(
             worst_identity,
             abs(r3.S - (duration(extrapolate(curve, M3), flow) - TAU)),
         )
         for spec in (M5, m6):
-            report = ufr_sensitivity(spec, curve, flow)
+            report = ufr_sensitivity(extrapolate(curve, spec), flow)
             bounds_ok = bounds_ok and (
                 report.lower - 1e-10 <= report.S <= report.upper + 1e-10
             )
@@ -338,13 +338,13 @@ def test_criterion_12_hedge_value_identities():
         flow = random_liability(rng, TAU + 0.5, 180.0)
         for spec in (M3, M5):
             liability = present_value(extrapolate(FLAT, spec), flow)
-            plan = hedge(spec, FLAT, flow)
+            plan = hedge(extrapolate(FLAT, spec), flow)
             worst_match = max(
                 worst_match, abs(plan.value() - liability) / max(1.0, liability)
             )
         curve2 = extrapolate(FLAT, M2)
         liability = present_value(curve2, flow)
-        plan = hedge(M2, FLAT, flow)
+        plan = hedge(extrapolate(FLAT, M2), flow)
         worst_lever = max(
             worst_lever,
             abs(plan.value() / liability - duration(curve2, flow) / TAU),

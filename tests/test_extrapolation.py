@@ -85,6 +85,15 @@ class TestMethodSpec:
             MethodSpec("M6_SW_continuous", tau=10, ufr=0.042, kappa=math.inf, epsilon=1e-4)
         with pytest.raises(DomainError, match="epsilon must be finite"):
             MethodSpec("M6_SW_continuous", tau=10, ufr=0.042, alpha=0.1, epsilon=math.inf)
+        # alpha and epsilon configure Smith-Wilson alone
+        with pytest.raises(DomainError, match="M3 does not take alpha"):
+            MethodSpec("M3", tau=10, ufr=0.042, alpha=math.inf)
+        with pytest.raises(DomainError, match="M1 does not take alpha"):
+            MethodSpec("M1", tau=10, ufr=0.042, alpha=-1e308)
+        with pytest.raises(DomainError, match="M5_SFSA does not take epsilon"):
+            MethodSpec("M5_SFSA", tau=10, kappa=20, ufr=0.042, epsilon=1e-4)
+        with pytest.raises(DomainError, match="M4 does not take alpha"):
+            MethodSpec("M4", tau=10, alpha=0.1)
 
     def test_sw_spec_with_calibration_fields(self):
         spec = MethodSpec("M6_SW_continuous", tau=10, ufr=0.042, kappa=60, epsilon=1e-4)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import threading
@@ -19,13 +20,17 @@ from curvehedge import (
     fra_replicate,
     hedge,
     infeasibility_decomposition,
+    method_variation,
+    method_variation_pv,
     present_value,
+    second_order_pv,
     stieltjes_integral,
     sw_variation_coefficient,
+    ufr_sensitivity,
     verify_first_order,
     verify_perfect,
 )
-from curvehedge import hedging, variation
+from curvehedge import hedging
 from curvehedge.cli import TOLERANCES
 from curvehedge.errors import DomainError, PlanKindError
 from curvehedge.hedging import (
@@ -54,7 +59,7 @@ M5 = MethodSpec("M5_SFSA", tau=TAU, kappa=KAPPA, ufr=UFR)
 class TestHedgeConstruction:
     def test_m3_single_lump(self, flat3):
         curve = extrapolate(flat3, M3)
-        plan = hedge(M3, flat3, CashFlow.single_payment(20.0))
+        plan = hedge(extrapolate(flat3, M3), CashFlow.single_payment(20.0))
         assert plan.kind == PLAN_PERFECT
         assert len(plan.lumps) == 1
         lump = plan.lumps[0]
@@ -63,7 +68,7 @@ class TestHedgeConstruction:
 
     def test_m2_single_lump_leverage(self, flat3):
         curve = extrapolate(flat3, M2)
-        plan = hedge(M2, flat3, CashFlow.single_payment(20.0))
+        plan = hedge(extrapolate(flat3, M2), CashFlow.single_payment(20.0))
         assert plan.kind == PLAN_FIRST_ORDER
         assert plan.lumps[0].amount == pytest.approx(
             2.0 * curve.discount_factor(20.0), rel=1e-13
@@ -73,7 +78,7 @@ class TestHedgeConstruction:
     def test_m5_lump_beyond_kappa(self, flat3):
         curve = extrapolate(flat3, M5)
         sigma = 30.0
-        plan = hedge(M5, flat3, CashFlow.single_payment(sigma))
+        plan = hedge(extrapolate(flat3, M5), CashFlow.single_payment(sigma))
         assert plan.kind == PLAN_FIRST_ORDER
         assert not plan.lumps
         d_sigma = curve.discount_factor(sigma)
@@ -89,7 +94,7 @@ class TestHedgeConstruction:
     def test_m5_lump_inside_blend(self, flat3):
         curve = extrapolate(flat3, M5)
         sigma = 14.0
-        plan = hedge(M5, flat3, CashFlow.single_payment(sigma))
+        plan = hedge(extrapolate(flat3, M5), CashFlow.single_payment(sigma))
         match = [l for l in plan.lumps if l.time == sigma]
         assert len(match) == 1
         assert match[0].amount == pytest.approx(
@@ -101,38 +106,38 @@ class TestHedgeConstruction:
                 assert dens.mass() == 0.0
 
     def test_m5_lump_at_kappa_carried_by_density(self, flat3):
-        plan = hedge(M5, flat3, CashFlow.single_payment(KAPPA))
+        plan = hedge(extrapolate(flat3, M5), CashFlow.single_payment(KAPPA))
         assert not plan.lumps  # matching weight at kappa is zero
         assert plan.value() == pytest.approx(
             extrapolate(flat3, M5).discount_factor(KAPPA), rel=1e-12
         )
 
     def test_m1_empty_plan(self, flat3):
-        plan = hedge(MethodSpec("M1", tau=TAU, ufr=UFR), flat3, CashFlow.single_payment(30.0))
+        plan = hedge(extrapolate(flat3, MethodSpec("M1", tau=TAU, ufr=UFR)), CashFlow.single_payment(30.0))
         assert plan.kind == PLAN_PERFECT
         assert not plan.lumps and not plan.densities
         assert plan.value() == 0.0
 
     def test_m4_m6_infeasible(self, flat3):
         for spec in (MethodSpec("M4", tau=TAU), MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.2)):
-            plan = hedge(spec, flat3, CashFlow.single_payment(30.0))
+            plan = hedge(extrapolate(flat3, spec), CashFlow.single_payment(30.0))
             assert plan.kind == PLAN_INFEASIBLE
             assert plan.diagnostics["unmatched_forward_coefficient"] > 0.0
 
     def test_liability_at_or_before_tau_rejected(self, flat3):
         with pytest.raises(DomainError):
-            hedge(M3, flat3, CashFlow.single_payment(TAU))
+            hedge(extrapolate(flat3, M3), CashFlow.single_payment(TAU))
         with pytest.raises(DomainError):
-            hedge(M3, flat3, CashFlow(densities=((8.0, 12.0, 1.0),)))
+            hedge(extrapolate(flat3, M3), CashFlow(densities=((8.0, 12.0, 1.0),)))
 
     def test_nonpositive_value_rejected(self, flat3):
         with pytest.raises(DomainError):
-            hedge(M3, flat3, CashFlow())
+            hedge(extrapolate(flat3, M3), CashFlow())
         with pytest.raises(DomainError):
-            hedge(M3, flat3, CashFlow.single_payment(30.0, -1.0))
+            hedge(extrapolate(flat3, M3), CashFlow.single_payment(30.0, -1.0))
 
     def test_plan_json(self, flat3):
-        plan = hedge(M5, flat3, CashFlow.single_payment(30.0))
+        plan = hedge(extrapolate(flat3, M5), CashFlow.single_payment(30.0))
         data = plan.to_json()
         assert data["kind"] == "first_order"
         assert all({"a", "b", "rate"} <= set(d) for d in data["densities"])
@@ -140,16 +145,16 @@ class TestHedgeConstruction:
 
 class TestVerifyFirstOrder:
     def test_m2_parallel(self, flat3):
-        plan = hedge(M2, flat3, CashFlow.single_payment(30.0))
-        residual = verify_first_order(plan, M2, flat3, CashFlow.single_payment(30.0), CurveShift.parallel(0.01))
+        curve, flow = extrapolate(flat3, M2), CashFlow.single_payment(30.0)
+        residual = verify_first_order(hedge(curve, flow), curve, flow, CurveShift.parallel(0.01))
         assert residual < 1e-10
 
     def test_m3_arbitrary_shifts(self, flat3):
         rng = np.random.default_rng(103)
         flow = random_lump_flow(rng, TAU + 1.0, 150.0)
-        plan = hedge(M3, flat3, flow)
+        plan = hedge(extrapolate(flat3, M3), flow)
         for _ in range(10):
-            residual = verify_first_order(plan, M3, flat3, flow, random_shift(rng))
+            residual = verify_first_order(plan, extrapolate(flat3, M3), flow, random_shift(rng))
             assert residual < 1e-10
 
     def test_m2_shift_vanishing_at_tau(self, flat3):
@@ -160,45 +165,46 @@ class TestVerifyFirstOrder:
         shift = CurveShift.from_forward_values(ts, bump)
         assert shift.delta_z(TAU) == 0.0
         flow = CashFlow.single_payment(30.0)
-        plan = hedge(M2, flat3, flow)
-        assert verify_first_order(plan, M2, flat3, flow, shift) < 1e-14
+        plan = hedge(extrapolate(flat3, M2), flow)
+        assert verify_first_order(plan, extrapolate(flat3, M2), flow, shift) < 1e-14
 
     def test_m5_random_shifts(self, flat3):
         rng = np.random.default_rng(107)
         flow = random_lump_flow(rng, TAU + 1.0, 120.0)
-        plan = hedge(M5, flat3, flow)
+        plan = hedge(extrapolate(flat3, M5), flow)
         liability = present_value(extrapolate(flat3, M5), flow)
         for _ in range(10):
-            residual = verify_first_order(plan, M5, flat3, flow, random_shift(rng))
+            residual = verify_first_order(plan, extrapolate(flat3, M5), flow, random_shift(rng))
             assert residual < 1e-8 * max(1.0, liability)
 
     def test_infeasible_plan_rejected(self, flat3):
-        spec = MethodSpec("M4", tau=TAU)
-        plan = hedge(spec, flat3, CashFlow.single_payment(30.0))
+        curve, flow = extrapolate(flat3, MethodSpec("M4", tau=TAU)), CashFlow.single_payment(30.0)
+        plan = hedge(curve, flow)
         with pytest.raises(PlanKindError):
-            verify_first_order(plan, spec, flat3, CashFlow.single_payment(30.0), CurveShift.parallel(0.01))
+            verify_first_order(plan, curve, flow, CurveShift.parallel(0.01))
 
 
 class TestVerifyPerfect:
     def test_m3_full_revaluation(self, flat3):
         flow = CashFlow(lumps=((20.0, 1.0), (45.0, 0.5)), densities=((25.0, 35.0, 0.1),))
-        plan = hedge(M3, flat3, flow)
+        plan = hedge(extrapolate(flat3, M3), flow)
         liability = present_value(extrapolate(flat3, M3), flow)
         shifts = shift_suite(50, seed=11)
-        gap = verify_perfect(plan, M3, flat3, flow, shifts)
+        gap = verify_perfect(plan, extrapolate(flat3, M3), flow, shifts)
         assert gap < 1e-9 * abs(liability)
 
     def test_m1_insensitive(self, flat3):
         spec = MethodSpec("M1", tau=TAU, ufr=UFR)
         flow = CashFlow.single_payment(40.0)
-        plan = hedge(spec, flat3, flow)
-        gap = verify_perfect(plan, spec, flat3, flow, shift_suite(10, seed=3))
+        plan = hedge(extrapolate(flat3, spec), flow)
+        gap = verify_perfect(plan, extrapolate(flat3, spec), flow, shift_suite(10, seed=3))
         assert gap < 1e-12
 
     def test_wrong_kind_rejected(self, flat3):
-        plan = hedge(M2, flat3, CashFlow.single_payment(30.0))
+        curve, flow = extrapolate(flat3, M2), CashFlow.single_payment(30.0)
+        plan = hedge(curve, flow)
         with pytest.raises(PlanKindError):
-            verify_perfect(plan, M2, flat3, CashFlow.single_payment(30.0), shift_suite(2, seed=1))
+            verify_perfect(plan, curve, flow, shift_suite(2, seed=1))
 
 
 class TestConvexityGap:
@@ -207,7 +213,7 @@ class TestConvexityGap:
         curve = extrapolate(flat3, M2)
         unit = CurveShift.parallel(1.0)
         for sigma in (25.0, 40.0, 100.0):
-            gap = convexity_gap(M2, flat3, CashFlow.single_payment(sigma), unit)
+            gap = convexity_gap(extrapolate(flat3, M2), CashFlow.single_payment(sigma), unit)
             expected = -sigma * (sigma - TAU) * curve.discount_factor(sigma)
             assert gap == pytest.approx(expected, abs=1e-10 * max(1.0, abs(expected)))
 
@@ -215,12 +221,12 @@ class TestConvexityGap:
         curve = extrapolate(flat3, M5)
         unit = CurveShift.parallel(1.0)
         for sigma in (25.0, 40.0, 100.0):
-            gap = convexity_gap(M5, flat3, CashFlow.single_payment(sigma), unit)
+            gap = convexity_gap(extrapolate(flat3, M5), CashFlow.single_payment(sigma), unit)
             expected = (KAPPA - TAU) ** 2 / 12.0 * curve.discount_factor(sigma)
             assert gap == pytest.approx(expected, rel=1e-10)
 
     def test_m3_gap_defined(self, flat3):
-        gap = convexity_gap(M3, flat3, CashFlow.single_payment(30.0), CurveShift.parallel(1.0))
+        gap = convexity_gap(extrapolate(flat3, M3), CashFlow.single_payment(30.0), CurveShift.parallel(1.0))
         assert np.isfinite(gap)
 
     def test_sign_facts_over_maturities(self, flat3):
@@ -231,12 +237,13 @@ class TestConvexityGap:
         )
         for sigma in maturities:
             flow = CashFlow.single_payment(float(sigma))
-            assert convexity_gap(M2, flat3, flow, unit) < 0.0
-            assert convexity_gap(M5, flat3, flow, unit) > 0.0
+            assert convexity_gap(extrapolate(flat3, M2), flow, unit) < 0.0
+            assert convexity_gap(extrapolate(flat3, M5), flow, unit) > 0.0
 
     def test_infeasible_rejected(self, flat3):
+        curve = extrapolate(flat3, MethodSpec("M4", tau=TAU))
         with pytest.raises(PlanKindError):
-            convexity_gap(MethodSpec("M4", tau=TAU), flat3, CashFlow.single_payment(30.0), CurveShift.parallel(1.0))
+            convexity_gap(curve, CashFlow.single_payment(30.0), CurveShift.parallel(1.0))
 
 
 class TestValueIdentities:
@@ -245,7 +252,7 @@ class TestValueIdentities:
         assert market_curve.breakpoints_between(TAU, KAPPA).size > 0
         specs = (MethodSpec("M1", tau=TAU, ufr=UFR), M2, M3, M5)
         for flow in (SYMBOLIC_FLOW, MANY_LUMP_FLOW):
-            plans = {spec.kind: hedge(spec, market_curve, flow) for spec in specs}
+            plans = {spec.kind: hedge(extrapolate(market_curve, spec), flow) for spec in specs}
             assert any(callable(d.rate) for d in plans["M5_SFSA"].densities)
             for kind, plan in plans.items():
                 assert plan.value() == plan.value_under(market_curve, market_curve), kind
@@ -257,7 +264,7 @@ class TestValueIdentities:
         nodes = [0.0, 5.0, 10.0, 11.3, 13.7, 16.1, 25.0, 40.0]
         z = ForwardCurve.from_forwards(nodes, [0.02, 0.025, 0.03, 0.031, 0.029, 0.033, 0.035, 0.036])
         market_nodes = z.breakpoints_between(TAU, KAPPA)
-        plan = hedge(M5, z, SYMBOLIC_FLOW, horizon=40.0)
+        plan = hedge(extrapolate(z, M5, 40.0), SYMBOLIC_FLOW)
         assert any(callable(d.rate) for d in plan.densities)
         curve = extrapolate(z, M5, 40.0)
         for shift in shift_suite(5, 3, 40.0):
@@ -279,7 +286,7 @@ class TestValueIdentities:
             for spec in (M3, M5):
                 curve = extrapolate(flat3, spec)
                 liability = present_value(curve, flow)
-                plan = hedge(spec, flat3, flow)
+                plan = hedge(extrapolate(flat3, spec), flow)
                 assert abs(plan.value() - liability) <= 1e-10 * max(1.0, liability)
 
     def test_m2_value_is_duration_leverage(self, flat3):
@@ -288,7 +295,7 @@ class TestValueIdentities:
         for _ in range(50):
             flow = random_lump_flow(rng, TAU + 0.5, 180.0)
             liability = present_value(curve, flow)
-            plan = hedge(M2, flat3, flow)
+            plan = hedge(extrapolate(flat3, M2), flow)
             ratio = plan.value() / liability
             expected = duration(curve, flow) / TAU
             assert ratio == pytest.approx(expected, rel=1e-10)
@@ -298,7 +305,7 @@ class TestValueIdentities:
         rng = np.random.default_rng(127)
         for _ in range(10):
             flow = random_lump_flow(rng, TAU + 0.5, 150.0)
-            plan = hedge(M5, flat3, flow)
+            plan = hedge(extrapolate(flat3, M5), flow)
             for lump in plan.lumps:
                 assert TAU < lump.time <= KAPPA
             for dens in plan.densities:
@@ -312,7 +319,7 @@ class TestValueIdentities:
         )
         flow = CashFlow.single_payment(30.0)
         for spec in (M2, M5):
-            plan = hedge(spec, flat3, flow)
+            plan = hedge(extrapolate(flat3, spec), flow)
             base_asset = plan.value()
             base_liab = present_value(extrapolate(flat3, spec), flow)
             ratios = []
@@ -336,14 +343,14 @@ class TestHedgingWithOffset:
             spec = MethodSpec(kind, tau=TAU, offset=-0.001, **kwargs)
             curve = extrapolate(flat3, spec)
             liability = present_value(curve, flow)
-            plan = hedge(spec, flat3, flow)
+            plan = hedge(extrapolate(flat3, spec), flow)
             assert plan.value() == pytest.approx(liability, rel=1e-12)
             for _ in range(3):
-                residual = verify_first_order(plan, spec, flat3, flow, random_shift(rng))
+                residual = verify_first_order(plan, extrapolate(flat3, spec), flow, random_shift(rng))
                 assert residual < 1e-10
         spec3 = MethodSpec("M3", tau=TAU, ufr=UFR, offset=-0.001)
-        plan3 = hedge(spec3, flat3, flow)
-        gap = verify_perfect(plan3, spec3, flat3, flow, shift_suite(10, seed=5))
+        plan3 = hedge(extrapolate(flat3, spec3), flow)
+        gap = verify_perfect(plan3, extrapolate(flat3, spec3), flow, shift_suite(10, seed=5))
         assert gap < 1e-9
 
 
@@ -356,15 +363,15 @@ class TestM5WithDensityLiabilities:
         )
         curve = extrapolate(flat3, M5)
         liability = present_value(curve, flow)
-        plan = hedge(M5, flat3, flow)
+        plan = hedge(extrapolate(flat3, M5), flow)
         assert plan.value() == pytest.approx(liability, rel=1e-9)
-        residual = verify_first_order(plan, M5, flat3, flow, CurveShift.parallel(0.01))
+        residual = verify_first_order(plan, extrapolate(flat3, M5), flow, CurveShift.parallel(0.01))
         assert residual < 1e-8 * liability
         ts = np.arange(0.0, 200.5, 0.5)
         bumpy = CurveShift.from_forward_values(
             ts, 0.008 * np.exp(-0.5 * ((ts - 15.0) / 3.0) ** 2)
         )
-        assert verify_first_order(plan, M5, flat3, flow, bumpy) < 1e-8 * liability
+        assert verify_first_order(plan, extrapolate(flat3, M5), flow, bumpy) < 1e-8 * liability
 
 
 class TestFra:
@@ -424,7 +431,7 @@ class TestInfeasibilityDecomposition:
         spec = MethodSpec("M4", tau=TAU)
         sigma = 30.0
         curve = extrapolate(flat3, spec)
-        report = infeasibility_decomposition(spec, flat3, CashFlow.single_payment(sigma))
+        report = infeasibility_decomposition(extrapolate(flat3, spec), CashFlow.single_payment(sigma))
         assert report.forward_coefficient == pytest.approx(
             (sigma - TAU) * curve.discount_factor(sigma), rel=1e-12
         )
@@ -435,13 +442,14 @@ class TestInfeasibilityDecomposition:
         spec = MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=alpha)
         sigma = 30.0
         curve = extrapolate(flat3, spec)
-        report = infeasibility_decomposition(spec, flat3, CashFlow.single_payment(sigma))
+        report = infeasibility_decomposition(extrapolate(flat3, spec), CashFlow.single_payment(sigma))
         f_tau = flat3.forward_rate(TAU, side="left")
         c_limit = (1 - TAU / sigma) / (1 + (UFR - f_tau) * (sigma - TAU))
         expected = sigma * c_limit * curve.discount_factor(sigma)
         assert report.forward_coefficient == pytest.approx(expected, rel=1e-5)
         # comparable to the constant-forward method's exposure when rates are small
-        m4 = infeasibility_decomposition(MethodSpec("M4", tau=TAU), flat3, CashFlow.single_payment(sigma))
+        m4_curve = extrapolate(flat3, MethodSpec("M4", tau=TAU))
+        m4 = infeasibility_decomposition(m4_curve, CashFlow.single_payment(sigma))
         assert abs(report.forward_coefficient - m4.forward_coefficient) < 0.25 * m4.forward_coefficient
 
     def test_overlay_exact_for_flat_forward_windows(self, flat3):
@@ -449,7 +457,7 @@ class TestInfeasibilityDecomposition:
         rng = np.random.default_rng(139)
         flow = random_lump_flow(rng, TAU + 1.0, 120.0)
         for spec in (MethodSpec("M4", tau=TAU), MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.2)):
-            report = infeasibility_decomposition(spec, flat3, flow, eps=1.0)
+            report = infeasibility_decomposition(extrapolate(flat3, spec), flow, eps=1.0)
             assert report.residual(CurveShift.parallel(0.013)) < 1e-12
 
     def test_overlay_residual_shrinks_with_window(self, flat3):
@@ -461,7 +469,7 @@ class TestInfeasibilityDecomposition:
         spec = MethodSpec("M4", tau=TAU)
         flow = CashFlow.single_payment(30.0)
         residuals = [
-            infeasibility_decomposition(spec, flat3, flow, eps=eps).residual(shift)
+            infeasibility_decomposition(extrapolate(flat3, spec), flow, eps=eps).residual(shift)
             for eps in (2.0, 1.0, 0.5, 0.25)
         ]
         assert all(a > b for a, b in zip(residuals, residuals[1:])), residuals
@@ -472,12 +480,12 @@ class TestInfeasibilityDecomposition:
         for _ in range(10):
             flow = random_lump_flow(rng, TAU + 0.5, 150.0)
             for spec in (MethodSpec("M4", tau=TAU), MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.2)):
-                report = infeasibility_decomposition(spec, flat3, flow)
+                report = infeasibility_decomposition(extrapolate(flat3, spec), flow)
                 assert report.forward_coefficient > 0.0
 
     def test_wrong_method_rejected(self, flat3):
         with pytest.raises(DomainError):
-            infeasibility_decomposition(M3, flat3, CashFlow.single_payment(30.0))
+            infeasibility_decomposition(extrapolate(flat3, M3), CashFlow.single_payment(30.0))
 
 
 # ---- each verify scenario priced once ------------------------------------------
@@ -534,13 +542,13 @@ def _checks_one_at_a_time(spec, z, flow, shifts, tolerances, corrupt):
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
     if spec.kind in ("M4", "M6_SW_continuous"):
         return checks
-    plan = hedge(spec, z, flow)
+    plan = hedge(extrapolate(z, spec), flow)
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
     for i, shift in enumerate(shifts):
-        residual = verify_first_order(plan, spec, z, flow, shift)
+        residual = verify_first_order(plan, extrapolate(z, spec), flow, shift)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     if plan.kind == PLAN_PERFECT:
-        gap = verify_perfect(plan, spec, z, flow, shifts)
+        gap = verify_perfect(plan, extrapolate(z, spec), flow, shifts)
         bound = tolerances["perfect_gap_rel"] * abs(liability_value)
         checks.append(("perfect_revaluation", gap <= bound, gap, bound))
     if plan.kind == PLAN_FIRST_ORDER:
@@ -581,7 +589,7 @@ class TestRateMemo:
         curves = [along(eps) for eps in EPS_SCHEDULE]
         ladder = along(np.array(EPS_SCHEDULE))
         for flow in (SYMBOLIC_FLOW, MANY_LUMP_FLOW):
-            plan = hedge(M5, market_curve, flow)
+            plan = hedge(extrapolate(market_curve, M5), flow)
             assert any(callable(d.rate) for d in plan.densities)
             want = [_fresh_value_under(plan, curve, market_curve) for curve in curves]
             # twice: the first pass fills the memo, the second is served from it
@@ -590,7 +598,7 @@ class TestRateMemo:
                 assert plan.value_under(ladder, market_curve).tolist() == want
 
     def test_eps_curves_share_rate_values(self, market_curve):
-        plan = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        plan = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
         counting = [
             PlanDensity(d.start, d.end, _CountingRate(d.rate)) if callable(d.rate) else d
             for d in plan.densities
@@ -629,8 +637,8 @@ class TestRateMemo:
         assert not np.shares_memory(out, t)
 
     def test_plans_do_not_share_a_memo(self, market_curve):
-        first = hedge(M5, market_curve, SYMBOLIC_FLOW)
-        second = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        first = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
+        second = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
         pairs = [
             (d1, d2) for d1, d2 in zip(first.densities, second.densities) if callable(d1.rate)
         ]
@@ -648,7 +656,7 @@ class TestRateMemo:
 
     def test_threads_share_a_memo(self, market_curve):
         """More threads than cores revaluing one plan at once get what one thread gets."""
-        plan = hedge(M5, market_curve, SYMBOLIC_FLOW)
+        plan = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
         shift = random_shift(np.random.default_rng(227))
         curves = [market_curve.shifted(shift, eps) for eps in EPS_SCHEDULE]
         want = [_fresh_value_under(plan, c, market_curve) for c in curves]
@@ -688,14 +696,16 @@ class TestVerificationChecks:
     @pytest.mark.parametrize("corrupt", [0.0, 1e-3])
     def test_match_one_at_a_time(self, market_curve, spec, corrupt):
         shifts = shift_suite(2, 5)
-        got = verification_checks(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt=corrupt)
+        curve = extrapolate(market_curve, spec)
+        got = verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt=corrupt)
         want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt)
         assert got == want
 
     def test_corruption_reaches_only_the_variation_checks(self, market_curve):
         shifts = shift_suite(2, 5)
-        clean = verification_checks(M5, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES)
-        corrupted = verification_checks(M5, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt=1e-3)
+        curve = extrapolate(market_curve, M5)
+        clean = verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES)
+        corrupted = verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt=1e-3)
         for (name, *a), (_, *b) in zip(clean, corrupted):
             assert (a == b) != name.startswith("variation[")
 
@@ -710,8 +720,7 @@ class TestVerificationChecks:
             return extrapolate(*args, **kwargs)
 
         monkeypatch.setattr(hedging, "extrapolate", counting)
-        monkeypatch.setattr(variation, "extrapolate", counting)
-        verification_checks(M5, market_curve, SYMBOLIC_FLOW, shift_suite(count, 5), TOLERANCES)
+        verification_checks(counting(market_curve, M5), SYMBOLIC_FLOW, shift_suite(count, 5), TOLERANCES)
         assert len(calls) == 1 + count
         assert calls[0][0] is market_curve
         assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE)] * count
@@ -732,13 +741,13 @@ class TestVerificationChecks:
             return present_value(curve, flow)
 
         monkeypatch.setattr(hedging, "present_value", counting)
-        verification_checks(spec, market_curve, SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
+        verification_checks(extrapolate(market_curve, spec), SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
         ladders = [len(EPS_SCHEDULE) + (spec.kind in ("M1", "M3"))] * 3
         if spec.kind == "M4":
             assert calls == [None] + ladders
         else:
             assert calls == ladders
-            plan = hedge(spec, market_curve, SYMBOLIC_FLOW)
+            plan = hedge(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
             value = present_value(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
             assert plan.diagnostics["liability_value"] == value
 
@@ -753,8 +762,8 @@ class TestVerificationChecks:
             return extrapolate(*args, **kwargs)
 
         monkeypatch.setattr(hedging, "extrapolate", counting)
-        monkeypatch.setattr(variation, "extrapolate", counting)
-        checks = verification_checks(spec, market_curve, SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
+        curve = counting(market_curve, spec)
+        checks = verification_checks(curve, SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
         assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE) + 1] * 3
         assert [name for name, *_ in checks][-1] == "perfect_revaluation"
 
@@ -768,7 +777,46 @@ class TestVerificationChecks:
             return extrapolate(*args, **kwargs)
 
         monkeypatch.setattr(hedging, "extrapolate", counting)
-        monkeypatch.setattr(variation, "extrapolate", counting)
-        summary = hedge_summary(M5, market_curve, SYMBOLIC_FLOW, shift_suite(count, 5))
+        summary = hedge_summary(counting(market_curve, M5), SYMBOLIC_FLOW, shift_suite(count, 5))
         assert len(calls) == 1
         assert summary["liability_value"] == present_value(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
+
+
+#: the functionals of the extrapolated curve (L2), which take it whole
+FUNCTIONALS = (
+    hedge, verify_first_order, verify_perfect, convexity_gap, hedge_summary, verification_checks,
+    infeasibility_decomposition, method_variation, method_variation_pv, second_order_pv, ufr_sensitivity,
+)
+
+
+class TestCurveArgument:
+    @pytest.mark.parametrize("functional", FUNCTIONALS, ids=lambda f: f.__name__)
+    def test_no_market_pieces(self, functional):
+        """The curve carries its market curve, spec and horizon, so no
+        functional takes them beside it, nor builds the curve itself."""
+        params = inspect.signature(functional).parameters
+        assert not {"spec", "z", "horizon"} & set(params)
+        assert params["curve"].default is inspect.Parameter.empty
+
+    @pytest.mark.parametrize(
+        "built, shared",
+        [
+            (M3, MethodSpec("M1", tau=TAU, ufr=UFR)),
+            (MethodSpec("M1", tau=TAU, ufr=0.03), M2),
+            (M5, MethodSpec("M5_SFSA", tau=TAU, kappa=KAPPA, ufr=0.035)),
+            (M3, MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.1)),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_curve_sharing_anchors(self, market_curve, built, shared):
+        """A curve that shares another's market anchors is an ordinary
+        argument: every value is bit for bit that of the fresh curve."""
+        derived = extrapolate(market_curve, built).with_spec(shared)
+        fresh = extrapolate(market_curve, shared)
+        shift = shift_suite(1, 5)[0]
+        for functional in (
+            lambda curve: hedge(curve, SYMBOLIC_FLOW).to_json(),
+            lambda curve: method_variation_pv(curve, shift, SYMBOLIC_FLOW),
+            lambda curve: ufr_sensitivity(curve, SYMBOLIC_FLOW),
+        ):
+            assert functional(derived) == functional(fresh)

@@ -664,17 +664,30 @@ class TestCliScanAndDeterminism:
         assert code == 0
         assert capsys.readouterr().out == "no defects found\n"
 
-    @pytest.mark.parametrize("field", ['"kappa":Infinity,"epsilon":1e-4', '"alpha":0.1,"epsilon":Infinity'])
-    def test_non_finite_spec_field_exits_2(self, flat_curve_csv, capsys, field):
+    @pytest.mark.parametrize(
+        "kind, field, message",
+        [
+            pytest.param(kind, field, message, id=field)
+            for kind, field, message in (
+                ("M6_SW_continuous", '"kappa":Infinity,"epsilon":1e-4', "must be finite"),
+                ("M6_SW_continuous", '"alpha":0.1,"epsilon":Infinity', "must be finite"),
+                # alpha and epsilon configure Smith-Wilson alone
+                ("M3", '"alpha":Infinity', "M3 does not take alpha"),
+                ("M1", '"alpha":-1e308', "M1 does not take alpha"),
+                ("M3", '"epsilon":Infinity', "M3 does not take epsilon"),
+            )
+        ],
+    )
+    def test_non_finite_spec_field_exits_2(self, flat_curve_csv, capsys, kind, field, message):
         code = run_cli(
             "extrapolate",
             "--curve", flat_curve_csv,
-            "--method", '{"kind":"M6_SW_continuous","tau":10,"ufr":0.042,%s}' % field,
+            "--method", '{"kind":"%s","tau":10,"ufr":0.042,%s}' % (kind, field),
             "--format", "json",
         )
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: ") and "must be finite" in captured.err
+        assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1
 
     def test_json_output_byte_identical(self, flat_curve_csv, lump_liability_csv, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import curvehedge
-from curvehedge import MethodSpec, hedge, ufr_sensitivity
+from curvehedge import MethodSpec, extrapolate, hedge, ufr_sensitivity
 from curvehedge.cli import main
 from curvehedge.errors import DomainError
 from curvehedge.io import read_cash_flow, read_curve
@@ -44,7 +44,7 @@ def test_entry_facts(kind, capsys):
     curve, flow = read_curve(str(SAMPLE / "curve.csv")), read_cash_flow(str(SAMPLE / "liabilities.csv"))
     if plan_kind is None:
         with pytest.raises(DomainError, match="no hedge construction"):
-            hedge(spec, curve, flow)
+            hedge(extrapolate(curve, spec), flow)
         for command in ("hedge", "verify", "sensitivity"):
             code = main([
                 command,
@@ -57,13 +57,13 @@ def test_entry_facts(kind, capsys):
             assert code == 2 and captured.out == "", command
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     else:
-        assert hedge(spec, curve, flow).kind == plan_kind
+        assert hedge(extrapolate(curve, spec), flow).kind == plan_kind
     if has_ufr:
-        assert np.isfinite(ufr_sensitivity(spec, curve, flow).S)
+        assert np.isfinite(ufr_sensitivity(extrapolate(curve, spec), flow).S)
     else:
         assert spec.method.no_ufr
         with pytest.raises(DomainError, match=spec.method.no_ufr):
-            ufr_sensitivity(spec, curve, flow)
+            ufr_sensitivity(extrapolate(curve, spec), flow)
 
 
 #: the names of the kind constants and of the kind lists the layers once kept

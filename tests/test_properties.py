@@ -77,8 +77,8 @@ def test_method_variation_positively_homogeneous(seed, kind, k):
     shift = random_shift(rng)
     t = _times(rng, z)
     spec = SPECS[kind]
-    base = method_variation(spec, z, shift, t)
-    scaled = method_variation(spec, z, shift.scaled(k), t)
+    base = method_variation(extrapolate(z, spec), shift, t)
+    scaled = method_variation(extrapolate(z, spec), shift.scaled(k), t)
     np.testing.assert_allclose(scaled, k * base, rtol=1e-12, atol=1e-15 * k)
 
 
@@ -96,7 +96,7 @@ def test_m3_plan_value_is_the_liability_value(seed):
     z = random_curve(rng)
     flow = _flow(rng, TAU, 190.0)
     spec = SPECS["M3"]
-    assert hedge(spec, z, flow).value() == present_value(extrapolate(z, spec), flow)
+    assert hedge(extrapolate(z, spec), flow).value() == present_value(extrapolate(z, spec), flow)
 
 
 @given(seed=seeds, k=st.floats(min_value=-10.0, max_value=10.0))

@@ -44,16 +44,16 @@ def curves_below_ufr(rng, count):
 
 class TestClosedForms:
     def test_m3_single_lump(self, flat3):
-        report = ufr_sensitivity(M3, flat3, CashFlow.single_payment(30.0))
+        report = ufr_sensitivity(extrapolate(flat3, M3), CashFlow.single_payment(30.0))
         assert report.S == pytest.approx(20.0, abs=1e-10)
 
     def test_m2_single_lump(self, flat3):
-        report = ufr_sensitivity(M2, flat3, CashFlow.single_payment(30.0))
+        report = ufr_sensitivity(extrapolate(flat3, M2), CashFlow.single_payment(30.0))
         assert report.S == pytest.approx(30.0, abs=1e-10)
 
     def test_m5_lump_beyond_kappa(self, flat3):
         sigma = 30.0
-        report = ufr_sensitivity(M5, flat3, CashFlow.single_payment(sigma))
+        report = ufr_sensitivity(extrapolate(flat3, M5), CashFlow.single_payment(sigma))
         assert report.S == pytest.approx(sigma - 0.5 * (TAU + KAPPA), abs=1e-10)
         # the upper bound is tight for mass beyond the convergence point
         assert report.upper == pytest.approx(report.S, abs=1e-10)
@@ -61,13 +61,13 @@ class TestClosedForms:
 
     def test_m5_lump_inside_blend(self, flat3):
         sigma = 14.0
-        report = ufr_sensitivity(M5, flat3, CashFlow.single_payment(sigma))
+        report = ufr_sensitivity(extrapolate(flat3, M5), CashFlow.single_payment(sigma))
         assert report.S == pytest.approx((sigma - TAU) ** 2 / (2 * (KAPPA - TAU)), abs=1e-10)
         assert report.lower - 1e-12 <= report.S <= report.upper + 1e-12
 
     def test_m1_oracle_only(self, flat3):
         spec = MethodSpec("M1", tau=TAU, ufr=UFR)
-        report = ufr_sensitivity(spec, flat3, CashFlow.single_payment(30.0))
+        report = ufr_sensitivity(extrapolate(flat3, spec), CashFlow.single_payment(30.0))
         assert report.oracle_only
         assert report.closed_form is None
         # the extension is flat at the prescribed level, so the whole
@@ -76,14 +76,14 @@ class TestClosedForms:
 
     def test_m4_has_no_ufr(self, flat3):
         with pytest.raises(DomainError):
-            ufr_sensitivity(MethodSpec("M4", tau=TAU), flat3, CashFlow.single_payment(30.0))
+            ufr_sensitivity(extrapolate(flat3, MethodSpec("M4", tau=TAU)), CashFlow.single_payment(30.0))
 
     def test_mass_before_tau_rejected(self, flat3):
         with pytest.raises(DomainError):
-            ufr_sensitivity(M3, flat3, CashFlow.single_payment(5.0))
+            ufr_sensitivity(extrapolate(flat3, M3), CashFlow.single_payment(5.0))
 
     def test_report_json(self, flat3):
-        data = ufr_sensitivity(M5, flat3, CashFlow.single_payment(30.0)).to_json()
+        data = ufr_sensitivity(extrapolate(flat3, M5), CashFlow.single_payment(30.0)).to_json()
         assert set(data) == {"method", "S", "lower", "upper", "oracle", "rel_residual"}
 
 
@@ -93,7 +93,7 @@ class TestBoundsAndOrdering:
         for curve in curves_below_ufr(rng, 20):
             flow = random_lump_flow(rng, TAU + 0.5, 150.0)
             for spec in (M5, M6):
-                report = ufr_sensitivity(spec, curve, flow)
+                report = ufr_sensitivity(extrapolate(curve, spec), flow)
                 assert report.lower <= report.S + 1e-10, spec.kind
                 assert report.S <= report.upper + 1e-10, spec.kind
 
@@ -102,9 +102,9 @@ class TestBoundsAndOrdering:
         rng = np.random.default_rng(157)
         for curve in curves_below_ufr(rng, 15):
             flow = random_lump_flow(rng, TAU + 0.5, 150.0)
-            s3 = ufr_sensitivity(M3, curve, flow).S
-            assert ufr_sensitivity(M5, curve, flow).S <= s3 + 1e-10
-            assert ufr_sensitivity(M6, curve, flow).S <= s3 + 1e-10
+            s3 = ufr_sensitivity(extrapolate(curve, M3), flow).S
+            assert ufr_sensitivity(extrapolate(curve, M5), flow).S <= s3 + 1e-10
+            assert ufr_sensitivity(extrapolate(curve, M6), flow).S <= s3 + 1e-10
 
     def test_m3_is_m2_minus_tau(self):
         """S for the pinned-forward method sits tau below the constant-yield one.
@@ -118,11 +118,12 @@ class TestBoundsAndOrdering:
         for curve in curves_below_ufr(rng, 10):
             sigma = float(rng.uniform(TAU + 1.0, 150.0))
             lump = CashFlow.single_payment(sigma)
-            s2 = ufr_sensitivity(M2, curve, lump).S
-            s3 = ufr_sensitivity(M3, curve, lump).S
+            s2 = ufr_sensitivity(extrapolate(curve, M2), lump).S
+            s3 = ufr_sensitivity(extrapolate(curve, M3), lump).S
             assert s3 == pytest.approx(s2 - TAU, abs=1e-10)
             portfolio = random_lump_flow(rng, TAU + 0.5, 150.0)
-            assert ufr_sensitivity(M3, curve, portfolio).S < ufr_sensitivity(M2, curve, portfolio).S
+            s2 = ufr_sensitivity(extrapolate(curve, M2), portfolio).S
+            assert ufr_sensitivity(extrapolate(curve, M3), portfolio).S < s2
 
     def test_within_method_duration_identities(self):
         """S_M2 is the duration and S_M3 the excess duration under its own curve."""
@@ -131,9 +132,9 @@ class TestBoundsAndOrdering:
 
         for curve in curves_below_ufr(rng, 10):
             flow = random_lump_flow(rng, TAU + 0.5, 150.0)
-            s2 = ufr_sensitivity(M2, curve, flow).S
+            s2 = ufr_sensitivity(extrapolate(curve, M2), flow).S
             assert s2 == pytest.approx(duration(extrapolate(curve, M2), flow), abs=1e-10)
-            s3 = ufr_sensitivity(M3, curve, flow).S
+            s3 = ufr_sensitivity(extrapolate(curve, M3), flow).S
             assert s3 == pytest.approx(
                 duration(extrapolate(curve, M3), flow) - TAU, abs=1e-10
             )
@@ -143,7 +144,7 @@ class TestBoundsAndOrdering:
         for curve in curves_below_ufr(rng, 10):
             flow = random_lump_flow(rng, TAU + 0.5, 150.0)
             for spec in (M2, M3, M5, M6):
-                report = ufr_sensitivity(spec, curve, flow)
+                report = ufr_sensitivity(extrapolate(curve, spec), flow)
                 assert report.rel_residual < 1e-6, spec.kind
 
 
@@ -152,7 +153,7 @@ class TestM6Limits:
         """S approaches the excess duration as the reversion speed explodes."""
         spec = MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=1e3)
         flow = CashFlow(lumps=((15.0, 1.0), (30.0, 0.5), (60.0, 0.25)))
-        report = ufr_sensitivity(spec, flat3, flow)
+        report = ufr_sensitivity(extrapolate(flat3, spec), flow)
         curve = extrapolate(flat3, spec)
         assert abs(report.S - excess_duration(curve, flow, TAU)) < 1e-3
 
@@ -166,7 +167,7 @@ class TestM6Limits:
         alpha = 1e-5
         spec = MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=alpha)
         flow = CashFlow(lumps=((15.0, 1.0), (30.0, 0.5), (60.0, 0.25)))
-        report = ufr_sensitivity(spec, flat3, flow)
+        report = ufr_sensitivity(extrapolate(flat3, spec), flow)
 
         base = extrapolate(flat3, MethodSpec("M3", tau=TAU, ufr=UFR))
         g = UFR - flat3.forward_rate(TAU, side="left")
@@ -188,7 +189,7 @@ class TestParameterSensitivity:
             return curve.with_ufr(thetas)
 
         value = parameter_sensitivity(family, flow, UFR)
-        report = ufr_sensitivity(M3, flat3, flow)
+        report = ufr_sensitivity(extrapolate(flat3, M3), flow)
         # the value falls as the long rate rises: S = -(dP/d theta)/P
         assert value == pytest.approx(-report.S * liability, rel=1e-6)
 
@@ -235,18 +236,12 @@ class TestPricedOnce:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every curve ufr_sensitivity extrapolates, derives from another by
-        ``with_spec`` or stacks by ``with_ufr``, with its kind and its ufr
-        values, in order."""
+        """Every curve ufr_sensitivity derives from another by ``with_spec``
+        or stacks by ``with_ufr``, with its kind and its ufr values, in
+        order."""
         curves = []
-        original = sensitivity_module.extrapolate
         original_with_spec = ExtrapolatedCurve.with_spec
         original_with_ufr = ExtrapolatedCurve.with_ufr
-
-        def extrapolate_recorded(z, spec, *args):
-            curve = original(z, spec, *args)
-            curves.append((curve, spec.kind, [spec.ufr]))
-            return curve
 
         def with_spec_recorded(self, spec):
             curve = original_with_spec(self, spec)
@@ -258,7 +253,6 @@ class TestPricedOnce:
             curves.append((curve, self.spec.kind, list(values)))
             return curve
 
-        monkeypatch.setattr(sensitivity_module, "extrapolate", extrapolate_recorded)
         monkeypatch.setattr(ExtrapolatedCurve, "with_spec", with_spec_recorded)
         monkeypatch.setattr(ExtrapolatedCurve, "with_ufr", with_ufr_recorded)
         return curves
@@ -266,10 +260,12 @@ class TestPricedOnce:
     @pytest.mark.parametrize("spec", [M2, M3, M5, M6], ids=["M2", "M3", "M5", "M6"])
     def test_present_value_calls(self, counted, built, market_curve, spec):
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
-        ufr_sensitivity(spec, market_curve, flow)
+        curve = extrapolate(market_curve, spec)
+        built.append((curve, spec.kind, [spec.ufr]))
+        ufr_sensitivity(curve, flow)
         built_as = {id(curve): (kind, ufrs) for curve, kind, ufrs in built}
         priced = [built_as[id(curve)] for curve in counted]
-        # each priced curve is one that ufr_sensitivity built, priced once
+        # each priced curve is the given one or one that ufr_sensitivity built, priced once
         assert len({id(curve) for curve in counted}) == len(counted)
         # the base curve is priced by its DiscountedFlow, never by present_value
         base, base_kind, _ = built[0]
@@ -331,6 +327,6 @@ class TestDeepDensityOracle:
     def test_residual_and_panels(self, panels, spec, density):
         curve = ForwardCurve.from_zero_yields(SAMPLE_TIMES, SAMPLE_YIELDS)
         flow = CashFlow(lumps=SAMPLE_LUMPS, densities=(density,))
-        report = ufr_sensitivity(spec, curve, flow)
+        report = ufr_sensitivity(extrapolate(curve, spec), flow)
         assert report.rel_residual <= 1e-12
         assert panels[0] <= 100

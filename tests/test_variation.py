@@ -99,12 +99,19 @@ class TestRichardson:
             + rng.normal(size=n) * eps**2
             + rng.normal(scale=1e-12, size=(len(EPS_SCHEDULE), n)) / eps
         )
-        estimate, column = _richardson(table)
-        scalar = [_richardson(table[:, j]) for j in range(n)]
+        estimate, column = _richardson(table, (2.0, 4.0, 8.0))
+        scalar = [_richardson(table[:, j], (2.0, 4.0, 8.0)) for j in range(n)]
         assert estimate.tobytes() == np.array([e for e, _ in scalar]).tobytes()
         assert column.tobytes() == np.stack([c for _, c in scalar], axis=1).tobytes()
         picked_rows = {int(np.flatnonzero(c == e)[0]) for e, c in scalar}
         assert len(picked_rows) > 1
+
+    def test_central_difference_step(self):
+        """One step with the factor 4 is the oracle's (4 d2 - d1) / 3, bit for bit."""
+        rng = np.random.default_rng(3)
+        for d1, d2 in rng.normal(size=(50, 2)).tolist():
+            estimate, column = _richardson([d1, d2], (4.0,))
+            assert estimate == (4.0 * d2 - d1) / 3.0 and column.shape == (1,)
 
     def test_report_keeps_its_types(self, flat3):
         report = numeric_variation(lambda c: c.zero_yield(25.0), flat3, CurveShift.parallel(0.01))
@@ -120,14 +127,14 @@ class TestClosedFormVariations:
     def test_zero_shift(self, flat3):
         zero = CurveShift.parallel(0.0)
         spec = MethodSpec("M2", tau=TAU)
-        assert method_variation(spec, flat3, zero, 10.0) == 0.0
-        assert method_variation_pv(spec, flat3, zero, CashFlow.single_payment(10.0)) == 0.0
+        assert method_variation(extrapolate(flat3, spec), zero, 10.0) == 0.0
+        assert method_variation_pv(extrapolate(flat3, spec), zero, CashFlow.single_payment(10.0)) == 0.0
 
     def test_dv01_of_ten_year_flow(self):
         curve = ForwardCurve.flat(0.0)
         shift = CurveShift.parallel(0.0001)
         spec = MethodSpec("M2", tau=TAU)
-        value = method_variation_pv(spec, curve, shift, CashFlow.single_payment(10.0))
+        value = method_variation_pv(extrapolate(curve, spec), shift, CashFlow.single_payment(10.0))
         assert value == pytest.approx(-0.001, rel=1e-14)
 
     def test_matches_numeric_oracle(self):
@@ -137,7 +144,7 @@ class TestClosedFormVariations:
             curve = random_curve(rng)
             shift = random_shift(rng)
             flow = random_lump_flow(rng, 0.0, 150.0)
-            analytic = method_variation_pv(spec, curve, shift, flow)
+            analytic = method_variation_pv(extrapolate(curve, spec), shift, flow)
             report = numeric_variation(lambda c: present_value(c, flow), curve, shift)
             assert report.numeric == pytest.approx(analytic, rel=1e-7, abs=1e-9)
 
@@ -148,18 +155,18 @@ class TestMethodVariation:
         spec = MethodSpec("M1", tau=TAU, ufr=UFR)
         for _ in range(5):
             shift = random_shift(rng)
-            assert method_variation(spec, flat3, shift, 30.0) == 0.0
+            assert method_variation(extrapolate(flat3, spec), shift, 30.0) == 0.0
 
     def test_m2_carries_the_last_yield_shift(self, flat3):
         shift = CurveShift.from_forward_values([0.0, 10.0, 200.0], [0.01, 0.03, 0.0])
         spec = MethodSpec("M2", tau=TAU)
         expected = shift.delta_z(TAU)
         for t in (15.0, 70.0):
-            assert method_variation(spec, flat3, shift, t) == expected
+            assert method_variation(extrapolate(flat3, spec), shift, t) == expected
 
     def test_m3_scaling_example(self, flat3):
         spec = MethodSpec("M3", tau=TAU, ufr=UFR)
-        assert method_variation(spec, flat3, CurveShift.parallel(1.0), 20.0) == pytest.approx(
+        assert method_variation(extrapolate(flat3, spec), CurveShift.parallel(1.0), 20.0) == pytest.approx(
             0.5, abs=1e-15
         )
 
@@ -168,7 +175,7 @@ class TestMethodVariation:
         spec = MethodSpec("M4", tau=TAU)
         t = 40.0
         expected = (TAU / t) * shift.delta_z(TAU) + (1 - TAU / t) * 0.02
-        assert method_variation(spec, flat3, shift, t) == pytest.approx(expected, rel=1e-13)
+        assert method_variation(extrapolate(flat3, spec), shift, t) == pytest.approx(expected, rel=1e-13)
 
     def test_m5_unit_shift_closed_forms(self, flat3):
         """Parallel unit shift: quadratic inside the blend, (kappa+tau)/2t beyond."""
@@ -176,16 +183,16 @@ class TestMethodVariation:
         unit = CurveShift.parallel(1.0)
         for t in (12.0, 16.0, 20.0):
             expected = (KAPPA**2 - TAU**2 - (KAPPA - t) ** 2) / (2 * t * (KAPPA - TAU))
-            assert method_variation(spec, flat3, unit, t) == pytest.approx(expected, rel=1e-13)
+            assert method_variation(extrapolate(flat3, spec), unit, t) == pytest.approx(expected, rel=1e-13)
         for t in (25.0, 100.0):
             expected = (KAPPA + TAU) / (2 * t)
-            assert method_variation(spec, flat3, unit, t) == pytest.approx(expected, rel=1e-13)
+            assert method_variation(extrapolate(flat3, spec), unit, t) == pytest.approx(expected, rel=1e-13)
 
     def test_identity_region(self, flat3):
         rng = np.random.default_rng(73)
         shift = random_shift(rng)
         for spec in all_specs():
-            assert method_variation(spec, flat3, shift, 7.0) == pytest.approx(
+            assert method_variation(extrapolate(flat3, spec), shift, 7.0) == pytest.approx(
                 shift.delta_z(7.0), rel=1e-14
             )
 
@@ -204,17 +211,31 @@ class TestMethodVariation:
         lam = 2.5
         for spec in all_specs():
             for t in (15.0, 25.0, 90.0):
-                one = method_variation(spec, flat3, shift, t)
-                scaled = method_variation(spec, flat3, shift.scaled(lam), t)
+                one = method_variation(extrapolate(flat3, spec), shift, t)
+                scaled = method_variation(extrapolate(flat3, spec), shift.scaled(lam), t)
                 assert scaled == pytest.approx(lam * one, rel=1e-12, abs=1e-18)
         v1 = clamp_variation(flat3, shift, 0.03, 50.0)
         v2 = clamp_variation(flat3, shift.scaled(lam), 0.03, 50.0)
         assert v2 == pytest.approx(lam * v1, rel=1e-12, abs=1e-18)
 
+    def test_times_of_any_shape(self, flat3):
+        """Times on both sides of tau, in an array of any shape, give each
+        time's own variation in the shape of the times; a 0-d array gives a float."""
+        shift = random_shift(np.random.default_rng(83))
+        times = np.array([[5.0, 20.0, 40.0], [8.0, 12.0, 90.0]])
+        for spec in all_specs():
+            curve = extrapolate(flat3, spec)
+            for t in (times, times.T, times[:, :2], times.ravel()):
+                got = method_variation(curve, shift, t)
+                want = [method_variation(curve, shift, s) for s in t.ravel().tolist()]
+                assert got.shape == t.shape and got.ravel().tolist() == want
+            zero_d = method_variation(curve, shift, np.array(20.0))
+            assert type(zero_d) is float and zero_d == method_variation(curve, shift, 20.0)
+
     def test_discrete_sw_rejected(self, flat3):
         spec = MethodSpec("M6_SW_discrete", tau=TAU, ufr=UFR, alpha=0.1)
         with pytest.raises(DomainError):
-            method_variation(spec, flat3, CurveShift.parallel(1.0), 20.0)
+            method_variation(extrapolate(flat3, spec), CurveShift.parallel(1.0), 20.0)
 
     def test_m6_defective_region_rejected(self):
         """No variation where the Smith-Wilson discount factor has gone negative."""
@@ -226,9 +247,9 @@ class TestMethodVariation:
         assert extrapolate(steep, spec).is_defective
         shift = CurveShift.parallel(0.01)
         # fine where the blending factor is still positive
-        assert np.isfinite(method_variation(spec, steep, shift, 15.0))
+        assert np.isfinite(method_variation(extrapolate(steep, spec), shift, 15.0))
         with pytest.raises(DefectiveCurveError):
-            method_variation(spec, steep, shift, 150.0)
+            method_variation(extrapolate(steep, spec), shift, 150.0)
 
     def test_oracle_agreement_with_offset(self, flat3):
         """The offset relocates the expansion point; analytic tracks that."""
@@ -300,7 +321,7 @@ class TestMethodVariationReport:
         shift = CurveShift.from_forward_values(
             ts, 0.008 * np.exp(-0.5 * ((ts - 15.0) / 4.0) ** 2)
         )
-        analytic = method_variation_pv(spec, flat3, shift, flow)
+        analytic = method_variation_pv(extrapolate(flat3, spec), shift, flow)
         f0 = present_value(extrapolate(flat3, spec), flow)
         ratios = []
         for eps in EPS_SCHEDULE:
@@ -351,12 +372,13 @@ class TestSecondOrder:
         spec = MethodSpec("M2", tau=TAU)
         sigma = 30.0
         curve = extrapolate(flat3, spec)
-        value = second_order_pv(spec, flat3, CurveShift.parallel(1.0), CashFlow.single_payment(sigma))
+        value = second_order_pv(curve, CurveShift.parallel(1.0), CashFlow.single_payment(sigma))
         assert value == pytest.approx(sigma**2 * curve.discount_factor(sigma), rel=1e-12)
 
     def test_zero_shift(self, flat3):
         spec = MethodSpec("M3", tau=TAU, ufr=UFR)
-        value = second_order_pv(spec, flat3, CurveShift.parallel(0.0), CashFlow.single_payment(30.0))
+        curve = extrapolate(flat3, spec)
+        value = second_order_pv(curve, CurveShift.parallel(0.0), CashFlow.single_payment(30.0))
         assert value == 0.0
 
     def test_against_numeric_second_difference(self, flat3):
@@ -377,7 +399,7 @@ class TestSecondOrder:
                 )
             shift = CurveShift.from_forward_values(ts, values)
             flow = random_lump_flow(rng, TAU + 2.0, 100.0)
-            analytic = second_order_pv(spec, flat3, shift, flow)
+            analytic = second_order_pv(extrapolate(flat3, spec), shift, flow)
             report = numeric_variation(
                 lambda c: present_value(extrapolate(c, spec), flow), flat3, shift, order=2
             )
@@ -428,7 +450,7 @@ class TestSmithWilsonSecondVariation:
         ts = np.arange(0.0, 200.5, 0.5)
         shift = CurveShift.from_forward_values(ts, 0.008 * np.exp(-0.5 * ((ts - 12.0) / 5.0) ** 2))
         flow = CashFlow(lumps=((15.0, 1.0), (25.0, 1.0), (40.0, 1.0), (60.0, 1.0)))
-        analytic = second_order_pv(SAMPLE_SW, z, shift, flow)
+        analytic = second_order_pv(extrapolate(z, SAMPLE_SW), shift, flow)
 
         def pv(e):
             return present_value(extrapolate(z.shifted(shift, e), SAMPLE_SW), flow)
@@ -446,6 +468,6 @@ class TestSmithWilsonSecondVariation:
         z = ForwardCurve.from_zero_yields(SAMPLE_TIMES, SAMPLE_YIELDS)
         shift = shift_suite(3, 7)[0]
         assert abs(shift.delta_z(TAU)) < 1e-11 and abs(shift.delta_f_at_boundary(TAU)) < 1e-11
-        value = second_order_pv(SAMPLE_SW, z, shift, SAMPLE_FLOW)
+        value = second_order_pv(extrapolate(z, SAMPLE_SW), shift, SAMPLE_FLOW)
         assert np.isfinite(value) and abs(value) < 1e-18
         assert panels[0] <= 200
