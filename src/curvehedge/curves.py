@@ -152,8 +152,7 @@ class ForwardCurve:
     Forward arrays of shape ``(S, n)`` make a stacked curve: S scenarios
     on one grid, ``rows`` = S, evaluated together (see :func:`evaluation`).
     Every operation runs along the last axis, so each row is bit for bit
-    the curve built from that row alone, and :meth:`row` reads it as one
-    without recomputing anything.
+    the curve built from that row alone.
     """
 
     __slots__ = ("grid", "f_left", "f_right", "quote_nodes", "rows", "_row_ids", "_cum_f", "_cum_tz")
@@ -188,15 +187,6 @@ class ForwardCurve:
         cum_tz = np.concatenate((start, np.cumsum(inc, axis=-1)), axis=-1)
         cum_tz.setflags(write=False)
         self._cum_tz = cum_tz  # int_0^node of (s*z_s) = int of int f
-
-    def row(self, i: int) -> "ForwardCurve":
-        """Scenario ``i`` of a stacked curve as an ordinary curve on views of its arrays."""
-        curve = object.__new__(ForwardCurve)
-        curve.grid, curve.quote_nodes = self.grid, self.quote_nodes
-        curve.rows = curve._row_ids = None
-        curve.f_left, curve.f_right = self.f_left[i], self.f_right[i]
-        curve._cum_f, curve._cum_tz = self._cum_f[i], self._cum_tz[i]
-        return curve
 
     # ---- construction -----------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import DEFAULT_HORIZON, ForwardCurve, evaluation
+from .curves import DEFAULT_HORIZON, MAX_SAMPLES, ForwardCurve, evaluation
 from .errors import AlphaNotWellDefinedError, CalibrationError, DomainError
 from .methods import METHODS, piecewise, sw_factor
 
@@ -149,7 +149,9 @@ class SwDiscreteFit:
     the last node, where they are finite. A time costs one segment search
     and a few exponentials, and each value depends on its own time alone.
     Exposes the same evaluation protocol as the other curve objects; the
-    yield is undefined (NaN) wherever D(t) <= 0. ``spec`` is the method
+    yield is undefined (NaN) wherever D(t) <= 0. Where D(t) is below the
+    normal floats, exp(-ufr t) has underflowed, so the yield there is
+    ufr - log(1 + B)/t and the forward keeps its form. ``spec`` is the method
     spec :func:`extrapolate` fitted it for, None for a bare
     :func:`sw_fit_discrete` fit.
     """
@@ -215,9 +217,14 @@ class SwDiscreteFit:
             db[inner] -= after_db
         one_b = 1.0 + b
         d = np.exp(-ufr * t) * one_b
+        normal = d >= sys.float_info.min
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(d != 0.0, ufr - alpha * db / one_b, np.nan)
-            z = np.where(d > 0.0, -np.log(np.where(d > 0.0, d, 1.0)) / t, np.nan)
+            f = np.where(one_b != 0.0, ufr - alpha * db / one_b, np.nan)
+            z = np.where(normal, -np.log(np.where(normal, d, 1.0)) / t, np.nan)
+            if np.count_nonzero(normal) < normal.size:
+                # D has lost digits or underflowed where exp(-ufr t) has; 1 + B has not
+                low = ~normal & (one_b > 0.0)
+                z = np.where(low, ufr - np.log(np.where(low, one_b, 1.0)) / t, z)
         # z(0) is the limit f(0)
         return np.where(t == 0.0, f, z), f, d
 
@@ -549,9 +556,12 @@ def _mask_intervals(ts, mask):
 
 def sample_grid(horizon: float, step: float):
     """The multiples of ``step`` in [0, horizon] and the horizon itself; a last
-    multiple that rounds past the horizon is clipped there."""
+    multiple that rounds past the horizon is clipped there. A grid of
+    ``MAX_SAMPLES`` points or more is rejected before it is allocated."""
     if not (np.isfinite(step) and step > 0):
         raise DomainError(f"sampling step must be finite and positive, got {step}")
+    if not horizon / step < MAX_SAMPLES:
+        raise DomainError(f"sampling step {step} over horizon {horizon} exceeds {MAX_SAMPLES} samples")
     n = int(np.floor(horizon / step))
     # one buffer: the multiples 0..n clipped to the horizon, then the horizon
     grid = np.arange(n + 2, dtype=float)

@@ -28,7 +28,7 @@ from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_
 from .errors import DomainError, PlanKindError
 from .extrapolation import ExtrapolatedCurve, extrapolate
 from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
-from .variation import EPS_SCHEDULE, method_variation_pv, numeric_variation, second_order_pv
+from .variation import EPS_SCHEDULE, _difference_limit, method_variation_pv, second_order_pv
 
 #: node arrays whose rate values one plan density keeps; the memo is
 #: emptied when full (the eps-curves of one shift reuse only a few)
@@ -186,46 +186,6 @@ def verify_first_order(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow
     return _first_order_residual(plan, shift, variation, curve.horizon)
 
 
-class _LiabilityPricer:
-    """F[market]: the flow's value on a market curve extrapolated as ``curve`` is.
-
-    Each market curve object is extrapolated and priced once, and that of
-    ``curve`` not at all: ``value`` is its value, the flow's present
-    value on ``curve``.
-    """
-
-    def __init__(self, curve, flow, value: float):
-        self.curve, self.flow = curve, flow
-        self.priced = {curve.base: value}
-
-    def __call__(self, market) -> float:
-        if market not in self.priced:
-            curve = extrapolate(market, self.curve.spec, self.curve.horizon)
-            self.priced[market] = present_value(curve, self.flow)
-        return self.priced[market]
-
-    def rows_of(self, stack):
-        """The rows of a stacked market curve as curves, priced together by one
-        extrapolation and one present value of the stack."""
-        curve = extrapolate(stack, self.curve.spec, self.curve.horizon)
-        values = present_value(curve, self.flow)
-        curves = [stack.row(i) for i in range(stack.rows)]
-        self.priced.update(zip(curves, np.broadcast_to(values, (stack.rows,)).tolist()))
-        return curves
-
-
-def _revaluation_gap(plan, z, shifted_curves, price) -> float:
-    """Worst change in (asset - liability) value over the curves z + Dz, by full repricing."""
-    asset0 = plan.value()
-    liab0 = price(z)
-    worst = 0.0
-    for shifted in shifted_curves:
-        asset = plan.value_under(shifted, z)
-        liab = price(shifted)
-        worst = max(worst, abs((asset - liab) - (asset0 - liab0)))
-    return worst
-
-
 def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> float:
     """Worst full-revaluation tracking error of a perfect plan over a shift suite.
 
@@ -239,8 +199,14 @@ def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, sh
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
     z = curve.base
-    price = _LiabilityPricer(curve, flow, present_value(curve, flow))
-    return _revaluation_gap(plan, z, [z.shifted(shift) for shift in shifts], price)
+    asset0, liab0 = plan.value(), present_value(curve, flow)
+    worst = 0.0
+    for shift in shifts:
+        shifted = z.shifted(shift)
+        asset = plan.value_under(shifted, z)
+        liab = present_value(extrapolate(shifted, curve.spec, curve.horizon), flow)
+        worst = max(worst, abs((asset - liab) - (asset0 - liab0)))
+    return worst
 
 
 def convexity_gap(
@@ -314,12 +280,12 @@ def verification_checks(
 
     Every scenario is built and priced once: ``curve``, the extrapolated
     market curve z, whose value a hedgeable method's plan already holds,
-    and per shift the curves z + eps*Dz of ``EPS_SCHEDULE``, which the
-    finite-difference oracle and the remainder check share, and for a
-    perfect plan its revaluation curve z + Dz. A shift's curves are one
+    and per shift the curves z + eps*Dz of ``EPS_SCHEDULE`` and, for a
+    perfect plan, its revaluation curve z + Dz. A shift's curves are one
     stacked curve, from one :meth:`ForwardCurve.ray`: one construction,
-    one extrapolation and one present value price all of them, and the
-    remainder check revalues the plan on all of them at once.
+    one extrapolation and one present value price all of them, one
+    revaluation of the plan values it on all of them, and each check
+    reads its rows.
     """
     checks = []
     if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
@@ -328,7 +294,6 @@ def verification_checks(
         plan = hedge(curve, flow)
         liability_value = plan.diagnostics["liability_value"]
     z = curve.base
-    price = _LiabilityPricer(curve, flow, liability_value)
     # a perfect plan's revaluation curve z + Dz is the ladder's last row
     perfect = plan is not None and plan.kind == PLAN_PERFECT
     scales = np.array(EPS_SCHEDULE + ((1.0,) if perfect else ()))
@@ -337,18 +302,17 @@ def verification_checks(
         variation = method_variation_pv(curve, shift, flow)
         analytic = variation + corrupt
         ladder = z.ray(shift)(scales)
-        curves = price.rows_of(ladder)
-        report = numeric_variation(
-            price, z, shift, analytic=analytic, ray=dict(zip(EPS_SCHEDULE, curves))
-        )
-        residual = abs(analytic - report.numeric)
-        scale = max(abs(analytic), abs(report.numeric))
+        values = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow)
+        liabs = np.broadcast_to(values, (ladder.rows,)).tolist()
+        numeric = _difference_limit(liability_value, liabs)[0]
+        residual = abs(analytic - numeric)
+        scale = max(abs(analytic), abs(numeric))
         bound = tolerances["variation_rel"] * scale + tolerances["variation_abs"] * max(
             1.0, abs(liability_value)
         )
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
         variations.append(variation)
-        ladders.append((ladder, curves))
+        ladders.append((ladder, liabs))
 
     if plan is None:
         return checks
@@ -356,21 +320,26 @@ def verification_checks(
     for i, (shift, variation) in enumerate(zip(shifts, variations)):
         residual = _first_order_residual(plan, shift, variation, curve.horizon)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
+    base_asset = plan.value()
+    revalued = [
+        (np.broadcast_to(plan.value_under(ladder, z), (ladder.rows,)).tolist(), liabs)
+        for ladder, liabs in ladders
+    ]
     if perfect:
-        gap = _revaluation_gap(plan, z, [curves[-1] for _, curves in ladders], price)
+        gap = 0.0
+        for assets, liabs in revalued:
+            gap = max(gap, abs((assets[-1] - liabs[-1]) - (base_asset - liability_value)))
         bound = tolerances["perfect_gap_rel"] * abs(liability_value)
         checks.append(("perfect_revaluation", gap <= bound, gap, bound))
     if plan.kind == PLAN_FIRST_ORDER:
         tail = int(tolerances["remainder_tail"])
         # ratios already at roundoff level cannot be asked to keep falling
         floor = tolerances["remainder_floor"] * (1.0 + abs(liability_value))
-        base_asset = plan.value()
-        for i, (ladder, curves) in enumerate(ladders):
-            assets = np.broadcast_to(plan.value_under(ladder, z), (ladder.rows,)).tolist()
-            ratios = []
-            for eps, asset, shifted in zip(EPS_SCHEDULE, assets, curves):
-                liab = price(shifted)
-                ratios.append(abs((asset - base_asset) - (liab - liability_value)) / eps)
+        for i, (assets, liabs) in enumerate(revalued):
+            ratios = [
+                abs((asset - base_asset) - (liab - liability_value)) / eps
+                for eps, asset, liab in zip(EPS_SCHEDULE, assets, liabs)
+            ]
             window = ratios[-tail:]
             good = all(b < a or b < floor for a, b in zip(window, window[1:]))
             checks.append((f"remainder_decay[{i}]", good, ratios[-1], ratios[-tail]))

@@ -52,9 +52,11 @@ def check_horizon(horizon: float):
 
 def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
     """A reproducible list of random smooth shifts, over a horizon that
-    :func:`check_horizon` accepts."""
+    :func:`check_horizon` accepts, from a non-negative integer seed."""
     if count < 1:
         raise DomainError("a shift suite needs at least one shift")
+    if seed < 0:
+        raise DomainError(f"a shift suite needs a non-negative seed, got {seed}")
     check_horizon(horizon)
     rng = np.random.default_rng(seed)
     return [gaussian_bump_shift(rng, horizon) for _ in range(count)]

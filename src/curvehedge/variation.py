@@ -30,6 +30,9 @@ from .methods import piecewise
 #: one-sided difference-quotient schedule: 1e-2 halved seven times
 EPS_SCHEDULE = tuple(1e-2 * 0.5**k for k in range(8))
 
+#: the scales e at which a difference quotient of each order reads F[z + e*Dz]
+_SCALES = {1: EPS_SCHEDULE, 2: (2.0 * EPS_SCHEDULE[0],) + EPS_SCHEDULE}
+
 #: absolute tolerance for the equality case split of the clamp example
 CLAMP_EQ_TOL = 1e-12
 
@@ -85,12 +88,30 @@ def _richardson(quotients, factors):
     return np.take_along_axis(col, np.expand_dims(picks, 0), axis=0)[0], col
 
 
-def _eval_functional(functional, curve, eps):
-    value = functional(curve)
+def _finite(value, eps) -> float:
     value = float(value)
     if not np.isfinite(value):
         raise EvaluationError(f"functional returned {value} at eps={eps}", eps=eps)
     return value
+
+
+def _difference_limit(f0, values, order: int = 1):
+    """The Richardson limit of F's difference quotients along z + e*Dz.
+
+    ``f0`` is F[z] and ``values`` gives F[z + e*Dz] for each e of
+    ``_SCALES[order]``; any further values are not read. Each value is
+    checked as it is read, ``f0`` first: a non-finite one raises
+    :class:`EvaluationError` naming its e. Returns the limit, the
+    quotients and the final Richardson column.
+    """
+    f0 = _finite(f0, 0.0)
+    at = {e: _finite(value, e) for e, value in zip(_SCALES[order], values)}
+    if order == 1:
+        quotients = tuple((at[e] - f0) / e for e in EPS_SCHEDULE)
+    else:
+        quotients = tuple((at[2 * e] - 2.0 * at[e] + f0) / (e * e) for e in EPS_SCHEDULE)
+    numeric, extrapolated = _richardson(quotients, (2.0, 4.0, 8.0))
+    return float(numeric), quotients, tuple(extrapolated)
 
 
 def numeric_variation(
@@ -100,7 +121,6 @@ def numeric_variation(
     order: int = 1,
     analytic: float | None = None,
     check_additivity: bool = False,
-    ray: dict | None = None,
 ) -> VariationReport:
     """Finite-difference estimate of the first or second variation of ``functional``.
 
@@ -108,37 +128,16 @@ def numeric_variation(
     running over ``EPS_SCHEDULE``; order 2
     the centered-in-epsilon second difference along the ray,
     (F[z + 2e*Dz] - 2 F[z + e*Dz] + F[z]) / e^2, still one-sided in sign
-    consistent with the e -> 0+ limit.
-
-    ``ray`` holds the curves z + e*Dz by e: those it has are used, the
-    ones built here are added, so a caller can revalue something else on
-    the very curves F was evaluated on. The missing ones come from one
+    consistent with the e -> 0+ limit. The curves z + e*Dz come from one
     :meth:`ForwardCurve.ray`, which merges the grids once.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
 
-    f0 = _eval_functional(functional, z, 0.0)
-    ray = {} if ray is None else ray
-    along = None
-    cache = {}
-
-    def at(e):
-        nonlocal along
-        if e not in cache:
-            if e not in ray:
-                along = along or z.ray(shift)
-                ray[e] = along(e)
-            cache[e] = _eval_functional(functional, ray[e], e)
-        return cache[e]
-
-    if order == 1:
-        quotients = tuple((at(e) - f0) / e for e in EPS_SCHEDULE)
-    else:
-        quotients = tuple((at(2 * e) - 2.0 * at(e) + f0) / (e * e) for e in EPS_SCHEDULE)
-
-    numeric, extrapolated = _richardson(quotients, (2.0, 4.0, 8.0))
-    numeric = float(numeric)
+    along = z.ray(shift)
+    numeric, quotients, extrapolated = _difference_limit(
+        functional(z), (functional(along(e)) for e in _SCALES[order]), order
+    )
     residual = None if analytic is None else abs(analytic - numeric)
 
     defect = None
@@ -150,7 +149,7 @@ def numeric_variation(
         numeric=numeric,
         eps_schedule=EPS_SCHEDULE,
         quotients=quotients,
-        extrapolated=tuple(extrapolated),
+        extrapolated=extrapolated,
         analytic=analytic,
         residual=residual,
         additivity_defect=defect,

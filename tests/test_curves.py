@@ -494,10 +494,10 @@ class TestRay:
             floats = [0.0, float(stack.grid.nodes[3]), 0.37 * z.horizon, z.horizon]
             for i, e in enumerate(scales.tolist()):
                 want = along(e)
-                row = stack.row(i)
-                assert row.rows is None and row.grid is stack.grid
-                for name in self.FIELDS:
-                    assert getattr(row, name).tobytes() == getattr(want, name).tobytes(), (name, e)
+                assert want.rows is None and want.grid is stack.grid
+                assert stack.quote_nodes is want.quote_nodes
+                for name in ("f_left", "f_right", "_cum_f", "_cum_tz"):
+                    assert getattr(stack, name)[i].tobytes() == getattr(want, name).tobytes(), (name, e)
                 for name, args in self.METHODS:
                     got = getattr(stack, name)(ts, *args)
                     assert got.shape == (scales.size, ts.size)

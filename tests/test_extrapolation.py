@@ -1,4 +1,6 @@
 import math
+import pathlib
+import sys
 import warnings
 from dataclasses import replace
 
@@ -21,10 +23,12 @@ from curvehedge import (
 from curvehedge.errors import AlphaNotWellDefinedError, CalibrationError, DomainError
 import curvehedge.extrapolation as extrapolation_module
 from curvehedge.extrapolation import _SCAN_CHUNK, sample_grid
+from curvehedge.io import read_curve
 
 from conftest import random_curve, random_shift
 
 UFR = 0.042
+SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
 
 # ---- independent oracle for the phased method ---------------------------------
@@ -628,6 +632,31 @@ class TestArbitrageScan:
         ec = extrapolate(flat3, MethodSpec("M3", tau=10.0, ufr=UFR))
         with pytest.raises(DomainError):
             arbitrage_scan(ec, step=step)
+
+    def test_unallocatable_grid_rejected(self, flat3):
+        ec = extrapolate(flat3, MethodSpec("M3", tau=10.0, ufr=UFR), 1e300)
+        with pytest.raises(DomainError, match="exceeds"):
+            arbitrage_scan(ec, step=0.25)
+
+    def test_discrete_fit_where_discounts_underflow(self):
+        """Far out, exp(-ufr t) and D fall below the normal floats while 1 + B
+        stays near 1.23: the yield is ufr - log(1 + B)/t, the forward
+        ufr - B'/(1 + B), and no discount factor counts as nonpositive."""
+        market = read_curve(str(SAMPLE_DATA / "curve.csv"))
+        fit = extrapolate(market, MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1), 20000.0)
+        assert arbitrage_scan(fit, step=1.0).is_clean
+        ts = np.array([17000.0, 17741.0, 17742.0, 19000.5, 20000.0])
+        z, f, d = fit._evaluation(ts)
+        assert np.all(d < sys.float_info.min) and d[-1] == 0.0
+        # past the last node: 1 + B = 1 + sum c_j (alpha u_j - exp(-alpha t) sinh(alpha u_j))
+        c = fit.zeta * np.exp(-UFR * fit.nodes)
+        decay = np.exp(-fit.alpha * ts)[:, None]
+        one_b = 1.0 + np.sum(c * (fit.alpha * fit.nodes - decay * np.sinh(fit.alpha * fit.nodes)), axis=1)
+        db = fit.alpha * np.sum(c * decay * np.sinh(fit.alpha * fit.nodes), axis=1)
+        np.testing.assert_allclose(z, UFR - np.log(one_b) / ts, rtol=1e-13)
+        np.testing.assert_allclose(f, UFR - db / one_b, rtol=1e-13)
+        for t, zt, ft in zip(ts.tolist(), z.tolist(), f.tolist()):
+            assert fit.zero_yield(t) == zt and fit.forward_rate(t) == ft
 
     @pytest.mark.parametrize(
         "horizon, step",

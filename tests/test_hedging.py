@@ -32,7 +32,7 @@ from curvehedge import (
 )
 from curvehedge import hedging
 from curvehedge.cli import TOLERANCES
-from curvehedge.errors import DomainError, PlanKindError
+from curvehedge.errors import DomainError, EvaluationError, PlanKindError
 from curvehedge.hedging import (
     PLAN_FIRST_ORDER,
     PLAN_INFEASIBLE,
@@ -750,6 +750,32 @@ class TestVerificationChecks:
             plan = hedge(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
             value = present_value(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
             assert plan.diagnostics["liability_value"] == value
+
+    @pytest.mark.parametrize("spec", [MethodSpec("M4", tau=TAU), M5], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("row", [0, 3, 7])
+    def test_non_finite_ladder_value_names_its_eps(self, market_curve, monkeypatch, spec, row):
+        """As ``numeric_variation`` does for a functional that returns one."""
+
+        def poisoned(curve, flow):
+            values = present_value(curve, flow)
+            if curve.rows is not None:
+                values = np.array(values)
+                values[row] = np.nan
+            return values
+
+        monkeypatch.setattr(hedging, "present_value", poisoned)
+        with pytest.raises(EvaluationError, match=f"at eps={EPS_SCHEDULE[row]}$") as info:
+            verification_checks(extrapolate(market_curve, spec), SYMBOLIC_FLOW, shift_suite(2, 5), TOLERANCES)
+        assert info.value.eps == EPS_SCHEDULE[row]
+
+    def test_non_finite_liability_value_is_named_first(self, market_curve, monkeypatch):
+        """The base value, at eps 0, is checked before the ladder's."""
+        monkeypatch.setattr(hedging, "present_value", lambda curve, flow: np.full(curve.rows or (), np.inf))
+        with pytest.raises(EvaluationError) as info:
+            verification_checks(
+                extrapolate(market_curve, MethodSpec("M4", tau=TAU)), SYMBOLIC_FLOW, shift_suite(1, 5), TOLERANCES
+            )
+        assert info.value.eps == 0.0
 
     @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M3], ids=["M1", "M3"])
     def test_perfect_plan_revalued_on_the_ladder(self, market_curve, monkeypatch, spec):

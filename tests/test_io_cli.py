@@ -384,6 +384,21 @@ class TestCliHedge:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["hedge", "verify"])
+    def test_negative_seed_exits_2(self, flat_curve_csv, lump_liability_csv, capsys, command):
+        """The seed of the shift suite is outside input: one error line, not a traceback."""
+        code = run_cli(
+            command,
+            "--curve", flat_curve_csv,
+            "--liabilities", lump_liability_csv,
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+            "--seed", "-1",
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "non-negative seed" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["hedge", "verify"])
     @pytest.mark.parametrize(
         "horizon, message",
         [
