@@ -32,7 +32,6 @@ from .extrapolation import (
     SwDiscreteFit,
     arbitrage_scan,
     extrapolate,
-    resolve_alpha,
     sw_alpha_calibrate,
     sw_fit_discrete,
     sw_kernel,

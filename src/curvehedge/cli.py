@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import DEFAULT_HORIZON, MAX_SAMPLES
 from .errors import CurveHedgeError, DomainError, InputFormatError
-from .extrapolation import arbitrage_scan, extrapolate, is_number, resolve_alpha, sample_grid
+from .extrapolation import arbitrage_scan, extrapolate, is_number, sample_grid
 from .hedging import PLAN_INFEASIBLE, hedge_summary, infeasibility_decomposition, verification_checks
 from .io import (
     Columns,
@@ -113,17 +113,17 @@ def _add_common(sub, liabilities=False):
 
 
 def _load(args, liabilities=False, tolerances=False):
-    """The market curve extrapolated by the method spec, with alpha
-    resolved, and, when asked for, the liabilities and the verification
-    tolerances.
+    """The market curve extrapolated by the method spec and, when asked
+    for, the liabilities and the verification tolerances.
 
     The liability commands take the options of a shift suite, so their
     horizon is checked by the suite's rule before any method runs, also
     on the paths that build no suite. The curve is extrapolated once,
-    after every input is read and checked, and each command uses it.
+    after every input is read and checked, and each command uses it;
+    :func:`extrapolate` calibrates a missing Smith-Wilson alpha.
     """
     market = read_curve(args.curve)
-    spec = resolve_alpha(market, method_from_arg(args.method))
+    spec = method_from_arg(args.method)
     flow = tols = None
     if liabilities:
         flow = read_cash_flow(args.liabilities)

@@ -337,13 +337,12 @@ class ForwardCurve:
         """Curve with c added to the forward everywhere (so z shifts by c too)."""
         return ForwardCurve(self.grid, self.f_left + c, self.f_right + c, self.quote_nodes)
 
-    def _edge_values(self, edges, extend: bool):
-        """Forward values at segment edges defined by ``edges`` (merged grid)."""
-        a = edges[:-1]
-        b = edges[1:]
-        if extend:
-            a = np.minimum(a, self.horizon)
-            b = np.minimum(b, self.horizon)
+    def _edge_values(self, edges):
+        """Forward values at the segment edges ``edges`` (a merged grid), with
+        the edges past the horizon clipped to it: there the last segment's
+        forward at the horizon, ``f_right[-1]``, extends the curve flat."""
+        a = np.minimum(edges[:-1], self.horizon)
+        b = np.minimum(edges[1:], self.horizon)
         return self.forward_rate(a, side="right"), self.forward_rate(b, side="left")
 
     def shifted(self, shift: "CurveShift", scale: float = 1.0) -> "ForwardCurve":
@@ -367,18 +366,8 @@ class ForwardCurve:
         if nodes[-1] != self.horizon:
             nodes = np.concatenate((nodes, [self.horizon]))
         grid = TimeGrid(nodes)
-        base_l, base_r = self._edge_values(nodes, extend=False)
-        if other.horizon >= self.horizon:
-            sh_l, sh_r = other._edge_values(nodes, extend=False)
-        else:
-            tail = other.f_right[-1]
-            inside = nodes <= other.horizon
-            sh_l = np.where(
-                inside[:-1], other.forward_rate(np.minimum(nodes[:-1], other.horizon), "right"), tail
-            )
-            sh_r = np.where(
-                inside[1:], other.forward_rate(np.minimum(nodes[1:], other.horizon), "left"), tail
-            )
+        base_l, base_r = self._edge_values(nodes)
+        sh_l, sh_r = other._edge_values(nodes)
         return lambda scale: ForwardCurve(
             grid,
             base_l + np.multiply.outer(scale, sh_l),

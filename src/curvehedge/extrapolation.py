@@ -123,7 +123,9 @@ def sw_kernel(s, t, ufr: float, alpha: float):
         raise DomainError("kernel arguments must be nonnegative")
     lo = np.minimum(s, t)
     hi = np.maximum(s, t)
-    out = np.exp(-ufr * (s + t)) * (alpha * lo - np.exp(-alpha * hi) * np.sinh(alpha * lo))
+    # an overflowing sinh(alpha lo) or exp(-ufr (s + t)) gives inf or NaN, which a fit rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(-ufr * (s + t)) * (alpha * lo - np.exp(-alpha * hi) * np.sinh(alpha * lo))
     return float(out) if out.ndim == 0 else out
 
 
@@ -248,7 +250,7 @@ def sw_fit_discrete(nodes, prices, ufr: float, alpha: float, horizon: float = DE
 
     The fit is sampled on [0, ``horizon``], which must be finite and not
     precede the last node. Raises :class:`CalibrationError` when the
-    kernel Gram matrix is singular or its condition estimate exceeds
+    kernel Gram matrix overflows, is singular or its condition estimate exceeds
     ``SW_CONDITION_LIMIT``; no regularization is applied, since that
     would silently break the exact reproduction of the inputs.
     """
@@ -266,6 +268,8 @@ def sw_fit_discrete(nodes, prices, ufr: float, alpha: float, horizon: float = DE
         raise DomainError(f"horizon must be finite and not precede the last node, got {horizon}")
 
     gram = sw_kernel(t[:, None], t[None, :], ufr, alpha)
+    if not np.all(np.isfinite(gram)):
+        raise CalibrationError(f"Smith-Wilson Gram matrix overflows at ufr={ufr}, alpha={alpha}")
     condition = float(np.linalg.cond(gram))
     if not np.isfinite(condition) or condition > SW_CONDITION_LIMIT:
         gaps = np.diff(t)
@@ -330,6 +334,17 @@ def sw_alpha_calibrate(z: ForwardCurve, tau: float, kappa: float, ufr: float, ep
     return hi
 
 
+def _with_alpha(z: ForwardCurve, spec: MethodSpec) -> MethodSpec:
+    """``spec`` with a missing Smith-Wilson alpha calibrated on the market
+    curve ``z``, which must be an ordinary one; any other spec as it is."""
+    if spec.alpha is not None or not spec.method.smith_wilson:
+        return spec
+    if z.rows is not None:
+        raise DomainError("alpha is calibrated per market curve; a stacked market needs a spec with alpha")
+    alpha = sw_alpha_calibrate(spec.market(z), spec.tau, spec.kappa, spec.ufr, spec.epsilon)
+    return replace(spec, alpha=alpha)
+
+
 # ---- the extrapolated curve -------------------------------------------------
 
 
@@ -355,7 +370,8 @@ class ExtrapolatedCurve:
     ``(rows, 1)`` columns, and every evaluation has one row per scenario,
     each bit for bit the extrapolation of that scenario alone. A ufr family
     is stacked too, over an ordinary market curve: its market side gives
-    each row a copy of the market values.
+    each row a copy of the market values. A Smith-Wilson spec must fix
+    alpha here; :func:`extrapolate` calibrates a missing one.
     """
 
     __slots__ = (
@@ -392,6 +408,7 @@ class ExtrapolatedCurve:
         market curve and anchors, so a family of such curves costs one set
         of market evaluations; any other spec gets a curve built afresh.
         """
+        spec = _with_alpha(self.base, spec)
         method = spec.method
         tz = method.shared_anchors(self, spec)
         if tz is None:
@@ -495,8 +512,10 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
     Returns an :class:`ExtrapolatedCurve` for the closed-form methods and
     a :class:`SwDiscreteFit` for ``M6_SW_discrete`` (fitted to the
     offset-adjusted discount factors at the market curve's quote nodes up
-    to tau, so a shifted market curve is fitted at the same nodes).
+    to tau, so a shifted market curve is fitted at the same nodes). A missing
+    Smith-Wilson alpha is calibrated on ``z`` first and held in the curve's ``spec``.
     """
+    spec = _with_alpha(z, spec)
     method = spec.method
     if method.glued:
         return ExtrapolatedCurve(z, spec, horizon=horizon)
@@ -603,16 +622,3 @@ def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
         negative_forward=_mask_intervals(ts, negative_forward),
         nonpositive_discount=_mask_intervals(ts, nonpositive_discount),
     )
-
-
-def resolve_alpha(z: ForwardCurve, spec: MethodSpec) -> MethodSpec:
-    """Return a spec with alpha fixed, calibrating it when absent.
-
-    The calibrated value is then treated as a constant everywhere;
-    sensitivities of the calibrated speed to the curve are not
-    propagated.
-    """
-    if not spec.method.smith_wilson or spec.alpha is not None:
-        return spec
-    alpha = sw_alpha_calibrate(spec.market(z), spec.tau, spec.kappa, spec.ufr, spec.epsilon)
-    return replace(spec, alpha=alpha)

@@ -198,15 +198,24 @@ def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, sh
     """
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
-    z = curve.base
     asset0, liab0 = plan.value(), present_value(curve, flow)
     worst = 0.0
     for shift in shifts:
-        shifted = z.shifted(shift)
-        asset = plan.value_under(shifted, z)
-        liab = present_value(extrapolate(shifted, curve.spec, curve.horizon), flow)
+        (asset,), (liab,) = _ladder_values(plan, curve, flow, shift, np.array([1.0]))
         worst = max(worst, abs((asset - liab) - (asset0 - liab0)))
     return worst
+
+
+def _ladder_values(plan, curve, flow, shift, scales):
+    """The plan's asset values (None without a plan) and the liability values
+    on the curves z + e*Dz of ``scales``, as lists: one stacked curve from
+    one :meth:`ForwardCurve.ray`, extrapolated and priced once, and
+    revalued once."""
+    z = curve.base
+    ladder = z.ray(shift)(scales)
+    rows = lambda values: np.broadcast_to(values, (ladder.rows,)).tolist()
+    liabs = rows(present_value(extrapolate(ladder, curve.spec, curve.horizon), flow))
+    return (None if plan is None else rows(plan.value_under(ladder, z))), liabs
 
 
 def convexity_gap(
@@ -282,10 +291,8 @@ def verification_checks(
     market curve z, whose value a hedgeable method's plan already holds,
     and per shift the curves z + eps*Dz of ``EPS_SCHEDULE`` and, for a
     perfect plan, its revaluation curve z + Dz. A shift's curves are one
-    stacked curve, from one :meth:`ForwardCurve.ray`: one construction,
-    one extrapolation and one present value price all of them, one
-    revaluation of the plan values it on all of them, and each check
-    reads its rows.
+    stacked curve, priced and revalued in one pass (:func:`_ladder_values`),
+    and only their values are kept for the checks.
     """
     checks = []
     if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
@@ -293,17 +300,14 @@ def verification_checks(
     else:
         plan = hedge(curve, flow)
         liability_value = plan.diagnostics["liability_value"]
-    z = curve.base
     # a perfect plan's revaluation curve z + Dz is the ladder's last row
     perfect = plan is not None and plan.kind == PLAN_PERFECT
     scales = np.array(EPS_SCHEDULE + ((1.0,) if perfect else ()))
-    variations, ladders = [], []
+    variations, revalued = [], []
     for i, shift in enumerate(shifts):
         variation = method_variation_pv(curve, shift, flow)
         analytic = variation + corrupt
-        ladder = z.ray(shift)(scales)
-        values = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow)
-        liabs = np.broadcast_to(values, (ladder.rows,)).tolist()
+        assets, liabs = _ladder_values(plan, curve, flow, shift, scales)
         numeric = _difference_limit(liability_value, liabs)[0]
         residual = abs(analytic - numeric)
         scale = max(abs(analytic), abs(numeric))
@@ -312,7 +316,7 @@ def verification_checks(
         )
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
         variations.append(variation)
-        ladders.append((ladder, liabs))
+        revalued.append((assets, liabs))
 
     if plan is None:
         return checks
@@ -321,10 +325,6 @@ def verification_checks(
         residual = _first_order_residual(plan, shift, variation, curve.horizon)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     base_asset = plan.value()
-    revalued = [
-        (np.broadcast_to(plan.value_under(ladder, z), (ladder.rows,)).tolist(), liabs)
-        for ladder, liabs in ladders
-    ]
     if perfect:
         gap = 0.0
         for assets, liabs in revalued:

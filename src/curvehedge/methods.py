@@ -101,14 +101,6 @@ def _check_horizon(spec, horizon: float):
         raise DomainError(f"horizon must be finite and not precede tau, got {horizon}")
 
 
-def _check_fixed_alpha(spec):
-    if spec.alpha is None:
-        raise DomainError(
-            "Smith-Wilson extrapolation needs a fixed alpha; "
-            "calibrate one with sw_alpha_calibrate first"
-        )
-
-
 def _times(t):
     return np.asarray(t, dtype=float)
 
@@ -480,7 +472,8 @@ class _SmithWilson(Method):
     plan_kind = PLAN_INFEASIBLE
 
     def check_glue(self, base, spec, horizon):
-        _check_fixed_alpha(spec)
+        if spec.alpha is None:
+            raise DomainError("a Smith-Wilson curve needs alpha; extrapolate() calibrates a missing one")
         super().check_glue(base, spec, horizon)
 
     def is_defective(self, curve) -> bool:
@@ -574,8 +567,7 @@ class _SmithWilsonDiscrete(Method):
         raise DomainError("the discrete Smith-Wilson fit is built by extrapolate()")
 
     def check_fit(self, spec, horizon: float):
-        """Raise unless ``spec`` can be fitted and sampled up to ``horizon``."""
-        _check_fixed_alpha(spec)
+        """Raise unless ``spec`` can be sampled up to ``horizon``."""
         _check_horizon(spec, horizon)
 
     def shared_anchors(self, curve, spec):

@@ -20,6 +20,8 @@ MAX_AMPLITUDE = 0.01  # 100 bp
 #: bump widths are drawn from [1, horizon / 8] years, so the shortest
 #: horizon a suite can sample
 MIN_HORIZON = 8.0
+#: most half-year nodes a whole suite may hold (10^4 shifts over 200 years hold 4.01e6)
+MAX_SUITE_NODES = 5 * MAX_SAMPLES
 
 
 def gaussian_bump_shift(rng: np.random.Generator, horizon: float = DEFAULT_HORIZON) -> CurveShift:
@@ -52,11 +54,16 @@ def check_horizon(horizon: float):
 
 def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
     """A reproducible list of random smooth shifts, over a horizon that
-    :func:`check_horizon` accepts, from a non-negative integer seed."""
+    :func:`check_horizon` accepts, from a non-negative integer seed, and
+    of at most ``MAX_SUITE_NODES`` nodes, checked before any is built."""
     if count < 1:
         raise DomainError("a shift suite needs at least one shift")
     if seed < 0:
         raise DomainError(f"a shift suite needs a non-negative seed, got {seed}")
     check_horizon(horizon)
+    # count times the length of gaussian_bump_shift's grid
+    nodes = count * int(np.ceil((horizon + 0.5 * DEFAULT_GRID_STEP) / DEFAULT_GRID_STEP))
+    if nodes > MAX_SUITE_NODES:
+        raise DomainError(f"{count} shifts over horizon {horizon} hold {nodes} nodes, more than {MAX_SUITE_NODES}")
     rng = np.random.default_rng(seed)
     return [gaussian_bump_shift(rng, horizon) for _ in range(count)]

@@ -430,9 +430,9 @@ def _shifted_reference(z, shift, scale):
     nodes = nodes[nodes <= z.horizon]
     if nodes[-1] != z.horizon:
         nodes = np.concatenate((nodes, [z.horizon]))
-    base_l, base_r = z._edge_values(nodes, extend=False)
+    base_l, base_r = z._edge_values(nodes)
     if other.horizon >= z.horizon:
-        sh_l, sh_r = other._edge_values(nodes, extend=False)
+        sh_l, sh_r = other._edge_values(nodes)
     else:
         tail = other.f_right[-1]
         inside = nodes <= other.horizon

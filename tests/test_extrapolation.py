@@ -490,6 +490,17 @@ class TestSwDiscreteFit:
         with pytest.raises(CalibrationError, match="closest nodes"):
             sw_fit_discrete([1.0, 1.0 + 1e-12, 10.0], [0.99, 0.99, 0.9], UFR, 0.1)
 
+    @pytest.mark.parametrize("ufr, alpha", [(UFR, 1000.0), (UFR, 2000.0), (-1000.0, 0.1)])
+    def test_overflowing_gram_rejected_quietly(self, capfd, ufr, alpha):
+        """sinh(alpha u) or exp(-ufr (s + t)) overflows: the fit raises before
+        LAPACK sees a non-finite matrix, and nothing reaches fd 2."""
+        nodes = [0.5, 1.0, 2.0, 5.0, 10.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="Gram matrix overflows"):
+                sw_fit_discrete(nodes, [0.99, 0.98, 0.96, 0.9, 0.8], ufr, alpha)
+        assert capfd.readouterr() == ("", "")
+
     def test_validation(self):
         with pytest.raises(DomainError):
             sw_fit_discrete([10.0], [-1.0], UFR, 0.1)
@@ -565,6 +576,25 @@ class TestShiftSuite:
             # at most five bumps of 100 bp each
             assert np.max(np.abs(s1.delta_forward.forward_rate(ts))) <= 0.05 + 1e-12
 
+    def test_suite_size_checked_before_any_shift(self, monkeypatch):
+        """A suite of too many nodes is rejected before it is built; 10^4
+        shifts over the default horizon (4.01e6 nodes) are still built."""
+        from curvehedge import shifts
+
+        class Built(Exception):
+            pass
+
+        def building(rng, horizon):
+            raise Built
+
+        monkeypatch.setattr(shifts, "gaussian_bump_shift", building)
+        for count, horizon in ((10**8, 200.0), (12_469, 200.0), (294_118, 8.0)):
+            with pytest.raises(DomainError, match=f"more than {shifts.MAX_SUITE_NODES}"):
+                shifts.shift_suite(count, 0, horizon)
+        for count, horizon in ((10_000, 200.0), (12_468, 200.0), (294_117, 8.0)):
+            with pytest.raises(Built):
+                shifts.shift_suite(count, 0, horizon)
+
 
 class TestAlphaCalibration:
     def test_boundary_returns_alpha_min(self, flat3):
@@ -591,6 +621,36 @@ class TestAlphaCalibration:
     def test_unattainable_within_bounds(self, flat3):
         with pytest.raises(CalibrationError):
             sw_alpha_calibrate(flat3, 10.0, 10.5, UFR, epsilon=1e-4)
+
+
+class TestCalibratingExtrapolate:
+    """A Smith-Wilson spec without alpha: ``extrapolate`` calibrates it on the
+    market curve the method sees, once, and the curve holds it fixed."""
+
+    @pytest.mark.parametrize("offset", [0.0, 0.004])
+    @pytest.mark.parametrize("kind", ["M6_SW_continuous", "M6_SW_discrete"])
+    def test_equals_the_curve_of_the_calibrated_alpha(self, market_curve, kind, offset):
+        spec = MethodSpec(kind, tau=10.0, ufr=UFR, kappa=60.0, epsilon=1e-4, offset=offset)
+        got = extrapolate(market_curve, spec)
+        alpha = sw_alpha_calibrate(spec.market(market_curve), 10.0, 60.0, UFR, 1e-4)
+        want = extrapolate(market_curve, replace(spec, alpha=alpha))
+        assert got.spec == want.spec
+        assert (got.spec.alpha, got.spec.kappa, got.spec.epsilon) == (alpha, 60.0, 1e-4)
+        t = np.concatenate((np.linspace(0.0, 200.0, 801), [10.0, 60.0]))
+        for a, b in zip(got._evaluation(t), want._evaluation(t)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_stacked_market_needs_alpha(self, market_curve):
+        ladder = market_curve.ray(random_shift(np.random.default_rng(5)))(np.array(EPS_SCHEDULE))
+        for kind in ("M6_SW_continuous", "M6_SW_discrete"):
+            spec = MethodSpec(kind, tau=10.0, ufr=UFR, kappa=60.0, epsilon=1e-4)
+            with pytest.raises(DomainError, match="calibrated per market curve"):
+                extrapolate(ladder, spec)
+
+    def test_direct_curve_needs_alpha(self, market_curve):
+        spec = MethodSpec("M6_SW_continuous", tau=10.0, ufr=UFR, kappa=60.0, epsilon=1e-4)
+        with pytest.raises(DomainError, match="extrapolate"):
+            ExtrapolatedCurve(market_curve, spec)
 
 
 class TestArbitrageScan:
@@ -810,8 +870,13 @@ class TestWithSpec:
         fit = source.with_spec(discrete)
         assert fit.zeta.tobytes() == extrapolate(market_curve, discrete).zeta.tobytes()
         uncalibrated = MethodSpec("M6_SW_continuous", tau=10.0, ufr=UFR, kappa=30.0, epsilon=1e-4)
-        with pytest.raises(DomainError, match="fixed alpha"):
-            source.with_spec(uncalibrated)
+        calibrated = source.with_spec(uncalibrated)
+        alpha = sw_alpha_calibrate(market_curve, 10.0, 30.0, UFR, 1e-4)
+        fresh = extrapolate(market_curve, replace(uncalibrated, alpha=alpha))
+        assert calibrated.spec == fresh.spec
+        t = np.linspace(0.0, 200.0, 801)
+        for got, want in zip(calibrated._evaluation(t), fresh._evaluation(t)):
+            assert got.tobytes() == want.tobytes()
         short = ForwardCurve.from_forwards([0.0, 15.0], [0.02, 0.03])
         with pytest.raises(DomainError, match="kappa"):
             extrapolate(short, self.TARGETS["M3"]).with_spec(self.TARGETS["M5_SFSA"])

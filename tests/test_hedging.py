@@ -200,6 +200,29 @@ class TestVerifyPerfect:
         gap = verify_perfect(plan, extrapolate(flat3, spec), flow, shift_suite(10, seed=3))
         assert gap < 1e-12
 
+    @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M3], ids=["M1", "M3"])
+    def test_revalued_on_a_one_row_ladder(self, market_curve, monkeypatch, spec):
+        """Each shift's revaluation curve z + Dz is a ladder of the one scale
+        1.0, and its gap is that of the ordinary curve z + Dz bit for bit."""
+        curve, shifts = extrapolate(market_curve, spec), shift_suite(3, 5)
+        plan = hedge(curve, SYMBOLIC_FLOW)
+        asset0, liab0 = plan.value(), present_value(curve, SYMBOLIC_FLOW)
+        want = 0.0
+        for shift in shifts:
+            shifted = market_curve.shifted(shift)
+            asset = plan.value_under(shifted, market_curve)
+            liab = present_value(extrapolate(shifted, spec), SYMBOLIC_FLOW)
+            want = max(want, abs((asset - liab) - (asset0 - liab0)))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extrapolate(*args, **kwargs)
+
+        monkeypatch.setattr(hedging, "extrapolate", counting)
+        assert verify_perfect(plan, curve, SYMBOLIC_FLOW, shifts) == want
+        assert [market.rows for market, *_ in calls] == [1] * len(shifts)
+
     def test_wrong_kind_rejected(self, flat3):
         curve, flow = extrapolate(flat3, M2), CashFlow.single_payment(30.0)
         plan = hedge(curve, flow)

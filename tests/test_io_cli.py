@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import sys
 import threading
 
@@ -10,6 +11,8 @@ from curvehedge import cli
 from curvehedge.cli import main
 from curvehedge.errors import InputFormatError
 from curvehedge.io import method_from_arg, read_cash_flow, read_curve
+
+SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
 
 @pytest.fixture
@@ -147,6 +150,18 @@ class TestCliExtrapolate:
         captured = capsys.readouterr()
         assert code == 2
         assert "negative_forward" in captured.out
+
+    @pytest.mark.parametrize("command, step", [("extrapolate", "--step=50"), ("scan-arbitrage", "--step=0.25")])
+    @pytest.mark.parametrize("ufr, alpha", [(0.042, 1000), (0.042, 2000), (-1000, 0.1)])
+    def test_overflowing_discrete_fit_exits_2(self, capfd, command, step, ufr, alpha):
+        """The fit's Gram matrix overflows: one error line and exit 2, with
+        nothing from LAPACK or numpy on fd 2."""
+        method = json.dumps({"kind": "M6_SW_discrete", "tau": 10, "ufr": ufr, "alpha": alpha})
+        code = run_cli(command, "--curve", str(SAMPLE_DATA / "curve.csv"), "--method", method, step)
+        captured = capfd.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_missing_file_exits_1(self, capsys):
         code = run_cli(
@@ -382,6 +397,39 @@ class TestCliHedge:
             "--shifts", "0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["hedge", "verify"])
+    def test_oversized_suite_exits_2(self, monkeypatch, capsys, command):
+        """A suite too large to hold is one error line, before any shift is built."""
+        from curvehedge import shifts
+
+        def building(rng, horizon):
+            raise AssertionError("a shift was built")
+
+        monkeypatch.setattr(shifts, "gaussian_bump_shift", building)
+        code = run_cli(
+            command,
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(SAMPLE_DATA / "liabilities.csv"),
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+            "--shifts", "100000000",
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "nodes, more than" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_calibration_runs_after_every_input_is_read(self, tmp_path, capsys):
+        """extrapolate calibrates a missing alpha, after the liabilities are
+        read: an unreadable liabilities file is named first (exit 1)."""
+        code = run_cli(
+            "sensitivity",
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(tmp_path / "missing.csv"),
+            "--method", '{"kind":"M6_SW_continuous","tau":10,"ufr":0.042,"kappa":10.5,"epsilon":1e-4}',
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and "missing.csv" in captured.err
 
     @pytest.mark.parametrize("command", ["hedge", "verify"])
     def test_negative_seed_exits_2(self, flat_curve_csv, lump_liability_csv, capsys, command):
