@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .curves import DEFAULT_HORIZON, MAX_SAMPLES
-from .errors import CurveHedgeError, DomainError, InputFormatError
-from .extrapolation import arbitrage_scan, extrapolate, is_number, sample_grid
+from .curves import DEFAULT_HORIZON
+from .errors import CurveHedgeError, InputFormatError
+from .extrapolation import arbitrage_scan, check_step, extrapolate, is_number, sample_grid
 from .hedging import PLAN_INFEASIBLE, hedge_summary, infeasibility_decomposition, verification_checks
 from .io import (
     Columns,
@@ -33,7 +33,7 @@ from .io import (
     render_table,
 )
 from .sensitivity import ufr_sensitivity
-from .shifts import check_horizon, shift_suite
+from .shifts import check_suite, shift_suite
 from .variation import EPS_SCHEDULE
 
 TOLERANCES = {
@@ -76,16 +76,6 @@ def _tolerances() -> dict:
     return tols
 
 
-def _check_step(step: float, horizon: float, option: str):
-    """Reject a sampling step that is not positive or asks for too many samples."""
-    if not (np.isfinite(step) and step > 0):
-        raise DomainError(f"{option} must be finite and positive, got {step}")
-    if not horizon / step < MAX_SAMPLES:
-        raise DomainError(
-            f"{option} {step} over horizon {horizon} exceeds {MAX_SAMPLES} samples"
-        )
-
-
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -117,25 +107,26 @@ def _load(args, liabilities=False, tolerances=False):
     for, the liabilities and the verification tolerances.
 
     The liability commands take the options of a shift suite, so their
-    horizon is checked by the suite's rule before any method runs, also
-    on the paths that build no suite. The curve is extrapolated once,
-    after every input is read and checked, and each command uses it;
-    :func:`extrapolate` calibrates a missing Smith-Wilson alpha.
+    count, seed and horizon are checked by the suite's rule before any
+    method runs, also on the paths that build no suite. The curve is
+    extrapolated once, after every input is read and checked, and each
+    command uses it; :func:`extrapolate` calibrates a missing Smith-Wilson
+    alpha.
     """
     market = read_curve(args.curve)
     spec = method_from_arg(args.method)
     flow = tols = None
     if liabilities:
         flow = read_cash_flow(args.liabilities)
-        check_horizon(args.horizon)
+        check_suite(args.shifts, args.seed, args.horizon)
     if tolerances:
         tols = _tolerances()
     return extrapolate(market, spec, args.horizon), flow, tols
 
 
 def cmd_extrapolate(args) -> int:
-    _check_step(args.step, args.horizon, "--step")
-    _check_step(args.scan_step, args.horizon, "--scan-step")
+    check_step(args.step, args.horizon, "--step")
+    check_step(args.scan_step, args.horizon, "--scan-step")
     ec, _, _ = _load(args)
     ts = sample_grid(ec.horizon, args.step)
     samples = Columns(("t", "zero_yield", "forward", "discount"), (ts,) + ec._evaluation(ts))
@@ -245,7 +236,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    _check_step(args.step, args.horizon, "--step")
+    check_step(args.step, args.horizon, "--step")
     curve, _, _ = _load(args)
     scan = arbitrage_scan(curve, args.step)
     if args.format == "json":

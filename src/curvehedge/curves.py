@@ -63,12 +63,6 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.nodes[-1])
 
-    def __len__(self):
-        return len(self.nodes)
-
-    def __eq__(self, other):
-        return isinstance(other, TimeGrid) and np.array_equal(self.nodes, other.nodes)
-
     def __repr__(self):
         return f"TimeGrid({len(self.nodes)} nodes, horizon={self.horizon})"
 

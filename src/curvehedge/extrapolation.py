@@ -299,6 +299,8 @@ def sw_alpha_calibrate(z: ForwardCurve, tau: float, kappa: float, ufr: float, ep
     market forward at tau is already within epsilon of the ufr the
     criterion holds for every alpha and no smallest value is meaningful.
     """
+    if z.horizon < tau:
+        raise DomainError(f"market curve ends at {z.horizon}, before tau={tau}")
     if not kappa > tau:
         raise DomainError("kappa must exceed tau")
     if epsilon <= 0:
@@ -358,12 +360,13 @@ class ExtrapolatedCurve:
     the others, and a side with no times is not called, as for a
     quadrature panel, which lies on one side. The market anchors of the
     extension are cached at construction: z(tau) and D(tau) from one
-    integrated forward, f(tau-) from one forward rate, and the method's
-    own (for M5 the running integral of s*z(s) at tau and kappa), so
-    :meth:`with_spec` can share them.
+    integrated forward and f(tau-) from one forward rate, so
+    :meth:`with_spec` can share them; the method's own anchors (for M5
+    the running integral of s*z(s) at tau and kappa) are taken per spec.
 
-    The extension reads the ultimate forward rate from ``ufr``, not from
-    the spec: a float (None for M2 and M4), or for a family along the ufr
+    ``ufr`` is the level the extension holds past tau: the spec's ufr, or
+    the market anchor z(tau) for M2 and f(tau) for M4 (see
+    :meth:`Method.level`). It is a float, or for a family along the level
     (:meth:`with_ufr`) a ``(rows, 1)`` column of one value per row.
 
     A stacked market curve gives a stacked extrapolation: its anchors are
@@ -380,53 +383,61 @@ class ExtrapolatedCurve:
     )
 
     def __init__(self, base: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORIZON):
-        method = spec.method
-        method.check_glue(base, spec, horizon)
+        spec.method.check_glue(base, spec, horizon)
         tau = float(spec.tau)
         self.base = base
-        self.spec = spec
-        self.method = method
-        self.ufr = spec.ufr
         self.horizon = float(horizon)
         eff = self.eff = spec.market(base)
         self.rows = eff.rows
-        # a float, or the column of one value per scenario that the bodies of
-        # a stacked market give a float time
-        anchor = float if eff.rows is None else np.asarray
+        anchor = self._anchor
         # tau lies in eff's domain, so the bodies are called without a second check
         cum = ForwardCurve.integrated_forward.body(eff, tau)
         self.z_tau = anchor(eff._yield_of(cum, tau))
         self.d_tau = anchor(np.exp(-cum))
         self.f_tau = anchor(ForwardCurve.forward_rate.body(eff, tau, "left"))
-        self._tz_tau, self._tz_kappa = method.tz_anchors(eff, spec, anchor)
+        self._hold(spec)
+
+    def _anchor(self, value):
+        """A float, or the column of one value per scenario that the bodies
+        of a stacked market give a float time."""
+        return float(value) if self.eff.rows is None else np.asarray(value)
+
+    def _hold(self, spec: MethodSpec):
+        """Take ``spec``, its method, its own anchors and the level it holds past tau."""
+        self.spec = spec
+        method = self.method = spec.method
+        self._tz_tau, self._tz_kappa = method.tz_anchors(self.eff, spec, self._anchor)
+        self.ufr = method.level(self)
 
     def with_spec(self, spec: MethodSpec):
         """The curve ``extrapolate(self.base, spec, self.horizon)`` builds.
 
-        A ``spec`` whose method may share this curve's market anchors (see
-        :meth:`Method.shared_anchors`) gets a curve sharing this one's
-        market curve and anchors, so a family of such curves costs one set
-        of market evaluations; any other spec gets a curve built afresh.
+        A glued ``spec`` with this curve's tau and offset gets a curve
+        sharing this one's market curve and market anchors, so a family of
+        such curves costs one set of market evaluations; any other spec
+        gets a curve built afresh.
         """
         spec = _with_alpha(self.base, spec)
-        method = spec.method
-        tz = method.shared_anchors(self, spec)
-        if tz is None:
+        own = self.spec
+        if not spec.method.glued or (spec.tau, spec.offset) != (own.tau, own.offset):
             return extrapolate(self.base, spec, self.horizon)
-        method.check_glue(self.base, spec, self.horizon)
-        rows = self.eff.rows
-        return self._derived(spec=spec, method=method, ufr=spec.ufr, rows=rows, _tz_tau=tz[0], _tz_kappa=tz[1])
+        spec.method.check_glue(self.base, spec, self.horizon)
+        curve = self._derived(rows=self.eff.rows)
+        curve._hold(spec)
+        return curve
 
     def with_ufr(self, values):
-        """This curve's family along the ufr, as one stacked curve: row i is
-        ``self.with_spec(replace(self.spec, ufr=values[i]))`` bit for bit.
+        """This curve's family along its level, as one stacked curve: row i
+        is bit for bit the curve of this spec holding ``values[i]`` past
+        tau, ``self.with_spec(replace(self.spec, ufr=values[i]))`` for a
+        kind with a ufr, and the M1 or M3 curve of that ufr for M2 or M4.
 
         The rows share this curve's market curve and anchors, and ``ufr``
         is the ``(rows, 1)`` column of the values; ``spec`` stays this
         curve's. The market curve must be an ordinary one.
         """
-        if self.ufr is None or self.eff.rows is not None:
-            raise DomainError("a ufr family needs a method with a ufr over an ordinary market curve")
+        if self.eff.rows is not None:
+            raise DomainError("a ufr family needs an ordinary market curve")
         ufr = np.array(values, dtype=float).reshape(-1, 1)
         return self._derived(ufr=ufr, rows=len(ufr))
 
@@ -573,14 +584,20 @@ def _mask_intervals(ts, mask):
     return tuple(intervals)
 
 
+def check_step(step: float, horizon: float, option: str = "sampling step"):
+    """Raise unless ``step`` is finite and positive and samples [0, horizon]
+    in fewer than ``MAX_SAMPLES`` points; ``option`` names the step."""
+    if not (np.isfinite(step) and step > 0):
+        raise DomainError(f"{option} must be finite and positive, got {step}")
+    if not horizon / step < MAX_SAMPLES:
+        raise DomainError(f"{option} {step} over horizon {horizon} exceeds {MAX_SAMPLES} samples")
+
+
 def sample_grid(horizon: float, step: float):
     """The multiples of ``step`` in [0, horizon] and the horizon itself; a last
     multiple that rounds past the horizon is clipped there. A grid of
     ``MAX_SAMPLES`` points or more is rejected before it is allocated."""
-    if not (np.isfinite(step) and step > 0):
-        raise DomainError(f"sampling step must be finite and positive, got {step}")
-    if not horizon / step < MAX_SAMPLES:
-        raise DomainError(f"sampling step {step} over horizon {horizon} exceeds {MAX_SAMPLES} samples")
+    check_step(step, horizon)
     n = int(np.floor(horizon / step))
     # one buffer: the multiples 0..n clipped to the horizon, then the horizon
     grid = np.arange(n + 2, dtype=float)

@@ -6,12 +6,13 @@ Gateaux variation dzbar[Dz], the bond hedge that matches that variation,
 and its sensitivity to the ultimate forward rate (ufr). :data:`METHODS`
 holds one :class:`Method` per kind, selected by ``MethodSpec.kind``;
 the entries' docstrings say what each kind does. An entry holds every
-fact that depends on the kind: the spec rules and glue check, the market
-anchors and when another spec may share them, the extension past tau,
+fact that depends on the kind: the spec rules and glue check, its own
+integral anchors, the level its extension holds past tau, the extension,
 dzbar and t d2zbar past tau along a shift, the hedge plan, and the UFR
-closed form with its bounds and oracle family. A kind without a
-variation, plan or UFR form says so in its entry, with its error's
-message. A new method is one entry.
+closed form with its bounds. M2 and M4 hold M1's and M3's shapes at a
+market level instead of the ufr, so they reuse those extensions. A kind
+without a variation, plan or UFR form says so in its entry, with its
+error's message. A new method is one entry.
 """
 
 from __future__ import annotations
@@ -111,10 +112,11 @@ class Method:
     A glued entry's ``zero_yield``, ``forward`` and ``discount`` extend an
     :class:`ExtrapolatedCurve` at times past tau. They read its anchors
     (``z_tau``, ``f_tau``, ``d_tau``), its market curve ``eff`` and its
-    ``ufr``: a float, or a ``(rows, 1)`` column for a family along the
-    ufr. ``yield_variation`` and ``second_variation`` give functions of
-    the times te past tau, with values shaped like the times and the
-    shift's quantities at tau read once.
+    ``ufr``, the level that :meth:`level` sets: a float, or a ``(rows, 1)``
+    column for a family along it. ``yield_variation`` and
+    ``second_variation`` give functions of the times te past tau, with
+    values shaped like the times and the shift's quantities at tau read
+    once.
     """
 
     kind = None
@@ -168,12 +170,9 @@ class Method:
         """The running integrals of s*z(s) at tau and kappa that the extension reads."""
         return 0.0, 0.0
 
-    def shared_anchors(self, curve, spec):
-        """The integral anchors of a curve of ``spec`` that shares the market
-        anchors of ``curve``, or None when it must be built afresh; the
-        market anchors depend on the market curve, tau and the offset."""
-        own = curve.spec
-        return None if (spec.tau, spec.offset) != (own.tau, own.offset) else (0.0, 0.0)
+    def level(self, curve):
+        """The level ``curve`` holds past tau, read from its spec and market anchors."""
+        return curve.spec.ufr
 
     def is_defective(self, curve) -> bool:
         return False
@@ -198,10 +197,6 @@ class Method:
         """S in closed form and its lower and upper bounds, each None where
         absent, for a flow whose measure on ``curve`` is ``lstar``."""
         return None, None, None
-
-    def ufr_family(self, curve):
-        """The curve whose ``with_ufr`` family the generic oracle differentiates."""
-        return curve
 
 
 def _infeasible(tau, lstar, coeff):
@@ -232,19 +227,17 @@ class _PinnedYield(Method):
         return (), (), {"liability_value": lstar.total}
 
 
-class _LastYield(Method):
-    """M2: the zero yield z(tau) held constant. One lump at tau matches to
-    first order; z(tau) plays the ufr's role, and the oracle varies it
-    along the M1 family."""
+class _LastYield(_PinnedYield):
+    """M2: M1's flat zero yield held at z(tau), the curve's level. One lump
+    at tau matches to first order; the oracle varies the level as M1's
+    varies the ufr."""
 
     kind = M2
     takes_ufr = False
     plan_kind = PLAN_FIRST_ORDER
 
-    def zero_yield(self, curve, t):
-        return _filled(curve, t, curve.z_tau)
-
-    forward = zero_yield
+    def level(self, curve):
+        return curve.z_tau
 
     def yield_variation(self, shift, curve):
         dz_tau = shift.delta_z(curve.spec.tau)
@@ -258,10 +251,6 @@ class _LastYield(Method):
 
     def ufr_closed_form(self, curve, flow, lstar):
         return lstar.integrate(_times) / lstar.total, None, None
-
-    def ufr_family(self, curve):
-        spec = replace(curve.spec, kind=M1, ufr=curve.z_tau, kappa=None, alpha=None, epsilon=None)
-        return curve.with_spec(spec)
 
 
 class _PinnedForward(Method):
@@ -290,20 +279,17 @@ class _PinnedForward(Method):
         return excess_duration(curve, flow, curve.spec.tau, lstar.total), None, None
 
 
-class _LastForward(Method):
-    """M4: the forward f(tau) held constant, an exposure no bond portfolio matches."""
+class _LastForward(_PinnedForward):
+    """M4: M3's flat forward held at f(tau), the curve's level, an exposure
+    no bond portfolio matches. No ufr is prescribed, so none is reported."""
 
     kind = M4
     takes_ufr = False
     plan_kind = PLAN_INFEASIBLE
     no_ufr = "constant forward extrapolation has no ultimate forward rate"
 
-    def zero_yield(self, curve, t):
-        w = curve.spec.tau / t
-        return w * curve.z_tau + (1.0 - w) * curve.f_tau
-
-    def forward(self, curve, t):
-        return _filled(curve, t, curve.f_tau)
+    def level(self, curve):
+        return curve.f_tau
 
     def yield_variation(self, shift, curve):
         tau = curve.spec.tau
@@ -337,12 +323,6 @@ class _Blend(Method):
     def tz_anchors(self, eff, spec, anchor):
         tz = ForwardCurve.cumulative_time_weighted_yield.body
         return anchor(tz(eff, float(spec.tau))), anchor(tz(eff, float(spec.kappa)))
-
-    def shared_anchors(self, curve, spec):
-        same_kappa = (curve.method, curve.spec.kappa) == (self, spec.kappa)
-        if super().shared_anchors(curve, spec) is None or not same_kappa:
-            return None
-        return curve._tz_tau, curve._tz_kappa
 
     def zero_yield(self, curve, t):
         spec, ufr, eff = curve.spec, curve.ufr, curve.eff
@@ -569,9 +549,6 @@ class _SmithWilsonDiscrete(Method):
     def check_fit(self, spec, horizon: float):
         """Raise unless ``spec`` can be sampled up to ``horizon``."""
         _check_horizon(spec, horizon)
-
-    def shared_anchors(self, curve, spec):
-        return None
 
     def yield_variation(self, shift, curve):
         raise DomainError(

@@ -1,11 +1,11 @@
 """Sensitivity of liability values to the ultimate forward rate.
 
 S := -(d L*_T / d ufr) / L*_T is a duration with respect to the
-prescribed long-term rate. Each method's closed form and bounds, and the
-curve family its oracle moves along, are its entry in the method table
-(:mod:`curvehedge.methods`). Every closed form is cross-checked against a
-generic oracle, :func:`parameter_sensitivity`, which takes central
-differences of the present value along the curve family. The
+prescribed long-term rate. Each method's closed form and bounds are its
+entry in the method table (:mod:`curvehedge.methods`). Every closed form
+is cross-checked against a generic oracle, :func:`parameter_sensitivity`,
+which takes central differences of the present value as the level the
+curve holds past tau moves: the ufr, or z(tau) for M2. The
 sensitivity is a functional of the extrapolated curve, which holds its
 market curve, spec and horizon.
 """
@@ -79,9 +79,9 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
 def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityReport:
     """Per-method sensitivity of the liability value to the long-term rate.
 
-    The generic oracle differentiates the family of the method's
-    ``ufr_family`` curve, stacked by its ``with_ufr``; a method without a
-    closed form (M1) reports the oracle's value.
+    The generic oracle differentiates the curve's ``with_ufr`` family at
+    the curve's level ``ufr``; a method without a closed form (M1) reports
+    the oracle's value.
     """
     spec = curve.spec
     method = spec.method
@@ -95,8 +95,7 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
     if not total > 0.0:
         raise DomainError("liabilities must have positive present value")
 
-    family = method.ufr_family(curve)
-    oracle = -parameter_sensitivity(family.with_ufr, flow, family.spec.ufr) / total
+    oracle = -parameter_sensitivity(curve.with_ufr, flow, curve.ufr) / total
     closed, lower, upper = method.ufr_closed_form(curve, flow, lstar)
     oracle_only = closed is None
     value = oracle if oracle_only else closed

@@ -38,10 +38,16 @@ def gaussian_bump_shift(rng: np.random.Generator, horizon: float = DEFAULT_HORIZ
     return CurveShift.from_forward_values(ts, values)
 
 
-def check_horizon(horizon: float):
-    """Raise unless a shift suite can sample ``horizon``: finite, at least
-    ``MIN_HORIZON`` years, and holding fewer than ``MAX_SAMPLES`` nodes of
-    the half-year grid."""
+def check_suite(count: int, seed: int, horizon: float):
+    """Raise unless a suite of ``count`` shifts can be built from ``seed``
+    over ``horizon``: at least one shift, a non-negative integer seed, and
+    a horizon that is finite, at least ``MIN_HORIZON`` years and holds
+    fewer than ``MAX_SAMPLES`` nodes of the half-year grid, for at most
+    ``MAX_SUITE_NODES`` nodes in all."""
+    if count < 1:
+        raise DomainError("a shift suite needs at least one shift")
+    if seed < 0:
+        raise DomainError(f"a shift suite needs a non-negative seed, got {seed}")
     if not (np.isfinite(horizon) and horizon >= MIN_HORIZON):
         raise DomainError(
             f"a shift suite needs a finite horizon of at least {MIN_HORIZON:g} years, got {horizon}"
@@ -50,20 +56,15 @@ def check_horizon(horizon: float):
         raise DomainError(
             f"horizon {horizon} exceeds {MAX_SAMPLES} shift nodes {DEFAULT_GRID_STEP:g} years apart"
         )
-
-
-def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
-    """A reproducible list of random smooth shifts, over a horizon that
-    :func:`check_horizon` accepts, from a non-negative integer seed, and
-    of at most ``MAX_SUITE_NODES`` nodes, checked before any is built."""
-    if count < 1:
-        raise DomainError("a shift suite needs at least one shift")
-    if seed < 0:
-        raise DomainError(f"a shift suite needs a non-negative seed, got {seed}")
-    check_horizon(horizon)
     # count times the length of gaussian_bump_shift's grid
     nodes = count * int(np.ceil((horizon + 0.5 * DEFAULT_GRID_STEP) / DEFAULT_GRID_STEP))
     if nodes > MAX_SUITE_NODES:
         raise DomainError(f"{count} shifts over horizon {horizon} hold {nodes} nodes, more than {MAX_SUITE_NODES}")
+
+
+def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
+    """A reproducible list of random smooth shifts, checked by
+    :func:`check_suite` before any is built."""
+    check_suite(count, seed, horizon)
     rng = np.random.default_rng(seed)
     return [gaussian_bump_shift(rng, horizon) for _ in range(count)]

@@ -833,15 +833,15 @@ class TestWithSpec:
 
     @staticmethod
     def _sources(offset):
-        """(source spec, whether it shares its anchors with a target of each kind but M5,
-        with an M5 target): same tau and offset; M5 with the target's kappa; another
-        kappa, tau or offset."""
+        """(source spec, whether it shares its market anchors with every target):
+        the same tau and offset, with the target's kappa or another; another
+        tau or offset."""
         return [
-            (MethodSpec("M3", tau=10.0, ufr=0.05, offset=offset), True, False),
-            (MethodSpec("M5_SFSA", tau=10.0, kappa=20.0, ufr=0.03, offset=offset), True, True),
-            (MethodSpec("M5_SFSA", tau=10.0, kappa=25.0, ufr=UFR, offset=offset), True, False),
-            (MethodSpec("M3", tau=12.0, ufr=UFR, offset=offset), False, False),
-            (MethodSpec("M2", tau=10.0, offset=offset + 0.001), False, False),
+            (MethodSpec("M3", tau=10.0, ufr=0.05, offset=offset), True),
+            (MethodSpec("M5_SFSA", tau=10.0, kappa=20.0, ufr=0.03, offset=offset), True),
+            (MethodSpec("M5_SFSA", tau=10.0, kappa=25.0, ufr=UFR, offset=offset), True),
+            (MethodSpec("M3", tau=12.0, ufr=UFR, offset=offset), False),
+            (MethodSpec("M2", tau=10.0, offset=offset + 0.001), False),
         ]
 
     @pytest.mark.parametrize("offset", [0.0, 0.004])
@@ -850,12 +850,12 @@ class TestWithSpec:
         spec = replace(self.TARGETS[kind], offset=offset)
         fresh = extrapolate(market_curve, spec)
         t = np.concatenate((np.linspace(0.0, 200.0, 801), [10.0, 20.0], np.linspace(9.0, 21.0, 97)))
-        for source_spec, shares, shares_m5 in self._sources(offset):
+        for source_spec, shares in self._sources(offset):
             source = extrapolate(market_curve, source_spec)
             derived = source.with_spec(spec)
             assert type(derived) is ExtrapolatedCurve and derived.spec == spec
             if offset:  # else every curve's eff is the market curve itself
-                assert (derived.eff is source.eff) == (shares_m5 if kind == "M5_SFSA" else shares)
+                assert (derived.eff is source.eff) == shares
             assert derived.horizon == fresh.horizon and derived.base is market_curve
             for name in ("z_tau", "f_tau", "d_tau", "_tz_tau", "_tz_kappa"):
                 assert np.float64(getattr(derived, name)).tobytes() == np.float64(
@@ -997,13 +997,31 @@ class TestUfrFamily:
         single = family.with_spec(curve.spec)
         assert single.rows is None and single.ufr == UFR
         assert single.zero_yield(50.0) == curve.zero_yield(50.0)
-        for spec in (MethodSpec("M2", tau=10.0), MethodSpec("M4", tau=10.0)):
-            with pytest.raises(DomainError, match="ufr family"):
-                extrapolate(market_curve, spec).with_ufr([0.03])
+        # M2 and M4 vary their level as M1 and M3 vary the ufr, bit for bit
+        t = np.concatenate((np.linspace(0.0, 200.0, 801), [10.0]))
+        for level, pinned in (("M2", "M1"), ("M4", "M3")):
+            family = extrapolate(market_curve, MethodSpec(level, tau=10.0)).with_ufr(self.THETAS)
+            for i, theta in enumerate(self.THETAS):
+                row = extrapolate(market_curve, MethodSpec(pinned, tau=10.0, ufr=theta))
+                for got, want in zip(family._evaluation(t), row._evaluation(t)):
+                    assert got[i].tobytes() == want.tobytes(), (level, theta)
         rng = np.random.default_rng(3)
         ladder = market_curve.ray(random_shift(rng))(np.array(EPS_SCHEDULE))
         with pytest.raises(DomainError, match="ufr family"):
             extrapolate(ladder, self.SPECS["M3"]).with_ufr([0.03])
+
+    @pytest.mark.parametrize("offset", [0.0, 0.004])
+    def test_level_is_the_market_anchor(self, market_curve, offset):
+        """M2 holds z(tau) and M4 f(tau) as their level, also row by row of a stacked market."""
+        rng = np.random.default_rng(5)
+        ladder = market_curve.ray(random_shift(rng))(np.array(EPS_SCHEDULE))
+        for market in (market_curve, ladder):
+            m2 = extrapolate(market, MethodSpec("M2", tau=10.0, offset=offset))
+            m4 = extrapolate(market, MethodSpec("M4", tau=10.0, offset=offset))
+            assert np.float64(m2.ufr).tobytes() == np.float64(m2.z_tau).tobytes()
+            assert np.float64(m4.ufr).tobytes() == np.float64(m4.f_tau).tobytes()
+            # a curve derived by with_spec holds the level of its own spec
+            assert np.float64(m2.with_spec(m4.spec).ufr).tobytes() == np.float64(m4.f_tau).tobytes()
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf])
     @pytest.mark.parametrize("kind", sorted(TestWithSpec.TARGETS))

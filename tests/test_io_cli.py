@@ -9,6 +9,7 @@ import pytest
 
 from curvehedge import cli
 from curvehedge.cli import main
+from curvehedge.curves import MAX_SAMPLES
 from curvehedge.errors import InputFormatError
 from curvehedge.io import method_from_arg, read_cash_flow, read_curve
 
@@ -419,6 +420,47 @@ class TestCliHedge:
         assert captured.err.startswith("error: ") and "nodes, more than" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, method",
+        [("sensitivity", '{"kind":"M3","tau":10,"ufr":0.042}'), ("hedge", '{"kind":"M4","tau":10}')],
+        ids=["sensitivity-M3", "hedge-M4"],
+    )
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--shifts", "100000000", "nodes, more than"),
+            ("--shifts", "0", "at least one shift"),
+            ("--seed", "-3", "non-negative seed"),
+        ],
+    )
+    def test_suite_rule_without_a_suite(self, capsys, command, method, option, value, message):
+        """The commands that build no shift suite still check its options."""
+        code = run_cli(
+            command,
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(SAMPLE_DATA / "liabilities.csv"),
+            "--method", method,
+            option, value,
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["M6_SW_continuous", "M6_SW_discrete"])
+    def test_calibration_on_a_market_short_of_tau(self, tmp_path, capsys, kind):
+        """Calibration reads f(tau-), so a market ending before tau is named as such."""
+        path = tmp_path / "short.csv"
+        path.write_text("t,zero_yield\n1,0.03\n5,0.03\n")
+        code = run_cli(
+            "extrapolate",
+            "--curve", str(path),
+            "--method", json.dumps({"kind": kind, "tau": 10, "ufr": 0.042, "kappa": 60, "epsilon": 1e-4}),
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: market curve ends at 5.0, before tau=10\n"
+
     def test_calibration_runs_after_every_input_is_read(self, tmp_path, capsys):
         """extrapolate calibrates a missing alpha, after the liabilities are
         read: an unreadable liabilities file is named first (exit 1)."""
@@ -458,7 +500,7 @@ class TestCliHedge:
             ("0", "finite horizon"),
             ("5", "finite horizon"),
             ("7.999", "finite horizon"),
-            (repr(0.5 * cli.MAX_SAMPLES), "shift nodes"),
+            (repr(0.5 * MAX_SAMPLES), "shift nodes"),
         ],
     )
     def test_unsampleable_horizon_exits_2(

@@ -100,3 +100,36 @@ def test_only_the_table_tells_kinds_apart():
     """A fact that depends on the kind is an attribute or a method of its
     table entry, not a comparison in another layer."""
     assert kind_comparisons(pathlib.Path(curvehedge.__file__).parent) == []
+
+
+def _sample():
+    return read_curve(str(SAMPLE / "curve.csv")), read_cash_flow(str(SAMPLE / "liabilities.csv"))
+
+
+def test_discrete_fit_is_not_glued():
+    """The discrete Smith-Wilson kind has no glued curve; ``extrapolate`` fits it."""
+    curve, _ = _sample()
+    spec = MethodSpec.from_json(json.loads(CASES["M6_SW_discrete"][0]))
+    with pytest.raises(DomainError, match=r"extrapolate\(\)"):
+        curvehedge.ExtrapolatedCurve(curve, spec)
+
+
+def test_discrete_fit_has_no_variation():
+    curve, flow = _sample()
+    spec = MethodSpec.from_json(json.loads(CASES["M6_SW_discrete"][0]))
+    shift = curvehedge.shift_suite(1, 7)[0]
+    with pytest.raises(DomainError, match="directional formulas"):
+        curvehedge.method_variation_pv(extrapolate(curve, spec), shift, flow)
+
+
+@pytest.mark.parametrize("kind", ["M1", "M2", "M3", "M4", "M5_SFSA"])
+def test_only_smith_wilson_is_defective(kind):
+    """On a market whose forward at tau is far above the ufr, the
+    Smith-Wilson curve is defective and no other kind is."""
+    market = curvehedge.ForwardCurve.from_forwards([0.0, 5.0, 30.0], [0.10, 0.30, 0.30])
+    steep = {"ufr": 0.042} if METHODS[kind].takes_ufr else {}
+    if kind == "M5_SFSA":
+        steep["kappa"] = 20.0
+    assert extrapolate(market, MethodSpec(kind, tau=10.0, **steep)).is_defective is False
+    sw = MethodSpec("M6_SW_continuous", tau=10.0, ufr=0.042, alpha=0.1)
+    assert extrapolate(market, sw).is_defective is True

@@ -272,10 +272,9 @@ class TestPricedOnce:
         assert base_kind == spec.kind
         assert all(curve is not base for curve in counted)
         # the oracle prices one stacked family of four rows, theta +- h and theta +- h/2
-        theta0 = spec.method.ufr_family(extrapolate(market_curve, spec)).spec.ufr
+        theta0 = curve.ufr
         h = 5e-5 * (abs(theta0) + 1.0)
-        family_kind = "M1" if spec is M2 else spec.kind
-        assert priced[0] == (family_kind, [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0])
+        assert priced[0] == (spec.kind, [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0])
         assert counted[0].rows == 4
         # M6 also prices its low and high M3 curves, as one stack of two rows
         if spec is M6:
