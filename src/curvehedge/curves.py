@@ -545,9 +545,10 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
     shape(s) * rate on [a, b], with ``shape`` vectorized and smooth
     between the split points. ``weight`` is a vectorized callable, or
     None for w = 1, and ``breakpoints`` are where it loses smoothness.
-    The lump terms are summed with ``np.sum``; each density is then added
-    by adaptive Gauss-Legendre on the integrand w(s) * shape(s) * rate,
-    split at its own points and at the weight's.
+    The lump terms (m * w) are summed with ``np.sum``; each density is
+    then added by adaptive Gauss-Legendre on the integrand
+    (w(s) * shape(s)) * rate, split at its own points and at the weight's.
+    :class:`DiscountedFlow` builds its rows by these same expressions.
 
     Values with a leading scenario axis (a stacked curve's) give one
     integral per row, each bit for bit that row's own.
@@ -557,15 +558,6 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
         masses = masses * np.asarray(weight(times), dtype=float)
     total = masses.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total
-    for integrand, a, b, pts in _split_densities(densities, weight, breakpoints):
-        total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
-    return total
-
-
-def _split_densities(densities, weight, breakpoints):
-    """Each density of a measure as (integrand, a, b, split points), the one
-    rule by which :func:`measure_integral` and :class:`DiscountedFlow`
-    integrate it."""
     extra = np.asarray(breakpoints, dtype=float)
     w = lambda s: np.asarray(weight(s), dtype=float)
     for a, b, shape, rate, pts in densities:
@@ -573,7 +565,9 @@ def _split_densities(densities, weight, breakpoints):
             integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
         else:
             integrand = lambda s, shape=shape, rate=rate: w(s) * shape(s) * rate
-        yield integrand, a, b, [*pts, *extra[(extra > a) & (extra < b)]]
+        pts = [*pts, *extra[(extra > a) & (extra < b)]]
+        total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
+    return total
 
 
 def _discounted_measure(curve, flow: CashFlow):
@@ -612,38 +606,87 @@ def present_value(curve, flow: CashFlow) -> float:
 
 @dataclass(frozen=True)
 class DiscountedFlow:
-    """The present-value measure dC* of a cash flow under a curve.
+    """The present-value measure dC* of a cash flow under a curve, priced
+    in one stacked pass.
 
     Holds each source lump scaled by its discount factor and keeps
     density segments symbolically (their discounted rate varies over the
-    segment). Each density keeps the accepted panels of the adaptive
-    rule that prices it, so ``total`` is the flow's present value bit for
-    bit, and the running total C*(t) adds one partial Gauss panel to the
-    panel sums below t.
+    segment). Each density is one adaptive integral whose rows are the
+    discounted density of every row of ``family`` (of ``curve`` alone
+    without one), then w * dC* for each (weight, breakpoints) pair of
+    ``weights``. ``family`` is a stacked curve whose row 0 is ``curve``
+    bit for bit and whose breakpoints are the curve's, such as a
+    :meth:`~curvehedge.extrapolation.ExtrapolatedCurve.with_ufr` family
+    led by the curve's own level; each weight's breakpoints must be
+    among the curve's.
+
+    Every row then splits at the same points as its standalone integral,
+    and the quadrature gives each row its own scale, accept test and fold
+    (:mod:`curvehedge.quadrature`); each row's values are built by the
+    expressions of :func:`measure_integral`, (D * m) * w for a lump and
+    (w * D) * rate for a density. So ``present_values[i]`` is
+    ``present_value`` of family row i, and ``integrals[k]`` is
+    ``stieltjes_integral(curve, source, *weights[k])``, bit for bit.
+    ``total`` is ``present_values[0]``, the flow's present value. The
+    curve's density rows keep their accepted panels, so the running total
+    C*(t) adds one partial Gauss panel to the panel sums below t.
     """
 
     source: CashFlow
     curve: object
+    family: object = None
+    weights: tuple = ()
     lumps: tuple = field(init=False)
     _lump_times: object = field(init=False)
     _lump_cum: object = field(init=False)
+    _measure: tuple = field(init=False)
     _pieces: tuple = field(init=False)
+    present_values: tuple = field(init=False)
+    integrals: tuple = field(init=False)
     total: float = field(init=False)
 
     def __post_init__(self):
-        (times, values), densities = _discounted_measure(self.curve, self.source)
-        total = float(np.sum(values))
-        pieces = []
-        for integrand, a, b, pts in _split_densities(densities, None, ()):
-            lo, panels, integral = adaptive_panels(integrand, a, b, breakpoints=pts)
-            pieces.append((a, b, integrand, np.append(lo, b), np.append(0.0, np.cumsum(panels))))
-            total += integral
+        curve = self.curve
+        priced = curve if self.family is None else self.family
+        (times, masses), densities = _discounted_measure(priced, self.source)
+        own = masses if masses.ndim == 1 else masses[0]
+        weights = [lambda s, w=w: np.asarray(w(s), dtype=float) for w, _ in self.weights]
+        extra = np.array([p for _, pts in self.weights for p in pts], dtype=float)
+        family_rows = 1 if self.family is None else self.family.rows
+        sums = np.zeros(family_rows + len(weights))
+        if times.size:
+            sums[:family_rows] = masses.sum(axis=-1)
+            sums[family_rows:] = [(own * w(times)).sum() for w in weights]
 
-        object.__setattr__(self, "lumps", tuple(zip(times.tolist(), values.tolist())))
+        def rows(s, rate):
+            d = priced.discount_factor(s)
+            if not weights:  # a curve's values alone are integrated as one function
+                return d * rate
+            d0 = d if d.ndim == 1 else d[0]
+            return np.vstack([d * rate, *(w(s) * d0 * rate for w in weights)])
+
+        pieces = []
+        for a, b, _, rate, pts in densities:
+            split = [*pts, *extra[(extra > a) & (extra < b)]]
+            lows, panels, integrals = adaptive_panels(
+                lambda s, rate=rate: rows(s, rate), a, b, breakpoints=split
+            )
+            if np.ndim(integrals) == 0:
+                lows, panels = [lows], [panels]
+            integrand = lambda s, rate=rate: curve.discount_factor(s) * rate
+            pieces.append((a, b, integrand, np.append(lows[0], b), np.append(0.0, np.cumsum(panels[0]))))
+            sums += integrals
+
+        values = sums.tolist()
+        object.__setattr__(self, "lumps", tuple(zip(times.tolist(), own.tolist())))
         object.__setattr__(self, "_lump_times", times)
-        object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(values)))
+        object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(own)))
+        own_densities = [(a, b, curve.discount_factor, rate, pts) for a, b, _, rate, pts in densities]
+        object.__setattr__(self, "_measure", ((times, own), own_densities))
         object.__setattr__(self, "_pieces", tuple(pieces))
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "present_values", tuple(values[:family_rows]))
+        object.__setattr__(self, "integrals", tuple(values[family_rows:]))
+        object.__setattr__(self, "total", values[0])
 
     def cumulative(self, t):
         """C*(t): discounted mass in [0, t], inclusive of a lump at t."""
@@ -658,7 +701,9 @@ class DiscountedFlow:
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
     def integrate(self, weight=None, breakpoints=()) -> float:
-        return stieltjes_integral(self.curve, self.source, weight, breakpoints)
+        """int w dC* on the discounted lumps and densities held here:
+        ``stieltjes_integral(curve, source, weight, breakpoints)`` bit for bit."""
+        return measure_integral(*self._measure, weight, breakpoints)
 
 
 # ---- scalar analytics -----------------------------------------------------
@@ -688,15 +733,18 @@ def convexity(curve, flow: CashFlow) -> float:
     return num / _nonzero_pv(curve, flow)
 
 
+def excess_weight(curve, tau: float):
+    """The weight (t - tau)+ and its breakpoint, for a tau on the curve's domain."""
+    if tau < 0.0 or tau > curve.horizon:
+        raise DomainError(f"tau={tau} outside [0, {curve.horizon}]")
+    return lambda t: np.maximum(t - tau, 0.0), (tau,)
+
+
 def excess_duration(curve, flow: CashFlow, tau: float, total: float | None = None) -> float:
     """int (t - tau)+ dC* / C*_T: duration counted only beyond tau.
 
     ``total`` is C*_T when the caller has priced the flow on this curve
     already; it is priced here otherwise.
     """
-    if tau < 0.0 or tau > curve.horizon:
-        raise DomainError(f"tau={tau} outside [0, {curve.horizon}]")
-    num = stieltjes_integral(
-        curve, flow, lambda t: np.maximum(t - tau, 0.0), breakpoints=(tau,)
-    )
+    num = stieltjes_integral(curve, flow, *excess_weight(curve, tau))
     return num / _nonzero_pv(curve, flow, total)

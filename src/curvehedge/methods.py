@@ -9,10 +9,16 @@ the entries' docstrings say what each kind does. An entry holds every
 fact that depends on the kind: the spec rules and glue check, its own
 integral anchors, the level its extension holds past tau, the extension,
 dzbar and t d2zbar past tau along a shift, the hedge plan, and the UFR
-closed form with its bounds. M2 and M4 hold M1's and M3's shapes at a
-market level instead of the ufr, so they reuse those extensions. A kind
-without a variation, plan or UFR form says so in its entry, with its
-error's message. A new method is one entry.
+closed form with its bounds. The UFR hook is two methods:
+``ufr_weights`` declares the weights w (with their breakpoints, all among
+the curve's) whose integrals against dL* the closed form reads, and
+``ufr_closed_form`` combines them. ``ufr_sensitivity`` integrates every
+weight as a row of its one stacked pass, each row bit for bit the
+weight's standalone integral, because every row splits at the same
+points and is accepted and summed on its own. M2 and M4 hold M1's and
+M3's shapes at a market level instead of the ufr, so they reuse those
+extensions. A kind without a variation, plan or UFR form says so in its
+entry, with its error's message. A new method is one entry.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .curves import ForwardCurve, excess_duration, present_value
+from .curves import DiscountedFlow, ForwardCurve, _nonzero_pv, excess_weight
 from .errors import DefectiveCurveError, DomainError
 
 M1 = "M1"
@@ -140,6 +146,12 @@ class Method:
                 raise DomainError(f"{spec.kind} requires a finite ufr")
         elif spec.ufr is not None:
             raise DomainError(f"{spec.kind} does not take a ufr")
+        # kappa is M5's convergence point and the Smith-Wilson calibration's;
+        # alpha and epsilon configure Smith-Wilson alone
+        for name in ("kappa", "alpha", "epsilon"):
+            read = self.smith_wilson or (name == "kappa" and self.needs_kappa)
+            if not read and getattr(spec, name) is not None:
+                raise DomainError(f"{spec.kind} does not take {name}")
         if self.needs_kappa and (spec.kappa is None or not spec.kappa > spec.tau):
             raise DomainError("M5 requires kappa > tau")
         if spec.kappa is not None and not spec.kappa > spec.tau:
@@ -150,10 +162,6 @@ class Method:
                     raise DomainError("Smith-Wilson needs alpha, or kappa and epsilon to calibrate it")
             elif not (np.isfinite(spec.alpha) and spec.alpha > 0):
                 raise DomainError("alpha must be positive")
-        else:
-            for name in ("alpha", "epsilon"):
-                if getattr(spec, name) is not None:
-                    raise DomainError(f"{spec.kind} does not take {name}")
         if spec.epsilon is not None and not spec.epsilon > 0:
             raise DomainError("epsilon must be positive")
         for name, value in (("kappa", spec.kappa), ("epsilon", spec.epsilon)):
@@ -193,9 +201,15 @@ class Method:
         ``curve`` is ``lstar``."""
         raise DomainError(f"no hedge construction for method kind {self.kind!r}")
 
+    def ufr_weights(self, curve):
+        """The (weight, breakpoints) pairs whose integrals against dL* the UFR
+        closed form reads; each breakpoint is one of the curve's."""
+        return ()
+
     def ufr_closed_form(self, curve, flow, lstar):
         """S in closed form and its lower and upper bounds, each None where
-        absent, for a flow whose measure on ``curve`` is ``lstar``."""
+        absent, for a flow whose measure on ``curve`` is ``lstar``; its
+        ``integrals`` are those of :meth:`ufr_weights`."""
         return None, None, None
 
 
@@ -249,8 +263,11 @@ class _LastYield(_PinnedYield):
         diagnostics = {"liability_value": total, "leverage": dollar_dur / tau / total}
         return ((tau, dollar_dur / tau),), (), diagnostics
 
+    def ufr_weights(self, curve):
+        return ((_times, ()),)
+
     def ufr_closed_form(self, curve, flow, lstar):
-        return lstar.integrate(_times) / lstar.total, None, None
+        return lstar.integrals[0] / lstar.total, None, None
 
 
 class _PinnedForward(Method):
@@ -275,8 +292,11 @@ class _PinnedForward(Method):
     def plan(self, curve, flow, lstar):
         return ((curve.spec.tau, lstar.total),), (), {"liability_value": lstar.total}
 
+    def ufr_weights(self, curve):
+        return (excess_weight(curve, curve.spec.tau),)
+
     def ufr_closed_form(self, curve, flow, lstar):
-        return excess_duration(curve, flow, curve.spec.tau, lstar.total), None, None
+        return lstar.integrals[0] / lstar.total, None, None
 
 
 class _LastForward(_PinnedForward):
@@ -423,10 +443,9 @@ class _Blend(Method):
 
         return lumps, densities, {"support": (tau, kappa), "liability_value": total}
 
-    def ufr_closed_form(self, curve, flow, lstar):
+    def ufr_weights(self, curve):
         tau, kappa = curve.spec.tau, curve.spec.kappa
         span = kappa - tau
-        total = lstar.total
 
         def weight(t):
             t = _times(t)
@@ -434,10 +453,13 @@ class _Blend(Method):
             beyond = t - 0.5 * (tau + kappa)
             return np.where(t <= kappa, inside, beyond)
 
-        closed = lstar.integrate(weight, breakpoints=(kappa,)) / total
-        exc_tau = excess_duration(curve, flow, tau, total)
-        exc_kappa = excess_duration(curve, flow, kappa, total)
-        lower = exc_kappa + span * (total - lstar.cumulative(kappa)) / (2.0 * total)
+        return (weight, (kappa,)), excess_weight(curve, tau), excess_weight(curve, kappa)
+
+    def ufr_closed_form(self, curve, flow, lstar):
+        span = curve.spec.kappa - curve.spec.tau
+        total = lstar.total
+        closed, exc_tau, exc_kappa = (value / total for value in lstar.integrals)
+        lower = exc_kappa + span * (total - lstar.cumulative(curve.spec.kappa)) / (2.0 * total)
         return closed, lower, 0.5 * (exc_tau + exc_kappa)
 
 
@@ -520,15 +542,20 @@ class _SmithWilson(Method):
         )
         return _infeasible(spec.tau, lstar, coeff)
 
+    def ufr_weights(self, curve):
+        return (excess_weight(curve, curve.spec.tau),)
+
     def ufr_closed_form(self, curve, flow, lstar):
         spec, total = curve.spec, lstar.total
-        exc_tau = excess_duration(curve, flow, spec.tau, total)
-        # the M3 curves at ufr and ufr + alpha, priced as one stack
+        exc_tau = lstar.integrals[0] / total
+        # the M3 curves at ufr and ufr + alpha and the first one's excess
+        # duration, priced as one stacked pass
         low_curve = curve.with_spec(replace(spec, kind=M3, kappa=None, alpha=None, epsilon=None))
-        bounds = low_curve.with_ufr([spec.ufr, spec.ufr + spec.alpha])
-        low_total, high_total = present_value(bounds, flow).tolist()
+        family = low_curve.with_ufr([spec.ufr, spec.ufr + spec.alpha])
+        bounds = DiscountedFlow(flow, low_curve, family, low_curve.method.ufr_weights(low_curve))
+        low_total, high_total = bounds.present_values
         closed = exc_tau - (low_total - high_total) / (spec.alpha * total)
-        lower = exc_tau - excess_duration(low_curve, flow, spec.tau, low_total)
+        lower = exc_tau - bounds.integrals[0] / _nonzero_pv(low_curve, flow, low_total)
         return closed, lower, exc_tau
 
 

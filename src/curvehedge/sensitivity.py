@@ -8,6 +8,14 @@ which takes central differences of the present value as the level the
 curve holds past tau moves: the ufr, or z(tau) for M2. The
 sensitivity is a functional of the extrapolated curve, which holds its
 market curve, spec and horizon.
+
+One pass per call: the liability value, the oracle's family values and
+the closed form's integrals are the rows of one stacked integral per
+density of the flow (M6 continuous adds a second pass for its bound
+curves). Each row is bit for bit its standalone integral, because every
+row splits at the same breakpoints and the quadrature accepts and sums
+each row on its own (:class:`~curvehedge.curves.DiscountedFlow`), so the
+oracle stays an independent twin of the closed form.
 """
 
 from __future__ import annotations
@@ -51,6 +59,26 @@ class UfrSensitivityReport:
         }
 
 
+def _steps(theta: float):
+    """The oracle's step h at theta and the values theta +- h, theta +- h/2."""
+    h = 5e-5 * (abs(theta) + 1.0)
+    half = h / 2.0
+    return h, [theta + h, theta - h, theta + half, theta - half]
+
+
+def _central_limit(h: float, values, theta: float) -> float:
+    """One Richardson step on the central differences of the values at
+    theta +- h and theta +- h/2, which cancels their h^2 term."""
+    plus, minus, plus_half, minus_half = values
+    half = h / 2.0
+    d1 = (plus - minus) / (2.0 * h)
+    d2 = (plus_half - minus_half) / (2.0 * half)
+    out, _ = _richardson([d1, d2], (4.0,))
+    if not np.isfinite(out):
+        raise EvaluationError(f"non-finite parameter sensitivity near theta={theta}")
+    return float(out)
+
+
 def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     """d/d theta of the liability value for a curve family theta -> zbar(theta).
 
@@ -64,24 +92,19 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     panels the integrand needs; the step balances the O(h^4) truncation
     left after the Richardson step against roundoff.
     """
-    h = 5e-5 * (abs(theta) + 1.0)
-    half = h / 2.0
-    thetas = np.array([theta + h, theta - h, theta + half, theta - half])
-    plus, minus, plus_half, minus_half = present_value(family(thetas), flow).tolist()
-    d1 = (plus - minus) / (2.0 * h)
-    d2 = (plus_half - minus_half) / (2.0 * half)
-    out, _ = _richardson([d1, d2], (4.0,))
-    if not np.isfinite(out):
-        raise EvaluationError(f"non-finite parameter sensitivity near theta={theta}")
-    return float(out)
+    h, thetas = _steps(theta)
+    return _central_limit(h, present_value(family(np.array(thetas)), flow).tolist(), theta)
 
 
 def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityReport:
     """Per-method sensitivity of the liability value to the long-term rate.
 
-    The generic oracle differentiates the curve's ``with_ufr`` family at
-    the curve's level ``ufr``; a method without a closed form (M1) reports
-    the oracle's value.
+    The one pass (see the module docstring) prices the family
+    ``curve.with_ufr`` at the curve's level ``ufr``, whose row 0 is
+    ``curve`` itself and gives L*, and at the four steps
+    :func:`parameter_sensitivity` would price, then one row on row 0 per
+    weight of the method's :meth:`~curvehedge.methods.Method.ufr_weights`.
+    A method without a closed form (M1) reports the oracle's value.
     """
     spec = curve.spec
     method = spec.method
@@ -90,12 +113,14 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
     if flow.has_mass_at_or_before(spec.tau):
         raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
 
-    lstar = DiscountedFlow(flow, curve)
+    h, thetas = _steps(curve.ufr)
+    family = curve.with_ufr([curve.ufr, *thetas])
+    lstar = DiscountedFlow(flow, curve, family, method.ufr_weights(curve))
     total = lstar.total
     if not total > 0.0:
         raise DomainError("liabilities must have positive present value")
 
-    oracle = -parameter_sensitivity(curve.with_ufr, flow, curve.ufr) / total
+    oracle = -_central_limit(h, lstar.present_values[1:], curve.ufr) / total
     closed, lower, upper = method.ufr_closed_form(curve, flow, lstar)
     oracle_only = closed is None
     value = oracle if oracle_only else closed

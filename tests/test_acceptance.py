@@ -302,6 +302,7 @@ def integrated_ou_snapshots(n_paths, dt, alpha, obs, seed):
     return snaps
 
 
+@pytest.mark.slow
 def test_criterion_10_kernel_is_integrated_ou_covariance():
     """Monte Carlo covariances of the damped integrated OU match the kernel."""
     alpha, n_paths, dt = 0.5, 200_000, 1e-3

@@ -98,6 +98,10 @@ class TestMethodSpec:
             MethodSpec("M5_SFSA", tau=10, kappa=20, ufr=0.042, epsilon=1e-4)
         with pytest.raises(DomainError, match="M4 does not take alpha"):
             MethodSpec("M4", tau=10, alpha=0.1)
+        # kappa is M5's convergence point and the Smith-Wilson calibration's
+        for kind, ufr in (("M1", 0.042), ("M2", None), ("M3", 0.042), ("M4", None)):
+            with pytest.raises(DomainError, match=f"{kind} does not take kappa"):
+                MethodSpec(kind, tau=10, ufr=ufr, kappa=30)
 
     def test_sw_spec_with_calibration_fields(self):
         spec = MethodSpec("M6_SW_continuous", tau=10, ufr=0.042, kappa=60, epsilon=1e-4)

@@ -795,6 +795,21 @@ class TestCliScanAndDeterminism:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "kind, ufr", [("M1", ',"ufr":0.042'), ("M2", ""), ("M3", ',"ufr":0.042'), ("M4", "")]
+    )
+    def test_unread_kappa_exits_2(self, flat_curve_csv, capsys, kind, ufr):
+        """Only M5 and the Smith-Wilson kinds read kappa; a stray one is rejected, not echoed."""
+        code = run_cli(
+            "extrapolate",
+            "--curve", flat_curve_csv,
+            "--method", '{"kind":"%s","tau":10%s,"kappa":30}' % (kind, ufr),
+            "--format", "json",
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {kind} does not take kappa\n"
+
     def test_json_output_byte_identical(self, flat_curve_csv, lump_liability_csv, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 from curvehedge import (
     CashFlow,
     CurveShift,
+    DiscountedFlow,
     ForwardCurve,
     MethodSpec,
     extrapolate,
     hedge,
     method_variation,
     present_value,
+    stieltjes_integral,
     sw_fit_discrete,
 )
 from curvehedge.errors import DomainError
@@ -111,6 +113,49 @@ def test_present_value_is_linear_in_the_flow(seed, k):
 
 
 CLOSED_FORM_KINDS = sorted(SPECS)
+
+
+def _mixed_flow(rng, straddle):
+    """Random lumps and three density segments on (0, 80]; with ``straddle``
+    one segment runs across tau and kappa and lumps sit on both."""
+    edges = np.sort(rng.uniform(0.0, 80.0, size=6))
+    if straddle:
+        edges[2], edges[3] = rng.uniform(TAU - 3.0, TAU), rng.uniform(20.0, 25.0)
+        edges = np.sort(edges)
+    rates = rng.uniform(-0.1, 0.5, size=3)
+    densities = tuple((float(a), float(b), float(r)) for a, b, r in zip(edges[::2], edges[1::2], rates))
+    count = int(rng.integers(0, 12))
+    lumps = list(zip(rng.uniform(0.0, 80.0, size=count), rng.uniform(-1.0, 2.0, size=count)))
+    if straddle:
+        lumps += [(TAU, 0.7), (20.0, 0.3)]
+    return CashFlow(lumps=tuple(lumps), densities=densities)
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["M1", "M2", "M3", "M5_SFSA", "M6_SW_continuous"]),
+    straddle=st.booleans(),
+)
+def test_stacked_pass_rows_are_their_standalone_integrals(seed, kind, straddle):
+    """Each row of a DiscountedFlow pass equals its twin bit for bit: the
+    family rows their curve's present value, the weight rows their
+    standalone integral, and the running total that of the plain pass."""
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng, low=0.0, high=0.04)
+    curve = extrapolate(z, SPECS[kind])
+    flow = _mixed_flow(rng, straddle)
+    levels = [curve.ufr, *rng.uniform(0.0, 0.06, size=3)]
+    weights = (*curve.method.ufr_weights(curve), (lambda t: t, ()))
+    lstar = DiscountedFlow(flow, curve, curve.with_ufr(levels), weights)
+
+    assert lstar.total == present_value(curve, flow)
+    for level, value in zip(levels, lstar.present_values, strict=True):
+        assert value == present_value(curve.with_ufr([level]), flow)[0]
+    for (weight, pts), value in zip(weights, lstar.integrals, strict=True):
+        assert value == stieltjes_integral(curve, flow, weight, pts)
+        assert lstar.integrate(weight, pts) == value
+    t = np.concatenate((rng.uniform(0.0, 80.0, size=16), [TAU, 20.0, 80.0]))
+    assert np.array_equal(lstar.cumulative(t), DiscountedFlow(flow, curve).cumulative(t))
 
 
 def _glued_curve(seed, kind, offset):

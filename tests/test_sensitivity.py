@@ -16,7 +16,6 @@ from curvehedge import (
 )
 import curvehedge.curves as curves_module
 import curvehedge.quadrature as quadrature_module
-import curvehedge.methods as methods_module
 import curvehedge.sensitivity as sensitivity_module
 from curvehedge.errors import DomainError, UndefinedDurationError
 
@@ -26,6 +25,7 @@ UFR = 0.042
 TAU = 10.0
 KAPPA = 20.0
 
+M1 = MethodSpec("M1", tau=TAU, ufr=UFR)
 M2 = MethodSpec("M2", tau=TAU)
 M3 = MethodSpec("M3", tau=TAU, ufr=UFR)
 M5 = MethodSpec("M5_SFSA", tau=TAU, kappa=KAPPA, ufr=UFR)
@@ -218,20 +218,27 @@ class TestParameterSensitivity:
 
 
 class TestPricedOnce:
-    """ufr_sensitivity reuses the liability totals it holds instead of re-pricing."""
+    """ufr_sensitivity prices everything it reads in one stacked pass per curve family."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
+        """Every pricing, in order: ("present_value", curve) for a call of
+        ``present_value`` and ("pass", curve, family) for a DiscountedFlow."""
         calls = []
         original = curves_module.present_value
+        original_pass = curves_module.DiscountedFlow.__post_init__
 
         def present_value_counted(curve, flow):
-            calls.append(curve)
+            calls.append(("present_value", curve))
             return original(curve, flow)
+
+        def pass_counted(lstar):
+            calls.append(("pass", lstar.curve, lstar.family))
+            original_pass(lstar)
 
         monkeypatch.setattr(curves_module, "present_value", present_value_counted)
         monkeypatch.setattr(sensitivity_module, "present_value", present_value_counted)
-        monkeypatch.setattr(methods_module, "present_value", present_value_counted)
+        monkeypatch.setattr(curves_module.DiscountedFlow, "__post_init__", pass_counted)
         return calls
 
     @pytest.fixture
@@ -261,26 +268,45 @@ class TestPricedOnce:
     def test_present_value_calls(self, counted, built, market_curve, spec):
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
         curve = extrapolate(market_curve, spec)
-        built.append((curve, spec.kind, [spec.ufr]))
         ufr_sensitivity(curve, flow)
-        built_as = {id(curve): (kind, ufrs) for curve, kind, ufrs in built}
-        priced = [built_as[id(curve)] for curve in counted]
-        # each priced curve is the given one or one that ufr_sensitivity built, priced once
-        assert len({id(curve) for curve in counted}) == len(counted)
-        # the base curve is priced by its DiscountedFlow, never by present_value
-        base, base_kind, _ = built[0]
-        assert base_kind == spec.kind
-        assert all(curve is not base for curve in counted)
-        # the oracle prices one stacked family of four rows, theta +- h and theta +- h/2
+        # nothing is priced by present_value, and each pass has its own family
+        assert [call[0] for call in counted] == ["pass"] * len(counted)
+        assert len({id(call[2]) for call in counted}) == len(counted)
+        # the first pass prices the given curve with its family: the curve's
+        # own level, then the oracle's theta +- h and theta +- h/2
         theta0 = curve.ufr
         h = 5e-5 * (abs(theta0) + 1.0)
-        assert priced[0] == (spec.kind, [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0])
-        assert counted[0].rows == 4
-        # M6 also prices its low and high M3 curves, as one stack of two rows
+        family, kind, ufrs = built[0]
+        assert counted[0][1:] == (curve, family) and family.rows == 5
+        steps = [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0]
+        assert (kind, ufrs) == (spec.kind, [theta0, *steps])
+        # M6 also prices its low and high M3 curves, as one pass of two rows
         if spec is M6:
-            assert priced[1:] == [("M3", [UFR, UFR + M6.alpha])] and counted[1].rows == 2
+            low, bounds = built[1][0], built[2][0]
+            bound_curves = [(kind, ufrs) for _, kind, ufrs in built[1:]]
+            assert bound_curves == [("M3", [UFR]), ("M3", [UFR, UFR + M6.alpha])]
+            assert counted[1][1:] == (low, bounds) and len(counted) == 2
         else:
-            assert len(priced) == 1
+            assert len(counted) == 1 and len(built) == 1
+
+    @pytest.mark.parametrize("spec", [M1, M2, M3, M5, M6], ids=["M1", "M2", "M3", "M5", "M6"])
+    def test_one_integral_per_density(self, monkeypatch, market_curve, spec):
+        """One adaptive integral per density of the flow, two for M6 continuous,
+        whose bound curves take a pass of their own."""
+        calls = []
+        original = quadrature_module.adaptive_panels
+
+        def adaptive_panels_counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature_module, "adaptive_panels", adaptive_panels_counted)
+        monkeypatch.setattr(curves_module, "adaptive_panels", adaptive_panels_counted)
+        densities = ((12.0, 24.0, 0.05), (25.0, 35.0, 0.1), (50.0, 70.0, 0.02))
+        flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=densities)
+        ufr_sensitivity(extrapolate(market_curve, spec), flow)
+        passes = 2 if spec is M6 else 1
+        assert calls == [(a, b) for a, b, _ in densities] * passes
 
     def test_given_total_is_the_priced_one(self, market_curve):
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
