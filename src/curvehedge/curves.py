@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UndefinedDurationError
-from .quadrature import adaptive_gauss_legendre, adaptive_panels, gauss_panel
+from .quadrature import adaptive_panels, gauss_panel
 
 DEFAULT_HORIZON = 200.0
 
@@ -139,8 +139,8 @@ class ForwardCurve:
     factors carry no quadrature error.
 
     ``quote_nodes`` are the times the curve was quoted at: its grid nodes,
-    unless it was derived from another curve by :meth:`ray`, :meth:`shifted`
-    or :meth:`with_constant_added`, which keep the source curve's quote nodes
+    unless it was derived from another curve by :meth:`ray` or
+    :meth:`with_constant_added`, which keep the source curve's quote nodes
     (a shift adds its own nodes to the grid, not to the quotes).
 
     Forward arrays of shape ``(S, n)`` make a stacked curve: S scenarios
@@ -157,8 +157,6 @@ class ForwardCurve:
         n = len(grid.nodes) - 1
         if fl.shape != fr.shape or fl.ndim not in (1, 2) or fl.shape[-1] != n:
             raise DomainError("forward values must match the grid segment count")
-        if not (np.all(np.isfinite(fl)) and np.all(np.isfinite(fr))):
-            raise DomainError("forward values must be finite")
         fl.setflags(write=False)
         fr.setflags(write=False)
         self.grid = grid
@@ -173,13 +171,18 @@ class ForwardCurve:
         self._row_ids = None if self.rows is None else np.arange(self.rows)[:, None]
         h = np.diff(grid.nodes)
         start = np.zeros(fl.shape[:-1] + (1,))
-        cum = np.concatenate((start, np.cumsum(h * 0.5 * (fl + fr), axis=-1)), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.concatenate((start, np.cumsum(h * 0.5 * (fl + fr), axis=-1)), axis=-1)
+            slope = (fr - fl) / h
+            inc = cum[..., :-1] * h + 0.5 * fl * h * h + slope * h**3 / 6.0
+            cum_tz = np.concatenate((start, np.cumsum(inc, axis=-1)), axis=-1)
+        # a running sum that meets an infinity or a NaN ends non-finite, so
+        # the last nodes check the forwards and both integrals at once
+        if not (np.isfinite(cum[..., -1]).all() and np.isfinite(cum_tz[..., -1]).all()):
+            raise DomainError("forward values and their integrals must be finite")
         cum.setflags(write=False)
-        self._cum_f = cum  # int_0^node f, exact for linear segments
-        slope = (fr - fl) / h
-        inc = cum[..., :-1] * h + 0.5 * fl * h * h + slope * h**3 / 6.0
-        cum_tz = np.concatenate((start, np.cumsum(inc, axis=-1)), axis=-1)
         cum_tz.setflags(write=False)
+        self._cum_f = cum  # int_0^node f, exact for linear segments
         self._cum_tz = cum_tz  # int_0^node of (s*z_s) = int of int f
 
     # ---- construction -----------------------------------------------------
@@ -219,8 +222,9 @@ class ForwardCurve:
                 "zero-yield input times must be positive; z(0) follows by continuity"
             )
         nodes = np.concatenate(([0.0], t))
-        tz = np.concatenate(([0.0], t * z))
-        slopes = np.diff(tz) / np.diff(nodes)
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects an overflow
+            tz = np.concatenate(([0.0], t * z))
+            slopes = np.diff(tz) / np.diff(nodes)
         grid = TimeGrid(nodes)
         return cls(grid, slopes, slopes.copy())
 
@@ -338,11 +342,6 @@ class ForwardCurve:
         a = np.minimum(edges[:-1], self.horizon)
         b = np.minimum(edges[1:], self.horizon)
         return self.forward_rate(a, side="right"), self.forward_rate(b, side="left")
-
-    def shifted(self, shift: "CurveShift", scale: float = 1.0) -> "ForwardCurve":
-        """This curve plus ``scale`` times the shift's forward perturbation:
-        ``self.ray(shift)(scale)``."""
-        return self.ray(shift)(scale)
 
     def ray(self, shift: "CurveShift"):
         """The curves z + e*Dz along a shift, as a function of the scale e.
@@ -537,36 +536,47 @@ class CashFlow:
         return CashFlow(self.lumps + other.lumps, self.densities + other.densities)
 
 
-def measure_integral(lumps, densities, weight, breakpoints) -> float:
-    """int w(t) dM(t) for a measure M of lumps and densities.
+def _density_integrals(densities, weight, breakpoints):
+    """The adaptive integral of each density against w, in order: the rule
+    every integral over a measure's densities follows.
 
-    ``lumps`` is a pair of sequences, the lump times and masses. Each
-    density is (a, b, shape, rate, split points): the density
+    Each density is (a, b, shape, rate, split points): the density
     shape(s) * rate on [a, b], with ``shape`` vectorized and smooth
     between the split points. ``weight`` is a vectorized callable, or
     None for w = 1, and ``breakpoints`` are where it loses smoothness.
-    The lump terms (m * w) are summed with ``np.sum``; each density is
-    then added by adaptive Gauss-Legendre on the integrand
-    (w(s) * shape(s)) * rate, split at its own points and at the weight's.
-    :class:`DiscountedFlow` builds its rows by these same expressions.
+    The integrand is (w(s) * shape(s)) * rate, or shape(s) * rate
+    without a weight, split at the density's own points and at the
+    weight's breakpoints inside (a, b). Yields what
+    :func:`~curvehedge.quadrature.adaptive_panels` returns for each
+    density: a shape with a leading axis of rows gives one integral per
+    row, each bit for bit that row's own.
+    """
+    extra = np.asarray(breakpoints, dtype=float)
+    for a, b, shape, rate, pts in densities:
+        if weight is None:
+            integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
+        else:
+            integrand = lambda s, shape=shape, rate=rate: np.asarray(weight(s), dtype=float) * shape(s) * rate
+        yield adaptive_panels(integrand, a, b, breakpoints=[*pts, *extra[(extra > a) & (extra < b)]])
 
-    Values with a leading scenario axis (a stacked curve's) give one
-    integral per row, each bit for bit that row's own.
+
+def measure_integral(lumps, densities, weight, breakpoints) -> float:
+    """int w(t) dM(t) for a measure M of lumps and densities.
+
+    ``lumps`` is a pair of sequences, the lump times and masses, and the
+    densities, ``weight`` and ``breakpoints`` are those of
+    :func:`_density_integrals`. The lump terms (m * w) are summed with
+    ``np.sum``, then each density's integral is added in order. Values
+    with a leading scenario axis (a stacked curve's) give one integral
+    per row, each bit for bit that row's own.
     """
     times, masses = (np.asarray(x, dtype=float) for x in lumps)
     if weight is not None and times.size:
         masses = masses * np.asarray(weight(times), dtype=float)
     total = masses.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total
-    extra = np.asarray(breakpoints, dtype=float)
-    w = lambda s: np.asarray(weight(s), dtype=float)
-    for a, b, shape, rate, pts in densities:
-        if weight is None:
-            integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
-        else:
-            integrand = lambda s, shape=shape, rate=rate: w(s) * shape(s) * rate
-        pts = [*pts, *extra[(extra > a) & (extra < b)]]
-        total += adaptive_gauss_legendre(integrand, a, b, breakpoints=pts)
+    for _, _, integral in _density_integrals(densities, weight, breakpoints):
+        total += integral
     return total
 
 
@@ -578,9 +588,8 @@ def _discounted_measure(curve, flow: CashFlow):
             f"cash flow extends to {flow.latest_time}, beyond the curve horizon {curve.horizon}"
         )
     times = np.array([t for t, _ in flow.lumps], dtype=float)
-    masses = np.array([a for _, a in flow.lumps], dtype=float)
-    if flow.lumps:
-        masses = curve.discount_factor(times) * masses
+    # also without lumps, so that a stacked curve gives a mass row per scenario
+    masses = curve.discount_factor(times) * np.array([a for _, a in flow.lumps], dtype=float)
     densities = [
         (a, b, curve.discount_factor, rate, curve.breakpoints_between(a, b))
         for a, b, rate in flow.densities
@@ -609,37 +618,30 @@ class DiscountedFlow:
     """The present-value measure dC* of a cash flow under a curve, priced
     in one stacked pass.
 
-    Holds each source lump scaled by its discount factor and keeps
-    density segments symbolically (their discounted rate varies over the
-    segment). Each density is one adaptive integral whose rows are the
-    discounted density of every row of ``family`` (of ``curve`` alone
-    without one), then w * dC* for each (weight, breakpoints) pair of
-    ``weights``. ``family`` is a stacked curve whose row 0 is ``curve``
-    bit for bit and whose breakpoints are the curve's, such as a
+    ``family`` is a stacked curve whose row 0 is ``curve`` bit for bit and
+    whose breakpoints are the curve's, such as a
     :meth:`~curvehedge.extrapolation.ExtrapolatedCurve.with_ufr` family
-    led by the curve's own level; each weight's breakpoints must be
-    among the curve's.
-
-    Every row then splits at the same points as its standalone integral,
-    and the quadrature gives each row its own scale, accept test and fold
-    (:mod:`curvehedge.quadrature`); each row's values are built by the
-    expressions of :func:`measure_integral`, (D * m) * w for a lump and
-    (w * D) * rate for a density. So ``present_values[i]`` is
-    ``present_value`` of family row i, and ``integrals[k]`` is
-    ``stieltjes_integral(curve, source, *weights[k])``, bit for bit.
-    ``total`` is ``present_values[0]``, the flow's present value. The
-    curve's density rows keep their accepted panels, so the running total
-    C*(t) adds one partial Gauss panel to the panel sums below t.
+    led by the curve's own level; each (weight, breakpoints) pair of
+    ``weights`` has its breakpoints among the curve's. The lumps are
+    summed as :func:`measure_integral` sums them, and every density is
+    integrated once by :func:`_density_integrals`, on one stacked shape:
+    the discount factor of every row of ``family`` (of ``curve`` alone
+    without one), then w * D of the curve for each weight. Each row thus
+    follows that rule as its standalone integral does, so
+    ``present_values[i]`` is ``present_value`` of family row i, and
+    ``integrals[k]`` is ``stieltjes_integral(curve, source, *weights[k])``,
+    bit for bit. ``total`` is ``present_values[0]``, the flow's present
+    value. The curve's density rows keep their accepted panels, so the
+    running total C*(t) adds one partial Gauss panel to the panel sums
+    below t.
     """
 
     source: CashFlow
     curve: object
     family: object = None
     weights: tuple = ()
-    lumps: tuple = field(init=False)
     _lump_times: object = field(init=False)
     _lump_cum: object = field(init=False)
-    _measure: tuple = field(init=False)
     _pieces: tuple = field(init=False)
     present_values: tuple = field(init=False)
     integrals: tuple = field(init=False)
@@ -651,26 +653,22 @@ class DiscountedFlow:
         (times, masses), densities = _discounted_measure(priced, self.source)
         own = masses if masses.ndim == 1 else masses[0]
         weights = [lambda s, w=w: np.asarray(w(s), dtype=float) for w, _ in self.weights]
-        extra = np.array([p for _, pts in self.weights for p in pts], dtype=float)
         family_rows = 1 if self.family is None else self.family.rows
         sums = np.zeros(family_rows + len(weights))
-        if times.size:
-            sums[:family_rows] = masses.sum(axis=-1)
-            sums[family_rows:] = [(own * w(times)).sum() for w in weights]
+        sums[:family_rows] = masses.sum(axis=-1)
+        sums[family_rows:] = [(own * w(times)).sum() for w in weights]
 
-        def rows(s, rate):
+        def shape(s):
             d = priced.discount_factor(s)
             if not weights:  # a curve's values alone are integrated as one function
-                return d * rate
+                return d
             d0 = d if d.ndim == 1 else d[0]
-            return np.vstack([d * rate, *(w(s) * d0 * rate for w in weights)])
+            return np.vstack([d, *(w(s) * d0 for w in weights)])
 
+        stacked = [(a, b, shape, rate, pts) for a, b, _, rate, pts in densities]
+        passes = _density_integrals(stacked, None, [p for _, pts in self.weights for p in pts])
         pieces = []
-        for a, b, _, rate, pts in densities:
-            split = [*pts, *extra[(extra > a) & (extra < b)]]
-            lows, panels, integrals = adaptive_panels(
-                lambda s, rate=rate: rows(s, rate), a, b, breakpoints=split
-            )
+        for (a, b, _, rate, _), (lows, panels, integrals) in zip(stacked, passes):
             if np.ndim(integrals) == 0:
                 lows, panels = [lows], [panels]
             integrand = lambda s, rate=rate: curve.discount_factor(s) * rate
@@ -678,11 +676,8 @@ class DiscountedFlow:
             sums += integrals
 
         values = sums.tolist()
-        object.__setattr__(self, "lumps", tuple(zip(times.tolist(), own.tolist())))
         object.__setattr__(self, "_lump_times", times)
         object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(own)))
-        own_densities = [(a, b, curve.discount_factor, rate, pts) for a, b, _, rate, pts in densities]
-        object.__setattr__(self, "_measure", ((times, own), own_densities))
         object.__setattr__(self, "_pieces", tuple(pieces))
         object.__setattr__(self, "present_values", tuple(values[:family_rows]))
         object.__setattr__(self, "integrals", tuple(values[family_rows:]))
@@ -699,11 +694,6 @@ class DiscountedFlow:
             seg = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(edges) - 2)
             out = out + cum[seg] + gauss_panel(integrand, edges[seg], clipped)
         return float(out[0]) if scalar else out.reshape(np.shape(t))
-
-    def integrate(self, weight=None, breakpoints=()) -> float:
-        """int w dC* on the discounted lumps and densities held here:
-        ``stieltjes_integral(curve, source, weight, breakpoints)`` bit for bit."""
-        return measure_integral(*self._measure, weight, breakpoints)
 
 
 # ---- scalar analytics -----------------------------------------------------
@@ -733,11 +723,12 @@ def convexity(curve, flow: CashFlow) -> float:
     return num / _nonzero_pv(curve, flow)
 
 
-def excess_weight(curve, tau: float):
-    """The weight (t - tau)+ and its breakpoint, for a tau on the curve's domain."""
-    if tau < 0.0 or tau > curve.horizon:
-        raise DomainError(f"tau={tau} outside [0, {curve.horizon}]")
-    return lambda t: np.maximum(t - tau, 0.0), (tau,)
+def excess_weight(cutoff: float):
+    """The weight (t - cutoff)+ and its breakpoint; a cutoff past a curve's
+    horizon gives the weight 0 on its whole domain."""
+    if not cutoff >= 0.0:  # written so that a NaN cutoff fails it too
+        raise DomainError(f"cutoff={cutoff} must be a nonnegative number")
+    return lambda t: np.maximum(t - cutoff, 0.0), (cutoff,)
 
 
 def excess_duration(curve, flow: CashFlow, tau: float, total: float | None = None) -> float:
@@ -746,5 +737,5 @@ def excess_duration(curve, flow: CashFlow, tau: float, total: float | None = Non
     ``total`` is C*_T when the caller has priced the flow on this curve
     already; it is priced here otherwise.
     """
-    num = stieltjes_integral(curve, flow, *excess_weight(curve, tau))
+    num = stieltjes_integral(curve, flow, *excess_weight(tau))
     return num / _nonzero_pv(curve, flow, total)

@@ -360,9 +360,9 @@ class ExtrapolatedCurve:
     the others, and a side with no times is not called, as for a
     quadrature panel, which lies on one side. The market anchors of the
     extension are cached at construction: z(tau) and D(tau) from one
-    integrated forward and f(tau-) from one forward rate, so
-    :meth:`with_spec` can share them; the method's own anchors (for M5
-    the running integral of s*z(s) at tau and kappa) are taken per spec.
+    integrated forward and f(tau-) from one forward rate, so a
+    :meth:`with_ufr` family shares them, with the method's own anchors
+    (for M5 the running integral of s*z(s) at tau and kappa).
 
     ``ufr`` is the level the extension holds past tau: the spec's ufr, or
     the market anchor z(tau) for M2 and f(tau) for M4 (see
@@ -395,42 +395,22 @@ class ExtrapolatedCurve:
         self.z_tau = anchor(eff._yield_of(cum, tau))
         self.d_tau = anchor(np.exp(-cum))
         self.f_tau = anchor(ForwardCurve.forward_rate.body(eff, tau, "left"))
-        self._hold(spec)
+        self.spec = spec
+        method = self.method = spec.method
+        self._tz_tau, self._tz_kappa = method.tz_anchors(eff, spec, anchor)
+        self.ufr = method.level(self)
 
     def _anchor(self, value):
         """A float, or the column of one value per scenario that the bodies
         of a stacked market give a float time."""
         return float(value) if self.eff.rows is None else np.asarray(value)
 
-    def _hold(self, spec: MethodSpec):
-        """Take ``spec``, its method, its own anchors and the level it holds past tau."""
-        self.spec = spec
-        method = self.method = spec.method
-        self._tz_tau, self._tz_kappa = method.tz_anchors(self.eff, spec, self._anchor)
-        self.ufr = method.level(self)
-
-    def with_spec(self, spec: MethodSpec):
-        """The curve ``extrapolate(self.base, spec, self.horizon)`` builds.
-
-        A glued ``spec`` with this curve's tau and offset gets a curve
-        sharing this one's market curve and market anchors, so a family of
-        such curves costs one set of market evaluations; any other spec
-        gets a curve built afresh.
-        """
-        spec = _with_alpha(self.base, spec)
-        own = self.spec
-        if not spec.method.glued or (spec.tau, spec.offset) != (own.tau, own.offset):
-            return extrapolate(self.base, spec, self.horizon)
-        spec.method.check_glue(self.base, spec, self.horizon)
-        curve = self._derived(rows=self.eff.rows)
-        curve._hold(spec)
-        return curve
-
     def with_ufr(self, values):
         """This curve's family along its level, as one stacked curve: row i
         is bit for bit the curve of this spec holding ``values[i]`` past
-        tau, ``self.with_spec(replace(self.spec, ufr=values[i]))`` for a
-        kind with a ufr, and the M1 or M3 curve of that ufr for M2 or M4.
+        tau, ``extrapolate(self.base, replace(self.spec, ufr=values[i]),
+        self.horizon)`` for a kind with a ufr, and the M1 or M3 curve of
+        that ufr for M2 or M4.
 
         The rows share this curve's market curve and anchors, and ``ufr``
         is the ``(rows, 1)`` column of the values; ``spec`` stays this
@@ -438,15 +418,12 @@ class ExtrapolatedCurve:
         """
         if self.eff.rows is not None:
             raise DomainError("a ufr family needs an ordinary market curve")
-        ufr = np.array(values, dtype=float).reshape(-1, 1)
-        return self._derived(ufr=ufr, rows=len(ufr))
-
-    def _derived(self, **slots):
-        """This curve with the given slots replaced, sharing all the others."""
-        curve = object.__new__(ExtrapolatedCurve)
+        family = object.__new__(ExtrapolatedCurve)
         for name in ExtrapolatedCurve.__slots__:
-            setattr(curve, name, slots[name] if name in slots else getattr(self, name))
-        return curve
+            setattr(family, name, getattr(self, name))
+        family.ufr = np.array(values, dtype=float).reshape(-1, 1)
+        family.rows = len(family.ufr)
+        return family
 
     # -- defect diagnostics --
 

@@ -14,8 +14,8 @@ closed form with its bounds. The UFR hook is two methods:
 the curve's) whose integrals against dL* the closed form reads, and
 ``ufr_closed_form`` combines them. ``ufr_sensitivity`` integrates every
 weight as a row of its one stacked pass, each row bit for bit the
-weight's standalone integral, because every row splits at the same
-points and is accepted and summed on its own. M2 and M4 hold M1's and
+weight's standalone integral, because both follow the density rule of
+:func:`curvehedge.curves._density_integrals`. M2 and M4 hold M1's and
 M3's shapes at a market level instead of the ufr, so they reuse those
 extensions. A kind without a variation, plan or UFR form says so in its
 entry, with its error's message. A new method is one entry.
@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .curves import DiscountedFlow, ForwardCurve, _nonzero_pv, excess_weight
+from .curves import DiscountedFlow, ForwardCurve, _nonzero_pv, excess_weight, stieltjes_integral
 from .errors import DefectiveCurveError, DomainError
 
 M1 = "M1"
@@ -259,7 +259,7 @@ class _LastYield(_PinnedYield):
 
     def plan(self, curve, flow, lstar):
         tau, total = curve.spec.tau, lstar.total
-        dollar_dur = lstar.integrate(_times)
+        dollar_dur = stieltjes_integral(curve, flow, _times)
         diagnostics = {"liability_value": total, "leverage": dollar_dur / tau / total}
         return ((tau, dollar_dur / tau),), (), diagnostics
 
@@ -293,7 +293,7 @@ class _PinnedForward(Method):
         return ((curve.spec.tau, lstar.total),), (), {"liability_value": lstar.total}
 
     def ufr_weights(self, curve):
-        return (excess_weight(curve, curve.spec.tau),)
+        return (excess_weight(curve.spec.tau),)
 
     def ufr_closed_form(self, curve, flow, lstar):
         return lstar.integrals[0] / lstar.total, None, None
@@ -319,7 +319,7 @@ class _LastForward(_PinnedForward):
 
     def plan(self, curve, flow, lstar):
         tau = curve.spec.tau
-        return _infeasible(tau, lstar, lstar.integrate(lambda t: _times(t) - tau))
+        return _infeasible(tau, lstar, stieltjes_integral(curve, flow, lambda t: _times(t) - tau))
 
 
 class _Blend(Method):
@@ -453,7 +453,7 @@ class _Blend(Method):
             beyond = t - 0.5 * (tau + kappa)
             return np.where(t <= kappa, inside, beyond)
 
-        return (weight, (kappa,)), excess_weight(curve, tau), excess_weight(curve, kappa)
+        return (weight, (kappa,)), excess_weight(tau), excess_weight(kappa)
 
     def ufr_closed_form(self, curve, flow, lstar):
         span = curve.spec.kappa - curve.spec.tau
@@ -537,20 +537,22 @@ class _SmithWilson(Method):
 
     def plan(self, curve, flow, lstar):
         spec = curve.spec
-        coeff = lstar.integrate(
-            lambda t: _times(t) * sw_variation_coefficient(t, spec.tau, spec.alpha, spec.ufr, curve.f_tau)
-        )
+        c = lambda t: sw_variation_coefficient(t, spec.tau, spec.alpha, spec.ufr, curve.f_tau)
+        coeff = stieltjes_integral(curve, flow, lambda t: _times(t) * c(t))
         return _infeasible(spec.tau, lstar, coeff)
 
     def ufr_weights(self, curve):
-        return (excess_weight(curve, curve.spec.tau),)
+        return (excess_weight(curve.spec.tau),)
 
     def ufr_closed_form(self, curve, flow, lstar):
+        from .extrapolation import extrapolate  # that module imports this table
+
         spec, total = curve.spec, lstar.total
         exc_tau = lstar.integrals[0] / total
         # the M3 curves at ufr and ufr + alpha and the first one's excess
         # duration, priced as one stacked pass
-        low_curve = curve.with_spec(replace(spec, kind=M3, kappa=None, alpha=None, epsilon=None))
+        m3 = replace(spec, kind=M3, kappa=None, alpha=None, epsilon=None)
+        low_curve = extrapolate(curve.base, m3, curve.horizon)
         family = low_curve.with_ufr([spec.ufr, spec.ufr + spec.alpha])
         bounds = DiscountedFlow(flow, low_curve, family, low_curve.method.ufr_weights(low_curve))
         low_total, high_total = bounds.present_values

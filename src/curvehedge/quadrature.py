@@ -68,26 +68,14 @@ def gauss_panel(func, a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def adaptive_gauss_legendre(
-    func,
-    a: float,
-    b: float,
-    rel_tol: float = REL_TOL,
-    breakpoints=(),
-    max_depth: int = 40,
-) -> float:
-    """Integrate a vectorized ``func`` over [a, b] to relative tolerance.
+def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):
+    """Integrate a vectorized ``func`` over [a, b] to relative tolerance:
+    the left ends and estimates, ascending, of the panels that tile
+    [a, b], and their sum, the integral.
 
     ``breakpoints`` are interior points where the integrand may lose
     smoothness; panels never straddle them. The achieved error is bounded
     by roughly ``rel_tol`` times the total absolute panel mass.
-    """
-    return adaptive_panels(func, a, b, rel_tol, breakpoints, max_depth)[2]
-
-
-def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):
-    """Left ends and estimates, ascending, of the panels that tile [a, b], and
-    their sum: the integral :func:`adaptive_gauss_legendre` returns.
 
     When ``func`` returns rows of values (leading axes before the points),
     each row is integrated on its own panels: the result is then a list of

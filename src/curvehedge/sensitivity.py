@@ -12,10 +12,12 @@ market curve, spec and horizon.
 One pass per call: the liability value, the oracle's family values and
 the closed form's integrals are the rows of one stacked integral per
 density of the flow (M6 continuous adds a second pass for its bound
-curves). Each row is bit for bit its standalone integral, because every
+curves). Each row is bit for bit its standalone integral, because
+:class:`~curvehedge.curves.DiscountedFlow` integrates every density by
+the one density rule, :func:`curvehedge.curves._density_integrals`: every
 row splits at the same breakpoints and the quadrature accepts and sums
-each row on its own (:class:`~curvehedge.curves.DiscountedFlow`), so the
-oracle stays an independent twin of the closed form.
+each row on its own. So the oracle stays an independent twin of the
+closed form.
 """
 
 from __future__ import annotations

@@ -56,14 +56,6 @@ class VariationReport:
     residual: float | None = None
     additivity_defect: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "analytic": self.analytic,
-            "numeric": self.numeric,
-            "residual": self.residual,
-            "eps_schedule": list(self.eps_schedule),
-        }
-
 
 def _richardson(quotients, factors):
     """Richardson table for an error expansion in powers of the step.

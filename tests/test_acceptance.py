@@ -188,7 +188,7 @@ def test_criterion_05_first_order_residual_decay():
         for shift in shifts:
             ratios = []
             for eps in EPS_SCHEDULE:
-                shifted = FLAT.shifted(shift, eps)
+                shifted = FLAT.ray(shift)(eps)
                 asset = plan.value_under(shifted, FLAT)
                 liab = present_value(extrapolate(shifted, spec), flow)
                 ratios.append(abs((asset - base_asset) - (liab - base_liab)) / eps)

@@ -221,7 +221,8 @@ class TestDiscountedFlow:
     def test_lump_scaling(self):
         curve = ForwardCurve.flat(0.02)
         df = DiscountedFlow(CashFlow.single_payment(10.0), curve)
-        assert df.lumps == ((10.0, pytest.approx(math.exp(-0.2), rel=1e-15)),)
+        assert df.cumulative(10.0) == pytest.approx(math.exp(-0.2), rel=1e-15)
+        assert df.cumulative(9.9) == 0.0
         assert df.total == pytest.approx(math.exp(-0.2), rel=1e-15)
 
     def test_empty_flow(self):
@@ -390,14 +391,14 @@ class TestCurveShift:
     def test_shifted_curve_adds_forwards(self):
         base = ForwardCurve.flat(0.03, horizon=50.0)
         sh = CurveShift.from_forward_values([0.0, 25.0, 50.0], [0.0, 0.01, 0.0])
-        shifted = base.shifted(sh, 2.0)
+        shifted = base.ray(sh)(2.0)
         assert shifted.forward_rate(25.0) == pytest.approx(0.05, abs=1e-15)
         assert shifted.forward_rate(12.5) == pytest.approx(0.04, abs=1e-15)
 
     def test_shift_extends_flat(self):
         base = ForwardCurve.flat(0.03, horizon=100.0)
         sh = CurveShift.from_forward_values([0.0, 10.0], [0.01, 0.01])
-        shifted = base.shifted(sh, 1.0)
+        shifted = base.ray(sh)(1.0)
         assert shifted.forward_rate(90.0) == pytest.approx(0.04, abs=1e-15)
         # delta_z consistent with the same flat extension
         assert sh.delta_z(20.0) == pytest.approx(0.01, abs=1e-15)
@@ -422,9 +423,9 @@ class TestCurveShift:
         assert value == pytest.approx(oracle, abs=1e-9)
 
 
-def _shifted_reference(z, shift, scale):
-    """z + scale*Dz as ``shifted`` built it before it became ``ray(shift)(scale)``:
-    the merged grid and the edge forwards rebuilt for every scale."""
+def _per_scale_reference(z, shift, scale):
+    """z + scale*Dz with the merged grid and the edge forwards rebuilt for
+    every scale, as one curve per scale would be built without ``ray``."""
     other = shift.delta_forward
     nodes = np.union1d(z.grid.nodes, other.grid.nodes)
     nodes = nodes[nodes <= z.horizon]
@@ -452,7 +453,7 @@ class TestRay:
         rng = np.random.default_rng(12)
         z = random_curve(rng)
         quoted = ForwardCurve.from_zero_yields([1.0, 5.0, 10.0, 30.0], [0.01, 0.02, 0.025, 0.03])
-        quoted = quoted.shifted(random_shift(rng, horizon=30.0), 0.5)  # quotes unlike its grid
+        quoted = quoted.ray(random_shift(rng, horizon=30.0))(0.5)  # quotes unlike its grid
         return [
             (z, random_shift(rng)),
             (z, random_shift(rng, horizon=60.0)),  # shorter than the curve: flat tail
@@ -466,8 +467,8 @@ class TestRay:
         for z, shift in self.cases():
             along = z.ray(shift)
             for e in EPS_SCHEDULE + (1.0,):
-                want = _shifted_reference(z, shift, e)
-                for got in (along(e), z.shifted(shift, e)):
+                want = _per_scale_reference(z, shift, e)
+                for got in (along(e), z.ray(shift)(e)):
                     assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
                     for name in self.FIELDS:
                         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, e)

@@ -824,7 +824,10 @@ class TestBranchOwnership:
 
 
 class TestWithSpec:
-    """A curve derived by ``with_spec`` is the curve ``extrapolate`` builds, bit for bit."""
+    """A curve rebuilt for another spec from an extrapolated curve's
+    ``base`` and ``horizon``, as M6's UFR bound is, is the curve
+    ``extrapolate`` builds from the market curve, bit for bit: ``base``
+    is the market curve before any offset."""
 
     TARGETS = {
         "M1": MethodSpec("M1", tau=10.0, ufr=UFR),
@@ -837,15 +840,14 @@ class TestWithSpec:
 
     @staticmethod
     def _sources(offset):
-        """(source spec, whether it shares its market anchors with every target):
-        the same tau and offset, with the target's kappa or another; another
-        tau or offset."""
+        """Source specs: the same tau and offset, with the target's kappa or
+        another; another tau or offset."""
         return [
-            (MethodSpec("M3", tau=10.0, ufr=0.05, offset=offset), True),
-            (MethodSpec("M5_SFSA", tau=10.0, kappa=20.0, ufr=0.03, offset=offset), True),
-            (MethodSpec("M5_SFSA", tau=10.0, kappa=25.0, ufr=UFR, offset=offset), True),
-            (MethodSpec("M3", tau=12.0, ufr=UFR, offset=offset), False),
-            (MethodSpec("M2", tau=10.0, offset=offset + 0.001), False),
+            MethodSpec("M3", tau=10.0, ufr=0.05, offset=offset),
+            MethodSpec("M5_SFSA", tau=10.0, kappa=20.0, ufr=0.03, offset=offset),
+            MethodSpec("M5_SFSA", tau=10.0, kappa=25.0, ufr=UFR, offset=offset),
+            MethodSpec("M3", tau=12.0, ufr=UFR, offset=offset),
+            MethodSpec("M2", tau=10.0, offset=offset + 0.001),
         ]
 
     @pytest.mark.parametrize("offset", [0.0, 0.004])
@@ -854,12 +856,10 @@ class TestWithSpec:
         spec = replace(self.TARGETS[kind], offset=offset)
         fresh = extrapolate(market_curve, spec)
         t = np.concatenate((np.linspace(0.0, 200.0, 801), [10.0, 20.0], np.linspace(9.0, 21.0, 97)))
-        for source_spec, shares in self._sources(offset):
+        for source_spec in self._sources(offset):
             source = extrapolate(market_curve, source_spec)
-            derived = source.with_spec(spec)
+            derived = extrapolate(source.base, spec, source.horizon)
             assert type(derived) is ExtrapolatedCurve and derived.spec == spec
-            if offset:  # else every curve's eff is the market curve itself
-                assert (derived.eff is source.eff) == shares
             assert derived.horizon == fresh.horizon and derived.base is market_curve
             for name in ("z_tau", "f_tau", "d_tau", "_tz_tau", "_tz_kappa"):
                 assert np.float64(getattr(derived, name)).tobytes() == np.float64(
@@ -871,10 +871,10 @@ class TestWithSpec:
     def test_discrete_fit_and_validation(self, market_curve):
         source = extrapolate(market_curve, self.TARGETS["M3"])
         discrete = MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1)
-        fit = source.with_spec(discrete)
+        fit = extrapolate(source.base, discrete, source.horizon)
         assert fit.zeta.tobytes() == extrapolate(market_curve, discrete).zeta.tobytes()
         uncalibrated = MethodSpec("M6_SW_continuous", tau=10.0, ufr=UFR, kappa=30.0, epsilon=1e-4)
-        calibrated = source.with_spec(uncalibrated)
+        calibrated = extrapolate(source.base, uncalibrated, source.horizon)
         alpha = sw_alpha_calibrate(market_curve, 10.0, 30.0, UFR, 1e-4)
         fresh = extrapolate(market_curve, replace(uncalibrated, alpha=alpha))
         assert calibrated.spec == fresh.spec
@@ -883,7 +883,7 @@ class TestWithSpec:
             assert got.tobytes() == want.tobytes()
         short = ForwardCurve.from_forwards([0.0, 15.0], [0.02, 0.03])
         with pytest.raises(DomainError, match="kappa"):
-            extrapolate(short, self.TARGETS["M3"]).with_spec(self.TARGETS["M5_SFSA"])
+            extrapolate(extrapolate(short, self.TARGETS["M3"]).base, self.TARGETS["M5_SFSA"])
 
 
 class TestStackedMarket:
@@ -930,7 +930,7 @@ class TestStackedMarket:
 
 class TestUfrFamily:
     """A family along the ufr (``with_ufr``) is, row by row, the curve that
-    ``with_spec`` derives for each of its values."""
+    ``extrapolate`` builds for each of its values."""
 
     SPECS = {kind: TestWithSpec.TARGETS[kind] for kind in ("M1", "M3", "M5_SFSA", "M6_SW_continuous")}
     #: the oracle's four values around UFR, and two far from it; at 0.01 the
@@ -946,12 +946,12 @@ class TestUfrFamily:
         out = []
         for spec in cls.SPECS.values():
             curve = extrapolate(market, replace(spec, offset=offset))
-            rows = [curve.with_spec(replace(curve.spec, ufr=theta)) for theta in cls.THETAS]
+            rows = [extrapolate(market, replace(curve.spec, ufr=theta)) for theta in cls.THETAS]
             out.append((curve.with_ufr(cls.THETAS), rows))
         level = extrapolate(market, MethodSpec("M2", tau=10.0, offset=offset))
         m1 = MethodSpec("M1", tau=10.0, ufr=level.z_tau, offset=offset)
-        rows = [level.with_spec(replace(m1, ufr=theta)) for theta in cls.THETAS]
-        out.append((level.with_spec(m1).with_ufr(cls.THETAS), rows))
+        rows = [extrapolate(market, replace(m1, ufr=theta)) for theta in cls.THETAS]
+        out.append((extrapolate(market, m1).with_ufr(cls.THETAS), rows))
         return out
 
     @pytest.mark.parametrize("offset", [0.0, 0.004])
@@ -997,8 +997,8 @@ class TestUfrFamily:
         family = curve.with_ufr([0.03, 0.05])
         assert family.spec == curve.spec and family.eff is curve.eff
         assert family.ufr.shape == (2, 1) and curve.ufr == UFR
-        # a spec derived from a family is an ordinary curve again
-        single = family.with_spec(curve.spec)
+        # a family's market curve extrapolates to an ordinary curve again
+        single = extrapolate(family.base, family.spec, family.horizon)
         assert single.rows is None and single.ufr == UFR
         assert single.zero_yield(50.0) == curve.zero_yield(50.0)
         # M2 and M4 vary their level as M1 and M3 vary the ufr, bit for bit
@@ -1024,8 +1024,9 @@ class TestUfrFamily:
             m4 = extrapolate(market, MethodSpec("M4", tau=10.0, offset=offset))
             assert np.float64(m2.ufr).tobytes() == np.float64(m2.z_tau).tobytes()
             assert np.float64(m4.ufr).tobytes() == np.float64(m4.f_tau).tobytes()
-            # a curve derived by with_spec holds the level of its own spec
-            assert np.float64(m2.with_spec(m4.spec).ufr).tobytes() == np.float64(m4.f_tau).tobytes()
+            # a curve rebuilt from another's market curve holds the level of its own spec
+            rebuilt = extrapolate(m2.base, m4.spec, m2.horizon)
+            assert np.float64(rebuilt.ufr).tobytes() == np.float64(m4.f_tau).tobytes()
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf])
     @pytest.mark.parametrize("kind", sorted(TestWithSpec.TARGETS))

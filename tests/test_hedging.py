@@ -41,7 +41,7 @@ from curvehedge.hedging import (
     hedge_summary,
     verification_checks,
 )
-from curvehedge.quadrature import adaptive_gauss_legendre
+from curvehedge.quadrature import adaptive_panels
 from curvehedge.shifts import shift_suite
 from curvehedge.variation import EPS_SCHEDULE
 
@@ -209,7 +209,7 @@ class TestVerifyPerfect:
         asset0, liab0 = plan.value(), present_value(curve, SYMBOLIC_FLOW)
         want = 0.0
         for shift in shifts:
-            shifted = market_curve.shifted(shift)
+            shifted = market_curve.ray(shift)(1.0)
             asset = plan.value_under(shifted, market_curve)
             liab = present_value(extrapolate(shifted, spec), SYMBOLIC_FLOW)
             want = max(want, abs((asset - liab) - (asset0 - liab0)))
@@ -347,7 +347,7 @@ class TestValueIdentities:
             base_liab = present_value(extrapolate(flat3, spec), flow)
             ratios = []
             for eps in EPS_SCHEDULE:
-                shifted = flat3.shifted(shift, eps)
+                shifted = flat3.ray(shift)(eps)
                 asset = plan.value_under(shifted, flat3)
                 liab = present_value(extrapolate(shifted, spec), flow)
                 ratios.append(abs((asset - base_asset) - (liab - base_liab)) / eps)
@@ -542,7 +542,7 @@ def _fresh_value_under(plan, curve, base_curve):
             return np.full_like(s, float(dens.rate)) * ratio
 
         pts = list(curve.breakpoints_between(dens.start, dens.end))
-        total += adaptive_gauss_legendre(integrand, dens.start, dens.end, breakpoints=pts)
+        total += adaptive_panels(integrand, dens.start, dens.end, breakpoints=pts)[2]
     return total
 
 
@@ -581,7 +581,7 @@ def _checks_one_at_a_time(spec, z, flow, shifts, tolerances, corrupt):
         for i, shift in enumerate(shifts):
             ratios = []
             for eps in EPS_SCHEDULE:
-                shifted = z.shifted(shift, eps)
+                shifted = z.ray(shift)(eps)
                 asset = _fresh_value_under(plan, shifted, z)
                 liab = present_value(extrapolate(shifted, spec), flow)
                 ratios.append(abs((asset - base_asset) - (liab - liability_value)) / eps)
@@ -629,7 +629,7 @@ class TestRateMemo:
         counted = HedgePlan(plan.kind, plan.lumps, tuple(counting), plan.diagnostics)
         rates = [d.rate for d in counting if callable(d.rate)]
         shift = random_shift(np.random.default_rng(223))
-        curves = [market_curve.shifted(shift, eps) for eps in EPS_SCHEDULE]
+        curves = [market_curve.ray(shift)(eps) for eps in EPS_SCHEDULE]
         counted.value_under(curves[0], market_curve)
         first = sum(r.calls for r in rates)
         assert first > 0
@@ -681,7 +681,7 @@ class TestRateMemo:
         """More threads than cores revaluing one plan at once get what one thread gets."""
         plan = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
         shift = random_shift(np.random.default_rng(227))
-        curves = [market_curve.shifted(shift, eps) for eps in EPS_SCHEDULE]
+        curves = [market_curve.ray(shift)(eps) for eps in EPS_SCHEDULE]
         want = [_fresh_value_under(plan, c, market_curve) for c in curves]
         got = {}
 
@@ -858,9 +858,11 @@ class TestCurveArgument:
         ids=lambda spec: spec.kind,
     )
     def test_curve_sharing_anchors(self, market_curve, built, shared):
-        """A curve that shares another's market anchors is an ordinary
-        argument: every value is bit for bit that of the fresh curve."""
-        derived = extrapolate(market_curve, built).with_spec(shared)
+        """A curve rebuilt from another's market curve and horizon, as M6's
+        UFR bound is, is an ordinary argument: every value is bit for bit
+        that of the fresh curve."""
+        source = extrapolate(market_curve, built)
+        derived = extrapolate(source.base, shared, source.horizon)
         fresh = extrapolate(market_curve, shared)
         shift = shift_suite(1, 5)[0]
         for functional in (

@@ -741,6 +741,58 @@ class TestCliSensitivity:
             values.append(json.loads(capsys.readouterr().out)["S"])
         assert all(b > a for a, b in zip(values, values[1:])), values
 
+    def test_m5_horizon_before_kappa(self, tmp_path, capsys):
+        """A horizon in [tau, kappa) leaves the weight (t - kappa)+ zero on the
+        whole domain, and the report is that of the default horizon."""
+        liab = tmp_path / "short.csv"
+        liab.write_text("lump,11,1\nlump,11.5,2\n")
+        outputs = []
+        for horizon in ((), ("--horizon", "12")):
+            code = run_cli(
+                "sensitivity",
+                "--curve", str(SAMPLE_DATA / "curve.csv"),
+                "--liabilities", str(liab),
+                "--method", '{"kind":"M5_SFSA","tau":10,"ufr":0.042,"kappa":20}',
+                "--format", "json",
+                *horizon,
+            )
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
+
+class TestCliOverflow:
+    """A curve whose forward integrals overflow ends in one error line, not
+    numpy warnings: exit 1 when the file holds it, exit 2 when an offset
+    makes it."""
+
+    @staticmethod
+    def _assert_one_line(code, captured, exit_code):
+        assert code == exit_code and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "integrals must be finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["t,forward\n0,0.02\n1,1e307\n200,0.03\n", "t,zero_yield\n1,0.02\n100,1e307\n"],
+        ids=["forward", "zero_yield"],
+    )
+    def test_overflowing_curve_file_exits_1(self, tmp_path, capsys, rows):
+        curve = tmp_path / "huge.csv"
+        curve.write_text(rows)
+        code = run_cli("extrapolate", "--curve", str(curve), "--method", '{"kind":"M3","tau":10,"ufr":0.042}')
+        self._assert_one_line(code, capsys.readouterr(), 1)
+
+    def test_overflowing_offset_exits_2(self, capsys):
+        code = run_cli(
+            "hedge",
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(SAMPLE_DATA / "liabilities.csv"),
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042,"offset":1e306}',
+        )
+        self._assert_one_line(code, capsys.readouterr(), 2)
+
 
 class TestCliScanAndDeterminism:
     def test_scan_clean(self, flat_curve_csv, capsys):

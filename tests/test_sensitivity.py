@@ -15,6 +15,7 @@ from curvehedge import (
     ufr_sensitivity,
 )
 import curvehedge.curves as curves_module
+import curvehedge.extrapolation as extrapolation_module
 import curvehedge.quadrature as quadrature_module
 import curvehedge.sensitivity as sensitivity_module
 from curvehedge.errors import DomainError, UndefinedDurationError
@@ -243,15 +244,14 @@ class TestPricedOnce:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every curve ufr_sensitivity derives from another by ``with_spec``
-        or stacks by ``with_ufr``, with its kind and its ufr values, in
-        order."""
+        """Every curve ufr_sensitivity builds by ``extrapolate`` or stacks
+        by ``with_ufr``, with its kind and its ufr values, in order."""
         curves = []
-        original_with_spec = ExtrapolatedCurve.with_spec
+        original_extrapolate = extrapolation_module.extrapolate
         original_with_ufr = ExtrapolatedCurve.with_ufr
 
-        def with_spec_recorded(self, spec):
-            curve = original_with_spec(self, spec)
+        def extrapolate_recorded(z, spec, horizon):
+            curve = original_extrapolate(z, spec, horizon)
             curves.append((curve, spec.kind, [spec.ufr]))
             return curve
 
@@ -260,7 +260,7 @@ class TestPricedOnce:
             curves.append((curve, self.spec.kind, list(values)))
             return curve
 
-        monkeypatch.setattr(ExtrapolatedCurve, "with_spec", with_spec_recorded)
+        monkeypatch.setattr(extrapolation_module, "extrapolate", extrapolate_recorded)
         monkeypatch.setattr(ExtrapolatedCurve, "with_ufr", with_ufr_recorded)
         return curves
 

@@ -81,9 +81,8 @@ class TestNumericVariation:
         report = numeric_variation(
             lambda c: c.discount_factor(5.0), flat3, CurveShift.parallel(0.01), analytic=0.0
         )
-        data = report.to_json()
-        assert set(data) == {"analytic", "numeric", "residual", "eps_schedule"}
-        assert data["eps_schedule"] == list(EPS_SCHEDULE)
+        assert report.analytic == 0.0 and report.residual == abs(report.numeric)
+        assert report.eps_schedule == EPS_SCHEDULE
 
 
 class TestRichardson:
@@ -325,7 +324,7 @@ class TestMethodVariationReport:
         f0 = present_value(extrapolate(flat3, spec), flow)
         ratios = []
         for eps in EPS_SCHEDULE:
-            value = present_value(extrapolate(flat3.shifted(shift, eps), spec), flow)
+            value = present_value(extrapolate(flat3.ray(shift)(eps), spec), flow)
             ratios.append(abs(value - f0 - eps * analytic) / eps)
         tail = ratios[-4:]
         assert all(a > b for a, b in zip(tail, tail[1:])), ratios
@@ -453,7 +452,7 @@ class TestSmithWilsonSecondVariation:
         analytic = second_order_pv(extrapolate(z, SAMPLE_SW), shift, flow)
 
         def pv(e):
-            return present_value(extrapolate(z.shifted(shift, e), SAMPLE_SW), flow)
+            return present_value(extrapolate(z.ray(shift)(e), SAMPLE_SW), flow)
 
         def second_difference(h):
             return (pv(h) - 2.0 * pv(0.0) + pv(-h)) / (h * h)
