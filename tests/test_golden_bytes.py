@@ -9,7 +9,8 @@ and table; the same for two defective discrete Smith-Wilson fits (exit
 yields and forwards render as ``null`` or ``nan``;
 ``scan-arbitrage --step 0.002`` for the seven kinds, the two calibrated
 Smith-Wilson specs and a defective continuous Smith-Wilson spec, whose
-forwards turn negative and whose discount factor turns nonpositive;
+forwards turn negative and whose discount factor turns nonpositive, and
+for the two defective discrete fits;
 and ``hedge`` and ``verify`` with ``--shifts 3 --seed 7`` for the six
 closed-form kinds on the bundled sample data, in json and table, plus
 ``hedge`` in csv, and in json for ``M2`` and ``M5_SFSA`` with an
@@ -96,6 +97,9 @@ def _calls():
             calls[f"extrapolate-{fmt}/defective-{name}"] = (
                 ["extrapolate"] + method + ["--step", "0.05", "--scan-step", "0.01", "--format", fmt]
             )
+        calls[f"scan-arbitrage/defective-{name}"] = (
+            ["scan-arbitrage"] + method + ["--step", "0.002", "--format", "json"]
+        )
     for kind in CLOSED_FORM_KINDS:
         liabilities = [
             "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
