@@ -329,6 +329,17 @@ class ForwardCurve:
         )
         return cum_tz, self._cum_f[k] + self.f_left[k] * w + 0.5 * slope * w * w
 
+    def _sign_bounds(self):
+        """The segments as the pieces of the sign rule of
+        :func:`~curvehedge.extrapolation.arbitrage_scan`, in arrays (starts,
+        ends, forward bounds, discount bounds). A segment's forward blends
+        f_left and f_right with weights in [0, 1], also as computed, so it
+        is nonnegative where both are; its discount factor is an
+        exponential, whose sign is that of the factor 1."""
+        nodes = self.grid.nodes
+        floors = np.minimum(self.f_left, self.f_right)
+        return nodes[:-1], nodes[1:], floors, np.ones(floors.shape)
+
     # ---- arithmetic -------------------------------------------------------
 
     def with_constant_added(self, c: float) -> "ForwardCurve":
@@ -571,7 +582,8 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
     per row, each bit for bit that row's own.
     """
     times, masses = (np.asarray(x, dtype=float) for x in lumps)
-    if weight is not None and times.size:
+    if weight is not None:
+        # also without lumps, so that a stacked weight gives a sum per scenario
         masses = masses * np.asarray(weight(times), dtype=float)
     total = masses.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total

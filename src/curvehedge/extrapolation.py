@@ -13,7 +13,8 @@ A Smith-Wilson curve can be *defective*: its discount factor eventually
 turns negative unless f(tau) <= ufr + alpha. Defective curves are
 representable and scannable here rather than fatal at construction;
 :func:`arbitrage_scan` locates negative forwards and nonpositive
-discount factors on a grid.
+discount factors on a grid, evaluated only on the pieces of the domain
+where each kind's closed-form sign bounds do not rule them out.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .curves import DEFAULT_HORIZON, MAX_SAMPLES, ForwardCurve, evaluation
 from .errors import AlphaNotWellDefinedError, CalibrationError, DomainError
-from .methods import METHODS, piecewise, sw_factor
+from .methods import METHODS, piecewise, ratio_form_bounds, sw_factor
 
 #: admissible range for the Smith-Wilson convergence speed when calibrated
 ALPHA_MIN = 1e-4
@@ -230,6 +231,25 @@ class SwDiscreteFit:
         # z(0) is the limit f(0)
         return np.where(t == 0.0, f, z), f, d
 
+    def _sign_bounds(self):
+        """The pieces of the sign rule, as :meth:`ForwardCurve._sign_bounds
+        <curvehedge.curves.ForwardCurve._sign_bounds>` gives them: [0, last
+        node], without bounds, and the tail past the last node. There
+        1 + B = 1 + P_N - exp(-alpha t) Q_N, which gives D its sign, is
+        monotone in t, and so is the forward ufr - alpha exp(-alpha t) Q_N / (1 + B)
+        while 1 + B has no zero: the ends bound both."""
+        last = self.nodes[-1]
+        t = np.array([last, self.horizon])
+        p, q = self._p[-1], self._q[-1]
+        eq = np.exp(-self.alpha * t) * q
+        one_b = 1.0 + (p - eq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            forward = self.ufr - self.alpha * eq / one_b
+        # |exp(-alpha t) Q_N| is largest at the last node
+        size = abs(q) * np.exp(-self.alpha * last)
+        bounds = ratio_form_bounds(forward, one_b, self.ufr, self.alpha * size, 1.0 + abs(p) + size)
+        return (np.array([0.0, last]), t, *(np.array([-np.inf, b]) for b in bounds))
+
     def _after(self, alpha_t, k):
         """alpha t R_k - sinh(alpha t) S_k and cosh(alpha t) S_k, for k < N."""
         s = self._s[k]
@@ -429,9 +449,23 @@ class ExtrapolatedCurve:
 
     @property
     def is_defective(self) -> bool:
-        """True when the discount factor is nonpositive somewhere on the domain,
-        in some row of a stacked curve."""
-        return self.method.is_defective(self)
+        """True unless the method's sign bounds prove the discount factor
+        positive on the whole domain, in every row of a stacked curve; a
+        factor within the bounds' rounding margin of 0 counts as nonpositive."""
+        return not all(bound > 0.0 for *_, bound in self.method.sign_bounds(self))
+
+    def _sign_bounds(self):
+        """The pieces of the sign rule of an ordinary curve, as
+        :meth:`ForwardCurve._sign_bounds
+        <curvehedge.curves.ForwardCurve._sign_bounds>` gives them: the market
+        curve's segments before tau, cut at tau (the forward the market side
+        gives tau is the left limit there, a value of the cut segment), then
+        the extension's pieces (the method's ``sign_bounds``)."""
+        tau = self.spec.tau
+        starts, ends, forward, discount = self.eff._sign_bounds()
+        before = starts < tau
+        market = (starts[before], np.minimum(ends[before], tau), forward[before], discount[before])
+        return tuple(np.concatenate((m, e)) for m, e in zip(market, zip(*self.method.sign_bounds(self))))
 
     # -- evaluation --
 
@@ -528,8 +562,10 @@ class DefectReport:
 
     ``negative_forward`` intervals are where the forward rate is negative
     (equivalently, the discount factor increases); ``nonpositive_discount``
-    intervals are where the discount factor itself is <= 0. An empty
-    report means no defect was seen at the scan resolution.
+    intervals are where the discount factor itself is <= 0, each from the
+    first to the last grid point of a run. An empty report means no defect
+    was seen on the grid; a piece of the domain that the curve's sign
+    bounds clear is defect-free at every time, not only on the grid.
     """
 
     step: float
@@ -588,28 +624,55 @@ def sample_grid(horizon: float, step: float):
 _SCAN_CHUNK = 8192
 
 
+def _unproven_runs(ts, pieces):
+    """The runs [lo, hi) of grid indices that lie in a closed piece whose
+    bounds do not prove the forward nonnegative and the discount factor
+    positive; ``pieces`` are the arrays of a curve's ``_sign_bounds``, in
+    time order."""
+    starts, ends, forward, discount = pieces
+    unproven = ~((forward >= 0.0) & (discount > 0.0))
+    first = np.searchsorted(ts, starts[unproven], "left").tolist()
+    last = np.searchsorted(ts, ends[unproven], "right").tolist()
+    runs = []
+    for lo, hi in zip(first, last):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        elif lo < hi:
+            runs.append([lo, hi])
+    return runs
+
+
 def arbitrage_scan(curve, step: float = 0.25) -> DefectReport:
     """Scan the curve for negative forwards and nonpositive discount factors.
 
-    The grid is :func:`sample_grid`'s. It is evaluated ``_SCAN_CHUNK``
-    points at a time, the last chunk taking the remainder (so no call is
-    for a few points), by the curve's ``_evaluation``, which yields the
-    forward and the discount factor together, into one mask per defect
-    (a nonpositive discount factor is one whose zero yield is undefined);
-    every value depends on its own time alone, so the chunks give the
-    masks of one pass.
+    The grid is :func:`sample_grid`'s. The curve splits its domain into
+    pieces with closed-form lower bounds on the forward and on the factor
+    whose sign is the discount factor's (its ``_sign_bounds``, one rule per
+    kind). A piece whose bounds prove the forward nonnegative and the
+    discount factor positive is defect-free at every time, not only on the
+    grid, and its grid points are not evaluated. The grid points of the
+    other pieces are evaluated ``_SCAN_CHUNK`` at a time, the last chunk
+    of each run taking the remainder (so no call is for a few points), by
+    the curve's ``_evaluation``, which yields the forward and the discount
+    factor together, into one mask per defect (a nonpositive discount
+    factor is one whose zero yield is undefined). Every value depends on
+    its own time alone, so the report is that of evaluating the whole grid
+    in one pass. A stacked curve is rejected: a report is of one curve.
     """
+    if curve.rows is not None:
+        raise DomainError("a defect scan takes one curve, not a stacked curve of scenarios")
     horizon = curve.horizon
     ts = sample_grid(horizon, step)
-    negative_forward = np.empty(ts.size, dtype=bool)
-    nonpositive_discount = np.empty(ts.size, dtype=bool)
-    bounds = [*range(0, max(ts.size - _SCAN_CHUNK, 1), _SCAN_CHUNK), ts.size]
-    for chunk in map(slice, bounds, bounds[1:]):
-        z, f, d = curve._evaluation(ts[chunk])
-        np.less(f, 0.0, out=negative_forward[chunk])
-        # a discount factor that underflows to 0 keeps a finite yield; every
-        # curve's yield is undefined (NaN) exactly where D <= 0
-        np.logical_and(d <= 0.0, np.isnan(z), out=nonpositive_discount[chunk])
+    negative_forward = np.zeros(ts.size, dtype=bool)
+    nonpositive_discount = np.zeros(ts.size, dtype=bool)
+    for lo, hi in _unproven_runs(ts, curve._sign_bounds()):
+        bounds = [*range(lo, max(hi - _SCAN_CHUNK, lo + 1), _SCAN_CHUNK), hi]
+        for chunk in map(slice, bounds, bounds[1:]):
+            z, f, d = curve._evaluation(ts[chunk])
+            np.less(f, 0.0, out=negative_forward[chunk])
+            # a discount factor that underflows to 0 keeps a finite yield; every
+            # curve's yield is undefined (NaN) exactly where D <= 0
+            np.logical_and(d <= 0.0, np.isnan(z), out=nonpositive_discount[chunk])
     return DefectReport(
         step=step,
         horizon=horizon,

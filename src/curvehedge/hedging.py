@@ -145,17 +145,18 @@ def hedge(curve: ExtrapolatedCurve, flow: CashFlow) -> HedgePlan:
     ``first_order`` (M2, M5), or ``infeasible`` (M4, continuous M6) -- the
     latter carrying the matched lump at tau and the unmatched
     forward-exposure coefficient in its diagnostics. The liability value
-    is the flow's present value on ``curve``.
+    is the flow's present value on ``curve``, priced in one pass with the
+    integrals the plan reads (the entry's ``plan_weights``).
     """
     if flow.has_mass_at_or_before(curve.spec.tau):
         raise DomainError(
             "liability flows at or before tau are exactly replicable; "
             "split them off before hedging the extrapolated part"
         )
-    lstar = DiscountedFlow(flow, curve)
+    method = curve.spec.method
+    lstar = DiscountedFlow(flow, curve, weights=method.plan_weights(curve))
     if not lstar.total > 0.0:
         raise DomainError("liabilities must have positive present value")
-    method = curve.spec.method
     lumps, densities, diagnostics = method.plan(curve, flow, lstar)
     return HedgePlan(
         method.plan_kind,
@@ -213,9 +214,8 @@ def _ladder_values(plan, curve, flow, shift, scales):
     revalued once."""
     z = curve.base
     ladder = z.ray(shift)(scales)
-    rows = lambda values: np.broadcast_to(values, (ladder.rows,)).tolist()
-    liabs = rows(present_value(extrapolate(ladder, curve.spec, curve.horizon), flow))
-    return (None if plan is None else rows(plan.value_under(ladder, z))), liabs
+    liabs = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow).tolist()
+    return (None if plan is None else plan.value_under(ladder, z).tolist()), liabs
 
 
 def convexity_gap(

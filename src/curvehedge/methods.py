@@ -7,7 +7,8 @@ and its sensitivity to the ultimate forward rate (ufr). :data:`METHODS`
 holds one :class:`Method` per kind, selected by ``MethodSpec.kind``;
 the entries' docstrings say what each kind does. An entry holds every
 fact that depends on the kind: the spec rules and glue check, its own
-integral anchors, the level its extension holds past tau, the extension,
+integral anchors, the level its extension holds past tau, the extension
+and the lower bounds on its forward and discount-factor sign past tau,
 dzbar and t d2zbar past tau along a shift, the hedge plan, and the UFR
 closed form with its bounds. The UFR hook is two methods:
 ``ufr_weights`` declares the weights w (with their breakpoints, all among
@@ -15,7 +16,9 @@ the curve's) whose integrals against dL* the closed form reads, and
 ``ufr_closed_form`` combines them. ``ufr_sensitivity`` integrates every
 weight as a row of its one stacked pass, each row bit for bit the
 weight's standalone integral, because both follow the density rule of
-:func:`curvehedge.curves._density_integrals`. M2 and M4 hold M1's and
+:func:`curvehedge.curves._density_integrals`. The plan hook is alike:
+``plan_weights`` declares the integrals ``plan`` reads from the pass that
+prices the liability. M2 and M4 hold M1's and
 M3's shapes at a market level instead of the ufr, so they reuse those
 extensions. A kind without a variation, plan or UFR form says so in its
 entry, with its error's message. A new method is one entry.
@@ -27,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .curves import DiscountedFlow, ForwardCurve, _nonzero_pv, excess_weight, stieltjes_integral
+from .curves import DiscountedFlow, ForwardCurve, _nonzero_pv, excess_weight
 from .errors import DefectiveCurveError, DomainError
 
 M1 = "M1"
@@ -41,6 +44,11 @@ M6_SW_DISCRETE = "M6_SW_discrete"
 PLAN_PERFECT = "perfect"
 PLAN_FIRST_ORDER = "first_order"
 PLAN_INFEASIBLE = "infeasible"
+
+#: a bound read at a piece's two ends proves a sign only by this many times
+#: the size of the terms its values are computed from: a value computed in
+#: a few roundings is off by a few ulps (about 1e-15) of those terms
+SIGN_MARGIN = 1e-12
 
 
 def sw_factor(u, g, alpha: float):
@@ -62,6 +70,26 @@ def sw_variation_coefficient(t, tau: float, alpha: float, ufr: float, f_tau: flo
     phi = (1.0 - np.exp(-alpha * (t - tau))) / alpha
     out = phi / (t * sw_factor(t - tau, ufr - f_tau, alpha))
     return float(out) if out.ndim == 0 else out
+
+
+def ratio_form_bounds(forward, factor, level, numerator, factor_scale):
+    """Lower bounds on a forward ``level - n(t) / p(t)`` and on the factor
+    p(t) that gives the discount factor its sign, over a piece where p is
+    monotone and the forward is monotone while p has no zero, from their
+    computed values ``forward`` and ``factor`` at the piece's two ends.
+
+    Each bound is the least end value less ``SIGN_MARGIN`` times the size
+    of the terms its values are computed from: ``factor_scale`` for p, and
+    for the forward ``level`` and the bound ``numerator`` on |n|, grown by
+    the relative error of p. A factor bound that does not clear 0 leaves
+    the forward without a bound (-inf): p may vanish inside the piece.
+    """
+    p_low = np.min(factor)
+    factor_bound = p_low - SIGN_MARGIN * factor_scale
+    if not factor_bound > 0.0:
+        return -np.inf, factor_bound
+    scale = np.max(np.abs(level)) + numerator / p_low * (1.0 + factor_scale / p_low)
+    return np.min(forward) - SIGN_MARGIN * scale, factor_bound
 
 
 def piecewise(t, at, below, above):
@@ -119,7 +147,9 @@ class Method:
     :class:`ExtrapolatedCurve` at times past tau. They read its anchors
     (``z_tau``, ``f_tau``, ``d_tau``), its market curve ``eff`` and its
     ``ufr``, the level that :meth:`level` sets: a float, or a ``(rows, 1)``
-    column for a family along it. ``yield_variation`` and
+    column for a family along it. :meth:`sign_bounds` bounds the
+    extension's forward and discount-factor sign from below, the kind's one
+    sign rule. ``yield_variation`` and
     ``second_variation`` give functions of the times te past tau, with
     values shaped like the times and the shift's quantities at tau read
     once.
@@ -182,8 +212,18 @@ class Method:
         """The level ``curve`` holds past tau, read from its spec and market anchors."""
         return curve.spec.ufr
 
-    def is_defective(self, curve) -> bool:
-        return False
+    def sign_bounds(self, curve):
+        """The pieces (start, end, forward bound, discount bound) of the
+        extension past tau. A nonnegative forward bound proves the computed
+        forward nonnegative at every time of its closed piece, and a
+        positive discount bound proves positive the factor whose sign is
+        the discount factor's there; a bound proves nothing otherwise. A
+        bound holds for every row of a stacked curve.
+
+        This rule is the kinds' that hold the forward at the level past
+        tau, with a discount factor exp(-t zbar) whose factor is 1.
+        """
+        return ((curve.spec.tau, curve.horizon, np.min(curve.ufr), 1.0),)
 
     def discount(self, curve, t, zero_yield=None):
         """The discount factor; ``zero_yield`` is the extension's at t, when known."""
@@ -198,8 +238,13 @@ class Method:
     def plan(self, curve, flow, lstar):
         """The lumps (time, amount), densities (start, end, rate, breakpoints)
         and diagnostics of the plan for a flow past tau, whose measure on
-        ``curve`` is ``lstar``."""
+        ``curve`` is ``lstar``; its ``integrals`` are those of :meth:`plan_weights`."""
         raise DomainError(f"no hedge construction for method kind {self.kind!r}")
+
+    def plan_weights(self, curve):
+        """The (weight, breakpoints) pairs whose integrals against dL* the
+        plan reads, as ``lstar.integrals``; each breakpoint is one of the curve's."""
+        return ()
 
     def ufr_weights(self, curve):
         """The (weight, breakpoints) pairs whose integrals against dL* the UFR
@@ -213,12 +258,14 @@ class Method:
         return None, None, None
 
 
-def _infeasible(tau, lstar, coeff):
-    """The lump at tau matching the yield exposure, and the forward exposure ``coeff`` no bond matches."""
+def _infeasible_plan(self, curve, flow, lstar):
+    """The plan of M4 and M6 continuous: the lump at tau matching the yield
+    exposure, and the forward exposure, the integral of the plan weight, that
+    no bond matches."""
     total = lstar.total
     diagnostics = {"liability_value": total, "matched_lump_at_tau": total,
-                   "unmatched_forward_coefficient": coeff}
-    return ((tau, total),), (), diagnostics
+                   "unmatched_forward_coefficient": lstar.integrals[0]}
+    return ((curve.spec.tau, total),), (), diagnostics
 
 
 class _PinnedYield(Method):
@@ -257,14 +304,17 @@ class _LastYield(_PinnedYield):
         dz_tau = shift.delta_z(curve.spec.tau)
         return lambda te: np.full_like(te, dz_tau)
 
+    def plan_weights(self, curve):
+        return ((_times, ()),)
+
     def plan(self, curve, flow, lstar):
         tau, total = curve.spec.tau, lstar.total
-        dollar_dur = stieltjes_integral(curve, flow, _times)
+        dollar_dur = lstar.integrals[0]
         diagnostics = {"liability_value": total, "leverage": dollar_dur / tau / total}
         return ((tau, dollar_dur / tau),), (), diagnostics
 
-    def ufr_weights(self, curve):
-        return ((_times, ()),)
+    # the UFR closed form reads the same dollar duration
+    ufr_weights = plan_weights
 
     def ufr_closed_form(self, curve, flow, lstar):
         return lstar.integrals[0] / lstar.total, None, None
@@ -317,9 +367,11 @@ class _LastForward(_PinnedForward):
         df_tau = shift.delta_f_at_boundary(tau)
         return lambda te: (tau / te) * dz_tau + (1.0 - tau / te) * df_tau
 
-    def plan(self, curve, flow, lstar):
+    def plan_weights(self, curve):
         tau = curve.spec.tau
-        return _infeasible(tau, lstar, stieltjes_integral(curve, flow, lambda t: _times(t) - tau))
+        return ((lambda t: _times(t) - tau, ()),)
+
+    plan = _infeasible_plan
 
 
 class _Blend(Method):
@@ -375,6 +427,19 @@ class _Blend(Method):
             return (kappa - s) / span * curve.eff.forward_rate(s) + (s - spec.tau) / span * ufr
 
         return piecewise(t, kappa, blend, lambda s: _filled(curve, s, ufr))
+
+    def sign_bounds(self, curve):
+        """On [tau, kappa] the forward is a blend with nonnegative weights of
+        the market forward and the ufr, so it is nonnegative where both
+        are; past kappa it is the ufr."""
+        tau, kappa = curve.spec.tau, curve.spec.kappa
+        starts, ends, floors, _ = curve.eff._sign_bounds()
+        blended = (starts <= kappa) & (ends > tau)
+        ufr = np.min(curve.ufr)
+        return (
+            (tau, kappa, min(ufr, np.min(floors[..., blended])), 1.0),
+            (kappa, curve.horizon, ufr, 1.0),
+        )
 
     def yield_variation(self, shift, curve):
         tau, kappa = curve.spec.tau, curve.spec.kappa
@@ -478,10 +543,19 @@ class _SmithWilson(Method):
             raise DomainError("a Smith-Wilson curve needs alpha; extrapolate() calibrates a missing one")
         super().check_glue(base, spec, horizon)
 
-    def is_defective(self, curve) -> bool:
+    def sign_bounds(self, curve):
+        """The Smith-Wilson factor is monotone in t past tau, and so is the
+        forward wherever the factor has no zero: the ends bound both."""
         spec = curve.spec
-        factor = sw_factor(curve.horizon - spec.tau, curve.ufr - curve.f_tau, spec.alpha)
-        return bool(np.any(factor <= 0.0))
+        tau, alpha = spec.tau, spec.alpha
+        t = np.array([tau, curve.horizon])
+        g = curve.ufr - curve.f_tau
+        # sw_factor is 1 + g (1 - e) / alpha, whose terms are at most 1 + |g| / alpha
+        gap = np.max(np.abs(g))
+        forward, discount = ratio_form_bounds(
+            self.forward(curve, t), sw_factor(t - tau, g, alpha), curve.ufr, gap, 1.0 + gap / alpha
+        )
+        return ((tau, curve.horizon, forward, discount),)
 
     def zero_yield(self, curve, t):
         spec, ufr = curve.spec, curve.ufr
@@ -535,11 +609,12 @@ class _SmithWilson(Method):
 
         return extension
 
-    def plan(self, curve, flow, lstar):
+    def plan_weights(self, curve):
         spec = curve.spec
         c = lambda t: sw_variation_coefficient(t, spec.tau, spec.alpha, spec.ufr, curve.f_tau)
-        coeff = stieltjes_integral(curve, flow, lambda t: _times(t) * c(t))
-        return _infeasible(spec.tau, lstar, coeff)
+        return ((lambda t: _times(t) * c(t), ()),)
+
+    plan = _infeasible_plan
 
     def ufr_weights(self, curve):
         return (excess_weight(curve.spec.tau),)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvehedge import (
     EPS_SCHEDULE,
@@ -22,8 +24,9 @@ from curvehedge import (
 )
 from curvehedge.errors import AlphaNotWellDefinedError, CalibrationError, DomainError
 import curvehedge.extrapolation as extrapolation_module
-from curvehedge.extrapolation import _SCAN_CHUNK, sample_grid
+from curvehedge.extrapolation import _SCAN_CHUNK, SwDiscreteFit, _unproven_runs, sample_grid
 from curvehedge.io import read_curve
+from curvehedge.methods import ALL_KINDS, METHODS
 
 from conftest import random_curve, random_shift
 
@@ -766,10 +769,42 @@ def _scan_curves():
         market, MethodSpec("M6_SW_continuous", tau=10.0, ufr=0.0, alpha=0.01)
     )
     curves["M6_SW_discrete-par-bond"] = sw_fit_discrete([10.0], [1.0], UFR, 0.1)
+    # a curve per kind of piece whose sign bounds cannot clear it, so the
+    # scan evaluates the grid there: a market forward below 0 before tau,
+    dip = ForwardCurve.from_forwards([0.0, 3.0, 6.0, 20.0, 60.0], [0.01, -0.01, 0.02, 0.03, 0.035])
+    curves["M3-market-dip"] = extrapolate(dip, specs[2])
+    # and in M5's blend on (tau, kappa],
+    blend_dip = ForwardCurve.from_forwards([0.0, 10.0, 12.0, 15.0, 60.0], [0.01, 0.02, -0.05, 0.03, 0.035])
+    curves["M5_SFSA-blend-dip"] = extrapolate(blend_dip, specs[4])
+    # a level below 0: a ufr, z(tau) and f(tau),
+    for spec in (specs[0], specs[2]):
+        curves[f"{spec.kind}-negative-ufr"] = extrapolate(market, replace(spec, ufr=-0.01))
+    low = ForwardCurve.from_forwards([0.0, 5.0, 10.0, 60.0], [-0.01, -0.02, -0.01, 0.03])
+    curves["M2-negative-z-tau"] = extrapolate(low, specs[1])
+    drop = ForwardCurve.from_forwards([0.0, 5.0, 10.0, 60.0], [0.03, 0.02, -0.01, 0.03])
+    curves["M4-negative-f-tau"] = extrapolate(drop, specs[3])
+    # a Smith-Wilson forward whose end value, f(tau) = 0, lies inside the margin,
+    flat_at_tau = ForwardCurve.from_forwards([0.0, 5.0, 10.0, 60.0], [0.02, 0.01, 0.0, 0.03])
+    curves["M6_SW_continuous-zero-f-tau"] = extrapolate(flat_at_tau, specs[5])
+    # and a discrete fit whose discount factor turns negative past its last node
+    steep_fit = read_curve(str(pathlib.Path(__file__).resolve().parent / "golden" / "steep_curve.csv"))
+    curves["M6_SW_discrete-steep"] = extrapolate(steep_fit, specs[6])
     return curves
 
 
 SCAN_CURVES = _scan_curves()
+
+#: a time of each fallback curve in a piece its sign bounds cannot clear
+FALLBACK_TIMES = {
+    "M3-market-dip": 4.0,
+    "M5_SFSA-blend-dip": 13.0,
+    "M1-negative-ufr": 100.0,
+    "M3-negative-ufr": 100.0,
+    "M2-negative-z-tau": 100.0,
+    "M4-negative-f-tau": 100.0,
+    "M6_SW_continuous-zero-f-tau": 100.0,
+    "M6_SW_discrete-steep": 100.0,
+}
 
 
 class TestChunkedScan:
@@ -788,8 +823,20 @@ class TestChunkedScan:
 
     def test_defective_curves_have_intervals(self):
         """The equality above is checked on scans that find something."""
-        for name in ("M6_SW_continuous-steep", "M6_SW_continuous-low-ufr", "M6_SW_discrete-par-bond"):
-            assert not arbitrage_scan(SCAN_CURVES[name], 0.01).is_clean
+        for name in (
+            "M6_SW_continuous-steep", "M6_SW_continuous-low-ufr", "M6_SW_discrete-par-bond",
+            "M3-market-dip", "M5_SFSA-blend-dip", "M1-negative-ufr", "M3-negative-ufr",
+            "M2-negative-z-tau", "M4-negative-f-tau", "M6_SW_discrete-steep",
+        ):
+            assert not arbitrage_scan(SCAN_CURVES[name], 0.01).is_clean, name
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_TIMES))
+    def test_fallback_on_every_piece_kind(self, name):
+        """The equality above is checked on a grid fallback of each kind of piece."""
+        curve = SCAN_CURVES[name]
+        ts = sample_grid(curve.horizon, curve.horizon / 100_000)
+        at = np.searchsorted(ts, FALLBACK_TIMES[name])
+        assert any(lo <= at < hi for lo, hi in _unproven_runs(ts, curve._sign_bounds()))
 
     @pytest.mark.parametrize("horizon", [200.0, 7.3, 1.0, 123.456])
     def test_sample_grid_equals_sorted_unique_form(self, horizon):
@@ -798,6 +845,83 @@ class TestChunkedScan:
             grid = sample_grid(horizon, step)
             assert np.array_equal(grid, _unique_grid(horizon, step)), step
             assert grid[-1] == horizon
+
+
+def _counting_evaluations(monkeypatch):
+    """The sizes of the time arrays passed to an extrapolated curve's or a
+    discrete fit's ``_evaluation`` from now on."""
+    sizes = []
+    for cls in (ExtrapolatedCurve, SwDiscreteFit):
+        evaluate = cls._evaluation
+
+        def counting(self, t, evaluate=evaluate):
+            sizes.append(np.size(t))
+            return evaluate(self, t)
+
+        counting.body = evaluate.body
+        monkeypatch.setattr(cls, "_evaluation", counting)
+    return sizes
+
+
+class TestBoundedScan:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_points_evaluated_on_sample_data(self, monkeypatch, kind):
+        """On the bundled curve the sign bounds clear every glued kind's
+        whole domain, and the discrete fit's past its last node."""
+        market = read_curve(str(SAMPLE_DATA / "curve.csv"))
+        curve = extrapolate(market, SCAN_CURVES[kind].spec)
+        sizes = _counting_evaluations(monkeypatch)
+        assert arbitrage_scan(curve, 0.002).is_clean
+        if kind == "M6_SW_discrete":
+            ts = sample_grid(curve.horizon, 0.002)
+            assert sum(sizes) == np.searchsorted(ts, curve.nodes[-1], "right") == 5001
+        else:
+            assert sizes == []
+
+    @pytest.mark.parametrize("stack", ["ufr-family", "ray-ladder"])
+    def test_stacked_curve_rejected_before_the_grid(self, monkeypatch, market_curve, stack):
+        if stack == "ufr-family":
+            curve = extrapolate(market_curve, MethodSpec("M3", tau=10.0, ufr=UFR)).with_ufr([0.03, 0.04])
+        else:
+            curve = market_curve.ray(random_shift(np.random.default_rng(7)))(np.array([0.5, 1.0]))
+        assert curve.rows == 2
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(extrapolation_module, "sample_grid", no_grid)
+        with pytest.raises(DomainError, match="stacked"):
+            arbitrage_scan(curve, 0.002)
+
+
+def _random_spec(rng, kind):
+    """A spec of ``kind`` at tau = 10 with a random ufr (below 0 at times),
+    kappa and alpha, each where the kind takes it."""
+    method = METHODS[kind]
+    fields = {}
+    if method.takes_ufr:
+        fields["ufr"] = float(rng.uniform(-0.03, 0.08))
+    if method.needs_kappa:
+        fields["kappa"] = float(rng.uniform(11.0, 40.0))
+    if method.smith_wilson:
+        fields["alpha"] = float(rng.uniform(0.01, 0.5))
+    return MethodSpec(kind, tau=10.0, **fields)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kind=st.sampled_from(ALL_KINDS))
+def test_bounded_scan_equals_grid_scan(seed, kind):
+    """On random markets, negative forwards allowed, the scan that skips the
+    pieces its sign bounds clear reports what the whole grid shows."""
+    rng = np.random.default_rng(seed)
+    knots = np.unique(np.concatenate(([0.0, 10.0, 200.0], rng.integers(1, 60, size=6))))
+    market = ForwardCurve.from_forwards(knots, rng.uniform(rng.uniform(-0.03, 0.01), 0.06, size=knots.size))
+    curve = extrapolate(market, _random_spec(rng, kind))
+    step = 0.05
+    report = arbitrage_scan(curve, step)
+    negative, nonpositive = _one_chunk_scan(curve, step)
+    ts = sample_grid(curve.horizon, step)
+    assert report.negative_forward == extrapolation_module._mask_intervals(ts, negative)
+    assert report.nonpositive_discount == extrapolation_module._mask_intervals(ts, nonpositive)
 
 
 class TestBranchOwnership:

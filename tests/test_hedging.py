@@ -281,6 +281,37 @@ class TestValueIdentities:
                 assert plan.value() == plan.value_under(market_curve, market_curve), kind
         assert len(plans["M5_SFSA"].lumps) >= 8
 
+    @pytest.mark.parametrize(
+        "spec", [M2, MethodSpec("M4", tau=TAU), MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=0.1)],
+        ids=["M2", "M4", "M6_SW_continuous"],
+    )
+    def test_plan_integral_is_the_standalone_integral(self, market_curve, spec):
+        """The integral a plan reads from the pass that prices the liability
+        is ``stieltjes_integral`` of its weight, t, t - tau or t c(t), bit for bit."""
+        curve = extrapolate(market_curve, spec)
+        if spec.kind == "M2":
+            weight = lambda t: np.asarray(t, dtype=float)
+        elif spec.kind == "M4":
+            weight = lambda t: np.asarray(t, dtype=float) - TAU
+        else:
+            weight = lambda t: np.asarray(t, dtype=float) * sw_variation_coefficient(
+                t, TAU, spec.alpha, UFR, curve.f_tau
+            )
+        want = stieltjes_integral(curve, SYMBOLIC_FLOW, weight)
+        plan = hedge(curve, SYMBOLIC_FLOW)
+        if spec.kind == "M2":
+            assert plan.lumps[0].amount == want / TAU
+        else:
+            assert plan.diagnostics["unmatched_forward_coefficient"] == want
+
+    def test_empty_plan_values_each_row(self, market_curve):
+        """M1's empty plan, revalued on a ladder of two curves, is worth 0 on each."""
+        plan = hedge(extrapolate(market_curve, MethodSpec("M1", tau=TAU, ufr=UFR)), SYMBOLIC_FLOW)
+        assert plan.lumps == () and plan.densities == ()
+        ladder = market_curve.ray(random_shift(np.random.default_rng(3)))(np.array([0.5, 1.0]))
+        values = plan.value_under(ladder, market_curve)
+        assert isinstance(values, np.ndarray) and values.tolist() == [0.0, 0.0]
+
     def test_one_split_rule_for_both_measures(self):
         """An integral over dA* or dL* splits at the market nodes inside each density,
         whether or not the weight's breakpoints list them."""
