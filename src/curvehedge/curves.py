@@ -364,7 +364,29 @@ class ForwardCurve:
         grid and this curve's quote nodes and live on this curve's domain;
         the shift is extended flat past its own horizon when shorter.
         """
-        other = shift.delta_forward
+        return self._ray(shift.delta_forward)
+
+    def suite_ray(self, shifts):
+        """One :meth:`ray` along every shift of ``shifts``, which share one grid.
+
+        An array of S scales gives one stacked curve of S rows per shift,
+        shift by shift: row ``i * S + j`` is ``self.ray(shifts[i])(scales[j])``
+        bit for bit, on the same merged grid.
+        """
+        grid = shifts[0].delta_forward.grid
+        if any(not np.array_equal(s.delta_forward.grid.nodes, grid.nodes) for s in shifts):
+            raise DomainError("a suite ray needs shifts on one grid")
+        if len(shifts) == 1:  # one shift needs no stacked copy of its forwards
+            return self._ray(shifts[0].delta_forward)
+        forwards = [s.delta_forward for s in shifts]
+        stacked = ForwardCurve(
+            grid, np.array([f.f_left for f in forwards]), np.array([f.f_right for f in forwards])
+        )
+        return self._ray(stacked)
+
+    def _ray(self, other):
+        """The ray along the forward perturbation ``other``; a stacked one gives
+        a row block per perturbation (see :meth:`suite_ray`)."""
         nodes = np.union1d(self.grid.nodes, other.grid.nodes)
         nodes = nodes[nodes <= self.horizon]
         if nodes[-1] != self.horizon:
@@ -372,12 +394,16 @@ class ForwardCurve:
         grid = TimeGrid(nodes)
         base_l, base_r = self._edge_values(nodes)
         sh_l, sh_r = other._edge_values(nodes)
-        return lambda scale: ForwardCurve(
-            grid,
-            base_l + np.multiply.outer(scale, sh_l),
-            base_r + np.multiply.outer(scale, sh_r),
-            self.quote_nodes,
-        )
+
+        def at(scale):
+            left = base_l + np.multiply.outer(scale, sh_l)
+            right = base_r + np.multiply.outer(scale, sh_r)
+            if other.rows is not None and np.ndim(scale) == 1:
+                # (scale, shift, segment) to one row per (shift, scale)
+                left, right = (np.swapaxes(x, 0, 1).reshape(-1, grid.nodes.size - 1) for x in (left, right))
+            return ForwardCurve(grid, left, right, self.quote_nodes)
+
+        return at
 
     def breakpoints_between(self, a: float, b: float):
         nodes = self.grid.nodes
@@ -592,6 +618,17 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
     return total
 
 
+def _splits_a_density(pts, densities) -> bool:
+    """Whether a point of ``pts`` lies inside a density (a, b) of
+    ``densities`` (those of :func:`measure_integral`) and is not among the
+    density's own split points."""
+    for a, b, _, _, own in densities:
+        for p in pts:
+            if a < p < b and p not in own:
+                return True
+    return False
+
+
 def _discounted_measure(curve, flow: CashFlow):
     """dC*, the flow discounted by the curve, as the lumps and densities of
     :func:`measure_integral`; a density splits at the curve's breakpoints."""
@@ -633,19 +670,21 @@ class DiscountedFlow:
     ``family`` is a stacked curve whose row 0 is ``curve`` bit for bit and
     whose breakpoints are the curve's, such as a
     :meth:`~curvehedge.extrapolation.ExtrapolatedCurve.with_ufr` family
-    led by the curve's own level; each (weight, breakpoints) pair of
-    ``weights`` has its breakpoints among the curve's. The lumps are
-    summed as :func:`measure_integral` sums them, and every density is
-    integrated once by :func:`_density_integrals`, on one stacked shape:
-    the discount factor of every row of ``family`` (of ``curve`` alone
-    without one), then w * D of the curve for each weight. Each row thus
-    follows that rule as its standalone integral does, so
-    ``present_values[i]`` is ``present_value`` of family row i, and
-    ``integrals[k]`` is ``stieltjes_integral(curve, source, *weights[k])``,
-    bit for bit. ``total`` is ``present_values[0]``, the flow's present
-    value. The curve's density rows keep their accepted panels, so the
-    running total C*(t) adds one partial Gauss panel to the panel sums
-    below t.
+    led by the curve's own level; ``weights`` are (weight, breakpoints)
+    pairs. The lumps are summed as :func:`measure_integral` sums them, and
+    every density is integrated by :func:`_density_integrals`, on one
+    stacked shape: the discount factor of every row of ``family`` (of
+    ``curve`` alone without one), then w * D of the curve for each weight.
+    A weight with a breakpoint inside a density where the curve has none
+    goes to one second stacked pass of such weights, so that no weight
+    changes the panels of the curve's rows. Each row thus follows that
+    rule as its standalone integral does: ``present_values[i]`` is
+    ``present_value`` of family row i, and ``integrals[k]`` is
+    ``stieltjes_integral(curve, source, *weights[k])``, bit for bit where
+    the weights of its pass split the densities alike. ``total`` is
+    ``present_values[0]``, the flow's present value. The curve's density
+    rows keep their accepted panels, so the running total C*(t) adds one
+    partial Gauss panel to the panel sums below t.
     """
 
     source: CashFlow
@@ -665,34 +704,51 @@ class DiscountedFlow:
         (times, masses), densities = _discounted_measure(priced, self.source)
         own = masses if masses.ndim == 1 else masses[0]
         weights = [lambda s, w=w: np.asarray(w(s), dtype=float) for w, _ in self.weights]
+        # a weight that splits a density where the curve does not takes the second pass
+        second = [k for k, (_, pts) in enumerate(self.weights) if _splits_a_density(pts, densities)]
+        first = [k for k in range(len(weights)) if k not in second]
         family_rows = 1 if self.family is None else self.family.rows
+        # one row per family row, then per weight in the order of the passes
         sums = np.zeros(family_rows + len(weights))
         sums[:family_rows] = masses.sum(axis=-1)
-        sums[family_rows:] = [(own * w(times)).sum() for w in weights]
+        sums[family_rows:] = [(own * weights[k](times)).sum() for k in first + second]
 
         def shape(s):
             d = priced.discount_factor(s)
-            if not weights:  # a curve's values alone are integrated as one function
+            if not first:  # a curve's values alone are integrated as one function
                 return d
             d0 = d if d.ndim == 1 else d[0]
-            return np.vstack([d, *(w(s) * d0 for w in weights)])
+            return np.vstack([d, *(weights[k](s) * d0 for k in first)])
+
+        def second_shape(s):
+            d = curve.discount_factor(s)
+            return np.vstack([weights[k](s) * d for k in second])
 
         stacked = [(a, b, shape, rate, pts) for a, b, _, rate, pts in densities]
-        passes = _density_integrals(stacked, None, [p for _, pts in self.weights for p in pts])
+        passes = _density_integrals(stacked, None, [p for k in first for p in self.weights[k][1]])
+        head = family_rows + len(first)
         pieces = []
         for (a, b, _, rate, _), (lows, panels, integrals) in zip(stacked, passes):
             if np.ndim(integrals) == 0:
                 lows, panels = [lows], [panels]
             integrand = lambda s, rate=rate: curve.discount_factor(s) * rate
             pieces.append((a, b, integrand, np.append(lows[0], b), np.append(0.0, np.cumsum(panels[0]))))
-            sums += integrals
+            sums[:head] += integrals
+        if second:
+            stacked = [(a, b, second_shape, rate, pts) for a, b, _, rate, pts in densities]
+            for _, _, integrals in _density_integrals(stacked, None, [p for k in second for p in self.weights[k][1]]):
+                sums[head:] += integrals
 
         values = sums.tolist()
+        integrals = values[family_rows:]
+        if second:  # back to the order of the weights
+            for k, value in zip(first + second, values[family_rows:]):
+                integrals[k] = value
         object.__setattr__(self, "_lump_times", times)
         object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(own)))
         object.__setattr__(self, "_pieces", tuple(pieces))
         object.__setattr__(self, "present_values", tuple(values[:family_rows]))
-        object.__setattr__(self, "integrals", tuple(values[family_rows:]))
+        object.__setattr__(self, "integrals", tuple(integrals))
         object.__setattr__(self, "total", values[0])
 
     def cumulative(self, t):

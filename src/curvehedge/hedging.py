@@ -16,10 +16,18 @@ Plans are stated for liabilities strictly beyond tau; flows at or
 before tau are exactly replicable and must be split off by the caller
 so the per-method comparison stays clean. Every function here takes the
 extrapolated curve, which holds its market curve, spec and horizon.
+
+``hedge_summary`` and ``verification_checks`` take one liability pass
+(the :class:`~curvehedge.curves.DiscountedFlow` that prices L* and solves
+the plan) and one plan pass (one :meth:`HedgePlan.integrate`) per
+``SUITE_CHUNK`` shifts: each shift's weights are rows of them. The
+one-shift functions (``method_variation_pv``, ``verify_first_order``,
+``convexity_gap``, ...) integrate the same weights one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +36,18 @@ from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_
 from .errors import DomainError, PlanKindError
 from .extrapolation import ExtrapolatedCurve, extrapolate
 from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
-from .variation import EPS_SCHEDULE, _difference_limit, method_variation_pv, second_order_pv
+from .variation import (
+    EPS_SCHEDULE,
+    _difference_limit,
+    method_variation_pv,
+    second_order_pv,
+    second_order_weight,
+    variation_weight,
+)
 
-#: node arrays whose rate values one plan density keeps; the memo is
-#: emptied when full (the eps-curves of one shift reuse only a few)
-RATE_MEMO_SIZE = 64
+#: most shifts one pass takes, so that its arrays stay small however
+#: large the suite
+SUITE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -53,34 +68,18 @@ class PlanDensity:
     verification integrals stay exact rather than sampled. ``breakpoints``
     are the market curve's nodes inside (start, end): every integral over
     the density splits there, and at its weight's own breakpoints.
-
-    A callable rate is evaluated once per node array: revaluing the plan
-    on curves that share a grid (the eps-curves of one shift) integrates
-    on the same quadrature nodes, so the values are kept, read-only, by
-    the exact nodes. Two threads may fill the same entry; both write the
-    same values.
     """
 
     start: float
     end: float
     rate: object
     breakpoints: tuple = ()
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rate_values(self, t):
         t = np.asarray(t, dtype=float)
         if not callable(self.rate):
             return np.full_like(t, float(self.rate))
-        key = (t.shape, t.tobytes())
-        values = self._memo.get(key)
-        if values is None:
-            # a copy, so that making it read-only touches no array of the caller's
-            values = np.array(self.rate(t), dtype=float)
-            values.setflags(write=False)
-            if len(self._memo) >= RATE_MEMO_SIZE:
-                self._memo.clear()
-            self._memo[key] = values
-        return values
+        return np.asarray(self.rate(t), dtype=float)
 
     def mass(self) -> float:
         density = (self.start, self.end, self.rate_values, 1.0, self.breakpoints)
@@ -96,38 +95,45 @@ class HedgePlan:
     densities: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
-    def value(self) -> float:
-        """Total market value: ``value_under(z, z)``, bit for bit, on the market curve z."""
-        return self.integrate(None)
+    @functools.cached_property
+    def masses(self) -> tuple:
+        """The mass of each density, in order, integrated once per plan:
+        :meth:`value` and :meth:`to_json` both read them."""
+        return tuple(d.mass() for d in self.densities)
 
-    def integrate(self, weight, breakpoints=()) -> float:
+    def value(self) -> float:
+        """Total market value: ``value_under(z, z)``, bit for bit, on the market curve z.
+
+        The lumps' sum and then each density's mass, the order in which
+        :func:`~curvehedge.curves.measure_integral` sums them.
+        """
+        total = float(np.sum([l.amount for l in self.lumps]))
+        for mass in self.masses:
+            total += mass
+        return total
+
+    def integrate(self, weight, breakpoints=()):
         """int w(t) dA*(t) over the plan measure; a ``weight`` of None is w = 1.
 
         ``breakpoints`` are where the weight loses smoothness; each
-        density also splits at its own breakpoints.
+        density also splits at its own breakpoints. A weight with a
+        leading axis of rows gives an array of one integral per row.
         """
         lumps = ([l.time for l in self.lumps], [l.amount for l in self.lumps])
         densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in self.densities]
         return measure_integral(lumps, densities, weight, breakpoints)
 
-    def value_under(self, curve, base_curve) -> float:
+    def value_under(self, curve, base_curve):
         """Full revaluation: the nominal flow dA*/D[base] priced on ``curve``;
         on a stacked ``curve``, an array of one value per scenario."""
-
-        def ratio(s):
-            return np.asarray(curve.discount_factor(s), dtype=float) / np.asarray(
-                base_curve.discount_factor(s), dtype=float
-            )
-
-        return self.integrate(ratio, curve.breakpoints_between(0.0, curve.horizon))
+        return self.integrate(*_revaluation_term(curve, base_curve))
 
     def to_json(self) -> dict:
         dens = []
-        for d in self.densities:
+        for d, mass in zip(self.densities, self.masses):
             if callable(d.rate):
                 # symbolic rate: report the segment average so the entry stays numeric
-                avg = d.mass() / (d.end - d.start)
-                dens.append({"a": d.start, "b": d.end, "rate": avg, "symbolic": True})
+                dens.append({"a": d.start, "b": d.end, "rate": mass / (d.end - d.start), "symbolic": True})
             else:
                 dens.append({"a": d.start, "b": d.end, "rate": float(d.rate)})
         return {
@@ -136,6 +142,101 @@ class HedgePlan:
             "densities": dens,
             "diagnostics": dict(self.diagnostics),
         }
+
+
+# ---- the weights of the plan side --------------------------------------------
+
+
+def _hedge_term(shift: CurveShift, horizon: float):
+    """The plan side's weight t Dz(t) of the hedge equation along ``shift``,
+    and its breakpoints: the shift's nodes."""
+    return (lambda t: np.asarray(t, dtype=float) * shift.delta_z(t)), shift.breakpoints_between(0.0, horizon)
+
+
+def _gap_term(shift: CurveShift, horizon: float):
+    """The plan side's weight t^2 Dz(t)^2 of the convexity gap along ``shift``."""
+
+    def weight(t):
+        t = np.asarray(t, dtype=float)
+        dz = np.asarray(shift.delta_z(t), dtype=float)
+        return t * t * dz * dz
+
+    return weight, shift.breakpoints_between(0.0, horizon)
+
+
+def _revaluation_term(curve, base_curve):
+    """The weight D[curve]/D[base] that revalues a plan on ``curve``, one row
+    per scenario of a stacked curve, split at the curve's nodes."""
+
+    def ratio(s):
+        return np.asarray(curve.discount_factor(s), dtype=float) / np.asarray(
+            base_curve.discount_factor(s), dtype=float
+        )
+
+    return ratio, curve.breakpoints_between(0.0, curve.horizon)
+
+
+def _rows(terms):
+    """One weight whose rows are those of the (weight, breakpoints) pairs
+    ``terms``, in order, split at all of their breakpoints: one pass of
+    :meth:`HedgePlan.integrate` gives every term's integral as a row."""
+
+    def weight(t):
+        return np.vstack([w(t) for w, _ in terms])
+
+    return weight, np.concatenate([np.asarray(pts, dtype=float) for _, pts in terms])
+
+
+def _plan_integrals(plan, terms) -> list:
+    """The integral over ``plan`` of each (weight, breakpoints) pair of
+    ``terms``: the rows of one pass (:func:`_rows`) per ``SUITE_CHUNK`` terms."""
+    out = []
+    for k in range(0, len(terms), SUITE_CHUNK):
+        out += plan.integrate(*_rows(terms[k : k + SUITE_CHUNK])).tolist()
+    return out
+
+
+# ---- hedge and verification ---------------------------------------------------
+
+
+def _liability_pass(curve, flow: CashFlow, shifts, lead=()):
+    """dL* priced in one :class:`DiscountedFlow` pass with the weights
+    ``lead`` and each shift's :func:`variation_weight`, and the integrals
+    of the latter; each chunk of shifts past the first takes a pass of its own."""
+    weights = [variation_weight(curve, s) for s in shifts]
+    lstar = DiscountedFlow(flow, curve, weights=(*lead, *weights[:SUITE_CHUNK]))
+    integrals = list(lstar.integrals[len(lead) :])
+    for k in range(SUITE_CHUNK, len(weights), SUITE_CHUNK):
+        integrals += DiscountedFlow(flow, curve, weights=tuple(weights[k : k + SUITE_CHUNK])).integrals
+    return lstar, integrals
+
+
+def _solve(curve: ExtrapolatedCurve, flow: CashFlow, shifts=(), gap_shift=None):
+    """The plan for ``flow``, solved in the liability pass of the plan's
+    weights, the second-order weight of ``gap_shift`` and the variation
+    weights of ``shifts``; with dL*, the second-order integral (None
+    without ``gap_shift``) and the variation integrals."""
+    if flow.has_mass_at_or_before(curve.spec.tau):
+        raise DomainError(
+            "liability flows at or before tau are exactly replicable; "
+            "split them off before hedging the extrapolated part"
+        )
+    method = curve.spec.method
+    lead = list(method.plan_weights(curve))
+    if gap_shift is not None:
+        lead.append(second_order_weight(curve, gap_shift))
+    lstar, integrals = _liability_pass(curve, flow, shifts, lead)
+    if not lstar.total > 0.0:
+        raise DomainError("liabilities must have positive present value")
+    lumps, densities, diagnostics = method.plan(curve, flow, lstar)
+    plan = HedgePlan(
+        method.plan_kind,
+        tuple(PlanLump(*lump) for lump in lumps),
+        tuple(PlanDensity(*density) for density in densities),
+        diagnostics,
+    )
+    second_order = None if gap_shift is None else lstar.integrals[len(lead) - 1]
+    return plan, lstar, second_order, integrals
 
 
 def hedge(curve: ExtrapolatedCurve, flow: CashFlow) -> HedgePlan:
@@ -148,43 +249,57 @@ def hedge(curve: ExtrapolatedCurve, flow: CashFlow) -> HedgePlan:
     is the flow's present value on ``curve``, priced in one pass with the
     integrals the plan reads (the entry's ``plan_weights``).
     """
-    if flow.has_mass_at_or_before(curve.spec.tau):
-        raise DomainError(
-            "liability flows at or before tau are exactly replicable; "
-            "split them off before hedging the extrapolated part"
-        )
-    method = curve.spec.method
-    lstar = DiscountedFlow(flow, curve, weights=method.plan_weights(curve))
-    if not lstar.total > 0.0:
-        raise DomainError("liabilities must have positive present value")
-    lumps, densities, diagnostics = method.plan(curve, flow, lstar)
-    return HedgePlan(
-        method.plan_kind,
-        tuple(PlanLump(*lump) for lump in lumps),
-        tuple(PlanDensity(*density) for density in densities),
-        diagnostics,
-    )
+    return _solve(curve, flow)[0]
 
 
-def _first_order_residual(plan, shift, variation, horizon) -> float:
-    """|int t Dz dA* - int t dzbar dL*|, given ``variation`` = -int t dzbar dL*."""
-    lhs = plan.integrate(
-        lambda t: np.asarray(t, dtype=float) * shift.delta_z(t),
-        shift.breakpoints_between(0.0, horizon),
-    )
-    return abs(lhs + variation)
+def _check_hedge(plan: HedgePlan):
+    if plan.kind == PLAN_INFEASIBLE:
+        raise PlanKindError("an infeasible diagnosis cannot be verified as a hedge")
 
 
 def verify_first_order(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, shift: CurveShift) -> float:
     """Residual of the first-order matching condition for one shift.
 
     |int t Dz dA* - int t dzbar dL*|; near zero for every shift when the
-    plan solves the hedge equation identically (M1, M2, M3, M5).
+    plan solves the hedge equation identically (M1, M2, M3, M5). The
+    one-shift case of the rows of :func:`hedge_summary` and
+    :func:`verification_checks`.
     """
-    if plan.kind == PLAN_INFEASIBLE:
-        raise PlanKindError("an infeasible diagnosis cannot be verified as a hedge")
-    variation = method_variation_pv(curve, shift, flow)
-    return _first_order_residual(plan, shift, variation, curve.horizon)
+    _check_hedge(plan)
+    lhs = plan.integrate(*_hedge_term(shift, curve.horizon))
+    return abs(lhs + method_variation_pv(curve, shift, flow))
+
+
+def _suite_values(plan, curve, flow, shifts, scales, terms=()):
+    """Per shift, (its liability values on the curves z + e*Dz of
+    ``scales``, the plan's integral of its weight of ``terms``, the plan's
+    values on those curves); the last two None without a plan or terms.
+
+    The shifts on one grid make one stacked curve per ``SUITE_CHUNK``
+    shifts (:meth:`ForwardCurve.suite_ray`), extrapolated, priced and
+    revalued once; shifts on another grid are stacked apart. Each row is
+    bit for bit the shift's own, since a chunk splits at its one grid.
+    """
+    z = curve.base
+    groups = {}
+    for i, shift in enumerate(shifts):
+        groups.setdefault(shift.delta_forward.grid.nodes.tobytes(), []).append(i)
+    out = [None] * len(shifts)
+    chunks = (group[k : k + SUITE_CHUNK] for group in groups.values() for k in range(0, len(group), SUITE_CHUNK))
+    for chunk in chunks:
+        ladder = z.suite_ray([shifts[i] for i in chunk])(scales)
+        liabs = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow)
+        liabs = np.reshape(liabs, (len(chunk), -1)).tolist()
+        if plan is None:
+            heads, assets = [None] * len(chunk), [None] * len(chunk)
+        else:
+            own = [terms[i] for i in chunk] if terms else []
+            rows = plan.integrate(*_rows([*own, _revaluation_term(ladder, z)]))
+            heads = rows[: len(own)].tolist() if own else [None] * len(chunk)
+            assets = rows[len(own) :].reshape(len(chunk), -1).tolist()
+        for i, liab, head, asset in zip(chunk, liabs, heads, assets):
+            out[i] = (liab, head, asset)
+    return out
 
 
 def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> float:
@@ -195,27 +310,22 @@ def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, sh
     and the revaluation gap is zero under every shift. This checks the
     second part -- max over shifts of the change in (asset - liability)
     value, by full repricing, not linearization -- so the empty plan of
-    the insensitive predetermined-yield method verifies cleanly.
+    the insensitive predetermined-yield method verifies cleanly. The
+    curves z + Dz are priced, and the plan revalued, as in ``verify``.
     """
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
-    asset0, liab0 = plan.value(), present_value(curve, flow)
+    values = _suite_values(plan, curve, flow, list(shifts), np.array([1.0]))
+    return _worst_gap(plan.value() - present_value(curve, flow), values)
+
+
+def _worst_gap(base_gap, values) -> float:
+    """max over shifts of |(asset - liability) - base_gap| on each shift's
+    last curve, from the values of :func:`_suite_values`."""
     worst = 0.0
-    for shift in shifts:
-        (asset,), (liab,) = _ladder_values(plan, curve, flow, shift, np.array([1.0]))
-        worst = max(worst, abs((asset - liab) - (asset0 - liab0)))
+    for liab, _, asset in values:
+        worst = max(worst, abs((asset[-1] - liab[-1]) - base_gap))
     return worst
-
-
-def _ladder_values(plan, curve, flow, shift, scales):
-    """The plan's asset values (None without a plan) and the liability values
-    on the curves z + e*Dz of ``scales``, as lists: one stacked curve from
-    one :meth:`ForwardCurve.ray`, extrapolated and priced once, and
-    revalued once."""
-    z = curve.base
-    ladder = z.ray(shift)(scales)
-    liabs = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow).tolist()
-    return (None if plan is None else plan.value_under(ladder, z).tolist()), liabs
 
 
 def convexity_gap(
@@ -227,21 +337,14 @@ def convexity_gap(
     Negative values mean the hedge lacks convexity against the
     liabilities (it must be grown whichever way the curve moves);
     positive values mean excess convexity. ``plan`` is the hedge of
-    ``curve``, built here when not given.
+    ``curve``, built here when not given. The one-shift case of the gap
+    of :func:`hedge_summary`.
     """
     if plan is None:
         plan = hedge(curve, flow)
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("no first-order hedge exists to compare against")
-
-    def weight(t):
-        t = np.asarray(t, dtype=float)
-        dz = np.asarray(shift.delta_z(t), dtype=float)
-        return t * t * dz * dz
-
-    asset_side = plan.integrate(weight, shift.breakpoints_between(0.0, curve.horizon))
-    liability_side = second_order_pv(curve, shift, flow)
-    return asset_side - liability_side
+    return plan.integrate(*_gap_term(shift, curve.horizon)) - second_order_pv(curve, shift, flow)
 
 
 def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
@@ -252,13 +355,17 @@ def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
     liabilities on ``curve``.
     ``max_first_order_residual`` is the worst first-order residual over
     ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
-    along a parallel shift of one.
+    along a parallel shift of one, all read from one liability pass and
+    one plan pass.
     """
-    plan = hedge(curve, flow)
-    liability_value = plan.diagnostics["liability_value"]
-    residuals = [verify_first_order(plan, curve, flow, s) for s in shifts]
+    shifts = list(shifts)
     unit = CurveShift.parallel(1.0, curve.horizon)
-    gap = convexity_gap(curve, flow, unit, plan)
+    plan, lstar, second_order, integrals = _solve(curve, flow, shifts, unit)
+    _check_hedge(plan)
+    terms = [_gap_term(unit, curve.horizon), *(_hedge_term(s, curve.horizon) for s in shifts)]
+    asset_gap, *lhs = _plan_integrals(plan, terms)
+    residuals = [abs(l + -integral) for l, integral in zip(lhs, integrals)]
+    liability_value = lstar.total
     total = plan.value()
     return {
         "plan": plan.to_json(),
@@ -266,7 +373,7 @@ def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
         "liability_value": liability_value,
         "leverage": total / liability_value,
         "max_first_order_residual": max(residuals),
-        "convexity_gap_parallel_unit": gap,
+        "convexity_gap_parallel_unit": asset_gap - second_order,
     }
 
 
@@ -287,27 +394,28 @@ def verification_checks(
     ``variation_rel``, ``variation_abs``, ``perfect_gap_rel`` and
     ``first_order_residual_rel``.
 
-    Every scenario is built and priced once: ``curve``, the extrapolated
-    market curve z, whose value a hedgeable method's plan already holds,
-    and per shift the curves z + eps*Dz of ``EPS_SCHEDULE`` and, for a
-    perfect plan, its revaluation curve z + Dz. A shift's curves are one
-    stacked curve, priced and revalued in one pass (:func:`_ladder_values`),
-    and only their values are kept for the checks.
+    Every scenario is priced once. The liability value and every
+    shift's first variation are rows of one liability pass, the one that
+    solves a hedgeable method's plan. The curves z + eps*Dz of
+    ``EPS_SCHEDULE``, and for a perfect plan z + Dz, are stacked and
+    priced once, and the plan is revalued on them in its one pass
+    (:func:`_suite_values`).
     """
-    checks = []
+    shifts = list(shifts)
     if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
-        plan, liability_value = None, present_value(curve, flow)
+        plan, (lstar, integrals) = None, _liability_pass(curve, flow, shifts)
     else:
-        plan = hedge(curve, flow)
-        liability_value = plan.diagnostics["liability_value"]
+        plan, lstar, _, integrals = _solve(curve, flow, shifts)
+    liability_value = lstar.total
     # a perfect plan's revaluation curve z + Dz is the ladder's last row
     perfect = plan is not None and plan.kind == PLAN_PERFECT
     scales = np.array(EPS_SCHEDULE + ((1.0,) if perfect else ()))
-    variations, revalued = [], []
-    for i, shift in enumerate(shifts):
-        variation = method_variation_pv(curve, shift, flow)
+    terms = [_hedge_term(s, curve.horizon) for s in shifts]
+    values = _suite_values(plan, curve, flow, shifts, scales, terms)
+    checks = []
+    variations = [-integral for integral in integrals]
+    for i, (variation, (liabs, _, _)) in enumerate(zip(variations, values)):
         analytic = variation + corrupt
-        assets, liabs = _ladder_values(plan, curve, flow, shift, scales)
         numeric = _difference_limit(liability_value, liabs)[0]
         residual = abs(analytic - numeric)
         scale = max(abs(analytic), abs(numeric))
@@ -315,27 +423,23 @@ def verification_checks(
             1.0, abs(liability_value)
         )
         checks.append((f"variation[{i}]", residual <= bound, residual, bound))
-        variations.append(variation)
-        revalued.append((assets, liabs))
 
     if plan is None:
         return checks
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
-    for i, (shift, variation) in enumerate(zip(shifts, variations)):
-        residual = _first_order_residual(plan, shift, variation, curve.horizon)
+    for i, (variation, (_, lhs, _)) in enumerate(zip(variations, values)):
+        residual = abs(lhs + variation)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     base_asset = plan.value()
     if perfect:
-        gap = 0.0
-        for assets, liabs in revalued:
-            gap = max(gap, abs((assets[-1] - liabs[-1]) - (base_asset - liability_value)))
+        gap = _worst_gap(base_asset - liability_value, values)
         bound = tolerances["perfect_gap_rel"] * abs(liability_value)
         checks.append(("perfect_revaluation", gap <= bound, gap, bound))
     if plan.kind == PLAN_FIRST_ORDER:
         tail = int(tolerances["remainder_tail"])
         # ratios already at roundoff level cannot be asked to keep falling
         floor = tolerances["remainder_floor"] * (1.0 + abs(liability_value))
-        for i, (assets, liabs) in enumerate(revalued):
+        for i, (liabs, _, assets) in enumerate(values):
             ratios = [
                 abs((asset - base_asset) - (liab - liability_value)) / eps
                 for eps, asset, liab in zip(EPS_SCHEDULE, assets, liabs)

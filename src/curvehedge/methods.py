@@ -9,8 +9,9 @@ the entries' docstrings say what each kind does. An entry holds every
 fact that depends on the kind: the spec rules and glue check, its own
 integral anchors, the level its extension holds past tau, the extension
 and the lower bounds on its forward and discount-factor sign past tau,
-dzbar and t d2zbar past tau along a shift, the hedge plan, and the UFR
-closed form with its bounds. The UFR hook is two methods:
+dzbar and t d2zbar past tau along a shift with the market reach past
+which they are smooth, the hedge plan, and the UFR closed form with its
+bounds. The UFR hook is two methods:
 ``ufr_weights`` declares the weights w (with their breakpoints, all among
 the curve's) whose integrals against dL* the closed form reads, and
 ``ufr_closed_form`` combines them. ``ufr_sensitivity`` integrates every
@@ -212,6 +213,12 @@ class Method:
         """The level ``curve`` holds past tau, read from its spec and market anchors."""
         return curve.spec.ufr
 
+    def reach(self, spec):
+        """The market reach: the last time whose market curve the extension
+        reads. Past it, dzbar and t d2zbar along a shift read the shift only
+        at times up to the reach, so they are smooth in t there."""
+        return spec.tau
+
     def sign_bounds(self, curve):
         """The pieces (start, end, forward bound, discount bound) of the
         extension past tau. A nonnegative forward bound proves the computed
@@ -238,12 +245,16 @@ class Method:
     def plan(self, curve, flow, lstar):
         """The lumps (time, amount), densities (start, end, rate, breakpoints)
         and diagnostics of the plan for a flow past tau, whose measure on
-        ``curve`` is ``lstar``; its ``integrals`` are those of :meth:`plan_weights`."""
-        raise DomainError(f"no hedge construction for method kind {self.kind!r}")
+        ``curve`` is ``lstar``; its ``integrals`` start with those of
+        :meth:`plan_weights`, which is called first."""
+        raise NotImplementedError
 
     def plan_weights(self, curve):
         """The (weight, breakpoints) pairs whose integrals against dL* the
-        plan reads, as ``lstar.integrals``; each breakpoint is one of the curve's."""
+        plan reads, as ``lstar.integrals``; each breakpoint is one of the
+        curve's. A kind without a plan raises here, before any integral."""
+        if self.plan_kind is None:
+            raise DomainError(f"no hedge construction for method kind {self.kind!r}")
         return ()
 
     def ufr_weights(self, curve):
@@ -391,6 +402,9 @@ class _Blend(Method):
                 f"the market curve ends at {base.horizon}"
             )
         super().check_glue(base, spec, horizon)
+
+    def reach(self, spec):
+        return spec.kappa
 
     def tz_anchors(self, eff, spec, anchor):
         tz = ForwardCurve.cumulative_time_weighted_yield.body

@@ -180,19 +180,29 @@ def method_variation(curve: ExtrapolatedCurve, shift: CurveShift, t):
     return _yield_variation(shift, curve)(t)
 
 
-def method_variation_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:
-    """Analytic first variation of the liability present value.
-
-    By the chain rule this is -int t * dzbar(t) dL*(t) with dL* the
-    flow discounted by the extrapolated curve. The weight splits at the
-    shift's nodes; dL* adds the curve's, tau and kappa among them.
-    """
+def variation_weight(curve: ExtrapolatedCurve, shift: CurveShift):
+    """The weight t * dzbar(t) of the first variation of the liability value
+    along ``shift``, and its breakpoints: the shift's nodes below the
+    method's market reach (:meth:`~curvehedge.methods.Method.reach`), past
+    which the weight is smooth."""
     dzbar = _yield_variation(shift, curve)
 
     def weight(t):
         return np.asarray(t, dtype=float) * dzbar(t)
 
-    return -stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))
+    return weight, shift.breakpoints_between(0.0, curve.spec.method.reach(curve.spec))
+
+
+def method_variation_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:
+    """Analytic first variation of the liability present value.
+
+    By the chain rule this is -int t * dzbar(t) dL*(t) with dL* the
+    flow discounted by the extrapolated curve, the one-row case of the
+    liability pass of ``hedge`` and ``verify``: the weight is
+    :func:`variation_weight`'s, split at the shift's nodes below the
+    market reach; dL* adds the curve's, tau and kappa among them.
+    """
+    return -stieltjes_integral(curve, flow, *variation_weight(curve, shift))
 
 
 # ---- the clamp example -------------------------------------------------------
@@ -226,13 +236,11 @@ def clamp_functional(c: float, t: float):
 # ---- second order -----------------------------------------------------------
 
 
-def second_order_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:
-    """Second variation of the liability present value along the shift.
-
-    Evaluates int (t^2 dzbar(t)^2 - t d2zbar(t)) dL*(t), with t d2zbar(t)
-    the method's second variation past tau (:meth:`Method.second_variation`)
-    and 0 up to it.
-    """
+def second_order_weight(curve: ExtrapolatedCurve, shift: CurveShift):
+    """The weight t^2 dzbar(t)^2 - t d2zbar(t) of the second variation of the
+    liability value along ``shift``, with t d2zbar(t) the method's second
+    variation past tau (:meth:`Method.second_variation`) and 0 up to it,
+    and the breakpoints of :func:`variation_weight`."""
     dzbar = _yield_variation(shift, curve)
     tau = curve.spec.tau
     second = curve.spec.method.second_variation(shift, curve)
@@ -246,4 +254,11 @@ def second_order_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow)
             out[above] -= second(t[above])
         return out
 
-    return stieltjes_integral(curve, flow, weight, shift.breakpoints_between(0.0, curve.horizon))
+    return weight, shift.breakpoints_between(0.0, curve.spec.method.reach(curve.spec))
+
+
+def second_order_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:
+    """Second variation of the liability present value along the shift:
+    int (t^2 dzbar(t)^2 - t d2zbar(t)) dL*(t), the weight of
+    :func:`second_order_weight`."""
+    return stieltjes_integral(curve, flow, *second_order_weight(curve, shift))

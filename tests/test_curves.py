@@ -524,6 +524,34 @@ class TestRay:
             want = [present_value(along(e), flow) for e in EPS_SCHEDULE]
             assert values.tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_suite_ray_rows_are_each_shifts_ray_bitwise(self, count):
+        """Row i * S + j of a suite ray is ray(shift i)(scale j), as stored
+        and as evaluated; one scale gives one row per shift."""
+        rng = np.random.default_rng(41)
+        scales = np.array(EPS_SCHEDULE + (1.0,))
+        ts = rng.uniform(0.0, 200.0, 300)
+        for z, horizon in ((random_curve(rng), 200.0), (random_curve(rng).with_constant_added(0.001), 60.0)):
+            shifts = [random_shift(rng, horizon=horizon) for _ in range(count)]
+            stack = z.suite_ray(shifts)(scales)
+            assert stack.rows == count * scales.size and stack.quote_nodes is z.quote_nodes
+            one = z.suite_ray(shifts)(1.0)
+            assert one.rows == (None if count == 1 else count)
+            for i, shift in enumerate(shifts):
+                want = z.ray(shift)(scales)
+                assert stack.grid.nodes.tobytes() == want.grid.nodes.tobytes()
+                rows = slice(i * scales.size, (i + 1) * scales.size)
+                for name in ("f_left", "f_right", "_cum_f", "_cum_tz"):
+                    assert getattr(stack, name)[rows].tobytes() == getattr(want, name).tobytes(), name
+                assert stack.discount_factor(ts)[rows].tobytes() == want.discount_factor(ts).tobytes()
+                got = one.f_left if count == 1 else one.f_left[i]
+                assert got.tobytes() == z.ray(shift)(1.0).f_left.tobytes()
+
+    def test_suite_ray_needs_one_grid(self):
+        rng = np.random.default_rng(43)
+        with pytest.raises(DomainError, match="one grid"):
+            random_curve(rng).suite_ray([random_shift(rng), random_shift(rng, horizon=60.0)])
+
     def test_ray_curves_share_one_grid_and_the_quotes(self):
         z, shift = self.cases()[-1]
         along = z.ray(shift)

@@ -10,7 +10,6 @@ from curvehedge import (
     CashFlow,
     CurveShift,
     ForwardCurve,
-    HedgePlan,
     MethodSpec,
     PlanDensity,
     convexity_gap,
@@ -37,7 +36,6 @@ from curvehedge.hedging import (
     PLAN_FIRST_ORDER,
     PLAN_INFEASIBLE,
     PLAN_PERFECT,
-    RATE_MEMO_SIZE,
     hedge_summary,
     verification_checks,
 )
@@ -202,8 +200,9 @@ class TestVerifyPerfect:
 
     @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M3], ids=["M1", "M3"])
     def test_revalued_on_a_one_row_ladder(self, market_curve, monkeypatch, spec):
-        """Each shift's revaluation curve z + Dz is a ladder of the one scale
-        1.0, and its gap is that of the ordinary curve z + Dz bit for bit."""
+        """The suite's revaluation curves z + Dz are one stacked curve of one
+        row per shift, and each gap is that of the ordinary curve z + Dz bit
+        for bit."""
         curve, shifts = extrapolate(market_curve, spec), shift_suite(3, 5)
         plan = hedge(curve, SYMBOLIC_FLOW)
         asset0, liab0 = plan.value(), present_value(curve, SYMBOLIC_FLOW)
@@ -221,7 +220,7 @@ class TestVerifyPerfect:
 
         monkeypatch.setattr(hedging, "extrapolate", counting)
         assert verify_perfect(plan, curve, SYMBOLIC_FLOW, shifts) == want
-        assert [market.rows for market, *_ in calls] == [1] * len(shifts)
+        assert [market.rows for market, *_ in calls] == [len(shifts)]
 
     def test_wrong_kind_rejected(self, flat3):
         curve, flow = extrapolate(flat3, M2), CashFlow.single_payment(30.0)
@@ -622,19 +621,10 @@ def _checks_one_at_a_time(spec, z, flow, shifts, tolerances, corrupt):
     return checks
 
 
-class _CountingRate:
-    """A vectorized rate that counts its calls."""
-
-    def __init__(self, rate=lambda s: 0.1 + 0.01 * s):
-        self.rate = rate
-        self.calls = 0
-
-    def __call__(self, s):
-        self.calls += 1
-        return self.rate(s)
-
-
 class TestRateMemo:
+    """A plan's revaluation is its fresh evaluation, bit for bit. Plan rates
+    are no longer memoized: each pass evaluates them on its own nodes."""
+
     def test_memoized_value_under_is_bit_identical(self, market_curve):
         """On each eps-curve and on the stacked ladder of all of them, whose
         rows are revalued in one pass."""
@@ -646,67 +636,10 @@ class TestRateMemo:
             plan = hedge(extrapolate(market_curve, M5), flow)
             assert any(callable(d.rate) for d in plan.densities)
             want = [_fresh_value_under(plan, curve, market_curve) for curve in curves]
-            # twice: the first pass fills the memo, the second is served from it
+            # twice: a revaluation leaves nothing behind that changes the next
             for _ in range(2):
                 assert [plan.value_under(curve, market_curve) for curve in curves] == want
                 assert plan.value_under(ladder, market_curve).tolist() == want
-
-    def test_eps_curves_share_rate_values(self, market_curve):
-        plan = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
-        counting = [
-            PlanDensity(d.start, d.end, _CountingRate(d.rate)) if callable(d.rate) else d
-            for d in plan.densities
-        ]
-        counted = HedgePlan(plan.kind, plan.lumps, tuple(counting), plan.diagnostics)
-        rates = [d.rate for d in counting if callable(d.rate)]
-        shift = random_shift(np.random.default_rng(223))
-        curves = [market_curve.ray(shift)(eps) for eps in EPS_SCHEDULE]
-        counted.value_under(curves[0], market_curve)
-        first = sum(r.calls for r in rates)
-        assert first > 0
-        # the other eps-curves share the first one's grid, so its quadrature nodes
-        for curve in curves[1:]:
-            counted.value_under(curve, market_curve)
-        assert sum(r.calls for r in rates) == first
-
-    def test_memo_is_per_density_and_read_only(self):
-        rate = _CountingRate()
-        a, b = PlanDensity(0.0, 1.0, rate), PlanDensity(0.0, 1.0, rate)
-        assert a == b and "_memo" not in repr(a)
-        t = np.linspace(0.0, 1.0, 7)
-        values = a.rate_values(t)
-        assert np.array_equal(values, 0.1 + 0.01 * t)
-        assert a.rate_values(t.copy()) is values and rate.calls == 1
-        b.rate_values(t)
-        assert rate.calls == 2
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0] = 1.0
-
-    def test_caller_array_stays_writable(self):
-        identity = PlanDensity(0.0, 1.0, lambda s: s)
-        t = np.linspace(0.0, 1.0, 5)
-        out = identity.rate_values(t)
-        assert t.flags.writeable and not out.flags.writeable
-        assert not np.shares_memory(out, t)
-
-    def test_plans_do_not_share_a_memo(self, market_curve):
-        first = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
-        second = hedge(extrapolate(market_curve, M5), SYMBOLIC_FLOW)
-        pairs = [
-            (d1, d2) for d1, d2 in zip(first.densities, second.densities) if callable(d1.rate)
-        ]
-        assert pairs
-        t = np.linspace(12.0, 17.5, 11)
-        for d1, d2 in pairs:
-            assert d1.rate_values(t) is not d2.rate_values(t)
-
-    def test_memo_size_is_capped(self):
-        dens = PlanDensity(0.0, 1.0, _CountingRate())
-        for k in range(RATE_MEMO_SIZE + 5):
-            t = np.full(3, k / (RATE_MEMO_SIZE + 5))
-            assert np.array_equal(dens.rate_values(t), 0.1 + 0.01 * t)
-            assert len(dens._memo) <= RATE_MEMO_SIZE
 
     def test_threads_share_a_memo(self, market_curve):
         """More threads than cores revaluing one plan at once get what one thread gets."""
@@ -735,6 +668,27 @@ class TestRateMemo:
 
 
 class TestVerificationChecks:
+    @pytest.mark.parametrize("command", ["hedge", "verify"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_no_plan_rate_evaluated_twice_on_the_same_nodes(self, market_curve, monkeypatch, command, count):
+        """The plan's masses and one stacked plan pass are the only passes over
+        a symbolic M5 rate, each on its own nodes."""
+        seen = []
+        rate_values = PlanDensity.rate_values
+
+        def recording(density, t):
+            if callable(density.rate):
+                seen.append((id(density), np.asarray(t, dtype=float).tobytes()))
+            return rate_values(density, t)
+
+        monkeypatch.setattr(PlanDensity, "rate_values", recording)
+        curve, shifts = extrapolate(market_curve, M5), shift_suite(count, 5)
+        if command == "hedge":
+            hedge_summary(curve, SYMBOLIC_FLOW, shifts)
+        else:
+            verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES)
+        assert seen and len(set(seen)) == len(seen)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -765,8 +719,8 @@ class TestVerificationChecks:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_each_scenario_extrapolated_once(self, market_curve, monkeypatch, count):
-        """The base curve, which the plan shares, and per shift one stacked
-        curve of its eight eps-curves."""
+        """The base curve, which the plan shares, and one stacked curve of
+        every shift's eight eps-curves."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -775,9 +729,9 @@ class TestVerificationChecks:
 
         monkeypatch.setattr(hedging, "extrapolate", counting)
         verification_checks(counting(market_curve, M5), SYMBOLIC_FLOW, shift_suite(count, 5), TOLERANCES)
-        assert len(calls) == 1 + count
+        assert len(calls) == 2
         assert calls[0][0] is market_curve
-        assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE)] * count
+        assert calls[1][0].rows == len(EPS_SCHEDULE) * count
 
     @pytest.mark.parametrize(
         "spec",
@@ -785,9 +739,10 @@ class TestVerificationChecks:
         ids=lambda spec: spec.kind,
     )
     def test_base_curve_priced_once(self, market_curve, monkeypatch, spec):
-        """A hedgeable method's plan holds the liability value, which is the
-        flow's present value bit for bit, so the checks price only the
-        ladders; an unhedgeable one prices the base curve itself."""
+        """The liability pass holds the liability value, which is the flow's
+        present value bit for bit: the pass that solves a hedgeable method's
+        plan, or an unhedgeable method's pass of its variations. So the
+        checks price only the ladders, one stacked curve for the suite."""
         calls = []
 
         def counting(curve, flow):
@@ -796,14 +751,10 @@ class TestVerificationChecks:
 
         monkeypatch.setattr(hedging, "present_value", counting)
         verification_checks(extrapolate(market_curve, spec), SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
-        ladders = [len(EPS_SCHEDULE) + (spec.kind in ("M1", "M3"))] * 3
-        if spec.kind == "M4":
-            assert calls == [None] + ladders
-        else:
-            assert calls == ladders
-            plan = hedge(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
-            value = present_value(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
-            assert plan.diagnostics["liability_value"] == value
+        assert calls == [3 * (len(EPS_SCHEDULE) + (spec.kind in ("M1", "M3")))]
+        plan = hedge(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
+        value = present_value(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
+        assert plan.diagnostics["liability_value"] == value
 
     @pytest.mark.parametrize("spec", [MethodSpec("M4", tau=TAU), M5], ids=lambda spec: spec.kind)
     @pytest.mark.parametrize("row", [0, 3, 7])
@@ -824,6 +775,14 @@ class TestVerificationChecks:
 
     def test_non_finite_liability_value_is_named_first(self, market_curve, monkeypatch):
         """The base value, at eps 0, is checked before the ladder's."""
+        liability_pass = hedging.DiscountedFlow
+
+        def poisoned(*args, **kwargs):
+            lstar = liability_pass(*args, **kwargs)
+            object.__setattr__(lstar, "total", np.inf)
+            return lstar
+
+        monkeypatch.setattr(hedging, "DiscountedFlow", poisoned)
         monkeypatch.setattr(hedging, "present_value", lambda curve, flow: np.full(curve.rows or (), np.inf))
         with pytest.raises(EvaluationError) as info:
             verification_checks(
@@ -834,7 +793,8 @@ class TestVerificationChecks:
     @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M3], ids=["M1", "M3"])
     def test_perfect_plan_revalued_on_the_ladder(self, market_curve, monkeypatch, spec):
         """A perfect plan's revaluation curve z + Dz is a ninth row of each
-        shift's ladder, so it costs no extrapolation of its own."""
+        shift's ladder, all in the suite's one stacked curve, so it costs no
+        extrapolation of its own."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -844,7 +804,7 @@ class TestVerificationChecks:
         monkeypatch.setattr(hedging, "extrapolate", counting)
         curve = counting(market_curve, spec)
         checks = verification_checks(curve, SYMBOLIC_FLOW, shift_suite(3, 5), TOLERANCES)
-        assert [market.rows for market, *_ in calls[1:]] == [len(EPS_SCHEDULE) + 1] * 3
+        assert [market.rows for market, *_ in calls[1:]] == [3 * (len(EPS_SCHEDULE) + 1)]
         assert [name for name, *_ in checks][-1] == "perfect_revaluation"
 
     @pytest.mark.parametrize("count", [1, 3])

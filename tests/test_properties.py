@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvehedge import (
@@ -19,15 +19,24 @@ from curvehedge import (
     DiscountedFlow,
     ForwardCurve,
     MethodSpec,
+    convexity_gap,
     extrapolate,
     hedge,
     method_variation,
+    method_variation_pv,
     present_value,
+    second_order_pv,
     stieltjes_integral,
     sw_fit_discrete,
+    verify_first_order,
 )
+from curvehedge import curves as curves_module
+from curvehedge import hedging
 from curvehedge.errors import DomainError
+from curvehedge.hedging import hedge_summary
 from curvehedge.quadrature import REL_TOL
+from curvehedge.shifts import shift_suite
+from curvehedge.variation import EPS_SCHEDULE
 
 from conftest import random_curve, random_lump_flow, random_shift
 
@@ -357,3 +366,114 @@ def test_float_time_shift_evaluates_as_a_one_element_array(seed, shift_horizon):
                     got = evaluate(scalar)
                     assert type(got) is float, name
                     assert _bits(got) == _bits(want), (name, t)
+
+
+#: every kind with a variation; M4 and M6 continuous have no plan to verify
+VARIATION_KINDS = CLOSED_FORM_KINDS
+PLAN_KINDS = ("M1", "M2", "M3", "M5_SFSA")
+
+
+def _suite_flow(rng, tau, inside, before):
+    """Lumps past tau and a density past kappa; with ``inside`` a density in
+    (tau, kappa), and with ``before`` a lump and a density before tau too."""
+    lumps = list(zip(rng.uniform(tau + 0.1, 80.0, size=3), rng.uniform(0.2, 1.5, size=3)))
+    a = float(rng.uniform(22.0, 40.0))
+    densities = [(a, a + float(rng.uniform(1.0, 30.0)), float(rng.uniform(0.01, 0.3)))]
+    if inside:
+        a = float(rng.uniform(tau, 15.0))
+        densities.append((a, float(rng.uniform(a + 0.3, 20.0)), float(rng.uniform(0.01, 0.3))))
+    if before:
+        lumps.append((float(rng.uniform(0.5, tau)), 0.4))
+        a = float(rng.uniform(0.5, tau - 1.0))
+        densities.append((a, float(rng.uniform(a + 0.3, tau + 0.5)), 0.1))
+    return CashFlow(lumps=tuple(lumps), densities=tuple(densities))
+
+
+def _close(got, want, scale):
+    """Agreement to 1e-13 relative to ``scale``, the size of the terms compared."""
+    return abs(got - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", VARIATION_KINDS)
+@settings(max_examples=15)
+@given(
+    seed=seeds,
+    count=st.integers(min_value=1, max_value=4),
+    tau=st.sampled_from([TAU, 10.3]),
+    inside=st.booleans(),
+    before=st.booleans(),
+    parallel=st.booleans(),
+)
+def test_stacked_rows_are_the_one_shift_functions(kind, seed, count, tau, inside, before, parallel):
+    """The liability pass and the plan passes of ``hedge`` and ``verify``
+    give every shift what the one-shift functions give.
+
+    The liability value is the flow's present value bit for bit, and the
+    curve's panels are the plain pass's: a variation weight whose
+    breakpoint falls inside a density where the curve has none takes the
+    second pass. Each variation row is ``method_variation_pv``, each
+    hedge-equation row ``verify_first_order`` and the gap
+    ``convexity_gap``, to 1e-13 relative; each ladder's present values are
+    its own ray's, bit for bit. A parallel shift adds a second grid.
+    Flows with mass before tau are verified for the kinds without a plan.
+    """
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng, low=0.0, high=0.04)
+    spec = replace(SPECS[kind], tau=tau)
+    curve = extrapolate(z, spec)
+    hedgeable = kind in PLAN_KINDS
+    flow = _suite_flow(rng, tau, inside, before and not hedgeable)
+    shifts = shift_suite(count, int(rng.integers(0, 2**31)))
+    if parallel:
+        shifts.append(CurveShift.parallel(float(rng.uniform(-0.01, 0.01))))
+
+    passes = []
+    real = curves_module._density_integrals
+
+    def counted(densities, *args):
+        passes.append(len(densities))
+        return real(densities, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curves_module, "_density_integrals", counted)
+        lstar, integrals = hedging._liability_pass(curve, flow, shifts)
+    plain = DiscountedFlow(flow, curve)
+    assert lstar.total == present_value(curve, flow)
+    for got, want in zip(lstar._pieces, plain._pieces, strict=True):
+        assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+    reach = spec.method.reach(spec)
+    split = any(
+        a < p < b and p not in curve.breakpoints_between(a, b)
+        for shift in shifts
+        for p in shift.breakpoints_between(0.0, reach)
+        for a, b, _ in flow.densities
+    )
+    assert passes == [len(flow.densities)] * (1 + split)
+
+    variations = [method_variation_pv(curve, shift, flow) for shift in shifts]
+    for integral, want in zip(integrals, variations, strict=True):
+        assert _close(-integral, want, abs(want))
+    if not hedgeable:
+        return
+
+    plan = hedge(curve, flow)
+    unit = CurveShift.parallel(1.0, curve.horizon)
+    summary = hedge_summary(curve, flow, shifts)
+    assert summary["liability_value"] == lstar.total
+    gap = convexity_gap(curve, flow, unit, plan)
+    # the gap is the plan side less the liability side
+    sides = abs(gap) + 2.0 * abs(second_order_pv(curve, unit, flow))
+    assert _close(summary["convexity_gap_parallel_unit"], gap, sides)
+    # a residual is |lhs + variation|, with lhs near -variation
+    residuals = [verify_first_order(plan, curve, flow, shift) for shift in shifts]
+    assert _close(summary["max_first_order_residual"], max(residuals), max(map(abs, variations)))
+
+    scales = np.array(EPS_SCHEDULE)
+    terms = [hedging._hedge_term(shift, curve.horizon) for shift in shifts]
+    values = hedging._suite_values(plan, curve, flow, shifts, scales, terms)
+    for shift, variation, residual, (liabs, lhs, assets) in zip(shifts, variations, residuals, values, strict=True):
+        ladder = z.ray(shift)(scales)
+        assert liabs == present_value(extrapolate(ladder, spec), flow).tolist()
+        assert _close(abs(lhs + variation), residual, abs(variation))
+        for got, want in zip(assets, plan.value_under(ladder, z).tolist(), strict=True):
+            assert _close(got, want, abs(want))

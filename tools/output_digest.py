@@ -8,6 +8,17 @@ workload, seed, operation name, exit code and the SHA-256 of its
 standard output. Run it from two checkouts and diff the results:
 
     python3 tools/output_digest.py --seeds 0 1 18 777 > digest.txt
+
+With ``--against PATH``, the operations also run on the package of the
+checkout at PATH, in one child process per workload and seed, and each
+output is compared with that checkout's by the benchmark gate's own
+comparator (``workloads.compare_reference``, 1e-10 relative). One line
+per operation says ``same`` (identical bytes), ``close`` (within the
+gate) or ``DIFF`` and why; a ``bits:`` note names every output whose
+``liability_value``, plan or ``verify`` PASS/FAIL list differs in any
+bit. The exit code is 1 when any operation reads DIFF or bits:
+
+    python3 tools/output_digest.py --against ../parent --seeds 0 1 18 777
 """
 
 from __future__ import annotations
@@ -16,6 +27,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,11 +64,93 @@ def digests(seeds, names=workloads.WORKLOADS):
                     yield name, seed, op.name, code, hashlib.sha256(stdout.encode()).hexdigest()
 
 
+#: run in the other checkout's child process: read a JSON list of argv,
+#: write a JSON list of [exit code, standard output], run as :func:`run` does
+_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from curvehedge.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = type(exc).__name__
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def run_elsewhere(root: Path, argvs):
+    """Exit codes and standard outputs of CLI calls on the package at ``root/src``."""
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(root / "src")],
+        input=json.dumps(argvs), capture_output=True, text=True, check=True,
+    )
+    return [tuple(result) for result in json.loads(done.stdout)]
+
+
+def _bit_facts(op, stdout):
+    """The outputs that must agree in every bit: a liability value, a plan, a
+    ``verify`` PASS/FAIL list."""
+    data = json.loads(stdout)
+    if op.command == "verify":
+        return {"verdicts": [check["ok"] for check in data["checks"]]}
+    if op.command == "hedge":
+        plan = data["plan"]
+        return {"plan": plan, "liability_value": data.get("liability_value", plan["diagnostics"].get("liability_value"))}
+    return {}
+
+
+def compare(op, mine, theirs):
+    """``same``, ``close`` or ``DIFF ...`` for one operation, and the names of
+    its bit facts that differ."""
+    (code, stdout), (their_code, their_stdout) = mine, theirs
+    if code != their_code:
+        return f"DIFF exit code {code} != {their_code}", []
+    if stdout == their_stdout:
+        return "same", []
+    if code != 0:
+        return "DIFF output of a failed call", []
+    got, want = workloads.parse(op, stdout)[0], workloads.parse(op, their_stdout)[0]
+    problem = workloads.compare_reference(op, got, workloads.reference_record(want))
+    if op.fmt != "json":
+        return ("DIFF " + problem if problem else "close"), []
+    facts, their_facts = _bit_facts(op, stdout), _bit_facts(op, their_stdout)
+    return ("DIFF " + problem if problem else "close"), [k for k in facts if facts[k] != their_facts[k]]
+
+
+def against(root: Path, seeds, names=workloads.WORKLOADS):
+    """Print one comparison line per operation; return how many differ."""
+    bad = 0
+    for name in names:
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as work:
+                _, ops = workloads.build(name, seed, Path(work))
+                theirs = run_elsewhere(root, [op.argv for op in ops])
+                for op, their in zip(ops, theirs, strict=True):
+                    verdict, bits = compare(op, run(op.argv), their)
+                    line = f"{name} {seed} {op.name} {verdict}"
+                    if bits:
+                        line += " bits: " + ",".join(bits)
+                    bad += verdict.startswith("DIFF") or bool(bits)
+                    print(line)
+    print(f"{bad} operations differ")
+    return bad
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[workloads.DEFAULT_SEED])
     parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS, default=workloads.WORKLOADS)
+    parser.add_argument("--against", type=Path, help="root of another checkout to compare outputs with")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return 1 if against(args.against.resolve(), args.seeds, args.workloads) else 0
     for record in digests(args.seeds, args.workloads):
         print(" ".join(map(str, record)))
     return 0
