@@ -354,7 +354,7 @@ class ForwardCurve:
         b = np.minimum(edges[1:], self.horizon)
         return self.forward_rate(a, side="right"), self.forward_rate(b, side="left")
 
-    def ray(self, shift: "CurveShift"):
+    def ray(self, shift: "CurveShift", *more: "CurveShift"):
         """The curves z + e*Dz along a shift, as a function of the scale e.
 
         The merged grid, its validation and the edge forwards of both
@@ -363,30 +363,20 @@ class ForwardCurve:
         row i is the curve of scale i bit for bit. The curves share one
         grid and this curve's quote nodes and live on this curve's domain;
         the shift is extended flat past its own horizon when shorter.
+
+        Several shifts, which must share one grid, give one ray along each:
+        an array of S scales gives S rows per shift, shift by shift, so row
+        ``i * S + j`` is ``self.ray(shifts[i])(scales[j])`` bit for bit, on
+        the same merged grid; one scale gives one row per shift.
         """
-        return self._ray(shift.delta_forward)
-
-    def suite_ray(self, shifts):
-        """One :meth:`ray` along every shift of ``shifts``, which share one grid.
-
-        An array of S scales gives one stacked curve of S rows per shift,
-        shift by shift: row ``i * S + j`` is ``self.ray(shifts[i])(scales[j])``
-        bit for bit, on the same merged grid.
-        """
-        grid = shifts[0].delta_forward.grid
-        if any(not np.array_equal(s.delta_forward.grid.nodes, grid.nodes) for s in shifts):
-            raise DomainError("a suite ray needs shifts on one grid")
-        if len(shifts) == 1:  # one shift needs no stacked copy of its forwards
-            return self._ray(shifts[0].delta_forward)
-        forwards = [s.delta_forward for s in shifts]
-        stacked = ForwardCurve(
-            grid, np.array([f.f_left for f in forwards]), np.array([f.f_right for f in forwards])
-        )
-        return self._ray(stacked)
-
-    def _ray(self, other):
-        """The ray along the forward perturbation ``other``; a stacked one gives
-        a row block per perturbation (see :meth:`suite_ray`)."""
+        other = shift.delta_forward
+        if more:
+            forwards = [other, *(s.delta_forward for s in more)]
+            if any(not np.array_equal(f.grid.nodes, other.grid.nodes) for f in forwards):
+                raise DomainError("a ray along several shifts needs shifts on one grid")
+            other = ForwardCurve(
+                other.grid, np.array([f.f_left for f in forwards]), np.array([f.f_right for f in forwards])
+            )
         nodes = np.union1d(self.grid.nodes, other.grid.nodes)
         nodes = nodes[nodes <= self.horizon]
         if nodes[-1] != self.horizon:
@@ -772,10 +762,9 @@ def dollar_duration(curve, flow: CashFlow) -> float:
     return stieltjes_integral(curve, flow, lambda t: t)
 
 
-def _nonzero_pv(curve, flow, pv: float | None = None) -> float:
-    """The flow's present value on the curve, or ``pv`` when given; never zero."""
-    if pv is None:
-        pv = present_value(curve, flow)
+def _nonzero_pv(curve, flow) -> float:
+    """The flow's present value on the curve; never zero."""
+    pv = present_value(curve, flow)
     if pv == 0.0:
         raise UndefinedDurationError("present value is zero")
     return pv
@@ -799,11 +788,7 @@ def excess_weight(cutoff: float):
     return lambda t: np.maximum(t - cutoff, 0.0), (cutoff,)
 
 
-def excess_duration(curve, flow: CashFlow, tau: float, total: float | None = None) -> float:
-    """int (t - tau)+ dC* / C*_T: duration counted only beyond tau.
-
-    ``total`` is C*_T when the caller has priced the flow on this curve
-    already; it is priced here otherwise.
-    """
+def excess_duration(curve, flow: CashFlow, tau: float) -> float:
+    """int (t - tau)+ dC* / C*_T: duration counted only beyond tau."""
     num = stieltjes_integral(curve, flow, *excess_weight(tau))
-    return num / _nonzero_pv(curve, flow, total)
+    return num / _nonzero_pv(curve, flow)

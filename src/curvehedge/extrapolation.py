@@ -167,7 +167,7 @@ class SwDiscreteFit:
     #: a fit is never stacked (see :func:`evaluation`)
     rows = None
 
-    def __init__(self, nodes, prices, ufr: float, alpha: float, zeta, horizon: float, condition: float):
+    def __init__(self, nodes, prices, ufr: float, alpha: float, zeta, horizon: float, condition: float, spec=None):
         self.nodes = np.asarray(nodes, dtype=float)
         self.prices = np.asarray(prices, dtype=float)
         self.ufr = float(ufr)
@@ -175,7 +175,7 @@ class SwDiscreteFit:
         self.zeta = np.asarray(zeta, dtype=float)
         self.horizon = float(horizon)
         self.condition = float(condition)
-        self.spec = None
+        self.spec = spec
         c = self.zeta * np.exp(-self.ufr * self.nodes)
         alpha_u = self.alpha * self.nodes
         zero = np.zeros(1)
@@ -198,6 +198,12 @@ class SwDiscreteFit:
     @evaluation
     def zero_yield(self, t):
         return SwDiscreteFit._evaluation.body(self, t)[0]
+
+    @property
+    def is_defective(self) -> bool:
+        """True unless the sign bound of the piece past the last node proves the
+        discount factor positive there, as :attr:`ExtrapolatedCurve.is_defective` rules."""
+        return not self._sign_bounds()[3][-1] > 0.0
 
     @evaluation
     def _evaluation(self, t):
@@ -265,14 +271,17 @@ class SwDiscreteFit:
         )
 
 
-def sw_fit_discrete(nodes, prices, ufr: float, alpha: float, horizon: float = DEFAULT_HORIZON) -> SwDiscreteFit:
+def sw_fit_discrete(
+    nodes, prices, ufr: float, alpha: float, horizon: float = DEFAULT_HORIZON, spec=None
+) -> SwDiscreteFit:
     """Solve the Smith-Wilson Gram system for observed discount factors.
 
     The fit is sampled on [0, ``horizon``], which must be finite and not
-    precede the last node. Raises :class:`CalibrationError` when the
-    kernel Gram matrix overflows, is singular or its condition estimate exceeds
-    ``SW_CONDITION_LIMIT``; no regularization is applied, since that
-    would silently break the exact reproduction of the inputs.
+    precede the last node; ``spec`` is the fit's method spec, if any.
+    Raises :class:`CalibrationError` when the kernel Gram matrix overflows,
+    is singular or its condition estimate exceeds ``SW_CONDITION_LIMIT``;
+    no regularization is applied, since that would silently break the
+    exact reproduction of the inputs.
     """
     t = np.asarray(nodes, dtype=float)
     p = np.asarray(prices, dtype=float)
@@ -308,7 +317,7 @@ def sw_fit_discrete(nodes, prices, ufr: float, alpha: float, horizon: float = DE
     except np.linalg.LinAlgError as exc:
         raise CalibrationError(f"Smith-Wilson Gram matrix is not positive definite: {exc}")
     zeta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return SwDiscreteFit(t, p, ufr, alpha, zeta, horizon, condition)
+    return SwDiscreteFit(t, p, ufr, alpha, zeta, horizon, condition, spec)
 
 
 def sw_alpha_calibrate(z: ForwardCurve, tau: float, kappa: float, ufr: float, epsilon: float) -> float:
@@ -548,9 +557,7 @@ def extrapolate(z: ForwardCurve, spec: MethodSpec, horizon: float = DEFAULT_HORI
     if nodes.size == 0:
         raise DomainError("no market nodes in (0, tau] to fit")
     prices = eff.discount_factor(nodes)
-    fit = sw_fit_discrete(nodes, prices, spec.ufr, spec.alpha, horizon=horizon)
-    fit.spec = spec
-    return fit
+    return sw_fit_discrete(nodes, prices, spec.ufr, spec.alpha, horizon=horizon, spec=spec)
 
 
 # ---- defect scanning --------------------------------------------------------

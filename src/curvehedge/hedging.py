@@ -276,7 +276,7 @@ def _suite_values(plan, curve, flow, shifts, scales, terms=()):
     values on those curves); the last two None without a plan or terms.
 
     The shifts on one grid make one stacked curve per ``SUITE_CHUNK``
-    shifts (:meth:`ForwardCurve.suite_ray`), extrapolated, priced and
+    shifts (:meth:`ForwardCurve.ray`), extrapolated, priced and
     revalued once; shifts on another grid are stacked apart. Each row is
     bit for bit the shift's own, since a chunk splits at its one grid.
     """
@@ -287,7 +287,7 @@ def _suite_values(plan, curve, flow, shifts, scales, terms=()):
     out = [None] * len(shifts)
     chunks = (group[k : k + SUITE_CHUNK] for group in groups.values() for k in range(0, len(group), SUITE_CHUNK))
     for chunk in chunks:
-        ladder = z.suite_ray([shifts[i] for i in chunk])(scales)
+        ladder = z.ray(*(shifts[i] for i in chunk))(scales)
         liabs = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow)
         liabs = np.reshape(liabs, (len(chunk), -1)).tolist()
         if plan is None:

@@ -14,7 +14,9 @@ which they are smooth, the hedge plan, and the UFR closed form with its
 bounds. The UFR hook is two methods:
 ``ufr_weights`` declares the weights w (with their breakpoints, all among
 the curve's) whose integrals against dL* the closed form reads, and
-``ufr_closed_form`` combines them. ``ufr_sensitivity`` integrates every
+``ufr_closed_form`` combines them: an entry builds no curve and prices
+nothing, so a bound on another curve is a weight on this one's dL*.
+``ufr_sensitivity`` integrates every
 weight as a row of its one stacked pass, each row bit for bit the
 weight's standalone integral, because both follow the density rule of
 :func:`curvehedge.curves._density_integrals`. The plan hook is alike:
@@ -27,12 +29,10 @@ entry, with its error's message. A new method is one entry.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .curves import DiscountedFlow, ForwardCurve, _nonzero_pv, excess_weight
-from .errors import DefectiveCurveError, DomainError
+from .curves import ForwardCurve, excess_weight
+from .errors import DefectiveCurveError, DomainError, UndefinedDurationError
 
 M1 = "M1"
 M2 = "M2"
@@ -262,10 +262,10 @@ class Method:
         closed form reads; each breakpoint is one of the curve's."""
         return ()
 
-    def ufr_closed_form(self, curve, flow, lstar):
+    def ufr_closed_form(self, curve, lstar):
         """S in closed form and its lower and upper bounds, each None where
-        absent, for a flow whose measure on ``curve`` is ``lstar``; its
-        ``integrals`` are those of :meth:`ufr_weights`."""
+        absent, read from ``lstar``, the flow's measure on ``curve``, whose
+        ``integrals`` are those of :meth:`ufr_weights`; it prices nothing."""
         return None, None, None
 
 
@@ -327,7 +327,7 @@ class _LastYield(_PinnedYield):
     # the UFR closed form reads the same dollar duration
     ufr_weights = plan_weights
 
-    def ufr_closed_form(self, curve, flow, lstar):
+    def ufr_closed_form(self, curve, lstar):
         return lstar.integrals[0] / lstar.total, None, None
 
 
@@ -356,7 +356,7 @@ class _PinnedForward(Method):
     def ufr_weights(self, curve):
         return (excess_weight(curve.spec.tau),)
 
-    def ufr_closed_form(self, curve, flow, lstar):
+    def ufr_closed_form(self, curve, lstar):
         return lstar.integrals[0] / lstar.total, None, None
 
 
@@ -532,21 +532,23 @@ class _Blend(Method):
             beyond = t - 0.5 * (tau + kappa)
             return np.where(t <= kappa, inside, beyond)
 
-        return (weight, (kappa,)), excess_weight(tau), excess_weight(kappa)
+        # the mass past kappa: a lump at kappa itself is not counted
+        past = (lambda t: (_times(t) > kappa).astype(float), (kappa,))
+        return (weight, (kappa,)), excess_weight(tau), excess_weight(kappa), past
 
-    def ufr_closed_form(self, curve, flow, lstar):
+    def ufr_closed_form(self, curve, lstar):
         span = curve.spec.kappa - curve.spec.tau
-        total = lstar.total
-        closed, exc_tau, exc_kappa = (value / total for value in lstar.integrals)
-        lower = exc_kappa + span * (total - lstar.cumulative(curve.spec.kappa)) / (2.0 * total)
-        return closed, lower, 0.5 * (exc_tau + exc_kappa)
+        closed, exc_tau, exc_kappa, past = (value / lstar.total for value in lstar.integrals)
+        return closed, exc_kappa + span * past / 2.0, 0.5 * (exc_tau + exc_kappa)
 
 
 class _SmithWilson(Method):
     """M6 continuous: the Smith-Wilson kernel interpolant conditioned on the
     whole curve up to tau, alpha held fixed. It is exposed to the forward
-    at tau, which no bond portfolio matches; its UFR bounds come from the
-    M3 curves at ufr and ufr + alpha."""
+    at tau, which no bond portfolio matches. Its UFR bounds come from the
+    M3 curves at ufr and ufr + alpha, which past tau discount by D / phi
+    and D e^{-alpha (t - tau)} / phi, with D this curve's discount factor
+    and phi its Smith-Wilson factor: they are weights on its own dL*."""
 
     kind = M6_SW_CONTINUOUS
     smith_wilson = True
@@ -631,23 +633,26 @@ class _SmithWilson(Method):
     plan = _infeasible_plan
 
     def ufr_weights(self, curve):
-        return (excess_weight(curve.spec.tau),)
+        """(t - tau)+, then with u = t - tau the rows of the M3 bound curves:
+        1 / phi(u), e^{-alpha u} / phi(u) and u / phi(u)."""
+        tau, alpha = curve.spec.tau, curve.spec.alpha
+        g = curve.ufr - curve.f_tau
+        low = lambda t: 1.0 / sw_factor(_times(t) - tau, g, alpha)
+        return (
+            excess_weight(tau),
+            (low, ()),
+            (lambda t: np.exp(-alpha * (_times(t) - tau)) * low(t), ()),
+            (lambda t: (_times(t) - tau) * low(t), ()),
+        )
 
-    def ufr_closed_form(self, curve, flow, lstar):
-        from .extrapolation import extrapolate  # that module imports this table
-
-        spec, total = curve.spec, lstar.total
-        exc_tau = lstar.integrals[0] / total
-        # the M3 curves at ufr and ufr + alpha and the first one's excess
-        # duration, priced as one stacked pass
-        m3 = replace(spec, kind=M3, kappa=None, alpha=None, epsilon=None)
-        low_curve = extrapolate(curve.base, m3, curve.horizon)
-        family = low_curve.with_ufr([spec.ufr, spec.ufr + spec.alpha])
-        bounds = DiscountedFlow(flow, low_curve, family, low_curve.method.ufr_weights(low_curve))
-        low_total, high_total = bounds.present_values
-        closed = exc_tau - (low_total - high_total) / (spec.alpha * total)
-        lower = exc_tau - bounds.integrals[0] / _nonzero_pv(low_curve, flow, low_total)
-        return closed, lower, exc_tau
+    def ufr_closed_form(self, curve, lstar):
+        total = lstar.total
+        excess, low, high, low_excess = lstar.integrals
+        if low == 0.0:
+            raise UndefinedDurationError("present value on the M3 bound curve is zero")
+        exc_tau = excess / total
+        closed = exc_tau - (low - high) / (curve.spec.alpha * total)
+        return closed, exc_tau - low_excess / low, exc_tau
 
 
 class _SmithWilsonDiscrete(Method):

@@ -11,8 +11,10 @@ market curve, spec and horizon.
 
 One pass per call: the liability value, the oracle's family values and
 the closed form's integrals are the rows of one stacked integral per
-density of the flow (M6 continuous adds a second pass for its bound
-curves). Each row is bit for bit its standalone integral, because
+density of the flow, for every method. A closed form reads only those
+rows: M6 continuous's bounds, the M3 curves at ufr and ufr + alpha, are
+weights on the curve's own dL*, not prices on a second curve. Each row
+is bit for bit its standalone integral, because
 :class:`~curvehedge.curves.DiscountedFlow` integrates every density by
 the one density rule, :func:`curvehedge.curves._density_integrals`: every
 row splits at the same breakpoints and the quadrature accepts and sums
@@ -48,7 +50,6 @@ class UfrSensitivityReport:
     closed_form: float | None = None
     lower: float | None = None
     upper: float | None = None
-    oracle_only: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -123,9 +124,8 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
         raise DomainError("liabilities must have positive present value")
 
     oracle = -_central_limit(h, lstar.present_values[1:], curve.ufr) / total
-    closed, lower, upper = method.ufr_closed_form(curve, flow, lstar)
-    oracle_only = closed is None
-    value = oracle if oracle_only else closed
+    closed, lower, upper = method.ufr_closed_form(curve, lstar)
+    value = oracle if closed is None else closed
 
     scale = max(abs(value), abs(oracle), 1e-12)
     return UfrSensitivityReport(
@@ -136,5 +136,4 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
         closed_form=closed,
         lower=lower,
         upper=upper,
-        oracle_only=oracle_only,
     )

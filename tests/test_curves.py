@@ -526,16 +526,16 @@ class TestRay:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_suite_ray_rows_are_each_shifts_ray_bitwise(self, count):
-        """Row i * S + j of a suite ray is ray(shift i)(scale j), as stored
-        and as evaluated; one scale gives one row per shift."""
+        """Row i * S + j of a ray along several shifts is ray(shift i)(scale j),
+        as stored and as evaluated; one scale gives one row per shift."""
         rng = np.random.default_rng(41)
         scales = np.array(EPS_SCHEDULE + (1.0,))
         ts = rng.uniform(0.0, 200.0, 300)
         for z, horizon in ((random_curve(rng), 200.0), (random_curve(rng).with_constant_added(0.001), 60.0)):
             shifts = [random_shift(rng, horizon=horizon) for _ in range(count)]
-            stack = z.suite_ray(shifts)(scales)
+            stack = z.ray(*shifts)(scales)
             assert stack.rows == count * scales.size and stack.quote_nodes is z.quote_nodes
-            one = z.suite_ray(shifts)(1.0)
+            one = z.ray(*shifts)(1.0)
             assert one.rows == (None if count == 1 else count)
             for i, shift in enumerate(shifts):
                 want = z.ray(shift)(scales)
@@ -550,7 +550,7 @@ class TestRay:
     def test_suite_ray_needs_one_grid(self):
         rng = np.random.default_rng(43)
         with pytest.raises(DomainError, match="one grid"):
-            random_curve(rng).suite_ray([random_shift(rng), random_shift(rng, horizon=60.0)])
+            random_curve(rng).ray(random_shift(rng), random_shift(rng, horizon=60.0))
 
     def test_ray_curves_share_one_grid_and_the_quotes(self):
         z, shift = self.cases()[-1]

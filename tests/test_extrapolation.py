@@ -514,6 +514,24 @@ class TestSwDiscreteFit:
         with pytest.raises(DomainError):
             sw_fit_discrete([10.0, 5.0], [0.9, 0.95], UFR, 0.1)
 
+    @pytest.mark.parametrize(
+        "path, defective",
+        [
+            (pathlib.Path("sample_data") / "curve.csv", False),
+            (pathlib.Path("tests") / "golden" / "bond_curve.csv", False),
+            (pathlib.Path("tests") / "golden" / "steep_curve.csv", True),
+        ],
+        ids=["sample", "bond", "steep"],
+    )
+    def test_is_defective_past_the_last_node(self, path, defective):
+        """A fit is defective unless the tail sign bound proves its discount
+        factor positive past the last node; the scan agrees."""
+        spec = MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1)
+        fit = extrapolate(read_curve(str(SAMPLE_DATA.parent / path)), spec)
+        assert fit.spec is spec and fit.is_defective is defective
+        assert bool(arbitrage_scan(fit, step=0.25).nonpositive_discount) is defective
+        assert sw_fit_discrete(fit.nodes, fit.prices, UFR, 0.1).spec is None
+
     def test_extrapolate_dispatch_uses_market_nodes(self):
         curve = ForwardCurve.from_zero_yields([5.0, 10.0], [0.02, 0.025])
         spec = MethodSpec("M6_SW_discrete", tau=10.0, ufr=UFR, alpha=0.1)

@@ -102,6 +102,40 @@ def test_only_the_table_tells_kinds_apart():
     assert kind_comparisons(pathlib.Path(curvehedge.__file__).parent) == []
 
 
+def _builds_or_prices(node) -> bool:
+    """Whether ``node`` imports from the extrapolation module or calls
+    ``DiscountedFlow``."""
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or "", *(alias.name for alias in node.names if node.module is None)]
+        return any(name.rpartition(".")[2] == "extrapolation" for name in names)
+    if isinstance(node, ast.Import):
+        return any(alias.name.rpartition(".")[2] == "extrapolation" for alias in node.names)
+    if isinstance(node, ast.Call):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "DiscountedFlow"
+    return False
+
+
+def test_the_table_builds_no_curve_and_runs_no_pass():
+    """An entry reads the rows of its caller's one pass: the table imports
+    nothing from the extrapolation module, not even inside a function, and
+    constructs no DiscountedFlow."""
+    source = pathlib.Path(curvehedge.__file__).parent / "methods.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if _builds_or_prices(node)] == []
+
+
+def test_guard_sees_deferred_imports_and_passes():
+    snippet = """
+def f():
+    from .extrapolation import extrapolate
+    from . import extrapolation
+    import curvehedge.extrapolation
+    return curves.DiscountedFlow(flow, curve), DiscountedFlow(flow, curve)
+"""
+    assert sum(map(_builds_or_prices, ast.walk(ast.parse(snippet)))) == 5
+
+
 def _sample():
     return read_curve(str(SAMPLE / "curve.csv")), read_cash_flow(str(SAMPLE / "liabilities.csv"))
 

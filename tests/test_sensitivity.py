@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvehedge import (
     CashFlow,
+    DiscountedFlow,
     ExtrapolatedCurve,
     ForwardCurve,
     MethodSpec,
@@ -69,7 +72,6 @@ class TestClosedForms:
     def test_m1_oracle_only(self, flat3):
         spec = MethodSpec("M1", tau=TAU, ufr=UFR)
         report = ufr_sensitivity(extrapolate(flat3, spec), CashFlow.single_payment(30.0))
-        assert report.oracle_only
         assert report.closed_form is None
         # the extension is flat at the prescribed level, so the whole
         # liability duration responds
@@ -218,8 +220,52 @@ class TestParameterSensitivity:
         assert value == pytest.approx(-dollar_duration(curve, flow), rel=1e-7)
 
 
+class TestUfrRows:
+    """The closed forms' rows of the one pass against twins built apart."""
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        alpha=st.floats(min_value=0.01, max_value=2.0),
+        offset=st.sampled_from([0.0, 0.004, -0.0025]),
+    )
+    def test_m6_bound_rows_price_the_m3_curves(self, seed, alpha, offset):
+        """Past tau the M3 curves at ufr and ufr + alpha are the M6 curve's
+        dL* reweighted: the rows of the M6 weights are the present values
+        of those curves, built here by ``extrapolate``, and the first one's
+        integral of t - tau."""
+        rng = np.random.default_rng(seed)
+        z = random_curve(rng, low=0.0, high=0.035)
+        spec = MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=alpha, offset=offset)
+        start = float(rng.uniform(TAU, 60.0))
+        flow = random_lump_flow(rng, TAU, 150.0) + CashFlow(densities=((start, start + 15.0, 0.1),))
+        curve = extrapolate(z, spec)
+        _, low, high, low_excess = DiscountedFlow(flow, curve, None, spec.method.ufr_weights(curve)).integrals
+        m3 = [extrapolate(curve.base, MethodSpec("M3", tau=TAU, ufr=ufr, offset=offset)) for ufr in (UFR, UFR + alpha)]
+        assert low == pytest.approx(present_value(m3[0], flow), rel=1e-13)
+        assert high == pytest.approx(present_value(m3[1], flow), rel=1e-13)
+        assert low_excess == pytest.approx(stieltjes_integral(m3[0], flow, lambda t: t - TAU), rel=1e-13)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), at_kappa=st.booleans())
+    def test_m5_lower_bound_reads_the_mass_past_kappa(self, seed, at_kappa):
+        """The lower bound is exc_kappa + span (L - C*(kappa)) / (2 L), with
+        C* inclusive, so a lump exactly at kappa adds nothing past kappa."""
+        rng = np.random.default_rng(seed)
+        z = random_curve(rng, low=0.0, high=0.035)
+        flow = random_lump_flow(rng, TAU, 150.0)
+        if at_kappa:
+            flow = flow + CashFlow.single_payment(KAPPA, float(rng.uniform(0.5, 2.0)))
+        curve = extrapolate(z, M5)
+        lstar = DiscountedFlow(flow, curve)
+        total = lstar.total
+        past = total - lstar.cumulative(KAPPA)
+        want = excess_duration(curve, flow, KAPPA) + (KAPPA - TAU) * past / (2.0 * total)
+        assert ufr_sensitivity(curve, flow).lower == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
 class TestPricedOnce:
-    """ufr_sensitivity prices everything it reads in one stacked pass per curve family."""
+    """ufr_sensitivity prices everything it reads in one stacked pass."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -264,35 +310,24 @@ class TestPricedOnce:
         monkeypatch.setattr(ExtrapolatedCurve, "with_ufr", with_ufr_recorded)
         return curves
 
-    @pytest.mark.parametrize("spec", [M2, M3, M5, M6], ids=["M2", "M3", "M5", "M6"])
+    @pytest.mark.parametrize("spec", [M1, M2, M3, M5, M6], ids=["M1", "M2", "M3", "M5", "M6"])
     def test_present_value_calls(self, counted, built, market_curve, spec):
+        """One pass for every kind: the given curve with its family, the
+        curve's own level, then the oracle's theta +- h and theta +- h/2.
+        No other curve is built or priced, M6's M3 bounds included."""
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
         curve = extrapolate(market_curve, spec)
         ufr_sensitivity(curve, flow)
-        # nothing is priced by present_value, and each pass has its own family
-        assert [call[0] for call in counted] == ["pass"] * len(counted)
-        assert len({id(call[2]) for call in counted}) == len(counted)
-        # the first pass prices the given curve with its family: the curve's
-        # own level, then the oracle's theta +- h and theta +- h/2
         theta0 = curve.ufr
         h = 5e-5 * (abs(theta0) + 1.0)
-        family, kind, ufrs = built[0]
-        assert counted[0][1:] == (curve, family) and family.rows == 5
+        [(family, kind, ufrs)] = built
+        assert counted == [("pass", curve, family)] and family.rows == 5
         steps = [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0]
         assert (kind, ufrs) == (spec.kind, [theta0, *steps])
-        # M6 also prices its low and high M3 curves, as one pass of two rows
-        if spec is M6:
-            low, bounds = built[1][0], built[2][0]
-            bound_curves = [(kind, ufrs) for _, kind, ufrs in built[1:]]
-            assert bound_curves == [("M3", [UFR]), ("M3", [UFR, UFR + M6.alpha])]
-            assert counted[1][1:] == (low, bounds) and len(counted) == 2
-        else:
-            assert len(counted) == 1 and len(built) == 1
 
     @pytest.mark.parametrize("spec", [M1, M2, M3, M5, M6], ids=["M1", "M2", "M3", "M5", "M6"])
     def test_one_integral_per_density(self, monkeypatch, market_curve, spec):
-        """One adaptive integral per density of the flow, two for M6 continuous,
-        whose bound curves take a pass of their own."""
+        """One adaptive integral per density of the flow, for every kind."""
         calls = []
         original = quadrature_module.adaptive_panels
 
@@ -305,20 +340,12 @@ class TestPricedOnce:
         densities = ((12.0, 24.0, 0.05), (25.0, 35.0, 0.1), (50.0, 70.0, 0.02))
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=densities)
         ufr_sensitivity(extrapolate(market_curve, spec), flow)
-        passes = 2 if spec is M6 else 1
-        assert calls == [(a, b) for a, b, _ in densities] * passes
-
-    def test_given_total_is_the_priced_one(self, market_curve):
-        flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
-        curve = extrapolate(market_curve, M5)
-        total = present_value(curve, flow)
-        for cut in (TAU, KAPPA):
-            assert excess_duration(curve, flow, cut, total) == excess_duration(curve, flow, cut)
+        assert calls == [(a, b) for a, b, _ in densities]
 
     def test_zero_total_is_undefined(self, market_curve):
         curve = extrapolate(market_curve, M3)
         with pytest.raises(UndefinedDurationError):
-            excess_duration(curve, CashFlow.single_payment(30.0), TAU, 0.0)
+            excess_duration(curve, CashFlow(), TAU)
 
 
 #: the sample market curve as zero yields, its four lumps, and two density
