@@ -18,7 +18,9 @@ closed-form kinds on the bundled sample data, in json and table, plus
 it is extrapolated and perturbed; and ``verify --format json`` with
 ``--shifts 20 --seed 7`` for ``M2``, ``M5_SFSA`` and
 ``M6_SW_continuous``, whose many eps-ladders pin the stacked pricing of
-each shift. Unlike ``test_golden.py`` these compare bytes, so a change to number
+each shift; and ``sensitivity`` in json and table for ``M1``, ``M2``,
+``M3``, ``M5_SFSA`` and ``M6_SW_continuous`` on the bundled sample data.
+Unlike ``test_golden.py`` these compare bytes, so a change to number
 formatting, row order or whitespace fails them.
 
 The file is rewritten only when an output change is intended, from the
@@ -76,6 +78,8 @@ LIABILITY_FORMATS = {"hedge": ("json", "table", "csv"), "verify": ("json", "tabl
 OFFSET_KINDS = ("M2", "M5_SFSA")
 #: kinds whose ``verify`` also runs on a suite of 20 shifts
 LONG_VERIFY_KINDS = ("M2", "M5_SFSA", "M6_SW_continuous")
+#: kinds whose ``sensitivity`` runs on the sample data
+SENSITIVITY_KINDS = ("M1", "M2", "M3", "M5_SFSA", "M6_SW_continuous")
 
 
 def _calls():
@@ -120,6 +124,12 @@ def _calls():
             "verify", "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
             "--method", json.dumps(SPECS[kind]), "--shifts", "20", "--seed", "7", "--format", "json",
         ]
+    for kind in SENSITIVITY_KINDS:
+        for fmt in ("json", "table"):
+            calls[f"sensitivity-{fmt}/{kind}"] = [
+                "sensitivity", "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
+                "--method", json.dumps(SPECS[kind]), "--format", fmt,
+            ]
     return calls
 
 
