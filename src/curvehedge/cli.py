@@ -229,6 +229,8 @@ def cmd_sensitivity(args) -> int:
         lines = [f"method: {data['method']}", f"S: {data['S']:.10g}"]
         if data["lower"] is not None:
             lines.append(f"bounds: [{data['lower']:.10g}, {data['upper']:.10g}]")
+        elif data["upper"] is not None:
+            lines.append(f"upper bound: {data['upper']:.10g}")
         lines.append(f"oracle: {data['oracle']:.10g}")
         lines.append(f"rel residual: {data['rel_residual']:.3e}")
         _emit(args, "\n".join(lines) + "\n")

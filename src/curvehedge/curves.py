@@ -377,10 +377,9 @@ class ForwardCurve:
             other = ForwardCurve(
                 other.grid, np.array([f.f_left for f in forwards]), np.array([f.f_right for f in forwards])
             )
+        # this curve's own nodes end the merged grid at its horizon
         nodes = np.union1d(self.grid.nodes, other.grid.nodes)
         nodes = nodes[nodes <= self.horizon]
-        if nodes[-1] != self.horizon:
-            nodes = np.concatenate((nodes, [self.horizon]))
         grid = TimeGrid(nodes)
         base_l, base_r = self._edge_values(nodes)
         sh_l, sh_r = other._edge_values(nodes)
@@ -569,21 +568,23 @@ def _density_integrals(densities, weight, breakpoints):
 
     Each density is (a, b, shape, rate, split points): the density
     shape(s) * rate on [a, b], with ``shape`` vectorized and smooth
-    between the split points. ``weight`` is a vectorized callable, or
-    None for w = 1, and ``breakpoints`` are where it loses smoothness.
-    The integrand is (w(s) * shape(s)) * rate, or shape(s) * rate
-    without a weight, split at the density's own points and at the
-    weight's breakpoints inside (a, b). Yields what
-    :func:`~curvehedge.quadrature.adaptive_panels` returns for each
-    density: a shape with a leading axis of rows gives one integral per
-    row, each bit for bit that row's own.
+    between the split points. ``weight`` is None for w = 1, or a weight:
+    a function called with a flat float array of times (quadrature nodes
+    or lump times) that returns a float array of their values, or a
+    float; a stacked weight's array has leading rows. ``breakpoints``
+    are where it loses smoothness. The integrand is
+    (w(s) * shape(s)) * rate, or shape(s) * rate without a weight, split
+    at the density's own points and at the weight's breakpoints inside
+    (a, b). Yields what :func:`~curvehedge.quadrature.adaptive_panels`
+    returns for each density: a shape with a leading axis of rows gives
+    one integral per row, each bit for bit that row's own.
     """
     extra = np.asarray(breakpoints, dtype=float)
     for a, b, shape, rate, pts in densities:
         if weight is None:
             integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
         else:
-            integrand = lambda s, shape=shape, rate=rate: np.asarray(weight(s), dtype=float) * shape(s) * rate
+            integrand = lambda s, shape=shape, rate=rate: weight(s) * shape(s) * rate
         yield adaptive_panels(integrand, a, b, breakpoints=[*pts, *extra[(extra > a) & (extra < b)]])
 
 
@@ -600,7 +601,7 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
     times, masses = (np.asarray(x, dtype=float) for x in lumps)
     if weight is not None:
         # also without lumps, so that a stacked weight gives a sum per scenario
-        masses = masses * np.asarray(weight(times), dtype=float)
+        masses = masses * weight(times)
     total = masses.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total
     for _, _, integral in _density_integrals(densities, weight, breakpoints):
@@ -657,29 +658,29 @@ class DiscountedFlow:
     """The present-value measure dC* of a cash flow under a curve, priced
     in one stacked pass.
 
-    ``family`` is a stacked curve whose row 0 is ``curve`` bit for bit and
-    whose breakpoints are the curve's, such as a
+    ``curve`` may be stacked, such as a
     :meth:`~curvehedge.extrapolation.ExtrapolatedCurve.with_ufr` family
-    led by the curve's own level; ``weights`` are (weight, breakpoints)
-    pairs. The lumps are summed as :func:`measure_integral` sums them, and
-    every density is integrated by :func:`_density_integrals`, on one
-    stacked shape: the discount factor of every row of ``family`` (of
-    ``curve`` alone without one), then w * D of the curve for each weight.
-    A weight with a breakpoint inside a density where the curve has none
-    goes to one second stacked pass of such weights, so that no weight
-    changes the panels of the curve's rows. Each row thus follows that
-    rule as its standalone integral does: ``present_values[i]`` is
-    ``present_value`` of family row i, and ``integrals[k]`` is
-    ``stieltjes_integral(curve, source, *weights[k])``, bit for bit where
+    led by a curve's own level; its row 0 is the curve that the weights,
+    ``total`` and :meth:`cumulative` read, and an ordinary curve is its
+    own row 0. ``weights`` are (weight, breakpoints) pairs, each weight
+    one of :func:`_density_integrals`. The lumps are summed as
+    :func:`measure_integral` sums them, and every density is integrated
+    by :func:`_density_integrals`, on one stacked shape: the discount
+    factor of every row of ``curve``, then w * D of row 0 for each
+    weight. A weight with a breakpoint inside a density where the curve
+    has none goes to one second stacked pass of such weights, so that no
+    weight changes the panels of the curve's rows. Each row thus follows
+    that rule as its standalone integral does: ``present_values[i]`` is
+    ``present_value`` of row i, and ``integrals[k]`` is
+    ``stieltjes_integral(row 0, source, *weights[k])``, bit for bit where
     the weights of its pass split the densities alike. ``total`` is
-    ``present_values[0]``, the flow's present value. The curve's density
-    rows keep their accepted panels, so the running total C*(t) adds one
-    partial Gauss panel to the panel sums below t.
+    ``present_values[0]``. Row 0's density integrals keep their accepted
+    panels, so the running total C*(t) adds one partial Gauss panel to
+    the panel sums below t.
     """
 
     source: CashFlow
     curve: object
-    family: object = None
     weights: tuple = ()
     _lump_times: object = field(init=False)
     _lump_cum: object = field(init=False)
@@ -690,38 +691,41 @@ class DiscountedFlow:
 
     def __post_init__(self):
         curve = self.curve
-        priced = curve if self.family is None else self.family
-        (times, masses), densities = _discounted_measure(priced, self.source)
-        own = masses if masses.ndim == 1 else masses[0]
-        weights = [lambda s, w=w: np.asarray(w(s), dtype=float) for w, _ in self.weights]
+        rows = 1 if curve.rows is None else curve.rows
+
+        def row0(values):
+            return values if curve.rows is None else values[0]
+
+        (times, masses), densities = _discounted_measure(curve, self.source)
+        own = row0(masses)
+        weights = [w for w, _ in self.weights]
         # a weight that splits a density where the curve does not takes the second pass
         second = [k for k, (_, pts) in enumerate(self.weights) if _splits_a_density(pts, densities)]
         first = [k for k in range(len(weights)) if k not in second]
-        family_rows = 1 if self.family is None else self.family.rows
-        # one row per family row, then per weight in the order of the passes
-        sums = np.zeros(family_rows + len(weights))
-        sums[:family_rows] = masses.sum(axis=-1)
-        sums[family_rows:] = [(own * weights[k](times)).sum() for k in first + second]
+        # one row per curve row, then per weight in the order of the passes
+        sums = np.zeros(rows + len(weights))
+        sums[:rows] = masses.sum(axis=-1)
+        sums[rows:] = [(own * weights[k](times)).sum() for k in first + second]
 
         def shape(s):
-            d = priced.discount_factor(s)
+            d = curve.discount_factor(s)
             if not first:  # a curve's values alone are integrated as one function
                 return d
-            d0 = d if d.ndim == 1 else d[0]
+            d0 = row0(d)
             return np.vstack([d, *(weights[k](s) * d0 for k in first)])
 
         def second_shape(s):
-            d = curve.discount_factor(s)
-            return np.vstack([weights[k](s) * d for k in second])
+            d0 = row0(curve.discount_factor(s))
+            return np.vstack([weights[k](s) * d0 for k in second])
 
         stacked = [(a, b, shape, rate, pts) for a, b, _, rate, pts in densities]
         passes = _density_integrals(stacked, None, [p for k in first for p in self.weights[k][1]])
-        head = family_rows + len(first)
+        head = rows + len(first)
         pieces = []
         for (a, b, _, rate, _), (lows, panels, integrals) in zip(stacked, passes):
             if np.ndim(integrals) == 0:
                 lows, panels = [lows], [panels]
-            integrand = lambda s, rate=rate: curve.discount_factor(s) * rate
+            integrand = lambda s, rate=rate: row0(curve.discount_factor(s)) * rate
             pieces.append((a, b, integrand, np.append(lows[0], b), np.append(0.0, np.cumsum(panels[0]))))
             sums[:head] += integrals
         if second:
@@ -730,14 +734,13 @@ class DiscountedFlow:
                 sums[head:] += integrals
 
         values = sums.tolist()
-        integrals = values[family_rows:]
-        if second:  # back to the order of the weights
-            for k, value in zip(first + second, values[family_rows:]):
-                integrals[k] = value
+        # back to the order of the weights from that of the passes
+        order = first + second
+        integrals = [values[rows + order.index(k)] for k in range(len(weights))]
         object.__setattr__(self, "_lump_times", times)
         object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(own)))
         object.__setattr__(self, "_pieces", tuple(pieces))
-        object.__setattr__(self, "present_values", tuple(values[:family_rows]))
+        object.__setattr__(self, "present_values", tuple(values[:rows]))
         object.__setattr__(self, "integrals", tuple(integrals))
         object.__setattr__(self, "total", values[0])
 

@@ -62,7 +62,8 @@ class PlanLump:
 class PlanDensity:
     """A discounted density on a segment; the rate may vary over it.
 
-    ``rate`` is a constant or a vectorized callable of time. The M5
+    ``rate`` is a constant or a callable of a float array of times that
+    returns a float array of rates, as a weight does. The M5
     roll-down term is piecewise constant for lump liabilities and kept
     symbolic (callable) when the liability itself has density parts, so
     verification integrals stay exact rather than sampled. ``breakpoints``
@@ -79,7 +80,7 @@ class PlanDensity:
         t = np.asarray(t, dtype=float)
         if not callable(self.rate):
             return np.full_like(t, float(self.rate))
-        return np.asarray(self.rate(t), dtype=float)
+        return self.rate(t)
 
     def mass(self) -> float:
         density = (self.start, self.end, self.rate_values, 1.0, self.breakpoints)
@@ -150,15 +151,14 @@ class HedgePlan:
 def _hedge_term(shift: CurveShift, horizon: float):
     """The plan side's weight t Dz(t) of the hedge equation along ``shift``,
     and its breakpoints: the shift's nodes."""
-    return (lambda t: np.asarray(t, dtype=float) * shift.delta_z(t)), shift.breakpoints_between(0.0, horizon)
+    return (lambda t: t * shift.delta_z(t)), shift.breakpoints_between(0.0, horizon)
 
 
 def _gap_term(shift: CurveShift, horizon: float):
     """The plan side's weight t^2 Dz(t)^2 of the convexity gap along ``shift``."""
 
     def weight(t):
-        t = np.asarray(t, dtype=float)
-        dz = np.asarray(shift.delta_z(t), dtype=float)
+        dz = shift.delta_z(t)
         return t * t * dz * dz
 
     return weight, shift.breakpoints_between(0.0, horizon)
@@ -167,12 +167,7 @@ def _gap_term(shift: CurveShift, horizon: float):
 def _revaluation_term(curve, base_curve):
     """The weight D[curve]/D[base] that revalues a plan on ``curve``, one row
     per scenario of a stacked curve, split at the curve's nodes."""
-
-    def ratio(s):
-        return np.asarray(curve.discount_factor(s), dtype=float) / np.asarray(
-            base_curve.discount_factor(s), dtype=float
-        )
-
+    ratio = lambda s: curve.discount_factor(s) / base_curve.discount_factor(s)
     return ratio, curve.breakpoints_between(0.0, curve.horizon)
 
 

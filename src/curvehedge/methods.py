@@ -137,10 +137,6 @@ def _check_horizon(spec, horizon: float):
         raise DomainError(f"horizon must be finite and not precede tau, got {horizon}")
 
 
-def _times(t):
-    return np.asarray(t, dtype=float)
-
-
 class Method:
     """One extrapolation method, the base of the table's entries.
 
@@ -316,7 +312,7 @@ class _LastYield(_PinnedYield):
         return lambda te: np.full_like(te, dz_tau)
 
     def plan_weights(self, curve):
-        return ((_times, ()),)
+        return ((lambda t: t, ()),)
 
     def plan(self, curve, flow, lstar):
         tau, total = curve.spec.tau, lstar.total
@@ -380,7 +376,7 @@ class _LastForward(_PinnedForward):
 
     def plan_weights(self, curve):
         tau = curve.spec.tau
-        return ((lambda t: _times(t) - tau, ()),)
+        return ((lambda t: t - tau, ()),)
 
     plan = _infeasible_plan
 
@@ -493,29 +489,14 @@ class _Blend(Method):
             if lo < hi:
                 covered.append((lo, hi))
                 cuts.update((lo, hi))
-                densities.append(
-                    density(
-                        lo,
-                        hi,
-                        lambda s, rate=rate: (kappa - np.asarray(s, dtype=float))
-                        / span
-                        * np.asarray(curve.discount_factor(s), dtype=float)
-                        * rate,
-                    )
-                )
+                discounted = lambda s, rate=rate: (kappa - s) / span * curve.discount_factor(s) * rate
+                densities.append(density(lo, hi, discounted))
 
         cuts = sorted(cuts)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             inside_density = any(a < hi and lo < b for a, b in covered)
             if inside_density:
-                densities.append(
-                    density(
-                        lo,
-                        hi,
-                        lambda s, _l=lstar: (_l.total - _l.cumulative(np.asarray(s, dtype=float)))
-                        / span,
-                    )
-                )
+                densities.append(density(lo, hi, lambda s: (total - lstar.cumulative(s)) / span))
             else:
                 rate = (total - lstar.cumulative(0.5 * (lo + hi))) / span
                 densities.append(density(lo, hi, rate))
@@ -527,13 +508,12 @@ class _Blend(Method):
         span = kappa - tau
 
         def weight(t):
-            t = _times(t)
             inside = (t - tau) ** 2 / (2.0 * span)
             beyond = t - 0.5 * (tau + kappa)
             return np.where(t <= kappa, inside, beyond)
 
         # the mass past kappa: a lump at kappa itself is not counted
-        past = (lambda t: (_times(t) > kappa).astype(float), (kappa,))
+        past = (lambda t: (t > kappa).astype(float), (kappa,))
         return (weight, (kappa,)), excess_weight(tau), excess_weight(kappa), past
 
     def ufr_closed_form(self, curve, lstar):
@@ -628,30 +608,47 @@ class _SmithWilson(Method):
     def plan_weights(self, curve):
         spec = curve.spec
         c = lambda t: sw_variation_coefficient(t, spec.tau, spec.alpha, spec.ufr, curve.f_tau)
-        return ((lambda t: _times(t) * c(t), ()),)
+        return ((lambda t: t * c(t), ()),)
 
     plan = _infeasible_plan
 
     def ufr_weights(self, curve):
-        """(t - tau)+, then with u = t - tau the rows of the M3 bound curves:
-        1 / phi(u), e^{-alpha u} / phi(u) and u / phi(u)."""
+        """u = (t - tau)+, then the rows of the M3 bound curves: 1 / phi(u),
+        e^{-alpha u} / phi(u) and u / phi(u), which read 1, 1 and 0 up to
+        tau, where the M3 curves are the market curve: a zero of phi
+        before tau (where ufr > f(tau)) puts no pole in them."""
         tau, alpha = curve.spec.tau, curve.spec.alpha
         g = curve.ufr - curve.f_tau
-        low = lambda t: 1.0 / sw_factor(_times(t) - tau, g, alpha)
+        past, at_tau = excess_weight(tau)
+        low = lambda u: 1.0 / sw_factor(u, g, alpha)
         return (
-            excess_weight(tau),
-            (low, ()),
-            (lambda t: np.exp(-alpha * (_times(t) - tau)) * low(t), ()),
-            (lambda t: (_times(t) - tau) * low(t), ()),
+            (past, at_tau),
+            (lambda t: low(past(t)), at_tau),
+            (lambda t: np.exp(-alpha * past(t)) * low(past(t)), at_tau),
+            (lambda t: past(t) * low(past(t)), at_tau),
         )
 
     def ufr_closed_form(self, curve, lstar):
-        total = lstar.total
+        """S and its bounds for a flow nonnegative past tau. There the M3
+        curves discount by D / phi = e^{-ufr u} D(tau) > 0 times 1 and
+        e^{-alpha u}, so S <= exc_tau, the upper bound. The lower bound
+        also needs phi >= 1, that is g = ufr - f(tau) >= 0; it is None for
+        g < 0. phi is monotone past tau, so its sign at the flow's last
+        time is its sign on the flow's support; a nonpositive one raises."""
+        spec, total = curve.spec, lstar.total
+        g = curve.ufr - curve.f_tau
+        if not sw_factor(lstar.source.latest_time - spec.tau, g, spec.alpha) > 0.0:
+            raise DefectiveCurveError(
+                f"Smith-Wilson discount factor is nonpositive at t={lstar.source.latest_time:g}, "
+                "the flow's last time; its UFR sensitivity is undefined"
+            )
         excess, low, high, low_excess = lstar.integrals
+        exc_tau = excess / total
+        closed = exc_tau - (low - high) / (spec.alpha * total)
+        if g < 0.0:
+            return closed, None, exc_tau
         if low == 0.0:
             raise UndefinedDurationError("present value on the M3 bound curve is zero")
-        exc_tau = excess / total
-        closed = exc_tau - (low - high) / (curve.spec.alpha * total)
         return closed, exc_tau - low_excess / low, exc_tau
 
 

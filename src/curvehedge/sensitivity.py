@@ -11,15 +11,20 @@ market curve, spec and horizon.
 
 One pass per call: the liability value, the oracle's family values and
 the closed form's integrals are the rows of one stacked integral per
-density of the flow, for every method. A closed form reads only those
-rows: M6 continuous's bounds, the M3 curves at ufr and ufr + alpha, are
-weights on the curve's own dL*, not prices on a second curve. Each row
-is bit for bit its standalone integral, because
+density of the flow, for every method. The pass prices the family
+``curve.with_ufr`` led by the curve's own level, a stacked curve whose
+row 0 is the curve, and its weights read that row. A closed form reads
+only those rows: M6 continuous's bounds, the M3 curves at ufr and
+ufr + alpha, are weights on the curve's own dL*, not prices on a second
+curve. Each row is bit for bit its standalone integral, because
 :class:`~curvehedge.curves.DiscountedFlow` integrates every density by
 the one density rule, :func:`curvehedge.curves._density_integrals`: every
 row splits at the same breakpoints and the quadrature accepts and sums
 each row on its own. So the oracle stays an independent twin of the
 closed form.
+
+Every bound is stated for a flow nonnegative past tau; each entry's
+``ufr_closed_form`` states its other premises.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ class UfrSensitivityReport:
 
     ``closed_form`` is None for the baseline method, which has no closed
     form and is computed by the generic oracle alone. ``lower``/``upper``
-    are present only where two-sided bounds exist (M5, M6).
+    are present only where bounds exist: both for M5, and for M6
+    continuous the upper one, with the lower one where ufr >= f(tau).
     """
 
     method: str
@@ -102,10 +108,11 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
 def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityReport:
     """Per-method sensitivity of the liability value to the long-term rate.
 
-    The one pass (see the module docstring) prices the family
+    The one pass (see the module docstring) is the
+    :class:`~curvehedge.curves.DiscountedFlow` of the family
     ``curve.with_ufr`` at the curve's level ``ufr``, whose row 0 is
     ``curve`` itself and gives L*, and at the four steps
-    :func:`parameter_sensitivity` would price, then one row on row 0 per
+    :func:`parameter_sensitivity` would price, with one row on row 0 per
     weight of the method's :meth:`~curvehedge.methods.Method.ufr_weights`.
     A method without a closed form (M1) reports the oracle's value.
     """
@@ -117,8 +124,7 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
         raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
 
     h, thetas = _steps(curve.ufr)
-    family = curve.with_ufr([curve.ufr, *thetas])
-    lstar = DiscountedFlow(flow, curve, family, method.ufr_weights(curve))
+    lstar = DiscountedFlow(flow, curve.with_ufr([curve.ufr, *thetas]), method.ufr_weights(curve))
     total = lstar.total
     if not total > 0.0:
         raise DomainError("liabilities must have positive present value")

@@ -61,7 +61,8 @@ def _richardson(quotients, factors):
     """Richardson table for an error expansion in powers of the step.
 
     ``quotients`` has one row per step along axis 0, each step half the
-    one before; any further axes hold independent tables. Column k
+    one before, and more rows than ``factors`` has entries; any further
+    axes hold independent tables. Column k
     cancels the error term that falls by ``factors[k]`` when the step
     halves: (2, 4, 8) for the eps, eps^2 and eps^3 terms of one-sided
     quotients, (4,) for the h^2 term of central differences. Returns the
@@ -71,8 +72,6 @@ def _richardson(quotients, factors):
     """
     col = np.asarray(quotients, dtype=float)
     for factor in factors:
-        if len(col) < 2:
-            break
         col = (factor * col[1:] - col[:-1]) / (factor - 1.0)
     if len(col) == 1:
         return col[0], col
@@ -186,11 +185,7 @@ def variation_weight(curve: ExtrapolatedCurve, shift: CurveShift):
     method's market reach (:meth:`~curvehedge.methods.Method.reach`), past
     which the weight is smooth."""
     dzbar = _yield_variation(shift, curve)
-
-    def weight(t):
-        return np.asarray(t, dtype=float) * dzbar(t)
-
-    return weight, shift.breakpoints_between(0.0, curve.spec.method.reach(curve.spec))
+    return (lambda t: t * dzbar(t)), shift.breakpoints_between(0.0, curve.spec.method.reach(curve.spec))
 
 
 def method_variation_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:
@@ -246,8 +241,7 @@ def second_order_weight(curve: ExtrapolatedCurve, shift: CurveShift):
     second = curve.spec.method.second_variation(shift, curve)
 
     def weight(t):
-        t = np.asarray(t, dtype=float)
-        dz = np.asarray(dzbar(t), dtype=float)
+        dz = dzbar(t)
         out = t * t * dz * dz
         if second is not None:
             above = t > tau

@@ -19,7 +19,9 @@ it is extrapolated and perturbed; and ``verify --format json`` with
 ``--shifts 20 --seed 7`` for ``M2``, ``M5_SFSA`` and
 ``M6_SW_continuous``, whose many eps-ladders pin the stacked pricing of
 each shift; and ``sensitivity`` in json and table for ``M1``, ``M2``,
-``M3``, ``M5_SFSA`` and ``M6_SW_continuous`` on the bundled sample data.
+``M3``, ``M5_SFSA`` and ``M6_SW_continuous`` on the bundled sample data,
+and for three continuous Smith-Wilson specs whose ufr lies below f(tau):
+two without a lower bound and the defective one (exit 2).
 Unlike ``test_golden.py`` these compare bytes, so a change to number
 formatting, row order or whitespace fails them.
 
@@ -80,6 +82,14 @@ OFFSET_KINDS = ("M2", "M5_SFSA")
 LONG_VERIFY_KINDS = ("M2", "M5_SFSA", "M6_SW_continuous")
 #: kinds whose ``sensitivity`` runs on the sample data
 SENSITIVITY_KINDS = ("M1", "M2", "M3", "M5_SFSA", "M6_SW_continuous")
+#: continuous Smith-Wilson specs with a ufr below f(tau) = 0.0322, whose
+#: ``sensitivity`` reports no lower bound, or, for the defective spec,
+#: whose discount factor is negative at the flow's last time, exits 2
+BELOW_F_TAU = {
+    "M6_SW_continuous+negative-ufr": {"kind": "M6_SW_continuous", "tau": 10.0, "ufr": -0.0066, "alpha": 0.042},
+    "M6_SW_continuous+slow": {"kind": "M6_SW_continuous", "tau": 10.0, "ufr": 0.0259, "alpha": 0.007},
+    "M6_SW_continuous+defective": DEFECTIVE_CONTINUOUS,
+}
 
 
 def _calls():
@@ -124,11 +134,11 @@ def _calls():
             "verify", "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
             "--method", json.dumps(SPECS[kind]), "--shifts", "20", "--seed", "7", "--format", "json",
         ]
-    for kind in SENSITIVITY_KINDS:
+    for name, spec in dict({kind: SPECS[kind] for kind in SENSITIVITY_KINDS}, **BELOW_F_TAU).items():
         for fmt in ("json", "table"):
-            calls[f"sensitivity-{fmt}/{kind}"] = [
+            calls[f"sensitivity-{fmt}/{name}"] = [
                 "sensitivity", "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
-                "--method", json.dumps(SPECS[kind]), "--format", fmt,
+                "--method", json.dumps(spec), "--format", fmt,
             ]
     return calls
 

@@ -709,6 +709,49 @@ class TestVerificationChecks:
         want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt)
         assert got == want
 
+    @pytest.mark.parametrize("spec", [M2, MethodSpec("M4", tau=TAU), M5], ids=lambda spec: spec.kind)
+    def test_match_one_at_a_time_past_a_chunk(self, market_curve, monkeypatch, spec):
+        """One shift more than a pass takes: the last shift's variation
+        weight takes a liability pass of its own, after the first chunk's,
+        and with M5 the flow's density in (tau, kappa] sends it to that
+        pass's second stacked pass. The checks are still the one-shift
+        ones, and so are ``hedge_summary``'s residual and gap."""
+        shifts = shift_suite(hedging.SUITE_CHUNK + 1, 5)
+        curve = extrapolate(market_curve, spec)
+        reach = spec.method.reach(spec)
+        second = any(
+            a < p < b and p not in curve.breakpoints_between(a, b)
+            for p in shifts[-1].breakpoints_between(0.0, reach)
+            for a, b, _ in SYMBOLIC_FLOW.densities
+        )
+        assert second == (spec is M5)
+        passes = []
+        liability_pass = hedging.DiscountedFlow
+
+        def recording(flow, curve, weights=()):
+            passes.append(len(weights))
+            return liability_pass(flow, curve, weights)
+
+        monkeypatch.setattr(hedging, "DiscountedFlow", recording)
+        got = verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES)
+        lead = len(spec.method.plan_weights(curve)) if spec.method.plan_kind != PLAN_INFEASIBLE else 0
+        assert passes == [lead + hedging.SUITE_CHUNK, 1]
+        want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, 0.0)
+        assert got == want
+        if spec.method.plan_kind == PLAN_INFEASIBLE:
+            return
+
+        summary = hedge_summary(curve, SYMBOLIC_FLOW, shifts)
+        plan = hedge(curve, SYMBOLIC_FLOW)
+        residuals = [verify_first_order(plan, curve, SYMBOLIC_FLOW, shift) for shift in shifts]
+        variations = [method_variation_pv(curve, shift, SYMBOLIC_FLOW) for shift in shifts]
+        # a residual is |lhs + variation|, with lhs near -variation
+        assert abs(summary["max_first_order_residual"] - max(residuals)) <= 1e-13 * max(map(abs, variations))
+        unit = CurveShift.parallel(1.0, curve.horizon)
+        gap = convexity_gap(curve, SYMBOLIC_FLOW, unit, plan)
+        sides = abs(gap) + 2.0 * abs(second_order_pv(curve, unit, SYMBOLIC_FLOW))
+        assert abs(summary["convexity_gap_parallel_unit"] - gap) <= 1e-13 * sides
+
     def test_corruption_reaches_only_the_variation_checks(self, market_curve):
         shifts = shift_suite(2, 5)
         curve = extrapolate(market_curve, M5)

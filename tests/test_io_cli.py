@@ -726,6 +726,20 @@ class TestCliSensitivity:
         )
         assert code == 2
 
+    def test_sw_defective_at_the_last_lump_exits_2(self, capsys):
+        """On the sample data f(tau) = 0.0322: with ufr 0.005 and alpha 0.01
+        the discount factor is negative at the last lump (60 years), so no
+        sensitivity is printed, only one error line."""
+        code = run_cli(
+            "sensitivity",
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(SAMPLE_DATA / "liabilities.csv"),
+            "--method", '{"kind":"M6_SW_continuous","tau":10,"ufr":0.005,"alpha":0.01}',
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_sw_speed_sweep_is_monotone(self, flat_curve_csv, lump_liability_csv, capsys):
         """Sweeping the reversion speed raises S toward its fast limit."""
         values = []

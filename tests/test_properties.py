@@ -161,7 +161,7 @@ def test_stacked_pass_rows_are_their_standalone_integrals(parts, seed, kind, str
         flow = CashFlow(lumps=flow.lumps)
     levels = [curve.ufr, *rng.uniform(0.0, 0.06, size=3)]
     weights = (*curve.method.ufr_weights(curve), (lambda t: t, ()))
-    lstar = DiscountedFlow(flow, curve, curve.with_ufr(levels), weights)
+    lstar = DiscountedFlow(flow, curve.with_ufr(levels), weights)
 
     assert lstar.total == present_value(curve, flow)
     for level, value in zip(levels, lstar.present_values, strict=True):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ import curvehedge.curves as curves_module
 import curvehedge.extrapolation as extrapolation_module
 import curvehedge.quadrature as quadrature_module
 import curvehedge.sensitivity as sensitivity_module
-from curvehedge.errors import DomainError, UndefinedDurationError
+from curvehedge.curves import excess_weight
+from curvehedge.errors import DefectiveCurveError, DomainError, UndefinedDurationError
+from curvehedge.methods import sw_factor
 
 from conftest import random_curve, random_lump_flow
 
@@ -223,28 +227,57 @@ class TestParameterSensitivity:
 class TestUfrRows:
     """The closed forms' rows of the one pass against twins built apart."""
 
+    @staticmethod
+    def _assert_m6_rows_price_the_m3_curves(curve, flow):
+        """The rows of the M6 weights against the M3 curves at ufr and
+        ufr + alpha, built by ``extrapolate`` on the curve's market curve."""
+        spec = curve.spec
+        _, low, high, low_excess = DiscountedFlow(flow, curve, spec.method.ufr_weights(curve)).integrals
+        m3 = [
+            extrapolate(curve.base, MethodSpec("M3", tau=TAU, ufr=ufr, offset=spec.offset))
+            for ufr in (UFR, UFR + spec.alpha)
+        ]
+        assert low == pytest.approx(present_value(m3[0], flow), rel=1e-13)
+        assert high == pytest.approx(present_value(m3[1], flow), rel=1e-13)
+        assert low_excess == pytest.approx(stieltjes_integral(m3[0], flow, *excess_weight(TAU)), rel=1e-13)
+
     @settings(max_examples=40)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         alpha=st.floats(min_value=0.01, max_value=2.0),
         offset=st.sampled_from([0.0, 0.004, -0.0025]),
+        before=st.booleans(),
     )
-    def test_m6_bound_rows_price_the_m3_curves(self, seed, alpha, offset):
+    def test_m6_bound_rows_price_the_m3_curves(self, seed, alpha, offset, before):
         """Past tau the M3 curves at ufr and ufr + alpha are the M6 curve's
         dL* reweighted: the rows of the M6 weights are the present values
         of those curves, built here by ``extrapolate``, and the first one's
-        integral of t - tau."""
+        integral of (t - tau)+. Up to tau the M3 curves are the market
+        curve, as the M6 curve is, so a flow with lumps there and a
+        density across tau prices them alike."""
         rng = np.random.default_rng(seed)
         z = random_curve(rng, low=0.0, high=0.035)
         spec = MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=alpha, offset=offset)
         start = float(rng.uniform(TAU, 60.0))
         flow = random_lump_flow(rng, TAU, 150.0) + CashFlow(densities=((start, start + 15.0, 0.1),))
-        curve = extrapolate(z, spec)
-        _, low, high, low_excess = DiscountedFlow(flow, curve, None, spec.method.ufr_weights(curve)).integrals
-        m3 = [extrapolate(curve.base, MethodSpec("M3", tau=TAU, ufr=ufr, offset=offset)) for ufr in (UFR, UFR + alpha)]
-        assert low == pytest.approx(present_value(m3[0], flow), rel=1e-13)
-        assert high == pytest.approx(present_value(m3[1], flow), rel=1e-13)
-        assert low_excess == pytest.approx(stieltjes_integral(m3[0], flow, lambda t: t - TAU), rel=1e-13)
+        if before:
+            across = (float(rng.uniform(0.0, TAU)), start, 0.05)
+            flow = flow + random_lump_flow(rng, 0.0, TAU) + CashFlow(densities=(across,))
+        self._assert_m6_rows_price_the_m3_curves(extrapolate(z, spec), flow)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.004])
+    def test_m6_rows_across_the_pole_before_tau(self, market_curve, offset):
+        """With g = ufr - f(tau) > 0, phi(t - tau) vanishes at the time
+        tau - ln(1 + alpha / g) / alpha before tau. The rows read phi only
+        past tau, so a density across that time is priced as on the M3
+        curves, which are the market curve there."""
+        alpha = 2.0
+        curve = extrapolate(market_curve, MethodSpec("M6_SW_continuous", tau=TAU, ufr=UFR, alpha=alpha, offset=offset))
+        g = curve.ufr - curve.f_tau
+        pole = TAU - np.log1p(alpha / g) / alpha
+        assert 1.0 < pole < TAU
+        flow = CashFlow(lumps=((pole, 1.0), (30.0, 1.0)), densities=((pole - 1.0, 25.0, 0.1),))
+        self._assert_m6_rows_price_the_m3_curves(curve, flow)
 
     @settings(max_examples=40)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), at_kappa=st.booleans())
@@ -264,13 +297,63 @@ class TestUfrRows:
         assert ufr_sensitivity(curve, flow).lower == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
+class TestBoundsHold:
+    """Wherever a report gives a bound, the bound holds."""
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["M5_SFSA", "M6_SW_continuous"]),
+        gap=st.floats(min_value=-0.03, max_value=0.03),
+        alpha=st.floats(min_value=0.005, max_value=2.0),
+        kappa=st.floats(min_value=10.5, max_value=60.0),
+        offset=st.sampled_from([0.0, 0.004, -0.0025]),
+        at_tau=st.booleans(),
+        at_kappa=st.booleans(),
+        beyond=st.booleans(),
+        density=st.booleans(),
+    )
+    def test_lower_s_upper(self, seed, kind, gap, alpha, kappa, offset, at_tau, at_kappa, beyond, density):
+        """lower <= S <= upper within a few ulps of |S|, for M5 and M6
+        continuous with the ufr on either side of f(tau), on nonnegative
+        flows, with lumps just past tau and at kappa among the cases. With
+        ``beyond`` the rest of the mass lies past kappa, where M5's weight
+        meets both bounds: without a lump at kappa they are tight. M6
+        gives no lower bound for ufr < f(tau), and raises where its
+        discount factor is nonpositive at the flow's last time."""
+        rng = np.random.default_rng(seed)
+        z = random_curve(rng, low=0.0, high=0.05)
+        params = {"kappa": kappa} if kind == "M5_SFSA" else {"alpha": alpha}
+        spec = MethodSpec(kind, tau=TAU, ufr=0.0, offset=offset, **params)
+        curve = extrapolate(z, replace(spec, ufr=extrapolate(z, spec).f_tau + gap))
+        start = kappa if beyond else TAU
+        edges = [(t, float(rng.uniform(0.1, 2.0))) for t, on in ((np.nextafter(TAU, np.inf), at_tau), (kappa, at_kappa)) if on]
+        flow = random_lump_flow(rng, start, 150.0) + CashFlow(lumps=tuple(edges))
+        if density:
+            a = float(rng.uniform(start, 100.0))
+            flow = flow + CashFlow(densities=((a, a + float(rng.uniform(1.0, 40.0)), 0.05),))
+        g = curve.ufr - curve.f_tau
+        if kind == "M6_SW_continuous" and not sw_factor(flow.latest_time - TAU, g, alpha) > 0.0:
+            # a nonpositive present value is refused before any bound is read
+            with pytest.raises(DomainError if present_value(curve, flow) <= 0.0 else DefectiveCurveError):
+                ufr_sensitivity(curve, flow)
+            return
+        report = ufr_sensitivity(curve, flow)
+        tol = 4.0 * np.spacing(abs(report.S))
+        assert report.upper is not None and report.S <= report.upper + tol
+        if kind == "M6_SW_continuous" and g < 0.0:
+            assert report.lower is None
+        else:
+            assert report.lower - tol <= report.S
+
+
 class TestPricedOnce:
     """ufr_sensitivity prices everything it reads in one stacked pass."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         """Every pricing, in order: ("present_value", curve) for a call of
-        ``present_value`` and ("pass", curve, family) for a DiscountedFlow."""
+        ``present_value`` and ("pass", curve) for a DiscountedFlow."""
         calls = []
         original = curves_module.present_value
         original_pass = curves_module.DiscountedFlow.__post_init__
@@ -280,7 +363,7 @@ class TestPricedOnce:
             return original(curve, flow)
 
         def pass_counted(lstar):
-            calls.append(("pass", lstar.curve, lstar.family))
+            calls.append(("pass", lstar.curve))
             original_pass(lstar)
 
         monkeypatch.setattr(curves_module, "present_value", present_value_counted)
@@ -312,7 +395,7 @@ class TestPricedOnce:
 
     @pytest.mark.parametrize("spec", [M1, M2, M3, M5, M6], ids=["M1", "M2", "M3", "M5", "M6"])
     def test_present_value_calls(self, counted, built, market_curve, spec):
-        """One pass for every kind: the given curve with its family, the
+        """One pass for every kind, on the given curve's family: the
         curve's own level, then the oracle's theta +- h and theta +- h/2.
         No other curve is built or priced, M6's M3 bounds included."""
         flow = CashFlow(lumps=((15.0, 1.0), (40.0, 2.0)), densities=((25.0, 35.0, 0.1),))
@@ -321,7 +404,7 @@ class TestPricedOnce:
         theta0 = curve.ufr
         h = 5e-5 * (abs(theta0) + 1.0)
         [(family, kind, ufrs)] = built
-        assert counted == [("pass", curve, family)] and family.rows == 5
+        assert counted == [("pass", family)] and family.rows == 5
         steps = [theta0 + h, theta0 - h, theta0 + h / 2.0, theta0 - h / 2.0]
         assert (kind, ufrs) == (spec.kind, [theta0, *steps])
 
