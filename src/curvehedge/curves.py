@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UndefinedDurationError
-from .quadrature import adaptive_panels, gauss_panel
+from .quadrature import adaptive_panels, panel_antiderivatives
 
 DEFAULT_HORIZON = 200.0
 
@@ -675,8 +675,13 @@ class DiscountedFlow:
     ``stieltjes_integral(row 0, source, *weights[k])``, bit for bit where
     the weights of its pass split the densities alike. ``total`` is
     ``present_values[0]``. Row 0's density integrals keep their accepted
-    panels, so the running total C*(t) adds one partial Gauss panel to
-    the panel sums below t.
+    panels. The first :meth:`cumulative` call evaluates row 0's integrand
+    once at the 24 Gauss nodes of each of them and keeps the Legendre
+    coefficients of the antiderivative of its degree-23 interpolant
+    there; the constructor and a pass that never asks for C*(t) pay
+    nothing for it. A query then costs a search and a Clenshaw sum per
+    density, and no curve evaluation; it agrees with a fresh Gauss panel
+    from the panel's start to t within 1e-14 of ``total``.
     """
 
     source: CashFlow
@@ -726,7 +731,10 @@ class DiscountedFlow:
             if np.ndim(integrals) == 0:
                 lows, panels = [lows], [panels]
             integrand = lambda s, rate=rate: row0(curve.discount_factor(s)) * rate
-            pieces.append((a, b, integrand, np.append(lows[0], b), np.append(0.0, np.cumsum(panels[0]))))
+            # the panel sums below each panel end, the density's integral at b
+            cum = np.append(0.0, np.cumsum(panels[0]))
+            cum[-1] = np.ravel(integrals)[0]
+            pieces.append((a, b, integrand, np.append(lows[0], b), cum))
             sums[:head] += integrals
         if second:
             stacked = [(a, b, second_shape, rate, pts) for a, b, _, rate, pts in densities]
@@ -744,16 +752,35 @@ class DiscountedFlow:
         object.__setattr__(self, "integrals", tuple(integrals))
         object.__setattr__(self, "total", values[0])
 
+    @functools.cached_property
+    def _antiderivatives(self) -> tuple:
+        """Per density, the Legendre coefficients of row 0's antiderivative on
+        each accepted panel (:func:`~curvehedge.quadrature.panel_antiderivatives`):
+        one evaluation of the integrand on the panels' nodes, made by the
+        first :meth:`cumulative` call and kept."""
+        return tuple(panel_antiderivatives(integrand, edges[:-1], edges[1:])
+                     for _, _, integrand, edges, _ in self._pieces)
+
     def cumulative(self, t):
-        """C*(t): discounted mass in [0, t], inclusive of a lump at t."""
+        """C*(t): discounted mass in [0, t], inclusive of a lump at t. A
+        density adds 0 at or before its start, its integral at or after its
+        end, and inside it the panel sums below t plus the antiderivative of
+        t's panel, evaluated by Clenshaw's recurrence; no query evaluates
+        the curve."""
         arr, scalar = _as_array(t)
         arr = np.atleast_1d(arr)
         idx = np.searchsorted(self._lump_times, arr, side="right")
         out = self._lump_cum[idx]
-        for a, b, integrand, edges, cum in self._pieces:
-            clipped = np.clip(arr, a, b)
-            seg = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(edges) - 2)
-            out = out + cum[seg] + gauss_panel(integrand, edges[seg], clipped)
+        for (a, b, _, edges, cum), coef in zip(self._pieces, self._antiderivatives):
+            part = np.where(arr < b, 0.0, cum[-1])
+            inside = (arr > a) & (arr < b)
+            if inside.any():
+                s = arr[inside]
+                seg = np.searchsorted(edges, s, side="right") - 1
+                lo, hi = edges[seg], edges[seg + 1]
+                xi = (2.0 * s - (lo + hi)) / (hi - lo)
+                part[inside] = cum[seg] + np.polynomial.legendre.legval(xi, coef[seg].T, tensor=False)
+            out = out + part
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
 

@@ -66,7 +66,12 @@ class PlanDensity:
     returns a float array of rates, as a weight does. The M5
     roll-down term is piecewise constant for lump liabilities and kept
     symbolic (callable) when the liability itself has density parts, so
-    verification integrals stay exact rather than sampled. ``breakpoints``
+    verification integrals stay exact rather than sampled. The symbolic
+    rate reads the liability's running total C*(t) from the Legendre
+    antiderivative of each panel of its pass
+    (:meth:`~curvehedge.curves.DiscountedFlow.cumulative`): after the
+    first call a rate value evaluates no curve, and it agrees with a
+    fresh Gauss panel to t within 1e-14 of L*. ``breakpoints``
     are the market curve's nodes inside (start, end): every integral over
     the density splits there, and at its weight's own breakpoints.
     """

@@ -258,6 +258,11 @@ class Method:
         closed form reads; each breakpoint is one of the curve's."""
         return ()
 
+    def check_ufr_premises(self, curve, flow):
+        """Raise where ``flow`` on ``curve`` breaks a premise of
+        :meth:`ufr_closed_form`; called before anything is priced, so that
+        a defect is named before the sign of L* it may have turned."""
+
     def ufr_closed_form(self, curve, lstar):
         """S in closed form and its lower and upper bounds, each None where
         absent, read from ``lstar``, the flow's measure on ``curve``, whose
@@ -628,20 +633,25 @@ class _SmithWilson(Method):
             (lambda t: past(t) * low(past(t)), at_tau),
         )
 
-    def ufr_closed_form(self, curve, lstar):
-        """S and its bounds for a flow nonnegative past tau. There the M3
-        curves discount by D / phi = e^{-ufr u} D(tau) > 0 times 1 and
-        e^{-alpha u}, so S <= exc_tau, the upper bound. The lower bound
-        also needs phi >= 1, that is g = ufr - f(tau) >= 0; it is None for
-        g < 0. phi is monotone past tau, so its sign at the flow's last
-        time is its sign on the flow's support; a nonpositive one raises."""
-        spec, total = curve.spec, lstar.total
-        g = curve.ufr - curve.f_tau
-        if not sw_factor(lstar.source.latest_time - spec.tau, g, spec.alpha) > 0.0:
+    def check_ufr_premises(self, curve, flow):
+        """phi is monotone past tau, so its sign at the flow's last time is
+        its sign on the flow's support; a nonpositive one raises. An empty
+        flow has no support."""
+        spec, last = curve.spec, flow.latest_time
+        if last > spec.tau and not sw_factor(last - spec.tau, curve.ufr - curve.f_tau, spec.alpha) > 0.0:
             raise DefectiveCurveError(
-                f"Smith-Wilson discount factor is nonpositive at t={lstar.source.latest_time:g}, "
+                f"Smith-Wilson discount factor is nonpositive at t={last:g}, "
                 "the flow's last time; its UFR sensitivity is undefined"
             )
+
+    def ufr_closed_form(self, curve, lstar):
+        """S and its bounds for a flow nonnegative past tau on which phi > 0
+        (:meth:`check_ufr_premises`). There the M3 curves discount by
+        D / phi = e^{-ufr u} D(tau) > 0 times 1 and e^{-alpha u}, so
+        S <= exc_tau, the upper bound. The lower bound also needs phi >= 1,
+        that is g = ufr - f(tau) >= 0; it is None for g < 0."""
+        spec, total = curve.spec, lstar.total
+        g = curve.ufr - curve.f_tau
         excess, low, high, low_excess = lstar.integrals
         exc_tau = excess / total
         closed = exc_tau - (low - high) / (spec.alpha * total)

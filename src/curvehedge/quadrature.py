@@ -32,6 +32,10 @@ loop, which the tests keep as a reference. Three rules make that hold:
   accept test and its own fold over the panels it accepted, and the
   panels a row does not need are evaluated but never read, so each row
   is bit for bit the integral of that row alone.
+
+A running integral inside a panel reads the Legendre series of the
+antiderivative of the integrand's interpolant at the panel's 24 nodes
+(:func:`panel_antiderivatives`), so it evaluates no integrand per query.
 """
 
 from __future__ import annotations
@@ -43,6 +47,20 @@ import numpy as np
 from .errors import DomainError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _antiderivative_matrix():
+    """The 25 x 24 map from a function's values at the 24 nodes to the
+    Legendre coefficients of the antiderivative, zero at -1, of their
+    degree-23 interpolant on [-1, 1]. The interpolant's coefficients are
+    c_k = (k + 1/2) sum_j w_j P_k(x_j) f_j, exact because the rule
+    integrates P_k P_n exactly for k + n < 48; ``legint`` integrates the
+    series. Its value at 1 is the rule's estimate, sum_j w_j f_j."""
+    transform = (np.arange(24) + 0.5)[:, None] * np.polynomial.legendre.legvander(_NODES, 23).T * _WEIGHTS
+    return np.polynomial.legendre.legint(transform, lbnd=-1, axis=0)
+
+
+_ANTIDERIVATIVE = _antiderivative_matrix()
 
 #: relative tolerance of every integral the package takes; kept two
 #: orders below the 1e-10 contract so quadrature noise stays far beneath
@@ -66,6 +84,22 @@ def gauss_panel(func, a, b):
     sums = np.vecdot(vals.reshape(vals.shape[:-1] + x.shape), _WEIGHTS)
     out = half * sums
     return float(out) if out.ndim == 0 else out
+
+
+def panel_antiderivatives(func, a, b):
+    """The antiderivative of ``func`` on each panel [a[k], b[k]] from one
+    ``func`` call on the panels' 24 Gauss nodes: row k holds the 25
+    Legendre coefficients, in xi = (2 t - a[k] - b[k]) / (b[k] - a[k]), of
+    the integral from a[k] to t of the degree-23 interpolant of ``func``
+    at the nodes. Row k at xi = 1 is :func:`gauss_panel` on that panel up
+    to roundoff. ``func`` returns one value per point.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    vals = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
+    return half[:, None] * (vals @ _ANTIDERIVATIVE.T)
 
 
 def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):

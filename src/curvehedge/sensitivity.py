@@ -114,7 +114,9 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
     ``curve`` itself and gives L*, and at the four steps
     :func:`parameter_sensitivity` would price, with one row on row 0 per
     weight of the method's :meth:`~curvehedge.methods.Method.ufr_weights`.
-    A method without a closed form (M1) reports the oracle's value.
+    A method without a closed form (M1) reports the oracle's value. The
+    method's premises on the flow are checked before the pass, and L* > 0
+    after it.
     """
     spec = curve.spec
     method = spec.method
@@ -122,6 +124,7 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
         raise DomainError(method.no_ufr)
     if flow.has_mass_at_or_before(spec.tau):
         raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
+    method.check_ufr_premises(curve, flow)
 
     h, thetas = _steps(curve.ufr)
     lstar = DiscountedFlow(flow, curve.with_ufr([curve.ufr, *thetas]), method.ufr_weights(curve))

@@ -18,9 +18,25 @@ from curvehedge import (
     extrapolate,
     present_value,
 )
+from curvehedge import curves as curves_module
+from curvehedge import quadrature as quadrature_module
 from curvehedge.errors import DomainError, UndefinedDurationError
 
 from conftest import random_curve, random_lump_flow, random_shift
+
+
+class _CountedCurve:
+    """A curve whose discount factor counts the points it is asked for."""
+
+    def __init__(self, curve):
+        self.curve, self.points = curve, 0
+
+    def __getattr__(self, name):
+        return getattr(self.curve, name)
+
+    def discount_factor(self, t):
+        self.points += np.size(t)
+        return self.curve.discount_factor(t)
 
 
 # ---- independent oracles -----------------------------------------------------
@@ -243,6 +259,43 @@ class TestDiscountedFlow:
         assert df.cumulative(5.0) == 1.0
         assert df.cumulative(9.99) == 1.0
         assert df.cumulative(10.0) == 3.0
+
+    @pytest.mark.parametrize("queries", [1, 7, 1000])
+    def test_running_total_evaluates_each_panel_once(self, monkeypatch, queries):
+        """The constructor evaluates the curve only at the lumps and on the
+        pass's quadrature nodes; the first ``cumulative`` call evaluates it
+        at the 24 nodes of each accepted panel, however many times it is
+        asked for, and later calls not at all."""
+        panels, nodes = [], [0]
+        adaptive, gauss = curves_module.adaptive_panels, quadrature_module.gauss_panel
+
+        def adaptive_counted(*args, **kwargs):
+            out = adaptive(*args, **kwargs)
+            panels.append(len(out[0]))
+            return out
+
+        def gauss_counted(func, a, b):
+            nodes[0] += 24 * np.size(a)
+            return gauss(func, a, b)
+
+        monkeypatch.setattr(curves_module, "adaptive_panels", adaptive_counted)
+        monkeypatch.setattr(quadrature_module, "gauss_panel", gauss_counted)
+        market = ForwardCurve.from_forwards([0.0, 5.0, 12.0, 20.0, 60.0], [0.01, 0.025, 0.028, 0.03, 0.035])
+        curve = _CountedCurve(extrapolate(market, MethodSpec("M5_SFSA", tau=10.0, ufr=0.042, kappa=20.0)))
+        flow = CashFlow(lumps=((3.0, 0.5), (14.0, 0.6), (90.0, 0.7)),
+                        densities=((12.0, 17.5, 0.2), (17.5, 30.0, 0.1), (40.0, 75.0, 0.05)))
+        lstar = DiscountedFlow(flow, curve)
+        assert len(panels) == 3 and sum(panels) > 3
+        assert curve.points == len(flow.lumps) + nodes[0]
+
+        t = np.linspace(0.0, 100.0, queries)
+        curve.points = 0
+        first = lstar.cumulative(t)
+        assert curve.points == 24 * sum(panels)
+        curve.points = 0
+        assert lstar.cumulative(t).tobytes() == first.tobytes()
+        lstar.cumulative(50.0)
+        assert curve.points == 0
 
     @pytest.mark.parametrize(
         "spec",

@@ -740,6 +740,23 @@ class TestCliSensitivity:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_sw_defective_with_negative_liability_value_names_the_defect(self, capsys):
+        """With ufr -0.03 and alpha 0.01 the discount factor turns negative
+        inside the flow's support and drags L* below 0: the one error line
+        names the defect, not the sign of L*."""
+        code = run_cli(
+            "sensitivity",
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(SAMPLE_DATA / "liabilities.csv"),
+            "--method", '{"kind":"M6_SW_continuous","tau":10,"ufr":-0.03,"alpha":0.01}',
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: Smith-Wilson discount factor is nonpositive at t=60, "
+            "the flow's last time; its UFR sensitivity is undefined\n"
+        )
+
     def test_sw_speed_sweep_is_monotone(self, flat_curve_csv, lump_liability_csv, capsys):
         """Sweeping the reversion speed raises S toward its fast limit."""
         values = []

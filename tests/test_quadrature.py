@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvehedge.errors import DomainError
-from curvehedge.quadrature import _NODES, _WEIGHTS, adaptive_panels, gauss_panel
+from curvehedge.quadrature import _NODES, _WEIGHTS, adaptive_panels, gauss_panel, panel_antiderivatives
 
 
 def test_polynomial_exact():
@@ -12,6 +12,28 @@ def test_polynomial_exact():
     val = gauss_panel(lambda x: x**9 - 3 * x**4 + x, 0.0, 2.0)
     exact = 2.0**10 / 10 - 3 * 2.0**5 / 5 + 2.0
     assert abs(val - exact) < 1e-12
+
+
+def test_panel_antiderivatives_of_degree_23_are_exact():
+    """A degree-23 integrand is its own interpolant, so each panel's series
+    is its antiderivative from the panel's start, and at the panel's end it
+    is the panel's Gauss estimate."""
+    legendre = np.polynomial.legendre
+    rng = np.random.default_rng(3)
+    a, b = np.array([0.0, 2.5, 10.0]), np.array([2.5, 10.0, 41.0])
+    series = rng.normal(size=(3, 24))
+
+    def func(x):
+        panel = np.searchsorted(b, x)  # no node is a panel end
+        xi = (2.0 * x - a[panel] - b[panel]) / (b[panel] - a[panel])
+        return legendre.legval(xi, series[panel].T, tensor=False)
+
+    got = panel_antiderivatives(func, a, b)
+    want = 0.5 * (b - a)[:, None] * legendre.legint(series, lbnd=-1, axis=1)
+    assert got.shape == (3, 25)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    ends = legendre.legval(np.ones(3), got.T, tensor=False)
+    assert np.allclose(ends, gauss_panel(func, a, b), rtol=1e-14, atol=0.0)
 
 
 def test_smooth_integral():

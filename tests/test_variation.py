@@ -22,7 +22,6 @@ from curvehedge import (
 from curvehedge.errors import DomainError, EvaluationError
 from curvehedge.shifts import shift_suite
 from curvehedge.variation import EPS_SCHEDULE, _richardson
-import curvehedge.curves as curves_module
 import curvehedge.quadrature as quadrature_module
 
 from conftest import random_curve, random_lump_flow, random_shift, variation_report
@@ -439,7 +438,6 @@ class TestSmithWilsonSecondVariation:
             return original(func, a, b)
 
         monkeypatch.setattr(quadrature_module, "gauss_panel", gauss_panel_counted)
-        monkeypatch.setattr(curves_module, "gauss_panel", gauss_panel_counted)
         return count
 
     def test_against_central_second_difference(self):

@@ -14,9 +14,14 @@ checkout at PATH, in one child process per workload and seed, and each
 output is compared with that checkout's by the benchmark gate's own
 comparator (``workloads.compare_reference``, 1e-10 relative). One line
 per operation says ``same`` (identical bytes), ``close`` (within the
-gate) or ``DIFF`` and why; a ``bits:`` note names every output whose
-``liability_value``, plan or ``verify`` PASS/FAIL list differs in any
-bit. The exit code is 1 when any operation reads DIFF or bits:
+gate) or ``DIFF`` and why; a ``close`` line also gives the largest
+relative change of a number the gate compares and its JSON path, such
+as ``close 4.0e-16 plan.densities[4].rate``, followed by the largest
+change of a number the gate skips, such as a residual, where that is
+larger: ``close 0 (skipped 2.0e-01 checks[2].value)``. A ``bits:``
+note names every output whose ``liability_value``, plan or ``verify``
+PASS/FAIL list differs in any bit. The exit code is 1 when any
+operation reads DIFF or bits:
 
     python3 tools/output_digest.py --against ../parent --seeds 0 1 18 777
 """
@@ -106,6 +111,20 @@ def _bit_facts(op, stdout):
     return {}
 
 
+def largest_change(got, want, path=""):
+    """The largest relative change |got - want| / max(|got|, |want|) of a
+    number in two records of the same layout, and its JSON path."""
+    if isinstance(want, dict):
+        items = [(f"{path}.{key}" if path else key, got[key], want[key]) for key in sorted(want)]
+    elif isinstance(want, list):
+        items = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    elif isinstance(want, (int, float)) and not isinstance(want, bool) and got != want:
+        return abs(got - want) / max(abs(got), abs(want)), path
+    else:
+        return 0.0, path
+    return max((largest_change(g, w, p) for p, g, w in items), default=(0.0, path), key=lambda pair: pair[0])
+
+
 def compare(op, mine, theirs):
     """``same``, ``close`` or ``DIFF ...`` for one operation, and the names of
     its bit facts that differ."""
@@ -117,11 +136,21 @@ def compare(op, mine, theirs):
     if code != 0:
         return "DIFF output of a failed call", []
     got, want = workloads.parse(op, stdout)[0], workloads.parse(op, their_stdout)[0]
-    problem = workloads.compare_reference(op, got, workloads.reference_record(want))
+    want = workloads.reference_record(want)
+    problem = workloads.compare_reference(op, got, want)
+    if problem:
+        verdict = "DIFF " + problem
+    else:
+        change, path = largest_change(workloads.reference_record(got), want)
+        verdict = f"close {change:.1e} {path}" if change else "close 0"
+        if op.fmt == "json":
+            skipped, where = largest_change(json.loads(stdout), json.loads(their_stdout))
+            if skipped > change:
+                verdict += f" (skipped {skipped:.1e} {where})"
     if op.fmt != "json":
-        return ("DIFF " + problem if problem else "close"), []
+        return verdict, []
     facts, their_facts = _bit_facts(op, stdout), _bit_facts(op, their_stdout)
-    return ("DIFF " + problem if problem else "close"), [k for k in facts if facts[k] != their_facts[k]]
+    return verdict, [k for k in facts if facts[k] != their_facts[k]]
 
 
 def against(root: Path, seeds, names=workloads.WORKLOADS):
