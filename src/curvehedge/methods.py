@@ -11,11 +11,13 @@ integral anchors, the level its extension holds past tau, the extension
 and the lower bounds on its forward and discount-factor sign past tau,
 dzbar and t d2zbar past tau along a shift with the market reach past
 which they are smooth, the hedge plan, and the UFR closed form with its
-bounds. The UFR hook is two methods:
-``ufr_weights`` declares the weights w (with their breakpoints, all among
-the curve's) whose integrals against dL* the closed form reads, and
-``ufr_closed_form`` combines them: an entry builds no curve and prices
-nothing, so a bound on another curve is a weight on this one's dL*.
+bounds. The UFR hook is three methods:
+``check_ufr_premises`` rejects a flow that breaks the closed form's
+premises before it is priced, ``ufr_weights`` declares the weights w
+(with their breakpoints, all among the curve's) whose integrals against
+dL* the closed form reads, and ``ufr_closed_form`` combines them: an
+entry builds no curve and prices nothing, so a bound on another curve
+is a weight on this one's dL*.
 ``ufr_sensitivity`` integrates every
 weight as a row of its one stacked pass, each row bit for bit the
 weight's standalone integral, because both follow the density rule of

@@ -172,18 +172,23 @@ def test_stacked_pass_rows_are_their_standalone_integrals(parts, seed, kind, str
     assert np.array_equal(lstar.cumulative(t), DiscountedFlow(flow, curve).cumulative(t))
 
 
+def _density_panels(curve, a, b, rate):
+    """The integrand D * rate of a density, the ends of its adaptive panels,
+    split at the curve's breakpoints as the liability pass takes them, and
+    the panel sums below each end."""
+    integrand = lambda s: curve.discount_factor(s) * rate
+    lows, panels, _ = adaptive_panels(integrand, a, b, breakpoints=curve.breakpoints_between(a, b))
+    return integrand, np.append(lows, b), np.append(0.0, np.cumsum(panels))
+
+
 def _partial_panel_cumulative(curve, flow, t):
     """C*(t) by the partial-panel rule: the lumps at or before t, and for
     each density the sum of its accepted panels below t plus one 24-point
-    Gauss panel from t's panel's left end to t (t clipped to the density).
-    The panels are the adaptive ones of D * rate, split at the curve's
-    breakpoints, as the liability pass takes them."""
+    Gauss panel from t's panel's left end to t (t clipped to the density)."""
     lumps_only = DiscountedFlow(CashFlow(lumps=flow.lumps), curve).cumulative(t)
     out = lumps_only.copy()
     for a, b, rate in flow.densities:
-        integrand = lambda s, rate=rate: curve.discount_factor(s) * rate
-        lows, panels, _ = adaptive_panels(integrand, a, b, breakpoints=curve.breakpoints_between(a, b))
-        edges, cum = np.append(lows, b), np.append(0.0, np.cumsum(panels))
+        integrand, edges, cum = _density_panels(curve, a, b, rate)
         clipped = np.clip(t, a, b)
         seg = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(edges) - 2)
         out = out + cum[seg] + gauss_panel(integrand, edges[seg], clipped)
@@ -223,12 +228,7 @@ def test_running_total_is_the_partial_panel_rule(seed, kind, count, lumps, stack
         [end for a, b, _ in flow.densities for end in (a, b)],
         [np.nextafter(end, side) for a, b, _ in flow.densities for end in (a, b) for side in (0.0, np.inf)],
     ))
-    # the panel ends, which the twin's panels give
-    for a, b, rate in flow.densities:
-        lows, _, _ = adaptive_panels(lambda s: curve.discount_factor(s) * rate, a, b,
-                                     breakpoints=curve.breakpoints_between(a, b))
-        t = np.concatenate((t, lows))
-    t = np.sort(t)
+    t = np.sort(np.concatenate([t, *(_density_panels(curve, *density)[1] for density in flow.densities)]))
     got = lstar.cumulative(t)
     lumps_only, want = _partial_panel_cumulative(curve, flow, t)
 
