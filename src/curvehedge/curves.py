@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,10 @@ DEFAULT_HORIZON = 200.0
 #: a shift's nodes) may hold: ten times a 0.002-year scan over the default
 #: horizon
 MAX_SAMPLES = 1_000_000
+
+#: most weight rows one pass stacks, so that its arrays stay small however
+#: many weights a measure is given
+PASS_WEIGHTS = 32
 
 
 class TimeGrid:
@@ -609,15 +614,24 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
     return total
 
 
-def _splits_a_density(pts, densities) -> bool:
-    """Whether a point of ``pts`` lies inside a density (a, b) of
-    ``densities`` (those of :func:`measure_integral`) and is not among the
-    density's own split points."""
-    for a, b, _, _, own in densities:
-        for p in pts:
-            if a < p < b and p not in own:
-                return True
-    return False
+def _passes(weights, densities) -> list:
+    """The indices of the (weight, breakpoints) pairs ``weights``, pass by
+    pass. Weights are grouped by the points where they split a density of
+    ``densities`` (those of :func:`measure_integral`) that its own split
+    points do not, so each row of a pass splits as its standalone
+    integral does, and a group is taken ``PASS_WEIGHTS`` at a time. The
+    first pass is the group that splits no density, empty if no weight is."""
+    groups, keys = {(): []}, {}
+    for k, (_, pts) in enumerate(weights):
+        pts = np.asarray(pts, dtype=float)
+        # the weights of a suite's shifts share their points: each set is read once
+        key = keys.get(pts.tobytes())
+        if key is None:
+            splits = {p for a, b, _, _, own in densities for p in pts.tolist() if a < p < b and p not in own}
+            key = keys[pts.tobytes()] = tuple(sorted(splits))
+        groups.setdefault(key, []).append(k)
+    # range(0, 1) keeps the empty first group as a pass
+    return [group[i : i + PASS_WEIGHTS] for group in groups.values() for i in range(0, len(group) or 1, PASS_WEIGHTS)]
 
 
 def _discounted_measure(curve, flow: CashFlow):
@@ -656,32 +670,34 @@ def present_value(curve, flow: CashFlow) -> float:
 @dataclass(frozen=True)
 class DiscountedFlow:
     """The present-value measure dC* of a cash flow under a curve, priced
-    in one stacked pass.
+    in stacked passes.
 
     ``curve`` may be stacked, such as a
     :meth:`~curvehedge.extrapolation.ExtrapolatedCurve.with_ufr` family
     led by a curve's own level; its row 0 is the curve that the weights,
     ``total`` and :meth:`cumulative` read, and an ordinary curve is its
-    own row 0. ``weights`` are (weight, breakpoints) pairs, each weight
-    one of :func:`_density_integrals`. The lumps are summed as
-    :func:`measure_integral` sums them, and every density is integrated
-    by :func:`_density_integrals`, on one stacked shape: the discount
-    factor of every row of ``curve``, then w * D of row 0 for each
-    weight. A weight with a breakpoint inside a density where the curve
-    has none goes to one second stacked pass of such weights, so that no
-    weight changes the panels of the curve's rows. Each row thus follows
-    that rule as its standalone integral does: ``present_values[i]`` is
-    ``present_value`` of row i, and ``integrals[k]`` is
-    ``stieltjes_integral(row 0, source, *weights[k])``, bit for bit where
-    the weights of its pass split the densities alike. ``total`` is
-    ``present_values[0]``. Row 0's density integrals keep their accepted
-    panels. The first :meth:`cumulative` call evaluates row 0's integrand
-    once at the 24 Gauss nodes of each of them and keeps the Legendre
-    coefficients of the antiderivative of its degree-23 interpolant
-    there; the constructor and a pass that never asks for C*(t) pay
-    nothing for it. A query then costs a search and a Clenshaw sum per
-    density, and no curve evaluation; it agrees with a fresh Gauss panel
-    from the panel's start to t within 1e-14 of ``total``.
+    own row 0. ``weights`` are any number of (weight, breakpoints) pairs,
+    each weight one of :func:`_density_integrals`. The lumps are summed
+    as :func:`measure_integral` sums them, and every density is
+    integrated by :func:`_density_integrals`, on stacked shapes: the
+    first pass stacks the discount factor of every row of ``curve`` and
+    w * D of row 0 for each weight that splits no density where the
+    curve does not; the other weights are grouped by the points where
+    they do (:func:`_passes`), one pass per group, and every pass stacks
+    at most ``PASS_WEIGHTS`` weights. So every row splits at its
+    standalone integral's points and no weight changes the panels of
+    another row: ``present_values[i]`` is ``present_value`` of row i, and
+    ``integrals[k]`` is ``stieltjes_integral(row 0, source, *weights[k])``,
+    bit for bit. ``total`` is ``present_values[0]``. A pass with a
+    non-finite row raises :class:`DomainError`. Row 0's density integrals
+    keep their accepted panels. The first :meth:`cumulative` call
+    evaluates row 0's integrand once at the 24 Gauss nodes of each of
+    them and keeps the Legendre coefficients of the antiderivative of its
+    degree-23 interpolant there; the constructor and a pass that never
+    asks for C*(t) pay nothing for it. A query then costs a search and a
+    Clenshaw sum per density, and no curve evaluation; it agrees with a
+    fresh Gauss panel from the panel's start to t within 1e-14 of
+    ``total``.
     """
 
     source: CashFlow
@@ -704,53 +720,50 @@ class DiscountedFlow:
         (times, masses), densities = _discounted_measure(curve, self.source)
         own = row0(masses)
         weights = [w for w, _ in self.weights]
-        # a weight that splits a density where the curve does not takes the second pass
-        second = [k for k, (_, pts) in enumerate(self.weights) if _splits_a_density(pts, densities)]
-        first = [k for k in range(len(weights)) if k not in second]
-        # one row per curve row, then per weight in the order of the passes
-        sums = np.zeros(rows + len(weights))
-        sums[:rows] = masses.sum(axis=-1)
-        sums[rows:] = [(own * weights[k](times)).sum() for k in first + second]
-
-        def shape(s):
-            d = curve.discount_factor(s)
-            if not first:  # a curve's values alone are integrated as one function
-                return d
-            d0 = row0(d)
-            return np.vstack([d, *(weights[k](s) * d0 for k in first)])
-
-        def second_shape(s):
-            d0 = row0(curve.discount_factor(s))
-            return np.vstack([weights[k](s) * d0 for k in second])
-
-        stacked = [(a, b, shape, rate, pts) for a, b, _, rate, pts in densities]
-        passes = _density_integrals(stacked, None, [p for k in first for p in self.weights[k][1]])
-        head = rows + len(first)
+        integrals = [None] * len(weights)
         pieces = []
-        for (a, b, _, rate, _), (lows, panels, integrals) in zip(stacked, passes):
-            if np.ndim(integrals) == 0:
-                lows, panels = [lows], [panels]
-            integrand = lambda s, rate=rate: row0(curve.discount_factor(s)) * rate
-            # the panel sums below each panel end, the density's integral at b
-            cum = np.append(0.0, np.cumsum(panels[0]))
-            cum[-1] = np.ravel(integrals)[0]
-            pieces.append((a, b, integrand, np.append(lows[0], b), cum))
-            sums[:head] += integrals
-        if second:
-            stacked = [(a, b, second_shape, rate, pts) for a, b, _, rate, pts in densities]
-            for _, _, integrals in _density_integrals(stacked, None, [p for k in second for p in self.weights[k][1]]):
-                sums[head:] += integrals
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, ks in enumerate(_passes(self.weights, densities)):
 
-        values = sums.tolist()
-        # back to the order of the weights from that of the passes
-        order = first + second
-        integrals = [values[rows + order.index(k)] for k in range(len(weights))]
+                def shape(s, ks=ks, lead=n == 0):
+                    d = curve.discount_factor(s)
+                    if not ks:  # a curve's values alone are integrated as one function
+                        return d
+                    d0 = row0(d)
+                    weighted = [weights[k](s) * d0 for k in ks]
+                    return np.vstack([d, *weighted] if lead else weighted)
+
+                # the curve's rows lead the first pass, then one row per weight
+                head = rows if n == 0 else 0
+                sums = np.zeros(head + len(ks))
+                if n == 0:
+                    sums[:head] = masses.sum(axis=-1)
+                sums[head:] = [(own * weights[k](times)).sum() for k in ks]
+                stacked = [(a, b, shape, rate, pts) for a, b, _, rate, pts in densities]
+                passes = _density_integrals(stacked, None, [p for k in ks for p in self.weights[k][1]])
+                for (a, b, _, rate, _), (lows, panels, total) in zip(stacked, passes):
+                    if n == 0:
+                        if np.ndim(total) == 0:
+                            lows, panels = [lows], [panels]
+                        integrand = lambda s, rate=rate: row0(curve.discount_factor(s)) * rate
+                        # the panel sums below each panel end, the density's integral at b
+                        cum = np.append(0.0, np.cumsum(panels[0]))
+                        cum[-1] = np.ravel(total)[0]
+                        pieces.append((a, b, integrand, np.append(lows[0], b), cum))
+                    sums += total
+                values = sums.tolist()
+                if not all(map(math.isfinite, values)):
+                    raise DomainError("a priced integral of the cash flow is not finite")
+                if n == 0:
+                    present_values = values[:head]
+                for k, value in zip(ks, values[head:]):
+                    integrals[k] = value
         object.__setattr__(self, "_lump_times", times)
         object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(own)))
         object.__setattr__(self, "_pieces", tuple(pieces))
-        object.__setattr__(self, "present_values", tuple(values[:rows]))
+        object.__setattr__(self, "present_values", tuple(present_values))
         object.__setattr__(self, "integrals", tuple(integrals))
-        object.__setattr__(self, "total", values[0])
+        object.__setattr__(self, "total", present_values[0])
 
     @functools.cached_property
     def _antiderivatives(self) -> tuple:

@@ -17,12 +17,13 @@ before tau are exactly replicable and must be split off by the caller
 so the per-method comparison stays clean. Every function here takes the
 extrapolated curve, which holds its market curve, spec and horizon.
 
-``hedge_summary`` and ``verification_checks`` take one liability pass
-(the :class:`~curvehedge.curves.DiscountedFlow` that prices L* and solves
-the plan) and one plan pass (one :meth:`HedgePlan.integrate`) per
-``SUITE_CHUNK`` shifts: each shift's weights are rows of them. The
-one-shift functions (``method_variation_pv``, ``verify_first_order``,
-``convexity_gap``, ...) integrate the same weights one at a time.
+This module only declares weights; the two measures plan their own
+passes. ``hedge_summary`` and ``verification_checks`` give every
+shift's weights to the :class:`~curvehedge.curves.DiscountedFlow` that
+prices L* and solves the plan, and to :meth:`HedgePlan.integrate`: each
+weight is a row of one of their passes. The one-shift functions
+(``method_variation_pv``, ``verify_first_order``, ``convexity_gap``,
+...) integrate the same weights one at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_integral, present_value
+from .curves import PASS_WEIGHTS, CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_integral, present_value
 from .errors import DomainError, PlanKindError
 from .extrapolation import ExtrapolatedCurve, extrapolate
 from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
@@ -44,10 +45,6 @@ from .variation import (
     second_order_weight,
     variation_weight,
 )
-
-#: most shifts one pass takes, so that its arrays stay small however
-#: large the suite
-SUITE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -118,21 +115,35 @@ class HedgePlan:
             total += mass
         return total
 
-    def integrate(self, weight, breakpoints=()):
-        """int w(t) dA*(t) over the plan measure; a ``weight`` of None is w = 1.
+    def integrate(self, terms):
+        """int w(t) dA*(t) over the plan measure for each (weight,
+        breakpoints) pair of ``terms``: an array of one integral per row of
+        their weights, in order.
 
-        ``breakpoints`` are where the weight loses smoothness; each
-        density also splits at its own breakpoints. A weight with a
-        leading axis of rows gives an array of one integral per row.
+        Each ``PASS_WEIGHTS`` terms are one pass, whose rows split at all
+        of their breakpoints (where each weight loses smoothness); each
+        density also splits at its own breakpoints. A pass with a
+        non-finite row raises :class:`DomainError`.
         """
         lumps = ([l.time for l in self.lumps], [l.amount for l in self.lumps])
         densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in self.densities]
-        return measure_integral(lumps, densities, weight, breakpoints)
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(0, len(terms), PASS_WEIGHTS):
+                chunk = terms[k : k + PASS_WEIGHTS]
+                weight = lambda t, chunk=chunk: np.vstack([w(t) for w, _ in chunk])
+                pts = np.concatenate([np.asarray(p, dtype=float) for _, p in chunk])
+                rows = measure_integral(lumps, densities, weight, pts)
+                if not np.isfinite(rows).all():
+                    raise DomainError("a priced integral of the hedge plan is not finite")
+                out.append(rows)
+        return np.concatenate(out)
 
     def value_under(self, curve, base_curve):
         """Full revaluation: the nominal flow dA*/D[base] priced on ``curve``;
         on a stacked ``curve``, an array of one value per scenario."""
-        return self.integrate(*_revaluation_term(curve, base_curve))
+        values = self.integrate([_revaluation_term(curve, base_curve)])
+        return values if curve.rows is not None else float(values[0])
 
     def to_json(self) -> dict:
         dens = []
@@ -176,56 +187,23 @@ def _revaluation_term(curve, base_curve):
     return ratio, curve.breakpoints_between(0.0, curve.horizon)
 
 
-def _rows(terms):
-    """One weight whose rows are those of the (weight, breakpoints) pairs
-    ``terms``, in order, split at all of their breakpoints: one pass of
-    :meth:`HedgePlan.integrate` gives every term's integral as a row."""
-
-    def weight(t):
-        return np.vstack([w(t) for w, _ in terms])
-
-    return weight, np.concatenate([np.asarray(pts, dtype=float) for _, pts in terms])
-
-
-def _plan_integrals(plan, terms) -> list:
-    """The integral over ``plan`` of each (weight, breakpoints) pair of
-    ``terms``: the rows of one pass (:func:`_rows`) per ``SUITE_CHUNK`` terms."""
-    out = []
-    for k in range(0, len(terms), SUITE_CHUNK):
-        out += plan.integrate(*_rows(terms[k : k + SUITE_CHUNK])).tolist()
-    return out
-
-
 # ---- hedge and verification ---------------------------------------------------
 
 
-def _liability_pass(curve, flow: CashFlow, shifts, lead=()):
-    """dL* priced in one :class:`DiscountedFlow` pass with the weights
-    ``lead`` and each shift's :func:`variation_weight`, and the integrals
-    of the latter; each chunk of shifts past the first takes a pass of its own."""
-    weights = [variation_weight(curve, s) for s in shifts]
-    lstar = DiscountedFlow(flow, curve, weights=(*lead, *weights[:SUITE_CHUNK]))
-    integrals = list(lstar.integrals[len(lead) :])
-    for k in range(SUITE_CHUNK, len(weights), SUITE_CHUNK):
-        integrals += DiscountedFlow(flow, curve, weights=tuple(weights[k : k + SUITE_CHUNK])).integrals
-    return lstar, integrals
-
-
-def _solve(curve: ExtrapolatedCurve, flow: CashFlow, shifts=(), gap_shift=None):
-    """The plan for ``flow``, solved in the liability pass of the plan's
-    weights, the second-order weight of ``gap_shift`` and the variation
-    weights of ``shifts``; with dL*, the second-order integral (None
-    without ``gap_shift``) and the variation integrals."""
+def _solve(curve: ExtrapolatedCurve, flow: CashFlow, weights=()):
+    """The plan for ``flow``, solved in the :class:`DiscountedFlow` of the
+    plan's weights and then ``weights``; with dL* and the integrals of
+    ``weights``. The method's premises on the flow are checked before
+    anything is priced, and L* > 0 after."""
     if flow.has_mass_at_or_before(curve.spec.tau):
         raise DomainError(
             "liability flows at or before tau are exactly replicable; "
             "split them off before hedging the extrapolated part"
         )
     method = curve.spec.method
-    lead = list(method.plan_weights(curve))
-    if gap_shift is not None:
-        lead.append(second_order_weight(curve, gap_shift))
-    lstar, integrals = _liability_pass(curve, flow, shifts, lead)
+    lead = method.plan_weights(curve)
+    method.check_premises(curve, flow)
+    lstar = DiscountedFlow(flow, curve, (*lead, *weights))
     if not lstar.total > 0.0:
         raise DomainError("liabilities must have positive present value")
     lumps, densities, diagnostics = method.plan(curve, flow, lstar)
@@ -235,8 +213,7 @@ def _solve(curve: ExtrapolatedCurve, flow: CashFlow, shifts=(), gap_shift=None):
         tuple(PlanDensity(*density) for density in densities),
         diagnostics,
     )
-    second_order = None if gap_shift is None else lstar.integrals[len(lead) - 1]
-    return plan, lstar, second_order, integrals
+    return plan, lstar, lstar.integrals[len(lead) :]
 
 
 def hedge(curve: ExtrapolatedCurve, flow: CashFlow) -> HedgePlan:
@@ -266,7 +243,7 @@ def verify_first_order(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow
     :func:`verification_checks`.
     """
     _check_hedge(plan)
-    lhs = plan.integrate(*_hedge_term(shift, curve.horizon))
+    lhs = plan.integrate([_hedge_term(shift, curve.horizon)])[0]
     return abs(lhs + method_variation_pv(curve, shift, flow))
 
 
@@ -275,7 +252,7 @@ def _suite_values(plan, curve, flow, shifts, scales, terms=()):
     ``scales``, the plan's integral of its weight of ``terms``, the plan's
     values on those curves); the last two None without a plan or terms.
 
-    The shifts on one grid make one stacked curve per ``SUITE_CHUNK``
+    The shifts on one grid make one stacked curve per ``PASS_WEIGHTS``
     shifts (:meth:`ForwardCurve.ray`), extrapolated, priced and
     revalued once; shifts on another grid are stacked apart. Each row is
     bit for bit the shift's own, since a chunk splits at its one grid.
@@ -285,7 +262,7 @@ def _suite_values(plan, curve, flow, shifts, scales, terms=()):
     for i, shift in enumerate(shifts):
         groups.setdefault(shift.delta_forward.grid.nodes.tobytes(), []).append(i)
     out = [None] * len(shifts)
-    chunks = (group[k : k + SUITE_CHUNK] for group in groups.values() for k in range(0, len(group), SUITE_CHUNK))
+    chunks = (group[k : k + PASS_WEIGHTS] for group in groups.values() for k in range(0, len(group), PASS_WEIGHTS))
     for chunk in chunks:
         ladder = z.ray(*(shifts[i] for i in chunk))(scales)
         liabs = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow)
@@ -294,7 +271,7 @@ def _suite_values(plan, curve, flow, shifts, scales, terms=()):
             heads, assets = [None] * len(chunk), [None] * len(chunk)
         else:
             own = [terms[i] for i in chunk] if terms else []
-            rows = plan.integrate(*_rows([*own, _revaluation_term(ladder, z)]))
+            rows = plan.integrate([*own, _revaluation_term(ladder, z)])
             heads = rows[: len(own)].tolist() if own else [None] * len(chunk)
             assets = rows[len(own) :].reshape(len(chunk), -1).tolist()
         for i, liab, head, asset in zip(chunk, liabs, heads, assets):
@@ -344,7 +321,7 @@ def convexity_gap(
         plan = hedge(curve, flow)
     if plan.kind == PLAN_INFEASIBLE:
         raise PlanKindError("no first-order hedge exists to compare against")
-    return plan.integrate(*_gap_term(shift, curve.horizon)) - second_order_pv(curve, shift, flow)
+    return plan.integrate([_gap_term(shift, curve.horizon)])[0] - second_order_pv(curve, shift, flow)
 
 
 def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
@@ -355,15 +332,16 @@ def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
     liabilities on ``curve``.
     ``max_first_order_residual`` is the worst first-order residual over
     ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
-    along a parallel shift of one, all read from one liability pass and
-    one plan pass.
+    along a parallel shift of one, all read from rows of the liability's
+    :class:`DiscountedFlow` and of one :meth:`HedgePlan.integrate`.
     """
     shifts = list(shifts)
     unit = CurveShift.parallel(1.0, curve.horizon)
-    plan, lstar, second_order, integrals = _solve(curve, flow, shifts, unit)
+    weights = [second_order_weight(curve, unit), *(variation_weight(curve, s) for s in shifts)]
+    plan, lstar, (second_order, *integrals) = _solve(curve, flow, weights)
     _check_hedge(plan)
     terms = [_gap_term(unit, curve.horizon), *(_hedge_term(s, curve.horizon) for s in shifts)]
-    asset_gap, *lhs = _plan_integrals(plan, terms)
+    asset_gap, *lhs = plan.integrate(terms).tolist()
     residuals = [abs(l + -integral) for l, integral in zip(lhs, integrals)]
     liability_value = lstar.total
     total = plan.value()
@@ -395,17 +373,19 @@ def verification_checks(
     ``first_order_residual_rel``.
 
     Every scenario is priced once. The liability value and every
-    shift's first variation are rows of one liability pass, the one that
-    solves a hedgeable method's plan. The curves z + eps*Dz of
+    shift's first variation are rows of one :class:`DiscountedFlow`, the
+    one that solves a hedgeable method's plan. The curves z + eps*Dz of
     ``EPS_SCHEDULE``, and for a perfect plan z + Dz, are stacked and
-    priced once, and the plan is revalued on them in its one pass
+    priced once, and the plan is revalued on them
     (:func:`_suite_values`).
     """
     shifts = list(shifts)
+    weights = [variation_weight(curve, s) for s in shifts]
     if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
-        plan, (lstar, integrals) = None, _liability_pass(curve, flow, shifts)
+        plan, lstar = None, DiscountedFlow(flow, curve, tuple(weights))
+        integrals = lstar.integrals
     else:
-        plan, lstar, _, integrals = _solve(curve, flow, shifts)
+        plan, lstar, integrals = _solve(curve, flow, weights)
     liability_value = lstar.total
     # a perfect plan's revaluation curve z + Dz is the ladder's last row
     perfect = plan is not None and plan.kind == PLAN_PERFECT

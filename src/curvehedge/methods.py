@@ -10,10 +10,11 @@ fact that depends on the kind: the spec rules and glue check, its own
 integral anchors, the level its extension holds past tau, the extension
 and the lower bounds on its forward and discount-factor sign past tau,
 dzbar and t d2zbar past tau along a shift with the market reach past
-which they are smooth, the hedge plan, and the UFR closed form with its
-bounds. The UFR hook is three methods:
-``check_ufr_premises`` rejects a flow that breaks the closed form's
-premises before it is priced, ``ufr_weights`` declares the weights w
+which they are smooth, the premises a flow must meet on its curve, the
+hedge plan, and the UFR closed form with its bounds.
+``check_premises`` rejects a flow that breaks the method's premises
+before ``hedge`` or ``sensitivity`` prices it. The UFR hook is two
+methods: ``ufr_weights`` declares the weights w
 (with their breakpoints, all among the curve's) whose integrals against
 dL* the closed form reads, and ``ufr_closed_form`` combines them: an
 entry builds no curve and prices nothing, so a bound on another curve
@@ -151,7 +152,11 @@ class Method:
     sign rule. ``yield_variation`` and
     ``second_variation`` give functions of the times te past tau, with
     values shaped like the times and the shift's quantities at tau read
-    once.
+    once. An entry with a ``plan_kind`` has a ``plan(curve, flow, lstar)``:
+    the lumps (time, amount), densities (start, end, rate, breakpoints)
+    and diagnostics of the plan for a flow past tau, whose measure on
+    ``curve`` is ``lstar``; its ``integrals`` start with those of
+    :meth:`plan_weights`, which is called first.
     """
 
     kind = None
@@ -240,13 +245,6 @@ class Method:
         """None: the first variation is linear in the shift."""
         return None
 
-    def plan(self, curve, flow, lstar):
-        """The lumps (time, amount), densities (start, end, rate, breakpoints)
-        and diagnostics of the plan for a flow past tau, whose measure on
-        ``curve`` is ``lstar``; its ``integrals`` start with those of
-        :meth:`plan_weights`, which is called first."""
-        raise NotImplementedError
-
     def plan_weights(self, curve):
         """The (weight, breakpoints) pairs whose integrals against dL* the
         plan reads, as ``lstar.integrals``; each breakpoint is one of the
@@ -260,10 +258,10 @@ class Method:
         closed form reads; each breakpoint is one of the curve's."""
         return ()
 
-    def check_ufr_premises(self, curve, flow):
-        """Raise where ``flow`` on ``curve`` breaks a premise of
-        :meth:`ufr_closed_form`; called before anything is priced, so that
-        a defect is named before the sign of L* it may have turned."""
+    def check_premises(self, curve, flow):
+        """Raise where ``flow`` on ``curve`` breaks a premise of the plan or
+        of :meth:`ufr_closed_form`; called before anything is priced, so
+        that a defect is named before the sign of L* it may have turned."""
 
     def ufr_closed_form(self, curve, lstar):
         """S in closed form and its lower and upper bounds, each None where
@@ -635,7 +633,7 @@ class _SmithWilson(Method):
             (lambda t: past(t) * low(past(t)), at_tau),
         )
 
-    def check_ufr_premises(self, curve, flow):
+    def check_premises(self, curve, flow):
         """phi is monotone past tau, so its sign at the flow's last time is
         its sign on the flow's support; a nonpositive one raises. An empty
         flow has no support."""
@@ -643,12 +641,12 @@ class _SmithWilson(Method):
         if last > spec.tau and not sw_factor(last - spec.tau, curve.ufr - curve.f_tau, spec.alpha) > 0.0:
             raise DefectiveCurveError(
                 f"Smith-Wilson discount factor is nonpositive at t={last:g}, "
-                "the flow's last time; its UFR sensitivity is undefined"
+                "the flow's last time; the curve is defective on the flow's support"
             )
 
     def ufr_closed_form(self, curve, lstar):
         """S and its bounds for a flow nonnegative past tau on which phi > 0
-        (:meth:`check_ufr_premises`). There the M3 curves discount by
+        (:meth:`check_premises`). There the M3 curves discount by
         D / phi = e^{-ufr u} D(tau) > 0 times 1 and e^{-alpha u}, so
         S <= exc_tau, the upper bound. The lower bound also needs phi >= 1,
         that is g = ufr - f(tau) >= 0; it is None for g < 0."""

@@ -23,8 +23,9 @@ row splits at the same breakpoints and the quadrature accepts and sums
 each row on its own. So the oracle stays an independent twin of the
 closed form.
 
-Every bound is stated for a flow nonnegative past tau; each entry's
-``ufr_closed_form`` states its other premises.
+Every bound is stated for a flow nonnegative past tau, and a flow with
+a negative lump amount or density rate gets no bounds, only S and the
+oracle; each entry's ``ufr_closed_form`` states its other premises.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class UfrSensitivityReport:
 
     ``closed_form`` is None for the baseline method, which has no closed
     form and is computed by the generic oracle alone. ``lower``/``upper``
-    are present only where bounds exist: both for M5, and for M6
-    continuous the upper one, with the lower one where ufr >= f(tau).
+    are present only where bounds exist, on a flow nonnegative past tau:
+    both for M5, and for M6 continuous the upper one, with the lower one
+    where ufr >= f(tau).
     """
 
     method: str
@@ -116,7 +118,7 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
     weight of the method's :meth:`~curvehedge.methods.Method.ufr_weights`.
     A method without a closed form (M1) reports the oracle's value. The
     method's premises on the flow are checked before the pass, and L* > 0
-    after it.
+    after it. A flow with a negative amount or rate gets no bounds.
     """
     spec = curve.spec
     method = spec.method
@@ -124,7 +126,7 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
         raise DomainError(method.no_ufr)
     if flow.has_mass_at_or_before(spec.tau):
         raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
-    method.check_ufr_premises(curve, flow)
+    method.check_premises(curve, flow)
 
     h, thetas = _steps(curve.ufr)
     lstar = DiscountedFlow(flow, curve.with_ufr([curve.ufr, *thetas]), method.ufr_weights(curve))
@@ -134,6 +136,8 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
 
     oracle = -_central_limit(h, lstar.present_values[1:], curve.ufr) / total
     closed, lower, upper = method.ufr_closed_form(curve, lstar)
+    if any(a < 0.0 for _, a in flow.lumps) or any(r < 0.0 for _, _, r in flow.densities):
+        lower = upper = None
     value = oracle if closed is None else closed
 
     scale = max(abs(value), abs(oracle), 1e-12)

@@ -193,7 +193,7 @@ def method_variation_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashF
 
     By the chain rule this is -int t * dzbar(t) dL*(t) with dL* the
     flow discounted by the extrapolated curve, the one-row case of the
-    liability pass of ``hedge`` and ``verify``: the weight is
+    liability measure of ``hedge`` and ``verify``: the weight is
     :func:`variation_weight`'s, split at the shift's nodes below the
     market reach; dL* adds the curve's, tau and kappa among them.
     """

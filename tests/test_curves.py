@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,13 +18,19 @@ from curvehedge import (
     excess_duration,
     extrapolate,
     present_value,
+    stieltjes_integral,
 )
 from curvehedge import curves as curves_module
 from curvehedge import quadrature as quadrature_module
+from curvehedge.curves import PASS_WEIGHTS
 from curvehedge.errors import DomainError, UndefinedDurationError
+from curvehedge.io import read_curve
+from curvehedge.shifts import shift_suite
+from curvehedge.variation import variation_weight
 
 from conftest import random_curve, random_lump_flow, random_shift
 
+SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
 class _CountedCurve:
     """A curve whose discount factor counts the points it is asked for."""
@@ -296,6 +303,59 @@ class TestDiscountedFlow:
         assert lstar.cumulative(t).tobytes() == first.tobytes()
         lstar.cumulative(50.0)
         assert curve.points == 0
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_every_row_is_its_standalone_integral(self, stacked):
+        """Each weight's row is ``stieltjes_integral`` on row 0 bit for bit,
+        and each curve row's present value its own: with weights whose
+        shifts split the flow's near density at other points than the
+        curve's, the suite's half-year nodes and a node at 13.37, and with
+        more weights than a pass stacks."""
+        market = read_curve(str(SAMPLE_DATA / "curve.csv"))
+        levels = [0.042, 0.05, 0.03] if stacked else [0.042]
+        rows = [extrapolate(market, MethodSpec("M5_SFSA", tau=10.0, ufr=level, kappa=20.0)) for level in levels]
+        curve = rows[0]
+        measured = curve.with_ufr(levels) if stacked else curve
+        flow = CashFlow(lumps=((25.0, 1.0),), densities=((11.3, 19.7, 0.05), (30.0, 40.0, 0.02)))
+        mixed = shift_suite(3, 1) + [CurveShift.from_forward_values([0.0, 13.37, 200.0], [0.001, -0.002, 0.003])]
+        for shifts in (mixed, mixed + shift_suite(PASS_WEIGHTS, 2)):
+            weights = tuple(variation_weight(curve, shift) for shift in shifts)
+            lstar = DiscountedFlow(flow, measured, weights)
+            for integral, weight in zip(lstar.integrals, weights, strict=True):
+                assert integral == stieltjes_integral(curve, flow, *weight)
+            assert list(lstar.present_values) == [present_value(row, flow) for row in rows]
+
+    def test_weights_past_a_pass_take_a_pass_of_their_own(self, monkeypatch):
+        """``PASS_WEIGHTS`` + 1 weights that split no density where the
+        curve does not: the curve's rows and the first ``PASS_WEIGHTS``
+        weights are one pass, the last weight a pass of its own."""
+        rows = []
+        density_integrals = curves_module._density_integrals
+
+        def counted(densities, *args):
+            a, _, shape, _, _ = densities[0]
+            rows.append(np.atleast_2d(shape(np.array([a]))).shape[0])
+            return density_integrals(densities, *args)
+
+        monkeypatch.setattr(curves_module, "_density_integrals", counted)
+        market = ForwardCurve.from_forwards([0.0, 5.0, 12.0, 20.0, 60.0], [0.01, 0.025, 0.028, 0.03, 0.035])
+        curve = extrapolate(market, MethodSpec("M5_SFSA", tau=10.0, ufr=0.042, kappa=20.0))
+        family = curve.with_ufr([0.042, 0.05, 0.03])
+        flow = CashFlow(lumps=((14.0, 0.6), (35.0, 1.0)), densities=((12.0, 17.5, 0.2), (40.0, 75.0, 0.05)))
+        weights = tuple((lambda t, k=k: np.cos(k * t / 50.0), (12.0, 20.0)) for k in range(PASS_WEIGHTS + 1))
+        lstar = DiscountedFlow(flow, family, weights)
+        assert rows == [3 + PASS_WEIGHTS, 1]
+        monkeypatch.setattr(curves_module, "_density_integrals", density_integrals)
+        for integral, weight in zip(lstar.integrals, weights, strict=True):
+            assert integral == stieltjes_integral(curve, flow, *weight)
+
+    def test_non_finite_pass_raises(self):
+        """An integral that overflows is a domain error, with no warning."""
+        flow = CashFlow(lumps=((15.0, 1e308), (25.0, 1e308)))
+        curve = ForwardCurve.flat(0.03)
+        assert np.isfinite(DiscountedFlow(flow, curve).total)
+        with pytest.raises(DomainError, match="not finite"):
+            DiscountedFlow(flow, curve, ((lambda t: t * t, ()),))
 
     @pytest.mark.parametrize(
         "spec",

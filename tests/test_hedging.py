@@ -9,6 +9,7 @@ import pytest
 from curvehedge import (
     CashFlow,
     CurveShift,
+    DiscountedFlow,
     ForwardCurve,
     MethodSpec,
     PlanDensity,
@@ -29,6 +30,7 @@ from curvehedge import (
     verify_first_order,
     verify_perfect,
 )
+from curvehedge import curves as curves_module
 from curvehedge import hedging
 from curvehedge.cli import TOLERANCES
 from curvehedge.errors import DomainError, EvaluationError, PlanKindError
@@ -36,12 +38,15 @@ from curvehedge.hedging import (
     PLAN_FIRST_ORDER,
     PLAN_INFEASIBLE,
     PLAN_PERFECT,
+    HedgePlan,
+    PlanLump,
     hedge_summary,
     verification_checks,
 )
 from curvehedge.quadrature import adaptive_panels
 from curvehedge.shifts import shift_suite
-from curvehedge.variation import EPS_SCHEDULE
+from curvehedge.curves import PASS_WEIGHTS
+from curvehedge.variation import EPS_SCHEDULE, variation_weight
 
 from conftest import random_curve, random_lump_flow, random_shift, variation_report
 
@@ -311,6 +316,13 @@ class TestValueIdentities:
         values = plan.value_under(ladder, market_curve)
         assert isinstance(values, np.ndarray) and values.tolist() == [0.0, 0.0]
 
+    def test_non_finite_plan_pass_raises(self):
+        """A plan integral that overflows is a domain error, with no warning."""
+        plan = HedgePlan(PLAN_PERFECT, (PlanLump(TAU, 1e308),))
+        assert plan.integrate([(lambda t: t / TAU, ())]).tolist() == [1e308]
+        with pytest.raises(DomainError, match="not finite"):
+            plan.integrate([(lambda t: t / TAU, ()), (lambda t: t * t, ())])
+
     def test_one_split_rule_for_both_measures(self):
         """An integral over dA* or dL* splits at the market nodes inside each density,
         whether or not the weight's breakpoints list them."""
@@ -327,7 +339,7 @@ class TestValueIdentities:
             shift_nodes = shift.breakpoints_between(0.0, 40.0)
             assert not set(market_nodes) & set(shift_nodes)
             both = np.union1d(shift_nodes, market_nodes)
-            assert plan.integrate(weight, shift_nodes) == plan.integrate(weight, both)
+            assert plan.integrate([(weight, shift_nodes)]) == plan.integrate([(weight, both)])
             assert stieltjes_integral(curve, SYMBOLIC_FLOW, weight, shift_nodes) == stieltjes_integral(
                 curve, SYMBOLIC_FLOW, weight, both
             )
@@ -711,31 +723,34 @@ class TestVerificationChecks:
 
     @pytest.mark.parametrize("spec", [M2, MethodSpec("M4", tau=TAU), M5], ids=lambda spec: spec.kind)
     def test_match_one_at_a_time_past_a_chunk(self, market_curve, monkeypatch, spec):
-        """One shift more than a pass takes: the last shift's variation
-        weight takes a liability pass of its own, after the first chunk's,
-        and with M5 the flow's density in (tau, kappa] sends it to that
-        pass's second stacked pass. The checks are still the one-shift
-        ones, and so are ``hedge_summary``'s residual and gap."""
-        shifts = shift_suite(hedging.SUITE_CHUNK + 1, 5)
+        """One shift more than a pass takes. The liability's weights, the
+        plan's and each shift's variation weight, take one pass per
+        ``PASS_WEIGHTS`` of them, the curve's row leading the first; with
+        M5 the shifts' nodes split the flow's density in (tau, kappa) where
+        the curve does not, so the variation weights take passes of their
+        own. Every row is its standalone integral bit for bit, the checks
+        are the one-shift ones, and so are ``hedge_summary``'s residual and
+        gap."""
+        shifts = shift_suite(PASS_WEIGHTS + 1, 5)
         curve = extrapolate(market_curve, spec)
-        reach = spec.method.reach(spec)
-        second = any(
-            a < p < b and p not in curve.breakpoints_between(a, b)
-            for p in shifts[-1].breakpoints_between(0.0, reach)
-            for a, b, _ in SYMBOLIC_FLOW.densities
-        )
-        assert second == (spec is M5)
+        weights = [*spec.method.plan_weights(curve), *(variation_weight(curve, s) for s in shifts)]
         passes = []
-        liability_pass = hedging.DiscountedFlow
+        density_integrals = curves_module._density_integrals
 
-        def recording(flow, curve, weights=()):
-            passes.append(len(weights))
-            return liability_pass(flow, curve, weights)
+        def counted(densities, *args):
+            a, _, shape, _, _ = densities[0]
+            passes.append(np.atleast_2d(shape(np.array([a]))).shape[0])
+            return density_integrals(densities, *args)
 
-        monkeypatch.setattr(hedging, "DiscountedFlow", recording)
+        with monkeypatch.context() as patch:
+            patch.setattr(curves_module, "_density_integrals", counted)
+            lstar = DiscountedFlow(SYMBOLIC_FLOW, curve, tuple(weights))
+        assert passes == ([1, PASS_WEIGHTS, 1] if spec is M5 else [1 + PASS_WEIGHTS, 2])
+        assert lstar.total == present_value(curve, SYMBOLIC_FLOW)
+        for integral, weight in zip(lstar.integrals, weights, strict=True):
+            assert integral == stieltjes_integral(curve, SYMBOLIC_FLOW, *weight)
+
         got = verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES)
-        lead = len(spec.method.plan_weights(curve)) if spec.method.plan_kind != PLAN_INFEASIBLE else 0
-        assert passes == [lead + hedging.SUITE_CHUNK, 1]
         want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, 0.0)
         assert got == want
         if spec.method.plan_kind == PLAN_INFEASIBLE:

@@ -377,6 +377,23 @@ class TestCliHedge:
             assert 10.0 <= dens["a"] < dens["b"] <= 20.0
         assert payload["max_first_order_residual"] < 1e-8
 
+    def test_sw_defective_exits_2(self, capsys):
+        """The premise ``sensitivity`` checks holds for ``hedge`` too: with
+        ufr 0.005 and alpha 0.01 the discount factor is negative from
+        t = 56, before the flow's last time, 60."""
+        code = run_cli(
+            "hedge",
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(SAMPLE_DATA / "liabilities.csv"),
+            "--method", '{"kind":"M6_SW_continuous","tau":10,"ufr":0.005,"alpha":0.01}',
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: Smith-Wilson discount factor is nonpositive at t=60, "
+            "the flow's last time; the curve is defective on the flow's support\n"
+        )
+
     def test_m6_emits_decomposition(self, flat_curve_csv, lump_liability_csv, capsys):
         code = run_cli(
             "hedge",
@@ -754,8 +771,45 @@ class TestCliSensitivity:
         assert (code, captured.out) == (2, "")
         assert captured.err == (
             "error: Smith-Wilson discount factor is nonpositive at t=60, "
-            "the flow's last time; its UFR sensitivity is undefined\n"
+            "the flow's last time; the curve is defective on the flow's support\n"
         )
+
+    @pytest.mark.parametrize(
+        ("spec", "lumps"),
+        [
+            ('{"kind":"M5_SFSA","tau":10,"ufr":0.0437,"kappa":18.7}', "lump,15.5,-0.036\nlump,32.88,-0.002\nlump,60.66,0.551\n"),
+            ('{"kind":"M6_SW_continuous","tau":10,"ufr":0.0543,"alpha":0.288}',
+             "lump,27.22,0.687\nlump,61.57,-0.604\nlump,65.24,-0.915\n"),
+        ],
+        ids=["M5_SFSA", "M6_SW_continuous"],
+    )
+    def test_signed_flow_prints_no_bounds(self, tmp_path, capsys, spec, lumps):
+        """The bounds are stated for a flow nonnegative past tau; on these
+        signed flows they would miss S (M5's lower bound 88.52 above its
+        upper one, 86.05, around S = 86.96; M6's [-0.0115, 1.231] around
+        S = -1.964), so the report has S and the oracle alone."""
+        flow = tmp_path / "signed.csv"
+        flow.write_text(lumps)
+        argv = ["sensitivity", "--curve", str(SAMPLE_DATA / "curve.csv"), "--liabilities", str(flow), "--method", spec]
+        assert run_cli(*argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["method", "S", "oracle", "rel residual"]
+        assert run_cli(*argv, "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lower"] is None and report["upper"] is None
+
+    def test_nonpositive_liability_value_exits_2(self, tmp_path, capsys):
+        flow = tmp_path / "short.csv"
+        flow.write_text("lump,25,-1.0\n")
+        code = run_cli(
+            "sensitivity",
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(flow),
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: liabilities must have positive present value\n"
 
     def test_sw_speed_sweep_is_monotone(self, flat_curve_csv, lump_liability_csv, capsys):
         """Sweeping the reversion speed raises S toward its fast limit."""
@@ -823,6 +877,23 @@ class TestCliOverflow:
             "--method", '{"kind":"M3","tau":10,"ufr":0.042,"offset":1e306}',
         )
         self._assert_one_line(code, capsys.readouterr(), 2)
+
+
+    @pytest.mark.parametrize("command", ["hedge", "sensitivity"])
+    def test_overflowing_flow_exits_2(self, tmp_path, capsys, command):
+        """Two lumps of 1e308: L* is finite, but t^2 and t times it are not."""
+        flow = tmp_path / "huge.csv"
+        flow.write_text("lump,15,1e308\nlump,25,1e308\n")
+        code = run_cli(
+            command,
+            "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(flow),
+            "--method", '{"kind":"M3","tau":10,"ufr":0.042}',
+            "--format", "json",
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: a priced integral of the cash flow is not finite\n"
 
 
 class TestCliScanAndDeterminism:

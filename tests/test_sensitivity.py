@@ -312,8 +312,9 @@ class TestBoundsHold:
         at_kappa=st.booleans(),
         beyond=st.booleans(),
         density=st.booleans(),
+        signed=st.booleans(),
     )
-    def test_lower_s_upper(self, seed, kind, gap, alpha, kappa, offset, at_tau, at_kappa, beyond, density):
+    def test_lower_s_upper(self, seed, kind, gap, alpha, kappa, offset, at_tau, at_kappa, beyond, density, signed):
         """lower <= S <= upper within a few ulps of |S|, for M5 and M6
         continuous with the ufr on either side of f(tau), on nonnegative
         flows, with lumps just past tau and at kappa among the cases. With
@@ -321,7 +322,10 @@ class TestBoundsHold:
         meets both bounds: without a lump at kappa they are tight. M6
         gives no lower bound for ufr < f(tau), and raises the defect where
         its discount factor is nonpositive at the flow's last time, also
-        where that has made the present value nonpositive."""
+        where that has made the present value nonpositive. A ``signed``
+        flow, its first lump and random others negated and a density of
+        either sign, gets no bounds, or raises where its present value is
+        not positive."""
         rng = np.random.default_rng(seed)
         z = random_curve(rng, low=0.0, high=0.05)
         params = {"kappa": kappa} if kind == "M5_SFSA" else {"alpha": alpha}
@@ -329,16 +333,29 @@ class TestBoundsHold:
         curve = extrapolate(z, replace(spec, ufr=extrapolate(z, spec).f_tau + gap))
         start = kappa if beyond else TAU
         edges = [(t, float(rng.uniform(0.1, 2.0))) for t, on in ((np.nextafter(TAU, np.inf), at_tau), (kappa, at_kappa)) if on]
-        flow = random_lump_flow(rng, start, 150.0) + CashFlow(lumps=tuple(edges))
+        flow, rate = random_lump_flow(rng, start, 150.0), 0.05
+        if signed:
+            signs = np.where(rng.uniform(size=len(flow.lumps)) < 0.5, -1.0, 1.0)
+            signs[0] = -1.0
+            flow = CashFlow(lumps=tuple((t, sign * a) for (t, a), sign in zip(flow.lumps, signs)))
+            rate = float(rng.choice([-0.05, 0.05]))
+        flow = flow + CashFlow(lumps=tuple(edges))
         if density:
             a = float(rng.uniform(start, 100.0))
-            flow = flow + CashFlow(densities=((a, a + float(rng.uniform(1.0, 40.0)), 0.05),))
+            flow = flow + CashFlow(densities=((a, a + float(rng.uniform(1.0, 40.0)), rate),))
         g = curve.ufr - curve.f_tau
         if kind == "M6_SW_continuous" and not sw_factor(flow.latest_time - TAU, g, alpha) > 0.0:
             with pytest.raises(DefectiveCurveError):
                 ufr_sensitivity(curve, flow)
             return
+        if signed and not present_value(curve, flow) > 0.0:
+            with pytest.raises(DomainError, match="positive present value"):
+                ufr_sensitivity(curve, flow)
+            return
         report = ufr_sensitivity(curve, flow)
+        if signed:
+            assert report.lower is None and report.upper is None and np.isfinite(report.S)
+            return
         tol = 4.0 * np.spacing(abs(report.S))
         assert report.upper is not None and report.S <= report.upper + tol
         if kind == "M6_SW_continuous" and g < 0.0:
