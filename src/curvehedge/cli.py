@@ -90,14 +90,14 @@ def _defect_text(scan) -> str:
     return "".join(f"defect {d['kind']} on [{d['start']}, {d['end']}]\n" for d in scan.to_json())
 
 
-def _add_common(sub, liabilities=False):
+def _add_common(sub, liabilities=False, formats=("table", "json")):
     sub.add_argument("--curve", required=True, help="curve file (csv or json)")
     if liabilities:
         sub.add_argument("--liabilities", required=True, help="cash-flow file (csv or json)")
     sub.add_argument("--method", required=True, help="method spec as JSON or @file")
     sub.add_argument("--shifts", type=int, default=20, help="size of the random shift suite")
     sub.add_argument("--seed", type=int, default=0, help="seed for the shift suite")
-    sub.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    sub.add_argument("--format", choices=formats, default="table")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
 
@@ -147,47 +147,48 @@ def cmd_extrapolate(args) -> int:
     return 0
 
 
+def _hedge_lines(args, payload) -> list:
+    """``hedge``'s table: a decomposition, or a plan with its value and checks."""
+    if "fra_overlay" in payload:
+        fra = payload["fra_overlay"]
+        return [
+            f"kind: {payload['plan']['kind']}",
+            f"matched lump at tau: {fra['bond_lump_at_tau']:.10g}",
+            f"unmatched forward coefficient: {fra['forward_coefficient']:.10g}",
+            f"fra accrual eps: {fra['fra_eps']:.10g}",
+            f"fra quantity: {fra['fra_quantity']:.10g}",
+        ]
+    plan = payload["plan"]
+    lines = [f"kind: {plan['kind']}"]
+    for l in plan["lumps"]:
+        lines.append(f"lump  t={l['t']:.10g}  amount={l['amount']:.10g}")
+    for d in plan["densities"]:
+        lines.append(f"density  [{d['a']:.10g}, {d['b']:.10g}]  rate={d['rate']:.10g}")
+    return lines + [
+        f"total value: {payload['total_value']:.10g}",
+        f"liability value: {payload['liability_value']:.10g}",
+        f"leverage: {payload['leverage']:.10g}",
+        f"max first-order residual over {args.shifts} shifts: {payload['max_first_order_residual']:.3e}",
+        f"convexity gap (parallel unit shift): {payload['convexity_gap_parallel_unit']:.10g}",
+    ]
+
+
 def cmd_hedge(args) -> int:
     curve, flow, _ = _load(args, liabilities=True)
     if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
         decomp = infeasibility_decomposition(curve, flow, eps=args.fra_eps)
         payload = {"plan": decomp.plan.to_json(), "fra_overlay": decomp.to_json()}
-        if args.format == "json":
-            _emit(args, render_json(payload))
-        else:
-            lines = [
-                f"kind: {decomp.plan.kind}",
-                f"matched lump at tau: {decomp.bond_lump_at_tau:.10g}",
-                f"unmatched forward coefficient: {decomp.forward_coefficient:.10g}",
-                f"fra accrual eps: {decomp.fra.eps:.10g}",
-                f"fra quantity: {decomp.fra_quantity:.10g}",
-            ]
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
-
-    suite = shift_suite(args.shifts, args.seed, args.horizon)
-    payload = hedge_summary(curve, flow, suite)
-    plan = payload["plan"]
+    else:
+        payload = hedge_summary(curve, flow, shift_suite(args.shifts, args.seed, args.horizon))
     if args.format == "json":
         _emit(args, render_json(payload))
     elif args.format == "csv":
+        plan = payload["plan"]
         rows = [["lump", l["t"], l["amount"]] for l in plan["lumps"]]
         rows += [["density", d["a"], d["b"], d["rate"]] for d in plan["densities"]]
         _emit(args, render_csv(["kind", "a", "b", "c"], rows))
     else:
-        lines = [f"kind: {plan['kind']}"]
-        for l in plan["lumps"]:
-            lines.append(f"lump  t={l['t']:.10g}  amount={l['amount']:.10g}")
-        for d in plan["densities"]:
-            lines.append(f"density  [{d['a']:.10g}, {d['b']:.10g}]  rate={d['rate']:.10g}")
-        lines += [
-            f"total value: {payload['total_value']:.10g}",
-            f"liability value: {payload['liability_value']:.10g}",
-            f"leverage: {payload['leverage']:.10g}",
-            f"max first-order residual over {args.shifts} shifts: {payload['max_first_order_residual']:.3e}",
-            f"convexity gap (parallel unit shift): {payload['convexity_gap_parallel_unit']:.10g}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(_hedge_lines(args, payload)) + "\n")
     return 0
 
 
@@ -258,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extrapolate", help="sample an extrapolated curve")
-    _add_common(p)
+    _add_common(p, formats=("table", "json", "csv"))
     p.add_argument("--step", type=float, default=1.0, help="sampling step in years")
     p.add_argument("--scan-step", type=float, default=0.25, help="defect scan step")
     p.set_defaults(handler="cmd_extrapolate")
 
     p = sub.add_parser("hedge", help="build and check a hedge plan")
-    _add_common(p, liabilities=True)
+    _add_common(p, liabilities=True, formats=("table", "json", "csv"))
     p.add_argument("--fra-eps", type=float, default=1.0, help="FRA accrual window")
     p.set_defaults(handler="cmd_hedge")
 

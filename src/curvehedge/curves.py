@@ -39,8 +39,8 @@ DEFAULT_HORIZON = 200.0
 #: horizon
 MAX_SAMPLES = 1_000_000
 
-#: most weight rows one pass stacks, so that its arrays stay small however
-#: many weights a measure is given
+#: most weights one pass stacks, so that its arrays stay small however
+#: many weights a measure is given; a stacked weight's rows count as one
 PASS_WEIGHTS = 32
 
 
@@ -567,29 +567,20 @@ class CashFlow:
         return CashFlow(self.lumps + other.lumps, self.densities + other.densities)
 
 
-def _density_integrals(densities, weight, breakpoints):
-    """The adaptive integral of each density against w, in order: the rule
-    every integral over a measure's densities follows.
+def _density_integrals(densities, breakpoints):
+    """The adaptive integral of each density, in order: the rule every
+    integral over a measure's densities follows.
 
     Each density is (a, b, shape, rate, split points): the density
     shape(s) * rate on [a, b], with ``shape`` vectorized and smooth
-    between the split points. ``weight`` is None for w = 1, or a weight:
-    a function called with a flat float array of times (quadrature nodes
-    or lump times) that returns a float array of their values, or a
-    float; a stacked weight's array has leading rows. ``breakpoints``
-    are where it loses smoothness. The integrand is
-    (w(s) * shape(s)) * rate, or shape(s) * rate without a weight, split
-    at the density's own points and at the weight's breakpoints inside
-    (a, b). Yields what :func:`~curvehedge.quadrature.adaptive_panels`
-    returns for each density: a shape with a leading axis of rows gives
-    one integral per row, each bit for bit that row's own.
+    between the split points; a shape with a leading axis of rows gives
+    one integral per row, each bit for bit that row's own. Each density
+    also splits at the ``breakpoints`` inside (a, b). Yields what
+    :func:`~curvehedge.quadrature.adaptive_panels` returns.
     """
     extra = np.asarray(breakpoints, dtype=float)
     for a, b, shape, rate, pts in densities:
-        if weight is None:
-            integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
-        else:
-            integrand = lambda s, shape=shape, rate=rate: weight(s) * shape(s) * rate
+        integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
         yield adaptive_panels(integrand, a, b, breakpoints=[*pts, *extra[(extra > a) & (extra < b)]])
 
 
@@ -597,41 +588,46 @@ def measure_integral(lumps, densities, weight, breakpoints) -> float:
     """int w(t) dM(t) for a measure M of lumps and densities.
 
     ``lumps`` is a pair of sequences, the lump times and masses, and the
-    densities, ``weight`` and ``breakpoints`` are those of
-    :func:`_density_integrals`. The lump terms (m * w) are summed with
-    ``np.sum``, then each density's integral is added in order. Values
-    with a leading scenario axis (a stacked curve's) give one integral
-    per row, each bit for bit that row's own.
+    densities are those of :func:`_density_integrals`. ``weight`` is None
+    for w = 1, or a function of a flat float array of times that returns
+    a float array (leading rows for a stacked weight) or a float; it loses
+    smoothness at ``breakpoints``. The lump terms m * w are summed with
+    ``np.sum``, then each density's integral of (w(s) * shape(s)) * rate
+    is added in order, one per row of stacked values.
     """
     times, masses = (np.asarray(x, dtype=float) for x in lumps)
     if weight is not None:
         # also without lumps, so that a stacked weight gives a sum per scenario
         masses = masses * weight(times)
+        densities = [(a, b, lambda s, shape=shape: weight(s) * shape(s), rate, pts)
+                     for a, b, shape, rate, pts in densities]
     total = masses.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total
-    for _, _, integral in _density_integrals(densities, weight, breakpoints):
+    for _, _, integral in _density_integrals(densities, breakpoints):
         total += integral
     return total
 
 
 def _passes(weights, densities) -> list:
-    """The indices of the (weight, breakpoints) pairs ``weights``, pass by
-    pass. Weights are grouped by the points where they split a density of
-    ``densities`` (those of :func:`measure_integral`) that its own split
-    points do not, so each row of a pass splits as its standalone
-    integral does, and a group is taken ``PASS_WEIGHTS`` at a time. The
-    first pass is the group that splits no density, empty if no weight is."""
+    """The passes over ``densities`` of the (weight, breakpoints) pairs
+    ``weights``: (the points where the pass's weights split a density that
+    its own points do not, their indices). Grouped by those points, each
+    row splits as its standalone integral does; a group is taken
+    ``PASS_WEIGHTS`` at a time, the first one that splits no density."""
     groups, keys = {(): []}, {}
     for k, (_, pts) in enumerate(weights):
         pts = np.asarray(pts, dtype=float)
         # the weights of a suite's shifts share their points: each set is read once
-        key = keys.get(pts.tobytes())
+        key = keys.get(pts.tobytes()) if pts.size and densities else ()
         if key is None:
-            splits = {p for a, b, _, _, own in densities for p in pts.tolist() if a < p < b and p not in own}
+            splits = set()
+            for a, b, _, _, own in densities:
+                splits |= set(pts[(pts > a) & (pts < b)].tolist()).difference(own)
             key = keys[pts.tobytes()] = tuple(sorted(splits))
         groups.setdefault(key, []).append(k)
     # range(0, 1) keeps the empty first group as a pass
-    return [group[i : i + PASS_WEIGHTS] for group in groups.values() for i in range(0, len(group) or 1, PASS_WEIGHTS)]
+    return [(key, group[i : i + PASS_WEIGHTS])
+            for key, group in groups.items() for i in range(0, len(group) or 1, PASS_WEIGHTS)]
 
 
 def _discounted_measure(curve, flow: CashFlow):
@@ -667,124 +663,126 @@ def present_value(curve, flow: CashFlow) -> float:
     return stieltjes_integral(curve, flow)
 
 
-@dataclass(frozen=True)
-class DiscountedFlow:
-    """The present-value measure dC* of a cash flow under a curve, priced
-    in stacked passes.
+@dataclass(frozen=True, eq=False)
+class Measure:
+    """A measure of lumps and densities (those of :func:`measure_integral`)
+    priced in stacked passes: int dM on each own row, and int w dM on row
+    0 for each (weight, breakpoints) pair of ``weights``, whose weights may
+    return rows of their own. Masses with a leading axis of rows, and
+    shapes that return such rows (a stacked curve's), make the own rows.
 
-    ``curve`` may be stacked, such as a
-    :meth:`~curvehedge.extrapolation.ExtrapolatedCurve.with_ufr` family
-    led by a curve's own level; its row 0 is the curve that the weights,
-    ``total`` and :meth:`cumulative` read, and an ordinary curve is its
-    own row 0. ``weights`` are any number of (weight, breakpoints) pairs,
-    each weight one of :func:`_density_integrals`. The lumps are summed
-    as :func:`measure_integral` sums them, and every density is
-    integrated by :func:`_density_integrals`, on stacked shapes: the
-    first pass stacks the discount factor of every row of ``curve`` and
-    w * D of row 0 for each weight that splits no density where the
-    curve does not; the other weights are grouped by the points where
-    they do (:func:`_passes`), one pass per group, and every pass stacks
-    at most ``PASS_WEIGHTS`` weights. So every row splits at its
-    standalone integral's points and no weight changes the panels of
-    another row: ``present_values[i]`` is ``present_value`` of row i, and
-    ``integrals[k]`` is ``stieltjes_integral(row 0, source, *weights[k])``,
-    bit for bit. ``total`` is ``present_values[0]``. A pass with a
-    non-finite row raises :class:`DomainError`. Row 0's density integrals
-    keep their accepted panels. The first :meth:`cumulative` call
-    evaluates row 0's integrand once at the 24 Gauss nodes of each of
-    them and keeps the Legendre coefficients of the antiderivative of its
-    degree-23 interpolant there; the constructor and a pass that never
-    asks for C*(t) pay nothing for it. A query then costs a search and a
-    Clenshaw sum per density, and no curve evaluation; it agrees with a
-    fresh Gauss panel from the panel's start to t within 1e-14 of
-    ``total``.
+    The first pass stacks the own rows and w * shape of row 0 for each
+    weight that splits no density where the density does not; the other
+    weights are grouped by the points where they do (:func:`_passes`).
+    So every row splits, sums and folds as :func:`measure_integral` does:
+    ``present_values[i]`` is own row i's integral with w = 1, and
+    ``integrals`` holds each weight's rows in turn, bit for bit. ``total``
+    is ``present_values[0]`` and ``masses`` row 0's integral of each
+    density. :meth:`integrate` prices more weights by the same passes,
+    without the own rows. A non-finite row raises :class:`DomainError`.
     """
 
-    source: CashFlow
-    curve: object
+    lumps: tuple
+    densities: tuple
     weights: tuple = ()
-    _lump_times: object = field(init=False)
-    _lump_cum: object = field(init=False)
-    _pieces: tuple = field(init=False)
     present_values: tuple = field(init=False)
     integrals: tuple = field(init=False)
     total: float = field(init=False)
+    masses: tuple = field(init=False)
+    _pieces: tuple = field(init=False)
 
     def __post_init__(self):
-        curve = self.curve
-        rows = 1 if curve.rows is None else curve.rows
+        object.__setattr__(self, "lumps", tuple(np.asarray(x, dtype=float) for x in self.lumps))
+        present_values, integrals, pieces = self._price(self.weights, lead=True)
+        object.__setattr__(self, "present_values", present_values)
+        object.__setattr__(self, "integrals", integrals)
+        object.__setattr__(self, "total", present_values[0])
+        object.__setattr__(self, "masses", tuple(float(piece[-1]) for piece in pieces))
+        object.__setattr__(self, "_pieces", pieces)
+
+    def integrate(self, weights):
+        """An array of the rows of int w dM on row 0 for each (weight,
+        breakpoints) pair of ``weights``, in order."""
+        return np.array(self._price(weights, lead=False)[1], dtype=float)
+
+    def _price(self, weights, lead):
+        """The own rows' integrals (none unless ``lead``), the rows of
+        ``weights``, and with ``lead`` per density (a, b, row 0's integrand,
+        its accepted panels' left ends and sums, its integral)."""
+        (times, masses), densities = self.lumps, self.densities
+        stacked = masses.ndim == 2
 
         def row0(values):
-            return values if curve.rows is None else values[0]
+            return values[0] if stacked else values
 
-        (times, masses), densities = _discounted_measure(curve, self.source)
         own = row0(masses)
-        weights = [w for w, _ in self.weights]
-        integrals = [None] * len(weights)
-        pieces = []
+        funcs = [w for w, _ in weights]
+        rows, pieces = {}, []
         with np.errstate(over="ignore", invalid="ignore"):
-            for n, ks in enumerate(_passes(self.weights, densities)):
+            for n, (splits, ks) in enumerate(_passes(weights, densities)):
+                first = lead and n == 0
+                if not (first or ks):
+                    continue
 
-                def shape(s, ks=ks, lead=n == 0):
-                    d = curve.discount_factor(s)
-                    if not ks:  # a curve's values alone are integrated as one function
-                        return d
+                def stack(shape, s, ks=ks, first=first):
+                    d = shape(s)
                     d0 = row0(d)
-                    weighted = [weights[k](s) * d0 for k in ks]
-                    return np.vstack([d, *weighted] if lead else weighted)
+                    block = [funcs[k](s) * d0 for k in ks]
+                    if first:
+                        block.insert(0, d)
+                    # one block of rows is integrated as it is
+                    return block[0] if len(block) == 1 else np.vstack(block)
 
-                # the curve's rows lead the first pass, then one row per weight
-                head = rows if n == 0 else 0
-                sums = np.zeros(head + len(ks))
-                if n == 0:
-                    sums[:head] = masses.sum(axis=-1)
-                sums[head:] = [(own * weights[k](times)).sum() for k in ks]
-                stacked = [(a, b, shape, rate, pts) for a, b, _, rate, pts in densities]
-                passes = _density_integrals(stacked, None, [p for k in ks for p in self.weights[k][1]])
-                for (a, b, _, rate, _), (lows, panels, total) in zip(stacked, passes):
-                    if n == 0:
-                        if np.ndim(total) == 0:
-                            lows, panels = [lows], [panels]
-                        integrand = lambda s, rate=rate: row0(curve.discount_factor(s)) * rate
-                        # the panel sums below each panel end, the density's integral at b
-                        cum = np.append(0.0, np.cumsum(panels[0]))
-                        cum[-1] = np.ravel(total)[0]
-                        pieces.append((a, b, integrand, np.append(lows[0], b), cum))
+                # the own rows (key None) lead the first pass, then a block of rows per weight
+                owners = [None, *ks] if first else ks
+                blocks = [masses if k is None else funcs[k](times) * own for k in owners]
+                blocks = [block if block.ndim == 2 else block[None] for block in blocks]
+                sums = np.concatenate(blocks).sum(axis=-1)
+                stacked_densities = [(a, b, functools.partial(stack, shape), rate, pts)
+                                     for a, b, shape, rate, pts in densities]
+                for (a, b, shape, rate, _), (lows, panels, total) in zip(
+                    densities, _density_integrals(stacked_densities, splits)
+                ):
+                    if first:
+                        row = (lows, panels, total) if np.ndim(total) == 0 else (lows[0], panels[0], total[0])
+                        pieces.append((a, b, lambda s, shape=shape, rate=rate: row0(shape(s)) * rate, *row))
                     sums += total
                 values = sums.tolist()
                 if not all(map(math.isfinite, values)):
                     raise DomainError("a priced integral of the cash flow is not finite")
-                if n == 0:
-                    present_values = values[:head]
-                for k, value in zip(ks, values[head:]):
-                    integrals[k] = value
-        object.__setattr__(self, "_lump_times", times)
-        object.__setattr__(self, "_lump_cum", np.append(0.0, np.cumsum(own)))
-        object.__setattr__(self, "_pieces", tuple(pieces))
-        object.__setattr__(self, "present_values", tuple(present_values))
-        object.__setattr__(self, "integrals", tuple(integrals))
-        object.__setattr__(self, "total", present_values[0])
+                at = 0
+                for k, block in zip(owners, blocks):
+                    rows[k], at = values[at : at + len(block)], at + len(block)
+        integrals = tuple(value for k in range(len(weights)) for value in rows[k])
+        return tuple(rows.get(None, ())), integrals, tuple(pieces)
 
     @functools.cached_property
-    def _antiderivatives(self) -> tuple:
-        """Per density, the Legendre coefficients of row 0's antiderivative on
-        each accepted panel (:func:`~curvehedge.quadrature.panel_antiderivatives`):
-        one evaluation of the integrand on the panels' nodes, made by the
-        first :meth:`cumulative` call and kept."""
-        return tuple(panel_antiderivatives(integrand, edges[:-1], edges[1:])
-                     for _, _, integrand, edges, _ in self._pieces)
+    def _running(self) -> tuple:
+        """Row 0's running lump sum and, per density, (a, b, panel edges, the
+        panel sums below each edge, the Legendre coefficients of each panel's
+        antiderivative): one evaluation of each integrand on its panels' 24
+        Gauss nodes (:func:`~curvehedge.quadrature.panel_antiderivatives`)."""
+        times, masses = self.lumps
+        lump_cum = np.append(0.0, np.cumsum(masses[0] if masses.ndim == 2 else masses))
+        pieces = []
+        for a, b, integrand, lows, panels, total in self._pieces:
+            edges = np.append(lows, b)
+            # the panel sums below each panel end, the density's integral at b
+            cum = np.append(0.0, np.cumsum(panels))
+            cum[-1] = total
+            pieces.append((a, b, edges, cum, panel_antiderivatives(integrand, edges[:-1], edges[1:])))
+        return lump_cum, tuple(pieces)
 
     def cumulative(self, t):
-        """C*(t): discounted mass in [0, t], inclusive of a lump at t. A
-        density adds 0 at or before its start, its integral at or after its
-        end, and inside it the panel sums below t plus the antiderivative of
-        t's panel, evaluated by Clenshaw's recurrence; no query evaluates
-        the curve."""
+        """The mass of row 0 in [0, t], inclusive of a lump at t: inside a
+        density, the panel sums below t plus t's panel's antiderivative by
+        Clenshaw's recurrence, within 1e-14 of ``total`` of a fresh Gauss
+        panel to t; no query evaluates a shape."""
         arr, scalar = _as_array(t)
         arr = np.atleast_1d(arr)
-        idx = np.searchsorted(self._lump_times, arr, side="right")
-        out = self._lump_cum[idx]
-        for (a, b, _, edges, cum), coef in zip(self._pieces, self._antiderivatives):
+        lump_cum, pieces = self._running
+        out = lump_cum[np.searchsorted(self.lumps[0], arr, side="right")]
+        for a, b, edges, cum, coef in pieces:
             part = np.where(arr < b, 0.0, cum[-1])
             inside = (arr > a) & (arr < b)
             if inside.any():
@@ -795,6 +793,21 @@ class DiscountedFlow:
                 part[inside] = cum[seg] + np.polynomial.legendre.legval(xi, coef[seg].T, tensor=False)
             out = out + part
         return float(out[0]) if scalar else out.reshape(np.shape(t))
+
+
+class DiscountedFlow(Measure):
+    """The present-value measure dC* of a cash flow under a curve
+    (:func:`_discounted_measure`). The rows of a stacked ``curve``, such as
+    a :meth:`~curvehedge.extrapolation.ExtrapolatedCurve.with_ufr` family
+    led by a curve's own level, are its own rows: ``present_values[i]`` is
+    ``present_value`` of row i, ``integrals[k]`` is
+    ``stieltjes_integral(row 0, source, *weights[k])``, bit for bit, and
+    :meth:`cumulative` is C*(t) on row 0."""
+
+    def __init__(self, source: CashFlow, curve, weights=()):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "curve", curve)
+        super().__init__(*_discounted_measure(curve, source), weights)
 
 
 # ---- scalar analytics -----------------------------------------------------

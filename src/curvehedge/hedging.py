@@ -17,11 +17,11 @@ before tau are exactly replicable and must be split off by the caller
 so the per-method comparison stays clean. Every function here takes the
 extrapolated curve, which holds its market curve, spec and horizon.
 
-This module only declares weights; the two measures plan their own
-passes. ``hedge_summary`` and ``verification_checks`` give every
-shift's weights to the :class:`~curvehedge.curves.DiscountedFlow` that
-prices L* and solves the plan, and to :meth:`HedgePlan.integrate`: each
-weight is a row of one of their passes. The one-shift functions
+This module only declares weights; dL* and dA* are both a
+:class:`~curvehedge.curves.Measure`, which plans its passes. Every
+shift's weights go to the :class:`~curvehedge.curves.DiscountedFlow`
+that prices L* and solves the plan, and its terms to the plan's measure,
+each a row of one of their passes. The one-shift functions
 (``method_variation_pv``, ``verify_first_order``, ``convexity_gap``,
 ...) integrate the same weights one at a time.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PASS_WEIGHTS, CashFlow, CurveShift, DiscountedFlow, ForwardCurve, measure_integral, present_value
+from .curves import PASS_WEIGHTS, CashFlow, CurveShift, DiscountedFlow, ForwardCurve, Measure, present_value
 from .errors import DomainError, PlanKindError
 from .extrapolation import ExtrapolatedCurve, extrapolate
 from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
@@ -66,7 +66,7 @@ class PlanDensity:
     verification integrals stay exact rather than sampled. The symbolic
     rate reads the liability's running total C*(t) from the Legendre
     antiderivative of each panel of its pass
-    (:meth:`~curvehedge.curves.DiscountedFlow.cumulative`): after the
+    (:meth:`~curvehedge.curves.Measure.cumulative`): after the
     first call a rate value evaluates no curve, and it agrees with a
     fresh Gauss panel to t within 1e-14 of L*. ``breakpoints``
     are the market curve's nodes inside (start, end): every integral over
@@ -84,60 +84,41 @@ class PlanDensity:
             return np.full_like(t, float(self.rate))
         return self.rate(t)
 
-    def mass(self) -> float:
-        density = (self.start, self.end, self.rate_values, 1.0, self.breakpoints)
-        return measure_integral(((), ()), [density], None, ())
-
 
 @dataclass(frozen=True)
 class HedgePlan:
-    """The present-value measure of a hedge, with per-method diagnostics."""
+    """The present-value measure of a hedge, with per-method diagnostics;
+    ``terms`` are weights that its :attr:`measure` prices with its value."""
 
     kind: str
     lumps: tuple = ()
     densities: tuple = ()
     diagnostics: dict = field(default_factory=dict)
+    terms: tuple = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
+    def measure(self) -> Measure:
+        """dA* as a :class:`~curvehedge.curves.Measure` of the lumps and
+        densities, priced once per plan with ``terms``: :meth:`value`,
+        :attr:`masses` and a symbolic rate's JSON read its lead row."""
+        lumps = ([l.time for l in self.lumps], [l.amount for l in self.lumps])
+        densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in self.densities]
+        return Measure(lumps, densities, self.terms)
+
+    @property
     def masses(self) -> tuple:
-        """The mass of each density, in order, integrated once per plan:
-        :meth:`value` and :meth:`to_json` both read them."""
-        return tuple(d.mass() for d in self.densities)
+        """The mass of each density, in order: row 0's density integrals."""
+        return self.measure.masses
 
     def value(self) -> float:
-        """Total market value: ``value_under(z, z)``, bit for bit, on the market curve z.
-
-        The lumps' sum and then each density's mass, the order in which
-        :func:`~curvehedge.curves.measure_integral` sums them.
-        """
-        total = float(np.sum([l.amount for l in self.lumps]))
-        for mass in self.masses:
-            total += mass
-        return total
+        """Total market value: ``value_under(z, z)``, bit for bit, on the market curve z."""
+        return self.measure.total
 
     def integrate(self, terms):
         """int w(t) dA*(t) over the plan measure for each (weight,
         breakpoints) pair of ``terms``: an array of one integral per row of
-        their weights, in order.
-
-        Each ``PASS_WEIGHTS`` terms are one pass, whose rows split at all
-        of their breakpoints (where each weight loses smoothness); each
-        density also splits at its own breakpoints. A pass with a
-        non-finite row raises :class:`DomainError`.
-        """
-        lumps = ([l.time for l in self.lumps], [l.amount for l in self.lumps])
-        densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in self.densities]
-        out = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(0, len(terms), PASS_WEIGHTS):
-                chunk = terms[k : k + PASS_WEIGHTS]
-                weight = lambda t, chunk=chunk: np.vstack([w(t) for w, _ in chunk])
-                pts = np.concatenate([np.asarray(p, dtype=float) for _, p in chunk])
-                rows = measure_integral(lumps, densities, weight, pts)
-                if not np.isfinite(rows).all():
-                    raise DomainError("a priced integral of the hedge plan is not finite")
-                out.append(rows)
-        return np.concatenate(out)
+        their weights, in order (:meth:`~curvehedge.curves.Measure.integrate`)."""
+        return self.measure.integrate(terms)
 
     def value_under(self, curve, base_curve):
         """Full revaluation: the nominal flow dA*/D[base] priced on ``curve``;
@@ -147,10 +128,11 @@ class HedgePlan:
 
     def to_json(self) -> dict:
         dens = []
-        for d, mass in zip(self.densities, self.masses):
+        for k, d in enumerate(self.densities):
             if callable(d.rate):
                 # symbolic rate: report the segment average so the entry stays numeric
-                dens.append({"a": d.start, "b": d.end, "rate": mass / (d.end - d.start), "symbolic": True})
+                rate = self.masses[k] / (d.end - d.start)
+                dens.append({"a": d.start, "b": d.end, "rate": rate, "symbolic": True})
             else:
                 dens.append({"a": d.start, "b": d.end, "rate": float(d.rate)})
         return {
@@ -190,11 +172,11 @@ def _revaluation_term(curve, base_curve):
 # ---- hedge and verification ---------------------------------------------------
 
 
-def _solve(curve: ExtrapolatedCurve, flow: CashFlow, weights=()):
-    """The plan for ``flow``, solved in the :class:`DiscountedFlow` of the
-    plan's weights and then ``weights``; with dL* and the integrals of
-    ``weights``. The method's premises on the flow are checked before
-    anything is priced, and L* > 0 after."""
+def _solve(curve: ExtrapolatedCurve, flow: CashFlow, weights=(), terms=()):
+    """The plan for ``flow``, holding ``terms``, solved in the
+    :class:`DiscountedFlow` of its weights and then ``weights``; with dL*
+    and the integrals of ``weights``. The method's premises on the flow
+    are checked before anything is priced, and L* > 0 after."""
     if flow.has_mass_at_or_before(curve.spec.tau):
         raise DomainError(
             "liability flows at or before tau are exactly replicable; "
@@ -212,6 +194,7 @@ def _solve(curve: ExtrapolatedCurve, flow: CashFlow, weights=()):
         tuple(PlanLump(*lump) for lump in lumps),
         tuple(PlanDensity(*density) for density in densities),
         diagnostics,
+        tuple(terms),
     )
     return plan, lstar, lstar.integrals[len(lead) :]
 
@@ -333,15 +316,17 @@ def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
     ``max_first_order_residual`` is the worst first-order residual over
     ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
     along a parallel shift of one, all read from rows of the liability's
-    :class:`DiscountedFlow` and of one :meth:`HedgePlan.integrate`.
+    :class:`DiscountedFlow` and of the plan's measure, which prices the
+    gap's term with the plan's value and each hedge term in a pass of
+    their own: the gap is :func:`convexity_gap`'s bit for bit.
     """
     shifts = list(shifts)
     unit = CurveShift.parallel(1.0, curve.horizon)
     weights = [second_order_weight(curve, unit), *(variation_weight(curve, s) for s in shifts)]
-    plan, lstar, (second_order, *integrals) = _solve(curve, flow, weights)
-    _check_hedge(plan)
     terms = [_gap_term(unit, curve.horizon), *(_hedge_term(s, curve.horizon) for s in shifts)]
-    asset_gap, *lhs = plan.integrate(terms).tolist()
+    plan, lstar, (second_order, *integrals) = _solve(curve, flow, weights, terms)
+    _check_hedge(plan)
+    asset_gap, *lhs = plan.measure.integrals
     residuals = [abs(l + -integral) for l, integral in zip(lhs, integrals)]
     liability_value = lstar.total
     total = plan.value()

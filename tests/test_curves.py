@@ -1,3 +1,4 @@
+import ast
 import math
 import pathlib
 
@@ -672,3 +673,57 @@ class TestRay:
         assert first.grid is second.grid
         assert first.quote_nodes is z.quote_nodes and second.quote_nodes is z.quote_nodes
         assert first.horizon == z.horizon
+
+
+# ---- one integration route ---------------------------------------------------
+
+#: the names of the integration route
+ROUTE_NAMES = {"adaptive_panels", "_density_integrals", "_passes", "measure_integral"}
+#: what a module may name: the route's names, and in ``curves.py`` alone a
+#: raise of the non-finite check
+ALLOWED = {"curves.py": ROUTE_NAMES | {"raise"}, "quadrature.py": ROUTE_NAMES}
+
+
+def _route_offences(tree) -> list:
+    """(line, what) for every name of :data:`ROUTE_NAMES` that ``tree``
+    uses, imports or defines, and every ``raise`` whose message says that
+    a priced integral is not finite."""
+    out = []
+    for node in ast.walk(tree):
+        names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if isinstance(node, (ast.alias, ast.FunctionDef)):
+            names.append(node.name)
+        out += [(node.lineno, name) for name in names if name in ROUTE_NAMES]
+        if isinstance(node, ast.Raise):
+            # the literal parts of the message, also of an f-string
+            parts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant)]
+            text = "".join(part for part in parts if isinstance(part, str))
+            if "priced integral" in text and "not finite" in text:
+                out.append((node.lineno, "raise"))
+    return out
+
+
+def test_one_integration_route():
+    """Every integral over a measure, dL* or dA*, is priced in the passes of
+    ``curves.Measure``: no other module names the route's pieces, and no
+    other module raises the non-finite check of a pass."""
+    package = pathlib.Path(curves_module.__file__).parent
+    offences = {}
+    for path in sorted(package.glob("*.py")):
+        found = _route_offences(ast.parse(path.read_text(encoding="utf-8")))
+        found = [(line, what) for line, what in found if what not in ALLOWED.get(path.name, ())]
+        if found:
+            offences[path.name] = found
+    assert offences == {}
+
+
+def test_route_guard_sees_every_form():
+    snippet = """
+from .curves import measure_integral as m
+import curvehedge.quadrature
+def _passes():
+    curves._density_integrals(x)
+    quadrature.adaptive_panels(f, 0, 1)
+    raise DomainError(f"a priced integral of {name} is not finite")
+"""
+    assert sorted(line for line, _ in _route_offences(ast.parse(snippet))) == [2, 4, 5, 6, 7]

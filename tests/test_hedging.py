@@ -1,5 +1,6 @@
 import inspect
 import math
+import pathlib
 import sys
 import threading
 
@@ -45,10 +46,13 @@ from curvehedge.hedging import (
 )
 from curvehedge.quadrature import adaptive_panels
 from curvehedge.shifts import shift_suite
-from curvehedge.curves import PASS_WEIGHTS
+from curvehedge.curves import PASS_WEIGHTS, measure_integral
+from curvehedge.io import read_cash_flow, read_curve
 from curvehedge.variation import EPS_SCHEDULE, variation_weight
 
 from conftest import random_curve, random_lump_flow, random_shift, variation_report
+
+SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
 UFR = 0.042
 TAU = 10.0
@@ -85,14 +89,12 @@ class TestHedgeConstruction:
         assert plan.kind == PLAN_FIRST_ORDER
         assert not plan.lumps
         d_sigma = curve.discount_factor(sigma)
-        total = 0.0
         for dens in plan.densities:
             assert TAU <= dens.start < dens.end <= KAPPA
             assert dens.rate_values(0.5 * (dens.start + dens.end)) == pytest.approx(
                 d_sigma / (KAPPA - TAU), rel=1e-12
             )
-            total += dens.mass()
-        assert total == pytest.approx(d_sigma, rel=1e-12)
+        assert sum(plan.masses) == pytest.approx(d_sigma, rel=1e-12)
 
     def test_m5_lump_inside_blend(self, flat3):
         curve = extrapolate(flat3, M5)
@@ -104,9 +106,9 @@ class TestHedgeConstruction:
             (KAPPA - sigma) / (KAPPA - TAU) * curve.discount_factor(sigma), rel=1e-13
         )
         # roll-down density stops contributing past sigma
-        for dens in plan.densities:
+        for dens, mass in zip(plan.densities, plan.masses, strict=True):
             if dens.start >= sigma:
-                assert dens.mass() == 0.0
+                assert mass == 0.0
 
     def test_m5_lump_at_kappa_carried_by_density(self, flat3):
         plan = hedge(extrapolate(flat3, M5), CashFlow.single_payment(KAPPA))
@@ -679,12 +681,63 @@ class TestRateMemo:
         assert all(values == want for values in got.values())
 
 
+class TestPlanMeasure:
+    """dA* is priced by the passes that price dL*: each row of the plan's
+    measure is its standalone integral bit for bit."""
+
+    @pytest.mark.parametrize("spec", [M2, M3, M5], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("count", [1, PASS_WEIGHTS + 1])
+    @pytest.mark.parametrize("data", ["sample", "symbolic"])
+    def test_summary_gap_is_convexity_gap(self, market_curve, spec, count, data):
+        if data == "sample":
+            z = read_curve(str(SAMPLE_DATA / "curve.csv"))
+            flow = read_cash_flow(str(SAMPLE_DATA / "liabilities.csv"))
+        else:
+            z, flow = market_curve, SYMBOLIC_FLOW
+        curve = extrapolate(z, spec)
+        summary = hedge_summary(curve, flow, shift_suite(count, 5))
+        plan = hedge(curve, flow)
+        assert summary["convexity_gap_parallel_unit"] == convexity_gap(
+            curve, flow, CurveShift.parallel(1.0, curve.horizon), plan
+        )
+        assert summary["total_value"] == plan.value()
+
+    @pytest.mark.parametrize("flow", [SYMBOLIC_FLOW, MANY_LUMP_FLOW], ids=["symbolic", "many-lumps"])
+    def test_every_plan_row_is_its_standalone_integral(self, market_curve, flow):
+        """The gap's, each hedge term's and a ladder's rows of one call, the
+        plan's value and each density's mass; with a shift whose node at
+        13.37 splits the roll-down density where the suite's nodes do not."""
+        curve = extrapolate(market_curve, M5)
+        plan = hedge(curve, flow)
+        suite = shift_suite(3, 5)
+        odd = CurveShift.from_forward_values([0.0, 13.37, 200.0], [0.001, -0.002, 0.003])
+        ladder = market_curve.ray(*suite)(np.array(EPS_SCHEDULE))
+        terms = [
+            hedging._gap_term(CurveShift.parallel(1.0, curve.horizon), curve.horizon),
+            *(hedging._hedge_term(shift, curve.horizon) for shift in (*suite, odd)),
+            hedging._revaluation_term(ladder, market_curve),
+        ]
+        lumps = ([l.time for l in plan.lumps], [l.amount for l in plan.lumps])
+        densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in plan.densities]
+        want = [np.atleast_1d(measure_integral(lumps, densities, *term)) for term in terms]
+        assert plan.integrate(terms).tolist() == np.concatenate(want).tolist()
+        assert plan.value() == measure_integral(lumps, densities, None, ())
+        assert list(plan.masses) == [measure_integral(((), ()), [density], None, ()) for density in densities]
+
+    @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M5], ids=["M1", "M5"])
+    def test_no_terms_no_rows(self, market_curve, spec):
+        plan = hedge(extrapolate(market_curve, spec), SYMBOLIC_FLOW)
+        rows = plan.integrate([])
+        assert isinstance(rows, np.ndarray) and rows.shape == (0,)
+
+
 class TestVerificationChecks:
     @pytest.mark.parametrize("command", ["hedge", "verify"])
     @pytest.mark.parametrize("count", [1, 3])
     def test_no_plan_rate_evaluated_twice_on_the_same_nodes(self, market_curve, monkeypatch, command, count):
-        """The plan's masses and one stacked plan pass are the only passes over
-        a symbolic M5 rate, each on its own nodes."""
+        """The plan's lead pass, which holds its masses, and its passes of
+        terms are the only passes over a symbolic M5 rate, each on its own
+        nodes."""
         seen = []
         rate_values = PlanDensity.rate_values
 
@@ -763,9 +816,7 @@ class TestVerificationChecks:
         # a residual is |lhs + variation|, with lhs near -variation
         assert abs(summary["max_first_order_residual"] - max(residuals)) <= 1e-13 * max(map(abs, variations))
         unit = CurveShift.parallel(1.0, curve.horizon)
-        gap = convexity_gap(curve, SYMBOLIC_FLOW, unit, plan)
-        sides = abs(gap) + 2.0 * abs(second_order_pv(curve, unit, SYMBOLIC_FLOW))
-        assert abs(summary["convexity_gap_parallel_unit"] - gap) <= 1e-13 * sides
+        assert summary["convexity_gap_parallel_unit"] == convexity_gap(curve, SYMBOLIC_FLOW, unit, plan)
 
     def test_corruption_reaches_only_the_variation_checks(self, market_curve):
         shifts = shift_suite(2, 5)

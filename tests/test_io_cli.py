@@ -406,6 +406,35 @@ class TestCliHedge:
         assert "unmatched forward coefficient" in out
         assert "fra quantity" in out
 
+    @pytest.mark.parametrize(
+        "method",
+        ['{"kind":"M4","tau":10}', '{"kind":"M6_SW_continuous","tau":10,"ufr":0.042,"alpha":0.1}'],
+        ids=["M4", "M6_SW_continuous"],
+    )
+    def test_infeasible_csv_is_the_plan_rows(self, capsys, method):
+        """An infeasible plan's matched lump at tau, in the CSV of the feasible kinds."""
+        argv = ["hedge", "--curve", str(SAMPLE_DATA / "curve.csv"),
+                "--liabilities", str(SAMPLE_DATA / "liabilities.csv"), "--method", method]
+        assert run_cli(*argv, "--format", "json") == 0
+        plan = json.loads(capsys.readouterr().out)["plan"]
+        assert run_cli(*argv, "--format", "csv") == 0
+        header, row = capsys.readouterr().out.splitlines()
+        kind, t, amount = row.split(",")
+        assert (header, kind, float(t)) == ("kind,a,b,c", "lump", 10.0)
+        assert float(amount) == pytest.approx(plan["diagnostics"]["matched_lump_at_tau"], rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["verify", "sensitivity", "scan-arbitrage"])
+    def test_csv_only_where_written(self, capsys, command):
+        """A command that writes no CSV rejects ``--format csv`` as a usage error."""
+        argv = [command, "--curve", str(SAMPLE_DATA / "curve.csv"), "--method", '{"kind":"M2","tau":10}']
+        if command != "scan-arbitrage":
+            argv += ["--liabilities", str(SAMPLE_DATA / "liabilities.csv")]
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv, "--format", "csv")
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'csv'" in captured.err
+
     def test_empty_shift_suite_is_a_domain_error(self, flat_curve_csv, lump_liability_csv, capsys):
         code = run_cli(
             "hedge",
