@@ -92,11 +92,11 @@ def _defect_text(scan) -> str:
 
 def _add_common(sub, liabilities=False, formats=("table", "json")):
     sub.add_argument("--curve", required=True, help="curve file (csv or json)")
+    sub.add_argument("--method", required=True, help="method spec as JSON or @file")
     if liabilities:
         sub.add_argument("--liabilities", required=True, help="cash-flow file (csv or json)")
-    sub.add_argument("--method", required=True, help="method spec as JSON or @file")
-    sub.add_argument("--shifts", type=int, default=20, help="size of the random shift suite")
-    sub.add_argument("--seed", type=int, default=0, help="seed for the shift suite")
+        sub.add_argument("--shifts", type=int, default=20, help="size of the random shift suite")
+        sub.add_argument("--seed", type=int, default=0, help="seed for the shift suite")
     sub.add_argument("--format", choices=formats, default="table")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
@@ -184,7 +184,7 @@ def cmd_hedge(args) -> int:
         _emit(args, render_json(payload))
     elif args.format == "csv":
         plan = payload["plan"]
-        rows = [["lump", l["t"], l["amount"]] for l in plan["lumps"]]
+        rows = [["lump", l["t"], "", l["amount"]] for l in plan["lumps"]]
         rows += [["density", d["a"], d["b"], d["rate"]] for d in plan["densities"]]
         _emit(args, render_csv(["kind", "a", "b", "c"], rows))
     else:

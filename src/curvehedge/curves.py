@@ -718,7 +718,7 @@ class Measure:
         own = row0(masses)
         funcs = [w for w, _ in weights]
         rows, pieces = {}, []
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             for n, (splits, ks) in enumerate(_passes(weights, densities)):
                 first = lead and n == 0
                 if not (first or ks):

@@ -33,13 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PASS_WEIGHTS, CashFlow, CurveShift, DiscountedFlow, ForwardCurve, Measure, present_value
+from .curves import PASS_WEIGHTS, CashFlow, CurveShift, ForwardCurve, Measure, present_value
 from .errors import DomainError, PlanKindError
 from .extrapolation import ExtrapolatedCurve, extrapolate
 from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
 from .variation import (
     EPS_SCHEDULE,
     _difference_limit,
+    _liability_pass,
     method_variation_pv,
     second_order_pv,
     second_order_weight,
@@ -173,21 +174,13 @@ def _revaluation_term(curve, base_curve):
 
 
 def _solve(curve: ExtrapolatedCurve, flow: CashFlow, weights=(), terms=()):
-    """The plan for ``flow``, holding ``terms``, solved in the
-    :class:`DiscountedFlow` of its weights and then ``weights``; with dL*
-    and the integrals of ``weights``. The method's premises on the flow
-    are checked before anything is priced, and L* > 0 after."""
-    if flow.has_mass_at_or_before(curve.spec.tau):
-        raise DomainError(
-            "liability flows at or before tau are exactly replicable; "
-            "split them off before hedging the extrapolated part"
-        )
+    """The plan for ``flow``, holding ``terms``, solved in the liability
+    pass (:func:`~curvehedge.variation._liability_pass`, which checks the
+    flow) of its weights and then ``weights``; with dL* and the integrals
+    of ``weights``."""
     method = curve.spec.method
     lead = method.plan_weights(curve)
-    method.check_premises(curve, flow)
-    lstar = DiscountedFlow(flow, curve, (*lead, *weights))
-    if not lstar.total > 0.0:
-        raise DomainError("liabilities must have positive present value")
+    lstar = _liability_pass(curve, flow, (*lead, *weights))
     lumps, densities, diagnostics = method.plan(curve, flow, lstar)
     plan = HedgePlan(
         method.plan_kind,
@@ -212,8 +205,8 @@ def hedge(curve: ExtrapolatedCurve, flow: CashFlow) -> HedgePlan:
     return _solve(curve, flow)[0]
 
 
-def _check_hedge(plan: HedgePlan):
-    if plan.kind == PLAN_INFEASIBLE:
+def _check_hedge(kind: str):
+    if kind == PLAN_INFEASIBLE:
         raise PlanKindError("an infeasible diagnosis cannot be verified as a hedge")
 
 
@@ -225,7 +218,7 @@ def verify_first_order(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow
     one-shift case of the rows of :func:`hedge_summary` and
     :func:`verification_checks`.
     """
-    _check_hedge(plan)
+    _check_hedge(plan.kind)
     lhs = plan.integrate([_hedge_term(shift, curve.horizon)])[0]
     return abs(lhs + method_variation_pv(curve, shift, flow))
 
@@ -310,22 +303,22 @@ def convexity_gap(
 def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
     """A hedgeable method's plan with its value, leverage and checks, as JSON data.
 
-    The plan, the residuals and the gap share ``curve``.
-    ``liability_value`` is the plan's own: the present value of the
-    liabilities on ``curve``.
+    An infeasible method is rejected before any pass. The plan, the
+    residuals and the gap share ``curve``. ``liability_value`` is the
+    plan's own: the present value of the liabilities on ``curve``.
     ``max_first_order_residual`` is the worst first-order residual over
     ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
-    along a parallel shift of one, all read from rows of the liability's
-    :class:`DiscountedFlow` and of the plan's measure, which prices the
-    gap's term with the plan's value and each hedge term in a pass of
-    their own: the gap is :func:`convexity_gap`'s bit for bit.
+    along a parallel shift of one, all read from rows of the liability
+    pass and of the plan's measure, which prices the gap's term with the
+    plan's value and each hedge term in a pass of their own: the gap is
+    :func:`convexity_gap`'s bit for bit.
     """
+    _check_hedge(curve.spec.method.plan_kind)
     shifts = list(shifts)
     unit = CurveShift.parallel(1.0, curve.horizon)
     weights = [second_order_weight(curve, unit), *(variation_weight(curve, s) for s in shifts)]
     terms = [_gap_term(unit, curve.horizon), *(_hedge_term(s, curve.horizon) for s in shifts)]
     plan, lstar, (second_order, *integrals) = _solve(curve, flow, weights, terms)
-    _check_hedge(plan)
     asset_gap, *lhs = plan.measure.integrals
     residuals = [abs(l + -integral) for l, integral in zip(lhs, integrals)]
     liability_value = lstar.total
@@ -358,8 +351,8 @@ def verification_checks(
     ``first_order_residual_rel``.
 
     Every scenario is priced once. The liability value and every
-    shift's first variation are rows of one :class:`DiscountedFlow`, the
-    one that solves a hedgeable method's plan. The curves z + eps*Dz of
+    shift's first variation are rows of one liability pass, checked as
+    ``hedge``'s; it solves a hedgeable method's plan. The curves z + eps*Dz of
     ``EPS_SCHEDULE``, and for a perfect plan z + Dz, are stacked and
     priced once, and the plan is revalued on them
     (:func:`_suite_values`).
@@ -367,7 +360,7 @@ def verification_checks(
     shifts = list(shifts)
     weights = [variation_weight(curve, s) for s in shifts]
     if curve.spec.method.plan_kind == PLAN_INFEASIBLE:
-        plan, lstar = None, DiscountedFlow(flow, curve, tuple(weights))
+        plan, lstar = None, _liability_pass(curve, flow, weights)
         integrals = lstar.integrals
     else:
         plan, lstar, integrals = _solve(curve, flow, weights)

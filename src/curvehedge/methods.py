@@ -13,7 +13,7 @@ dzbar and t d2zbar past tau along a shift with the market reach past
 which they are smooth, the premises a flow must meet on its curve, the
 hedge plan, and the UFR closed form with its bounds.
 ``check_premises`` rejects a flow that breaks the method's premises
-before ``hedge`` or ``sensitivity`` prices it. The UFR hook is two
+before any liability pass. The UFR hook is two
 methods: ``ufr_weights`` declares the weights w
 (with their breakpoints, all among the curve's) whose integrals against
 dL* the closed form reads, and ``ufr_closed_form`` combines them: an
@@ -259,9 +259,9 @@ class Method:
         return ()
 
     def check_premises(self, curve, flow):
-        """Raise where ``flow`` on ``curve`` breaks a premise of the plan or
-        of :meth:`ufr_closed_form`; called before anything is priced, so
-        that a defect is named before the sign of L* it may have turned."""
+        """Raise where ``flow`` on ``curve`` breaks a premise of the plan, the
+        variation or :meth:`ufr_closed_form`; every liability pass calls it
+        first, so a defect is named before the sign of L* it may have turned."""
 
     def ufr_closed_form(self, curve, lstar):
         """S in closed form and its lower and upper bounds, each None where

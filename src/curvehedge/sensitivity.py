@@ -9,19 +9,19 @@ curve holds past tau moves: the ufr, or z(tau) for M2. The
 sensitivity is a functional of the extrapolated curve, which holds its
 market curve, spec and horizon.
 
-One pass per call: the liability value, the oracle's family values and
-the closed form's integrals are the rows of one stacked integral per
-density of the flow, for every method. The pass prices the family
-``curve.with_ufr`` led by the curve's own level, a stacked curve whose
-row 0 is the curve, and its weights read that row. A closed form reads
-only those rows: M6 continuous's bounds, the M3 curves at ufr and
-ufr + alpha, are weights on the curve's own dL*, not prices on a second
-curve. Each row is bit for bit its standalone integral, because
-:class:`~curvehedge.curves.DiscountedFlow` integrates every density by
-the one density rule, :func:`curvehedge.curves._density_integrals`: every
-row splits at the same breakpoints and the quadrature accepts and sums
-each row on its own. So the oracle stays an independent twin of the
-closed form.
+One pass per call, the liability pass of ``hedge`` and ``verify``, which
+checks the flow first: the liability value, the oracle's family values
+and the closed form's integrals are its rows, for every method. It
+prices the family ``curve.with_ufr`` led by the curve's own level, a
+stacked curve whose row 0 is the curve, and its weights read that row. A
+closed form reads only those rows: M6 continuous's bounds, the M3 curves
+at ufr and ufr + alpha, are weights on the curve's own dL*, not prices
+on a second curve. Each row is bit for bit its standalone integral,
+because :class:`~curvehedge.curves.DiscountedFlow` integrates every
+density by the one density rule,
+:func:`curvehedge.curves._density_integrals`: every row splits at the
+same breakpoints and the quadrature accepts and sums each row on its
+own. So the oracle stays an independent twin of the closed form.
 
 Every bound is stated for a flow nonnegative past tau, and a flow with
 a negative lump amount or density rate gets no bounds, only S and the
@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CashFlow, DiscountedFlow, present_value
+from .curves import CashFlow, present_value
 from .errors import DomainError, EvaluationError
 from .extrapolation import ExtrapolatedCurve
-from .variation import _richardson
+from .variation import _liability_pass, _richardson
 
 
 @dataclass(frozen=True)
@@ -116,25 +116,17 @@ def ufr_sensitivity(curve: ExtrapolatedCurve, flow: CashFlow) -> UfrSensitivityR
     ``curve`` itself and gives L*, and at the four steps
     :func:`parameter_sensitivity` would price, with one row on row 0 per
     weight of the method's :meth:`~curvehedge.methods.Method.ufr_weights`.
-    A method without a closed form (M1) reports the oracle's value. The
-    method's premises on the flow are checked before the pass, and L* > 0
-    after it. A flow with a negative amount or rate gets no bounds.
+    A method without a closed form (M1) reports the oracle's value. After
+    the ``no_ufr`` check, the pass checks the flow as ``hedge`` does. A
+    flow with a negative amount or rate gets no bounds.
     """
     spec = curve.spec
     method = spec.method
     if method.no_ufr:
         raise DomainError(method.no_ufr)
-    if flow.has_mass_at_or_before(spec.tau):
-        raise DomainError("sensitivities are stated for liabilities strictly beyond tau")
-    method.check_premises(curve, flow)
-
     h, thetas = _steps(curve.ufr)
-    lstar = DiscountedFlow(flow, curve.with_ufr([curve.ufr, *thetas]), method.ufr_weights(curve))
-    total = lstar.total
-    if not total > 0.0:
-        raise DomainError("liabilities must have positive present value")
-
-    oracle = -_central_limit(h, lstar.present_values[1:], curve.ufr) / total
+    lstar = _liability_pass(curve, flow, method.ufr_weights(curve), curve.with_ufr([curve.ufr, *thetas]))
+    oracle = -_central_limit(h, lstar.present_values[1:], curve.ufr) / lstar.total
     closed, lower, upper = method.ufr_closed_form(curve, lstar)
     if any(a < 0.0 for _, a in flow.lumps) or any(r < 0.0 for _, _, r in flow.densities):
         lower = upper = None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CashFlow, CurveShift, ForwardCurve, stieltjes_integral
+from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, stieltjes_integral
 from .errors import DomainError, EvaluationError
 from .extrapolation import ExtrapolatedCurve
 from .methods import piecewise
@@ -186,6 +186,20 @@ def variation_weight(curve: ExtrapolatedCurve, shift: CurveShift):
     which the weight is smooth."""
     dzbar = _yield_variation(shift, curve)
     return (lambda t: t * dzbar(t)), shift.breakpoints_between(0.0, curve.spec.method.reach(curve.spec))
+
+
+def _liability_pass(curve: ExtrapolatedCurve, flow: CashFlow, weights, priced=None) -> DiscountedFlow:
+    """dL* on ``priced`` (``curve``, or a stack whose row 0 it is) with a row per
+    weight: every liability pass of ``hedge``, ``verify`` and ``sensitivity``.
+    The flow must lie past tau and meet the method's premises, and L* > 0."""
+    if flow.has_mass_at_or_before(curve.spec.tau):
+        raise DomainError("liability flows at or before tau are exactly replicable; "
+                          "split them off before hedging the extrapolated part")
+    curve.spec.method.check_premises(curve, flow)
+    lstar = DiscountedFlow(flow, priced or curve, tuple(weights))
+    if not lstar.total > 0.0:
+        raise DomainError("liabilities must have positive present value")
+    return lstar
 
 
 def method_variation_pv(curve: ExtrapolatedCurve, shift: CurveShift, flow: CashFlow) -> float:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import pathlib
@@ -33,6 +34,7 @@ from curvehedge import (
 )
 from curvehedge import curves as curves_module
 from curvehedge import hedging
+from curvehedge import variation as variation_module
 from curvehedge.cli import TOLERANCES
 from curvehedge.errors import DomainError, EvaluationError, PlanKindError
 from curvehedge.hedging import (
@@ -884,14 +886,14 @@ class TestVerificationChecks:
 
     def test_non_finite_liability_value_is_named_first(self, market_curve, monkeypatch):
         """The base value, at eps 0, is checked before the ladder's."""
-        liability_pass = hedging.DiscountedFlow
+        liability_pass = variation_module.DiscountedFlow
 
         def poisoned(*args, **kwargs):
             lstar = liability_pass(*args, **kwargs)
             object.__setattr__(lstar, "total", np.inf)
             return lstar
 
-        monkeypatch.setattr(hedging, "DiscountedFlow", poisoned)
+        monkeypatch.setattr(variation_module, "DiscountedFlow", poisoned)
         monkeypatch.setattr(hedging, "present_value", lambda curve, flow: np.full(curve.rows or (), np.inf))
         with pytest.raises(EvaluationError) as info:
             verification_checks(
@@ -971,3 +973,59 @@ class TestCurveArgument:
             lambda curve: ufr_sensitivity(curve, SYMBOLIC_FLOW),
         ):
             assert functional(derived) == functional(fresh)
+
+
+# ---- one liability entry -----------------------------------------------------
+
+#: the messages of the rules the liability pass checks on its own
+ENTRY_MESSAGES = ("exactly replicable", "positive present value")
+
+
+def _entry_offences(tree) -> list:
+    """(line, what) outside ``_liability_pass`` for every ``DiscountedFlow``
+    that ``tree`` names or imports and every raise of an entry message."""
+    entry = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) == "_liability_pass" for n in ast.walk(f)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in entry:
+            continue
+        names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if isinstance(node, ast.alias):
+            names.append(node.name)
+        out += [(node.lineno, name) for name in names if name == "DiscountedFlow"]
+        if isinstance(node, ast.Raise):
+            text = "".join(n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            out += [(node.lineno, message) for message in ENTRY_MESSAGES if message in text]
+    return out
+
+
+def test_one_liability_entry():
+    """``hedge``, ``verify`` and ``sensitivity`` build dL* only through
+    ``variation._liability_pass``: ``hedging.py`` and ``sensitivity.py``
+    name no ``DiscountedFlow``, and no module but the entry raises the
+    tau rule's or the positive-value rule's message."""
+    package = pathlib.Path(hedging.__file__).parent
+    offences = {}
+    for path in sorted(package.glob("*.py")):
+        found = _entry_offences(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name not in ("hedging.py", "sensitivity.py"):
+            found = [(line, what) for line, what in found if what != "DiscountedFlow"]
+        if found:
+            offences[path.name] = found
+    assert offences == {}
+
+
+def test_entry_guard_sees_every_form():
+    snippet = """
+from .curves import DiscountedFlow as d
+def _liability_pass():
+    DiscountedFlow(flow, curve)
+    raise DomainError("liabilities must have positive present value")
+def other():
+    curves.DiscountedFlow(flow, curve)
+    raise DomainError("liability flows at or before tau are exactly replicable; " "split them off")
+    raise DomainError(f"liabilities must have positive present value, got {x}")
+"""
+    assert sorted(_entry_offences(ast.parse(snippet))) == [
+        (2, "DiscountedFlow"), (7, "DiscountedFlow"), (8, "exactly replicable"), (9, "positive present value")
+    ]

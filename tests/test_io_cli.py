@@ -15,6 +15,17 @@ from curvehedge.io import method_from_arg, read_cash_flow, read_curve
 
 SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
+#: one spec per kind on ``sample_data/``
+SAMPLE_SPECS = {
+    "M1": '{"kind":"M1","tau":10,"ufr":0.042}',
+    "M2": '{"kind":"M2","tau":10}',
+    "M3": '{"kind":"M3","tau":10,"ufr":0.042}',
+    "M4": '{"kind":"M4","tau":10}',
+    "M5_SFSA": '{"kind":"M5_SFSA","tau":10,"kappa":20,"ufr":0.042}',
+    "M6_SW_continuous": '{"kind":"M6_SW_continuous","tau":10,"ufr":0.042,"alpha":0.1}',
+    "M6_SW_discrete": '{"kind":"M6_SW_discrete","tau":10,"ufr":0.042,"alpha":0.1}',
+}
+
 
 @pytest.fixture
 def flat_curve_csv(tmp_path):
@@ -419,9 +430,24 @@ class TestCliHedge:
         plan = json.loads(capsys.readouterr().out)["plan"]
         assert run_cli(*argv, "--format", "csv") == 0
         header, row = capsys.readouterr().out.splitlines()
-        kind, t, amount = row.split(",")
-        assert (header, kind, float(t)) == ("kind,a,b,c", "lump", 10.0)
+        kind, t, end, amount = row.split(",")
+        assert (header, kind, float(t), end) == ("kind,a,b,c", "lump", 10.0, "")
         assert float(amount) == pytest.approx(plan["diagnostics"]["matched_lump_at_tau"], rel=1e-9)
+
+    @pytest.mark.parametrize("kind", sorted(set(SAMPLE_SPECS) - {"M6_SW_discrete"}))
+    def test_csv_rows_have_the_header_fields(self, capsys, kind):
+        """Every row of ``hedge --format csv`` has the four fields of its
+        header; a lump leaves ``b``, a segment's end, empty. The discrete
+        Smith-Wilson fit has no plan to write."""
+        code = run_cli(
+            "hedge", "--curve", str(SAMPLE_DATA / "curve.csv"),
+            "--liabilities", str(SAMPLE_DATA / "liabilities.csv"),
+            "--method", SAMPLE_SPECS[kind], "--format", "csv",
+        )
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert (code, header) == (0, "kind,a,b,c")
+        assert [row.count(",") for row in rows] == [3] * len(rows)
+        assert all(row.split(",")[2] == "" for row in rows if row.startswith("lump,"))
 
     @pytest.mark.parametrize("command", ["verify", "sensitivity", "scan-arbitrage"])
     def test_csv_only_where_written(self, capsys, command):
@@ -434,6 +460,17 @@ class TestCliHedge:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid choice: 'csv'" in captured.err
+
+    @pytest.mark.parametrize("option", ["--shifts", "--seed"])
+    @pytest.mark.parametrize("command", ["extrapolate", "scan-arbitrage"])
+    def test_suite_options_only_on_liability_commands(self, capsys, command, option):
+        """The commands that build no shift suite take no suite options."""
+        argv = [command, "--curve", str(SAMPLE_DATA / "curve.csv"), "--method", '{"kind":"M2","tau":10}']
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv, option, "3")
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {option} 3" in captured.err
 
     def test_empty_shift_suite_is_a_domain_error(self, flat_curve_csv, lump_liability_csv, capsys):
         code = run_cli(
@@ -874,6 +911,44 @@ class TestCliSensitivity:
             assert (code, captured.err) == (0, "")
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
+
+
+class TestCliSharedRules:
+    """The liability commands share three rules on the flow and its curve,
+    checked in their one liability pass: each breach ends in exit 2 and one
+    ``error:`` line, the same line for every command."""
+
+    DEFECT_T40 = ("Smith-Wilson discount factor is nonpositive at t=40, "
+                  "the flow's last time; the curve is defective on the flow's support")
+    DEFECT_T60 = DEFECT_T40.replace("t=40", "t=60")
+    BEFORE_TAU = ("liability flows at or before tau are exactly replicable; "
+                  "split them off before hedging the extrapolated part")
+
+    @pytest.mark.parametrize(
+        "flow, method, commands, message",
+        [
+            # phi reaches 0 between the last Gauss node and t = 40
+            ("density,12,40,0.05\n", '{"kind":"M6_SW_continuous","tau":10,"ufr":-0.006383,"alpha":0.01}',
+             ("verify", "hedge", "sensitivity"), DEFECT_T40),
+            (None, '{"kind":"M6_SW_continuous","tau":10,"ufr":0.005,"alpha":0.01}',
+             ("verify", "hedge", "sensitivity"), DEFECT_T60),
+            ("lump,5,1\nlump,30,1\n", SAMPLE_SPECS["M4"], ("verify", "hedge"), BEFORE_TAU),
+            ("lump,5,1\nlump,30,1\n", SAMPLE_SPECS["M6_SW_continuous"],
+             ("verify", "hedge", "sensitivity"), BEFORE_TAU),
+            ("lump,5,1\nlump,30,1\n", SAMPLE_SPECS["M3"], ("verify", "hedge", "sensitivity"), BEFORE_TAU),
+        ],
+        ids=["defect-between-nodes", "defect-at-last-lump", "before-tau-M4", "before-tau-M6", "before-tau-M3"],
+    )
+    def test_one_line_for_every_command(self, tmp_path, capsys, flow, method, commands, message):
+        liabilities = SAMPLE_DATA / "liabilities.csv"
+        if flow is not None:
+            liabilities = tmp_path / "liab.csv"
+            liabilities.write_text(flow)
+        for command in commands:
+            code = run_cli(command, "--curve", str(SAMPLE_DATA / "curve.csv"),
+                           "--liabilities", str(liabilities), "--method", method, "--shifts", "2")
+            captured = capsys.readouterr()
+            assert (command, code, captured.out, captured.err) == (command, 2, "", f"error: {message}\n")
 
 
 class TestCliOverflow:

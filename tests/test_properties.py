@@ -32,8 +32,10 @@ from curvehedge import (
 )
 from curvehedge import curves as curves_module
 from curvehedge import hedging
-from curvehedge.errors import DomainError
-from curvehedge.hedging import hedge_summary
+from curvehedge.cli import TOLERANCES
+from curvehedge.errors import CurveHedgeError, DomainError
+from curvehedge.hedging import hedge_summary, verification_checks
+from curvehedge.sensitivity import ufr_sensitivity
 from curvehedge.quadrature import REL_TOL, adaptive_panels, gauss_panel
 from curvehedge.shifts import shift_suite
 from curvehedge.variation import EPS_SCHEDULE, variation_weight
@@ -547,3 +549,42 @@ def test_stacked_rows_are_the_one_shift_functions(kind, seed, count, tau, inside
         assert _close(abs(lhs + variation), residual, abs(variation))
         for got, want in zip(assets, plan.value_under(ladder, z).tolist(), strict=True):
             assert _close(got, want, abs(want))
+
+
+def _outcome(call, *args):
+    """(type, message) of the error ``call`` raises, or None."""
+    try:
+        call(*args)
+    except CurveHedgeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", VARIATION_KINDS)
+@settings(max_examples=12)
+@given(seed=seeds, before=st.booleans(), negative=st.booleans(), gap=st.sampled_from([None, 0.005, 0.05]))
+def test_every_liability_pass_checks_the_same_rules(kind, seed, before, negative, gap):
+    """``verify`` rejects a flow exactly when ``hedge`` does, with the same
+    error, and so does ``sensitivity`` for a kind with a UFR: the flow past
+    tau, the method's premises and L* > 0 are checked in their one pass.
+    Flows may hold a lump at or before tau and negative amounts, and an M6
+    curve may have ufr = f(tau) - ``gap`` at alpha 0.01: for a gap above
+    alpha its discount factor turns negative 22 years past tau."""
+    rng = np.random.default_rng(seed)
+    z = random_curve(rng, low=0.0, high=0.04)
+    spec = SPECS[kind]
+    if kind == "M6_SW_continuous" and gap is not None:
+        spec = replace(spec, ufr=float(extrapolate(z, spec).f_tau - gap), alpha=0.01)
+    curve = extrapolate(z, spec)
+    lumps = [(float(rng.uniform(TAU + 0.1, 80.0)), float(rng.uniform(0.2, 1.5))) for _ in range(2)]
+    if before:
+        lumps.append((float(rng.choice([TAU, rng.uniform(0.5, TAU)])), 0.4))
+    if negative:
+        lumps.append((float(rng.uniform(TAU + 0.1, 80.0)), -float(rng.uniform(0.5, 3.0))))
+    a = float(rng.uniform(TAU + 1.0, 40.0))
+    flow = CashFlow(lumps=tuple(lumps), densities=((a, a + float(rng.uniform(1.0, 30.0)), 0.05),))
+
+    want = _outcome(hedge, curve, flow)
+    assert _outcome(verification_checks, curve, flow, shift_suite(1, seed % 2**31), TOLERANCES) == want
+    if spec.method.no_ufr is None:
+        assert _outcome(ufr_sensitivity, curve, flow) == want
