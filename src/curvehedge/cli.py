@@ -142,7 +142,7 @@ def cmd_extrapolate(args) -> int:
     else:
         _emit(args, render_table(samples.headers, samples) + _defect_text(scan))
     if not scan.is_clean:
-        print("defective curve: see scan report", file=sys.stderr)
+        print("error: defective curve: see scan report", file=sys.stderr)
         return 2
     return 0
 

@@ -578,34 +578,9 @@ def _density_integrals(densities, breakpoints):
     also splits at the ``breakpoints`` inside (a, b). Yields what
     :func:`~curvehedge.quadrature.adaptive_panels` returns.
     """
-    extra = np.asarray(breakpoints, dtype=float)
     for a, b, shape, rate, pts in densities:
         integrand = lambda s, shape=shape, rate=rate: shape(s) * rate
-        yield adaptive_panels(integrand, a, b, breakpoints=[*pts, *extra[(extra > a) & (extra < b)]])
-
-
-def measure_integral(lumps, densities, weight, breakpoints) -> float:
-    """int w(t) dM(t) for a measure M of lumps and densities.
-
-    ``lumps`` is a pair of sequences, the lump times and masses, and the
-    densities are those of :func:`_density_integrals`. ``weight`` is None
-    for w = 1, or a function of a flat float array of times that returns
-    a float array (leading rows for a stacked weight) or a float; it loses
-    smoothness at ``breakpoints``. The lump terms m * w are summed with
-    ``np.sum``, then each density's integral of (w(s) * shape(s)) * rate
-    is added in order, one per row of stacked values.
-    """
-    times, masses = (np.asarray(x, dtype=float) for x in lumps)
-    if weight is not None:
-        # also without lumps, so that a stacked weight gives a sum per scenario
-        masses = masses * weight(times)
-        densities = [(a, b, lambda s, shape=shape: weight(s) * shape(s), rate, pts)
-                     for a, b, shape, rate, pts in densities]
-    total = masses.sum(axis=-1)
-    total = float(total) if total.ndim == 0 else total
-    for _, _, integral in _density_integrals(densities, breakpoints):
-        total += integral
-    return total
+        yield adaptive_panels(integrand, a, b, breakpoints=[*pts, *(p for p in breakpoints if a < p < b)])
 
 
 def _passes(weights, densities) -> list:
@@ -630,9 +605,10 @@ def _passes(weights, densities) -> list:
             for key, group in groups.items() for i in range(0, len(group) or 1, PASS_WEIGHTS)]
 
 
+@np.errstate(all="ignore")  # the pass rejects a non-finite row
 def _discounted_measure(curve, flow: CashFlow):
     """dC*, the flow discounted by the curve, as the lumps and densities of
-    :func:`measure_integral`; a density splits at the curve's breakpoints."""
+    a :class:`Measure`; a density splits at the curve's breakpoints."""
     if flow.latest_time > curve.horizon:
         raise DomainError(
             f"cash flow extends to {flow.latest_time}, beyond the curve horizon {curve.horizon}"
@@ -647,39 +623,58 @@ def _discounted_measure(curve, flow: CashFlow):
     return (times, masses), densities
 
 
-def stieltjes_integral(curve, flow: CashFlow, weight=None, breakpoints=()) -> float:
-    """int w(t) dC*(t) where dC* is the flow discounted by the curve.
+def _fold_weight(lumps, densities, weight=None, breakpoints=()):
+    """The lumps and densities of w dM for a measure M of a :class:`Measure`'s:
+    each lump's mass times w at its time, and each density's shape times w,
+    split also at the ``breakpoints`` inside it, where w loses smoothness.
+    ``weight`` is None for w = 1, or a function of a flat float array of
+    times that returns a float array (leading rows when stacked) or a float."""
+    times, masses = lumps
+    if weight is not None:
+        # also without lumps, so that a stacked weight gives a sum per scenario
+        with np.errstate(all="ignore"):  # the pass rejects a non-finite row
+            masses = np.multiply(masses, weight(np.asarray(times, dtype=float)))
+        densities = [(a, b, lambda s, shape=shape: weight(s) * shape(s), rate, pts)
+                     for a, b, shape, rate, pts in densities]
+    if len(breakpoints):
+        extra = np.asarray(breakpoints, dtype=float)
+        densities = [(a, b, shape, rate, [*pts, *extra[(extra > a) & (extra < b)]])
+                     for a, b, shape, rate, pts in densities]
+    return (times, masses), densities
 
-    ``weight`` is a vectorized callable (or None for w = 1) and
-    ``breakpoints`` the points where it loses smoothness; each density
-    segment of the flow also splits at the curve's own breakpoints.
-    :func:`measure_integral` takes the sum.
-    """
-    return measure_integral(*_discounted_measure(curve, flow), weight, breakpoints)
+
+def stieltjes_integral(curve, flow: CashFlow, weight=None, breakpoints=()):
+    """int w(t) dC*(t), dC* the flow discounted by the curve: the measure
+    w dC* of :func:`_fold_weight` priced alone by :class:`Measure`, a float,
+    or an array of one value per row of a stacked curve or weight."""
+    measure = Measure(*_fold_weight(*_discounted_measure(curve, flow), weight, breakpoints))
+    return measure.total if measure.lumps[1].ndim == 1 else np.array(measure.present_values)
 
 
-def present_value(curve, flow: CashFlow) -> float:
-    """Present value of the flow under the curve's discount factors."""
+def present_value(curve, flow: CashFlow):
+    """Present value of the flow under the curve: :func:`stieltjes_integral`, w = 1."""
     return stieltjes_integral(curve, flow)
 
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """A measure of lumps and densities (those of :func:`measure_integral`)
-    priced in stacked passes: int dM on each own row, and int w dM on row
-    0 for each (weight, breakpoints) pair of ``weights``, whose weights may
-    return rows of their own. Masses with a leading axis of rows, and
+    """A measure of lumps and densities priced in stacked passes: int dM on
+    each own row, and int w dM on row 0 for each (weight, breakpoints) pair
+    of ``weights``, whose weights may return rows of their own. ``lumps``
+    pairs the lump times and masses, and the densities are those of
+    :func:`_density_integrals`. Masses with a leading axis of rows, and
     shapes that return such rows (a stacked curve's), make the own rows.
 
-    The first pass stacks the own rows and w * shape of row 0 for each
-    weight that splits no density where the density does not; the other
-    weights are grouped by the points where they do (:func:`_passes`).
-    So every row splits, sums and folds as :func:`measure_integral` does:
-    ``present_values[i]`` is own row i's integral with w = 1, and
-    ``integrals`` holds each weight's rows in turn, bit for bit. ``total``
-    is ``present_values[0]`` and ``masses`` row 0's integral of each
-    density. :meth:`integrate` prices more weights by the same passes,
-    without the own rows. A non-finite row raises :class:`DomainError`.
+    The pass loop of :meth:`_price` is the only code that sums an integral
+    over a measure: a row's lump terms by ``np.sum``, then each density's
+    integral in order. The first pass stacks the own rows and w * shape of
+    row 0 for each weight that splits no density where the density does
+    not; the others are grouped by the points where they do (:func:`_passes`).
+    So ``present_values[i]`` is own row i's integral and ``integrals`` holds
+    each weight's rows, each the own row of w dM (:func:`_fold_weight`)
+    priced alone, bit for bit. ``total`` is ``present_values[0]``, ``masses``
+    row 0's integral of each density. A non-finite row raises
+    :class:`DomainError`; no numpy warning leaks.
     """
 
     lumps: tuple
@@ -688,73 +683,77 @@ class Measure:
     present_values: tuple = field(init=False)
     integrals: tuple = field(init=False)
     total: float = field(init=False)
-    masses: tuple = field(init=False)
-    _pieces: tuple = field(init=False)
+    _panels: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lumps", tuple(np.asarray(x, dtype=float) for x in self.lumps))
-        present_values, integrals, pieces = self._price(self.weights, lead=True)
+        present_values, integrals, panels = self._price(self.weights, lead=True)
         object.__setattr__(self, "present_values", present_values)
         object.__setattr__(self, "integrals", integrals)
         object.__setattr__(self, "total", present_values[0])
-        object.__setattr__(self, "masses", tuple(float(piece[-1]) for piece in pieces))
-        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_panels", panels)
 
     def integrate(self, weights):
         """An array of the rows of int w dM on row 0 for each (weight,
         breakpoints) pair of ``weights``, in order."""
         return np.array(self._price(weights, lead=False)[1], dtype=float)
 
+    @np.errstate(all="ignore")  # no numpy warning leaves a pass
     def _price(self, weights, lead):
         """The own rows' integrals (none unless ``lead``), the rows of
-        ``weights``, and with ``lead`` per density (a, b, row 0's integrand,
-        its accepted panels' left ends and sums, its integral)."""
+        ``weights``, and with ``lead`` what the first pass's
+        :func:`_density_integrals` gave for each density."""
         (times, masses), densities = self.lumps, self.densities
-        stacked = masses.ndim == 2
-
-        def row0(values):
-            return values[0] if stacked else values
-
-        own = row0(masses)
+        own = masses[0] if masses.ndim == 2 else masses
         funcs = [w for w, _ in weights]
-        rows, pieces = {}, []
-        with np.errstate(all="ignore"):
-            for n, (splits, ks) in enumerate(_passes(weights, densities)):
-                first = lead and n == 0
-                if not (first or ks):
-                    continue
+        rows, panels = {}, ()
+        for n, (splits, ks) in enumerate(_passes(weights, densities)):
+            # the own rows (key None) lead the first pass, then a block of rows per weight
+            owners = [None, *ks] if lead and n == 0 else ks
+            if not owners:
+                continue
 
-                def stack(shape, s, ks=ks, first=first):
-                    d = shape(s)
-                    d0 = row0(d)
-                    block = [funcs[k](s) * d0 for k in ks]
-                    if first:
-                        block.insert(0, d)
-                    # one block of rows is integrated as it is
-                    return block[0] if len(block) == 1 else np.vstack(block)
+            def stack(shape, s, owners=owners):
+                d = shape(s)
+                d0 = d[0] if d.ndim == 2 else d
+                block = [d if k is None else funcs[k](s) * d0 for k in owners]
+                # one block of rows is integrated as it is
+                return block[0] if len(block) == 1 else np.vstack(block)
 
-                # the own rows (key None) lead the first pass, then a block of rows per weight
-                owners = [None, *ks] if first else ks
-                blocks = [masses if k is None else funcs[k](times) * own for k in owners]
-                blocks = [block if block.ndim == 2 else block[None] for block in blocks]
-                sums = np.concatenate(blocks).sum(axis=-1)
-                stacked_densities = [(a, b, functools.partial(stack, shape), rate, pts)
-                                     for a, b, shape, rate, pts in densities]
-                for (a, b, shape, rate, _), (lows, panels, total) in zip(
-                    densities, _density_integrals(stacked_densities, splits)
-                ):
-                    if first:
-                        row = (lows, panels, total) if np.ndim(total) == 0 else (lows[0], panels[0], total[0])
-                        pieces.append((a, b, lambda s, shape=shape, rate=rate: row0(shape(s)) * rate, *row))
-                    sums += total
-                values = sums.tolist()
-                if not all(map(math.isfinite, values)):
-                    raise DomainError("a priced integral of the cash flow is not finite")
-                at = 0
-                for k, block in zip(owners, blocks):
-                    rows[k], at = values[at : at + len(block)], at + len(block)
+            blocks = [masses if k is None else funcs[k](times) * own for k in owners]
+            blocks = [block if block.ndim == 2 else block[None] for block in blocks]
+            sums = np.concatenate(blocks).sum(axis=-1)
+            # a pass of the own rows alone integrates the shapes themselves
+            rowed = [(a, b, functools.partial(stack, f) if ks else f, *r) for a, b, f, *r in densities]
+            results = tuple(_density_integrals(rowed, splits))
+            for _, _, total in results:
+                sums += total
+            values = sums.tolist()
+            if not all(map(math.isfinite, values)):
+                raise DomainError("a priced integral of the cash flow is not finite")
+            at = 0
+            for k, block in zip(owners, blocks):
+                rows[k], at = values[at : at + len(block)], at + len(block)
+            if None in owners:
+                panels = results
         integrals = tuple(value for k in range(len(weights)) for value in rows[k])
-        return tuple(rows.get(None, ())), integrals, tuple(pieces)
+        return tuple(rows.get(None, ())), integrals, panels
+
+    @functools.cached_property
+    def _pieces(self) -> tuple:
+        """Per density (a, b, row 0's integrand, its accepted panels' left
+        ends and sums, its integral), read from the first pass."""
+        stacked = self.lumps[1].ndim == 2
+        return tuple(
+            (a, b, lambda s, shape=shape, rate=rate: (shape(s)[0] if stacked else shape(s)) * rate,
+             *(result if np.ndim(result[2]) == 0 else (part[0] for part in result)))
+            for (a, b, shape, rate, _), result in zip(self.densities, self._panels)
+        )
+
+    @functools.cached_property
+    def masses(self) -> tuple:
+        """Row 0's integral of each density."""
+        return tuple(float(piece[-1]) for piece in self._pieces)
 
     @functools.cached_property
     def _running(self) -> tuple:
@@ -802,7 +801,7 @@ class DiscountedFlow(Measure):
     led by a curve's own level, are its own rows: ``present_values[i]`` is
     ``present_value`` of row i, ``integrals[k]`` is
     ``stieltjes_integral(row 0, source, *weights[k])``, bit for bit, and
-    :meth:`cumulative` is C*(t) on row 0."""
+    :meth:`cumulative` is C*(t) on row 0; a non-finite row is a DomainError."""
 
     def __init__(self, source: CashFlow, curve, weights=()):
         object.__setattr__(self, "source", source)
@@ -818,22 +817,22 @@ def dollar_duration(curve, flow: CashFlow) -> float:
     return stieltjes_integral(curve, flow, lambda t: t)
 
 
-def _nonzero_pv(curve, flow) -> float:
-    """The flow's present value on the curve; never zero."""
-    pv = present_value(curve, flow)
-    if pv == 0.0:
+def _per_unit_value(curve, flow, weight, breakpoints=()) -> float:
+    """int w dC* / C*_T on row 0 of the curve, from one pass; C*_T is never zero."""
+    lstar = DiscountedFlow(flow, curve, ((weight, breakpoints),))
+    if lstar.total == 0.0:
         raise UndefinedDurationError("present value is zero")
-    return pv
+    return lstar.integrals[0] / lstar.total
 
 
 def duration(curve, flow: CashFlow) -> float:
-    return dollar_duration(curve, flow) / _nonzero_pv(curve, flow)
+    """int t dC* / C*_T."""
+    return _per_unit_value(curve, flow, lambda t: t)
 
 
 def convexity(curve, flow: CashFlow) -> float:
     """int t^2 dC* / C*_T."""
-    num = stieltjes_integral(curve, flow, lambda t: t * t)
-    return num / _nonzero_pv(curve, flow)
+    return _per_unit_value(curve, flow, lambda t: t * t)
 
 
 def excess_weight(cutoff: float):
@@ -846,5 +845,4 @@ def excess_weight(cutoff: float):
 
 def excess_duration(curve, flow: CashFlow, tau: float) -> float:
     """int (t - tau)+ dC* / C*_T: duration counted only beyond tau."""
-    num = stieltjes_integral(curve, flow, *excess_weight(tau))
-    return num / _nonzero_pv(curve, flow)
+    return _per_unit_value(curve, flow, *excess_weight(tau))

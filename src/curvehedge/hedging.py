@@ -355,7 +355,7 @@ def verification_checks(
     ``hedge``'s; it solves a hedgeable method's plan. The curves z + eps*Dz of
     ``EPS_SCHEDULE``, and for a perfect plan z + Dz, are stacked and
     priced once, and the plan is revalued on them
-    (:func:`_suite_values`).
+    (:func:`_suite_values`); a value that is not finite is a pass's DomainError.
     """
     shifts = list(shifts)
     weights = [variation_weight(curve, s) for s in shifts]

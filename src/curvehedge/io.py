@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import math
 from pathlib import Path
 
 import numpy as np

@@ -235,6 +235,7 @@ class Method:
         """
         return ((curve.spec.tau, curve.horizon, np.min(curve.ufr), 1.0),)
 
+    @np.errstate(over="ignore")  # an infinite factor is the defect scan's to name
     def discount(self, curve, t, zero_yield=None):
         """The discount factor; ``zero_yield`` is the extension's at t, when known."""
         if zero_yield is None:
@@ -575,6 +576,7 @@ class _SmithWilson(Method):
         with np.errstate(invalid="ignore", divide="ignore"):
             return ufr - g * np.exp(-spec.alpha * u) / factor
 
+    @np.errstate(over="ignore", invalid="ignore")  # as the base rule's
     def discount(self, curve, t, zero_yield=None):
         # product form stays valid (negative) for defective parameters
         spec, ufr = curve.spec, curve.ufr

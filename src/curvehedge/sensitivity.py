@@ -101,7 +101,7 @@ def parameter_sensitivity(family, flow: CashFlow, theta: float) -> float:
     at theta +- h and theta +- h/2, each bit for bit that of its own
     curve. Each is a smooth integral, so its quadrature stops at the
     panels the integrand needs; the step balances the O(h^4) truncation
-    left after the Richardson step against roundoff.
+    left after the Richardson step against roundoff. A non-finite value is a pass's DomainError.
     """
     h, thetas = _steps(theta)
     return _central_limit(h, present_value(family(np.array(thetas)), flow).tolist(), theta)

@@ -22,7 +22,6 @@ from curvehedge import (
     clamp_variation,
     convexity_gap,
     duration,
-    excess_duration,
     extrapolate,
     hedge,
     numeric_variation,

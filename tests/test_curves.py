@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -351,12 +352,23 @@ class TestDiscountedFlow:
             assert integral == stieltjes_integral(curve, flow, *weight)
 
     def test_non_finite_pass_raises(self):
-        """An integral that overflows is a domain error, with no warning."""
+        """An integral that overflows is a domain error, with no warning: in a
+        pass, priced alone and in a duration."""
         flow = CashFlow(lumps=((15.0, 1e308), (25.0, 1e308)))
         curve = ForwardCurve.flat(0.03)
         assert np.isfinite(DiscountedFlow(flow, curve).total)
-        with pytest.raises(DomainError, match="not finite"):
-            DiscountedFlow(flow, curve, ((lambda t: t * t, ()),))
+        overflowing = [
+            lambda: DiscountedFlow(flow, curve, ((lambda t: t * t, ()),)),
+            # undiscounted, the two lumps sum past the largest float
+            lambda: present_value(ForwardCurve.flat(0.0), flow),
+            lambda: stieltjes_integral(curve, flow, lambda t: t * t),
+            lambda: duration(curve, flow),
+        ]
+        for price in overflowing:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="not finite"):
+                    price()
 
     @pytest.mark.parametrize(
         "spec",
@@ -678,7 +690,7 @@ class TestRay:
 # ---- one integration route ---------------------------------------------------
 
 #: the names of the integration route
-ROUTE_NAMES = {"adaptive_panels", "_density_integrals", "_passes", "measure_integral"}
+ROUTE_NAMES = {"adaptive_panels", "_density_integrals", "_passes"}
 #: what a module may name: the route's names, and in ``curves.py`` alone a
 #: raise of the non-finite check
 ALLOWED = {"curves.py": ROUTE_NAMES | {"raise"}, "quadrature.py": ROUTE_NAMES}
@@ -719,7 +731,7 @@ def test_one_integration_route():
 
 def test_route_guard_sees_every_form():
     snippet = """
-from .curves import measure_integral as m
+from .curves import _density_integrals as m
 import curvehedge.quadrature
 def _passes():
     curves._density_integrals(x)

@@ -1,6 +1,5 @@
 import ast
 import inspect
-import math
 import pathlib
 import sys
 import threading
@@ -16,7 +15,6 @@ from curvehedge import (
     MethodSpec,
     PlanDensity,
     convexity_gap,
-    dollar_duration,
     duration,
     extrapolate,
     fra_replicate,
@@ -48,7 +46,7 @@ from curvehedge.hedging import (
 )
 from curvehedge.quadrature import adaptive_panels
 from curvehedge.shifts import shift_suite
-from curvehedge.curves import PASS_WEIGHTS, measure_integral
+from curvehedge.curves import PASS_WEIGHTS, Measure, _fold_weight
 from curvehedge.io import read_cash_flow, read_curve
 from curvehedge.variation import EPS_SCHEDULE, variation_weight
 
@@ -721,10 +719,11 @@ class TestPlanMeasure:
         ]
         lumps = ([l.time for l in plan.lumps], [l.amount for l in plan.lumps])
         densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in plan.densities]
-        want = [np.atleast_1d(measure_integral(lumps, densities, *term)) for term in terms]
-        assert plan.integrate(terms).tolist() == np.concatenate(want).tolist()
-        assert plan.value() == measure_integral(lumps, densities, None, ())
-        assert list(plan.masses) == [measure_integral(((), ()), [density], None, ()) for density in densities]
+        # each reference is one row priced alone: the measure w dA* of its own Measure
+        want = [Measure(*_fold_weight(lumps, densities, *term)).present_values for term in terms]
+        assert plan.integrate(terms).tolist() == [value for rows in want for value in rows]
+        assert plan.value() == Measure(lumps, densities).total
+        assert list(plan.masses) == [Measure(((), ()), [density]).total for density in densities]
 
     @pytest.mark.parametrize("spec", [MethodSpec("M1", tau=TAU, ufr=UFR), M5], ids=["M1", "M5"])
     def test_no_terms_no_rows(self, market_curve, spec):

@@ -1,10 +1,8 @@
 import json
-import math
 import pathlib
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from curvehedge import cli
@@ -162,6 +160,54 @@ class TestCliExtrapolate:
         captured = capsys.readouterr()
         assert code == 2
         assert "negative_forward" in captured.out
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_defective_curve_prints_one_error_line(self, tmp_path, capsys, fmt):
+        """The samples and the scan are written, then the one error line."""
+        curve = tmp_path / "bond.csv"
+        curve.write_text("t,zero_yield\n10,0.0\n")
+        code = run_cli(
+            "extrapolate",
+            "--curve", str(curve),
+            "--method", '{"kind":"M6_SW_discrete","tau":10,"ufr":0.042,"alpha":0.1}',
+            "--scan-step", "0.01",
+            "--format", fmt,
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out
+        assert captured.err == "error: defective curve: see scan report\n"
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            {"kind": "M1", "tau": 10, "ufr": -4},
+            {"kind": "M3", "tau": 10, "ufr": -4},
+            {"kind": "M5_SFSA", "tau": 10, "kappa": 30, "ufr": -4},
+            {"kind": "M6_SW_continuous", "tau": 10, "ufr": -4, "alpha": 0.1},
+            {"kind": "M6_SW_discrete", "tau": 10, "ufr": -4, "alpha": 0.1},
+        ],
+        ids=lambda method: method["kind"],
+    )
+    def test_overflowing_discount_factor_warns_nothing(self, tmp_path, capfd, method):
+        """With ufr -4 the discount factor past tau overflows before the
+        horizon. Its infinity is the scan's defect and renders as null, with
+        no numpy warning: ``scan-arbitrage`` exits 0 and ``extrapolate`` 2
+        with its one error line. The discrete fit's Gram matrix is rejected
+        first, with one error line from both."""
+        curve = tmp_path / "curve.csv"
+        curve.write_text("t,zero_yield\n5,0.02\n10,0.025\n30,0.03\n")
+        for command in ("scan-arbitrage", "extrapolate"):
+            code = run_cli(command, "--curve", str(curve), "--method", json.dumps(method), "--format", "json")
+            captured = capfd.readouterr()
+            if method["kind"] == "M6_SW_discrete":
+                assert code == 2 and captured.out == ""
+                assert captured.err.startswith("error: Smith-Wilson Gram matrix") and captured.err.count("\n") == 1
+            elif command == "scan-arbitrage":
+                assert code == 0 and captured.err == ""
+                assert json.loads(captured.out)["clean"] is False
+            else:
+                assert code == 2 and captured.err == "error: defective curve: see scan report\n"
+                assert None in [sample["discount"] for sample in json.loads(captured.out)["samples"]]
 
     @pytest.mark.parametrize("command, step", [("extrapolate", "--step=50"), ("scan-arbitrage", "--step=0.25")])
     @pytest.mark.parametrize("ufr, alpha", [(0.042, 1000), (0.042, 2000), (-1000, 0.1)])

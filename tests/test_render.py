@@ -10,7 +10,6 @@ infinities, -0.0, subnormals and the extremes of the range.
 import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

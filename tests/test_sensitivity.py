@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,21 @@ class TestParameterSensitivity:
         value = parameter_sensitivity(family, flow, 0.0)
         curve = extrapolate(flat3, M2)
         assert value == pytest.approx(-dollar_duration(curve, flow), rel=1e-7)
+
+    def test_non_finite_row_is_a_domain_error(self):
+        """The rows below theta = 0 discount at a negative rate, so a lump
+        near the largest float overflows there: the pass's domain error,
+        with no numpy warning."""
+        flow = CashFlow(lumps=((100.0, 1.79e308),))
+        grid = ForwardCurve.flat(0.0).grid
+
+        def family(c):
+            return ForwardCurve(grid, c[:, None], c[:, None])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                parameter_sensitivity(family, flow, 0.0)
 
 
 class TestUfrRows:
