@@ -18,7 +18,10 @@ closed-form kinds on the bundled sample data, in json and table, plus
 it is extrapolated and perturbed; and ``verify --format json`` with
 ``--shifts 20 --seed 7`` for ``M2``, ``M5_SFSA`` and
 ``M6_SW_continuous``, whose many eps-ladders pin the stacked pricing of
-each shift; and ``sensitivity`` in json and table for ``M1``, ``M2``,
+each shift; ``hedge`` and ``verify --format json`` with ``--shifts 33
+--seed 7`` for ``M2``, ``M3`` and ``M5_SFSA``, and ``verify`` alone for
+``M4`` and ``M6_SW_continuous``: 33 shifts are one block of 32 shifts
+priced together and one shift priced alone; and ``sensitivity`` in json and table for ``M1``, ``M2``,
 ``M3``, ``M5_SFSA`` and ``M6_SW_continuous`` on the bundled sample data,
 and for three continuous Smith-Wilson specs whose ufr lies below f(tau):
 two without a lower bound and the defective one (exit 2).
@@ -80,6 +83,8 @@ LIABILITY_FORMATS = {"hedge": ("json", "table", "csv"), "verify": ("json", "tabl
 OFFSET_KINDS = ("M2", "M5_SFSA")
 #: kinds whose ``verify`` also runs on a suite of 20 shifts
 LONG_VERIFY_KINDS = ("M2", "M5_SFSA", "M6_SW_continuous")
+#: the liability commands run on a suite of 33 shifts, by command
+SUITE_KINDS = {"hedge": ("M2", "M3", "M5_SFSA"), "verify": ("M2", "M3", "M4", "M5_SFSA", "M6_SW_continuous")}
 #: kinds whose ``sensitivity`` runs on the sample data
 SENSITIVITY_KINDS = ("M1", "M2", "M3", "M5_SFSA", "M6_SW_continuous")
 #: continuous Smith-Wilson specs with a ufr below f(tau) = 0.0322, whose
@@ -134,6 +139,12 @@ def _calls():
             "verify", "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
             "--method", json.dumps(SPECS[kind]), "--shifts", "20", "--seed", "7", "--format", "json",
         ]
+    for command, kinds in SUITE_KINDS.items():
+        for kind in kinds:
+            calls[f"{command}-json-33/{kind}"] = [
+                command, "--curve", str(CURVE), "--liabilities", str(LIABILITIES),
+                "--method", json.dumps(SPECS[kind]), "--shifts", "33", "--seed", "7", "--format", "json",
+            ]
     for name, spec in dict({kind: SPECS[kind] for kind in SENSITIVITY_KINDS}, **BELOW_F_TAU).items():
         for fmt in ("json", "table"):
             calls[f"sensitivity-{fmt}/{name}"] = [
