@@ -39,8 +39,8 @@ DEFAULT_HORIZON = 200.0
 #: horizon
 MAX_SAMPLES = 1_000_000
 
-#: most weights one pass stacks, so that its arrays stay small however
-#: many weights a measure is given; a stacked weight's rows count as one
+#: most weights one pass stacks, and shifts a suite block stacks; a block's rows
+#: count as one weight, so a pass holds at most PASS_WEIGHTS**2 suite rows
 PASS_WEIGHTS = 32
 
 
@@ -81,10 +81,6 @@ def _as_array(t):
         return t, True
     arr = np.asarray(t, dtype=float)
     return arr, (arr.ndim == 0)
-
-
-def _clipped(t, hi):
-    return min(t, hi) if isinstance(t, float) else np.minimum(t, hi)
 
 
 def evaluation(body):
@@ -305,6 +301,7 @@ class ForwardCurve:
         return np.exp(-ForwardCurve.integrated_forward.body(self, t))
 
     @evaluation
+    @np.errstate(over="ignore")  # an infinite factor is the defect scan's to name
     def _evaluation(self, t):
         """Zero yield, right-continuous forward rate and discount factor
         together, the first and last from one integrated forward."""
@@ -359,7 +356,7 @@ class ForwardCurve:
         b = np.minimum(edges[1:], self.horizon)
         return self.forward_rate(a, side="right"), self.forward_rate(b, side="left")
 
-    def ray(self, shift: "CurveShift", *more: "CurveShift"):
+    def ray(self, shift: "CurveShift"):
         """The curves z + e*Dz along a shift, as a function of the scale e.
 
         The merged grid, its validation and the edge forwards of both
@@ -369,19 +366,12 @@ class ForwardCurve:
         grid and this curve's quote nodes and live on this curve's domain;
         the shift is extended flat past its own horizon when shorter.
 
-        Several shifts, which must share one grid, give one ray along each:
-        an array of S scales gives S rows per shift, shift by shift, so row
-        ``i * S + j`` is ``self.ray(shifts[i])(scales[j])`` bit for bit, on
-        the same merged grid; one scale gives one row per shift.
+        A stacked shift (:meth:`CurveShift.stacked`) gives one ray along
+        each of its rows: an array of S scales gives S rows per shift row,
+        row by row, so row ``i * S + j`` is ``self.ray(shifts[i])(scales[j])``
+        bit for bit; one scale gives one row per shift row.
         """
         other = shift.delta_forward
-        if more:
-            forwards = [other, *(s.delta_forward for s in more)]
-            if any(not np.array_equal(f.grid.nodes, other.grid.nodes) for f in forwards):
-                raise DomainError("a ray along several shifts needs shifts on one grid")
-            other = ForwardCurve(
-                other.grid, np.array([f.f_left for f in forwards]), np.array([f.f_right for f in forwards])
-            )
         # this curve's own nodes end the merged grid at its horizon
         nodes = np.union1d(self.grid.nodes, other.grid.nodes)
         nodes = nodes[nodes <= self.horizon]
@@ -414,13 +404,17 @@ class CurveShift:
     representation, so Delta-f(t) = d/dt (t Delta-z(t)) inside segments by
     construction. A shift built by :meth:`parallel` is flagged constant
     and evaluates Delta-z(t) = c exactly, without division.
+
+    A stacked shift (:meth:`stacked`) of ``rows`` shifts leads its values with
+    a row per shift, bit for bit its own; a float time gives a ``(rows, 1)`` column.
     """
 
-    __slots__ = ("delta_forward", "constant")
+    __slots__ = ("delta_forward", "constant", "rows")
 
     def __init__(self, delta_forward: ForwardCurve, constant: float | None = None):
         self.delta_forward = delta_forward
         self.constant = None if constant is None else float(constant)
+        self.rows = delta_forward.rows
 
     @classmethod
     def parallel(cls, c: float, horizon: float = DEFAULT_HORIZON) -> "CurveShift":
@@ -431,30 +425,49 @@ class CurveShift:
     def from_forward_values(cls, times, values) -> "CurveShift":
         return cls(ForwardCurve.from_forwards(times, values))
 
+    @classmethod
+    def stacked(cls, shifts) -> "CurveShift":
+        """The shifts, on one grid and none parallel, as one stacked shift
+        whose row i is ``shifts[i]``; one shift is returned as it is."""
+        if len(shifts) == 1:
+            return shifts[0]
+        forwards = [s.delta_forward for s in shifts]
+        grid = forwards[0].grid
+        if any(s.constant is not None or not np.array_equal(s.delta_forward.grid.nodes, grid.nodes) for s in shifts):
+            raise DomainError("a stacked shift needs shifts on one grid, none of them parallel")
+        left, right = (np.array([getattr(f, side) for f in forwards]) for side in ("f_left", "f_right"))
+        return cls(ForwardCurve(grid, left, right))
+
     @property
     def horizon(self) -> float:
         return self.delta_forward.horizon
 
-    def _integrated_delta_f(self, t):
-        """int_0^t Delta-f, with the flat extension past the shift horizon."""
+    @property
+    def _tail_forward(self):
+        """Delta-f at the horizon, which extends the shift flat past it."""
+        f_right = self.delta_forward.f_right
+        return float(f_right[-1]) if self.rows is None else f_right[:, -1:]
+
+    def _times(self, t):
+        """:func:`_as_array`, but a stacked shift takes a float as a one-element array."""
         arr, scalar = _as_array(t)
-        hor = self.horizon
-        out = self.delta_forward.integrated_forward(_clipped(arr, hor))
-        beyond = arr > hor
-        if beyond if scalar else beyond.any():
-            tail_f = float(self.delta_forward.f_right[-1])
-            out = out + np.where(beyond, tail_f * (arr - hor), 0.0)
-        return out
+        return (np.reshape(arr, 1), False) if scalar and self.rows is not None else (arr, scalar)
 
     def delta_z(self, t):
-        arr, scalar = _as_array(t)
+        arr, scalar = self._times(t)
         if self.constant is not None:
             out = self.constant if scalar else np.full_like(arr, self.constant, dtype=float)
         else:
-            out = self.delta_forward._yield_of(self._integrated_delta_f(arr), arr)
+            # int_0^t Delta-f, extended flat past the shift horizon
+            hor = self.horizon
+            cum = self.delta_forward.integrated_forward(np.minimum(arr, hor))
+            beyond = arr > hor
+            if beyond if scalar else beyond.any():
+                cum = cum + np.where(beyond, self._tail_forward * (arr - hor), 0.0)
+            out = self.delta_forward._yield_of(cum, arr)
         return float(out) if scalar else out
 
-    def delta_f_at_boundary(self, tau: float) -> float:
+    def delta_f_at_boundary(self, tau: float):
         """Delta-f at the last liquid point, taken as the left limit there.
 
         Reads the stored forward perturbation directly; differencing
@@ -462,23 +475,22 @@ class CurveShift:
         """
         if self.constant is not None:
             return self.constant
-        return float(self.delta_forward.forward_rate(min(tau, self.horizon), side="left"))
+        return self.delta_forward.forward_rate(self._times(min(tau, self.horizon))[0], side="left")
 
     def time_weighted_cumulative(self, t):
         """int_0^t s * Delta-z(s) ds, closed form, flat-extended past the horizon."""
-        arr, scalar = _as_array(t)
+        arr, scalar = self._times(t)
         if self.constant is not None:
             out = 0.5 * self.constant * arr * arr
             return float(out) if scalar else out
         hor = self.horizon
-        out = self.delta_forward.cumulative_time_weighted_yield(_clipped(arr, hor))
+        out = self.delta_forward.cumulative_time_weighted_yield(np.minimum(arr, hor))
         beyond = arr > hor
         if beyond if scalar else beyond.any():
             # s * dz(s) = cum_h + tail_f * (s - hor) beyond the shift horizon
-            tail_f = float(self.delta_forward.f_right[-1])
-            cum_h = float(self.delta_forward.integrated_forward(hor))
+            cum_h = self.delta_forward.integrated_forward(self._times(hor)[0])
             w = arr - hor
-            out = out + np.where(beyond, cum_h * w + 0.5 * tail_f * w * w, 0.0)
+            out = out + np.where(beyond, cum_h * w + 0.5 * self._tail_forward * w * w, 0.0)
         return float(out) if scalar else out
 
     def scaled(self, factor: float) -> "CurveShift":
@@ -589,17 +601,13 @@ def _passes(weights, densities) -> list:
     its own points do not, their indices). Grouped by those points, each
     row splits as its standalone integral does; a group is taken
     ``PASS_WEIGHTS`` at a time, the first one that splits no density."""
-    groups, keys = {(): []}, {}
+    groups = {(): []}
     for k, (_, pts) in enumerate(weights):
         pts = np.asarray(pts, dtype=float)
-        # the weights of a suite's shifts share their points: each set is read once
-        key = keys.get(pts.tobytes()) if pts.size and densities else ()
-        if key is None:
-            splits = set()
-            for a, b, _, _, own in densities:
-                splits |= set(pts[(pts > a) & (pts < b)].tolist()).difference(own)
-            key = keys[pts.tobytes()] = tuple(sorted(splits))
-        groups.setdefault(key, []).append(k)
+        splits = set()
+        for a, b, _, _, own in densities if pts.size else ():
+            splits |= set(pts[(pts > a) & (pts < b)].tolist()).difference(own)
+        groups.setdefault(tuple(sorted(splits)), []).append(k)
     # range(0, 1) keeps the empty first group as a pass
     return [(key, group[i : i + PASS_WEIGHTS])
             for key, group in groups.items() for i in range(0, len(group) or 1, PASS_WEIGHTS)]

@@ -206,6 +206,7 @@ class SwDiscreteFit:
         return not self._sign_bounds()[3][-1] > 0.0
 
     @evaluation
+    @np.errstate(over="ignore", invalid="ignore")  # an infinite factor is the defect scan's to name
     def _evaluation(self, t):
         """Zero yield, forward rate and discount factor, from B and B'/alpha."""
         alpha, ufr = self.alpha, self.ufr
@@ -422,7 +423,8 @@ class ExtrapolatedCurve:
         # tau lies in eff's domain, so the bodies are called without a second check
         cum = ForwardCurve.integrated_forward.body(eff, tau)
         self.z_tau = anchor(eff._yield_of(cum, tau))
-        self.d_tau = anchor(np.exp(-cum))
+        with np.errstate(over="ignore"):  # an infinite factor is the defect scan's to name
+            self.d_tau = anchor(np.exp(-cum))
         self.f_tau = anchor(ForwardCurve.forward_rate.body(eff, tau, "left"))
         self.spec = spec
         method = self.method = spec.method

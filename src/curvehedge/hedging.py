@@ -18,12 +18,13 @@ so the per-method comparison stays clean. Every function here takes the
 extrapolated curve, which holds its market curve, spec and horizon.
 
 This module only declares weights; dL* and dA* are both a
-:class:`~curvehedge.curves.Measure`, which plans its passes. Every
-shift's weights go to the :class:`~curvehedge.curves.DiscountedFlow`
-that prices L* and solves the plan, and its terms to the plan's measure,
-each a row of one of their passes. The one-shift functions
-(``method_variation_pv``, ``verify_first_order``, ``convexity_gap``,
-...) integrate the same weights one at a time.
+:class:`~curvehedge.curves.Measure`, which plans its passes. dzbar[Dz] is
+linear in the shift, so a suite block's variations, hedge terms and
+eps-ladders are each one weight or curve stacked like its shifts, for the
+:class:`~curvehedge.curves.DiscountedFlow` that prices L* and solves the
+plan or for the plan's measure. The one-shift functions
+(``method_variation_pv``, ``verify_first_order``, ``convexity_gap``, ...)
+are the one-row case.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PASS_WEIGHTS, CashFlow, CurveShift, ForwardCurve, Measure, present_value
+from .curves import CashFlow, CurveShift, ForwardCurve, Measure, present_value
 from .errors import DomainError, PlanKindError
 from .extrapolation import ExtrapolatedCurve, extrapolate
 from .methods import PLAN_FIRST_ORDER, PLAN_INFEASIBLE, PLAN_PERFECT
@@ -224,35 +225,22 @@ def verify_first_order(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow
 
 
 def _suite_values(plan, curve, flow, shifts, scales, terms=()):
-    """Per shift, (its liability values on the curves z + e*Dz of
-    ``scales``, the plan's integral of its weight of ``terms``, the plan's
-    values on those curves); the last two None without a plan or terms.
-
-    The shifts on one grid make one stacked curve per ``PASS_WEIGHTS``
-    shifts (:meth:`ForwardCurve.ray`), extrapolated, priced and
-    revalued once; shifts on another grid are stacked apart. Each row is
-    bit for bit the shift's own, since a chunk splits at its one grid.
-    """
+    """Arrays of a row per shift of the blocks ``shifts``: its liability values
+    on the curves z + e*Dz of ``scales``, the plan's integral of its weight of
+    ``terms`` (one per block, or none), and the plan's values on those curves;
+    the last two None without a plan. Each block's curves are one stacked
+    curve (:meth:`ForwardCurve.ray`), extrapolated, priced and revalued once,
+    each row bit for bit the shift's own, since a block splits at one grid."""
     z = curve.base
-    groups = {}
-    for i, shift in enumerate(shifts):
-        groups.setdefault(shift.delta_forward.grid.nodes.tobytes(), []).append(i)
-    out = [None] * len(shifts)
-    chunks = (group[k : k + PASS_WEIGHTS] for group in groups.values() for k in range(0, len(group), PASS_WEIGHTS))
-    for chunk in chunks:
-        ladder = z.ray(*(shifts[i] for i in chunk))(scales)
-        liabs = present_value(extrapolate(ladder, curve.spec, curve.horizon), flow)
-        liabs = np.reshape(liabs, (len(chunk), -1)).tolist()
-        if plan is None:
-            heads, assets = [None] * len(chunk), [None] * len(chunk)
-        else:
-            own = [terms[i] for i in chunk] if terms else []
-            rows = plan.integrate([*own, _revaluation_term(ladder, z)])
-            heads = rows[: len(own)].tolist() if own else [None] * len(chunk)
-            assets = rows[len(own) :].reshape(len(chunk), -1).tolist()
-        for i, liab, head, asset in zip(chunk, liabs, heads, assets):
-            out[i] = (liab, head, asset)
-    return out
+    liabs, heads, assets = [], [], []
+    for k, shift in enumerate(shifts):
+        ladder = z.ray(shift)(scales)
+        liabs.append(present_value(extrapolate(ladder, curve.spec, curve.horizon), flow).reshape(-1, scales.size))
+        if plan is not None:
+            values = plan.integrate([*terms[k : k + 1], _revaluation_term(ladder, z)])
+            heads.append(values[: -ladder.rows])
+            assets.append(values[-ladder.rows :].reshape(-1, scales.size))
+    return tuple(np.concatenate(parts) if parts else None for parts in (liabs, heads, assets))
 
 
 def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> float:
@@ -268,17 +256,8 @@ def verify_perfect(plan: HedgePlan, curve: ExtrapolatedCurve, flow: CashFlow, sh
     """
     if plan.kind != PLAN_PERFECT:
         raise PlanKindError(f"plan kind is {plan.kind!r}, not {PLAN_PERFECT!r}")
-    values = _suite_values(plan, curve, flow, list(shifts), np.array([1.0]))
-    return _worst_gap(plan.value() - present_value(curve, flow), values)
-
-
-def _worst_gap(base_gap, values) -> float:
-    """max over shifts of |(asset - liability) - base_gap| on each shift's
-    last curve, from the values of :func:`_suite_values`."""
-    worst = 0.0
-    for liab, _, asset in values:
-        worst = max(worst, abs((asset[-1] - liab[-1]) - base_gap))
-    return worst
+    liabs, _, assets = _suite_values(plan, curve, flow, list(shifts), np.array([1.0]))
+    return float(np.max(np.abs(assets[:, -1] - liabs[:, -1] - (plan.value() - present_value(curve, flow)))))
 
 
 def convexity_gap(
@@ -307,11 +286,11 @@ def hedge_summary(curve: ExtrapolatedCurve, flow: CashFlow, shifts) -> dict:
     residuals and the gap share ``curve``. ``liability_value`` is the
     plan's own: the present value of the liabilities on ``curve``.
     ``max_first_order_residual`` is the worst first-order residual over
-    ``shifts`` and ``convexity_gap_parallel_unit`` the convexity gap
-    along a parallel shift of one, all read from rows of the liability
-    pass and of the plan's measure, which prices the gap's term with the
-    plan's value and each hedge term in a pass of their own: the gap is
-    :func:`convexity_gap`'s bit for bit.
+    the rows of the blocks ``shifts`` and ``convexity_gap_parallel_unit``
+    the convexity gap along a parallel shift of one, all read from rows of
+    the liability pass and of the plan's measure, which prices the gap's
+    term with the plan's value and the hedge terms in a pass of their own:
+    the gap is :func:`convexity_gap`'s bit for bit.
     """
     _check_hedge(curve.spec.method.plan_kind)
     shifts = list(shifts)
@@ -338,15 +317,15 @@ def verification_checks(
 ) -> list:
     """The analytic-vs-numeric checks of one method, as (name, ok, value, bound) records.
 
-    ``variation[i]`` compares the closed-form first variation of the
-    liability value along shift i (plus ``corrupt``, to show that a
-    check can fail) with its finite-difference twin. The hedgeable
-    methods add ``hedge_equation[i]``, the plan's first-order residual;
-    a perfect plan adds ``perfect_revaluation``, its worst revaluation
-    gap over the suite; a first-order plan adds ``remainder_decay[i]``,
-    whether its revaluation remainder over eps keeps falling on the last
-    ``remainder_tail`` steps of ``EPS_SCHEDULE`` or sits below
-    ``remainder_floor``. ``tolerances`` holds those keys and
+    Shift i is row i of the blocks ``shifts``. ``variation[i]`` compares the
+    closed-form first variation of the liability value along shift i (plus
+    ``corrupt``, to show that a check can fail) with its finite-difference
+    twin. The hedgeable methods add ``hedge_equation[i]``, the plan's
+    first-order residual; a perfect plan adds ``perfect_revaluation``, its
+    worst revaluation gap over the suite; a first-order plan adds
+    ``remainder_decay[i]``, whether its revaluation remainder over eps keeps
+    falling on the last ``remainder_tail`` steps of ``EPS_SCHEDULE`` or sits
+    below ``remainder_floor``. ``tolerances`` holds those keys and
     ``variation_rel``, ``variation_abs``, ``perfect_gap_rel`` and
     ``first_order_residual_rel``.
 
@@ -354,7 +333,7 @@ def verification_checks(
     shift's first variation are rows of one liability pass, checked as
     ``hedge``'s; it solves a hedgeable method's plan. The curves z + eps*Dz of
     ``EPS_SCHEDULE``, and for a perfect plan z + Dz, are stacked and
-    priced once, and the plan is revalued on them
+    priced once per block, and the plan is revalued on them
     (:func:`_suite_values`); a value that is not finite is a pass's DomainError.
     """
     shifts = list(shifts)
@@ -369,12 +348,12 @@ def verification_checks(
     perfect = plan is not None and plan.kind == PLAN_PERFECT
     scales = np.array(EPS_SCHEDULE + ((1.0,) if perfect else ()))
     terms = [_hedge_term(s, curve.horizon) for s in shifts]
-    values = _suite_values(plan, curve, flow, shifts, scales, terms)
+    liabs, lhs, assets = _suite_values(plan, curve, flow, shifts, scales, terms)
     checks = []
     variations = [-integral for integral in integrals]
-    for i, (variation, (liabs, _, _)) in enumerate(zip(variations, values)):
+    for i, (variation, ladder) in enumerate(zip(variations, liabs.tolist())):
         analytic = variation + corrupt
-        numeric = _difference_limit(liability_value, liabs)[0]
+        numeric = _difference_limit(liability_value, ladder)[0]
         residual = abs(analytic - numeric)
         scale = max(abs(analytic), abs(numeric))
         bound = tolerances["variation_rel"] * scale + tolerances["variation_abs"] * max(
@@ -385,22 +364,22 @@ def verification_checks(
     if plan is None:
         return checks
     bound = tolerances["first_order_residual_rel"] * max(1.0, abs(liability_value))
-    for i, (variation, (_, lhs, _)) in enumerate(zip(variations, values)):
-        residual = abs(lhs + variation)
+    for i, (variation, head) in enumerate(zip(variations, lhs.tolist())):
+        residual = abs(head + variation)
         checks.append((f"hedge_equation[{i}]", residual <= bound, residual, bound))
     base_asset = plan.value()
     if perfect:
-        gap = _worst_gap(base_asset - liability_value, values)
+        gap = float(np.max(np.abs(assets[:, -1] - liabs[:, -1] - (base_asset - liability_value))))
         bound = tolerances["perfect_gap_rel"] * abs(liability_value)
         checks.append(("perfect_revaluation", gap <= bound, gap, bound))
     if plan.kind == PLAN_FIRST_ORDER:
         tail = int(tolerances["remainder_tail"])
         # ratios already at roundoff level cannot be asked to keep falling
         floor = tolerances["remainder_floor"] * (1.0 + abs(liability_value))
-        for i, (liabs, _, assets) in enumerate(values):
+        for i, (ladder, revalued) in enumerate(zip(liabs.tolist(), assets.tolist())):
             ratios = [
                 abs((asset - base_asset) - (liab - liability_value)) / eps
-                for eps, asset, liab in zip(EPS_SCHEDULE, assets, liabs)
+                for eps, asset, liab in zip(EPS_SCHEDULE, revalued, ladder)
             ]
             window = ratios[-tail:]
             good = all(b < a or b < floor for a, b in zip(window, window[1:]))

@@ -128,7 +128,7 @@ def _interleaved(low, high, low_values, high_values):
 
 
 def _filled(curve, t, value):
-    """``value`` at the times t, in a row per scenario of a stacked ``curve``."""
+    """``value`` at the times t, in a row per scenario of a stacked ``curve`` or shift."""
     shape = t.shape if isinstance(t, np.ndarray) else ()
     out = np.empty(shape if curve.rows is None else (curve.rows,) + shape)
     out[...] = value
@@ -149,10 +149,10 @@ class Method:
     ``ufr``, the level that :meth:`level` sets: a float, or a ``(rows, 1)``
     column for a family along it. :meth:`sign_bounds` bounds the
     extension's forward and discount-factor sign from below, the kind's one
-    sign rule. ``yield_variation`` and
-    ``second_variation`` give functions of the times te past tau, with
-    values shaped like the times and the shift's quantities at tau read
-    once. An entry with a ``plan_kind`` has a ``plan(curve, flow, lstar)``:
+    sign rule. ``yield_variation`` and ``second_variation`` give functions
+    of the times te past tau, shaped like the times after a row per shift
+    of a stacked shift, whose quantities at tau they read once, as columns.
+    An entry with a ``plan_kind`` has a ``plan(curve, flow, lstar)``:
     the lumps (time, amount), densities (start, end, rate, breakpoints)
     and diagnostics of the plan for a flow past tau, whose measure on
     ``curve`` is ``lstar``; its ``integrals`` start with those of
@@ -295,7 +295,7 @@ class _PinnedYield(Method):
     forward = zero_yield
 
     def yield_variation(self, shift, curve):
-        return np.zeros_like
+        return lambda te: _filled(shift, te, 0.0)
 
     def plan(self, curve, flow, lstar):
         return (), (), {"liability_value": lstar.total}
@@ -315,7 +315,7 @@ class _LastYield(_PinnedYield):
 
     def yield_variation(self, shift, curve):
         dz_tau = shift.delta_z(curve.spec.tau)
-        return lambda te: np.full_like(te, dz_tau)
+        return lambda te: _filled(shift, te, dz_tau)
 
     def plan_weights(self, curve):
         return ((lambda t: t, ()),)

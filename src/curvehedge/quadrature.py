@@ -67,6 +67,10 @@ _ANTIDERIVATIVE = _antiderivative_matrix()
 #: hedge-residual tolerances
 REL_TOL = 1e-12
 
+#: most panels one level of an integral may hold: an integrand that is noise or
+#: not finite never meets the tolerance, and would double its panels up to max_depth
+MAX_PANELS = 1 << 14
+
 
 def gauss_panel(func, a, b):
     """24-point Gauss-Legendre estimate of the integral of ``func`` on [a, b].
@@ -109,7 +113,8 @@ def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):
 
     ``breakpoints`` are interior points where the integrand may lose
     smoothness; panels never straddle them. The achieved error is bounded
-    by roughly ``rel_tol`` times the total absolute panel mass.
+    by roughly ``rel_tol`` times the total absolute panel mass. A next
+    level of more than ``MAX_PANELS`` panels raises :class:`DomainError`.
 
     When ``func`` returns rows of values (leading axes before the points),
     each row is integrated on its own panels: the result is then a list of
@@ -148,6 +153,8 @@ def adaptive_panels(func, a, b, rel_tol=REL_TOL, breakpoints=(), max_depth=40):
         if not pending.any():
             break
         bad = np.logical_or.reduce(pending)
+        if 2 * np.count_nonzero(bad) > MAX_PANELS:
+            raise DomainError(f"an integral on [{a}, {b}] does not converge within {MAX_PANELS} panels")
         lo, hi = np.concatenate((lo[bad], mid[bad])), np.concatenate((mid[bad], hi[bad]))
         # the halves of the panels still needed: left ones, then right ones
         est = halves[:, :, bad].reshape(len(est), -1)

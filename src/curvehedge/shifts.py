@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DEFAULT_HORIZON, MAX_SAMPLES, CurveShift
+from .curves import DEFAULT_HORIZON, MAX_SAMPLES, PASS_WEIGHTS, CurveShift
 from .errors import DomainError
 
 DEFAULT_GRID_STEP = 0.5
@@ -63,8 +63,12 @@ def check_suite(count: int, seed: int, horizon: float):
 
 
 def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
-    """A reproducible list of random smooth shifts, checked by
-    :func:`check_suite` before any is built."""
+    """A reproducible suite of random smooth shifts, checked by :func:`check_suite`
+    before any is built: a list of stacked shifts of ``PASS_WEIGHTS`` rows, the last
+    the rest, each stacked as drawn; callers stack theirs by :meth:`CurveShift.stacked`."""
     check_suite(count, seed, horizon)
     rng = np.random.default_rng(seed)
-    return [gaussian_bump_shift(rng, horizon) for _ in range(count)]
+    return [
+        CurveShift.stacked([gaussian_bump_shift(rng, horizon) for _ in range(min(PASS_WEIGHTS, count - start))])
+        for start in range(0, count, PASS_WEIGHTS)
+    ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, stieltjes_integral
+from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, _shaped, stieltjes_integral
 from .errors import DomainError, EvaluationError
 from .extrapolation import ExtrapolatedCurve
 from .methods import piecewise
@@ -151,8 +151,8 @@ def numeric_variation(
 
 
 def _yield_variation(shift: CurveShift, curve):
-    """t -> dzbar(t) along ``shift``, for the extrapolated ``curve``: the
-    shift itself up to tau, and the method's variation past it."""
+    """t -> dzbar(t) along ``shift`` (a row per shift when stacked), for the
+    extrapolated ``curve``: the shift up to tau, the method's variation past it."""
     tau = curve.spec.tau
     extension = curve.spec.method.yield_variation(shift, curve)
 
@@ -160,10 +160,9 @@ def _yield_variation(shift: CurveShift, curve):
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 0.0):
             raise DomainError("negative time")
-        if isinstance(t, float):
+        if isinstance(t, float) and shift.rows is None:
             return float(piecewise(t, tau, shift.delta_z, extension))
-        out = piecewise(arr.reshape(-1), tau, shift.delta_z, extension)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return _shaped(piecewise(arr.reshape(-1), tau, shift.delta_z, extension), arr)
 
     return variation
 
@@ -259,7 +258,7 @@ def second_order_weight(curve: ExtrapolatedCurve, shift: CurveShift):
         out = t * t * dz * dz
         if second is not None:
             above = t > tau
-            out[above] -= second(t[above])
+            out[..., above] -= second(t[above])
         return out
 
     return weight, shift.breakpoints_between(0.0, curve.spec.method.reach(curve.spec))

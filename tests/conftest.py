@@ -9,6 +9,7 @@ from curvehedge import (
     CurveShift,
     ForwardCurve,
     extrapolate,
+    gaussian_bump_shift,
     method_variation_pv,
     numeric_variation,
     present_value,
@@ -46,6 +47,13 @@ def random_shift(rng, horizon=200.0, amplitude=0.01):
         w = rng.uniform(1.0, 25.0)
         values += a * np.exp(-0.5 * ((ts - c) / w) ** 2)
     return CurveShift.from_forward_values(ts, values)
+
+
+def suite_shifts(count, seed, horizon=200.0):
+    """The shifts of ``shift_suite(count, seed, horizon)`` one by one: the
+    single draws of ``gaussian_bump_shift``, in order."""
+    rng = np.random.default_rng(seed)
+    return [gaussian_bump_shift(rng, horizon) for _ in range(count)]
 
 
 def variation_report(spec, z, shift, flow):

@@ -27,10 +27,9 @@ from curvehedge import quadrature as quadrature_module
 from curvehedge.curves import PASS_WEIGHTS
 from curvehedge.errors import DomainError, UndefinedDurationError
 from curvehedge.io import read_curve
-from curvehedge.shifts import shift_suite
 from curvehedge.variation import variation_weight
 
-from conftest import random_curve, random_lump_flow, random_shift
+from conftest import random_curve, random_lump_flow, random_shift, suite_shifts
 
 SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
@@ -319,8 +318,8 @@ class TestDiscountedFlow:
         curve = rows[0]
         measured = curve.with_ufr(levels) if stacked else curve
         flow = CashFlow(lumps=((25.0, 1.0),), densities=((11.3, 19.7, 0.05), (30.0, 40.0, 0.02)))
-        mixed = shift_suite(3, 1) + [CurveShift.from_forward_values([0.0, 13.37, 200.0], [0.001, -0.002, 0.003])]
-        for shifts in (mixed, mixed + shift_suite(PASS_WEIGHTS, 2)):
+        mixed = suite_shifts(3, 1) + [CurveShift.from_forward_values([0.0, 13.37, 200.0], [0.001, -0.002, 0.003])]
+        for shifts in (mixed, mixed + suite_shifts(PASS_WEIGHTS, 2)):
             weights = tuple(variation_weight(curve, shift) for shift in shifts)
             lstar = DiscountedFlow(flow, measured, weights)
             for integral, weight in zip(lstar.integrals, weights, strict=True):
@@ -652,16 +651,16 @@ class TestRay:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_suite_ray_rows_are_each_shifts_ray_bitwise(self, count):
-        """Row i * S + j of a ray along several shifts is ray(shift i)(scale j),
+        """Row i * S + j of a ray along a stacked shift is ray(shift i)(scale j),
         as stored and as evaluated; one scale gives one row per shift."""
         rng = np.random.default_rng(41)
         scales = np.array(EPS_SCHEDULE + (1.0,))
         ts = rng.uniform(0.0, 200.0, 300)
         for z, horizon in ((random_curve(rng), 200.0), (random_curve(rng).with_constant_added(0.001), 60.0)):
             shifts = [random_shift(rng, horizon=horizon) for _ in range(count)]
-            stack = z.ray(*shifts)(scales)
+            stack = z.ray(CurveShift.stacked(shifts))(scales)
             assert stack.rows == count * scales.size and stack.quote_nodes is z.quote_nodes
-            one = z.ray(*shifts)(1.0)
+            one = z.ray(CurveShift.stacked(shifts))(1.0)
             assert one.rows == (None if count == 1 else count)
             for i, shift in enumerate(shifts):
                 want = z.ray(shift)(scales)
@@ -676,7 +675,9 @@ class TestRay:
     def test_suite_ray_needs_one_grid(self):
         rng = np.random.default_rng(43)
         with pytest.raises(DomainError, match="one grid"):
-            random_curve(rng).ray(random_shift(rng), random_shift(rng, horizon=60.0))
+            random_curve(rng).ray(CurveShift.stacked([random_shift(rng), random_shift(rng, horizon=60.0)]))
+        with pytest.raises(DomainError, match="one grid"):
+            CurveShift.stacked([CurveShift.parallel(0.01), CurveShift.parallel(0.02)])
 
     def test_ray_curves_share_one_grid_and_the_quotes(self):
         z, shift = self.cases()[-1]

@@ -22,13 +22,14 @@ from curvehedge import (
     sw_fit_discrete,
     sw_kernel,
 )
+from curvehedge.curves import PASS_WEIGHTS
 from curvehedge.errors import AlphaNotWellDefinedError, CalibrationError, DomainError
 import curvehedge.extrapolation as extrapolation_module
 from curvehedge.extrapolation import _SCAN_CHUNK, SwDiscreteFit, _unproven_runs, sample_grid
 from curvehedge.io import read_curve
 from curvehedge.methods import ALL_KINDS, METHODS
 
-from conftest import random_curve, random_shift
+from conftest import random_curve, random_shift, suite_shifts
 
 UFR = 0.042
 SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
@@ -600,6 +601,27 @@ class TestShiftSuite:
             np.testing.assert_array_equal(s1.delta_z(ts), s2.delta_z(ts))
             # at most five bumps of 100 bp each
             assert np.max(np.abs(s1.delta_forward.forward_rate(ts))) <= 0.05 + 1e-12
+
+    @pytest.mark.parametrize("count, horizon", [(1, 200.0), (2, 60.0), (33, 200.0), (65, 30.0)])
+    def test_blocks_are_the_single_draws(self, count, horizon):
+        """The suite's blocks hold ``PASS_WEIGHTS`` shifts each, the last the
+        rest, and their rows are the single shifts ``gaussian_bump_shift``
+        draws in order, bit for bit; a block of one is that plain shift."""
+        from curvehedge import shift_suite
+
+        blocks = shift_suite(count, 7, horizon)
+        singles = suite_shifts(count, 7, horizon)
+        sizes = [block.rows or 1 for block in blocks]
+        assert sizes == [min(PASS_WEIGHTS, count - start) for start in range(0, count, PASS_WEIGHTS)]
+        assert all((block.rows is None) == (size == 1) for block, size in zip(blocks, sizes))
+        rows = iter(singles)
+        for block in blocks:
+            for k in range(block.rows or 1):
+                single = next(rows).delta_forward
+                assert block.delta_forward.grid.nodes.tobytes() == single.grid.nodes.tobytes()
+                for name in ("f_left", "f_right", "_cum_f", "_cum_tz"):
+                    got = getattr(block.delta_forward, name)
+                    assert (got if block.rows is None else got[k]).tobytes() == getattr(single, name).tobytes()
 
     def test_suite_size_checked_before_any_shift(self, monkeypatch):
         """A suite of too many nodes is rejected before it is built; 10^4

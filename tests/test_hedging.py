@@ -50,7 +50,7 @@ from curvehedge.curves import PASS_WEIGHTS, Measure, _fold_weight
 from curvehedge.io import read_cash_flow, read_curve
 from curvehedge.variation import EPS_SCHEDULE, variation_weight
 
-from conftest import random_curve, random_lump_flow, random_shift, variation_report
+from conftest import random_curve, random_lump_flow, random_shift, suite_shifts, variation_report
 
 SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
@@ -210,7 +210,7 @@ class TestVerifyPerfect:
         """The suite's revaluation curves z + Dz are one stacked curve of one
         row per shift, and each gap is that of the ordinary curve z + Dz bit
         for bit."""
-        curve, shifts = extrapolate(market_curve, spec), shift_suite(3, 5)
+        curve, shifts = extrapolate(market_curve, spec), suite_shifts(3, 5)
         plan = hedge(curve, SYMBOLIC_FLOW)
         asset0, liab0 = plan.value(), present_value(curve, SYMBOLIC_FLOW)
         want = 0.0
@@ -226,7 +226,7 @@ class TestVerifyPerfect:
             return extrapolate(*args, **kwargs)
 
         monkeypatch.setattr(hedging, "extrapolate", counting)
-        assert verify_perfect(plan, curve, SYMBOLIC_FLOW, shifts) == want
+        assert verify_perfect(plan, curve, SYMBOLIC_FLOW, shift_suite(3, 5)) == want
         assert [market.rows for market, *_ in calls] == [len(shifts)]
 
     def test_wrong_kind_rejected(self, flat3):
@@ -334,7 +334,7 @@ class TestValueIdentities:
         plan = hedge(extrapolate(z, M5, 40.0), SYMBOLIC_FLOW)
         assert any(callable(d.rate) for d in plan.densities)
         curve = extrapolate(z, M5, 40.0)
-        for shift in shift_suite(5, 3, 40.0):
+        for shift in suite_shifts(5, 3, 40.0):
             def weight(t, shift=shift):
                 return np.asarray(t, dtype=float) * shift.delta_z(t)
 
@@ -709,18 +709,19 @@ class TestPlanMeasure:
         13.37 splits the roll-down density where the suite's nodes do not."""
         curve = extrapolate(market_curve, M5)
         plan = hedge(curve, flow)
-        suite = shift_suite(3, 5)
+        suite = suite_shifts(3, 5)
+        block = CurveShift.stacked(suite)
         odd = CurveShift.from_forward_values([0.0, 13.37, 200.0], [0.001, -0.002, 0.003])
-        ladder = market_curve.ray(*suite)(np.array(EPS_SCHEDULE))
-        terms = [
-            hedging._gap_term(CurveShift.parallel(1.0, curve.horizon), curve.horizon),
-            *(hedging._hedge_term(shift, curve.horizon) for shift in (*suite, odd)),
-            hedging._revaluation_term(ladder, market_curve),
-        ]
+        ladder = market_curve.ray(block)(np.array(EPS_SCHEDULE))
+        gap = hedging._gap_term(CurveShift.parallel(1.0, curve.horizon), curve.horizon)
+        revaluation = hedging._revaluation_term(ladder, market_curve)
+        terms = [gap, hedging._hedge_term(block, curve.horizon), hedging._hedge_term(odd, curve.horizon), revaluation]
+        alone = [gap, *(hedging._hedge_term(shift, curve.horizon) for shift in (*suite, odd)), revaluation]
         lumps = ([l.time for l in plan.lumps], [l.amount for l in plan.lumps])
         densities = [(d.start, d.end, d.rate_values, 1.0, d.breakpoints) for d in plan.densities]
-        # each reference is one row priced alone: the measure w dA* of its own Measure
-        want = [Measure(*_fold_weight(lumps, densities, *term)).present_values for term in terms]
+        # each reference is one row priced alone: the measure w dA* of its own
+        # Measure, with the stacked hedge term's rows the single shifts' terms
+        want = [Measure(*_fold_weight(lumps, densities, *term)).present_values for term in alone]
         assert plan.integrate(terms).tolist() == [value for rows in want for value in rows]
         assert plan.value() == Measure(lumps, densities).total
         assert list(plan.masses) == [Measure(((), ()), [density]).total for density in densities]
@@ -733,12 +734,14 @@ class TestPlanMeasure:
 
 
 class TestVerificationChecks:
-    @pytest.mark.parametrize("command", ["hedge", "verify"])
-    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize(
+        "count, command", [(1, "hedge"), (1, "verify"), (3, "hedge"), (3, "verify"), (200, "hedge")]
+    )
     def test_no_plan_rate_evaluated_twice_on_the_same_nodes(self, market_curve, monkeypatch, command, count):
         """The plan's lead pass, which holds its masses, and its passes of
         terms are the only passes over a symbolic M5 rate, each on its own
-        nodes."""
+        nodes: at 200 shifts ``hedge``'s seven blocks hold seven hedge terms,
+        one pass. ``verify`` still revalues the plan in one pass per block."""
         seen = []
         rate_values = PlanDensity.rate_values
 
@@ -769,10 +772,9 @@ class TestVerificationChecks:
     )
     @pytest.mark.parametrize("corrupt", [0.0, 1e-3])
     def test_match_one_at_a_time(self, market_curve, spec, corrupt):
-        shifts = shift_suite(2, 5)
         curve = extrapolate(market_curve, spec)
-        got = verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt=corrupt)
-        want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, corrupt)
+        got = verification_checks(curve, SYMBOLIC_FLOW, shift_suite(2, 5), TOLERANCES, corrupt=corrupt)
+        want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, suite_shifts(2, 5), TOLERANCES, corrupt)
         assert got == want
 
     @pytest.mark.parametrize("spec", [M2, MethodSpec("M4", tau=TAU), M5], ids=lambda spec: spec.kind)
@@ -782,10 +784,12 @@ class TestVerificationChecks:
         ``PASS_WEIGHTS`` of them, the curve's row leading the first; with
         M5 the shifts' nodes split the flow's density in (tau, kappa) where
         the curve does not, so the variation weights take passes of their
-        own. Every row is its standalone integral bit for bit, the checks
-        are the one-shift ones, and so are ``hedge_summary``'s residual and
-        gap."""
-        shifts = shift_suite(PASS_WEIGHTS + 1, 5)
+        own. Every row is its standalone integral bit for bit. The suite's
+        blocks, one of ``PASS_WEIGHTS`` shifts and one of one, give the
+        one-shift checks, and so are ``hedge_summary``'s residual and gap."""
+        shifts = suite_shifts(PASS_WEIGHTS + 1, 5)
+        blocks = shift_suite(PASS_WEIGHTS + 1, 5)
+        assert [block.rows for block in blocks] == [PASS_WEIGHTS, None]
         curve = extrapolate(market_curve, spec)
         weights = [*spec.method.plan_weights(curve), *(variation_weight(curve, s) for s in shifts)]
         passes = []
@@ -804,13 +808,13 @@ class TestVerificationChecks:
         for integral, weight in zip(lstar.integrals, weights, strict=True):
             assert integral == stieltjes_integral(curve, SYMBOLIC_FLOW, *weight)
 
-        got = verification_checks(curve, SYMBOLIC_FLOW, shifts, TOLERANCES)
+        got = verification_checks(curve, SYMBOLIC_FLOW, blocks, TOLERANCES)
         want = _checks_one_at_a_time(spec, market_curve, SYMBOLIC_FLOW, shifts, TOLERANCES, 0.0)
         assert got == want
         if spec.method.plan_kind == PLAN_INFEASIBLE:
             return
 
-        summary = hedge_summary(curve, SYMBOLIC_FLOW, shifts)
+        summary = hedge_summary(curve, SYMBOLIC_FLOW, blocks)
         plan = hedge(curve, SYMBOLIC_FLOW)
         residuals = [verify_first_order(plan, curve, SYMBOLIC_FLOW, shift) for shift in shifts]
         variations = [method_variation_pv(curve, shift, SYMBOLIC_FLOW) for shift in shifts]

@@ -209,6 +209,26 @@ class TestCliExtrapolate:
                 assert code == 2 and captured.err == "error: defective curve: see scan report\n"
                 assert None in [sample["discount"] for sample in json.loads(captured.out)["samples"]]
 
+    @pytest.mark.parametrize(
+        "method", [{"kind": "M4", "tau": 30}, {"kind": "M3", "tau": 30, "ufr": 0.04}], ids=lambda method: method["kind"]
+    )
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_overflowing_market_discount_factor_warns_nothing(self, tmp_path, capfd, method, fmt):
+        """A market curve whose integrated forward passes -709 before tau: its
+        discount factor at tau, the extension's anchor, and its samples
+        overflow. As past tau, the infinity is the scan's defect, with no
+        numpy warning: ``scan-arbitrage`` exits 0 and ``extrapolate`` 2 with
+        its one error line."""
+        curve = tmp_path / "curve.csv"
+        curve.write_text("t,zero_yield\n5,-30\n10,-30\n30,-30\n")
+        for command in ("scan-arbitrage", "extrapolate"):
+            code = run_cli(command, "--curve", str(curve), "--method", json.dumps(method), "--format", fmt)
+            captured = capfd.readouterr()
+            if command == "scan-arbitrage":
+                assert code == 0 and captured.err == ""
+            else:
+                assert code == 2 and captured.err == "error: defective curve: see scan report\n"
+
     @pytest.mark.parametrize("command, step", [("extrapolate", "--step=50"), ("scan-arbitrage", "--step=0.25")])
     @pytest.mark.parametrize("ufr, alpha", [(0.042, 1000), (0.042, 2000), (-1000, 0.1)])
     def test_overflowing_discrete_fit_exits_2(self, capfd, command, step, ufr, alpha):

@@ -40,7 +40,7 @@ from curvehedge.quadrature import REL_TOL, adaptive_panels, gauss_panel
 from curvehedge.shifts import shift_suite
 from curvehedge.variation import EPS_SCHEDULE, variation_weight
 
-from conftest import random_curve, random_lump_flow, random_shift
+from conftest import random_curve, random_lump_flow, random_shift, suite_shifts
 
 UFR = 0.042
 TAU = 10.0
@@ -488,6 +488,9 @@ def test_stacked_rows_are_the_one_shift_functions(kind, seed, count, tau, inside
     ``verify_first_order`` and the gap ``convexity_gap`` to 1e-13
     relative; each ladder's present values are its own ray's, bit for bit. A parallel shift adds a second grid.
     Flows with mass before tau are verified for the kinds without a plan.
+    The suite's blocks (:func:`shift_suite`) give the rows of the single
+    shifts, in order: the liability pass of their stacked weights, each
+    block's hedge term and each block's ladder.
     """
     rng = np.random.default_rng(seed)
     z = random_curve(rng, low=0.0, high=0.04)
@@ -495,9 +498,11 @@ def test_stacked_rows_are_the_one_shift_functions(kind, seed, count, tau, inside
     curve = extrapolate(z, spec)
     hedgeable = kind in PLAN_KINDS
     flow = _suite_flow(rng, tau, inside, before and not hedgeable)
-    shifts = shift_suite(count, int(rng.integers(0, 2**31)))
+    suite_seed = int(rng.integers(0, 2**31))
+    shifts, blocks = suite_shifts(count, suite_seed), shift_suite(count, suite_seed)
     if parallel:
         shifts.append(CurveShift.parallel(float(rng.uniform(-0.01, 0.01))))
+        blocks.append(shifts[-1])
 
     passes = []
     real = curves_module._density_integrals
@@ -525,12 +530,14 @@ def test_stacked_rows_are_the_one_shift_functions(kind, seed, count, tau, inside
     variations = [method_variation_pv(curve, shift, flow) for shift in shifts]
     for integral, want in zip(lstar.integrals, variations, strict=True):
         assert -integral == want
+    stacked = DiscountedFlow(flow, curve, tuple(variation_weight(curve, block) for block in blocks))
+    assert stacked.integrals == lstar.integrals
     if not hedgeable:
         return
 
     plan = hedge(curve, flow)
     unit = CurveShift.parallel(1.0, curve.horizon)
-    summary = hedge_summary(curve, flow, shifts)
+    summary = hedge_summary(curve, flow, blocks)
     assert summary["liability_value"] == lstar.total
     gap = convexity_gap(curve, flow, unit, plan)
     # the gap is the plan side less the liability side
@@ -541,14 +548,42 @@ def test_stacked_rows_are_the_one_shift_functions(kind, seed, count, tau, inside
     assert _close(summary["max_first_order_residual"], max(residuals), max(map(abs, variations)))
 
     scales = np.array(EPS_SCHEDULE)
-    terms = [hedging._hedge_term(shift, curve.horizon) for shift in shifts]
-    values = hedging._suite_values(plan, curve, flow, shifts, scales, terms)
-    for shift, variation, residual, (liabs, lhs, assets) in zip(shifts, variations, residuals, values, strict=True):
+    terms = [hedging._hedge_term(block, curve.horizon) for block in blocks]
+    values = (rows.tolist() for rows in hedging._suite_values(plan, curve, flow, blocks, scales, terms))
+    for shift, variation, residual, liabs, lhs, assets in zip(shifts, variations, residuals, *values, strict=True):
         ladder = z.ray(shift)(scales)
         assert liabs == present_value(extrapolate(ladder, spec), flow).tolist()
         assert _close(abs(lhs + variation), residual, abs(variation))
         for got, want in zip(assets, plan.value_under(ladder, z).tolist(), strict=True):
             assert _close(got, want, abs(want))
+
+
+@settings(max_examples=20)
+@given(seed=seeds, count=st.integers(min_value=2, max_value=5), shift_horizon=st.sampled_from([200.0, 60.0]))
+def test_stacked_shift_rows_are_the_single_shifts(seed, count, shift_horizon):
+    """Row i of ``CurveShift.stacked(shifts)`` is shift i bit for bit: its
+    delta_z and time_weighted_cumulative at an array of times, also past a
+    shorter shift's horizon, and at a float time as row i of an (S, 1)
+    column, as delta_f_at_boundary is."""
+    rng = np.random.default_rng(seed)
+    shifts = [random_shift(rng, horizon=shift_horizon) for _ in range(count)]
+    stacked = CurveShift.stacked(shifts)
+    assert stacked.rows == count
+    t = np.concatenate(([0.0, shift_horizon, 200.0], rng.uniform(0.0, 200.0, size=64)))
+    floats = [0.0, TAU, float(rng.uniform(0.0, 200.0)), shift_horizon, 200.0]
+    for name in ("delta_z", "time_weighted_cumulative"):
+        rows = getattr(stacked, name)(t)
+        assert rows.shape == (count, t.size)
+        for i, shift in enumerate(shifts):
+            assert _bits(rows[i]) == _bits(getattr(shift, name)(t)), name
+        for time in floats:
+            column = getattr(stacked, name)(time)
+            assert column.shape == (count, 1)
+            assert _bits(column[:, 0]) == _bits([getattr(shift, name)(time) for shift in shifts]), (name, time)
+    for tau in floats[1:]:
+        column = stacked.delta_f_at_boundary(tau)
+        assert column.shape == (count, 1)
+        assert _bits(column[:, 0]) == _bits([shift.delta_f_at_boundary(tau) for shift in shifts])
 
 
 def _outcome(call, *args):

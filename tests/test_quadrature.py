@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvehedge.errors import DomainError
-from curvehedge.quadrature import _NODES, _WEIGHTS, adaptive_panels, gauss_panel, panel_antiderivatives
+from curvehedge.quadrature import _NODES, _WEIGHTS, MAX_PANELS, adaptive_panels, gauss_panel, panel_antiderivatives
 
 
 def test_polynomial_exact():
@@ -134,6 +134,25 @@ def test_one_func_call_per_level():
     panels = sum(calls) // 24
     assert len(calls) <= 40 + 2
     assert panels > 3 * len(calls)
+
+
+@pytest.mark.parametrize(
+    "func", [lambda x: np.full_like(x, np.nan), lambda x: np.sin(1e12 * x)], ids=["not-finite", "noise"]
+)
+def test_an_integral_that_never_converges_raises_within_the_panel_budget(func):
+    """An integrand that is not finite, or noise, on the whole interval never
+    meets the tolerance: the integral raises once a level would hold more
+    than ``MAX_PANELS`` panels, instead of doubling them up to ``max_depth``,
+    having evaluated about four times that many in all."""
+    points = []
+
+    def counted(x):
+        points.append(x.size)
+        assert sum(points) <= 24 * 8 * MAX_PANELS
+        return func(x)
+
+    with pytest.raises(DomainError, match=f"within {MAX_PANELS} panels"):
+        adaptive_panels(counted, 0.0, 1.0)
 
 
 def test_array_panels_match_scalar_calls():

@@ -20,11 +20,10 @@ from curvehedge import (
     sw_variation_coefficient,
 )
 from curvehedge.errors import DomainError, EvaluationError
-from curvehedge.shifts import shift_suite
 from curvehedge.variation import EPS_SCHEDULE, _richardson
 import curvehedge.quadrature as quadrature_module
 
-from conftest import random_curve, random_lump_flow, random_shift, variation_report
+from conftest import random_curve, random_lump_flow, random_shift, suite_shifts, variation_report
 
 UFR = 0.042
 TAU = 10.0
@@ -463,7 +462,7 @@ class TestSmithWilsonSecondVariation:
         the second variation is of the order of that movement squared, from a
         shallow quadrature."""
         z = ForwardCurve.from_zero_yields(SAMPLE_TIMES, SAMPLE_YIELDS)
-        shift = shift_suite(3, 7)[0]
+        shift = suite_shifts(3, 7)[0]
         assert abs(shift.delta_z(TAU)) < 1e-11 and abs(shift.delta_f_at_boundary(TAU)) < 1e-11
         value = second_order_pv(extrapolate(z, SAMPLE_SW), shift, SAMPLE_FLOW)
         assert np.isfinite(value) and abs(value) < 1e-18
