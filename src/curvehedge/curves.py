@@ -72,17 +72,6 @@ class TimeGrid:
         return f"TimeGrid({len(self.nodes)} nodes, horizon={self.horizon})"
 
 
-def _as_array(t):
-    """A float time as it is and anything else as a float array, with whether
-    the result goes back as a float; a float then takes the array's
-    expressions on floats and gives its value bit for bit, as under
-    :func:`evaluation`."""
-    if isinstance(t, float):
-        return t, True
-    arr = np.asarray(t, dtype=float)
-    return arr, (arr.ndim == 0)
-
-
 def evaluation(body):
     """The curve-evaluation protocol, around a body that maps times to values.
 
@@ -349,12 +338,9 @@ class ForwardCurve:
         return ForwardCurve(self.grid, self.f_left + c, self.f_right + c, self.quote_nodes)
 
     def _edge_values(self, edges):
-        """Forward values at the segment edges ``edges`` (a merged grid), with
-        the edges past the horizon clipped to it: there the last segment's
-        forward at the horizon, ``f_right[-1]``, extends the curve flat."""
-        a = np.minimum(edges[:-1], self.horizon)
-        b = np.minimum(edges[1:], self.horizon)
-        return self.forward_rate(a, side="right"), self.forward_rate(b, side="left")
+        """Forward values at the segment edges ``edges`` (a merged grid): each
+        segment's value at its start and its left limit at its end."""
+        return self.forward_rate(edges[:-1], side="right"), self.forward_rate(edges[1:], side="left")
 
     def ray(self, shift: "CurveShift"):
         """The curves z + e*Dz along a shift, as a function of the scale e.
@@ -363,8 +349,10 @@ class ForwardCurve:
         curves are computed once, here; each scale then costs one
         construction. An array of S scales gives one stacked curve whose
         row i is the curve of scale i bit for bit. The curves share one
-        grid and this curve's quote nodes and live on this curve's domain;
-        the shift is extended flat past its own horizon when shorter.
+        grid and this curve's quote nodes and live on this curve's domain.
+        The shift must cover that domain: a shift whose horizon falls
+        short of this curve's raises :class:`DomainError`, as any curve
+        read past its horizon does; it is never extended.
 
         A stacked shift (:meth:`CurveShift.stacked`) gives one ray along
         each of its rows: an array of S scales gives S rows per shift row,
@@ -397,13 +385,24 @@ class ForwardCurve:
         return f"ForwardCurve({len(self.grid.nodes)} nodes, horizon={self.horizon})"
 
 
+@evaluation
+def _constant(curve, t, value):
+    """``value`` at each time t of the curve's domain: a parallel shift's exact
+    Delta-z and Delta-f."""
+    return np.full_like(t, value)
+
+
 class CurveShift:
     """A perturbation of the forward curve, Delta-f, with derived Delta-z.
 
-    Delta-z(t) = (1/t) int_0^t Delta-f, matching the canonical curve
-    representation, so Delta-f(t) = d/dt (t Delta-z(t)) inside segments by
-    construction. A shift built by :meth:`parallel` is flagged constant
-    and evaluates Delta-z(t) = c exactly, without division.
+    A shift is its forward curve ``delta_forward`` and is read through that
+    curve's evaluation protocol (:func:`evaluation`): Delta-z is its zero
+    yield, (1/t) int_0^t Delta-f, so Delta-f(t) = d/dt (t Delta-z(t)) inside
+    segments by construction. A shift lives on its curve's domain and must
+    cover the curve it perturbs: a time outside [0, horizon] raises
+    :class:`DomainError`, and a shift is never extended past its horizon. A
+    shift built by :meth:`parallel` is flagged constant and evaluates
+    Delta-z(t) = c exactly, without division, on the same domain.
 
     A stacked shift (:meth:`stacked`) of ``rows`` shifts leads its values with
     a row per shift, bit for bit its own; a float time gives a ``(rows, 1)`` column.
@@ -418,7 +417,7 @@ class CurveShift:
 
     @classmethod
     def parallel(cls, c: float, horizon: float = DEFAULT_HORIZON) -> "CurveShift":
-        """Constant shift Delta-z = c everywhere (equivalently Delta-f = c)."""
+        """Constant shift Delta-z = c on [0, horizon] (equivalently Delta-f = c)."""
         return cls(ForwardCurve.flat(c, horizon), constant=c)
 
     @classmethod
@@ -429,6 +428,8 @@ class CurveShift:
     def stacked(cls, shifts) -> "CurveShift":
         """The shifts, on one grid and none parallel, as one stacked shift
         whose row i is ``shifts[i]``; one shift is returned as it is."""
+        if not shifts:
+            raise DomainError("a stacked shift needs at least one shift")
         if len(shifts) == 1:
             return shifts[0]
         forwards = [s.delta_forward for s in shifts]
@@ -438,34 +439,16 @@ class CurveShift:
         left, right = (np.array([getattr(f, side) for f in forwards]) for side in ("f_left", "f_right"))
         return cls(ForwardCurve(grid, left, right))
 
-    @property
-    def horizon(self) -> float:
-        return self.delta_forward.horizon
-
-    @property
-    def _tail_forward(self):
-        """Delta-f at the horizon, which extends the shift flat past it."""
-        f_right = self.delta_forward.f_right
-        return float(f_right[-1]) if self.rows is None else f_right[:, -1:]
-
-    def _times(self, t):
-        """:func:`_as_array`, but a stacked shift takes a float as a one-element array."""
-        arr, scalar = _as_array(t)
-        return (np.reshape(arr, 1), False) if scalar and self.rows is not None else (arr, scalar)
+    def _at(self, t):
+        """The times ``t`` as ``delta_forward`` takes them: a stacked shift takes
+        a float as a one-element array, so that it gives a ``(rows, 1)`` column."""
+        return t if self.rows is None else np.atleast_1d(t)
 
     def delta_z(self, t):
-        arr, scalar = self._times(t)
+        """Delta-z(t), the zero yield of ``delta_forward``; c for a parallel shift."""
         if self.constant is not None:
-            out = self.constant if scalar else np.full_like(arr, self.constant, dtype=float)
-        else:
-            # int_0^t Delta-f, extended flat past the shift horizon
-            hor = self.horizon
-            cum = self.delta_forward.integrated_forward(np.minimum(arr, hor))
-            beyond = arr > hor
-            if beyond if scalar else beyond.any():
-                cum = cum + np.where(beyond, self._tail_forward * (arr - hor), 0.0)
-            out = self.delta_forward._yield_of(cum, arr)
-        return float(out) if scalar else out
+            return _constant(self.delta_forward, t, self.constant)
+        return self.delta_forward.zero_yield(self._at(t))
 
     def delta_f_at_boundary(self, tau: float):
         """Delta-f at the last liquid point, taken as the left limit there.
@@ -474,24 +457,13 @@ class CurveShift:
         Delta-z at the boundary would be ill-conditioned.
         """
         if self.constant is not None:
-            return self.constant
-        return self.delta_forward.forward_rate(self._times(min(tau, self.horizon))[0], side="left")
+            return _constant(self.delta_forward, tau, self.constant)
+        return self.delta_forward.forward_rate(self._at(tau), side="left")
 
     def time_weighted_cumulative(self, t):
-        """int_0^t s * Delta-z(s) ds, closed form, flat-extended past the horizon."""
-        arr, scalar = self._times(t)
-        if self.constant is not None:
-            out = 0.5 * self.constant * arr * arr
-            return float(out) if scalar else out
-        hor = self.horizon
-        out = self.delta_forward.cumulative_time_weighted_yield(np.minimum(arr, hor))
-        beyond = arr > hor
-        if beyond if scalar else beyond.any():
-            # s * dz(s) = cum_h + tail_f * (s - hor) beyond the shift horizon
-            cum_h = self.delta_forward.integrated_forward(self._times(hor)[0])
-            w = arr - hor
-            out = out + np.where(beyond, cum_h * w + 0.5 * self._tail_forward * w * w, 0.0)
-        return float(out) if scalar else out
+        """int_0^t s * Delta-z(s) ds in closed form: 0.5 c t^2 on a parallel
+        shift's one flat segment, as written, but for the sign of a zero."""
+        return self.delta_forward.cumulative_time_weighted_yield(self._at(t))
 
     def scaled(self, factor: float) -> "CurveShift":
         scaled_curve = ForwardCurve(
@@ -510,7 +482,7 @@ class CurveShift:
 
     def __repr__(self):
         kind = f"constant {self.constant}" if self.constant is not None else "curve"
-        return f"CurveShift({kind}, horizon={self.horizon})"
+        return f"CurveShift({kind}, horizon={self.delta_forward.horizon})"
 
 
 # ---- cash flows -----------------------------------------------------------
@@ -785,8 +757,7 @@ class Measure:
         density, the panel sums below t plus t's panel's antiderivative by
         Clenshaw's recurrence, within 1e-14 of ``total`` of a fresh Gauss
         panel to t; no query evaluates a shape."""
-        arr, scalar = _as_array(t)
-        arr = np.atleast_1d(arr)
+        arr = np.atleast_1d(np.asarray(t, dtype=float))
         lump_cum, pieces = self._running
         out = lump_cum[np.searchsorted(self.lumps[0], arr, side="right")]
         for a, b, edges, cum, coef in pieces:
@@ -799,7 +770,7 @@ class Measure:
                 xi = (2.0 * s - (lo + hi)) / (hi - lo)
                 part[inside] = cum[seg] + np.polynomial.legendre.legval(xi, coef[seg].T, tensor=False)
             out = out + part
-        return float(out[0]) if scalar else out.reshape(np.shape(t))
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 class DiscountedFlow(Measure):

@@ -18,11 +18,13 @@ its market curve, spec and horizon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, _shaped, stieltjes_integral
+from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, evaluation, stieltjes_integral
 from .errors import DomainError, EvaluationError
 from .extrapolation import ExtrapolatedCurve
 from .methods import piecewise
@@ -152,19 +154,12 @@ def numeric_variation(
 
 def _yield_variation(shift: CurveShift, curve):
     """t -> dzbar(t) along ``shift`` (a row per shift when stacked), for the
-    extrapolated ``curve``: the shift up to tau, the method's variation past it."""
+    extrapolated ``curve``: the shift up to tau, the method's variation past it,
+    read under the curve-evaluation protocol on the curve's domain."""
     tau = curve.spec.tau
     extension = curve.spec.method.yield_variation(shift, curve)
-
-    def variation(t):
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0.0):
-            raise DomainError("negative time")
-        if isinstance(t, float) and shift.rows is None:
-            return float(piecewise(t, tau, shift.delta_z, extension))
-        return _shaped(piecewise(arr.reshape(-1), tau, shift.delta_z, extension), arr)
-
-    return variation
+    body = evaluation(lambda _, t: piecewise(t, tau, shift.delta_z, extension))
+    return functools.partial(body, SimpleNamespace(rows=shift.rows, horizon=curve.horizon))
 
 
 def method_variation(curve: ExtrapolatedCurve, shift: CurveShift, t):

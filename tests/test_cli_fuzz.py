@@ -13,7 +13,9 @@ Whatever the input, the call ends in a documented exit code (README): 0,
 2 prints exactly one ``error:`` line and nothing else on stderr; no
 exception and no warning of any kind leaves ``main``; an exit-0 output
 holds no NaN and no infinity, and a JSON ``null`` only where the README
-documents one: a ``sensitivity`` bound that does not exist.
+documents one: a ``sensitivity`` bound that does not exist. Each call
+returns within ``CALL_DEADLINE``, hypothesis's deadline, which is read
+when the call returns.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ import json
 import re
 import tempfile
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -144,9 +147,12 @@ SAMPLE_FLOW = [("lump", 15.0, 1.0), ("lump", 40.0, 0.6), ("density", 20.0, 30.0,
 #: M5 with kappa a hair past tau holds a plan rate of 1e300 / 1e-9, which
 #: overflows: its integrals never converge, and must not bisect without end
 HAIR_BLEND = {"kind": "M5_SFSA", "tau": 10.0, "ufr": 0.042, "kappa": 10.000000001}
+#: the bound on one call: far above the slowest example (HAIR_BLEND's, about
+#: 0.3 s on 2 vCPUs), so a runaway integral fails the property, not stalls it
+CALL_DEADLINE = timedelta(seconds=5)
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=CALL_DEADLINE)
 @given(call=st.sampled_from(CALLS), curve=curves(), method=methods(), flow=flows())
 @example(call=("scan-arbitrage", "json"), curve=NEGATIVE_CURVE, method={"kind": "M4", "tau": 30.0}, flow=SAMPLE_FLOW)
 @example(

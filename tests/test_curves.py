@@ -512,6 +512,8 @@ class TestCurveShift:
         ts = np.array([0.0, 1.0, 37.5, 200.0])
         np.testing.assert_array_equal(sh.delta_z(ts), 0.0001)
         assert sh.delta_f_at_boundary(10.0) == 0.0001
+        # the flat curve's closed form of int s*Dz(s) is 0.5 c t^2 as written
+        assert sh.time_weighted_cumulative(ts).tobytes() == (0.5 * 0.0001 * ts * ts).tobytes()
 
     def test_shifted_curve_adds_forwards(self):
         base = ForwardCurve.flat(0.03, horizon=50.0)
@@ -520,13 +522,18 @@ class TestCurveShift:
         assert shifted.forward_rate(25.0) == pytest.approx(0.05, abs=1e-15)
         assert shifted.forward_rate(12.5) == pytest.approx(0.04, abs=1e-15)
 
-    def test_shift_extends_flat(self):
+    def test_short_shift_is_refused(self):
+        """A shift lives on its own domain and is never extended: one shorter
+        than the curve it perturbs gives no ray, and is not read past its horizon."""
         base = ForwardCurve.flat(0.03, horizon=100.0)
         sh = CurveShift.from_forward_values([0.0, 10.0], [0.01, 0.01])
-        shifted = base.ray(sh)(1.0)
-        assert shifted.forward_rate(90.0) == pytest.approx(0.04, abs=1e-15)
-        # delta_z consistent with the same flat extension
-        assert sh.delta_z(20.0) == pytest.approx(0.01, abs=1e-15)
+        with pytest.raises(DomainError, match=r"outside curve domain \[0, 10.0\]"):
+            base.ray(sh)
+        for read in (sh.delta_z, sh.time_weighted_cumulative, sh.delta_f_at_boundary):
+            with pytest.raises(DomainError, match="outside curve domain"):
+                read(20.0)
+        covering = CurveShift.from_forward_values([0.0, 100.0], [0.01, 0.01])
+        assert base.ray(covering)(1.0).forward_rate(90.0) == pytest.approx(0.04, abs=1e-15)
 
     def test_delta_z_is_running_average(self):
         sh = CurveShift.from_forward_values([0.0, 10.0], [0.0, 0.01])
@@ -557,17 +564,7 @@ def _per_scale_reference(z, shift, scale):
     if nodes[-1] != z.horizon:
         nodes = np.concatenate((nodes, [z.horizon]))
     base_l, base_r = z._edge_values(nodes)
-    if other.horizon >= z.horizon:
-        sh_l, sh_r = other._edge_values(nodes)
-    else:
-        tail = other.f_right[-1]
-        inside = nodes <= other.horizon
-        sh_l = np.where(
-            inside[:-1], other.forward_rate(np.minimum(nodes[:-1], other.horizon), "right"), tail
-        )
-        sh_r = np.where(
-            inside[1:], other.forward_rate(np.minimum(nodes[1:], other.horizon), "left"), tail
-        )
+    sh_l, sh_r = other._edge_values(nodes)
     return ForwardCurve(TimeGrid(nodes), base_l + scale * sh_l, base_r + scale * sh_r, z.quote_nodes)
 
 
@@ -579,13 +576,15 @@ class TestRay:
         z = random_curve(rng)
         quoted = ForwardCurve.from_zero_yields([1.0, 5.0, 10.0, 30.0], [0.01, 0.02, 0.025, 0.03])
         quoted = quoted.ray(random_shift(rng, horizon=30.0))(0.5)  # quotes unlike its grid
+        # a shift covers its curve: one longer than the curve is read up to the
+        # curve's horizon, and the last one's segment straddles that horizon
         return [
             (z, random_shift(rng)),
-            (z, random_shift(rng, horizon=60.0)),  # shorter than the curve: flat tail
+            (z, random_shift(rng, horizon=260.0)),
             (z, CurveShift.parallel(0.0025)),
             (z.with_constant_added(0.001), random_shift(rng)),
-            (z.with_constant_added(-0.002), random_shift(rng, horizon=35.25)),
-            (quoted, random_shift(rng, horizon=12.0)),
+            (z.with_constant_added(-0.002), random_shift(rng, horizon=235.25)),
+            (quoted, CurveShift.from_forward_values([0.0, 7.3, 12.0, 31.9], rng.uniform(-0.01, 0.01, 4))),
         ]
 
     def test_ray_curves_equal_the_per_scale_build_bitwise(self):
@@ -656,7 +655,7 @@ class TestRay:
         rng = np.random.default_rng(41)
         scales = np.array(EPS_SCHEDULE + (1.0,))
         ts = rng.uniform(0.0, 200.0, 300)
-        for z, horizon in ((random_curve(rng), 200.0), (random_curve(rng).with_constant_added(0.001), 60.0)):
+        for z, horizon in ((random_curve(rng), 200.0), (random_curve(rng).with_constant_added(0.001), 260.0)):
             shifts = [random_shift(rng, horizon=horizon) for _ in range(count)]
             stack = z.ray(CurveShift.stacked(shifts))(scales)
             assert stack.rows == count * scales.size and stack.quote_nodes is z.quote_nodes
@@ -678,6 +677,8 @@ class TestRay:
             random_curve(rng).ray(CurveShift.stacked([random_shift(rng), random_shift(rng, horizon=60.0)]))
         with pytest.raises(DomainError, match="one grid"):
             CurveShift.stacked([CurveShift.parallel(0.01), CurveShift.parallel(0.02)])
+        with pytest.raises(DomainError, match="at least one shift"):
+            CurveShift.stacked([])
 
     def test_ray_curves_share_one_grid_and_the_quotes(self):
         z, shift = self.cases()[-1]

@@ -1060,7 +1060,7 @@ class TestStackedMarket:
     def _ladders():
         rng = np.random.default_rng(41)
         z = random_curve(rng, low=0.0, high=0.04)
-        return [(z, random_shift(rng)), (z, random_shift(rng, horizon=60.0))]  # the second is shorter
+        return [(z, random_shift(rng)), (z, random_shift(rng, horizon=260.0))]  # the second is longer
 
     @pytest.mark.parametrize("offset", [0.0, 0.004])
     @pytest.mark.parametrize("kind", sorted(SPECS))

@@ -836,6 +836,20 @@ class TestCliVerify:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "CURVEHEDGE_TOL_OVERRIDE" in captured.err
 
+    def test_suite_short_of_the_market_curve_exits_2(self, tmp_path, lump_liability_csv, capsys):
+        """The suite is drawn over --horizon, and the ladder's shift must cover
+        the market curve it perturbs: a market curve quoted past --horizon is
+        refused with one line, and verifies once --horizon reaches it."""
+        curve = tmp_path / "long.csv"
+        curve.write_text("t,zero_yield\n5,0.02\n10,0.025\n30,0.03\n250,0.035\n")
+        argv = ("verify", "--curve", str(curve), "--liabilities", lump_liability_csv,
+                "--method", SAMPLE_SPECS["M3"], "--shifts", "2")
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: time outside curve domain [0, 200.0]"]
+        assert run_cli(*argv, "--horizon", "250") == 0
+
 
 class TestCliSensitivity:
     def test_m3_single_lump(self, flat_curve_csv, tmp_path, capsys):

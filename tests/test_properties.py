@@ -63,9 +63,9 @@ def _times(rng, curve):
     return np.concatenate(([0.0, curve.horizon], curve.grid.nodes, inside))
 
 
-@given(seed=seeds, shift_horizon=st.sampled_from([200.0, 60.0]))
+@given(seed=seeds, shift_horizon=st.sampled_from([200.0, 260.0]))
 def test_zero_shift_leaves_the_curve(seed, shift_horizon):
-    """z.ray(s)(0) evaluates as z, including past a shorter shift's horizon."""
+    """z.ray(s)(0) evaluates as z, also along a shift longer than the curve."""
     rng = np.random.default_rng(seed)
     z = random_curve(rng)
     shifted = z.ray(random_shift(rng, horizon=shift_horizon))(0.0)
@@ -410,34 +410,57 @@ def test_float_time_evaluates_as_a_one_element_array(seed, kind, offset):
                         evaluate(arg)
 
 
-@given(seed=seeds, shift_horizon=st.sampled_from([200.0, 60.0]))
-def test_float_time_shift_evaluates_as_a_one_element_array(seed, shift_horizon):
-    """A float time, Python or numpy, gives a shift's Delta-z and
-    time-weighted cumulative of np.array([t]) bit for bit,
-    as a float, for a constant and a curve shift, inside the shift's horizon
-    and past it, where the shift extends flat."""
+@given(seed=seeds, shift_horizon=st.sampled_from([200.0, 60.0]), kind=st.sampled_from(CLOSED_FORM_KINDS))
+def test_float_time_shift_evaluates_as_a_one_element_array(seed, shift_horizon, kind):
+    """One domain rule for shifts, the curve-evaluation protocol's.
+
+    On [0, horizon] a float time, Python or numpy, gives a curve, a stacked
+    and a parallel shift's Delta-z, time-weighted cumulative and Delta-f at
+    the boundary of np.array([t]) bit for bit: a float, or for the stacked
+    shift an (S, 1) column. A NaN, a negative time and the float after the
+    horizon are refused on both paths, by the shifts and by
+    ``method_variation`` on the curve's domain. A shift shorter than its
+    market curve gives no ray.
+    """
     rng = np.random.default_rng(seed)
     curve_shift = random_shift(rng, horizon=shift_horizon)
+    stacked = CurveShift.stacked([random_shift(rng, horizon=shift_horizon) for _ in range(2)])
     constant = CurveShift.parallel(float(rng.uniform(-0.01, 0.01)), shift_horizon)
     nodes = curve_shift.delta_forward.grid.nodes
     times = np.concatenate((
-        [0.0, TAU, shift_horizon, 200.0],
+        [0.0, TAU, shift_horizon],
         nodes[:: nodes.size // 16],
         rng.uniform(0.0, shift_horizon, 16),
-        rng.uniform(0.0, 200.0, 16),
     ))
-    for shift in (curve_shift, constant):
+    z = random_curve(rng, low=0.0, high=0.04)
+    curve = extrapolate(z, SPECS[kind])
+    for shift in (curve_shift, stacked, constant):
         methods = {
             "delta_z": shift.delta_z,
             "time_weighted_cumulative": shift.time_weighted_cumulative,
+            "delta_f_at_boundary": shift.delta_f_at_boundary,
         }
         for name, evaluate in methods.items():
             for t in times:
                 want = evaluate(np.array([t]))
                 for scalar in (float(t), np.float64(t)):
                     got = evaluate(scalar)
-                    assert type(got) is float, name
+                    if shift.rows is None:
+                        assert type(got) is float, name
+                    else:
+                        assert got.shape == (shift.rows, 1), name
                     assert _bits(got) == _bits(want), (name, t)
+            for t in (np.nan, -1e-300, np.nextafter(shift_horizon, np.inf)):
+                for arg in (float(t), np.float64(t), np.array([t])):
+                    with pytest.raises(DomainError):
+                        evaluate(arg)
+        for t in (np.nan, -1e-300, np.nextafter(curve.horizon, np.inf)):
+            for arg in (float(t), np.float64(t), np.array([t])):
+                with pytest.raises(DomainError):
+                    method_variation(curve, shift, arg)
+        if shift_horizon < z.horizon:
+            with pytest.raises(DomainError):
+                z.ray(shift)
 
 
 #: every kind with a variation; M4 and M6 continuous have no plan to verify
@@ -562,15 +585,19 @@ def test_stacked_rows_are_the_one_shift_functions(kind, seed, count, tau, inside
 @given(seed=seeds, count=st.integers(min_value=2, max_value=5), shift_horizon=st.sampled_from([200.0, 60.0]))
 def test_stacked_shift_rows_are_the_single_shifts(seed, count, shift_horizon):
     """Row i of ``CurveShift.stacked(shifts)`` is shift i bit for bit: its
-    delta_z and time_weighted_cumulative at an array of times, also past a
-    shorter shift's horizon, and at a float time as row i of an (S, 1)
-    column, as delta_f_at_boundary is."""
+    delta_z and time_weighted_cumulative at an array of times on the
+    shifts' domain, and at a float time as row i of an (S, 1) column, as
+    delta_f_at_boundary is. Past that domain the stack refuses, as each
+    of its shifts does."""
     rng = np.random.default_rng(seed)
     shifts = [random_shift(rng, horizon=shift_horizon) for _ in range(count)]
     stacked = CurveShift.stacked(shifts)
     assert stacked.rows == count
-    t = np.concatenate(([0.0, shift_horizon, 200.0], rng.uniform(0.0, 200.0, size=64)))
-    floats = [0.0, TAU, float(rng.uniform(0.0, 200.0)), shift_horizon, 200.0]
+    t = np.concatenate(([0.0, shift_horizon], rng.uniform(0.0, shift_horizon, size=64)))
+    floats = [0.0, TAU, float(rng.uniform(0.0, shift_horizon)), shift_horizon]
+    for read in (stacked.delta_z, stacked.time_weighted_cumulative, stacked.delta_f_at_boundary):
+        with pytest.raises(DomainError):
+            read(np.nextafter(shift_horizon, np.inf))
     for name in ("delta_z", "time_weighted_cumulative"):
         rows = getattr(stacked, name)(t)
         assert rows.shape == (count, t.size)
