@@ -108,12 +108,13 @@ def _load(args, liabilities=False, tolerances=False):
 
     The liability commands take the options of a shift suite, so their
     count, seed and horizon are checked by the suite's rule before any
-    method runs, also on the paths that build no suite. The curve is
-    extrapolated once, after every input is read and checked, and each
-    command uses it; :func:`extrapolate` calibrates a missing Smith-Wilson
-    alpha.
+    method runs, also on the paths that build no suite. The market curve's
+    horizon is kept as ``args.market_horizon``. The curve is extrapolated
+    once, after every input is read and checked, and each command uses it;
+    :func:`extrapolate` calibrates a missing Smith-Wilson alpha.
     """
     market = read_curve(args.curve)
+    args.market_horizon = market.horizon
     spec = method_from_arg(args.method)
     flow = tols = None
     if liabilities:
@@ -194,7 +195,9 @@ def cmd_hedge(args) -> int:
 
 def cmd_verify(args) -> int:
     curve, flow, tols = _load(args, liabilities=True, tolerances=True)
-    suite = shift_suite(args.shifts, args.seed, args.horizon)
+    # the ladders perturb the market curve, which a shift must cover, also
+    # where it is quoted past --horizon
+    suite = shift_suite(args.shifts, args.seed, max(args.horizon, args.market_horizon))
     corrupt = args.corrupt_analytic or 0.0
     checks = verification_checks(curve, flow, suite, tols, corrupt)
 

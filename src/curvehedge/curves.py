@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,19 @@ def _shaped(out, arr):
     if out.ndim == 1:
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
     return out.reshape(out.shape[:-1] + arr.shape)
+
+
+#: the two fields :func:`evaluation` reads of a curve
+_Domain = namedtuple("_Domain", "rows horizon")
+
+
+def on_domain(function, rows, horizon):
+    """``function`` (times -> values) read under :func:`evaluation` as the
+    method of a curve on [0, ``horizon``] with ``rows`` scenarios (None for
+    one curve): the protocol for a function of time that is no curve's."""
+    method = evaluation(lambda _, t: function(t))
+    domain = _Domain(rows, horizon)
+    return lambda t: method(domain, t)
 
 
 class ForwardCurve:
@@ -417,7 +431,10 @@ class CurveShift:
 
     @classmethod
     def parallel(cls, c: float, horizon: float = DEFAULT_HORIZON) -> "CurveShift":
-        """Constant shift Delta-z = c on [0, horizon] (equivalently Delta-f = c)."""
+        """Constant shift Delta-z = c on [0, horizon] (equivalently Delta-f = c).
+
+        The default horizon covers curves of the default horizon only: a
+        shift must reach the horizon of the curve it perturbs."""
         return cls(ForwardCurve.flat(c, horizon), constant=c)
 
     @classmethod

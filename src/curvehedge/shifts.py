@@ -65,7 +65,9 @@ def check_suite(count: int, seed: int, horizon: float):
 def shift_suite(count: int, seed: int, horizon: float = DEFAULT_HORIZON) -> list:
     """A reproducible suite of random smooth shifts, checked by :func:`check_suite`
     before any is built: a list of stacked shifts of ``PASS_WEIGHTS`` rows, the last
-    the rest, each stacked as drawn; callers stack theirs by :meth:`CurveShift.stacked`."""
+    the rest, each stacked as drawn; callers stack theirs by :meth:`CurveShift.stacked`.
+    The shifts live on [0, ``horizon``]; the default covers curves of the default
+    horizon only, since a shift must reach the horizon of the curve it perturbs."""
     check_suite(count, seed, horizon)
     rng = np.random.default_rng(seed)
     return [

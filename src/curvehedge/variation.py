@@ -18,13 +18,11 @@ its market curve, spec and horizon.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, evaluation, stieltjes_integral
+from .curves import CashFlow, CurveShift, DiscountedFlow, ForwardCurve, on_domain, stieltjes_integral
 from .errors import DomainError, EvaluationError
 from .extrapolation import ExtrapolatedCurve
 from .methods import piecewise
@@ -158,8 +156,7 @@ def _yield_variation(shift: CurveShift, curve):
     read under the curve-evaluation protocol on the curve's domain."""
     tau = curve.spec.tau
     extension = curve.spec.method.yield_variation(shift, curve)
-    body = evaluation(lambda _, t: piecewise(t, tau, shift.delta_z, extension))
-    return functools.partial(body, SimpleNamespace(rows=shift.rows, horizon=curve.horizon))
+    return on_domain(lambda t: piecewise(t, tau, shift.delta_z, extension), shift.rows, curve.horizon)
 
 
 def method_variation(curve: ExtrapolatedCurve, shift: CurveShift, t):

@@ -10,6 +10,7 @@ from curvehedge.cli import main
 from curvehedge.curves import MAX_SAMPLES
 from curvehedge.errors import InputFormatError
 from curvehedge.io import method_from_arg, read_cash_flow, read_curve
+from curvehedge.shifts import shift_suite
 
 SAMPLE_DATA = pathlib.Path(__file__).resolve().parents[1] / "sample_data"
 
@@ -836,19 +837,24 @@ class TestCliVerify:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "CURVEHEDGE_TOL_OVERRIDE" in captured.err
 
-    def test_suite_short_of_the_market_curve_exits_2(self, tmp_path, lump_liability_csv, capsys):
-        """The suite is drawn over --horizon, and the ladder's shift must cover
-        the market curve it perturbs: a market curve quoted past --horizon is
-        refused with one line, and verifies once --horizon reaches it."""
+    def test_suite_covers_a_market_curve_quoted_past_the_horizon(
+        self, tmp_path, lump_liability_csv, monkeypatch, capsys
+    ):
+        """``verify``'s ladders perturb the market curve, which a shift must
+        cover: on a market curve quoted past --horizon it draws the suite over
+        the market curve. ``hedge`` reads shifts only up to the method's reach
+        and draws over --horizon, as both do on a shorter market curve."""
         curve = tmp_path / "long.csv"
         curve.write_text("t,zero_yield\n5,0.02\n10,0.025\n30,0.03\n250,0.035\n")
-        argv = ("verify", "--curve", str(curve), "--liabilities", lump_liability_csv,
-                "--method", SAMPLE_SPECS["M3"], "--shifts", "2")
-        assert run_cli(*argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["error: time outside curve domain [0, 200.0]"]
-        assert run_cli(*argv, "--horizon", "250") == 0
+        drawn = []
+        monkeypatch.setattr(cli, "shift_suite", lambda *args: drawn.append(args) or shift_suite(*args))
+        for market, verify_horizon in ((str(curve), 250.0), (str(SAMPLE_DATA / "curve.csv"), 200.0)):
+            for command in ("hedge", "verify"):
+                assert run_cli(command, "--curve", market, "--liabilities", lump_liability_csv,
+                               "--method", SAMPLE_SPECS["M3"], "--shifts", "2") == 0
+            assert drawn == [(2, 0, 200.0), (2, 0, verify_horizon)]
+            drawn.clear()
+        assert capsys.readouterr().err == ""
 
 
 class TestCliSensitivity:
